@@ -297,8 +297,14 @@ func main() {
 		if *skew {
 			ws = workloads.SkewWeights(input)
 		}
-		plan := fw.Optimize(pred, wanify.OptimizeOptions{SkewWeights: ws})
-		if *jobs > 1 {
+		opts := wanify.OptimizeOptions{SkewWeights: ws}
+		plan := fw.Optimize(pred, opts)
+		// One job takes the whole plan and throttles through its own
+		// agents; N jobs partition it and throttle at the cluster level.
+		// Everything after the deploy call is the same.
+		if *jobs == 1 {
+			fw.DeployAgents(pred, plan)
+		} else {
 			prios := make([]float64, *jobs)
 			for i := range prios {
 				prios[i] = float64(*jobs - i)
@@ -313,22 +319,15 @@ func main() {
 					}
 					return jobSet.RemainingBytes()
 				},
-				Optimize: wanify.OptimizeOptions{SkewWeights: ws},
+				Optimize: opts,
 			}); err != nil {
 				log.Fatal(err)
 			}
-			defer fw.StopAgents()
-			copy(policies, fw.JobPolicies())
-			if *rebal {
-				fw.StartJobSetController()
-			}
-		} else {
-			fw.DeployAgents(pred, plan)
-			defer fw.StopAgents()
-			policy = fw.ConnPolicy()
-			if *rebal {
-				fw.StartController(wanify.OptimizeOptions{SkewWeights: ws})
-			}
+		}
+		defer fw.StopAgents()
+		copy(policies, fw.JobPolicies())
+		if *rebal {
+			fw.StartController(opts)
 		}
 	default:
 		log.Fatalf("unknown conns %q", *conns)
@@ -362,30 +361,19 @@ func main() {
 		rec = trace.NewRecorder(sim, 1.0)
 	}
 
-	var results []spark.RunResult
-	var makespan float64
-	if *jobs > 1 {
-		runs := make([]spark.JobRun, *jobs)
-		for i := range runs {
-			runs[i] = spark.JobRun{Job: job, Sched: scheduler, Policy: policies[i]}
-		}
-		var err error
-		jobSet, err = spark.NewJobSet(eng, runs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		set, err := jobSet.Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		results, makespan = set.Results, set.MakespanS
-	} else {
-		res, err := eng.RunJob(job, scheduler, policy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results, makespan = []spark.RunResult{res}, res.JCTSeconds
+	runs := make([]spark.JobRun, *jobs)
+	for i := range runs {
+		runs[i] = spark.JobRun{Job: job, Sched: scheduler, Policy: policies[i]}
 	}
+	jobSet, err = spark.NewJobSet(eng, runs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	set, err := jobSet.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, makespan := set.Results, set.MakespanS
 	if rec != nil {
 		rec.Close()
 		f, err := os.Create(*traceTo)

@@ -1,22 +1,25 @@
 package wanify
 
-// Dynamic multi-job deployments: the Framework re-entrancy layer the
-// serving control plane (internal/serve) runs on. Where EnableJobSet
-// deploys a FIXED roster of N jobs and runs them to completion, a
-// dynamic deployment opens a fixed number of job SLOTS over one global
-// plan and lets jobs attach and detach while everything runs:
+// The slot model — the one deployment every Enable* entry point is a
+// configuration of. A deployment opens a fixed number of job SLOTS over
+// one global plan; jobs occupy and free slots while everything runs:
 //
-//   - AdmitJob claims a free slot, re-partitions the current global
-//     plan across the now-occupied slots, atomically narrows every
-//     running job's windows to its new share (agent.SwapWindow — the
-//     same primitive the re-gauging controller swaps with), and deploys
-//     fresh agents for the newcomer.
-//   - ReleaseJob stops a finished job's agents, frees its slot, and
+//   - Enable / DeployAgents open ONE slot, occupied at once, that takes
+//     the whole plan and whose agents throttle BW-rich links locally.
+//   - EnableJobSet / DeployJobSetAgents open N slots, all occupied in
+//     one rebalance under the Share / Oversubscribe policy.
+//   - EnableDynamicJobSet opens N FREE slots for the serving control
+//     plane (internal/serve) to fill: AdmitJob claims a free slot,
+//     re-partitions the current global plan across the now-occupied
+//     slots, atomically narrows every running job's windows to its new
+//     share (agent.SwapWindow — the same primitive the re-gauging
+//     controller swaps with), and deploys fresh agents for the newcomer;
+//     ReleaseJob stops a finished job's agents, frees its slot, and
 //     widens the survivors' windows back out in the same way.
-//   - The shared runtime controller keeps arbitrating throughout:
-//     admission and release reswizzle its roster (Controller.SetGroups)
-//     at the instant they happen, and a re-gauge snapshot in flight
-//     simply applies against the post-churn roster.
+//   - One runtime controller arbitrates throughout: admission and
+//     release reswizzle its roster (Controller.SetGroups) at the instant
+//     they happen, and a re-gauge snapshot in flight simply applies
+//     against the post-churn roster.
 //
 // Slot identity is stable: a job keeps its slot index for its whole
 // life, so connection policies and the controller's per-group swap
@@ -24,10 +27,9 @@ package wanify
 // zero — optimize.PartitionPlan hands them zero-connection windows and
 // nobody deploys agents for them.
 //
-// Share policy is ShareFair or SharePriority (per-job weight given at
-// AdmitJob). ShareRemaining is a roster-wide progress signal that the
-// fixed-roster path polls from its JobSet; a churning roster has no
-// single set to poll, so dynamic deployments reject it.
+// ShareRemaining is a roster-wide progress signal polled from one
+// spark.JobSet; a churning roster has no single set to poll, so
+// EnableDynamicJobSet rejects it.
 
 import (
 	"fmt"
@@ -35,10 +37,12 @@ import (
 	"github.com/wanify/wanify/internal/agent"
 	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/measure"
+	"github.com/wanify/wanify/internal/ml/dataset"
 	"github.com/wanify/wanify/internal/optimize"
 	"github.com/wanify/wanify/internal/predict"
 	rgauge "github.com/wanify/wanify/internal/runtime"
 	"github.com/wanify/wanify/internal/spark"
+	"github.com/wanify/wanify/internal/substrate"
 )
 
 // DynamicJobSetOptions configures a dynamic multi-job deployment.
@@ -53,11 +57,48 @@ type DynamicJobSetOptions struct {
 	Optimize OptimizeOptions
 }
 
-// dynamicState tracks slot occupancy of a dynamic deployment.
-type dynamicState struct {
-	opts DynamicJobSetOptions
-	used []bool
-	prio []float64
+// slotState is a deployment's policy and occupancy.
+type slotState struct {
+	// opts is the share policy; opts.Jobs is the slot count.
+	opts JobSetOptions
+	// local marks Enable's deployment: the slot's agents install the
+	// §3.2.2 throttles themselves. Otherwise agents run with Throttle
+	// off and the deployment throttles at the cluster level from the
+	// global plan.
+	local bool
+	used  []bool
+	prio  []float64 // per-slot SharePriority weight (all zero: fair)
+}
+
+// enable gauges the cluster once (snapshot → predict → optimize), opens
+// the deployment, and starts the shared controller when Config.Runtime
+// is enabled.
+func (f *Framework) enable(o JobSetOptions, local, occupied bool) (bwmatrix.Matrix, measure.Report) {
+	pred, rep := f.DetermineRuntimeBW()
+	plan := f.Optimize(pred, o.Optimize)
+	f.deploy(pred, plan, o, local, occupied)
+	if f.cfg.Runtime.Enabled {
+		f.startController()
+	}
+	return pred, rep
+}
+
+// deploy stops any previous deployment and opens o.Jobs slots over
+// (pred, plan) — all occupied, their agents spawned in one rebalance,
+// or all free.
+func (f *Framework) deploy(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions, local, occupied bool) {
+	f.StopAgents()
+	f.deployed = pred.Clone()
+	f.slots = &slotState{opts: o, local: local, used: make([]bool, o.Jobs), prio: make([]float64, o.Jobs)}
+	copy(f.slots.prio, o.Priorities)
+	f.groups = make([][]*agent.Agent, o.Jobs)
+	for g := range f.slots.used {
+		f.slots.used[g] = occupied
+	}
+	f.rebalance(pred, plan)
+	if f.cfg.Agent.Throttle && !local {
+		f.applyGlobalThrottles(plan)
+	}
 }
 
 // EnableDynamicJobSet gauges the cluster once (snapshot → predict →
@@ -74,73 +115,81 @@ func (f *Framework) EnableDynamicJobSet(o DynamicJobSetOptions) (bwmatrix.Matrix
 		return nil, measure.Report{}, fmt.Errorf("wanify: dynamic job sets support fair or priority sharing only")
 	}
 	f.StopAgents()
-	pred, rep := f.DetermineRuntimeBW()
-	plan := f.Optimize(pred, o.Optimize)
-	f.deployed = pred.Clone()
-	f.dyn = &dynamicState{
-		opts: o,
-		used: make([]bool, o.Slots),
-		prio: make([]float64, o.Slots),
-	}
-	f.jobAgents = make([][]*agent.Agent, o.Slots)
-	if f.cfg.Agent.Throttle {
-		f.applyGlobalThrottles(plan)
-	}
-	if f.cfg.Runtime.Enabled {
-		f.startDynamicController()
-	}
+	pred, rep := f.enable(JobSetOptions{Jobs: o.Slots, Share: o.Share, Optimize: o.Optimize}, false, false)
 	return pred, rep, nil
 }
 
-// DynamicSlots reports (occupied, total) slots of a dynamic deployment,
+// DynamicSlots reports (occupied, total) slots of the deployment,
 // (0, 0) when none is enabled.
 func (f *Framework) DynamicSlots() (used, total int) {
-	if f.dyn == nil {
+	if f.slots == nil {
 		return 0, 0
 	}
-	for _, u := range f.dyn.used {
+	for _, u := range f.slots.used {
 		if u {
 			used++
 		}
 	}
-	return used, len(f.dyn.used)
+	return used, len(f.slots.used)
 }
 
-// dynamicWeights evaluates the per-slot share weights: zero for free
-// slots, the admit-time priority (fair: 1) for occupied ones.
-func (f *Framework) dynamicWeights() []float64 {
-	w := make([]float64, len(f.dyn.used))
-	for i, used := range f.dyn.used {
-		if !used {
-			continue
+// partition splits a global plan across the slots per the deployment's
+// policy and current occupancy: every slot the WHOLE plan under
+// Oversubscribe, otherwise optimize.PartitionPlan under the share
+// weights — re-evaluated at every call, so bytes-remaining sharing
+// tracks job progress — with free slots at weight zero.
+func (f *Framework) partition(plan optimize.Plan) []optimize.Plan {
+	st := f.slots
+	if st.opts.Oversubscribe {
+		parts := make([]optimize.Plan, len(st.used))
+		for g := range parts {
+			parts[g] = plan
 		}
-		if f.dyn.opts.Share == optimize.SharePriority && f.dyn.prio[i] > 0 {
-			w[i] = f.dyn.prio[i]
-		} else {
-			w[i] = 1
+		return parts
+	}
+	var rem []float64
+	if st.opts.Share == optimize.ShareRemaining && st.opts.Remaining != nil {
+		rem = st.opts.Remaining()
+	}
+	w := optimize.ShareWeights(st.opts.Share, len(st.used), st.prio, rem)
+	for g, used := range st.used {
+		if !used {
+			w[g] = 0
 		}
 	}
-	return w
+	return optimize.PartitionPlan(plan, w)
 }
 
-// partitionDynamic splits a global plan across the slots per the
-// deployment's current occupancy.
-func (f *Framework) partitionDynamic(plan optimize.Plan) []optimize.Plan {
-	return optimize.PartitionPlan(plan, f.dynamicWeights())
-}
-
-// startDynamicController launches the shared arbitration controller
-// over the (initially empty) slot roster.
-func (f *Framework) startDynamicController() {
-	deps := f.controllerDeps(f.dyn.opts.Optimize)
-	deps.Groups = f.jobAgents
-	deps.Partition = f.partitionDynamic
-	if f.cfg.Agent.Throttle {
+// startController launches the deployment's one re-gauging controller
+// over the slot roster (which may still be empty).
+func (f *Framework) startController() *rgauge.Controller {
+	if f.controller != nil {
+		f.controller.Stop()
+	}
+	opts := f.slots.opts.Optimize
+	deps := rgauge.Deps{
+		Cluster: f.cfg.Cluster,
+		SnapshotOpts: func() measure.Options {
+			return measure.SnapshotOptions(f.rng.Derive("snapshot"))
+		},
+		Predict: func(snap bwmatrix.Matrix, stats []substrate.VMStats) bwmatrix.Matrix {
+			features := dataset.FeaturesFromSnapshot(f.cfg.Cluster, snap, stats)
+			f.predicted = f.model.PredictMatrixInto(f.predicted, features)
+			return f.predicted.Clone()
+		},
+		Optimize: func(pred bwmatrix.Matrix) optimize.Plan {
+			return f.Optimize(pred, opts)
+		},
+		Groups:    f.groups,
+		Partition: f.partition,
+	}
+	if f.cfg.Agent.Throttle && !f.slots.local {
 		deps.OnPlanSwap = func(_ bwmatrix.Matrix, plan optimize.Plan) {
 			f.applyGlobalThrottles(plan)
 		}
 	}
 	f.controller = rgauge.Start(deps, f.cfg.Runtime, f.deployed, f.plan)
+	return f.controller
 }
 
 // currentBelief returns the prediction/plan pair the deployment is
@@ -154,96 +203,87 @@ func (f *Framework) currentBelief() (bwmatrix.Matrix, optimize.Plan) {
 }
 
 // AdmitJob claims a free slot for a new job with the given priority
-// weight (ignored under ShareFair), re-partitions the current plan
-// across the occupied slots — every running job's windows narrow to
-// their new share within this call — and deploys the newcomer's agents.
-// It returns the slot index and the connection policy the job's
-// transfers must use. Errors when no slot is free (the caller queues).
+// weight (ignored under ShareFair; non-positive counts as 1),
+// re-partitions the current plan across the occupied slots — every
+// running job's windows narrow to their new share within this call —
+// and deploys the newcomer's agents. It returns the slot index and the
+// connection policy the job's transfers must use. Errors when no slot
+// is free (the caller queues).
 func (f *Framework) AdmitJob(priority float64) (int, spark.ConnPolicy, error) {
-	if f.dyn == nil {
+	if f.slots == nil {
 		return 0, nil, fmt.Errorf("wanify: AdmitJob without EnableDynamicJobSet")
 	}
 	slot := -1
-	for i, used := range f.dyn.used {
+	for i, used := range f.slots.used {
 		if !used {
 			slot = i
 			break
 		}
 	}
 	if slot < 0 {
-		return 0, nil, fmt.Errorf("wanify: all %d job slots occupied", len(f.dyn.used))
+		return 0, nil, fmt.Errorf("wanify: all %d job slots occupied", len(f.slots.used))
 	}
-	f.dyn.used[slot] = true
-	f.dyn.prio[slot] = priority
-	f.rebalanceDynamic(slot)
-	return slot, spark.NewAgentConn(f.jobAgents[slot]), nil
+	if priority <= 0 {
+		priority = 1
+	}
+	f.slots.used[slot] = true
+	f.slots.prio[slot] = priority
+	f.rebalance(f.currentBelief())
+	return slot, spark.NewAgentConn(f.groups[slot]), nil
 }
 
 // ReleaseJob frees a slot — the job finished or was canceled — stopping
 // its agents and widening the surviving jobs' windows back out to their
 // new shares.
 func (f *Framework) ReleaseJob(slot int) error {
-	if f.dyn == nil {
+	if f.slots == nil {
 		return fmt.Errorf("wanify: ReleaseJob without EnableDynamicJobSet")
 	}
-	if slot < 0 || slot >= len(f.dyn.used) || !f.dyn.used[slot] {
+	if slot < 0 || slot >= len(f.slots.used) || !f.slots.used[slot] {
 		return fmt.Errorf("wanify: release of unoccupied slot %d", slot)
 	}
-	for _, a := range f.jobAgents[slot] {
+	for _, a := range f.groups[slot] {
 		a.Stop()
 	}
-	f.jobAgents[slot] = nil
-	f.dyn.used[slot] = false
-	f.dyn.prio[slot] = 0
-	f.rebalanceDynamic(-1)
+	f.groups[slot] = nil
+	f.slots.used[slot] = false
+	f.slots.prio[slot] = 0
+	f.rebalance(f.currentBelief())
 	return nil
 }
 
-// rebalanceDynamic re-partitions the current plan across occupied slots
-// after an occupancy change, swapping new windows into every running
-// job and — when newSlot is a fresh admission — deploying its agents.
-func (f *Framework) rebalanceDynamic(newSlot int) {
-	pred, plan := f.currentBelief()
-	parts := f.partitionDynamic(plan)
+// rebalance re-partitions the plan across the occupied slots after an
+// occupancy change: an occupied slot without agents is a fresh
+// admission and gets them spawned — the deployment's one agent-per-VM
+// loop — every other one has its new windows swapped in, and the
+// controller's roster follows.
+func (f *Framework) rebalance(pred bwmatrix.Matrix, plan optimize.Plan) {
 	sim := f.cfg.Cluster
 	agentCfg := f.cfg.Agent
-	agentCfg.Throttle = false
-	for g := range parts {
-		if !f.dyn.used[g] {
+	agentCfg.Throttle = agentCfg.Throttle && f.slots.local
+	for g, part := range f.partition(plan) {
+		if !f.slots.used[g] {
 			continue
 		}
-		rows := agent.ChunkPlan(sim, pred, parts[g])
-		if g == newSlot {
-			var group []*agent.Agent
-			for dc := 0; dc < sim.NumDCs(); dc++ {
-				for _, vm := range sim.VMsOfDC(dc) {
-					a := agent.New(sim, vm, agentCfg)
-					a.ApplyPlan(rows[vm])
-					a.Start()
-					group = append(group, a)
-				}
-			}
-			f.jobAgents[g] = group
-		} else {
-			for _, a := range f.jobAgents[g] {
+		rows := agent.ChunkPlan(sim, pred, part)
+		if f.groups[g] != nil {
+			for _, a := range f.groups[g] {
 				a.SwapWindow(rows[a.VM()])
+			}
+			continue
+		}
+		for dc := 0; dc < sim.NumDCs(); dc++ {
+			for _, vm := range sim.VMsOfDC(dc) {
+				a := agent.New(sim, vm, agentCfg)
+				a.ApplyPlan(rows[vm])
+				a.Start()
+				f.groups[g] = append(f.groups[g], a)
 			}
 		}
 	}
-	f.syncControllerGroups()
-}
-
-// syncControllerGroups reswizzles the controller's roster to the
-// current slot occupancy.
-func (f *Framework) syncControllerGroups() {
-	if f.controller == nil {
-		return
+	if f.controller != nil {
+		f.controller.SetGroups(f.groups)
 	}
-	var union []*agent.Agent
-	for _, group := range f.jobAgents {
-		union = append(union, group...)
-	}
-	f.controller.SetGroups(union, f.jobAgents)
 }
 
 // SetModel swaps the framework's prediction model — the serving layer's

@@ -1,10 +1,13 @@
 package wanify_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	wanify "github.com/wanify/wanify"
 	"github.com/wanify/wanify/internal/agent"
+	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/cost"
 	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
@@ -342,4 +345,116 @@ func TestRuntimeControllerEndToEnd(t *testing.T) {
 	if got := sim.ActiveFlows(); got != 0 {
 		t.Errorf("%d flows left after teardown", got)
 	}
+}
+
+// opLog wraps a cluster and records, in order, what a deployment does
+// to it: every periodic timer it arms and every tc limit it sets or
+// clears. Two deployments with equal logs armed their agent and
+// controller epochs in the same sequence — so they fire in the same
+// order — and left the same throttles behind.
+type opLog struct {
+	*netsim.Sim
+	ops []string
+}
+
+func (l *opLog) Every(interval float64, fn func(now float64)) (cancel func()) {
+	l.ops = append(l.ops, fmt.Sprintf("every %gs", interval))
+	return l.Sim.Every(interval, fn)
+}
+
+func (l *opLog) SetPairLimit(src, dst int, mbps float64) {
+	l.ops = append(l.ops, fmt.Sprintf("limit %d->%d %v", src, dst, mbps))
+	l.Sim.SetPairLimit(src, dst, mbps)
+}
+
+func (l *opLog) ClearPairLimit(src, dst int) {
+	l.ops = append(l.ops, fmt.Sprintf("clear %d->%d", src, dst))
+	l.Sim.ClearPairLimit(src, dst)
+}
+
+// newLoggedFramework builds a throttling, re-gauging framework (a
+// staleness clock forces replans, so the controller's swap path runs)
+// over a fresh frozen cluster whose first DC has two VMs.
+func newLoggedFramework(t *testing.T) (*wanify.Framework, *opLog) {
+	t.Helper()
+	regions := geo.TestbedSubset(3)
+	vms := [][]substrate.VMSpec{{substrate.T2Medium, substrate.T2Medium}, {substrate.T2Medium}, {substrate.T2Medium}}
+	log := &opLog{Sim: netsim.NewSim(netsim.Config{Regions: regions, VMs: vms, Seed: 11, Frozen: true})}
+	fw, err := wanify.New(wanify.Config{
+		Cluster: log, Rates: cost.DefaultRates(), Seed: 11,
+		Agent:   agent.Config{Throttle: true},
+		Runtime: rgauge.Config{Enabled: true, EpochS: 5, StaleAfterS: 20, CooldownS: 10},
+	}, getModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fw, log
+}
+
+// sameDeployment compares two deployments agent by agent — VM, current
+// connection counts, achievable-BW targets — and by what they did to
+// their clusters.
+func sameDeployment(t *testing.T, what string, a, b [][]*agent.Agent, logA, logB *opLog) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d vs %d agent groups", what, len(a), len(b))
+	}
+	for g := range a {
+		if len(a[g]) != len(b[g]) {
+			t.Fatalf("%s: group %d has %d vs %d agents", what, g, len(a[g]), len(b[g]))
+		}
+		for k := range a[g] {
+			x, y := a[g][k], b[g][k]
+			if x.VM() != y.VM() || !reflect.DeepEqual(x.Conns(), y.Conns()) || !reflect.DeepEqual(x.TargetBW(), y.TargetBW()) {
+				t.Errorf("%s: group %d agent %d differs: vm %d conns %v targets %v vs vm %d conns %v targets %v",
+					what, g, k, x.VM(), x.Conns(), x.TargetBW(), y.VM(), y.Conns(), y.TargetBW())
+			}
+		}
+	}
+	if !reflect.DeepEqual(logA.ops, logB.ops) {
+		t.Errorf("%s: cluster operations differ:\n%v\nvs\n%v", what, logA.ops, logB.ops)
+	}
+}
+
+// TestEnableIsTheHandDrivenSteps locks Enable as nothing but
+// DetermineRuntimeBW → Optimize → DeployAgents → StartController: the
+// same agents with the same windows, targets, throttles and timer
+// order at deploy time, and — after a job with forced replans ran over
+// both — the same result, the same replans and the same final windows.
+func TestEnableIsTheHandDrivenSteps(t *testing.T) {
+	opts := wanify.OptimizeOptions{SkewWeights: []float64{3, 1, 1}}
+	fwA, logA := newLoggedFramework(t)
+	predA, policyA, repA := fwA.Enable(opts)
+	defer fwA.StopAgents()
+
+	fwB, logB := newLoggedFramework(t)
+	predB, repB := fwB.DetermineRuntimeBW()
+	fwB.DeployAgents(predB, fwB.Optimize(predB, opts))
+	fwB.StartController(opts)
+	policyB := fwB.ConnPolicy()
+	defer fwB.StopAgents()
+
+	if !reflect.DeepEqual(predA, predB) || repA != repB {
+		t.Fatalf("gauging differs: %v (%+v) vs %v (%+v)", predA, repA, predB, repB)
+	}
+	sameDeployment(t, "at deploy", fwA.JobAgents(), fwB.JobAgents(), logA, logB)
+
+	run := func(sim substrate.Cluster, pred bwmatrix.Matrix, policy spark.ConnPolicy) spark.RunResult {
+		rates := cost.DefaultRates()
+		res, err := spark.NewEngine(sim, rates).RunJob(
+			workloads.TeraSort(workloads.UniformInput(3, 30e9)),
+			gda.Tetrium{Believed: pred, Info: gda.NewClusterInfo(sim, rates)}, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	resA, resB := run(logA, predA, policyA), run(logB, predB, policyB)
+	if resA.JCTSeconds != resB.JCTSeconds || resA.WANBytes != resB.WANBytes {
+		t.Errorf("job differs: %.6fs / %.0f B vs %.6fs / %.0f B", resA.JCTSeconds, resA.WANBytes, resB.JCTSeconds, resB.WANBytes)
+	}
+	if fwA.Controller().Replans() < 1 || !reflect.DeepEqual(fwA.Controller().Events(), fwB.Controller().Events()) {
+		t.Errorf("replans differ (or none fired): %v vs %v", fwA.Controller().Events(), fwB.Controller().Events())
+	}
+	sameDeployment(t, "after the job", fwA.JobAgents(), fwB.JobAgents(), logA, logB)
 }

@@ -83,45 +83,27 @@ func (r Report) Add(o Report) Report {
 
 // StaticIndependent measures every ordered DC pair one at a time, the
 // way Tetrium/Kimchi/Iridium run iPerf (§2.2: "we measured one DC-pair
-// BW at a time"). The returned matrix holds the per-pair averages; the
-// diagonal is zero.
+// BW at a time"): one single-pair probe set per pair, back to back. The
+// returned matrix holds the per-pair averages; the diagonal is zero.
 func StaticIndependent(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, Report) {
-	n := sim.NumDCs()
-	out := bwmatrix.New(n)
+	out := bwmatrix.New(sim.NumDCs())
 	var rep Report
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			mbps, r := probePairs(sim, [][2]int{{i, j}}, opts)
-			out[i][j] = noisy(mbps[[2]int{i, j}], opts)
-			rep = rep.Add(r)
-		}
+	for _, p := range allPairs(sim.NumDCs()) {
+		ps := beginProbes(sim, opts, [][2]int{p})
+		sim.RunFor(opts.DurationS)
+		mbps, r := ps.drain()
+		out[p[0]][p[1]] = noisy(mbps[p], opts)
+		rep = rep.Add(r)
 	}
 	return out, rep
 }
 
 // StaticSimultaneous measures all ordered DC pairs at the same time,
 // capturing runtime contention. This is the ground truth the prediction
-// model learns to reproduce, and the expensive approach Table 2 prices.
+// model learns to reproduce, and the expensive approach Table 2 prices:
+// a Snapshot as long as opts.DurationS, minus the host metrics.
 func StaticSimultaneous(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, Report) {
-	n := sim.NumDCs()
-	pairs := make([][2]int, 0, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-	}
-	mbps, rep := probePairs(sim, pairs, opts)
-	out := bwmatrix.New(n)
-	// Iterate the ordered pair list (not the map) so measurement noise
-	// attaches to pairs deterministically.
-	for _, p := range pairs {
-		out[p[0]][p[1]] = noisy(mbps[p], opts)
-	}
+	out, _, rep := Snapshot(sim, opts)
 	return out, rep
 }
 
@@ -135,7 +117,8 @@ func Snapshot(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate
 	return ps.Collect()
 }
 
-// PendingSnapshot is an in-flight all-pairs snapshot whose probes run
+// PendingSnapshot is an in-flight snapshot (all pairs, or the pair
+// subset of a static measurement) whose probes run
 // concurrently with whatever traffic the cluster is already carrying.
 // Snapshot drives the clock itself (RunFor) and so cannot be taken from
 // inside a substrate timer callback; the runtime re-gauging controller
@@ -170,19 +153,31 @@ type pendingProbe struct {
 // match Snapshot exactly: on an otherwise idle cluster,
 // BeginSnapshot + RunFor + Collect is byte-identical to Snapshot.
 func BeginSnapshot(sim substrate.Cluster, opts Options) *PendingSnapshot {
+	return beginProbes(sim, opts, allPairs(sim.NumDCs()))
+}
+
+// allPairs lists every ordered DC pair in row-major order.
+func allPairs(n int) [][2]int {
+	pairs := make([][2]int, 0, n*(n-1))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	return pairs
+}
+
+// beginProbes starts one probe per ordered DC pair of the subset —
+// between all VM pairs of the two DCs, so multi-VM DCs report their
+// combined bandwidth (the paper's "association", §3.3.3).
+func beginProbes(sim substrate.Cluster, opts Options, pairs [][2]int) *PendingSnapshot {
 	if opts.DurationS <= 0 {
 		panic("measure: non-positive probe duration")
 	}
 	conns := maxIntOne(opts.Conns)
-	n := sim.NumDCs()
-	ps := &PendingSnapshot{sim: sim, opts: opts, begun: sim.Now()}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				ps.pairs = append(ps.pairs, [2]int{i, j})
-			}
-		}
-	}
+	ps := &PendingSnapshot{sim: sim, opts: opts, pairs: pairs, begun: sim.Now()}
 	for _, p := range ps.pairs {
 		for _, src := range sim.VMsOfDC(p[0]) {
 			for _, dst := range sim.VMsOfDC(p[1]) {
@@ -238,6 +233,25 @@ func (ps *PendingSnapshot) Abandon() {
 // time (rates stay honest); collecting at exactly DurationS matches
 // Snapshot byte for byte.
 func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Report) {
+	byPair, rep := ps.drain()
+	n := ps.sim.NumDCs()
+	out := bwmatrix.New(n)
+	// Iterate the ordered pair list (not the map) so measurement noise
+	// attaches to pairs deterministically.
+	for _, p := range ps.pairs {
+		out[p[0]][p[1]] = noisy(byPair[p], ps.opts)
+	}
+	stats := make([]substrate.VMStats, ps.sim.NumVMs())
+	for v := 0; v < ps.sim.NumVMs(); v++ {
+		stats[v] = ps.sim.VMStats(substrate.VMID(v))
+	}
+	return out, stats, rep
+}
+
+// drain is Collect's integration step: tear the probes down and fold
+// their bytes into per-pair average rates (before reporting noise) and
+// the measurement bill.
+func (ps *PendingSnapshot) drain() (map[[2]int]float64, Report) {
 	if ps.finished {
 		panic("measure: PendingSnapshot collected twice")
 	}
@@ -276,24 +290,12 @@ func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Repo
 	}
 	ps.probes = nil
 	ps.finished = true
-	n := ps.sim.NumDCs()
-	out := bwmatrix.New(n)
-	// Iterate the ordered pair list (not the map) so measurement noise
-	// attaches to pairs deterministically, as in StaticSimultaneous.
-	for _, p := range ps.pairs {
-		out[p[0]][p[1]] = noisy(byPair[p], ps.opts)
-	}
-	stats := make([]substrate.VMStats, ps.sim.NumVMs())
-	for v := 0; v < ps.sim.NumVMs(); v++ {
-		stats[v] = ps.sim.VMStats(substrate.VMID(v))
-	}
-	rep := Report{
+	return byPair, Report{
 		ElapsedS:         window,
 		BytesTransferred: totalBytes,
 		VMSeconds:        window * float64(ps.sim.NumVMs()),
 		FailedProbes:     failed,
 	}
-	return out, stats, rep
 }
 
 // SnapshotByVM takes a short all-pairs sample at VM granularity: one
@@ -353,55 +355,6 @@ func maxIntOne(c int) int {
 		return 1
 	}
 	return c
-}
-
-// probePairs starts one probe per ordered DC pair (between all VM pairs
-// of the two DCs, so multi-VM DCs report their combined bandwidth — the
-// paper's "association", §3.3.3), runs for the configured duration, and
-// returns byte-integrated average rates per pair.
-func probePairs(sim substrate.Cluster, pairs [][2]int, opts Options) (map[[2]int]float64, Report) {
-	if opts.DurationS <= 0 {
-		panic("measure: non-positive probe duration")
-	}
-	conns := opts.Conns
-	if conns < 1 {
-		conns = 1
-	}
-	type probe struct {
-		pair  [2]int
-		flow  substrate.Flow
-		start float64
-	}
-	var probes []probe
-	for _, p := range pairs {
-		for _, src := range sim.VMsOfDC(p[0]) {
-			for _, dst := range sim.VMsOfDC(p[1]) {
-				f := sim.StartProbe(src, dst, conns)
-				probes = append(probes, probe{pair: p, flow: f, start: f.TransferredBytes()})
-			}
-		}
-	}
-	sim.RunFor(opts.DurationS)
-	out := make(map[[2]int]float64, len(pairs))
-	totalBytes := 0.0
-	failed := 0
-	for _, pr := range probes {
-		if pr.flow.Failed() {
-			failed++
-			continue // see Collect: a fault-frozen probe poisons the average
-		}
-		bytes := pr.flow.TransferredBytes() - pr.start
-		totalBytes += bytes
-		out[pr.pair] += bytes * 8 / 1e6 / opts.DurationS // Mbps
-		pr.flow.Stop()
-	}
-	rep := Report{
-		ElapsedS:         opts.DurationS,
-		BytesTransferred: totalBytes,
-		VMSeconds:        opts.DurationS * float64(sim.NumVMs()),
-		FailedProbes:     failed,
-	}
-	return out, rep
 }
 
 func noisy(v float64, opts Options) float64 {

@@ -721,37 +721,10 @@ func (s *Sim) AwaitFlows(maxWait float64, flows ...substrate.Flow) error {
 		}
 		if s.now >= deadline {
 			return fmt.Errorf("netsim: flows not drained after %.1fs of simulated time (pending: %s)",
-				maxWait, describePending(s, flows))
+				maxWait, substrate.DescribePending(s, flows))
 		}
 		s.stepOnce(deadline)
 	}
-}
-
-// describePending names the still-undrained flows for AwaitFlows'
-// timeout error: flow ids with their src/dst DCs, capped so a stuck
-// thousand-flow shuffle stays readable.
-func describePending(s *Sim, flows []substrate.Flow) string {
-	const maxNamed = 8
-	var b []byte
-	named, pending := 0, 0
-	for _, f := range flows {
-		if f.Done() {
-			continue
-		}
-		pending++
-		if named == maxNamed {
-			continue
-		}
-		if named > 0 {
-			b = append(b, ", "...)
-		}
-		b = fmt.Appendf(b, "#%d dc%d->dc%d", f.ID(), s.DCOf(f.Src()), s.DCOf(f.Dst()))
-		named++
-	}
-	if pending > named {
-		b = fmt.Appendf(b, " and %d more", pending-named)
-	}
-	return string(b)
 }
 
 // RTTOf returns the modelled RTT between two DCs as a time.Duration.

@@ -174,7 +174,9 @@ func (c Config) withDefaults() Config {
 type Deps struct {
 	// Cluster is the substrate the job runs on.
 	Cluster substrate.Cluster
-	// Agents are the deployed local agents whose windows get swapped.
+	// Agents is the single-job shorthand: a Deps with Agents and no
+	// Partition hook is ONE group that receives every re-gauged plan
+	// whole (Start normalises it so). Ignored when Partition is set.
 	Agents []*agent.Agent
 	// SnapshotOpts yields the measurement options (noise stream
 	// included) for one re-gauge snapshot. Called once per replan.
@@ -186,21 +188,20 @@ type Deps struct {
 	// (Algorithm 1 + Eq. 2–3, with the deployment's skew/rvec options).
 	Optimize func(pred bwmatrix.Matrix) optimize.Plan
 
-	// --- multi-job arbitration (nil for single-job deployments) ---
+	// --- multi-job arbitration ---
 
 	// Groups are per-job agent slices when several jobs share the
-	// cluster under one controller. Agents (above) must then hold the
-	// union of all groups: the controller aggregates monitored rates
-	// and targets *across jobs* per DC pair — the live matrix it
-	// checks the plan against is the cluster's total, exactly the
-	// contended WAN the paper says must be gauged — re-gauges ONCE,
-	// and swaps each job's partitioned windows atomically within the
-	// same substrate event.
+	// cluster under one controller (an empty group is an idle slot):
+	// the controller aggregates monitored rates and targets *across
+	// jobs* per DC pair — the live matrix it checks the plan against is
+	// the cluster's total, exactly the contended WAN the paper says
+	// must be gauged — re-gauges ONCE, and swaps each job's partitioned
+	// windows atomically within the same substrate event.
 	Groups [][]*agent.Agent
 	// Partition splits a re-gauged global plan into one plan per
 	// group (optimize.PartitionPlan under the deployment's share
 	// weights, re-evaluated at swap time so bytes-remaining sharing
-	// tracks job progress). Required when Groups is set.
+	// tracks job progress). Required with Groups.
 	Partition func(plan optimize.Plan) []optimize.Plan
 	// OnPlanSwap, when non-nil, runs after a replan's windows have
 	// been swapped in (same substrate event) — the multi-job
@@ -347,8 +348,12 @@ func Start(deps Deps, cfg Config, pred bwmatrix.Matrix, plan optimize.Plan) *Con
 	if deps.Cluster == nil || deps.SnapshotOpts == nil || deps.Predict == nil || deps.Optimize == nil {
 		panic("runtime: controller needs cluster, snapshot, predict and optimize deps")
 	}
-	if len(deps.Groups) > 0 && deps.Partition == nil {
-		panic("runtime: multi-job controller needs a partition hook")
+	if deps.Partition == nil {
+		if len(deps.Groups) > 0 {
+			panic("runtime: multi-job controller needs a partition hook")
+		}
+		deps.Groups = [][]*agent.Agent{deps.Agents}
+		deps.Partition = func(plan optimize.Plan) []optimize.Plan { return []optimize.Plan{plan} }
 	}
 	c := &Controller{
 		cfg:    cfg.withDefaults(),
@@ -386,20 +391,14 @@ func (c *Controller) Stop() {
 
 // SetGroups swaps the controller's arbitration roster while it runs —
 // the attach/detach path a serving deployment uses as jobs arrive and
-// finish. union is the flat agent list the controller aggregates
-// monitored rates over; groups are the per-slot agent slices a replan
-// partitions windows across (empty/nil slots are idle and receive
-// nothing). The substrate is single-timeline, so calling this from a
-// substrate event is ordered with every epoch tick; a re-gauge snapshot
-// already in flight applies its swap against the NEW roster, since the
-// swap reads the deps at apply time.
-func (c *Controller) SetGroups(union []*agent.Agent, groups [][]*agent.Agent) {
-	if len(groups) > 0 && c.deps.Partition == nil {
-		panic("runtime: SetGroups needs a partition hook")
-	}
-	c.deps.Agents = union
-	c.deps.Groups = groups
-}
+// finish. groups are the per-slot agent slices the controller
+// aggregates monitored rates over and a replan partitions windows
+// across (empty/nil slots are idle and receive nothing). The substrate
+// is single-timeline, so calling this from a substrate event is ordered
+// with every epoch tick; a re-gauge snapshot already in flight applies
+// its swap against the NEW roster, since the swap reads the deps at
+// apply time.
+func (c *Controller) SetGroups(groups [][]*agent.Agent) { c.deps.Groups = groups }
 
 // Events returns the completed replans.
 func (c *Controller) Events() []Event { return c.events }
@@ -536,24 +535,26 @@ func (c *Controller) aggregate() (live, expected bwmatrix.Matrix, demand [][]int
 	for i := range demand {
 		demand[i] = make([]int, n)
 	}
-	for _, a := range c.deps.Agents {
-		if !c.deps.Cluster.VMAlive(a.VM()) {
-			continue // a dead VM's agent reports nothing but stale state
-		}
-		mon := a.MonitoredMbps()
-		if mon == nil {
-			continue // no AIMD epoch yet
-		}
-		tgt := a.TargetBW()
-		pool := a.ActivePool()
-		i := a.DC()
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+	for _, group := range c.deps.Groups {
+		for _, a := range group {
+			if !c.deps.Cluster.VMAlive(a.VM()) {
+				continue // a dead VM's agent reports nothing but stale state
 			}
-			live[i][j] += mon[j]
-			expected[i][j] += tgt[j]
-			demand[i][j] += pool[j]
+			mon := a.MonitoredMbps()
+			if mon == nil {
+				continue // no AIMD epoch yet
+			}
+			tgt := a.TargetBW()
+			pool := a.ActivePool()
+			i := a.DC()
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
+				}
+				live[i][j] += mon[j]
+				expected[i][j] += tgt[j]
+				demand[i][j] += pool[j]
+			}
 		}
 	}
 	return live, expected, demand
@@ -717,20 +718,13 @@ func (c *Controller) applyRegauge(snap bwmatrix.Matrix, stats []substrate.VMStat
 	// and swap each job's partition of the shared windows here —
 	// still one event, so no job ever runs against another job's
 	// stale share either.
-	if len(c.deps.Groups) > 0 {
-		parts := c.deps.Partition(plan)
-		for g, group := range c.deps.Groups {
-			if len(group) == 0 {
-				continue // idle slot of a dynamic deployment
-			}
-			rows := agent.ChunkPlan(c.deps.Cluster, pred, parts[g])
-			for _, a := range group {
-				a.SwapWindow(rows[a.VM()])
-			}
+	parts := c.deps.Partition(plan)
+	for g, group := range c.deps.Groups {
+		if len(group) == 0 {
+			continue // idle slot of a dynamic deployment
 		}
-	} else {
-		rows := agent.ChunkPlan(c.deps.Cluster, pred, plan)
-		for _, a := range c.deps.Agents {
+		rows := agent.ChunkPlan(c.deps.Cluster, pred, parts[g])
+		for _, a := range group {
 			a.SwapWindow(rows[a.VM()])
 		}
 	}

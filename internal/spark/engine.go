@@ -1,9 +1,6 @@
 package spark
 
 import (
-	"fmt"
-	"math"
-
 	"github.com/wanify/wanify/internal/cost"
 	"github.com/wanify/wanify/internal/substrate"
 )
@@ -129,110 +126,14 @@ func (e *Engine) ComputeRates() []float64 {
 }
 
 // RunJob executes the job under the given scheduler and connection
-// policy, returning timing, bandwidth and cost observations. With
-// fault recovery enabled it delegates to the event-driven JobSet path
-// (locked bit-identical for a single job), where the recovery state
-// machine lives; the synchronous path below fails fast when a fault
-// hits one of its flows.
+// policy, returning timing, bandwidth and cost observations: a JobSet
+// of one, run to completion.
 func (e *Engine) RunJob(job Job, sched Scheduler, policy ConnPolicy) (RunResult, error) {
-	if e.Recovery.Enabled {
-		set, err := NewJobSet(e, []JobRun{{Job: job, Sched: sched, Policy: policy}})
-		if err != nil {
-			return RunResult{}, err
-		}
-		out, err := set.Run()
-		if err != nil {
-			return RunResult{}, err
-		}
-		return out.Results[0], nil
-	}
-	n := e.sim.NumDCs()
-	if err := job.Validate(n); err != nil {
+	out, err := e.RunJobSet([]JobRun{{Job: job, Sched: sched, Policy: policy}})
+	if err != nil {
 		return RunResult{}, err
 	}
-	start := e.sim.Now()
-	layout := append([]float64(nil), job.InputBytes...)
-	computeRates := e.ComputeRates()
-
-	res := RunResult{Job: job.Name, Scheduler: sched.Name(), MinShuffleMbps: math.Inf(1)}
-	for si, stage := range job.Stages {
-		p := sched.Place(si, stage, layout).Normalize()
-		if len(p) != n {
-			return RunResult{}, fmt.Errorf("spark: scheduler %q returned %d fractions for %d DCs", sched.Name(), len(p), n)
-		}
-
-		var transfer [][]float64
-		if stage.Kind == MapKind {
-			transfer = MigrationMatrix(layout, p)
-		} else {
-			transfer = ShuffleMatrix(layout, p)
-		}
-
-		rep := StageReport{Name: stage.Name, Kind: stage.Kind, Placement: p}
-		transferS, pairMbps, wanBytes, err := e.executeTransfers(transfer, policy)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("spark: job %q stage %q: %w", job.Name, stage.Name, err)
-		}
-		rep.TransferS = transferS
-		rep.PairMbps = pairMbps
-		rep.PairBytes = transfer
-		rep.WANBytes = wanBytes
-		res.WANBytes += wanBytes
-		for i := range pairMbps {
-			for j := range pairMbps[i] {
-				if transfer[i][j] >= 1<<20 && pairMbps[i][j] > 0 && pairMbps[i][j] < res.MinShuffleMbps {
-					res.MinShuffleMbps = pairMbps[i][j]
-				}
-			}
-		}
-
-		// The stage's input is now distributed per the placement.
-		total := 0.0
-		for _, b := range layout {
-			total += b
-		}
-		for j := 0; j < n; j++ {
-			layout[j] = total * p[j]
-		}
-
-		// Compute phase: the stage finishes when its slowest DC does.
-		computeS := computeSeconds(stage, layout, computeRates)
-		if e.OverlapFetchCompute {
-			// The transfer window already processed min(transfer,
-			// compute) seconds of work; only the residue remains.
-			computeS -= rep.TransferS
-			if computeS < 0 {
-				computeS = 0
-			}
-		}
-		if computeS > 0 {
-			// Shift the compute load in and back out through the ledger:
-			// only the load this stage set is restored, so load placed by
-			// anything else sharing the cluster survives the stage
-			// boundary (see loadLedger).
-			deltas := e.computeLoadDeltas(nil, layout)
-			e.ledger().shift(1, deltas)
-			e.sim.RunFor(computeS)
-			e.ledger().shift(-1, deltas)
-		}
-		rep.ComputeS = computeS
-		res.Stages = append(res.Stages, rep)
-
-		for j := 0; j < n; j++ {
-			layout[j] *= stage.Selectivity
-		}
-	}
-
-	res.JCTSeconds = e.sim.Now() - start
-	if math.IsInf(res.MinShuffleMbps, 1) {
-		res.MinShuffleMbps = 0
-	}
-	for _, b := range layout {
-		res.OutputBytes += b
-	}
-	res.Cost = e.price(job, res)
-	res.Energy = e.energy(res)
-	return res, nil
+	return out.Results[0], nil
 }
 
 // pendingPair tracks one DC pair's transfer within a stage.
@@ -250,10 +151,9 @@ type pendingPair struct {
 
 // launchTransfers starts one flow per (source VM, destination DC) pair
 // share and returns the started flows plus the per-pair bookkeeping.
-// each, when non-nil, runs after every flow completion (after the
-// pair's own accounting) — the JobSet runner counts a stage's
-// outstanding flows through it; the synchronous RunJob path passes
-// nil and waits on the flows instead. recs ties each flow to its pair
+// each runs after every flow completion (after the pair's own
+// accounting) — the runner counts a stage's outstanding flows through
+// it. recs ties each flow to its pair
 // for the recovery machinery; flows are spread over living VMs only
 // (identical to the full set when no fault has fired).
 func (e *Engine) launchTransfers(transfer [][]float64, policy ConnPolicy, each func()) (flows []substrate.Flow, pairs []*pendingPair, wanBytes float64, recs []*flowRec) {
@@ -283,9 +183,7 @@ func (e *Engine) launchTransfers(transfer [][]float64, policy ConnPolicy, each f
 					if pair.left == 0 {
 						pair.done = e.sim.Now()
 					}
-					if each != nil {
-						each()
-					}
+					each()
 				})
 				policy.Register(f)
 				flows = append(flows, f)
@@ -312,8 +210,8 @@ func pairRates(n int, pairs []*pendingPair, start float64) [][]float64 {
 	return pairMbps
 }
 
-// computeSeconds is the stage-compute model shared by RunJob and the
-// JobSet runner: the stage finishes when its slowest DC does.
+// computeSeconds is the stage-compute model: the stage finishes when
+// its slowest DC does.
 func computeSeconds(stage Stage, layout, computeRates []float64) float64 {
 	computeS := 0.0
 	for j := range layout {
@@ -355,44 +253,6 @@ func (e *Engine) transferLoad() float64 {
 		return 0.9
 	}
 	return e.ComputeLoadDuringTransfer
-}
-
-// executeTransfers starts one flow per (source VM, destination DC) pair
-// share, waits for all to drain, and returns the elapsed time plus the
-// per-DC-pair average achieved rates. On any error — timeout or a
-// fault-failed flow — every outstanding flow is stopped before
-// returning, so a failed synchronous run cannot leak live flows into a
-// substrate shared with other tenants.
-func (e *Engine) executeTransfers(transfer [][]float64, policy ConnPolicy) (elapsed float64, pairMbps [][]float64, wanBytes float64, err error) {
-	n := e.sim.NumDCs()
-	start := e.sim.Now()
-	flows, pairs, wanBytes, recs := e.launchTransfers(transfer, policy, nil)
-	if len(flows) == 0 {
-		return 0, pairRates(n, nil, start), 0, nil
-	}
-
-	deltas := e.ledger().uniform(nil, e.transferLoad())
-	e.ledger().shift(1, deltas)
-	err = e.sim.AwaitFlows(e.MaxStageTransferS, flows...)
-	e.ledger().shift(-1, deltas)
-	if err == nil {
-		for _, rec := range recs {
-			if rec.f.Failed() {
-				err = fmt.Errorf("flow #%d dc%d->dc%d failed by a fault (enable Engine.Recovery to survive faults)",
-					rec.f.ID(), rec.pp.i, rec.pp.j)
-				break
-			}
-		}
-	}
-	if err != nil {
-		for _, f := range flows {
-			if !f.Done() {
-				f.Stop()
-			}
-		}
-		return 0, nil, 0, err
-	}
-	return e.sim.Now() - start, pairRates(n, pairs, start), wanBytes, nil
 }
 
 // price itemizes the job cost: every cluster VM is held for the full

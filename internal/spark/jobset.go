@@ -48,6 +48,10 @@ type jobState struct {
 	stage     int
 	phase     jobPhase
 	startedAt float64
+	// wakeAt is the instant of the job's pending self-scheduled timer
+	// (start delay, compute end, recovery wave); a value not after the
+	// clock means none is pending. Run's drive loop steers by it.
+	wakeAt float64
 
 	// Transfer-phase bookkeeping.
 	transferStart float64
@@ -77,16 +81,15 @@ type jobState struct {
 }
 
 // JobSet interleaves N jobs' stages over one engine's shared substrate
-// clock — the multi-tenant execution layer. Where RunJob owns the
-// clock (AwaitFlows/RunFor between synchronous phases), a JobSet turns
-// each job into an event-driven state machine: stage transfers complete
+// clock — the engine's only job runner (RunJob is a set of one). Each
+// job is an event-driven state machine: stage transfers complete
 // through flow callbacks, compute phases through substrate timers, and
-// the set advances the clock until every machine reaches its end. The
-// jobs' transfers therefore genuinely contend — flows of different
-// jobs share DC-pair capacity inside the same allocator, and their
-// compute loads compose through the engine's load ledger (each job
-// sees the TCP slowdown the others' busy CPUs cause, and nobody's
-// stage boundary clobbers anybody's load).
+// whoever drives the clock — Run for a closed set, an external driver
+// for an open one — only advances it. The jobs' transfers therefore
+// genuinely contend — flows of different jobs share DC-pair capacity
+// inside the same allocator, and their compute loads compose through
+// the engine's load ledger (each job sees the TCP slowdown the others'
+// busy CPUs cause, and nobody's stage boundary clobbers anybody's load).
 //
 // Build one with NewJobSet, then call Run. RemainingBytes may be
 // polled while Run drives the clock (from substrate callbacks, e.g.
@@ -95,17 +98,17 @@ type JobSet struct {
 	eng    *Engine
 	states []*jobState
 
-	startAt  float64
-	deadline float64 // liveness bound, extended as phases schedule events
-	running  int
-	err      error
+	startAt      float64
+	running      int
+	err          error
+	computeRates []float64
+	inFlight     []substrate.Flow // Run's scratch list of undrained transfers
 
 	// Open-mode state (NewOpenJobSet): an open set accepts Admit and
 	// Cancel while an external driver advances the clock, instead of
 	// being run to completion over a fixed roster by Run.
-	open         bool
-	computeRates []float64
-	onDone       func(idx int, res RunResult)
+	open   bool
+	onDone func(idx int, res RunResult)
 }
 
 // NewJobSet validates the jobs against the engine's cluster and
@@ -114,33 +117,68 @@ func NewJobSet(e *Engine, runs []JobRun) (*JobSet, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("spark: job set needs at least one job")
 	}
-	n := e.sim.NumDCs()
-	s := &JobSet{eng: e}
-	for i, run := range runs {
-		if err := run.Job.Validate(n); err != nil {
+	s := &JobSet{eng: e, computeRates: e.ComputeRates()}
+	for _, run := range runs {
+		if _, err := s.add(run); err != nil {
 			return nil, err
 		}
-		if run.Sched == nil {
-			return nil, fmt.Errorf("spark: job %q has no scheduler", run.Job.Name)
-		}
-		if run.Policy == nil {
-			run.Policy = SingleConn{}
-		}
-		if run.StartDelayS < 0 {
-			return nil, fmt.Errorf("spark: job %q has negative start delay", run.Job.Name)
-		}
-		s.states = append(s.states, &jobState{
-			idx:    i,
-			run:    run,
-			layout: append([]float64(nil), run.Job.InputBytes...),
-			res: RunResult{
-				Job:            run.Job.Name,
-				Scheduler:      run.Sched.Name(),
-				MinShuffleMbps: math.Inf(1),
-			},
-		})
 	}
 	return s, nil
+}
+
+// add validates one run and appends its not-yet-started state machine —
+// the single constructor behind closed rosters (NewJobSet) and open
+// admissions (Admit).
+func (s *JobSet) add(run JobRun) (*jobState, error) {
+	if err := run.Job.Validate(s.eng.sim.NumDCs()); err != nil {
+		return nil, err
+	}
+	if run.Sched == nil {
+		return nil, fmt.Errorf("spark: job %q has no scheduler", run.Job.Name)
+	}
+	if run.Policy == nil {
+		run.Policy = SingleConn{}
+	}
+	if run.StartDelayS < 0 {
+		return nil, fmt.Errorf("spark: job %q has negative start delay", run.Job.Name)
+	}
+	js := &jobState{
+		idx:    len(s.states),
+		run:    run,
+		layout: append([]float64(nil), run.Job.InputBytes...),
+		res: RunResult{
+			Job:            run.Job.Name,
+			Scheduler:      run.Sched.Name(),
+			MinShuffleMbps: math.Inf(1),
+		},
+	}
+	s.states = append(s.states, js)
+	s.running++
+	return js, nil
+}
+
+// arm starts the job's first stage once its start delay has passed —
+// at once, without a trip through the timer queue, when there is none.
+func (s *JobSet) arm(js *jobState) {
+	start := func(now float64) {
+		if s.err != nil || js.phase == phaseDone {
+			return
+		}
+		js.startedAt = now
+		s.startStage(js, now)
+	}
+	if js.run.StartDelayS == 0 {
+		start(s.eng.sim.Now())
+	} else {
+		s.wake(js, js.run.StartDelayS, start)
+	}
+}
+
+// wake schedules fn on the job's own timer delay seconds out and
+// records the instant, so Run can stop the clock exactly there.
+func (s *JobSet) wake(js *jobState, delay float64, fn func(now float64)) {
+	js.wakeAt = s.eng.sim.Now() + delay
+	s.eng.sim.After(delay, fn)
 }
 
 // RemainingBytes reports each job's current resident bytes (the data
@@ -171,12 +209,7 @@ func (s *JobSet) RemainingBytes() []float64 {
 // hook instead of a collected result. The per-stage transfer watchdogs
 // still bound liveness; the caller polls Err for a failed set.
 func NewOpenJobSet(e *Engine) *JobSet {
-	return &JobSet{
-		eng:          e,
-		open:         true,
-		startAt:      e.sim.Now(),
-		computeRates: e.ComputeRates(),
-	}
+	return &JobSet{eng: e, open: true, startAt: e.sim.Now(), computeRates: e.ComputeRates()}
 }
 
 // OnJobDone registers the completion hook an open set calls — within
@@ -211,40 +244,11 @@ func (s *JobSet) Admit(run JobRun) (int, error) {
 	if s.err != nil {
 		return 0, fmt.Errorf("spark: job set already failed: %w", s.err)
 	}
-	e := s.eng
-	if err := run.Job.Validate(e.sim.NumDCs()); err != nil {
+	js, err := s.add(run)
+	if err != nil {
 		return 0, err
 	}
-	if run.Sched == nil {
-		return 0, fmt.Errorf("spark: job %q has no scheduler", run.Job.Name)
-	}
-	if run.Policy == nil {
-		run.Policy = SingleConn{}
-	}
-	if run.StartDelayS < 0 {
-		return 0, fmt.Errorf("spark: job %q has negative start delay", run.Job.Name)
-	}
-	js := &jobState{
-		idx:    len(s.states),
-		run:    run,
-		layout: append([]float64(nil), run.Job.InputBytes...),
-		res: RunResult{
-			Job:            run.Job.Name,
-			Scheduler:      run.Sched.Name(),
-			MinShuffleMbps: math.Inf(1),
-		},
-	}
-	s.states = append(s.states, js)
-	s.running++
-	now := e.sim.Now()
-	e.sim.After(run.StartDelayS, func(at float64) {
-		if s.err != nil || js.phase == phaseDone {
-			return
-		}
-		js.startedAt = at
-		s.startStage(js, s.computeRates, at)
-	})
-	s.extendDeadline(now + run.StartDelayS + e.MaxStageTransferS)
+	s.arm(js)
 	return js.idx, nil
 }
 
@@ -279,48 +283,55 @@ func (s *JobSet) Cancel(idx int) error {
 }
 
 // Run executes all jobs concurrently and returns when the last one
-// finishes. The first failing job aborts the whole set, stopping every
-// outstanding transfer.
+// finishes — with the clock on that exact instant. The first failing
+// job aborts the whole set, stopping every outstanding transfer.
 func (s *JobSet) Run() (JobSetResult, error) {
 	if s.open {
 		return JobSetResult{}, fmt.Errorf("spark: Run on an open job set (drive the clock externally)")
 	}
-	e := s.eng
-	s.startAt = e.sim.Now()
-	s.running = len(s.states)
-	computeRates := e.ComputeRates()
-
+	sim := s.eng.sim
+	s.startAt = sim.Now()
 	for _, js := range s.states {
-		js := js
-		e.sim.After(js.run.StartDelayS, func(now float64) {
-			if s.err != nil || js.phase == phaseDone {
-				return
-			}
-			js.startedAt = now
-			s.startStage(js, computeRates, now)
-		})
+		s.arm(js)
 	}
 
 	// Drive the shared clock. Every state transition happens inside
-	// substrate events at exact instants; the tick only bounds how far
-	// the clock runs between liveness checks, so its size does not
-	// affect any recorded time. The deadline is a pure liveness bound:
-	// every phase extends it past its own scheduled completion (the
-	// transfer watchdog or the compute timer), so it trips only if a
-	// scheduled event failed to fire — never on a slow-but-progressing
-	// set, however compute-dominated.
-	const tick = 5.0
-	var maxDelay float64
-	for _, js := range s.states {
-		maxDelay = math.Max(maxDelay, js.run.StartDelayS)
-	}
-	s.extendDeadline(s.startAt + maxDelay + e.MaxStageTransferS)
+	// substrate events; the loop only picks how far to advance, and
+	// always stops on an event of the set itself: the earliest pending
+	// job timer when there is one (the substrate steps there anyway, so
+	// no flow integration is sliced), otherwise the drain of the
+	// in-flight transfers. A job cannot finish before its own timer or
+	// its own flows, so the clock never overshoots the last completion.
+	// Liveness: every listed flow's watchdog fires within
+	// MaxStageTransferS, so the wait below cannot expire on a healthy
+	// set, and a set with neither a timer nor a transfer is stuck.
 	for s.running > 0 && s.err == nil {
-		if e.sim.Now() > s.deadline+tick {
-			s.abort(fmt.Errorf("spark: job set stalled at t=%.0fs with %d jobs unfinished", e.sim.Now(), s.running))
-			break
+		now, wakeAt := sim.Now(), math.Inf(1)
+		flows := s.inFlight[:0]
+		for _, js := range s.states {
+			if js.phase == phaseDone {
+				continue
+			}
+			if js.wakeAt > now {
+				wakeAt = math.Min(wakeAt, js.wakeAt)
+			}
+			for _, f := range js.flows {
+				if !f.Done() {
+					flows = append(flows, f)
+				}
+			}
 		}
-		e.sim.RunFor(tick)
+		s.inFlight = flows
+		switch {
+		case !math.IsInf(wakeAt, 1):
+			sim.RunUntil(wakeAt)
+		case len(flows) == 0:
+			s.abort(fmt.Errorf("spark: job set stalled at t=%.0fs with %d jobs unfinished", now, s.running))
+		default:
+			if err := sim.AwaitFlows(s.eng.MaxStageTransferS, flows...); err != nil {
+				s.abort(fmt.Errorf("spark: job set stalled: %w", err))
+			}
+		}
 	}
 	if s.err != nil {
 		return JobSetResult{}, s.err
@@ -337,29 +348,21 @@ func (s *JobSet) Run() (JobSetResult, error) {
 	return out, nil
 }
 
-// extendDeadline pushes the liveness bound to cover an event scheduled
-// for time t.
-func (s *JobSet) extendDeadline(t float64) {
-	if t > s.deadline {
-		s.deadline = t
-	}
-}
-
 // transferDone builds the flow-completion callback counting a stage's
 // outstanding flows. The stage's transfer phase ends only when no flow
 // is in flight AND no failure is awaiting a recovery wave.
-func (s *JobSet) transferDone(js *jobState, computeRates []float64) func() {
+func (s *JobSet) transferDone(js *jobState) func() {
 	return func() {
 		js.flowsLeft--
 		if js.flowsLeft == 0 && !js.recovering && len(js.failedRecs) == 0 {
-			s.finishTransfers(js, computeRates, s.eng.sim.Now())
+			s.finishTransfers(js, s.eng.sim.Now())
 		}
 	}
 }
 
 // startStage places the current stage and launches its WAN transfers;
 // with nothing to move it proceeds straight to compute.
-func (s *JobSet) startStage(js *jobState, computeRates []float64, now float64) {
+func (s *JobSet) startStage(js *jobState, now float64) {
 	e := s.eng
 	n := e.sim.NumDCs()
 	if js.stage == len(js.run.Job.Stages) {
@@ -376,7 +379,7 @@ func (s *JobSet) startStage(js *jobState, computeRates []float64, now float64) {
 			s.abort(fmt.Errorf("spark: job %q: no data center left alive", js.run.Job.Name))
 			return
 		}
-		s.repairLayout(js, alive, computeRates)
+		s.repairLayout(js, alive)
 	}
 	p := js.run.Sched.Place(js.stage, stage, js.layout).Normalize()
 	if len(p) != n {
@@ -398,39 +401,45 @@ func (s *JobSet) startStage(js *jobState, computeRates []float64, now float64) {
 	js.transferStart = now
 	js.phase = phaseTransfer
 
-	flows, pairs, wanBytes, recs := e.launchTransfers(transfer, js.run.Policy, s.transferDone(js, computeRates))
+	flows, pairs, wanBytes, recs := e.launchTransfers(transfer, js.run.Policy, s.transferDone(js))
 	js.flows = flows
 	js.pairs = pairs
 	js.flowsLeft = len(flows)
 	js.res.WANBytes += wanBytes
 
 	if len(flows) == 0 {
-		s.finishTransfers(js, computeRates, now)
+		s.finishTransfers(js, now)
 		return
 	}
 	js.loadDeltas = e.ledger().uniform(js.loadDeltas, e.transferLoad())
 	s.holdLoad(js)
 
-	// Watchdog: a transfer phase that outlives MaxStageTransferS fails
-	// the set, exactly as AwaitFlows does for a single job.
-	s.extendDeadline(now + e.MaxStageTransferS)
+	s.watch(js, "transfers")
+	// Arm failure handlers last: a flow born failed (endpoint already
+	// dead) fires its handler synchronously from inside armRecs, which
+	// needs the counters and watchdog above in place.
+	s.armRecs(js, recs)
+}
+
+// watch arms the liveness watchdog of a transfer phase or recovery
+// wave: one that outlives MaxStageTransferS fails the set, naming the
+// flows still pending.
+func (s *JobSet) watch(js *jobState, what string) {
+	e := s.eng
 	stageIdx := js.stage
 	e.sim.After(e.MaxStageTransferS, func(float64) {
 		if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
 			return
 		}
-		s.abort(fmt.Errorf("spark: job %q stage %q: transfers not drained after %.1fs of simulated time",
-			js.run.Job.Name, stage.Name, e.MaxStageTransferS))
+		s.abort(fmt.Errorf("spark: job %q stage %q: %s not drained after %.1fs of simulated time (pending: %s)",
+			js.run.Job.Name, js.run.Job.Stages[stageIdx].Name, what, e.MaxStageTransferS,
+			substrate.DescribePending(e.sim, js.flows)))
 	})
-	// Arm failure handlers last: a flow born failed (endpoint already
-	// dead) fires its handler synchronously from inside armRecs, which
-	// needs the counters and watchdog above in place.
-	s.armRecs(js, recs, computeRates)
 }
 
 // finishTransfers closes a stage's transfer phase (at the exact instant
 // the last flow drained) and begins its compute phase.
-func (s *JobSet) finishTransfers(js *jobState, computeRates []float64, now float64) {
+func (s *JobSet) finishTransfers(js *jobState, now float64) {
 	e := s.eng
 	n := e.sim.NumDCs()
 	stage := js.run.Job.Stages[js.stage]
@@ -473,8 +482,10 @@ func (s *JobSet) finishTransfers(js *jobState, computeRates []float64, now float
 		js.layout[j] = total * js.curPlacement[j]
 	}
 
-	computeS := computeSeconds(stage, js.layout, computeRates)
+	computeS := computeSeconds(stage, js.layout, s.computeRates)
 	if e.OverlapFetchCompute {
+		// The transfer window already processed min(transfer, compute)
+		// seconds of work; only the residue remains.
 		computeS -= rep.TransferS
 		if computeS < 0 {
 			computeS = 0
@@ -486,31 +497,30 @@ func (s *JobSet) finishTransfers(js *jobState, computeRates []float64, now float
 	computeS += js.stRecomputeS
 	rep.ComputeS = computeS
 	if computeS <= 0 {
-		s.endStage(js, rep, computeRates, now)
+		s.endStage(js, rep, now)
 		return
 	}
 	js.phase = phaseCompute
 	js.loadDeltas = e.computeLoadDeltas(js.loadDeltas, js.layout)
 	s.holdLoad(js)
-	s.extendDeadline(now + computeS)
-	e.sim.After(computeS, func(end float64) {
+	s.wake(js, computeS, func(end float64) {
 		if s.err != nil || js.phase != phaseCompute {
 			return
 		}
 		s.releaseLoad(js)
-		s.endStage(js, rep, computeRates, end)
+		s.endStage(js, rep, end)
 	})
 }
 
 // endStage records the stage and moves the job to its next one.
-func (s *JobSet) endStage(js *jobState, rep StageReport, computeRates []float64, now float64) {
+func (s *JobSet) endStage(js *jobState, rep StageReport, now float64) {
 	js.res.Stages = append(js.res.Stages, rep)
 	stage := js.run.Job.Stages[js.stage]
 	for j := range js.layout {
 		js.layout[j] *= stage.Selectivity
 	}
 	js.stage++
-	s.startStage(js, computeRates, now)
+	s.startStage(js, now)
 }
 
 // finishJob completes a job's state machine.

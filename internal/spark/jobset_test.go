@@ -2,10 +2,14 @@ package spark
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/wanify/wanify/internal/cost"
+	"github.com/wanify/wanify/internal/geo"
+	"github.com/wanify/wanify/internal/netsim"
 	"github.com/wanify/wanify/internal/substrate"
+	"github.com/wanify/wanify/internal/tracesim"
 )
 
 // testJob is a two-stage job (map + shuffle) sized to run a few
@@ -82,52 +86,80 @@ func TestLoadLedgerComposesDuringPhases(t *testing.T) {
 	}
 }
 
-// TestJobSetSingleJobMatchesRunJob locks the equivalence contract: a
-// JobSet of one job reproduces RunJob's result exactly (same flows at
-// the same instants on an identically-seeded cluster), so the
-// single-job path is unchanged by the multi-job machinery.
-func TestJobSetSingleJobMatchesRunJob(t *testing.T) {
-	job := testJob("solo", 4, 8e9)
-
-	simA := frozenSim(4, 7)
-	engA := NewEngine(simA, cost.DefaultRates())
-	want, err := engA.RunJob(job, localitySched{}, SingleConn{})
-	if err != nil {
-		t.Fatal(err)
+// TestRunStopsOnCompletionInstant locks the drive loop's contract on
+// backends whose links move (so flow completions land off any grid): Run
+// returns with the clock exactly on the last job's completion, for a
+// single RunJob and for a concurrent set alike. A ticking drive loop
+// fails this by overshooting to its next tick.
+func TestRunStopsOnCompletionInstant(t *testing.T) {
+	backends := map[string]func() substrate.Cluster{
+		"netsim": func() substrate.Cluster {
+			return netsim.NewSim(netsim.UniformCluster(geo.TestbedSubset(4), substrate.T2Medium, 7))
+		},
+		"tracesim": func() substrate.Cluster {
+			sim, err := tracesim.New(tracesim.Config{Trace: tracesim.Cloud4(), Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim
+		},
 	}
-
-	simB := frozenSim(4, 7)
-	engB := NewEngine(simB, cost.DefaultRates())
-	got, err := engB.RunJobSet([]JobRun{{Job: job, Sched: localitySched{}, Policy: SingleConn{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Results) != 1 {
-		t.Fatalf("got %d results", len(got.Results))
-	}
-	r := got.Results[0]
-	if r.JCTSeconds != want.JCTSeconds {
-		t.Errorf("JCT: jobset %v, runjob %v", r.JCTSeconds, want.JCTSeconds)
-	}
-	if r.WANBytes != want.WANBytes {
-		t.Errorf("WAN bytes: jobset %v, runjob %v", r.WANBytes, want.WANBytes)
-	}
-	if r.MinShuffleMbps != want.MinShuffleMbps {
-		t.Errorf("min BW: jobset %v, runjob %v", r.MinShuffleMbps, want.MinShuffleMbps)
-	}
-	if len(r.Stages) != len(want.Stages) {
-		t.Fatalf("stage counts differ: %d vs %d", len(r.Stages), len(want.Stages))
-	}
-	for i := range r.Stages {
-		if r.Stages[i].TransferS != want.Stages[i].TransferS {
-			t.Errorf("stage %d transfer: %v vs %v", i, r.Stages[i].TransferS, want.Stages[i].TransferS)
+	for name, mk := range backends {
+		sim := mk()
+		start := sim.Now()
+		res, err := NewEngine(sim, cost.DefaultRates()).RunJob(testJob("solo", 4, 8e9), localitySched{}, SingleConn{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Stages[i].ComputeS != want.Stages[i].ComputeS {
-			t.Errorf("stage %d compute: %v vs %v", i, r.Stages[i].ComputeS, want.Stages[i].ComputeS)
+		if got, want := sim.Now(), start+res.JCTSeconds; got != want {
+			t.Errorf("%s RunJob: clock at %v, job completed at %v", name, got, want)
+		}
+
+		sim = mk()
+		start = sim.Now()
+		set, err := NewEngine(sim, cost.DefaultRates()).RunJobSet([]JobRun{
+			{Job: testJob("a", 4, 8e9), Sched: localitySched{}},
+			{Job: testJob("b", 4, 5e9), Sched: localitySched{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sim.Now(), start+set.MakespanS; got != want {
+			t.Errorf("%s RunJobSet: clock at %v, last job completed at %v", name, got, want)
 		}
 	}
-	if got.MakespanS != want.JCTSeconds {
-		t.Errorf("makespan %v != JCT %v", got.MakespanS, want.JCTSeconds)
+}
+
+// TestStageBoundaryFiresInTimerOrder pins the same-instant rule of the
+// one runner: a compute phase's end is an ordinary substrate timer, so
+// when it falls on the very instant some other periodic callback is due
+// (an agent or controller epoch), the two fire in timer-sequence order.
+// The compute timer is armed when the phase starts, an epoch re-arms one
+// interval ahead, so the stage boundary normally comes first and the
+// epoch already sees the next stage's transfers. This is where the old
+// synchronous RunJob loop differed: it drove the clock through the
+// compute phase with RunFor and started the next stage only after every
+// timer of that instant had fired, so the epoch saw an idle WAN.
+func TestStageBoundaryFiresInTimerOrder(t *testing.T) {
+	sim := frozenSim(3, 2)
+	eng := NewEngine(sim, cost.DefaultRates())
+	// The map stage moves nothing and computes for exactly 4 s; the
+	// shuffle's flows start at the stage boundary, t=4.
+	earlier, later := -1, -1
+	sim.After(4, func(float64) { earlier = sim.ActiveFlows() }) // armed before the compute timer
+	sim.Every(2, func(now float64) {                            // re-armed at t=2, after it
+		if now == 4 {
+			later = sim.ActiveFlows()
+		}
+	})
+	if _, err := eng.RunJob(testJob("tenant", 3, 3e9), localitySched{}, SingleConn{}); err != nil {
+		t.Fatal(err)
+	}
+	if earlier != 0 {
+		t.Errorf("timer armed before the compute phase saw %d flows at t=4, want 0 (it fires first)", earlier)
+	}
+	if later <= 0 {
+		t.Errorf("epoch re-armed during the compute phase saw %d flows at t=4, want the shuffle already started", later)
 	}
 }
 
@@ -227,6 +259,13 @@ func TestJobSetValidates(t *testing.T) {
 	}
 	if _, err := eng.RunJobSet([]JobRun{{Job: testJob("x", 3, 1e9), Sched: localitySched{}, StartDelayS: -1}}); err == nil {
 		t.Error("negative delay should error")
+	}
+	// RunJob is a set of one: same validation, same defaults.
+	if _, err := eng.RunJob(testJob("x", 3, 1e9), nil, SingleConn{}); err == nil || !strings.Contains(err.Error(), "no scheduler") {
+		t.Errorf("RunJob with a nil scheduler = %v, want the missing-scheduler error", err)
+	}
+	if _, err := eng.RunJob(testJob("x", 3, 1e9), localitySched{}, nil); err != nil {
+		t.Errorf("RunJob with a nil policy = %v, want the SingleConn default", err)
 	}
 }
 

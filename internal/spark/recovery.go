@@ -20,9 +20,8 @@ import (
 // first). Everything runs through substrate timers, so recovery is as
 // deterministic as the fault schedule that triggered it.
 type RecoveryConfig struct {
-	// Enabled turns fault recovery on. Off by default: fault-free runs
-	// are byte-identical either way, and synchronous RunJob calls are
-	// delegated to the (equivalent) JobSet path only when enabled.
+	// Enabled turns fault recovery on. Off by default; fault-free runs
+	// are byte-identical either way.
 	Enabled bool
 	// DetectS batches flow failures before launching a recovery wave,
 	// modeling the failure-detection latency of a driver heartbeat.
@@ -158,11 +157,11 @@ func inputWeights(js *jobState, alive []bool) []float64 {
 // the stage's counters are set up: a flow born failed (started against
 // a VM that died before launch) fires its handler synchronously from
 // inside this call.
-func (s *JobSet) armRecs(js *jobState, recs []*flowRec, computeRates []float64) {
+func (s *JobSet) armRecs(js *jobState, recs []*flowRec) {
 	stageIdx := js.stage
 	for _, rec := range recs {
 		rec := rec
-		rec.f.OnFail(func() { s.flowFailed(js, rec, stageIdx, computeRates) })
+		rec.f.OnFail(func() { s.flowFailed(js, rec, stageIdx) })
 	}
 }
 
@@ -171,7 +170,7 @@ func (s *JobSet) armRecs(js *jobState, recs []*flowRec, computeRates []float64) 
 // the loss for the next recovery wave. Failures are batched: the first
 // one in a quiet stage schedules one wave DetectS seconds out, and
 // later failures ride along.
-func (s *JobSet) flowFailed(js *jobState, rec *flowRec, stageIdx int, computeRates []float64) {
+func (s *JobSet) flowFailed(js *jobState, rec *flowRec, stageIdx int) {
 	if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
 		return
 	}
@@ -182,7 +181,7 @@ func (s *JobSet) flowFailed(js *jobState, rec *flowRec, stageIdx int, computeRat
 	js.flowsLeft--
 	stage := js.run.Job.Stages[js.stage]
 	if !e.Recovery.Enabled {
-		s.abort(fmt.Errorf("spark: job %q stage %q: flow #%d dc%d->dc%d failed by a fault and recovery is disabled",
+		s.abort(fmt.Errorf("spark: job %q stage %q: flow #%d dc%d->dc%d failed by a fault (enable Engine.Recovery to survive faults)",
 			js.run.Job.Name, stage.Name, rec.f.ID(), rec.pp.i, rec.pp.j))
 		return
 	}
@@ -191,13 +190,11 @@ func (s *JobSet) flowFailed(js *jobState, rec *flowRec, stageIdx int, computeRat
 		return
 	}
 	js.recovering = true
-	detect := e.Recovery.detectS()
-	s.extendDeadline(e.sim.Now() + detect)
-	e.sim.After(detect, func(now float64) {
+	s.wake(js, e.Recovery.detectS(), func(now float64) {
 		if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
 			return
 		}
-		s.recoverStage(js, computeRates, now)
+		s.recoverStage(js, now)
 	})
 }
 
@@ -208,7 +205,7 @@ func (s *JobSet) flowFailed(js *jobState, rec *flowRec, stageIdx int, computeRat
 // durable input when the replica died too. The wave's flows carry the
 // same failure handlers, so cascading faults trigger further waves up
 // to the MaxWaves cap.
-func (s *JobSet) recoverStage(js *jobState, computeRates []float64, now float64) {
+func (s *JobSet) recoverStage(js *jobState, now float64) {
 	e := s.eng
 	n := e.sim.NumDCs()
 	js.recovering = false
@@ -297,7 +294,7 @@ func (s *JobSet) recoverStage(js *jobState, computeRates []float64, now float64)
 		rate := 0.0
 		for k := range alive {
 			if alive[k] {
-				rate += computeRates[k]
+				rate += s.computeRates[k]
 			}
 		}
 		if rate > 0 {
@@ -306,25 +303,17 @@ func (s *JobSet) recoverStage(js *jobState, computeRates []float64, now float64)
 	}
 	js.stWaves++
 
-	flows, pairs, wanBytes, recs := e.launchTransfers(makeup, js.run.Policy, s.transferDone(js, computeRates))
+	flows, pairs, wanBytes, recs := e.launchTransfers(makeup, js.run.Policy, s.transferDone(js))
 	js.flows = append(js.flows, flows...)
 	js.pairs = append(js.pairs, pairs...)
 	js.flowsLeft += len(flows)
 	js.res.WANBytes += wanBytes
 	if len(flows) > 0 {
-		s.extendDeadline(now + e.MaxStageTransferS)
-		stageIdx := js.stage
-		e.sim.After(e.MaxStageTransferS, func(float64) {
-			if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
-				return
-			}
-			s.abort(fmt.Errorf("spark: job %q stage %q: recovery wave not drained after %.1fs of simulated time",
-				js.run.Job.Name, stage.Name, e.MaxStageTransferS))
-		})
-		s.armRecs(js, recs, computeRates)
+		s.watch(js, "recovery wave")
+		s.armRecs(js, recs)
 	}
 	if js.flowsLeft == 0 && !js.recovering && len(js.failedRecs) == 0 {
-		s.finishTransfers(js, computeRates, now)
+		s.finishTransfers(js, now)
 	}
 }
 
@@ -335,7 +324,7 @@ func (s *JobSet) recoverStage(js *jobState, computeRates []float64, now float64)
 // stages past the first). Runs at every stage boundary when recovery
 // is enabled, so DC deaths during a compute phase surface at the next
 // stage instead of silently keeping work on a dead DC.
-func (s *JobSet) repairLayout(js *jobState, alive []bool, computeRates []float64) {
+func (s *JobSet) repairLayout(js *jobState, alive []bool) {
 	n := len(js.layout)
 	reexec := 0.0
 	for dc := 0; dc < n; dc++ {
@@ -363,7 +352,7 @@ func (s *JobSet) repairLayout(js *jobState, alive []bool, computeRates []float64
 			rate := 0.0
 			for k := range alive {
 				if alive[k] {
-					rate += computeRates[k]
+					rate += s.computeRates[k]
 				}
 			}
 			if rate > 0 {

@@ -187,10 +187,9 @@ func TestPartitionDoesNotTriggerRecovery(t *testing.T) {
 }
 
 // TestRecoveryDisabledFailsFast: without recovery a fault must fail
-// the run promptly and descriptively on both execution paths — and
+// the run promptly and descriptively through both entry points — and
 // stop every outstanding flow, so nothing leaks into the substrate.
 func TestRecoveryDisabledFailsFast(t *testing.T) {
-	// Synchronous RunJob path.
 	sim := frozenSim(3, 25)
 	eng := NewEngine(sim, cost.DefaultRates())
 	killDC(sim, 2, 5)
@@ -202,12 +201,11 @@ func TestRecoveryDisabledFailsFast(t *testing.T) {
 		t.Errorf("RunJob leaked %d active flows after its error", n)
 	}
 
-	// Event-driven JobSet path.
 	sim2 := frozenSim(3, 25)
 	eng2 := NewEngine(sim2, cost.DefaultRates())
 	killDC(sim2, 2, 5)
 	_, err = eng2.RunJobSet([]JobRun{{Job: faultJob(3, 30e9), Sched: localitySched{}, Policy: SingleConn{}}})
-	if err == nil || !strings.Contains(err.Error(), "recovery is disabled") {
+	if err == nil || !strings.Contains(err.Error(), "enable Engine.Recovery") {
 		t.Errorf("JobSet error = %v, want the recovery-disabled abort", err)
 	}
 	if n := sim2.ActiveFlows(); n != 0 {
@@ -216,9 +214,9 @@ func TestRecoveryDisabledFailsFast(t *testing.T) {
 }
 
 // TestRunJobTimeoutStopsFlows is the leak-audit regression for the
-// synchronous error path: an AwaitFlows timeout used to return with
-// the stalled flows still alive in the substrate, polluting any
-// co-tenant's allocator state. Every error path must stop its flows.
+// transfer watchdog: a timed-out transfer phase must name the flows
+// still pending and leave none of them alive in the substrate, where
+// they would pollute any co-tenant's allocator state.
 func TestRunJobTimeoutStopsFlows(t *testing.T) {
 	sim := frozenSim(3, 26)
 	eng := NewEngine(sim, cost.DefaultRates())

@@ -27,7 +27,11 @@
 // rely on byte-identical replays.
 package substrate
 
-import "github.com/wanify/wanify/internal/geo"
+import (
+	"fmt"
+
+	"github.com/wanify/wanify/internal/geo"
+)
 
 // VMID identifies a virtual machine within a Cluster.
 type VMID int
@@ -245,4 +249,31 @@ type Cluster interface {
 	// interval from now. The returned cancel function stops future
 	// firings.
 	Every(interval float64, fn func(now float64)) (cancel func())
+}
+
+// DescribePending names the still-undrained flows for a transfer
+// timeout error: flow ids with their src/dst DCs, capped so a stuck
+// thousand-flow shuffle stays readable.
+func DescribePending(c Cluster, flows []Flow) string {
+	const maxNamed = 8
+	var b []byte
+	named, pending := 0, 0
+	for _, f := range flows {
+		if f.Done() {
+			continue
+		}
+		pending++
+		if named == maxNamed {
+			continue
+		}
+		if named > 0 {
+			b = append(b, ", "...)
+		}
+		b = fmt.Appendf(b, "#%d dc%d->dc%d", f.ID(), c.DCOf(f.Src()), c.DCOf(f.Dst()))
+		named++
+	}
+	if pending > named {
+		b = fmt.Appendf(b, " and %d more", pending-named)
+	}
+	return string(b)
 }

@@ -2,9 +2,11 @@ package wanify_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	wanify "github.com/wanify/wanify"
+	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/cost"
 	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/optimize"
@@ -174,4 +176,60 @@ func TestStopAgentsClearsJobSetState(t *testing.T) {
 	if got := len(fw.Agents()); got != sim.NumVMs() {
 		t.Fatalf("single-job redeploy has %d agents for %d VMs", got, sim.NumVMs())
 	}
+}
+
+// TestEnableJobSetIsTheHandDrivenSteps is the job-set counterpart of
+// TestEnableIsTheHandDrivenSteps: EnableJobSet is nothing but
+// DetermineRuntimeBW → Optimize → DeployJobSetAgents →
+// StartJobSetController, group by group and agent by agent.
+func TestEnableJobSetIsTheHandDrivenSteps(t *testing.T) {
+	o := wanify.JobSetOptions{Jobs: 2, Share: optimize.SharePriority, Priorities: []float64{3, 1}}
+	fwA, logA := newLoggedFramework(t)
+	predA, policiesA, repA, err := fwA.EnableJobSet(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwA.StopAgents()
+
+	fwB, logB := newLoggedFramework(t)
+	predB, repB := fwB.DetermineRuntimeBW()
+	if _, err := fwB.DeployJobSetAgents(predB, fwB.Optimize(predB, o.Optimize), o); err != nil {
+		t.Fatal(err)
+	}
+	fwB.StartJobSetController()
+	policiesB := fwB.JobPolicies()
+	defer fwB.StopAgents()
+
+	if !reflect.DeepEqual(predA, predB) || repA != repB {
+		t.Fatalf("gauging differs: %v (%+v) vs %v (%+v)", predA, repA, predB, repB)
+	}
+	sameDeployment(t, "at deploy", fwA.JobAgents(), fwB.JobAgents(), logA, logB)
+
+	run := func(log *opLog, pred bwmatrix.Matrix, policies []spark.ConnPolicy) spark.JobSetResult {
+		rates := cost.DefaultRates()
+		var runs []spark.JobRun
+		for g, policy := range policies {
+			runs = append(runs, spark.JobRun{
+				Job:         workloads.TeraSort(workloads.UniformInput(3, 20e9)),
+				Sched:       gda.Tetrium{Believed: pred, Info: gda.NewClusterInfo(log, rates)},
+				Policy:      policy,
+				StartDelayS: 10 * float64(g),
+			})
+		}
+		res, err := spark.NewEngine(log, rates).RunJobSet(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	resA, resB := run(logA, predA, policiesA), run(logB, predB, policiesB)
+	for g := range resA.Results {
+		if a, b := resA.Results[g], resB.Results[g]; a.JCTSeconds != b.JCTSeconds || a.WANBytes != b.WANBytes {
+			t.Errorf("job %d differs: %.6fs / %.0f B vs %.6fs / %.0f B", g, a.JCTSeconds, a.WANBytes, b.JCTSeconds, b.WANBytes)
+		}
+	}
+	if fwA.Controller().Replans() < 1 || !reflect.DeepEqual(fwA.Controller().Events(), fwB.Controller().Events()) {
+		t.Errorf("replans differ (or none fired): %v vs %v", fwA.Controller().Events(), fwB.Controller().Events())
+	}
+	sameDeployment(t, "after the set", fwA.JobAgents(), fwB.JobAgents(), logA, logB)
 }

@@ -76,7 +76,6 @@ type Framework struct {
 	predicted  bwmatrix.Matrix
 	plan       optimize.Plan
 	deployed   bwmatrix.Matrix // the matrix the deployed agents' plan was built from
-	agents     []*agent.Agent
 	controller *rgauge.Controller
 
 	// optScratch backs the optimizer's interior temporaries across
@@ -84,13 +83,12 @@ type Framework struct {
 	// since plans outlive the next replan in agents and the controller).
 	optScratch optimize.Scratch
 
-	// Multi-job deployment state (EnableJobSet).
-	jobAgents  [][]*agent.Agent
-	jobSetOpts JobSetOptions
-	throttled  bool // cluster-level tc limits installed by the job set
-
-	// Dynamic slot state (EnableDynamicJobSet; see dynamic.go).
-	dyn *dynamicState
+	// The deployment — always the slot model of dynamic.go: slots holds
+	// its policy and occupancy, groups[g] slot g's agents (nil while the
+	// slot is free). Both nil when nothing is deployed.
+	slots     *slotState
+	groups    [][]*agent.Agent
+	throttled bool // cluster-level tc limits installed by the deployment
 }
 
 // New builds a Framework around a trained prediction model.
@@ -173,41 +171,32 @@ func (f *Framework) Optimize(pred bwmatrix.Matrix, opts OptimizeOptions) optimiz
 func (f *Framework) Plan() optimize.Plan { return f.plan }
 
 // DeployAgents starts one local agent per VM, loaded with the plan
-// chunked per VM (association, §3.3.3). Any previously deployed agents
-// are stopped first.
+// chunked per VM (association, §3.3.3): a deployment of one slot that
+// takes the whole plan, its agents throttling locally. Any previously
+// deployed agents are stopped first.
 func (f *Framework) DeployAgents(pred bwmatrix.Matrix, plan optimize.Plan) []*agent.Agent {
-	f.StopAgents()
-	f.deployed = pred.Clone()
-	sim := f.cfg.Cluster
-	rows := agent.ChunkPlan(sim, pred, plan)
-	var agents []*agent.Agent
-	for dc := 0; dc < sim.NumDCs(); dc++ {
-		for _, vm := range sim.VMsOfDC(dc) {
-			a := agent.New(sim, vm, f.cfg.Agent)
-			a.ApplyPlan(rows[vm])
-			a.Start()
-			agents = append(agents, a)
-		}
-	}
-	f.agents = agents
-	return agents
+	f.deploy(pred, plan, JobSetOptions{Jobs: 1, Oversubscribe: true}, true, true)
+	return f.groups[0]
 }
 
-// Agents returns the currently deployed agents (nil when none).
-func (f *Framework) Agents() []*agent.Agent { return f.agents }
+// Agents returns every deployed agent, slot by slot (nil when none).
+func (f *Framework) Agents() []*agent.Agent {
+	var all []*agent.Agent
+	for _, group := range f.groups {
+		all = append(all, group...)
+	}
+	return all
+}
 
 // StopAgents stops the re-gauging controller (when one is running) and
-// all deployed agents — single-job and per-job alike — clearing their
-// throttles and any cluster-level limits a job-set deployment holds.
+// all deployed agents, clearing their throttles and any cluster-level
+// limits the deployment holds.
 func (f *Framework) StopAgents() {
 	if f.controller != nil {
 		f.controller.Stop()
 		f.controller = nil
 	}
-	for _, a := range f.agents {
-		a.Stop()
-	}
-	for _, group := range f.jobAgents {
+	for _, group := range f.groups {
 		for _, a := range group {
 			a.Stop()
 		}
@@ -223,10 +212,7 @@ func (f *Framework) StopAgents() {
 		}
 		f.throttled = false
 	}
-	f.agents = nil
-	f.jobAgents = nil
-	f.deployed = nil
-	f.dyn = nil
+	f.groups, f.slots, f.deployed = nil, nil, nil
 }
 
 // Controller returns the running re-gauging controller, or nil when
@@ -234,48 +220,24 @@ func (f *Framework) StopAgents() {
 func (f *Framework) Controller() *rgauge.Controller { return f.controller }
 
 // StartController launches the mid-job re-gauging loop over the
-// currently deployed agents, re-planning with the given optimizer
-// options whenever drift or staleness triggers (internal/runtime).
-// Enable calls this automatically when Config.Runtime.Enabled is set;
-// callers driving the deploy steps by hand (including ones whose plan
-// was built from a measured rather than predicted matrix) can invoke
-// it directly after DeployAgents.
+// current deployment, re-planning with the given optimizer options
+// whenever drift or staleness triggers (internal/runtime). Enable calls
+// this automatically when Config.Runtime.Enabled is set; callers
+// driving the deploy steps by hand (including ones whose plan was built
+// from a measured rather than predicted matrix) can invoke it directly
+// after DeployAgents.
 func (f *Framework) StartController(opts OptimizeOptions) *rgauge.Controller {
-	if f.deployed == nil {
+	if f.slots == nil {
 		panic("wanify: StartController before DeployAgents")
 	}
-	if f.controller != nil {
-		f.controller.Stop()
-	}
-	deps := f.controllerDeps(opts)
-	deps.Agents = f.agents
-	f.controller = rgauge.Start(deps, f.cfg.Runtime, f.deployed, f.plan)
-	return f.controller
-}
-
-// controllerDeps builds the snapshot/predict/optimize hooks shared by
-// the single-job and job-set controller paths.
-func (f *Framework) controllerDeps(opts OptimizeOptions) rgauge.Deps {
-	return rgauge.Deps{
-		Cluster: f.cfg.Cluster,
-		SnapshotOpts: func() measure.Options {
-			return measure.SnapshotOptions(f.rng.Derive("snapshot"))
-		},
-		Predict: func(snap bwmatrix.Matrix, stats []substrate.VMStats) bwmatrix.Matrix {
-			features := dataset.FeaturesFromSnapshot(f.cfg.Cluster, snap, stats)
-			f.predicted = f.model.PredictMatrixInto(f.predicted, features)
-			return f.predicted.Clone()
-		},
-		Optimize: func(pred bwmatrix.Matrix) optimize.Plan {
-			return f.Optimize(pred, opts)
-		},
-	}
+	f.slots.opts.Optimize = opts
+	return f.startController()
 }
 
 // ConnPolicy returns the connection policy a spark engine should use so
 // transfers are sized and managed by the deployed agents.
 func (f *Framework) ConnPolicy() spark.ConnPolicy {
-	return spark.NewAgentConn(f.agents)
+	return spark.NewAgentConn(f.Agents())
 }
 
 // Enable is the one-call integration path (§4.1, "any GDA system that
@@ -286,12 +248,7 @@ func (f *Framework) ConnPolicy() spark.ConnPolicy {
 // matrix (for the GDA system's placement decisions) and the connection
 // policy (for its shuffle transfers).
 func (f *Framework) Enable(opts OptimizeOptions) (bwmatrix.Matrix, spark.ConnPolicy, measure.Report) {
-	pred, rep := f.DetermineRuntimeBW()
-	plan := f.Optimize(pred, opts)
-	f.DeployAgents(pred, plan)
-	if f.cfg.Runtime.Enabled {
-		f.StartController(opts)
-	}
+	pred, rep := f.enable(JobSetOptions{Jobs: 1, Oversubscribe: true, Optimize: opts}, true, true)
 	return pred, f.ConnPolicy(), rep
 }
 
@@ -324,28 +281,6 @@ type JobSetOptions struct {
 	Optimize OptimizeOptions
 }
 
-// jobSetShares evaluates the deployment's current share weights.
-func (f *Framework) jobSetShares() []float64 {
-	o := f.jobSetOpts
-	var rem []float64
-	if o.Share == optimize.ShareRemaining && o.Remaining != nil {
-		rem = o.Remaining()
-	}
-	return optimize.ShareWeights(o.Share, o.Jobs, o.Priorities, rem)
-}
-
-// partitionForJobSet splits a global plan per the deployment's policy.
-func (f *Framework) partitionForJobSet(plan optimize.Plan) []optimize.Plan {
-	if f.jobSetOpts.Oversubscribe {
-		parts := make([]optimize.Plan, f.jobSetOpts.Jobs)
-		for g := range parts {
-			parts[g] = plan
-		}
-		return parts
-	}
-	return optimize.PartitionPlan(plan, f.jobSetShares())
-}
-
 // applyGlobalThrottles installs the §3.2.2 BW-rich-link caps at the
 // cluster level: per source DC, links whose achievable bandwidth
 // exceeds the mean are limited to it. Job-set deployments throttle
@@ -371,54 +306,40 @@ func (f *Framework) applyGlobalThrottles(plan optimize.Plan) {
 	f.throttled = true
 }
 
-// DeployJobSetAgents partitions the plan across the configured jobs
-// and starts one agent per (job, VM), each loaded with its job's
-// chunk. Any previous deployment (single- or multi-job) is stopped
-// first. Per-job agents run with Throttle off; when Config.Agent
-// requests throttling the deployment installs cluster-level limits
-// from the global plan instead.
-func (f *Framework) DeployJobSetAgents(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions) ([][]*agent.Agent, error) {
+// validate checks the roster shape of a job-set deployment.
+func (o JobSetOptions) validate() error {
 	if o.Jobs < 1 {
-		return nil, fmt.Errorf("wanify: job set needs at least one job, got %d", o.Jobs)
+		return fmt.Errorf("wanify: job set needs at least one job, got %d", o.Jobs)
 	}
 	if o.Priorities != nil && len(o.Priorities) != o.Jobs {
-		return nil, fmt.Errorf("wanify: %d priorities for %d jobs", len(o.Priorities), o.Jobs)
+		return fmt.Errorf("wanify: %d priorities for %d jobs", len(o.Priorities), o.Jobs)
 	}
-	f.StopAgents()
-	f.jobSetOpts = o
-	f.deployed = pred.Clone()
-	sim := f.cfg.Cluster
-	agentCfg := f.cfg.Agent
-	agentCfg.Throttle = false
-	parts := f.partitionForJobSet(plan)
-	for g := range parts {
-		rows := agent.ChunkPlan(sim, pred, parts[g])
-		var group []*agent.Agent
-		for dc := 0; dc < sim.NumDCs(); dc++ {
-			for _, vm := range sim.VMsOfDC(dc) {
-				a := agent.New(sim, vm, agentCfg)
-				a.ApplyPlan(rows[vm])
-				a.Start()
-				group = append(group, a)
-			}
-		}
-		f.jobAgents = append(f.jobAgents, group)
-	}
-	if f.cfg.Agent.Throttle {
-		f.applyGlobalThrottles(plan)
-	}
-	return f.jobAgents, nil
+	return nil
 }
 
-// JobAgents returns the per-job agent groups (nil when no job set is
-// deployed).
-func (f *Framework) JobAgents() [][]*agent.Agent { return f.jobAgents }
+// DeployJobSetAgents partitions the plan across the configured jobs
+// and starts one agent per (job, VM), each loaded with its job's
+// chunk: a deployment of o.Jobs slots, all occupied at once. Any
+// previous deployment is stopped first. Per-job agents run with
+// Throttle off; when Config.Agent requests throttling the deployment
+// installs cluster-level limits from the global plan instead.
+func (f *Framework) DeployJobSetAgents(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions) ([][]*agent.Agent, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	f.deploy(pred, plan, o, false, true)
+	return f.groups, nil
+}
+
+// JobAgents returns the per-slot agent groups (nil when nothing is
+// deployed; a free slot's group is nil).
+func (f *Framework) JobAgents() [][]*agent.Agent { return f.groups }
 
 // JobPolicies returns one connection policy per job, each consulting
 // that job's agents — what a spark.JobRun plugs in as its Policy.
 func (f *Framework) JobPolicies() []spark.ConnPolicy {
-	out := make([]spark.ConnPolicy, len(f.jobAgents))
-	for g, group := range f.jobAgents {
+	out := make([]spark.ConnPolicy, len(f.groups))
+	for g, group := range f.groups {
 		out[g] = spark.NewAgentConn(group)
 	}
 	return out
@@ -431,27 +352,10 @@ func (f *Framework) JobPolicies() []spark.ConnPolicy {
 // atomically (with shares re-evaluated, so bytes-remaining sharing
 // follows job progress).
 func (f *Framework) StartJobSetController() *rgauge.Controller {
-	if f.jobAgents == nil {
+	if f.slots == nil {
 		panic("wanify: StartJobSetController before DeployJobSetAgents")
 	}
-	if f.controller != nil {
-		f.controller.Stop()
-	}
-	deps := f.controllerDeps(f.jobSetOpts.Optimize)
-	var union []*agent.Agent
-	for _, group := range f.jobAgents {
-		union = append(union, group...)
-	}
-	deps.Agents = union
-	deps.Groups = f.jobAgents
-	deps.Partition = f.partitionForJobSet
-	if f.cfg.Agent.Throttle {
-		deps.OnPlanSwap = func(_ bwmatrix.Matrix, plan optimize.Plan) {
-			f.applyGlobalThrottles(plan)
-		}
-	}
-	f.controller = rgauge.Start(deps, f.cfg.Runtime, f.deployed, f.plan)
-	return f.controller
+	return f.startController()
 }
 
 // EnableJobSet is the multi-tenant Enable: snapshot → predict →
@@ -460,13 +364,9 @@ func (f *Framework) StartJobSetController() *rgauge.Controller {
 // It returns the predicted matrix, one connection policy per job, and
 // the measurement bill.
 func (f *Framework) EnableJobSet(o JobSetOptions) (bwmatrix.Matrix, []spark.ConnPolicy, measure.Report, error) {
-	pred, rep := f.DetermineRuntimeBW()
-	plan := f.Optimize(pred, o.Optimize)
-	if _, err := f.DeployJobSetAgents(pred, plan, o); err != nil {
-		return nil, nil, rep, err
+	if err := o.validate(); err != nil {
+		return nil, nil, measure.Report{}, err
 	}
-	if f.cfg.Runtime.Enabled {
-		f.StartJobSetController()
-	}
+	pred, rep := f.enable(o, false, true)
 	return pred, f.JobPolicies(), rep, nil
 }
