@@ -22,10 +22,10 @@ func TestIntensityForPrefix(t *testing.T) {
 		{geo.USWest, 220},
 		{geo.EUWest, 316},
 		{geo.SAEast, 98},
-		{geo.APSouth, 708},   // must not be shadowed by ap-southeast-*
-		{geo.APSE, 471},      // ap-southeast-1
-		{geo.APSE2, 660},     // ap-southeast-2
-		{geo.APNE, 462},      // ap-northeast prefix
+		{geo.APSouth, 708},                      // must not be shadowed by ap-southeast-*
+		{geo.APSE, 471},                         // ap-southeast-1
+		{geo.APSE2, 660},                        // ap-southeast-2
+		{geo.APNE, 462},                         // ap-northeast prefix
 		{geo.Region{Code: "mars-north-1"}, 475}, // default
 		{geo.Region{}, 475},                     // empty code: default
 	}

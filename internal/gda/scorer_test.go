@@ -188,6 +188,9 @@ func TestSearchCarbonAggregatesMatchEstimateAgg(t *testing.T) {
 // handful of fixed allocations (the returned placement and interface
 // boxing) for every scorer, carbon-pricing blends included.
 func TestScorerPlaceSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
+	}
 	ci, believed, layout := randomPlanningProblem(8, 99)
 	ci = withCarbon(ci, 99)
 	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}

@@ -224,6 +224,9 @@ func TestSearchAggregatesMatchEstimateDetail(t *testing.T) {
 // constant allocation count per Place (starts and the returned
 // placement only — no per-candidate garbage).
 func TestPlaceSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
+	}
 	ci, believed, layout := randomPlanningProblem(8, 99)
 
 	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -31,7 +32,7 @@ import (
 // The allocator is the simulator's hot path: the evaluation drivers
 // invalidate it on every flow start/finish, connection resize, ramp
 // step and fluctuation tick, often with hundreds of concurrent shuffle
-// flows in play. Four layers keep a recomputation amortized-cheap
+// flows in play. Five layers keep a recomputation amortized-cheap
 // while producing bit-identical rates to the from-scratch oracle
 // (allocateReference, kept for tests and benchmarks):
 //
@@ -62,6 +63,12 @@ import (
 //     the floating-point summation identical to a from-scratch pass).
 //     Unfrozen flows are also kept in a compacted order-preserving
 //     list, so late rounds stop paying for flows frozen early.
+//  5. Slack ramp steps (rampStep). A slow-start level boundary raises
+//     one flow's own cap and nothing else. When the last fill left that
+//     cap unsaturated and the raised cap still clears the flow's rate,
+//     a refill would repeat every operation on the same operands, so
+//     the step skips the fill and only re-attributes retransmissions
+//     at the flow's two VMs — O(flows at two VMs) instead of a fill.
 //
 // Determinism: within a group, every floating-point operation happens
 // in the same order as the from-scratch reference, with flows visited
@@ -186,30 +193,6 @@ func (a *fillScratch) growFlows(nf int) {
 	a.flowRes = a.flowRes[:nf]
 }
 
-// flowsOrdered returns the active flows in start (id) order, reusing
-// the cached slice. Sim.flows is permuted by swap-deletes; the
-// allocator's float arithmetic must not depend on that permutation.
-// The sorted view is kept until the flow set changes, so invalidations
-// that touch no flows (fluct ticks, CPU/tc changes) skip the sort.
-func (s *Sim) flowsOrdered() []*Flow {
-	if !s.flowSetChanged && len(s.orderBuf) == len(s.flows) {
-		return s.orderBuf
-	}
-	s.orderBuf = append(s.orderBuf[:0], s.flows...)
-	slices.SortFunc(s.orderBuf, func(x, y *Flow) int {
-		switch {
-		case x.id < y.id:
-			return -1
-		case x.id > y.id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	s.flowSetChanged = false
-	return s.orderBuf
-}
-
 // ensureAllocated recomputes flow rates if anything changed.
 func (s *Sim) ensureAllocated() {
 	if !s.allocDirty {
@@ -232,7 +215,7 @@ func (s *Sim) scratchFor(w int) *fillScratch {
 // allocation touched, and water-fill exactly those, concurrently when
 // Config.Workers allows.
 func (s *Sim) allocate() {
-	order := s.flowsOrdered()
+	order := s.flows // start (id) order
 	nf := len(order)
 	g := &s.groups
 	if nf == 0 {
@@ -413,11 +396,7 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 	}
 	a.memF = a.memF[:len(a.vms)]
 	for l, v := range a.vms {
-		over := float64(s.vmConns[v] - s.cfg.CongestionKnee)
-		if over < 0 {
-			over = 0
-		}
-		cong := 1 / (1 + s.cfg.CongestionSlope*over)
+		cong := s.congFactor(v)
 		spec := &s.vms[v].spec
 		a.addRes(resEgress, v, spec.EgressMbps*cong)
 		a.addRes(resIngress, v, spec.IngressMbps*cong)
@@ -428,17 +407,8 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 	a.growFlows(nf)
 	for fi, f := range flows {
 		srcDC, dstDC := f.srcDC, f.dstDC
-		fluct := 1.0
-		if p := s.fluct[srcDC][dstDC]; p != nil {
-			fluct = p.factor()
-		}
-		memF := a.memF[a.vmLocal[f.dst]]
-		cpuF := cpuFactor(s.vms[f.src].cpuLoad)
-		capF := float64(f.conns) * s.perConnBase[srcDC][dstDC] * fluct * memF * cpuF * s.rampFactor(f)
-		if s.severed(srcDC, dstDC) {
-			capF = 0 // active DC partition: the pair delivers nothing
-		}
-		capRes := a.addRes(resFlowCap, 0, capF)
+		f.capMbps = s.flowCap(f, a.memF[a.vmLocal[f.dst]])
+		capRes := a.addRes(resFlowCap, 0, f.capMbps)
 
 		a.weights[fi] = float64(f.conns) / s.rttBiasPow[srcDC][dstDC]
 
@@ -562,6 +532,8 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 	}
 	for fi, f := range flows {
 		f.rate = a.rates[fi]
+		c := a.flowRes[fi][2] // the flow's own cap resource
+		f.capSlack = a.avail[c] > a.availMin[c]
 	}
 
 	// Retransmission rates: attribute overload pressure at each VM
@@ -574,16 +546,110 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 		demand := 0.0
 		conns := 0
 		for _, fi := range a.members[ri] {
-			demand += a.resCap[a.flowRes[fi][2]] // the flow's own cap resource
+			demand += flows[fi].capMbps
 			conns += flows[fi].conns
 		}
-		if a.resCap[ri] <= 0 {
-			continue
+		s.vms[a.resVM[ri]].lastRetrans += retransTerm(demand, a.resCap[ri], conns)
+	}
+}
+
+// retransTerm is the retransmission rate one VM resource contributes:
+// zero unless the demand placed on it exceeds its effective capacity.
+func retransTerm(demand, resCap float64, conns int) float64 {
+	if resCap <= 0 {
+		return 0
+	}
+	if pressure := demand/resCap - 1; pressure > 0 {
+		return 2.0 * pressure * float64(conns)
+	}
+	return 0
+}
+
+// congFactor degrades a VM's egress/ingress capacity once the
+// connections terminating at it pass the congestion knee.
+func (s *Sim) congFactor(v VMID) float64 {
+	over := float64(s.vmConns[v] - s.cfg.CongestionKnee)
+	if over < 0 {
+		over = 0
+	}
+	return 1 / (1 + s.cfg.CongestionSlope*over)
+}
+
+// flowCap is the flow's own ceiling: conns × the pair's per-connection
+// cap, scaled by link fluctuation, the receiver's memory factor memF,
+// the sender's CPU load and the slow-start ramp.
+func (s *Sim) flowCap(f *Flow, memF float64) float64 {
+	if s.severed(f.srcDC, f.dstDC) {
+		return 0 // active DC partition: the pair delivers nothing
+	}
+	fluct := 1.0
+	if p := s.fluct[f.srcDC][f.dstDC]; p != nil {
+		fluct = p.factor()
+	}
+	cpuF := cpuFactor(s.vms[f.src].cpuLoad)
+	return float64(f.conns) * s.perConnBase[f.srcDC][f.dstDC] * fluct * memF * cpuF * s.rampFactor(f)
+}
+
+// rampStep is a slow-start level boundary of f (layer 5 above). The
+// boundary raises f's own cap and nothing else, so when the last fill
+// left that cap slack a refill would differ only in avail, availMin
+// and resCap of that one single-member resource. Its quotient sat
+// strictly above every round's theta (a tie would have drained it) and
+// float subtraction is monotone in the minuend, so with a larger cap
+// it sits higher still: every theta, increment, freeze and sumW rescan
+// of the refill is the same operation on the same operands. The margin
+// keeps the raised cap unsaturated under its own, larger, availMin
+// with room for the fill's rounding. What the cap does move is the
+// demand at f's two VMs, so their attribution is redone; everything
+// else — and any step not provably inert, including every step of a
+// cap-bound or severed (cap 0) flow — takes the refill.
+func (s *Sim) rampStep(f *Flow) {
+	if f.done {
+		return
+	}
+	if !s.allocDirty && f.capSlack {
+		newCap := s.flowCap(f, memFactor(s.memUtil(f.dst)))
+		if newCap >= f.capMbps && newCap-f.rate > 2*allocEps*math.Max(1, newCap) {
+			f.capMbps = newCap
+			s.rampFast++
+			s.attributeRetrans(f.src)
+			s.attributeRetrans(f.dst)
+			return
 		}
-		pressure := demand/a.resCap[ri] - 1
-		if pressure > 0 {
-			s.vms[a.resVM[ri]].lastRetrans += 2.0 * pressure * float64(conns)
+	}
+	s.dirtyFlow(f)
+}
+
+// attributeRetrans recomputes v's retransmission attribution as a fill
+// of its group would: egress term then ingress term, each summing the
+// caps of v's flows in start order. The flows come from v's DC's row
+// (egress) or column (ingress) of pairFlows, sorted by id across the
+// per-pair lists.
+func (s *Sim) attributeRetrans(v VMID) {
+	vm, n := s.vms[v], len(s.regions)
+	cong := s.congFactor(v)
+	vm.lastRetrans = 0
+	for dir, specMbps := range [2]float64{vm.spec.EgressMbps, vm.spec.IngressMbps} {
+		buf := s.attrBuf[:0]
+		for o := 0; o < n; o++ {
+			k := s.pairKey(vm.dc, o)
+			if dir == 1 {
+				k = s.pairKey(o, vm.dc)
+			}
+			for _, f := range s.pairFlows[k] {
+				if [2]VMID{f.src, f.dst}[dir] == v {
+					buf = append(buf, f)
+				}
+			}
 		}
+		slices.SortFunc(buf, func(x, y *Flow) int { return cmp.Compare(x.id, y.id) })
+		demand, conns := 0.0, 0
+		for _, f := range buf {
+			demand += f.capMbps
+			conns += f.conns
+		}
+		vm.lastRetrans += retransTerm(demand, specMbps*cong, conns)
+		s.attrBuf = buf
 	}
 }
 

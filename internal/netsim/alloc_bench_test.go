@@ -73,6 +73,23 @@ func BenchmarkAllocatorSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocDenseSnapshot measures what measure.Snapshot costs the
+// simulator on a fresh 24-DC fleet: 552 single-connection probes in
+// one bottleneck group, run through a one-second window (1,656 ramp
+// steps) and torn down.
+func BenchmarkAllocDenseSnapshot(b *testing.B) {
+	s := NewSim(FleetCluster(24, 1, substrate.T2Medium, 2025))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		probes := allToAllProbes(s, oneConn)
+		s.RunFor(1)
+		for _, f := range probes {
+			f.Stop()
+		}
+	}
+}
+
 // BenchmarkTimerHeap measures a push/pop cycle on a 512-deep timer
 // heap — the event loop's core data structure, hand-rolled to avoid
 // the per-event boxing of the old container/heap implementation.

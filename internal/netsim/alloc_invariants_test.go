@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -80,18 +81,7 @@ func churnSimWorkers(t *testing.T, seed uint64, steps int, workers int, check fu
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		churnSim(t, seed, 120, func(s *Sim) {
-			s.ensureAllocated()
-			wantRates, wantRetrans := s.allocateReference()
-			for i, f := range s.flowsOrdered() {
-				if f.rate != wantRates[i] {
-					t.Fatalf("seed %d: flow %d rate %v != reference %v", seed, f.id, f.rate, wantRates[i])
-				}
-			}
-			for v := 0; v < s.NumVMs(); v++ {
-				if got := s.vms[v].lastRetrans; got != wantRetrans[v] {
-					t.Fatalf("seed %d: vm %d retrans %v != reference %v", seed, v, got, wantRetrans[v])
-				}
-			}
+			requireMatchesReference(t, s, fmt.Sprintf("seed %d", seed))
 		})
 	}
 }

@@ -112,7 +112,7 @@ func TestShardedMatchesSequentialLockstep(t *testing.T) {
 			}
 			wantRates, wantRetrans := base.allocateReference()
 			for i, s := range sims {
-				for j, f := range s.flowsOrdered() {
+				for j, f := range s.flows {
 					if f.rate != wantRates[j] {
 						t.Fatalf("seed %d step %d: workers=%d flow %d rate %v != reference %v",
 							seed, step, workerCounts[i], f.id, f.rate, wantRates[j])
@@ -149,7 +149,7 @@ func TestShardedChurnInvariants(t *testing.T) {
 	churnSimWorkers(t, 17, 120, 4, func(s *Sim) {
 		s.ensureAllocated()
 		wantRates, wantRetrans := s.allocateReference()
-		for i, f := range s.flowsOrdered() {
+		for i, f := range s.flows {
 			if f.rate != wantRates[i] {
 				t.Fatalf("flow %d rate %v != reference %v", f.id, f.rate, wantRates[i])
 			}

@@ -1,9 +1,5 @@
 package netsim
 
-import (
-	"slices"
-)
-
 // Fault injection. Faults are part of the experiment configuration —
 // nothing in the simulator's own stochastic machinery ever kills a VM
 // or severs a pair — and they act through the ordinary timer queue, so
@@ -48,9 +44,8 @@ func (s *Sim) killVM(id VMID) {
 			victims = append(victims, f)
 		}
 	}
-	// s.flows is permuted by swap-deletes; fail in id order so onFail
-	// callbacks fire in the same deterministic sequence as completions.
-	slices.SortFunc(victims, func(a, b *Flow) int { return int(a.id - b.id) })
+	// s.flows is in start order, so onFail callbacks fire in the same
+	// deterministic id sequence as completions.
 	for _, f := range victims {
 		s.failFlow(f)
 	}

@@ -206,7 +206,7 @@ func TestAllocatorEquivalenceUnderPartition(t *testing.T) {
 	s.invalidate()
 	s.ensureAllocated()
 	refRates, _ := s.allocateReference()
-	for fi, f := range s.flowsOrdered() {
+	for fi, f := range s.flows {
 		if f.rate != refRates[fi] {
 			t.Fatalf("flow #%d: incremental %.9f != reference %.9f under partition", f.ID(), f.rate, refRates[fi])
 		}

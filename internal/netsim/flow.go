@@ -22,15 +22,16 @@ type Flow struct {
 	dst   VMID
 	srcDC int // DC of src, cached for the allocator and pair indexes
 	dstDC int // DC of dst
-	idx   int // position in Sim.flows, maintained for O(1) swap-delete
 	conns int
 
 	remainingBits float64 // +Inf for probes
 	sentBits      float64 // cumulative
 	rate          float64 // current allocation, Mbps
+	capMbps       float64 // own cap the last fill (or rampStep) used
 	done          bool
 	stopped       bool
 	failed        bool // terminated by a fault (endpoint death, pair reset)
+	capSlack      bool // the last fill left the flow's own cap unsaturated
 
 	startedAt float64 // sim time the flow was created
 	rampS     float64 // slow-start ramp duration (0 = instant)

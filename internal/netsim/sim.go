@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -47,10 +48,9 @@ type Sim struct {
 	// achievable rate zero (see faults.go).
 	partActive []int
 
-	// flows is the active set in arbitrary order: finishFlow swap-
-	// deletes through Flow.idx, so starts and finishes are O(1). The
-	// allocator re-derives start (id) order when it runs; everything
-	// order-sensitive goes through flowsOrdered or pairFlows.
+	// flows is the active set in start (id) order, the order the
+	// allocator's float arithmetic and every callback sequence follow:
+	// addFlow appends ascending ids, finishFlow removes in place.
 	flows      []*Flow
 	nextFlowID FlowID
 
@@ -65,9 +65,10 @@ type Sim struct {
 	timerSeq   int64
 	fluctEvery float64 // seconds between fluctuation steps
 
-	allocDirty     bool
-	flowSetChanged bool    // active-flow membership changed since last flowsOrdered
-	orderBuf       []*Flow // cached start-order view of flows
+	allocDirty bool
+	rampFast   int     // ramp steps rampStep absorbed without a refill
+	attrBuf    []*Flow // attributeRetrans scratch
+	completed  []*Flow // advanceTo scratch
 
 	// Bottleneck-group machinery (churn.go, alloc.go): the group index,
 	// the per-worker filling scratches, and the shape of the last
@@ -406,22 +407,17 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	// TCP slow start: the flow's cap ramps up over a few RTTs; more
 	// parallel connections shorten the ramp (larger aggregate initial
 	// window). The ramp is quantized into three cap levels, so we
-	// schedule re-allocations at the level boundaries.
+	// schedule a rampStep at each level boundary.
 	rtt := s.rttSec[srcDC][dstDC]
 	f.rampS = s.cfg.RampRTTs * rtt / (1 + math.Log2(float64(conns)))
 	if f.rampS > 0 {
-		for _, frac := range []float64{1.0 / 3, 2.0 / 3, 1} {
-			s.at(s.now+f.rampS*frac, func(float64) {
-				if !f.done {
-					s.dirtyFlow(f)
-				}
-			})
+		step := func(float64) { s.rampStep(f) }
+		for _, frac := range [...]float64{1.0 / 3, 2.0 / 3, 1} {
+			s.at(s.now+f.rampS*frac, step)
 		}
 	}
 
-	f.idx = len(s.flows)
-	s.flows = append(s.flows, f)
-	s.flowSetChanged = true
+	s.flows = append(s.flows, f) // ids ascend: start order kept
 	s.vmConns[src] += conns
 	s.vmConns[dst] += conns
 	k := s.pairKey(srcDC, dstDC)
@@ -458,8 +454,7 @@ func (s *Sim) rampFactor(f *Flow) float64 {
 	}
 }
 
-// finishFlow removes a flow from the active set in O(1) by swapping the
-// last flow into its slot (Flow.idx tracks positions).
+// finishFlow removes a flow from the active set, keeping start order.
 func (s *Sim) finishFlow(f *Flow) {
 	if f.done {
 		return
@@ -469,13 +464,8 @@ func (s *Sim) finishFlow(f *Flow) {
 	// Dirty while the flow's endpoints still carry their last-allocation
 	// grouping; the whole former group refills (a finish can split it).
 	s.dirtyFlow(f)
-	last := len(s.flows) - 1
-	moved := s.flows[last]
-	s.flows[f.idx] = moved
-	moved.idx = f.idx
-	s.flows[last] = nil
-	s.flows = s.flows[:last]
-	s.flowSetChanged = true
+	i, _ := slices.BinarySearchFunc(s.flows, f.id, func(g *Flow, id FlowID) int { return cmp.Compare(g.id, id) })
+	s.flows = slices.Delete(s.flows, i, i+1)
 
 	s.vmConns[f.src] -= f.conns
 	s.vmConns[f.dst] -= f.conns
@@ -675,7 +665,11 @@ func (s *Sim) advanceTo(tNext float64) {
 		s.now = math.Max(s.now, tNext)
 		return
 	}
-	var completed []*Flow
+	// Completions are collected in s.flows' start order, so onDone
+	// callbacks fire in id order. The scratch is detached while they run:
+	// a callback that steps the simulation gets its own.
+	completed := s.completed[:0]
+	s.completed = nil
 	for _, f := range s.flows {
 		bits := f.rate * 1e6 * dt
 		f.sentBits += bits
@@ -691,15 +685,11 @@ func (s *Sim) advanceTo(tNext float64) {
 		v.retransAccum += v.lastRetrans * dt
 	}
 	s.now = tNext
-	// s.flows is unordered (swap-delete), so restore start order before
-	// completing: onDone callbacks must fire in the same deterministic
-	// sequence they always have.
-	if len(completed) > 1 {
-		slices.SortFunc(completed, func(a, b *Flow) int { return int(a.id - b.id) })
-	}
 	for _, f := range completed {
 		s.finishFlow(f)
 	}
+	clear(completed)
+	s.completed = completed
 }
 
 // AwaitFlows runs the simulation until all given flows are done, or
