@@ -1,7 +1,9 @@
 package wanify_test
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (DESIGN.md §3 maps ids to artifacts):
+// These Benchmark* functions regenerate every table and figure of the
+// paper's evaluation (DESIGN.md §3 maps ids to artifacts). They are a
+// report generator; the repository's benchmark, the thing that times
+// this system, is bench/ (BENCHMARK.json, bench/README.md).
 //
 //	go test -bench=. -benchmem
 //

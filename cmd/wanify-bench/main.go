@@ -11,8 +11,7 @@
 //
 // -backend is a comma-separated list of netsim | trace | trace:<name|file>
 // (default "netsim,trace": the simulator plus the bundled diurnal
-// replay, so the trace backend's timing trajectory is tracked from day
-// one). Experiments pinned to bespoke netsim topologies are skipped on
+// replay). Experiments pinned to bespoke netsim topologies are skipped on
 // trace backends, as is every standard driver when a trace records
 // fewer than the testbed's 8 regions (smaller traces still drive
 // wanify-sim, which sizes the job to the backend).
@@ -20,67 +19,21 @@
 // Independent scenario drivers run concurrently across a worker pool
 // (each owns its private cluster; the trained prediction model is
 // shared read-only), so wall-clock is bounded by the slowest driver.
-// Output order is deterministic and identical to a sequential run.
-//
-// Unless -bench-out is empty, a machine-readable timing report is
-// written (default BENCH_netsim.json) with per-scenario wall-clock
-// seconds and the allocator-churn microbenchmark per backend, so the
-// substrate's performance trajectory is tracked across commits (the CI
-// bench guard compares against the committed baseline).
+// Stdout is deterministic and byte-identical to a sequential run;
+// per-scenario wall-clock seconds go to stderr. Timing this system is
+// bench/'s job (see bench/README.md), not this command's.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
-	"time"
 
 	"github.com/wanify/wanify/internal/experiments"
-	"github.com/wanify/wanify/internal/gda"
-	"github.com/wanify/wanify/internal/ml/rf"
-	"github.com/wanify/wanify/internal/netsim"
 	"github.com/wanify/wanify/internal/predict"
 )
-
-// benchReport is the schema of BENCH_netsim.json. Per-scenario seconds
-// are wall-clock under `workers`-way co-scheduling: when comparing
-// timings across commits, use runs with the same worker count — the
-// committed baseline is generated with -parallel 1 so entries are
-// uncontended. Benchmarks holds the hot-path microbenchmarks, each as
-// an optimized/reference pair whose ratio the CI guard gates on
-// (ratios cancel raw hardware speed): allocator_churn_* (netsim
-// incremental vs from-scratch, plus allocator_churn_<backend> per
-// trace backend), scheduler_place_* (delta-evaluated vs reference
-// scheduler search), rf_train_* (scratch-slab/parallel vs reference
-// forest training — the optimized side uses rf.BenchWorkers() workers,
-// so its absolute value depends on core count; the reference is always
-// sequential) and rf_predict_batch_* (fan-out vs sequential batch
-// prediction). The fleet_alloc_<n>dc_* keys are the scale-tiered
-// allocator curves (-fleet-tiers): per-flow cost of a full sharded
-// refill, the unsharded single-group baseline, the bottleneck-group
-// count, and the worker-pool speedup at each fleet size.
-type benchReport struct {
-	GoVersion    string             `json:"go_version"`
-	GOMAXPROCS   int                `json:"gomaxprocs"`
-	Workers      int                `json:"workers"`
-	Scale        float64            `json:"scale"`
-	Backends     []string           `json:"backends"`
-	Seeds        []uint64           `json:"seeds"`
-	TotalSeconds float64            `json:"total_seconds"`
-	Benchmarks   map[string]float64 `json:"benchmarks,omitempty"`
-	Experiments  []benchEntry       `json:"experiments"`
-}
-
-type benchEntry struct {
-	ID      string  `json:"id"`
-	Seed    uint64  `json:"seed"`
-	Seconds float64 `json:"seconds"`
-	Error   string  `json:"error,omitempty"`
-}
 
 func main() {
 	var (
@@ -92,8 +45,6 @@ func main() {
 		backends = flag.String("backend", "netsim,trace", "comma-separated substrate backends: netsim | trace | trace:<name|file>")
 		modelIn  = flag.String("model", "", "load a wanify-train model instead of training (gob)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "scenario drivers to run concurrently (1 = sequential, <=0 = GOMAXPROCS)")
-		benchOut = flag.String("bench-out", "BENCH_netsim.json", "write a JSON timing report here ('' to disable)")
-		tiers    = flag.String("fleet-tiers", "10,100,500", "comma-separated fleet DC counts for the scale-tiered allocator benchmark ('' to disable)")
 	)
 	flag.Parse()
 
@@ -158,127 +109,21 @@ func main() {
 			*modelIn, model.Forest().NumTrees())
 	}
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	start := time.Now()
-	report := benchReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-		Scale:      *scale,
-	}
-	for _, b := range backendList {
-		report.Backends = append(report.Backends, b.String())
-	}
 	failed := 0
-	var admitNanos []int64 // serve control-plane admission latencies, across seeds
 	for k := 0; k < *seeds; k++ {
 		params := experiments.Params{Seed: *seed + uint64(k), Scale: *scale, Model: model}
-		report.Seeds = append(report.Seeds, params.Seed)
-		runs := experiments.RunScenarios(scenarios, params, workers)
-		for _, r := range runs {
-			entry := benchEntry{ID: r.ID, Seed: r.Seed, Seconds: r.Seconds}
-			if sr, ok := r.Result.(experiments.ServeLoadResult); ok {
-				admitNanos = append(admitNanos, sr.AdmitNanos...)
-			}
+		for _, r := range experiments.RunScenarios(scenarios, params, *parallel) {
 			if r.Err != nil {
-				entry.Error = r.Err.Error()
 				fmt.Fprintf(os.Stderr, "%s (seed %d): %v\n", r.ID, r.Seed, r.Err)
 				failed++
-			} else {
-				label := r.ID
-				if *seeds > 1 {
-					label = fmt.Sprintf("%s seed=%d", r.ID, r.Seed)
-				}
-				fmt.Printf("=== %s (%.1fs wall) ===\n%s\n", label, r.Seconds, r.Result)
-			}
-			report.Experiments = append(report.Experiments, entry)
-		}
-	}
-	report.TotalSeconds = time.Since(start).Seconds()
-
-	if *benchOut != "" {
-		// Time the allocator hot path on every backend so the report
-		// tracks each substrate's perf trajectory, not just netsim's.
-		// The netsim pair (incremental + from-scratch reference) backs
-		// the CI regression guard's hardware-independent ratio check.
-		// The planning-layer trio (scheduler search, RF training, RF
-		// batch prediction) records each optimized path against its
-		// kept-verbatim reference the same way — the guard gates on
-		// each optimized/reference ratio.
-		report.Benchmarks = map[string]float64{
-			"allocator_churn_ns_per_op":            netsim.ChurnNsPerOp(true, 20000),
-			"allocator_churn_reference_ns_per_op":  netsim.ChurnNsPerOp(false, 5000),
-			"scheduler_place_ns_per_op":            gda.PlaceNsPerOp(true, 200),
-			"scheduler_place_reference_ns_per_op":  gda.PlaceNsPerOp(false, 50),
-			"rf_train_ns_per_op":                   rf.TrainNsPerOp(true, 10),
-			"rf_train_reference_ns_per_op":         rf.TrainNsPerOp(false, 5),
-			"rf_predict_batch_ns_per_op":           rf.PredictBatchNsPerOp(true, 100),
-			"rf_predict_batch_reference_ns_per_op": rf.PredictBatchNsPerOp(false, 100),
-		}
-		// One pooled/reference pair per descent objective: the scorer
-		// refactor routes every objective through the same delta-
-		// evaluated search, so each registered scorer (and the blend
-		// composition) gets its own guarded ratio.
-		for _, s := range []struct{ key, spec string }{
-			{"scorer_jct", "jct"},
-			{"scorer_cost", "cost"},
-			{"scorer_carbon", "carbon"},
-			{"scorer_blend", "blend:jct=0.34,cost=0.33,carbon=0.33"},
-		} {
-			report.Benchmarks[s.key+"_ns_per_op"] = gda.ScorerPlaceNsPerOp(s.spec, true, 200)
-			report.Benchmarks[s.key+"_reference_ns_per_op"] = gda.ScorerPlaceNsPerOp(s.spec, false, 50)
-		}
-		// Control-plane admission→plan latency, from the serve driver's
-		// >1000 scripted submissions (absent unless the serve experiment
-		// ran). The CI guard gates the p50/allocator-churn ratio, which
-		// cancels raw machine speed like every other guard pair.
-		if len(admitNanos) > 0 {
-			p50, p99 := experiments.ServeLoadResult{AdmitNanos: admitNanos}.AdmitPercentiles()
-			report.Benchmarks["serve_admit_p50_ns"] = p50
-			report.Benchmarks["serve_admit_p99_ns"] = p99
-		}
-		// Scale-tiered fleet curves: full-refill cost per flow as the
-		// topology grows, against the unsharded single-group baseline.
-		if *tiers != "" {
-			for _, ts := range strings.Split(*tiers, ",") {
-				dcs, err := strconv.Atoi(strings.TrimSpace(ts))
-				if err != nil || dcs < 2 {
-					fmt.Fprintf(os.Stderr, "bad -fleet-tiers entry %q (want DC counts like 10,100,500)\n", ts)
-					os.Exit(2)
-				}
-				st := netsim.FleetAllocNsPerFlow(dcs, 200)
-				key := fmt.Sprintf("fleet_alloc_%ddc", dcs)
-				report.Benchmarks[key+"_ns_per_flow"] = st.NsPerFlow
-				report.Benchmarks[key+"_unsharded_ns_per_flow"] = st.UnshardedNsPerFlow
-				report.Benchmarks[key+"_groups"] = float64(st.Groups)
-				report.Benchmarks[key+"_parallel_speedup"] = st.ParallelSpeedup()
-			}
-		}
-		for _, b := range backendList {
-			if b.String() == "netsim" {
 				continue
 			}
-			ns, err := experiments.AllocatorChurnNsPerOp(b, 20000)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "churn benchmark on %s: %v\n", b, err)
-				failed++
-				continue
+			label := r.ID
+			if *seeds > 1 {
+				label = fmt.Sprintf("%s seed=%d", r.ID, r.Seed)
 			}
-			key := fmt.Sprintf("allocator_churn_%s_ns_per_op", strings.ReplaceAll(b.String(), ":", "_"))
-			report.Benchmarks[key] = ns
-		}
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchOut, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *benchOut, err)
-			failed++
-		} else {
-			fmt.Fprintf(os.Stderr, "timing report: %s (%.1fs total)\n", *benchOut, report.TotalSeconds)
+			fmt.Printf("=== %s ===\n%s\n", label, r.Result)
+			fmt.Fprintf(os.Stderr, "%s: %.1fs wall\n", label, r.Seconds)
 		}
 	}
 	if failed > 0 {

@@ -10,7 +10,7 @@ import (
 )
 
 // Run is the outcome of one experiment execution, with the wall-clock
-// timing cmd/wanify-bench reports in BENCH_netsim.json.
+// seconds cmd/wanify-bench prints on stderr.
 type Run struct {
 	ID      string
 	Seed    uint64
@@ -25,16 +25,6 @@ type Run struct {
 // offline module is cluster-independent, as in a real deployment.
 func SharedModel(p Params) (*predict.Model, error) {
 	return sharedModel(p.withDefaults())
-}
-
-// RunConcurrent executes the given experiment ids across a pool of
-// workers on p's backend and returns one Run per id, in input order.
-func RunConcurrent(ids []string, p Params, workers int) []Run {
-	scenarios := make([]Scenario, len(ids))
-	for i, id := range ids {
-		scenarios[i] = Scenario{ID: id, Backend: p.Backend}
-	}
-	return RunScenarios(scenarios, p, workers)
 }
 
 // RunScenarios executes the given scenarios (experiment × backend)

@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// TestRunConcurrentMatchesSequential checks the harness contract: a
+// TestRunScenariosMatchesSequential checks the harness contract: a
 // parallel run renders exactly what a sequential run renders, in the
 // same order, regardless of worker count.
-func TestRunConcurrentMatchesSequential(t *testing.T) {
+func TestRunScenariosMatchesSequential(t *testing.T) {
 	// A driver subset that covers the shared model, the simulator and
 	// the analytics engine while keeping the test fast.
-	ids := []string{"fig1", "table2", "fig2", "fig9", "fig11b"}
+	scenarios := Scenarios([]string{"fig1", "table2", "fig2", "fig9", "fig11b"}, []Backend{{}})
 	p := Params{Seed: 2, Scale: 0.1}
 
 	render := func(runs []Run) string {
@@ -26,17 +26,17 @@ func TestRunConcurrentMatchesSequential(t *testing.T) {
 		return sb.String()
 	}
 
-	sequential := render(RunConcurrent(ids, p, 1))
+	sequential := render(RunScenarios(scenarios, p, 1))
 	for _, workers := range []int{3, 8} {
-		if got := render(RunConcurrent(ids, p, workers)); got != sequential {
+		if got := render(RunScenarios(scenarios, p, workers)); got != sequential {
 			t.Errorf("%d-worker run diverged from sequential output", workers)
 		}
 	}
 }
 
-// TestRunConcurrentUnknownID checks error reporting for bad ids.
-func TestRunConcurrentUnknownID(t *testing.T) {
-	runs := RunConcurrent([]string{"fig1", "nope"}, Params{Seed: 1, Scale: 0.05}, 2)
+// TestRunScenariosUnknownID checks error reporting for bad ids.
+func TestRunScenariosUnknownID(t *testing.T) {
+	runs := RunScenarios([]Scenario{{ID: "fig1"}, {ID: "nope"}}, Params{Seed: 1, Scale: 0.05}, 2)
 	if runs[0].Err != nil {
 		t.Errorf("fig1 failed: %v", runs[0].Err)
 	}

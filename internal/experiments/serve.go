@@ -27,8 +27,8 @@ import (
 // the shared re-gauging controller arbitrates WAN share across
 // whatever happens to be running. The whole load is substrate-clock
 // scripted, so the run (and its telemetry stream) is byte-reproducible
-// per seed; the wall-clock admission latencies feed the p50/p99 keys
-// in BENCH_netsim.json and never appear in golden output.
+// per seed. Submit's wall-clock latency is measured from outside, by
+// bench/'s serve4 workload (serve.submit_us).
 
 func init() {
 	Registry["serve"] = func(p Params) (Result, error) { return ServeLoad(p) }
@@ -53,10 +53,8 @@ const (
 	serveStartS     = 60.0
 )
 
-// ServeLoadResult summarizes a control-plane load test. String prints
-// only simulated-clock quantities; the wall-clock admission latencies
-// ride along (AdmitNanos) for the benchmark harness but stay out of
-// golden output.
+// ServeLoadResult summarizes a control-plane load test. Every field is
+// a simulated-clock quantity, so String is byte-stable per seed.
 type ServeLoadResult struct {
 	Scale float64
 
@@ -83,23 +81,6 @@ type ServeLoadResult struct {
 
 	TelemetryLines int
 	TelemetryValid bool
-
-	// AdmitNanos are the wall-clock admission critical-path latencies,
-	// in admission order — the benchmark's p50/p99 source. Wall time is
-	// nondeterministic, so String ignores it.
-	AdmitNanos []int64
-}
-
-// AdmitPercentiles returns the (p50, p99) wall-clock admission
-// critical-path latency in nanoseconds — the BENCH_netsim.json
-// serve_admit_* keys and the bench guard both read the samples through
-// this one definition.
-func (r ServeLoadResult) AdmitPercentiles() (p50, p99 float64) {
-	ns := make([]float64, len(r.AdmitNanos))
-	for i, v := range r.AdmitNanos {
-		ns[i] = float64(v)
-	}
-	return pctlF(ns, 0.50), pctlF(ns, 0.99)
 }
 
 // String implements Result.
@@ -252,7 +233,6 @@ func ServeLoad(p Params) (ServeLoadResult, error) {
 		RejectedQueue: st.RejectedQueue,
 		RejectedQuota: st.RejectedQuota,
 		Cache:         plane.Cache().Stats(),
-		AdmitNanos:    plane.AdmitNanos(),
 	}
 	var waits, jcts []float64
 	firstSubmit, lastFinish := -1.0, 0.0

@@ -100,10 +100,13 @@ func TestScorerPlaceMatchesReferenceFleetSparse(t *testing.T) {
 		}
 		for _, stage := range checkStages {
 			for _, sc := range scorers {
-				label := fmt.Sprintf("n=%d nz=%d stage=%s scorer=%s", d.n, d.nz, stage.Name, sc.Name())
-				got := PlaceScored(sc, believed, ci, stage, layout)
-				want := placeScorerReference(sc, believed, ci, stage, layout)
-				requirePlacementsEqual(t, got, want, label)
+				// Cases are independent pure calls: run them in parallel.
+				t.Run(fmt.Sprintf("n=%d nz=%d stage=%s scorer=%s", d.n, d.nz, stage.Name, sc.Name()), func(t *testing.T) {
+					t.Parallel()
+					got := PlaceScored(sc, believed, ci, stage, layout)
+					want := placeScorerReference(sc, believed, ci, stage, layout)
+					requirePlacementsEqual(t, got, want, "placement")
+				})
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/wanify/wanify/internal/bwmatrix"
+	"github.com/wanify/wanify/internal/cost"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/simrand"
 	"github.com/wanify/wanify/internal/spark"
@@ -157,27 +158,30 @@ func TestPlaceMatchesReferenceFleetSparse(t *testing.T) {
 				checkStages = stages[1:]
 			}
 			for _, stage := range checkStages {
-				label := fmt.Sprintf("n=%d nz=%d trial=%d stage=%s", d.n, d.nz+trial, trial, stage.Name)
+				// Cases are independent pure calls: run them in parallel.
+				t.Run(fmt.Sprintf("n=%d nz=%d trial=%d stage=%s", d.n, d.nz+trial, trial, stage.Name), func(t *testing.T) {
+					t.Parallel()
 
-				tet := Tetrium{Believed: believed, Info: ci}
-				got := tet.Place(0, stage, layout)
-				want := placeTetriumReference(tet, stage, layout)
-				requirePlacementsEqual(t, got, want, label+" tetrium")
+					tet := Tetrium{Believed: believed, Info: ci}
+					got := tet.Place(0, stage, layout)
+					want := placeTetriumReference(tet, stage, layout)
+					requirePlacementsEqual(t, got, want, "tetrium")
 
-				if d.n > 24 {
-					// The dense reference alone costs seconds at these
-					// sizes; Tetrium covers the shared descent machinery.
-					continue
-				}
-				kim := Kimchi{Believed: believed, Info: ci, Slack: 0.1 + 0.05*float64(trial%3)}
-				got = kim.Place(0, stage, layout)
-				want = placeKimchiReference(kim, stage, layout)
-				requirePlacementsEqual(t, got, want, label+" kimchi")
+					if d.n > 24 {
+						// The dense reference alone costs seconds at these
+						// sizes; Tetrium covers the shared descent machinery.
+						return
+					}
+					kim := Kimchi{Believed: believed, Info: ci, Slack: 0.1 + 0.05*float64(trial%3)}
+					got = kim.Place(0, stage, layout)
+					want = placeKimchiReference(kim, stage, layout)
+					requirePlacementsEqual(t, got, want, "kimchi")
 
-				ir := Iridium{Believed: believed, Info: ci}
-				got = ir.Place(0, stage, layout)
-				want = placeIridiumReference(ir, stage, layout)
-				requirePlacementsEqual(t, got, want, label+" iridium")
+					ir := Iridium{Believed: believed, Info: ci}
+					got = ir.Place(0, stage, layout)
+					want = placeIridiumReference(ir, stage, layout)
+					requirePlacementsEqual(t, got, want, "iridium")
+				})
 			}
 		}
 	}
@@ -239,6 +243,35 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 	if avg > 12 {
 		t.Fatalf("Tetrium.Place allocates %.1f times per call in steady state", avg)
 	}
+}
+
+// benchCluster is a deterministic 8-DC planning problem: heterogeneous
+// compute, a skewed layout, and a believed matrix with strong and weak
+// links (including one near-blackout pair to exercise the BW floor).
+func benchCluster() (ClusterInfo, bwmatrix.Matrix, []float64) {
+	regions := geo.Testbed()
+	n := len(regions)
+	rates := cost.DefaultRates()
+	info := ClusterInfo{
+		Regions:      regions,
+		ComputeRates: make([]float64, n),
+		EgressPerGB:  make([]float64, n),
+	}
+	rng := simrand.Derive(42, "gda-bench")
+	believed := bwmatrix.New(n)
+	layout := make([]float64, n)
+	for i := 0; i < n; i++ {
+		info.ComputeRates[i] = 1 + float64(rng.IntN(4))
+		info.EgressPerGB[i] = rates.EgressPerGBFor(regions[i])
+		layout[i] = rng.Uniform(1, 40) * 1e9
+		for j := 0; j < n; j++ {
+			if i != j {
+				believed[i][j] = rng.Uniform(40, 1200)
+			}
+		}
+	}
+	believed[0][n-1] = 0.5 // near-blackout link
+	return info, believed, layout
 }
 
 func BenchmarkSchedulerPlace(b *testing.B) {

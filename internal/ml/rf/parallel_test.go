@@ -2,6 +2,7 @@ package rf
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -212,9 +213,35 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 	}
 }
 
+// benchTrainRows sizes the synthetic training set near the experiment
+// suite's real one (6 sizes × 8 sessions × ~n(n-1) pairs ≈ 300 rows).
+const benchTrainRows = 360
+
+// benchDataset builds a deterministic synthetic regression set shaped
+// like the Table 3 features (cluster size, snapshot BW, memory, CPU,
+// retransmissions, distance) with a nonlinear noisy label.
+func benchDataset(rows int, seed uint64) Dataset {
+	rng := simrand.Derive(seed, "rf-bench")
+	ds := Dataset{X: make([][]float64, rows), Y: make([]float64, rows)}
+	for i := range ds.X {
+		n := float64(2 + rng.IntN(7))
+		snap := rng.Uniform(20, 1500)
+		mem := rng.Float64()
+		cpu := rng.Float64()
+		retr := rng.Uniform(0, 40)
+		dist := rng.Uniform(100, 9000)
+		ds.X[i] = []float64{n, snap, mem, cpu, retr, dist}
+		ds.Y[i] = snap*(0.6+0.3*math.Sin(dist/1500)) - 80*cpu - 40*mem - 2*retr + rng.Norm(0, 25)
+	}
+	return ds
+}
+
 func BenchmarkRFTrain(b *testing.B) {
 	ds := benchDataset(benchTrainRows, 99)
-	cfg := Config{NumTrees: 40, Seed: 7, Workers: BenchWorkers()}
+	// Workers capped at 4 so a many-core laptop stays comparable to the
+	// 4-vCPU CI runners, and clamped to GOMAXPROCS so a single core
+	// measures the scheme's sequential overhead, not goroutine thrash.
+	cfg := Config{NumTrees: 40, Seed: 7, Workers: min(4, runtime.GOMAXPROCS(0))}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

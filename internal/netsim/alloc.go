@@ -34,7 +34,7 @@ import (
 // step and fluctuation tick, often with hundreds of concurrent shuffle
 // flows in play. Five layers keep a recomputation amortized-cheap
 // while producing bit-identical rates to the from-scratch oracle
-// (allocateReference, kept for tests and benchmarks):
+// (allocateReference, test-only, in allocref_test.go):
 //
 //  1. Incremental indexes. Per-VM terminating-connection counts
 //     (Sim.vmConns) and per-DC-pair flow lists (Sim.pairFlows) are

@@ -1,16 +1,9 @@
 package netsim
 
-import (
-	"math"
-	"time"
-
-	"github.com/wanify/wanify/internal/geo"
-	"github.com/wanify/wanify/internal/substrate"
-)
+import "math"
 
 // Flow-churn bookkeeping: the bottleneck-group index maintained as
-// flows start and finish, plus the out-of-framework churn timers that
-// cmd/wanify-bench records into BENCH_netsim.json.
+// flows start and finish.
 //
 // # Bottleneck groups
 //
@@ -211,52 +204,4 @@ func (s *Sim) invalidate() {
 // their rates under scoped invalidation).
 func (s *Sim) AllocGroups() (groups, refilled int) {
 	return s.lastGroups, s.lastRefilled
-}
-
-// ChurnNsPerOp times the allocator hot path outside the testing
-// framework: one rate recomputation per flow start/finish churn event
-// with 336 concurrent flows on the frozen 8-DC testbed, the same loop
-// as BenchmarkAllocatorChurn. incremental selects the production path;
-// false runs the from-scratch reference allocator (allocateReference).
-//
-// cmd/wanify-bench records both numbers into BENCH_netsim.json, and
-// the CI regression guard compares the incremental/reference *ratio*
-// against that committed baseline — the ratio cancels hardware speed,
-// so the gate tracks the code property (how much the incremental
-// architecture buys) rather than the runner the baseline happened to
-// be recorded on.
-func ChurnNsPerOp(incremental bool, rounds int) float64 {
-	const nFlows = 336
-	cfg := UniformCluster(geo.TestbedSubset(8), substrate.T2Medium, 99)
-	cfg.Frozen = true
-	s := NewSim(cfg)
-	var pairs [][2]int
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if i != j {
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-	}
-	flows := make([]*Flow, nFlows)
-	for k := range flows {
-		p := pairs[k%len(pairs)]
-		flows[k] = s.startProbe(s.FirstVMOfDC(p[0]), s.FirstVMOfDC(p[1]), k%7+1)
-	}
-	s.ensureAllocated()
-
-	start := time.Now()
-	for n := 0; n < rounds; n++ {
-		k := n % nFlows
-		old := flows[k]
-		src, dst := old.src, old.dst
-		old.Stop()
-		flows[k] = s.startProbe(src, dst, n%7+1)
-		if incremental {
-			s.ensureAllocated()
-		} else {
-			s.allocateReference()
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(rounds)
 }

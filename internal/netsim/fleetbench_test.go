@@ -4,34 +4,56 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"github.com/wanify/wanify/internal/substrate"
 )
 
-// TestFleetAllocStatsShape checks the scale-tier benchmark's
-// structural output without gating on wall-clock: cluster shape, flow
-// count, group decomposition, and that every timer actually ran.
+// fleetBenchVMs is the per-DC VM count of the fixture topology,
+// matching the fleet experiment driver's cluster shape.
+const fleetBenchVMs = 4
+
+// fleetBenchSim builds a fleet tier with steady regional traffic:
+// consecutive DC pairs exchange flows whose endpoints chain the pair's
+// VMs into two 4-VM cycles, so a 2k-DC tier decomposes into 2k
+// bottleneck groups of 4 VMs / 4 flows each — the many-small-groups
+// shape fleet workloads produce (regional shuffles, disjoint job
+// footprints).
+func fleetBenchSim(dcs, workers int) (*Sim, int) {
+	cfg := FleetCluster(dcs, fleetBenchVMs, substrate.T2Medium, 7)
+	cfg.Workers = workers
+	s := NewSim(cfg)
+	nFlows := 0
+	for b := 0; b+1 < dcs; b += 2 {
+		for v := 0; v < fleetBenchVMs; v++ {
+			w := (v + 1) % fleetBenchVMs
+			s.startProbe(s.vmsOfDC[b][v], s.vmsOfDC[b+1][w], v%7+1)
+			s.startProbe(s.vmsOfDC[b+1][v], s.vmsOfDC[b][w], (v+3)%7+1)
+			nFlows += 2
+		}
+	}
+	s.ensureAllocated()
+	return s, nFlows
+}
+
+// TestFleetAllocStatsShape checks the fleet fixture's structure at the
+// 10-DC tier: cluster shape, flow count and group decomposition.
 func TestFleetAllocStatsShape(t *testing.T) {
-	st := FleetAllocNsPerFlow(10, 2)
-	if st.DCs != 10 || st.VMsPerDC != fleetBenchVMs {
-		t.Fatalf("tier shape %dx%d, want 10x%d", st.DCs, st.VMsPerDC, fleetBenchVMs)
+	s, nFlows := fleetBenchSim(10, 0)
+	if len(s.vmsOfDC) != 10 || len(s.vms) != 10*fleetBenchVMs {
+		t.Fatalf("tier shape %d DCs / %d VMs, want 10x%d", len(s.vmsOfDC), len(s.vms), fleetBenchVMs)
 	}
 	// 5 DC blocks x (fleetBenchVMs x 2 directions) flows.
-	if want := 5 * fleetBenchVMs * 2; st.Flows != want {
-		t.Fatalf("flows = %d, want %d", st.Flows, want)
+	if want := 5 * fleetBenchVMs * 2; nFlows != want || len(s.flows) != want {
+		t.Fatalf("flows = %d (live %d), want %d", nFlows, len(s.flows), want)
 	}
 	// The VM chaining splits each block into two 4-VM cycles.
-	if st.Groups != 10 {
-		t.Fatalf("groups = %d, want 10", st.Groups)
-	}
-	if st.NsPerFlow <= 0 || st.SequentialNsPerFlow <= 0 || st.UnshardedNsPerFlow <= 0 {
-		t.Fatalf("non-positive timings: %+v", st)
-	}
-	if st.ParallelSpeedup() <= 0 || st.ShardedSpeedup() <= 0 {
-		t.Fatalf("non-positive speedups: par=%v shard=%v", st.ParallelSpeedup(), st.ShardedSpeedup())
+	if groups, _ := s.AllocGroups(); groups != 10 {
+		t.Fatalf("groups = %d, want 10", groups)
 	}
 }
 
-// TestUnshardedFillMatchesReference locks the claim the scale-tier
-// benchmark's baseline rests on: running the reference filler over the
+// TestUnshardedFillMatchesReference locks the claim sharding rests
+// on: running the reference filler over the
 // whole flow set as a single group — the pre-sharding global round
 // loop — answers the same allocation as the group-decomposed
 // reference. Independent components never constrain each other's

@@ -22,7 +22,7 @@ var _ substrate.Cluster = (*Sim)(nil)
 // Sim is not safe for concurrent use: the analytics engine, agents and
 // probes all run inside the single simulated timeline. Concurrency
 // lives one level up — independent experiment drivers each own a Sim
-// (see internal/experiments.RunConcurrent).
+// (see internal/experiments.RunScenarios).
 type Sim struct {
 	cfg     Config
 	regions []geo.Region

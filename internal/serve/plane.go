@@ -26,10 +26,8 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/wanify/wanify"
 	"github.com/wanify/wanify/internal/cost"
@@ -290,7 +288,6 @@ type Plane struct {
 	free     int
 
 	stats       PlaneStats
-	admitNanos  []int64
 	epochWaits  []float64 // sim queue waits of jobs admitted this epoch
 	refreshBusy bool
 	cancels     []func()
@@ -333,13 +330,6 @@ func (p *Plane) Cache() *ModelCache { return p.cache }
 
 // Stats returns the cumulative admission counters.
 func (p *Plane) Stats() PlaneStats { return p.stats }
-
-// AdmitNanos returns the wall-clock nanoseconds each admission spent
-// in its critical path (slot claim + window re-partition + agent
-// deployment + job-set admission), in admission order. This is the
-// admission→plan latency BENCH_netsim.json records; it never enters
-// golden output, which stays wall-clock free.
-func (p *Plane) AdmitNanos() []int64 { return append([]int64(nil), p.admitNanos...) }
 
 // Start gauges the cluster, opens the dynamic deployment with every
 // slot free, and arms the telemetry and model-refresh timers. It must
@@ -576,10 +566,8 @@ func (p *Plane) Submit(spec JobSpec) (JobStatus, error) {
 
 // admitNow runs the admission critical path for rec: claim a slot,
 // re-partition the running jobs' windows, deploy the newcomer's agents,
-// and admit it into the open job set. Its wall-clock cost is the
-// admission→plan latency the benchmarks record.
+// and admit it into the open job set.
 func (p *Plane) admitNow(rec *jobRecord) error {
-	t0 := time.Now()
 	sched, err := p.schedulerFor(rec.spec)
 	if err != nil {
 		p.dropRecord(rec, err.Error())
@@ -608,7 +596,6 @@ func (p *Plane) admitNow(rec *jobRecord) error {
 	p.free--
 	p.stats.Admitted++
 	p.epochWaits = append(p.epochWaits, now-rec.submittedAt)
-	p.admitNanos = append(p.admitNanos, time.Since(t0).Nanoseconds())
 	return nil
 }
 
@@ -879,28 +866,4 @@ func (p *Plane) Close() {
 		cancel()
 	}
 	p.cancels = nil
-}
-
-// pctlNanos returns the q-quantile (0..1) of the given samples by the
-// nearest-rank method, 0 when empty.
-func pctlNanos(samples []int64, q float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q*float64(len(s))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// AdmitLatencyNanos returns the (p50, p99) of the recorded admission
-// critical-path wall latencies.
-func (p *Plane) AdmitLatencyNanos() (p50, p99 int64) {
-	return pctlNanos(p.admitNanos, 0.50), pctlNanos(p.admitNanos, 0.99)
 }
