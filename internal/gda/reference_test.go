@@ -10,8 +10,9 @@ import (
 // descendReference is the oracle the delta-evaluated search context is
 // locked against (TestPlaceMatchesReference compares final placements
 // element for element across randomized clusters) and the benchmark
-// baseline behind BenchmarkSchedulerPlaceReference / wanify-bench's
-// scheduler_place_reference_ns_per_op.
+// baseline behind BenchmarkSchedulerPlaceReference. It is O(n⁴) per
+// descent; past what that affords, the screens' oracle is
+// TestScreensNeverChangeThePlacement.
 
 // descendReference greedily improves a placement under the given
 // objective (lower is better), moving probability mass between DCs in

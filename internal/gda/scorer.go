@@ -43,7 +43,7 @@ type Aggregates struct {
 //
 // The delta-or-screen contract: the search delta-evaluates the
 // aggregates themselves, so any Scorer gets exact O(n) candidate
-// evaluation for free. ScreenSafe additionally enables the O(1)/O(n)
+// evaluation for free. ScreenSafe additionally enables the O(1)
 // rejection screens, which are only sound for scorers monotone
 // non-decreasing in every aggregate (the screens understate each
 // aggregate; a monotone scorer then understates the objective, so a

@@ -105,7 +105,7 @@ type search struct {
 	// migration entry is surplus_i·(deficit_j/totalDeficit)·8/den, so
 	// every entry whose DCs are untouched by a move scales by the one
 	// factor totalDeficit/totalDeficit' — the unchanged block's sums and
-	// max scale with it, giving an O(n) rejection bound (approximate,
+	// max scale with it, giving an O(1) rejection bound (approximate,
 	// margin-guarded, exactly like the shuffle screen).
 	mapRowT, mapColT []float64 // per-row / per-column Σ tE
 	mapRowU, mapColU []float64 // per-row / per-column Σ uE
@@ -114,13 +114,14 @@ type search struct {
 	mapTop           [6]mapEntry   // largest base entries, for the block max
 	mapRow2, mapCol2 [][2]mapEntry // per-row / per-column two largest entries
 
-	// Screening aggregates (shuffle stages only). The scan over the 2n
-	// single-move candidates is dominated by provably non-improving
-	// moves; the screen rejects most of them in O(n) flops without
-	// divisions. Everything here is APPROXIMATE and used strictly for
-	// rejection behind a wide error margin — any candidate that might
-	// improve still gets the exact canonical evaluation, so the
-	// bit-exact contract is untouched.
+	// Screening aggregates (the column ones for shuffle stages only, the
+	// compute ones — compRate, compSum, compCarbSum, topComp — for map
+	// stages too). The scan over the n² single-move candidates is
+	// dominated by provably non-improving moves; the screen rejects most
+	// of them in O(1) flops without divisions. Everything here is
+	// APPROXIMATE and used strictly for rejection behind a wide error
+	// margin — any candidate that might improve still gets the exact
+	// canonical evaluation, so the bit-exact contract is untouched.
 	//
 	// Placement-independent column rates (a shuffle column j's entries
 	// are layout[i]·p[j]·8/den, so sums and maxes scale linearly with
@@ -137,6 +138,12 @@ type search struct {
 	totalT  float64   // Σ colSumT
 	totalU  float64   // Σ colSumU
 	compSum float64   // Σ comp
+	// A candidate leaves every column and compute term but from's and
+	// to's alone, so the max over the untouched ones is the first of the
+	// three largest that is neither — refreshed with the totals, once per
+	// accepted move, instead of rescanned per candidate.
+	topCol  top3 // over colMaxT
+	topComp top3 // over comp
 
 	starts  [3]spark.Placement // descent start buffers
 	bestBuf spark.Placement    // winning placement across starts
@@ -146,6 +153,40 @@ type search struct {
 type mapEntry struct {
 	v    float64
 	i, j int
+}
+
+// top3 holds the indices of a vector's three largest values in
+// descending order, -1 where the vector has fewer than three.
+type top3 [3]int
+
+// fill ranks v in one pass.
+func (t *top3) fill(v []float64) {
+	*t = top3{-1, -1, -1}
+	for j, x := range v {
+		k := len(t)
+		for k > 0 && (t[k-1] < 0 || x > v[t[k-1]]) {
+			k--
+		}
+		if k < len(t) {
+			copy(t[k+1:], t[k:len(t)-1])
+			t[k] = j
+		}
+	}
+}
+
+// maxExcluding raises floor to max_{j∉{a,b}} v[j]. Whichever of tied
+// values fill ranked first, the value is the one an in-order scan over
+// v returns: max does not depend on order.
+func (t *top3) maxExcluding(v []float64, a, b int, floor float64) float64 {
+	for _, j := range t {
+		if j >= 0 && j != a && j != b {
+			if v[j] > floor {
+				return v[j]
+			}
+			break
+		}
+	}
+	return floor
 }
 
 var searchPool = sync.Pool{New: func() any { return new(search) }}
@@ -205,15 +246,7 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 		s.mapColU = make([]float64, n)
 		s.mapRow2 = make([][2]mapEntry, n)
 		s.mapCol2 = make([][2]mapEntry, n)
-		s.netC = make([]float64, n)
-		s.compC = make([]float64, n)
-		s.cE = make([]float64, n*n)
-		s.cbF = make([]float64, n)
-		s.cbT = make([]float64, n)
-		s.colRateCSum = make([]float64, n)
-		s.colSumC = make([]float64, n)
-		s.mapRowC = make([]float64, n)
-		s.mapColC = make([]float64, n)
+		s.cE = nil // carbon slabs: prepCarbon sizes them on first need
 		s.transfer = nil
 	}
 	s.est, s.stage, s.layout = est, stage, layout
@@ -287,11 +320,23 @@ func (s *search) entryCarbon(i, j int, b float64) float64 {
 	return b / 1e9 * s.netC[i]
 }
 
-// prepCarbon fills the carbon coefficient slabs and their
-// placement-independent screen rates, once per lease and only when a
-// carbon-pricing scorer actually descends on this context.
+// prepCarbon sizes (once per context size) and fills the carbon
+// coefficient slabs and their placement-independent screen rates, once
+// per lease and only when a carbon-pricing scorer actually descends on
+// this context — the others never pay for the n×n cE.
 func (s *search) prepCarbon() {
 	info := s.est.info
+	if n := s.n; len(s.cE) != n*n {
+		s.cE = make([]float64, n*n)
+		s.netC = make([]float64, n)
+		s.compC = make([]float64, n)
+		s.cbF = make([]float64, n)
+		s.cbT = make([]float64, n)
+		s.colRateCSum = make([]float64, n)
+		s.colSumC = make([]float64, n)
+		s.mapRowC = make([]float64, n)
+		s.mapColC = make([]float64, n)
+	}
 	for i := 0; i < s.n; i++ {
 		s.netC[i] = carbonAt(info.CarbonPerGB, i)
 		s.compC[i] = carbonAt(info.CarbonPerCompSec, i)
@@ -451,6 +496,7 @@ func (s *search) fillBase() {
 				s.mapColC[j] = colC
 			}
 		}
+		s.refreshCompTotals()
 	} else {
 		for j := 0; j < n; j++ {
 			s.refreshColumn(j)
@@ -484,22 +530,39 @@ func (s *search) refreshColumn(j int) {
 	}
 }
 
-// refreshTotals re-derives the grand screening totals from the column
-// aggregates (O(n); avoids error drift across accepted moves).
+// refreshTotals re-derives the grand screening totals and the column
+// ranking from the column aggregates (O(n) per accepted move; avoids
+// error drift across them).
 func (s *search) refreshTotals() {
-	s.totalT, s.totalU, s.compSum = 0, 0, 0
+	s.totalT, s.totalU = 0, 0
 	for j := 0; j < s.n; j++ {
 		s.totalT += s.colSumT[j]
 		s.totalU += s.colSumU[j]
-		s.compSum += s.comp[j]
 	}
 	if s.needC {
-		s.totalC, s.compCarbSum = 0, 0
+		s.totalC = 0
 		for j := 0; j < s.n; j++ {
 			s.totalC += s.colSumC[j]
-			s.compCarbSum += s.comp[j] * s.compC[j]
 		}
 	}
+	s.topCol.fill(s.colMaxT)
+	s.refreshCompTotals()
+}
+
+// refreshCompTotals re-derives the compute-side screening aggregates
+// from comp — the part of refreshTotals map stages share.
+func (s *search) refreshCompTotals() {
+	s.compSum = 0
+	for _, c := range s.comp {
+		s.compSum += c
+	}
+	if s.needC {
+		s.compCarbSum = 0
+		for j, c := range s.comp {
+			s.compCarbSum += c * s.compC[j]
+		}
+	}
+	s.topComp.fill(s.comp)
 }
 
 // reduceBase folds the cached entries into the estimate Aggregates in
@@ -767,17 +830,21 @@ func (s *search) applyMove(from, to int, step float64) {
 }
 
 // screen cheaply decides whether the move (from→to) is provably
-// non-improving, in O(n) flops with no divisions: column sums and
-// maxes of the candidate's two fresh columns are the base column rates
-// scaled by pf/pt (exact up to ulps), the rest comes from the
-// maintained aggregates. The approximation is guarded by an error
-// margin orders of magnitude wider than the float noise, so a true
-// improvement can never be screened out — it merely falls through to
-// the exact canonical evaluation. Rejections are safe by construction:
-// the screen's value understates the candidate's true objective by at
-// most the margin — which is why only ScreenSafe (monotone) scorers
-// reach this path. The carbon terms are exact +0.0 when the scorer
-// doesn't price carbon, so the non-carbon margin bits are unchanged.
+// non-improving, in O(1) flops with no divisions and no loop over the
+// DCs: column sums and maxes of the candidate's two fresh columns are
+// the base column rates scaled by pf/pt (exact up to ulps); the
+// untouched columns' max and the untouched DCs' compute max come from
+// the top-3 rankings (exact — a max has no summation order); their
+// sums are the maintained totals minus the two changed terms (which
+// cancels, hence the absolute margin term). The approximation is
+// guarded by an error margin orders of magnitude wider than the float
+// noise, so a true improvement can never be screened out — it merely
+// falls through to the exact canonical evaluation. Rejections are safe
+// by construction: the screen's value understates the candidate's true
+// objective by at most the margin — which is why only ScreenSafe
+// (monotone) scorers reach this path. The carbon terms are exact +0.0
+// when the scorer doesn't price carbon, so the non-carbon margin bits
+// are unchanged.
 func (s *search) screen(from, to int, pf, pt float64, bestV float64, sc Scorer) bool {
 	tNet := pf * s.colRateMax[from]
 	if v := pt * s.colRateMax[to]; v > tNet {
@@ -787,17 +854,8 @@ func (s *search) screen(from, to int, pf, pt float64, bestV float64, sc Scorer) 
 	if v := pt * s.compRate[to]; v > tComp {
 		tComp = v
 	}
-	for j := 0; j < s.n; j++ {
-		if j == from || j == to {
-			continue
-		}
-		if s.colMaxT[j] > tNet {
-			tNet = s.colMaxT[j]
-		}
-		if s.comp[j] > tComp {
-			tComp = s.comp[j]
-		}
-	}
+	tNet = s.topCol.maxExcluding(s.colMaxT, from, to, tNet)
+	tComp = s.topComp.maxExcluding(s.comp, from, to, tComp)
 	load := s.totalT - s.colSumT[from] - s.colSumT[to] +
 		pf*s.colRateSum[from] + pt*s.colRateSum[to] +
 		s.compSum - s.comp[from] - s.comp[to] +
@@ -839,8 +897,10 @@ func (s *search) screen(from, to int, pf, pt float64, bestV float64, sc Scorer) 
 // candidate whose source and destination DCs are untouched by the move
 // are the base entries scaled by totalDeficit/totalDeficit', so the
 // unchanged block's sums and max bound the candidate's objective from
-// below in O(n) (the changed rows and columns contribute ≥ 0 and are
-// dropped). Approximate, margin-guarded, rejection-only.
+// below in O(1) (the corners, which scale by two ratios at once,
+// contribute ≥ 0 and are dropped). The compute side is screen's: top-3
+// max, total-minus-two sums. Approximate, margin-guarded,
+// rejection-only.
 func (s *search) mapScreen(from, to int, pf, pt float64, bestV float64, sc Scorer) bool {
 	n := s.n
 	surF, defF := s.splitSD(from, pf)
@@ -942,20 +1002,12 @@ func (s *search) mapScreen(from, to int, pf, pt float64, bestV float64, sc Score
 
 	cF := pf * s.compRate[from]
 	cT := pt * s.compRate[to]
-	tComp, compLoad := 0.0, 0.0
-	for j := 0; j < n; j++ {
-		c := s.comp[j]
-		switch j {
-		case from:
-			c = cF
-		case to:
-			c = cT
-		}
-		compLoad += c
-		if c > tComp {
-			tComp = c
-		}
+	tComp := cF
+	if cT > tComp {
+		tComp = cT
 	}
+	tComp = s.topComp.maxExcluding(s.comp, from, to, tComp)
+	compLoad := clamp0(s.compSum - s.comp[from] - s.comp[to] + cF + cT)
 
 	co2, cm := 0.0, 0.0
 	if s.needC {
@@ -972,24 +1024,18 @@ func (s *search) mapScreen(from, to int, pf, pt float64, bestV float64, sc Score
 			rsT*clamp0(s.mapRowC[to]-s.cE[to*n+to]-s.cE[to*n+from]) +
 			csF*clamp0(s.mapColC[from]-s.cE[from*n+from]-s.cE[to*n+from]) +
 			csT*clamp0(s.mapColC[to]-s.cE[to*n+to]-s.cE[from*n+to])
-		for j := 0; j < n; j++ {
-			c := s.comp[j]
-			switch j {
-			case from:
-				c = cF
-			case to:
-				c = cT
-			}
-			co2 += c * s.compC[j]
-		}
-		cm = s.mapTotC
+		co2 += clamp0(s.compCarbSum - s.comp[from]*s.compC[from] - s.comp[to]*s.compC[to] +
+			cF*s.compC[from] + cT*s.compC[to])
+		cm = s.mapTotC + s.compCarbSum
 	}
 
 	secs := tNet + tComp
 	load := netLoad + compLoad
 	usd := netUsd
 	v := sc.Score(Aggregates{Secs: secs, LoadSum: load, USD: usd, KgCO2: co2})
-	margin := 1e-7*(secs+load+usd+co2) + 1e-12*(s.mapTotT+s.mapTotU+compLoad+cm)
+	// compSum and compCarbSum (in cm) sit in the absolute term because
+	// the total-minus-two compute folds above cancel.
+	margin := 1e-7*(secs+load+usd+co2) + 1e-12*(s.mapTotT+s.mapTotU+compLoad+s.compSum+cm)
 	return v-margin >= bestV-1e-9
 }
 

@@ -187,6 +187,208 @@ func TestPlaceMatchesReferenceFleetSparse(t *testing.T) {
 	}
 }
 
+// exactOnly wraps a scorer so the descent takes the "slower, never
+// wrong" path: ScreenSafe is false, so every candidate gets the exact
+// canonical evaluation and neither rejection screen runs.
+type exactOnly struct{ Scorer }
+
+func (exactOnly) ScreenSafe() bool { return false }
+
+// TestScreensNeverChangeThePlacement is the screens' oracle where the
+// O(n⁴) dense reference cannot go — map stages above n=24, anything at
+// n=100: a screen may only reject candidates the exact evaluation would
+// not have accepted, so PlaceScored with and without them must return
+// element-identical placements. Same search, same evaluator; only the
+// screens differ, which makes this O(n²·nz) per sweep instead of O(n⁴).
+func TestScreensNeverChangeThePlacement(t *testing.T) {
+	stages := []spark.Stage{
+		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
+		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
+	}
+	scorers := []Scorer{JCT{}, Cost{BudgetS: 120}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
+	type dims struct{ n, nz int }
+	for _, d := range []dims{{2, 2}, {3, 2}, {8, 4}, {48, 5}, {64, 6}, {100, 6}} {
+		ci, believed, layout := fleetPlanningProblem(d.n, d.nz, uint64(d.n*7000+d.nz))
+		ci = withCarbon(ci, uint64(d.n*7000+d.nz))
+		checkScorers := scorers
+		if d.n == 100 {
+			if raceEnabled {
+				continue // single-goroutine arithmetic: ~30 s more under the detector for nothing n=64 lacks
+			}
+			checkScorers = scorers[:1] // the exact-only side is seconds per scorer here
+		}
+		for _, stage := range stages {
+			for _, sc := range checkScorers {
+				t.Run(fmt.Sprintf("n=%d nz=%d stage=%s scorer=%s", d.n, d.nz, stage.Name, sc.Name()), func(t *testing.T) {
+					t.Parallel()
+					got := PlaceScored(sc, believed, ci, stage, layout)
+					want := PlaceScored(exactOnly{sc}, believed, ci, stage, layout)
+					requirePlacementsEqual(t, got, want, "screened vs exact-only")
+				})
+			}
+		}
+	}
+}
+
+// scanMaxExcluding is the per-candidate O(n) loop the top-3 rankings
+// replaced, kept here as their oracle.
+func scanMaxExcluding(v []float64, a, b int, floor float64) float64 {
+	for j, x := range v {
+		if j != a && j != b && x > floor {
+			floor = x
+		}
+	}
+	return floor
+}
+
+// TestTop3MaxExcluding checks the ranking against the scan on random
+// vectors with ties, all-zero input and the sizes where fewer than
+// three (or no) entries survive the exclusion.
+func TestTop3MaxExcluding(t *testing.T) {
+	rng := simrand.Derive(5, "gda-top3")
+	for _, n := range []int{1, 2, 3, 4, 7, 100} {
+		for trial := 0; trial < 40; trial++ {
+			v := make([]float64, n)
+			switch trial % 4 {
+			case 0: // all zero
+			case 1: // heavy ties
+				for j := range v {
+					v[j] = float64(rng.IntN(3))
+				}
+			case 2: // one value everywhere
+				for j := range v {
+					v[j] = 2.5
+				}
+			default:
+				for j := range v {
+					v[j] = rng.Uniform(0, 10)
+				}
+			}
+			var top top3
+			top.fill(v)
+			for k, j := range top {
+				if (j >= 0) != (k < n) {
+					t.Fatalf("n=%d v=%v: top %v has the wrong number of entries", n, v, top)
+				}
+				if k > 0 && j >= 0 && v[j] > v[top[k-1]] {
+					t.Fatalf("n=%d v=%v: top %v not descending", n, v, top)
+				}
+			}
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					for _, floor := range []float64{0, 1, 11} {
+						if got, want := top.maxExcluding(v, a, b, floor), scanMaxExcluding(v, a, b, floor); got != want {
+							t.Fatalf("n=%d v=%v excl=(%d,%d) floor=%v: top3 %v, scan %v", n, v, a, b, floor, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScreenMaxesFreshAfterEveryMove walks descents on shuffle and map
+// stages and, after the initial fillBase and after every applyMove,
+// checks for every (from, to) that the screens' O(1) maxes — the
+// untouched columns' network max and the untouched DCs' compute max —
+// equal a scan of the base caches bit for bit, and that the compute
+// totals the map screen now reads are the in-order sums. A refresh site
+// missed by the top-3 bookkeeping fails here on the next move.
+func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
+	check := func(t *testing.T, s *search, when string) {
+		t.Helper()
+		isMap := s.stage.Kind == spark.MapKind
+		colMax := make([]float64, s.n)
+		for j := range colMax {
+			for _, i := range s.nzRows {
+				if v := s.tE[i*s.n+j]; v > colMax[j] {
+					colMax[j] = v
+				}
+			}
+		}
+		for from := 0; from < s.n; from++ {
+			for to := 0; to < s.n; to++ {
+				if got, want := s.topComp.maxExcluding(s.comp, from, to, 0), scanMaxExcluding(s.comp, from, to, 0); got != want {
+					t.Fatalf("%s: tComp excluding (%d,%d) = %v, scan %v", when, from, to, got, want)
+				}
+				if isMap {
+					continue // the map screen's network max is mapTop/mapRow2/mapCol2
+				}
+				if got, want := s.topCol.maxExcluding(s.colMaxT, from, to, 0), scanMaxExcluding(colMax, from, to, 0); got != want {
+					t.Fatalf("%s: tNet excluding (%d,%d) = %v, scan %v", when, from, to, got, want)
+				}
+			}
+		}
+		compSum, compCarb := 0.0, 0.0
+		for j, c := range s.comp {
+			compSum += c
+			if s.needC {
+				compCarb += c * s.compC[j]
+			}
+		}
+		if s.compSum != compSum || (s.needC && s.compCarbSum != compCarb) {
+			t.Fatalf("%s: compSum %v / compCarbSum %v, in-order sums %v / %v", when, s.compSum, s.compCarbSum, compSum, compCarb)
+		}
+	}
+	for _, d := range [][2]int{{3, 2}, {8, 5}, {24, 4}} {
+		n, nz := d[0], d[1]
+		ci, believed, layout := fleetPlanningProblem(n, nz, uint64(n*9000+nz))
+		ci = withCarbon(ci, uint64(n))
+		for _, stage := range []spark.Stage{
+			{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
+			{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
+		} {
+			for _, sc := range []Scorer{JCT{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}} {
+				label := fmt.Sprintf("n=%d stage=%s scorer=%s", n, stage.Name, sc.Name())
+				s := getSearch(estimator{believed: believed, info: ci}, stage, layout)
+				// descend's loop with the exact evaluator only, so the walk
+				// does not depend on the screens under test.
+				s.needC = sc.NeedsCarbon()
+				if s.needC {
+					s.prepCarbon()
+				}
+				normalizeInto(s.p, spark.UniformPlacement(n))
+				s.fillBase()
+				check(t, s, label+" after fillBase")
+				best, moves := sc.Score(s.agg), 0
+				for step := 0.10; step >= 0.005; step /= 2 {
+					for {
+						bestV, bestFrom, bestTo := best, -1, -1
+						for from := 0; from < n; from++ {
+							if s.p[from] < step {
+								continue
+							}
+							for to := 0; to < n; to++ {
+								if to == from {
+									continue
+								}
+								eval := s.evalShuffleCand
+								if stage.Kind == spark.MapKind {
+									eval = s.evalMapCand
+								}
+								if v := sc.Score(eval(from, to, s.p[from]-step, s.p[to]+step)); v < bestV-1e-9 {
+									bestV, bestFrom, bestTo = v, from, to
+								}
+							}
+						}
+						if bestFrom < 0 {
+							break
+						}
+						s.applyMove(bestFrom, bestTo, step)
+						best = bestV
+						moves++
+						check(t, s, fmt.Sprintf("%s after move %d (%d→%d)", label, moves, bestFrom, bestTo))
+					}
+				}
+				if moves == 0 {
+					t.Fatalf("%s: the walk accepted no move", label)
+				}
+				putSearch(s)
+			}
+		}
+	}
+}
+
 func requirePlacementsEqual(t *testing.T, got, want spark.Placement, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -293,5 +495,24 @@ func BenchmarkSchedulerPlaceReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		placeKimchiReference(kim, stage, layout)
+	}
+}
+
+// BenchmarkSchedulerPlaceFleetSparse times the layer sparse100 spends
+// its planner time in: Tetrium placing one map and one reduce stage on
+// a 100-DC fleet with data on 6 DCs.
+func BenchmarkSchedulerPlaceFleetSparse(b *testing.B) {
+	info, believed, layout := fleetPlanningProblem(100, 6, 100006)
+	stages := []spark.Stage{
+		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
+		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
+	}
+	tet := Tetrium{Believed: believed, Info: info}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, stage := range stages {
+			tet.Place(k, stage, layout)
+		}
 	}
 }

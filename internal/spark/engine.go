@@ -197,10 +197,7 @@ func (e *Engine) launchTransfers(transfer [][]float64, policy ConnPolicy, each f
 // pairRates converts per-pair completion bookkeeping into the average
 // achieved Mbps per DC pair for a transfer phase that began at start.
 func pairRates(n int, pairs []*pendingPair, start float64) [][]float64 {
-	pairMbps := make([][]float64, n)
-	for i := range pairMbps {
-		pairMbps[i] = make([]float64, n)
-	}
+	pairMbps := reuseMatrix(nil, n)
 	for _, pp := range pairs {
 		d := pp.done - start
 		if d > 0 {
@@ -263,12 +260,19 @@ func (e *Engine) price(job Job, res RunResult) cost.Breakdown {
 	for v := 0; v < e.sim.NumVMs(); v++ {
 		b.ComputeUSD += e.rates.ComputeUSD(e.sim.Spec(substrate.VMID(v)), res.JCTSeconds)
 	}
+	// A region's rate is a longest-prefix lookup over a map; resolve it
+	// once per DC, not once per matrix entry. The per-entry expression
+	// is Rates.EgressUSD's.
 	regions := e.sim.Regions()
+	perGB := make([]float64, len(regions))
+	for i, r := range regions {
+		perGB[i] = e.rates.EgressPerGBFor(r)
+	}
 	for _, st := range res.Stages {
 		for i := range st.PairBytes {
 			for j := range st.PairBytes[i] {
 				if i != j {
-					b.NetworkUSD += e.rates.EgressUSD(regions[i], st.PairBytes[i][j])
+					b.NetworkUSD += st.PairBytes[i][j] / 1e9 * perGB[i]
 				}
 			}
 		}
@@ -285,12 +289,17 @@ func (e *Engine) price(job Job, res RunResult) cost.Breakdown {
 // against.
 func (e *Engine) energy(res RunResult) cost.EnergyBreakdown {
 	var b cost.EnergyBreakdown
+	// Grid intensity per DC, resolved once like price's egress rates.
 	regions := e.sim.Regions()
+	gPerKWh := make([]float64, len(regions))
+	for i, r := range regions {
+		gPerKWh[i] = e.Energy.IntensityFor(r)
+	}
 	for v := 0; v < e.sim.NumVMs(); v++ {
 		id := substrate.VMID(v)
 		kwh := e.Energy.ComputeKWh(e.sim.Spec(id), res.JCTSeconds)
 		b.ComputeKWh += kwh
-		b.ComputeKgCO2 += kwh * e.Energy.IntensityFor(regions[e.sim.DCOf(id)]) / 1000
+		b.ComputeKgCO2 += kwh * gPerKWh[e.sim.DCOf(id)] / 1000
 	}
 	for _, st := range res.Stages {
 		for i := range st.PairBytes {
@@ -298,7 +307,7 @@ func (e *Engine) energy(res RunResult) cost.EnergyBreakdown {
 				if i != j {
 					kwh := e.Energy.NetworkKWh(st.PairBytes[i][j])
 					b.NetworkKWh += kwh
-					b.NetworkKgCO2 += kwh * e.Energy.IntensityFor(regions[i]) / 1000
+					b.NetworkKgCO2 += kwh * gPerKWh[i] / 1000
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/wanify/wanify/internal/cost"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/netsim"
+	"github.com/wanify/wanify/internal/simrand"
 	"github.com/wanify/wanify/internal/substrate"
 )
 
@@ -310,5 +311,77 @@ func TestOverlapFetchCompute(t *testing.T) {
 	if overlapped.Stages[1].ComputeS >= plain.Stages[1].ComputeS {
 		t.Errorf("overlap residual compute %.1f not below plain %.1f",
 			overlapped.Stages[1].ComputeS, plain.Stages[1].ComputeS)
+	}
+}
+
+// TestPriceEnergyMatchPerEntryFold locks price and energy, which resolve
+// each DC's egress rate and grid intensity once into a table, to the
+// per-entry fold through Rates.EgressUSD / EnergyRates.IntensityFor they
+// replaced — every dollar and gram bit for bit, on a 100-DC fleet whose
+// region codes hit nested prefixes, single prefixes and the defaults.
+func TestPriceEnergyMatchPerEntryFold(t *testing.T) {
+	const n = 100
+	sim := netsim.NewSim(netsim.FleetCluster(n, 2, substrate.T2Medium, 11))
+	rates := cost.DefaultRates()
+	rates.EgressPerGB = map[string]float64{
+		"fleet-na-":          0.09,
+		"fleet-na-virginia":  0.07, // nested: the longer prefix must win
+		"fleet-eu-":          0.085,
+		"fleet-eu-frankfurt": 0.1,
+		"fleet-ap-tokyo-1":   0.114,
+		"fleet-sa-":          0.138,
+	}
+	eng := NewEngine(sim, rates)
+	eng.Energy.GPerKWh = map[string]float64{
+		"fleet-na-":          379,
+		"fleet-na-oregon":    220,
+		"fleet-eu-":          316,
+		"fleet-eu-stockholm": 41,
+		"fleet-ap-mumbai":    708,
+		"fleet-sa-":          98,
+	}
+
+	rng := simrand.Derive(23, "spark-price")
+	res := RunResult{JCTSeconds: 321.5, Stages: make([]StageReport, 3)}
+	for s := range res.Stages {
+		m := reuseMatrix(nil, n)
+		for i := range m {
+			if !rng.Bool(0.15) {
+				continue // fleet jobs touch a handful of source DCs
+			}
+			for j := range m[i] {
+				m[i][j] = rng.Uniform(0, 3e9) // diagonal included: it must not be priced
+			}
+		}
+		res.Stages[s].PairBytes = m
+	}
+	job := Job{InputBytes: make([]float64, n)}
+	job.InputBytes[3], job.InputBytes[70] = 40e9, 12.5e9
+
+	var wantUSD, wantKWh, wantKg, wantCompKg float64
+	regions := sim.Regions()
+	for _, st := range res.Stages {
+		for i := range st.PairBytes {
+			for j, b := range st.PairBytes[i] {
+				if i != j {
+					wantUSD += rates.EgressUSD(regions[i], b)
+					kwh := eng.Energy.NetworkKWh(b)
+					wantKWh += kwh
+					wantKg += kwh * eng.Energy.IntensityFor(regions[i]) / 1000
+				}
+			}
+		}
+	}
+	for v := 0; v < sim.NumVMs(); v++ {
+		id := substrate.VMID(v)
+		wantCompKg += eng.Energy.ComputeKWh(sim.Spec(id), res.JCTSeconds) * eng.Energy.IntensityFor(regions[sim.DCOf(id)]) / 1000
+	}
+
+	if got := eng.price(job, res).NetworkUSD; got != wantUSD || got == 0 {
+		t.Errorf("NetworkUSD = %v, per-entry fold %v", got, wantUSD)
+	}
+	e := eng.energy(res)
+	if e.NetworkKWh != wantKWh || e.NetworkKgCO2 != wantKg || e.ComputeKgCO2 != wantCompKg {
+		t.Errorf("energy = %+v, per-entry fold network %v kWh %v kg, compute %v kg", e, wantKWh, wantKg, wantCompKg)
 	}
 }
