@@ -147,6 +147,9 @@ func TestPlaceMatchesReferenceFleetSparse(t *testing.T) {
 	}
 	type dims struct{ n, nz, trials int }
 	for _, d := range []dims{{12, 3, 2}, {24, 4, 2}, {48, 5, 1}, {64, 6, 1}} {
+		if d.n > 24 && testing.Short() {
+			continue // the O(n⁴) reference is the suite's long pole; TestScreensNeverChangeThePlacement covers these sizes
+		}
 		for trial := 0; trial < d.trials; trial++ {
 			ci, believed, layout := fleetPlanningProblem(d.n, d.nz+trial, uint64(d.n*1000+trial))
 

@@ -49,20 +49,51 @@ import (
 //     worker count, and scoped invalidation refills only the groups an
 //     event touched — clean groups keep their rates and
 //     retransmission attributions verbatim.
-//  3. Slab reuse. Each worker owns a fillScratch: resource tables,
-//     membership lists, weights, rates and freeze bitmaps are recycled
-//     across invocations, so a steady-state allocation performs no
-//     heap allocation at all. Resources exist only for the VMs and
-//     pairs a group actually uses — idle VMs and pairs cost nothing,
-//     which is what keeps a 500-DC topology with sparse traffic from
-//     paying for 250k pair slots per allocation.
-//  4. Incremental weight sums in the filling loop. Each resource's
-//     unfrozen-weight sum is cached and recomputed only after one of
-//     its member flows froze in the previous round (the recompute
-//     rescans that resource's members in original order, which keeps
-//     the floating-point summation identical to a from-scratch pass).
-//     Unfrozen flows are also kept in a compacted order-preserving
-//     list, so late rounds stop paying for flows frozen early.
+//  3. Slab reuse, and tables that survive value-only events. Each
+//     worker owns a fillScratch: resource tables, membership lists,
+//     weights, rates and freeze bitmaps are recycled across
+//     invocations, so a steady-state allocation performs no heap
+//     allocation at all. Resources exist only for the VMs and pairs a
+//     group actually uses — idle VMs and pairs cost nothing, which is
+//     what keeps a 500-DC topology with sparse traffic from paying for
+//     250k pair slots per allocation. Beyond the storage, what a group
+//     *is* outlives what it currently *gets*: Sim.structEpoch moves on
+//     addFlow, finishFlow (so also failFlow, killVM and Stop),
+//     SetConns, SetPairLimit, ClearPairLimit and ClearAllPairLimits,
+//     and while it stands still allocate keeps the grouping (flowOrd,
+//     roots, offsets, bucketed, the vmRoot stamps) and only re-decides
+//     which groups are dirty, and a scratch whose tables were built
+//     for the same (epoch, group ordinal) keeps its VM table, shared
+//     resources and their capacities, weights, wiring and member
+//     lists. Everything else that dirties an allocation is value-only
+//     — CPU load, a fluctuation tick, a ramp level, SetPerConnCap, a
+//     partition beginning or healing — and can move only memF, the
+//     flows' own caps and the filling state (avail, sumW, dirty),
+//     which every fill recomputes. There is no second path: the key is
+//     checked at every worker count, and a scratch that last served
+//     another group simply rebuilds.
+//  4. The filling round. Shared resources — VM egress/ingress and
+//     pair limits — keep a cached unfrozen-weight sum, recomputed only
+//     after one of their member flows froze in the previous round (the
+//     recompute rescans that resource's members in original order,
+//     which keeps the floating-point summation identical to a
+//     from-scratch pass), and leave the live list when their last
+//     member freezes. A flow's own cap is not among them: the oracle
+//     models it as a single-member resource, but nothing shares it, so
+//     it is two numbers beside the flow's weight (capAvail, capMin)
+//     and a round is the shared scan followed by one pass over the
+//     unfrozen flows, kept in a compacted order-preserving list. The
+//     pass raises a flow's rate, charges the increment to its two or
+//     three shared resources and to its own cap, freezes it there and
+//     then if the cap is exhausted, and folds the survivors' next
+//     own-cap quotients into a running minimum that seeds the next
+//     round's theta; the shared saturation check follows, and the list
+//     is compacted a second time only if that froze somebody. It is
+//     the oracle's program: every flow and every resource sees the
+//     same operations on the same operands in the same (flow-id)
+//     order, an own cap's weight sum was 0.0 + w, theta is a minimum
+//     over the same set of quotients and the frozen set a union over
+//     the same saturated resources — both order-free.
 //  5. Slack ramp steps (rampStep). A slow-start level boundary raises
 //     one flow's own cap and nothing else. When the last fill left that
 //     cap unsaturated and the raised cap still clears the flow's rate,
@@ -86,7 +117,6 @@ const (
 	resEgress resKind = iota
 	resIngress
 	resPairLimit
-	resFlowCap
 )
 
 // allocEps is the relative tolerance deciding when a resource counts
@@ -94,21 +124,33 @@ const (
 const allocEps = 1e-9
 
 // fillScratch is one worker's reusable filling state (layer 3 of the
-// architecture above). Resources are stored struct-of-arrays; nRes
-// tracks the live prefix so slabs shrink without freeing. A scratch is
-// owned by exactly one worker for the duration of an allocation; the
-// sequential path uses scratch 0.
+// architecture above). Shared resources are stored struct-of-arrays;
+// nRes tracks the live prefix so slabs shrink without freeing. A
+// scratch is owned by exactly one worker for the duration of an
+// allocation; the sequential path uses scratch 0.
 type fillScratch struct {
-	// Group VM table: local ordinal per VM (epoch-stamped), member VMs
-	// in first-appearance order, and their receiver memory factors.
+	// The (Sim.structEpoch, group ordinal) the tables were built for.
+	// While the next fill carries the same key, everything below marked
+	// "table" is still right and only the values are recomputed; reused
+	// counts the fills that found it so.
+	builtEpoch uint64
+	builtOrd   int32
+	reused     int
+
+	// Group VM table: local ordinal per VM (epoch-stamped) and member
+	// VMs in first-appearance order (table); their receiver memory
+	// factors (value).
 	vmLocal []int32
 	vmEpoch []uint32
 	epoch   uint32
 	vms     []VMID
 	memF    []float64
 
-	// Resource slabs, parallel arrays of length >= nRes. VM resources
-	// occupy indices 2l (egress) and 2l+1 (ingress) for local VM l.
+	// Shared-resource slabs, parallel arrays of length >= nRes. VM
+	// resources occupy indices 2l (egress) and 2l+1 (ingress) for local
+	// VM l; pair limits follow in first-use order. kind, resVM, resCap,
+	// availMin and members are table; avail, sumW, dirty and liveRes
+	// are reset by every fill.
 	nRes     int
 	kind     []resKind
 	resVM    []VMID
@@ -120,17 +162,23 @@ type fillScratch struct {
 	dirty    []bool    // sumW must be rescanned (a member froze)
 	liveRes  []int     // resources that still have unfrozen members
 
-	// pairRes maps pairKey -> pair-limit resource index for the current
-	// group (-1 when not materialized); touched lists the keys to reset
-	// afterwards. Sized numDCs² lazily, only when limits exist.
+	// pairRes maps pairKey -> pair-limit resource index while the tables
+	// are being built (-1 when not materialized); touched lists the keys
+	// to reset afterwards. Sized numDCs² lazily, only when limits exist.
 	pairRes []int32
 	touched []int
 
-	weights []float64
-	flowRes [][]int // resource indices per flow; [2] is the flow's cap
-	rates   []float64
-	frozen  []bool
-	active  []int // unfrozen flow indices, compacted, in id order
+	// Per-flow slabs. weights and shared are table; the rest is reset
+	// by every fill. A flow's own cap is not a resource: nothing shares
+	// it, so it lives here and the filling loop handles it in the pass
+	// that raises the flow.
+	weights  []float64
+	shared   [][3]int32 // egress, ingress, pair limit (-1: none)
+	capAvail []float64  // own cap left
+	capMin   []float64  // own-cap saturation threshold eps*max(1, cap)
+	rates    []float64
+	frozen   []bool
+	active   []int // unfrozen flow indices, compacted, in id order
 }
 
 // localVM returns the group-local ordinal of v, adding it to the group
@@ -152,8 +200,9 @@ func (a *fillScratch) localVM(v VMID) int32 {
 	return a.vmLocal[v]
 }
 
-// addRes appends a resource to the slab, recycling member storage.
-func (a *fillScratch) addRes(k resKind, vm VMID, capMbps float64) int {
+// addRes appends a shared resource to the slab, recycling member
+// storage.
+func (a *fillScratch) addRes(k resKind, vm VMID, capMbps float64) int32 {
 	i := a.nRes
 	if i == len(a.kind) {
 		a.kind = append(a.kind, 0)
@@ -168,29 +217,28 @@ func (a *fillScratch) addRes(k resKind, vm VMID, capMbps float64) int {
 	a.kind[i] = k
 	a.resVM[i] = vm
 	a.resCap[i] = capMbps
-	a.avail[i] = capMbps
 	a.availMin[i] = allocEps * math.Max(1, capMbps)
 	a.members[i] = a.members[i][:0]
-	a.sumW[i] = 0
-	a.dirty[i] = true
 	a.nRes++
-	return i
+	return int32(i)
 }
 
 // growFlows sizes the per-flow slabs for nf flows.
 func (a *fillScratch) growFlows(nf int) {
 	if cap(a.weights) < nf {
 		a.weights = make([]float64, nf)
+		a.shared = make([][3]int32, nf)
+		a.capAvail = make([]float64, nf)
+		a.capMin = make([]float64, nf)
 		a.rates = make([]float64, nf)
 		a.frozen = make([]bool, nf)
-		fr := make([][]int, nf)
-		copy(fr, a.flowRes)
-		a.flowRes = fr
 	}
 	a.weights = a.weights[:nf]
+	a.shared = a.shared[:nf]
+	a.capAvail = a.capAvail[:nf]
+	a.capMin = a.capMin[:nf]
 	a.rates = a.rates[:nf]
 	a.frozen = a.frozen[:nf]
-	a.flowRes = a.flowRes[:nf]
 }
 
 // ensureAllocated recomputes flow rates if anything changed.
@@ -211,14 +259,14 @@ func (s *Sim) scratchFor(w int) *fillScratch {
 }
 
 // allocate recomputes flow rates: partition the live flows into
-// bottleneck groups, decide which groups an event since the last
-// allocation touched, and water-fill exactly those, concurrently when
-// Config.Workers allows.
+// bottleneck groups (or keep the partition, when no structure event
+// came since it was built), decide which groups an event since the
+// last allocation touched, and water-fill exactly those, concurrently
+// when Config.Workers allows.
 func (s *Sim) allocate() {
 	order := s.flows // start (id) order
-	nf := len(order)
 	g := &s.groups
-	if nf == 0 {
+	if len(order) == 0 {
 		for _, v := range s.vms {
 			v.lastRetrans = 0
 		}
@@ -228,42 +276,18 @@ func (s *Sim) allocate() {
 		s.lastGroups, s.lastRefilled = 0, 0
 		return
 	}
-
-	// Partition the live flow set into bottleneck groups.
-	g.beginEpoch(len(s.vms))
-	for _, f := range order {
-		g.union(f.src, f.dst)
-	}
-	g.linkLimitedPairs(s, order)
-
-	// Assign group ordinals by first appearance in id order and count
-	// members.
-	if cap(g.flowOrd) < nf {
-		g.flowOrd = make([]int32, nf)
-	}
-	g.flowOrd = g.flowOrd[:nf]
-	g.roots = g.roots[:0]
-	g.counts = g.counts[:0]
-	for fi, f := range order {
-		r := g.find(f.src)
-		var ord int32
-		if g.ordEpoch[r] != g.epoch {
-			g.ordEpoch[r] = g.epoch
-			ord = int32(len(g.roots))
-			g.ordOf[r] = ord
-			g.roots = append(g.roots, r)
-			g.counts = append(g.counts, 0)
-		} else {
-			ord = g.ordOf[r]
-		}
-		g.flowOrd[fi] = ord
-		g.counts[ord]++
+	regrouped := g.builtEpoch != s.structEpoch
+	if regrouped {
+		g.regroup(s, order)
+		g.builtEpoch = s.structEpoch
 	}
 	ng := len(g.roots)
 
 	// Decide which groups to refill: those touched by a recorded event
 	// (via their last-allocation root) or containing a VM that was not
-	// grouped last time (its flows are new).
+	// grouped last time (its flows are new). Under a kept grouping every
+	// VM is stamped with its current root, so this is the recorded dirt
+	// and nothing else.
 	if cap(g.needFill) < ng {
 		g.needFill = make([]bool, ng)
 	}
@@ -290,30 +314,6 @@ func (s *Sim) allocate() {
 	}
 	g.dirtyRoots = g.dirtyRoots[:0]
 	g.dirtyAll = false
-
-	// Bucket flows by group, preserving id order within each group.
-	if cap(g.offsets) < ng+1 {
-		g.offsets = make([]int32, ng+1)
-		g.cursor = make([]int32, ng+1)
-	}
-	g.offsets = g.offsets[:ng+1]
-	g.cursor = g.cursor[:ng]
-	off := int32(0)
-	for ord := 0; ord < ng; ord++ {
-		g.offsets[ord] = off
-		g.cursor[ord] = off
-		off += g.counts[ord]
-	}
-	g.offsets[ng] = off
-	if cap(g.bucketed) < nf {
-		g.bucketed = make([]*Flow, nf)
-	}
-	g.bucketed = g.bucketed[:nf]
-	for fi, f := range order {
-		ord := g.flowOrd[fi]
-		g.bucketed[g.cursor[ord]] = f
-		g.cursor[ord]++
-	}
 	g.dirtyG = g.dirtyG[:0]
 	for ord := 0; ord < ng; ord++ {
 		if g.needFill[ord] {
@@ -338,7 +338,7 @@ func (s *Sim) allocate() {
 						return
 					}
 					ord := g.dirtyG[i]
-					ws.fillGroup(s, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
+					ws.fillGroup(s, ord, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
 				}
 			}(ws)
 		}
@@ -346,21 +346,83 @@ func (s *Sim) allocate() {
 	} else {
 		ws := s.scratchFor(0)
 		for _, ord := range g.dirtyG {
-			ws.fillGroup(s, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
+			ws.fillGroup(s, ord, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
 		}
 	}
 
-	// Stamp the new grouping for the next round of scoped dirt.
-	g.rootEpoch++
-	for _, f := range order {
-		for _, v := range [2]VMID{f.src, f.dst} {
-			if g.vmRootEpoch[v] != g.rootEpoch {
-				g.vmRootEpoch[v] = g.rootEpoch
-				g.vmRoot[v] = g.find(v)
+	// Stamp a new grouping for the next round of scoped dirt; a kept
+	// one carries its stamps already.
+	if regrouped {
+		g.rootEpoch++
+		for _, f := range order {
+			for _, v := range [2]VMID{f.src, f.dst} {
+				if g.vmRootEpoch[v] != g.rootEpoch {
+					g.vmRootEpoch[v] = g.rootEpoch
+					g.vmRoot[v] = g.find(v)
+				}
 			}
 		}
 	}
 	s.lastGroups, s.lastRefilled = ng, len(g.dirtyG)
+}
+
+// regroup partitions the live flow set into bottleneck groups: group
+// ordinals by first appearance in id order (flowOrd, roots), and the
+// flows bucketed by ordinal, id order kept within each (offsets,
+// bucketed).
+func (g *groupIndex) regroup(s *Sim, order []*Flow) {
+	nf := len(order)
+	g.beginEpoch(len(s.vms))
+	for _, f := range order {
+		g.union(f.src, f.dst)
+	}
+	g.linkLimitedPairs(s, order)
+
+	if cap(g.flowOrd) < nf {
+		g.flowOrd = make([]int32, nf)
+	}
+	g.flowOrd = g.flowOrd[:nf]
+	g.roots = g.roots[:0]
+	g.counts = g.counts[:0]
+	for fi, f := range order {
+		r := g.find(f.src)
+		var ord int32
+		if g.ordEpoch[r] != g.epoch {
+			g.ordEpoch[r] = g.epoch
+			ord = int32(len(g.roots))
+			g.ordOf[r] = ord
+			g.roots = append(g.roots, r)
+			g.counts = append(g.counts, 0)
+		} else {
+			ord = g.ordOf[r]
+		}
+		g.flowOrd[fi] = ord
+		g.counts[ord]++
+	}
+	ng := len(g.roots)
+
+	if cap(g.offsets) < ng+1 {
+		g.offsets = make([]int32, ng+1)
+		g.cursor = make([]int32, ng+1)
+	}
+	g.offsets = g.offsets[:ng+1]
+	g.cursor = g.cursor[:ng]
+	off := int32(0)
+	for ord := 0; ord < ng; ord++ {
+		g.offsets[ord] = off
+		g.cursor[ord] = off
+		off += g.counts[ord]
+	}
+	g.offsets[ng] = off
+	if cap(g.bucketed) < nf {
+		g.bucketed = make([]*Flow, nf)
+	}
+	g.bucketed = g.bucketed[:nf]
+	for fi, f := range order {
+		ord := g.flowOrd[fi]
+		g.bucketed[g.cursor[ord]] = f
+		g.cursor[ord]++
+	}
 }
 
 // vmDirty reports whether v's group must be refilled: v was not part
@@ -372,13 +434,12 @@ func (g *groupIndex) vmDirty(v VMID) bool {
 	return g.rootDirty[g.vmRoot[v]]
 }
 
-// fillGroup water-fills one bottleneck group: flows is the group's
-// member flows in start (id) order. It writes each flow's rate and the
-// retransmission attribution of every VM the group touches, and no
-// other simulator state. It reads only immutable-within-allocation
-// state from s, so concurrent calls on disjoint groups are safe.
-func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
-	nf := len(flows)
+// buildTables derives everything about a group that only a structure
+// event can change: its VM table, its shared resources with their
+// capacities (a congestion factor moves with connection counts, a pair
+// limit with SetPairLimit), each flow's weight and the resources it
+// crosses, and the member lists.
+func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 	a.epoch++
 	a.vms = a.vms[:0]
 
@@ -391,28 +452,19 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 		a.localVM(f.dst)
 	}
 	a.nRes = 0
-	if cap(a.memF) < len(a.vms) {
-		a.memF = make([]float64, len(a.vms))
-	}
-	a.memF = a.memF[:len(a.vms)]
-	for l, v := range a.vms {
+	for _, v := range a.vms {
 		cong := s.congFactor(v)
 		spec := &s.vms[v].spec
 		a.addRes(resEgress, v, spec.EgressMbps*cong)
 		a.addRes(resIngress, v, spec.IngressMbps*cong)
-		a.memF[l] = memFactor(s.memUtil(v))
 	}
 
-	// Per-flow caps and lazily materialized pair limits, in flow order.
-	a.growFlows(nf)
+	// Weights and lazily materialized pair limits, in flow order.
+	a.growFlows(len(flows))
 	for fi, f := range flows {
 		srcDC, dstDC := f.srcDC, f.dstDC
-		f.capMbps = s.flowCap(f, a.memF[a.vmLocal[f.dst]])
-		capRes := a.addRes(resFlowCap, 0, f.capMbps)
-
 		a.weights[fi] = float64(f.conns) / s.rttBiasPow[srcDC][dstDC]
-
-		rs := append(a.flowRes[fi][:0], int(2*a.vmLocal[f.src]), int(2*a.vmLocal[f.dst]+1), capRes)
+		sh := [3]int32{2 * a.vmLocal[f.src], 2*a.vmLocal[f.dst] + 1, -1}
 		if limit := s.pairLimitAt(srcDC, dstDC); !math.IsNaN(limit) {
 			if n := len(s.regions) * len(s.regions); len(a.pairRes) < n {
 				a.pairRes = make([]int32, n)
@@ -421,47 +473,84 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 				}
 			}
 			k := s.pairKey(srcDC, dstDC)
-			ri := a.pairRes[k]
-			if ri < 0 {
-				ri = int32(a.addRes(resPairLimit, 0, limit))
-				a.pairRes[k] = ri
+			if a.pairRes[k] < 0 {
+				a.pairRes[k] = a.addRes(resPairLimit, 0, limit)
 				a.touched = append(a.touched, k)
 			}
-			rs = append(rs, int(ri))
+			sh[2] = a.pairRes[k]
 		}
-		a.flowRes[fi] = rs
+		a.shared[fi] = sh
 	}
 	for _, k := range a.touched {
 		a.pairRes[k] = -1
 	}
 	a.touched = a.touched[:0]
 	for fi := range flows {
-		for _, ri := range a.flowRes[fi] {
-			a.members[ri] = append(a.members[ri], fi)
+		for _, ri := range a.shared[fi] {
+			if ri >= 0 {
+				a.members[ri] = append(a.members[ri], fi)
+			}
+		}
+	}
+}
+
+// fillGroup water-fills one bottleneck group: flows is the members of
+// group ord in start (id) order. It writes each flow's cap, rate and
+// cap slack and the retransmission attribution of every VM the group
+// touches, and no other simulator state. It reads only
+// immutable-within-allocation state from s, so concurrent calls on
+// disjoint groups are safe.
+func (a *fillScratch) fillGroup(s *Sim, ord int32, flows []*Flow) {
+	if a.builtEpoch == s.structEpoch && a.builtOrd == ord {
+		a.reused++
+	} else {
+		a.buildTables(s, flows)
+		a.builtEpoch, a.builtOrd = s.structEpoch, ord
+	}
+
+	// What a value-only event can move: memory factors (CPU load), the
+	// flows' own caps, and the filling state itself.
+	if cap(a.memF) < len(a.vms) {
+		a.memF = make([]float64, len(a.vms))
+	}
+	a.memF = a.memF[:len(a.vms)]
+	for l, v := range a.vms {
+		a.memF[l] = memFactor(s.memUtil(v))
+	}
+	a.liveRes = a.liveRes[:0]
+	for ri := 0; ri < a.nRes; ri++ {
+		a.avail[ri] = a.resCap[ri]
+		a.sumW[ri] = 0
+		a.dirty[ri] = true
+		a.liveRes = append(a.liveRes, ri)
+	}
+	// capQ is the smallest own-cap quotient capAvail/weight among the
+	// active flows: what the own caps contribute to the next theta.
+	capQ := math.Inf(1)
+	a.active = a.active[:0]
+	for fi, f := range flows {
+		// shared[fi][1] is the ingress resource 2l+1 of f.dst's ordinal l.
+		f.capMbps = s.flowCap(f, a.memF[a.shared[fi][1]>>1])
+		a.capAvail[fi] = f.capMbps
+		a.capMin[fi] = allocEps * math.Max(1, f.capMbps)
+		a.rates[fi] = 0
+		a.frozen[fi] = false
+		a.active = append(a.active, fi)
+		if q := f.capMbps / a.weights[fi]; q < capQ {
+			capQ = q
 		}
 	}
 
 	// Progressive filling.
-	a.active = a.active[:0]
-	for fi := 0; fi < nf; fi++ {
-		a.rates[fi] = 0
-		a.frozen[fi] = false
-		a.active = append(a.active, fi)
-	}
-	remaining := nf
-	a.liveRes = a.liveRes[:0]
-	for ri := 0; ri < a.nRes; ri++ {
-		a.liveRes = append(a.liveRes, ri)
-	}
-	for remaining > 0 {
-		// Weight sums per resource over unfrozen members: cached, and
-		// rescanned (in member order, for bit-stable summation) only
+	for len(a.active) > 0 {
+		// Weight sums per shared resource over unfrozen members: cached,
+		// and rescanned (in member order, for bit-stable summation) only
 		// for resources that lost a member last round. Resources whose
 		// members all froze leave the live list: a weight is strictly
 		// positive, so sumW == 0 exactly when no unfrozen member is
 		// left, and such a resource can never constrain theta or
 		// freeze anything again.
-		theta := math.Inf(1)
+		theta := capQ
 		live := a.liveRes[:0]
 		for _, ri := range a.liveRes {
 			if a.dirty[ri] {
@@ -488,52 +577,68 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 		if theta < 0 {
 			theta = 0
 		}
-		// Raise the water level for the (compacted) unfrozen flows.
+		// Raise the water level for the (compacted) unfrozen flows. A
+		// flow whose own cap the increment exhausts freezes on the spot
+		// and leaves the list; the survivors' own-cap quotients fold
+		// into the next round's capQ.
+		capQ = math.Inf(1)
+		frozeAny := false
+		unfrozen := a.active[:0]
 		for _, fi := range a.active {
 			inc := theta * a.weights[fi]
 			a.rates[fi] += inc
-			for _, ri := range a.flowRes[fi] {
-				a.avail[ri] -= inc
+			sh := &a.shared[fi]
+			a.avail[sh[0]] -= inc
+			a.avail[sh[1]] -= inc
+			if sh[2] >= 0 {
+				a.avail[sh[2]] -= inc
 			}
+			left := a.capAvail[fi] - inc
+			a.capAvail[fi] = left
+			if left > a.capMin[fi] {
+				unfrozen = append(unfrozen, fi)
+				if q := left / a.weights[fi]; q < capQ {
+					capQ = q
+				}
+				continue
+			}
+			a.freeze(fi)
+			frozeAny = true
 		}
-		// Freeze flows on exhausted resources.
-		frozeAny := false
+		a.active = unfrozen
+		// Freeze flows on exhausted shared resources.
+		sharedFroze := false
 		for _, ri := range a.liveRes {
 			if a.avail[ri] > a.availMin[ri] {
 				continue
 			}
 			for _, fi := range a.members[ri] {
 				if !a.frozen[fi] {
-					a.frozen[fi] = true
-					remaining--
-					frozeAny = true
-					for _, r2 := range a.flowRes[fi] {
-						a.dirty[r2] = true
+					a.freeze(fi)
+					sharedFroze = true
+				}
+			}
+		}
+		if sharedFroze {
+			capQ = math.Inf(1)
+			unfrozen = a.active[:0]
+			for _, fi := range a.active {
+				if !a.frozen[fi] {
+					unfrozen = append(unfrozen, fi)
+					if q := a.capAvail[fi] / a.weights[fi]; q < capQ {
+						capQ = q
 					}
 				}
 			}
-		}
-		if !frozeAny {
+			a.active = unfrozen
+		} else if !frozeAny {
 			// Numerical stall: freeze everything to guarantee progress.
-			for _, fi := range a.active {
-				if !a.frozen[fi] {
-					a.frozen[fi] = true
-					remaining--
-				}
-			}
+			break
 		}
-		unfrozen := a.active[:0]
-		for _, fi := range a.active {
-			if !a.frozen[fi] {
-				unfrozen = append(unfrozen, fi)
-			}
-		}
-		a.active = unfrozen
 	}
 	for fi, f := range flows {
 		f.rate = a.rates[fi]
-		c := a.flowRes[fi][2] // the flow's own cap resource
-		f.capSlack = a.avail[c] > a.availMin[c]
+		f.capSlack = a.capAvail[fi] > a.capMin[fi]
 	}
 
 	// Retransmission rates: attribute overload pressure at each VM
@@ -550,6 +655,18 @@ func (a *fillScratch) fillGroup(s *Sim, flows []*Flow) {
 			conns += flows[fi].conns
 		}
 		s.vms[a.resVM[ri]].lastRetrans += retransTerm(demand, a.resCap[ri], conns)
+	}
+}
+
+// freeze takes flow fi out of the filling: the sums of the shared
+// resources it crosses must be rescanned.
+func (a *fillScratch) freeze(fi int) {
+	a.frozen[fi] = true
+	sh := &a.shared[fi]
+	a.dirty[sh[0]] = true
+	a.dirty[sh[1]] = true
+	if sh[2] >= 0 {
+		a.dirty[sh[2]] = true
 	}
 }
 
@@ -592,14 +709,14 @@ func (s *Sim) flowCap(f *Flow, memF float64) float64 {
 
 // rampStep is a slow-start level boundary of f (layer 5 above). The
 // boundary raises f's own cap and nothing else, so when the last fill
-// left that cap slack a refill would differ only in avail, availMin
-// and resCap of that one single-member resource. Its quotient sat
-// strictly above every round's theta (a tie would have drained it) and
-// float subtraction is monotone in the minuend, so with a larger cap
-// it sits higher still: every theta, increment, freeze and sumW rescan
-// of the refill is the same operation on the same operands. The margin
-// keeps the raised cap unsaturated under its own, larger, availMin
-// with room for the fill's rounding. What the cap does move is the
+// left that cap slack a refill would differ only in f's capAvail and
+// capMin. Its quotient capAvail/weight sat strictly above every
+// round's theta (a tie would have drained it) and float subtraction is
+// monotone in the minuend, so with a larger cap it sits higher still:
+// every theta, increment, freeze and sumW rescan of the refill is the
+// same operation on the same operands. The margin keeps the raised cap
+// unsaturated under its own, larger, capMin with room for the fill's
+// rounding. What the cap does move is the
 // demand at f's two VMs, so their attribution is redone; everything
 // else — and any step not provably inert, including every step of a
 // cap-bound or severed (cap 0) flow — takes the refill.

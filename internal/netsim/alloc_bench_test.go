@@ -90,6 +90,37 @@ func BenchmarkAllocDenseSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocServeChurn measures the allocator under the serving
+// plane's event mix: a 4-DC testbed with a dozen live flows, where per
+// job a flow finishes, its successor starts and ramps through its
+// three slow-start levels, and the engine shifts CPU load in and back
+// out on every VM — so most allocations arrive with the flow set of
+// the one before.
+func BenchmarkAllocServeChurn(b *testing.B) {
+	s := NewSim(UniformCluster(geo.TestbedSubset(4), substrate.T2Medium, 99))
+	flows := make([]*Flow, 12) // every ordered DC pair once
+	for k := range flows {
+		src := k / 3
+		dst := (src + 1 + k%3) % 4
+		flows[k] = s.startProbe(s.FirstVMOfDC(src), s.FirstVMOfDC(dst), k%4+1)
+	}
+	s.RunFor(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		k := n % len(flows)
+		old := flows[k]
+		old.Stop()
+		flows[k] = s.startProbe(old.Src(), old.Dst(), n%4+1)
+		for _, load := range [2]float64{0.6, 0} {
+			for v := 0; v < s.NumVMs(); v++ {
+				s.SetCPULoad(VMID(v), load)
+			}
+			s.RunFor(0.25) // the new flow's ramp ends inside the second
+		}
+	}
+}
+
 // BenchmarkTimerHeap measures a push/pop cycle on a 512-deep timer
 // heap — the event loop's core data structure, hand-rolled to avoid
 // the per-event boxing of the old container/heap implementation.

@@ -5,6 +5,11 @@ import (
 	"slices"
 )
 
+// resFlowCap is the oracle's fourth resource kind: it still models a
+// flow's own cap as a single-member resource, which the production
+// allocator no longer does (alloc.go, layer 4).
+const resFlowCap = resPairLimit + 1
+
 // allocateReference is the from-scratch allocator, preserved as the
 // oracle for the incremental sharded allocator — equivalence tests
 // require bit-identical rates — and as the baseline for
@@ -26,6 +31,14 @@ import (
 // active flow in start (id) order, retrans[v] the per-VM
 // retransmission rate the allocation implies.
 func (s *Sim) allocateReference() (rates []float64, retrans []float64) {
+	rates, retrans, _ = s.allocateReferenceSlack()
+	return rates, retrans
+}
+
+// allocateReferenceSlack is allocateReference plus, per flow, whether
+// the fill ended with the flow's own cap resource unsaturated — what
+// the production fill records as Flow.capSlack.
+func (s *Sim) allocateReferenceSlack() (rates []float64, retrans []float64, slack []bool) {
 	order := make([]*Flow, len(s.flows))
 	copy(order, s.flows)
 	slices.SortFunc(order, func(x, y *Flow) int {
@@ -41,7 +54,7 @@ func (s *Sim) allocateReference() (rates []float64, retrans []float64) {
 	nf := len(order)
 	retrans = make([]float64, len(s.vms))
 	if nf == 0 {
-		return nil, retrans
+		return nil, retrans, nil
 	}
 
 	// Congestion factor per VM, from a full rescan of the flow list.
@@ -112,17 +125,21 @@ func (s *Sim) allocateReference() (rates []float64, retrans []float64) {
 	}
 
 	rates = make([]float64, nf)
+	slack = make([]bool, nf)
 	for _, members := range groups {
-		s.refFillGroup(order, members, congFactor, rates, retrans)
+		for li, sl := range s.refFillGroup(order, members, congFactor, rates, retrans) {
+			slack[members[li]] = sl
+		}
 	}
-	return rates, retrans
+	return rates, retrans, slack
 }
 
 // refFillGroup water-fills one bottleneck group the original way:
 // every weight sum recomputed every round, per-flow host factors from
 // full rescans. members lists the group's flow indices into order,
-// ascending (id order).
-func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, rates, retrans []float64) {
+// ascending (id order). The result says, per member, whether its own
+// cap resource ended the fill unsaturated.
+func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, rates, retrans []float64) (slack []bool) {
 	// connsScan/memScan rescan the flow list per call, exactly like the
 	// original connsAt/memUtil did.
 	connsScan := func(id VMID) int {
@@ -274,8 +291,11 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 			}
 		}
 	}
+	slack = make([]bool, ng)
 	for li, fi := range members {
 		rates[fi] = groupRates[li]
+		c := flowRes[li][2]
+		slack[li] = avail[c] > eps*math.Max(1, resources[c].cap)
 	}
 
 	// Retransmission attribution.
@@ -298,4 +318,5 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 			retrans[r.vm] += 2.0 * pressure * float64(conns)
 		}
 	}
+	return slack
 }

@@ -27,9 +27,10 @@ import "math"
 // flow start unions its endpoints (and can only merge groups, which
 // union-find handles incrementally), while a finish can split a group,
 // so component assignment is re-derived from the live flow set at the
-// next allocation — an O(flows α(VMs)) sweep, negligible next to the
-// filling it feeds. What persists between allocations is the dirty
-// set: events record the group they touched (via the owning VM's root
+// next allocation after a structure event (Sim.structEpoch) — an
+// O(flows α(VMs)) sweep — and kept as it stands across allocations
+// that only value events (CPU load, link weather, ramp levels) caused.
+// What persists between allocations besides is the dirty set: events record the group they touched (via the owning VM's root
 // at the last allocation), and the next allocation refills only groups
 // containing a dirtied or regrouped VM, keeping every other group's
 // rates and retransmission attributions untouched.
@@ -37,7 +38,12 @@ import "math"
 // groupIndex is the Sim's bottleneck-group state. All slabs are epoch
 // stamped so per-allocation resets cost O(touched), not O(VMs).
 type groupIndex struct {
-	// Union-find over VM ids, rebuilt each allocation.
+	// builtEpoch is the Sim.structEpoch the grouping below (union-find,
+	// ordinals, buckets, vmRoot stamps) was built at; allocate keeps it
+	// until a structure event moves the epoch on.
+	builtEpoch uint64
+
+	// Union-find over VM ids, rebuilt with the grouping.
 	parent  []VMID
 	ufEpoch []uint32
 	epoch   uint32
@@ -63,7 +69,8 @@ type groupIndex struct {
 	pairFirstOK []bool
 	pairTouched []int
 
-	// Group assembly scratch for one allocation.
+	// The grouping (ordOf to bucketed, see regroup) and the per-
+	// allocation refill decision (needFill, dirtyG).
 	ordOf    []int32 // per root VM: group ordinal (epoch-stamped)
 	ordEpoch []uint32
 	flowOrd  []int32 // per ordered-flow index: group ordinal

@@ -31,7 +31,7 @@ type Flow struct {
 	done          bool
 	stopped       bool
 	failed        bool // terminated by a fault (endpoint death, pair reset)
-	capSlack      bool // the last fill left the flow's own cap unsaturated
+	capSlack      bool // the last fill ended with own cap to spare (capAvail > capMin)
 
 	startedAt float64 // sim time the flow was created
 	rampS     float64 // slow-start ramp duration (0 = instant)
@@ -68,6 +68,7 @@ func (f *Flow) SetConns(n int) {
 		delta := n - f.conns
 		f.sim.vmConns[f.src] += delta
 		f.sim.vmConns[f.dst] += delta
+		f.sim.structEpoch++
 		f.sim.dirtyFlow(f)
 	}
 	f.conns = n

@@ -16,7 +16,8 @@ type ouProcess struct {
 	theta float64 // mean reversion per second
 	sigma float64 // volatility per sqrt(second)
 
-	x float64 // current log-factor
+	x   float64 // current log-factor
+	cur float64 // factor as of the last refresh
 
 	spikeProb    float64 // per-second episode probability
 	spikeMeanDur float64 // seconds
@@ -63,7 +64,15 @@ func (p *ouProcess) advance(now, dt float64) {
 	}
 }
 
-// factor returns the current multiplicative bandwidth factor.
-func (p *ouProcess) factor() float64 {
-	return math.Exp(p.x) * p.spikeDepth
+// refresh recomputes the stored factor from the process state. The
+// simulator calls it where the state moves while somebody can read the
+// result (the fluctuation tick, for pairs carrying flows) and where a
+// reader appears (addFlow) — never from factor itself: two bottleneck
+// groups on one DC pair read it concurrently under Workers > 1.
+func (p *ouProcess) refresh() {
+	p.cur = math.Exp(p.x) * p.spikeDepth
 }
+
+// factor returns the multiplicative bandwidth factor as of the last
+// refresh.
+func (p *ouProcess) factor() float64 { return p.cur }

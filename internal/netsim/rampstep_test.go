@@ -10,15 +10,18 @@ import (
 )
 
 // requireMatchesReference compares the simulator's state bit for bit
-// with the from-scratch oracle: every flow's rate and every VM's
-// retransmission attribution.
+// with the from-scratch oracle: every flow's rate and cap slack and
+// every VM's retransmission attribution.
 func requireMatchesReference(t *testing.T, s *Sim, when string) {
 	t.Helper()
 	s.ensureAllocated()
-	wantRates, wantRetrans := s.allocateReference()
+	wantRates, wantRetrans, wantSlack := s.allocateReferenceSlack()
 	for i, f := range s.flows {
 		if math.Float64bits(f.rate) != math.Float64bits(wantRates[i]) {
 			t.Fatalf("%s: flow #%d (vm %d->%d) rate %v != reference %v", when, f.id, f.src, f.dst, f.rate, wantRates[i])
+		}
+		if f.capSlack != wantSlack[i] {
+			t.Fatalf("%s: flow #%d (vm %d->%d) capSlack %v != reference %v", when, f.id, f.src, f.dst, f.capSlack, wantSlack[i])
 		}
 	}
 	for v := range s.vms {

@@ -72,12 +72,17 @@ type Sim struct {
 
 	// Bottleneck-group machinery (churn.go, alloc.go): the group index,
 	// the per-worker filling scratches, and the shape of the last
-	// allocation for AllocGroups.
+	// allocation for AllocGroups. structEpoch moves whenever the live
+	// flow set, a connection count or a pair limit changes — everything
+	// the grouping and a group's resource tables are built from;
+	// allocations between two moves keep both (alloc.go, layer 3). It
+	// starts at 1: 0 is "never built" in groupIndex and fillScratch.
 	groups       groupIndex
 	scratches    []*fillScratch
 	workers      int
 	lastGroups   int
 	lastRefilled int
+	structEpoch  uint64
 
 	rng *simrand.Source
 }
@@ -100,6 +105,7 @@ func NewSim(cfg Config) *Sim {
 		rng:        simrand.Derive(cfg.Seed, "netsim"),
 	}
 	s.groups.dirtyAll = true
+	s.structEpoch = 1
 	n := len(cfg.Regions)
 	s.vmsOfDC = make([][]VMID, n)
 	for dc, specs := range cfg.VMs {
@@ -165,9 +171,14 @@ func (s *Sim) scheduleFluct() {
 	var step func(now float64)
 	step = func(now float64) {
 		for i := range s.fluct {
-			for j := range s.fluct[i] {
-				if s.fluct[i][j] != nil {
-					s.fluct[i][j].advance(now, s.fluctEvery)
+			for j, p := range s.fluct[i] {
+				if p != nil {
+					p.advance(now, s.fluctEvery)
+					// Only a pair with flows has its factor read before
+					// the next tick; addFlow covers a pair that gains one.
+					if len(s.pairFlows[s.pairKey(i, j)]) > 0 {
+						p.refresh()
+					}
 				}
 			}
 		}
@@ -237,6 +248,10 @@ func (s *Sim) SetCPULoad(id VMID, load float64) {
 	}
 }
 
+// CPULoad returns the VM's CPU utilization as last set. Unlike VMStats
+// it needs nothing the allocator computes, so it never forces a fill.
+func (s *Sim) CPULoad(id VMID) float64 { return s.vms[id].cpuLoad }
+
 // connsAt returns the total connections terminating at the VM. O(1):
 // the count is maintained incrementally as flows start, finish and
 // resize their connection pools.
@@ -274,6 +289,7 @@ func (s *Sim) SetPairLimit(srcDC, dstDC int, mbps float64) {
 		s.numLimits++
 	}
 	s.pairLimits[k] = mbps
+	s.structEpoch++
 	if len(s.pairFlows[k]) > 0 {
 		s.dirtyPair(k)
 	}
@@ -292,6 +308,7 @@ func (s *Sim) ClearPairLimit(srcDC, dstDC int) {
 	}
 	s.pairLimits[k] = math.NaN()
 	s.numLimits--
+	s.structEpoch++
 }
 
 // ClearAllPairLimits removes every pair rate limit.
@@ -308,6 +325,7 @@ func (s *Sim) ClearAllPairLimits() {
 		}
 	}
 	s.numLimits = 0
+	s.structEpoch++
 }
 
 // pairLimitAt returns the rate limit for a DC pair, or NaN if none.
@@ -418,12 +436,16 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	}
 
 	s.flows = append(s.flows, f) // ids ascend: start order kept
+	s.structEpoch++
 	s.vmConns[src] += conns
 	s.vmConns[dst] += conns
 	k := s.pairKey(srcDC, dstDC)
 	s.pairFlows[k] = append(s.pairFlows[k], f) // ids ascend: start order kept
 	if srcDC != dstDC {
 		s.interDCFlow++
+	}
+	if p := s.fluct[srcDC][dstDC]; p != nil {
+		p.refresh() // the tick skips pairs without flows
 	}
 	s.dirtyFlow(f)
 	return f
@@ -466,6 +488,7 @@ func (s *Sim) finishFlow(f *Flow) {
 	s.dirtyFlow(f)
 	i, _ := slices.BinarySearchFunc(s.flows, f.id, func(g *Flow, id FlowID) int { return cmp.Compare(g.id, id) })
 	s.flows = slices.Delete(s.flows, i, i+1)
+	s.structEpoch++
 
 	s.vmConns[f.src] -= f.conns
 	s.vmConns[f.dst] -= f.conns

@@ -40,7 +40,7 @@ func newLoadLedger(sim substrate.Cluster) *loadLedger {
 // own writes.
 func (l *loadLedger) shift(sign float64, deltas []float64) {
 	for v := range l.own {
-		cur := l.sim.VMStats(substrate.VMID(v)).CPULoad
+		cur := l.sim.CPULoad(substrate.VMID(v))
 		if cur != l.set[v] { // someone moved the load since our last write
 			l.ext[v] += cur - l.set[v]
 			if l.ext[v] < 0 {

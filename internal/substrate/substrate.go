@@ -174,6 +174,11 @@ type Cluster interface {
 	// engine calls this while tasks execute; high CPU load slightly
 	// degrades achievable sending rate (sender-limited TCP).
 	SetCPULoad(id VMID, load float64)
+	// CPULoad returns the VM's CPU utilization as last set. It is what
+	// VMStats reports as CPULoad, without the rest: reading it never
+	// makes the substrate compute rates or retransmissions, so it is
+	// the read for code that is about to write the load back.
+	CPULoad(id VMID) float64
 	// VMStats returns the current host metrics of a VM.
 	VMStats(id VMID) VMStats
 
