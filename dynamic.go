@@ -30,6 +30,31 @@ package wanify
 // ShareRemaining is a roster-wide progress signal polled from one
 // spark.JobSet; a churning roster has no single set to poll, so
 // EnableDynamicJobSet rejects it.
+//
+// Ownership. A plan travels optimizer → partition → chunk → window, and
+// every hop has one owner and makes no garbage:
+//
+//   - The global plan is freshly allocated per Optimize and never
+//     written again; Framework.plan and the controller share it.
+//   - Framework.partition writes the per-slot plans into buffers the
+//     Framework keeps (weights, parts: optimize.ShareWeightsInto,
+//     optimize.PartitionPlanInto). Its result — it is also the
+//     controller's Deps.Partition — is valid until the next call. Under
+//     Oversubscribe every slot aliases the global plan itself, so that
+//     result is built fresh and never becomes a buffer to write into.
+//   - rebalance chunks one slot at a time into Framework.rows
+//     (agent.ChunkPlanInto, rows indexed by VMID); the controller keeps
+//     its own rows across replans the same way.
+//   - A row is BORROWED for the ApplyPlan/SwapWindow call: the agent
+//     copies it into storage it allocated once, so the next slot's
+//     chunk may overwrite the buffer at once and no agent ever holds a
+//     slice of the deployment's.
+//
+// In steady state a ReleaseJob therefore allocates nothing and an
+// AdmitJob only the newcomer's agents and connection policy
+// (TestChurnSteadyStateAllocs); TestDynamicChurnWindowsMatchFreshPartition
+// holds every window, after every event, to a from-scratch
+// PartitionPlan → ChunkPlan.
 
 import (
 	"fmt"
@@ -137,10 +162,14 @@ func (f *Framework) DynamicSlots() (used, total int) {
 // policy and current occupancy: every slot the WHOLE plan under
 // Oversubscribe, otherwise optimize.PartitionPlan under the share
 // weights — re-evaluated at every call, so bytes-remaining sharing
-// tracks job progress — with free slots at weight zero.
+// tracks job progress — with free slots at weight zero. The result is
+// the deployment's scratch (f.parts), valid until the next call; it is
+// also the controller's Deps.Partition.
 func (f *Framework) partition(plan optimize.Plan) []optimize.Plan {
 	st := f.slots
 	if st.opts.Oversubscribe {
+		// Every slot aliases the plan itself, so this is never a dst
+		// PartitionPlanInto may write through: it stays out of f.parts.
 		parts := make([]optimize.Plan, len(st.used))
 		for g := range parts {
 			parts[g] = plan
@@ -151,13 +180,14 @@ func (f *Framework) partition(plan optimize.Plan) []optimize.Plan {
 	if st.opts.Share == optimize.ShareRemaining && st.opts.Remaining != nil {
 		rem = st.opts.Remaining()
 	}
-	w := optimize.ShareWeights(st.opts.Share, len(st.used), st.prio, rem)
+	f.weights = optimize.ShareWeightsInto(f.weights, st.opts.Share, len(st.used), st.prio, rem)
 	for g, used := range st.used {
 		if !used {
-			w[g] = 0
+			f.weights[g] = 0
 		}
 	}
-	return optimize.PartitionPlan(plan, w)
+	f.parts = optimize.PartitionPlanInto(f.parts, plan, f.weights)
+	return f.parts
 }
 
 // startController launches the deployment's one re-gauging controller
@@ -265,17 +295,17 @@ func (f *Framework) rebalance(pred bwmatrix.Matrix, plan optimize.Plan) {
 		if !f.slots.used[g] {
 			continue
 		}
-		rows := agent.ChunkPlan(sim, pred, part)
+		f.rows = agent.ChunkPlanInto(f.rows, sim, pred, part)
 		if f.groups[g] != nil {
 			for _, a := range f.groups[g] {
-				a.SwapWindow(rows[a.VM()])
+				a.SwapWindow(f.rows[a.VM()])
 			}
 			continue
 		}
 		for dc := 0; dc < sim.NumDCs(); dc++ {
 			for _, vm := range sim.VMsOfDC(dc) {
 				a := agent.New(sim, vm, agentCfg)
-				a.ApplyPlan(rows[vm])
+				a.ApplyPlan(f.rows[vm])
 				a.Start()
 				f.groups[g] = append(f.groups[g], a)
 			}

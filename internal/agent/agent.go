@@ -71,8 +71,9 @@ func (c Config) withDefaults() Config {
 
 // PlanRow is the slice of a global-optimization Plan that concerns one
 // source VM: per-destination-DC connection windows and BW targets. For
-// multi-VM DCs the caller chunks the DC-level plan first
-// (optimize.SplitAcrossVMs).
+// multi-VM DCs ChunkPlan chunks the DC-level plan first. A PlanRow
+// handed to ApplyPlan or SwapWindow is borrowed for the call: the agent
+// copies it into storage of its own.
 type PlanRow struct {
 	MinConns, MaxConns []int
 	MinBW, MaxBW       []float64
@@ -82,89 +83,124 @@ type PlanRow struct {
 	PredBW []float64
 }
 
-// ChunkPlan splits a DC-level global plan into one PlanRow per VM (the
-// association/chunking path of §3.3.3): each VM gets its
-// optimize.SplitAcrossVMs share of the DC's connection window and the
-// per-VM slice of the DC's predicted bandwidth. The per-DC sum of the
-// VM chunks equals the DC-level window exactly — when a DC has more
-// VMs than connections the spare slots go to the lowest-index VMs and
-// the rest get a zero window (their transfers still open one physical
-// connection, the ConnsTo floor, but their AIMD targets stay down so
-// the DC as a whole honors the optimizer's cap). An earlier version
-// floored every chunk at one connection, which let k VMs oversubscribe
-// a window of conns < k; see TestChunkPlanSumsToGlobalPlan. Both
-// initial deployment (wanify.Framework.DeployAgents) and mid-job
-// window swaps (internal/runtime) chunk through here, so a re-gauged
-// plan lands on every agent exactly the way the original one did.
-func ChunkPlan(sim substrate.Cluster, pred bwmatrix.Matrix, plan optimize.Plan) map[substrate.VMID]PlanRow {
-	n := sim.NumDCs()
-	rows := make(map[substrate.VMID]PlanRow, sim.NumVMs())
-	minParts := make([]int, 0, 8)
-	maxParts := make([]int, 0, 8)
+// width reports the row's destination count, or -1 when its five
+// slices disagree.
+func (r PlanRow) width() int {
+	n := len(r.MinConns)
+	if len(r.MaxConns) != n || len(r.MinBW) != n || len(r.MaxBW) != n || len(r.PredBW) != n {
+		return -1
+	}
+	return n
+}
+
+// clone returns a copy of the row on fresh memory.
+func (r PlanRow) clone() PlanRow {
+	return PlanRow{
+		MinConns: append([]int(nil), r.MinConns...),
+		MaxConns: append([]int(nil), r.MaxConns...),
+		MinBW:    append([]float64(nil), r.MinBW...),
+		MaxBW:    append([]float64(nil), r.MaxBW...),
+		PredBW:   append([]float64(nil), r.PredBW...),
+	}
+}
+
+// carveRow lays a row of width n over the first 2n ints and 3n floats
+// of two slabs.
+func carveRow(ints []int, floats []float64, n int) PlanRow {
+	return PlanRow{
+		MinConns: ints[:n:n],
+		MaxConns: ints[n : 2*n : 2*n],
+		MinBW:    floats[:n:n],
+		MaxBW:    floats[n : 2*n : 2*n],
+		PredBW:   floats[2*n : 3*n : 3*n],
+	}
+}
+
+// ChunkPlan splits a DC-level global plan into one PlanRow per VM,
+// indexed by VMID (the association/chunking path of §3.3.3): VM idx of
+// a k-VM DC gets conns/k of each connection count, plus one when
+// idx < conns%k, and the per-VM slice of the DC's predicted bandwidth.
+// The per-DC sum of the VM chunks equals the DC-level window exactly —
+// when a DC has more VMs than connections the spare slots go to the
+// lowest-index VMs and the rest get a zero window (their transfers
+// still open one physical connection, the ConnsTo floor, but their AIMD
+// targets stay down so the DC as a whole honors the optimizer's cap).
+// An earlier version floored every chunk at one connection, which let
+// k VMs oversubscribe a window of conns < k; see
+// TestChunkPlanSumsToGlobalPlan. Both initial deployment
+// (wanify.Framework.DeployAgents) and mid-job window swaps
+// (internal/runtime) chunk through here, so a re-gauged plan lands on
+// every agent exactly the way the original one did.
+func ChunkPlan(sim substrate.Cluster, pred bwmatrix.Matrix, plan optimize.Plan) []PlanRow {
+	return ChunkPlanInto(nil, sim, pred, plan)
+}
+
+// ChunkPlanInto is ChunkPlan with caller-owned rows: dst — nil, or an
+// earlier result of this function — is reused when it holds one row per
+// VM of the cluster's width and replaced otherwise (one []int and one
+// []float64 slab back all rows). Every entry is rewritten on every
+// call, the intra-DC one included, so the result is bit-identical to
+// ChunkPlan's whatever dst held, and valid until the next call with the
+// same dst.
+func ChunkPlanInto(dst []PlanRow, sim substrate.Cluster, pred bwmatrix.Matrix, plan optimize.Plan) []PlanRow {
+	n, vms := sim.NumDCs(), sim.NumVMs()
+	reuse := len(dst) == vms
+	for v := 0; reuse && v < vms; v++ {
+		reuse = dst[v].width() == n
+	}
+	if !reuse {
+		dst = make([]PlanRow, vms)
+		ints, floats := make([]int, 2*vms*n), make([]float64, 3*vms*n)
+		for v := range dst {
+			dst[v] = carveRow(ints, floats, n)
+			ints, floats = ints[2*n:], floats[3*n:]
+		}
+	}
 	for dc := 0; dc < n; dc++ {
-		vms := sim.VMsOfDC(dc)
-		k := len(vms)
-		vmRows := make([]PlanRow, k)
-		for idx := range vmRows {
-			vmRows[idx] = PlanRow{
-				MinConns: make([]int, n),
-				MaxConns: make([]int, n),
-				MinBW:    make([]float64, n),
-				MaxBW:    make([]float64, n),
-				PredBW:   make([]float64, n),
-			}
+		dcVMs := sim.VMsOfDC(dc)
+		k := len(dcVMs)
+		if k == 0 {
+			continue
 		}
 		for j := 0; j < n; j++ {
 			if j == dc {
-				for idx := range vmRows {
-					vmRows[idx].MinConns[j], vmRows[idx].MaxConns[j] = 1, 1
+				for _, vm := range dcVMs {
+					row := &dst[vm]
+					row.MinConns[j], row.MaxConns[j] = 1, 1
+					row.MinBW[j], row.MaxBW[j], row.PredBW[j] = 0, 0, 0
 				}
 				continue
 			}
-			minParts = append(minParts[:0], optimize.SplitAcrossVMs(plan.MinConns[dc][j], k)...)
-			maxParts = append(maxParts[:0], optimize.SplitAcrossVMs(plan.MaxConns[dc][j], k)...)
+			minC, maxC := plan.MinConns[dc][j], plan.MaxConns[dc][j]
+			minSpare, maxSpare := minC%k, maxC%k
 			perVM := pred[dc][j] / float64(k)
-			for idx := range vmRows {
-				minChunk, maxChunk := minParts[idx], maxParts[idx]
+			for idx, vm := range dcVMs {
+				minChunk, maxChunk := minC/k, maxC/k
+				if idx < minSpare {
+					minChunk++
+				}
+				if idx < maxSpare {
+					maxChunk++
+				}
 				if maxChunk < minChunk {
-					// SplitAcrossVMs is per-index monotone in the count, so
+					// The chunk rule is per-index monotone in the count, so
 					// this can only mean the plan itself had min > max —
 					// surface the malformed plan rather than silently
 					// widening a chunk past the DC window.
 					panic(fmt.Sprintf("agent: plan window min %d > max %d on pair (%d,%d)",
-						plan.MinConns[dc][j], plan.MaxConns[dc][j], dc, j))
+						minC, maxC, dc, j))
 				}
-				vmRows[idx].MinConns[j] = minChunk
-				vmRows[idx].MaxConns[j] = maxChunk
+				row := &dst[vm]
+				row.MinConns[j] = minChunk
+				row.MaxConns[j] = maxChunk
 				// Per-VM share of the DC-level predicted bandwidth.
-				vmRows[idx].PredBW[j] = perVM
-				vmRows[idx].MinBW[j] = perVM * float64(minChunk)
-				vmRows[idx].MaxBW[j] = perVM * float64(maxChunk)
+				row.PredBW[j] = perVM
+				row.MinBW[j] = perVM * float64(minChunk)
+				row.MaxBW[j] = perVM * float64(maxChunk)
 			}
 		}
-		for idx, vm := range vms {
-			rows[vm] = vmRows[idx]
-		}
 	}
-	return rows
-}
-
-// RowFor extracts the plan row of source DC i from a global Plan.
-func RowFor(plan optimize.Plan, pred bwmatrix.Matrix, i int) PlanRow {
-	n := len(plan.MinConns)
-	row := PlanRow{
-		MinConns: make([]int, n),
-		MaxConns: make([]int, n),
-		MinBW:    make([]float64, n),
-		MaxBW:    make([]float64, n),
-		PredBW:   make([]float64, n),
-	}
-	copy(row.MinConns, plan.MinConns[i])
-	copy(row.MaxConns, plan.MaxConns[i])
-	copy(row.MinBW, plan.MinBW[i])
-	copy(row.MaxBW, plan.MaxBW[i])
-	copy(row.PredBW, pred[i])
-	return row
+	return dst
 }
 
 // EpochRecord captures one AIMD epoch for analysis (Fig. 9 computes the
@@ -184,11 +220,11 @@ type Agent struct {
 	dc  int
 	cfg Config
 
-	row        PlanRow
+	row        PlanRow   // the agent's own copy of the window, never a caller's slices
 	conns      []int     // current target connections per destination DC
 	targetBW   []float64 // current target bandwidth per destination DC
 	active     []substrate.Flow
-	lastBytes  map[substrate.FlowID]float64
+	lastBytes  []float64 // parallel to active: bytes each flow had moved at the last epoch
 	epochBytes []float64 // per destination DC, bytes moved this epoch
 	monitored  []float64 // last epoch's WAN-monitor rates, Mbps per destination DC
 
@@ -201,11 +237,10 @@ type Agent struct {
 // before Start.
 func New(sim substrate.Cluster, vm substrate.VMID, cfg Config) *Agent {
 	return &Agent{
-		sim:       sim,
-		vm:        vm,
-		dc:        sim.DCOf(vm),
-		cfg:       cfg.withDefaults(),
-		lastBytes: make(map[substrate.FlowID]float64),
+		sim: sim,
+		vm:  vm,
+		dc:  sim.DCOf(vm),
+		cfg: cfg.withDefaults(),
 	}
 }
 
@@ -218,21 +253,43 @@ func (a *Agent) VM() substrate.VMID { return a.vm }
 // ApplyPlan installs (or replaces) the optimization window and resets
 // targets to the maximum configuration, the AIMD starting state chosen
 // "as the initial state ... begins from maximum throughput and
-// gradually reduces with congestion" (§3.2.2).
+// gradually reduces with congestion" (§3.2.2). The row is copied into
+// storage the agent allocates at its first ApplyPlan; the caller may
+// overwrite it as soon as the call returns.
 func (a *Agent) ApplyPlan(row PlanRow) {
-	n := a.sim.NumDCs()
-	if len(row.MinConns) != n || len(row.MaxConns) != n || len(row.MinBW) != n ||
-		len(row.MaxBW) != n || len(row.PredBW) != n {
-		panic(fmt.Sprintf("agent: plan row width != %d DCs", n))
-	}
-	a.row = row
-	a.conns = append([]int(nil), row.MaxConns...)
-	a.targetBW = append([]float64(nil), row.MaxBW...)
-	a.epochBytes = make([]float64, n)
+	a.copyRow(row)
+	copy(a.conns, row.MaxConns)
+	copy(a.targetBW, row.MaxBW)
+	clear(a.epochBytes)
 	if a.cfg.Throttle {
 		a.applyThrottles()
 	}
 }
+
+// copyRow checks a borrowed row's width and copies it into a.row,
+// allocating the agent's per-destination state on first use.
+func (a *Agent) copyRow(row PlanRow) {
+	n := a.sim.NumDCs()
+	if row.width() != n {
+		panic(fmt.Sprintf("agent: plan row width != %d DCs", n))
+	}
+	if a.conns == nil {
+		ints, floats := make([]int, 3*n), make([]float64, 5*n)
+		a.row = carveRow(ints, floats, n)
+		a.conns = ints[2*n:]
+		a.targetBW, a.epochBytes = floats[3*n:4*n:4*n], floats[4*n:]
+	}
+	copy(a.row.MinConns, row.MinConns)
+	copy(a.row.MaxConns, row.MaxConns)
+	copy(a.row.MinBW, row.MinBW)
+	copy(a.row.MaxBW, row.MaxBW)
+	copy(a.row.PredBW, row.PredBW)
+}
+
+// Window returns a copy of the optimization window the agent currently
+// runs inside — what the last ApplyPlan or SwapWindow installed (the
+// zero PlanRow before the first).
+func (a *Agent) Window() PlanRow { return a.row.clone() }
 
 // applyThrottles installs `tc` limits on BW-rich destinations: T is the
 // mean achievable (max) BW from this DC; richer links are capped at T.
@@ -310,7 +367,7 @@ func (a *Agent) Register(f substrate.Flow) {
 		panic("agent: registering a flow from another VM")
 	}
 	a.active = append(a.active, f)
-	a.lastBytes[f.ID()] = f.TransferredBytes()
+	a.lastBytes = append(a.lastBytes, f.TransferredBytes())
 }
 
 // TargetBW returns a copy of the current per-destination target
@@ -372,18 +429,18 @@ func (a *Agent) epoch(now float64) {
 	// WAN Monitor: account bytes moved by the registered pool since the
 	// last epoch, dropping completed flows.
 	kept := a.active[:0]
-	for _, f := range a.active {
-		moved := f.TransferredBytes() - a.lastBytes[f.ID()]
+	for k, f := range a.active {
+		moved := f.TransferredBytes() - a.lastBytes[k]
 		dst := a.sim.DCOf(f.Dst())
 		a.epochBytes[dst] += moved
 		if f.Done() {
-			delete(a.lastBytes, f.ID())
 			continue
 		}
-		a.lastBytes[f.ID()] = f.TransferredBytes()
+		a.lastBytes[len(kept)] = f.TransferredBytes()
 		kept = append(kept, f)
 	}
-	a.active = kept
+	clear(a.active[len(kept):]) // finished flows are not retained
+	a.active, a.lastBytes = kept, a.lastBytes[:len(kept)]
 	for j := 0; j < n; j++ {
 		monitored[j] = a.epochBytes[j] * 8 / 1e6 / a.cfg.EpochS // Mbps
 	}
@@ -440,18 +497,14 @@ func (a *Agent) epoch(now float64) {
 // transfers in the pool are resized to the clamped counts immediately
 // (remaining shuffle bytes rebalance without waiting for the next
 // epoch), and the tc thresholds are recomputed from the new achievable
-// bandwidths when throttling is on.
+// bandwidths when throttling is on. Like ApplyPlan it copies the row:
+// the caller keeps ownership of the slices it passed.
 func (a *Agent) SwapWindow(row PlanRow) {
 	if a.conns == nil {
 		panic("agent: SwapWindow before ApplyPlan")
 	}
-	n := a.sim.NumDCs()
-	if len(row.MinConns) != n || len(row.MaxConns) != n || len(row.MinBW) != n ||
-		len(row.MaxBW) != n || len(row.PredBW) != n {
-		panic(fmt.Sprintf("agent: plan row width != %d DCs", n))
-	}
-	a.row = row
-	for j := 0; j < n; j++ {
+	a.copyRow(row)
+	for j := range a.conns {
 		if j == a.dc {
 			continue
 		}

@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -209,25 +211,6 @@ func TestThrottleInstallsAndClears(t *testing.T) {
 		t.Logf("post-clear rate %v (egress-bound)", got)
 	}
 	probe.Stop()
-}
-
-// TestRowForExtractsPlan checks the optimize.Plan -> PlanRow bridge.
-func TestRowForExtractsPlan(t *testing.T) {
-	pred := bwmatrix.New(3)
-	pred[0] = []float64{0, 400, 120}
-	pred[1] = []float64{380, 0, 130}
-	pred[2] = []float64{110, 120, 0}
-	plan := optimize.GlobalOptimize(pred, optimize.Options{M: 8, D: 30})
-	row := RowFor(plan, pred, 0)
-	if row.MaxConns[2] != plan.MaxConns[0][2] {
-		t.Errorf("row maxConns %d != plan %d", row.MaxConns[2], plan.MaxConns[0][2])
-	}
-	if row.PredBW[1] != 400 {
-		t.Errorf("row predBW = %v", row.PredBW[1])
-	}
-	if row.MaxBW[2] != plan.MaxBW[0][2] {
-		t.Errorf("row maxBW = %v", row.MaxBW[2])
-	}
 }
 
 // TestRegisterRejectsForeignFlows checks the ownership guard.
@@ -590,6 +573,295 @@ func TestChunkPlanSpareSlotsGoLow(t *testing.T) {
 			}
 			if got := rows[vm].MaxBW[j]; got != 0 {
 				t.Errorf("VM %d pair %d: MaxBW = %v, want 0", vm, j, got)
+			}
+		}
+	}
+}
+
+// TestChunkPlanSplitsAcrossVMs locks the chunk rule where it lives: VM
+// idx of a k-VM DC gets conns/k connections plus one when idx < conns%k
+// — the chunks sum to the DC's count, spare slots go to the lowest
+// indices, and no index ever gets fewer from a larger count (so a
+// valid window stays valid per VM).
+func TestChunkPlanSplitsAcrossVMs(t *testing.T) {
+	for _, c := range []struct {
+		conns, k int
+		want     []int
+	}{
+		{8, 1, []int{8}},
+		{8, 3, []int{3, 3, 2}},
+		{2, 4, []int{1, 1, 0, 0}},
+		{0, 2, []int{0, 0}},
+	} {
+		sim := multiVMSim(2, []int{c.k - 1, 0}, 3)
+		pred := bwmatrix.NewFilled(2, 120)
+		plan := optimize.GlobalOptimize(pred, optimize.Options{M: 8})
+		lower := c.conns / 2
+		plan.MinConns[0][1], plan.MaxConns[0][1] = lower, c.conns
+		rows := ChunkPlan(sim, pred, plan)
+		sumMin, sumMax := 0, 0
+		for idx, vm := range sim.VMsOfDC(0) {
+			row := rows[vm]
+			if row.MaxConns[1] != c.want[idx] {
+				t.Errorf("%d conns over %d VMs: VM %d gets %d, want %d", c.conns, c.k, idx, row.MaxConns[1], c.want[idx])
+			}
+			if row.MinConns[1] > row.MaxConns[1] {
+				t.Errorf("%d conns over %d VMs: VM %d gets %d of the smaller count %d", c.conns, c.k, idx, row.MinConns[1], lower)
+			}
+			if idx > 0 && row.MaxConns[1] > rows[sim.VMsOfDC(0)[idx-1]].MaxConns[1] {
+				t.Errorf("%d conns over %d VMs: spare slot at index %d, above a lower one without", c.conns, c.k, idx)
+			}
+			sumMin += row.MinConns[1]
+			sumMax += row.MaxConns[1]
+		}
+		if sumMin != lower || sumMax != c.conns {
+			t.Errorf("%d conns over %d VMs: chunks sum to [%d, %d], want [%d, %d]", c.conns, c.k, sumMin, sumMax, lower, c.conns)
+		}
+	}
+}
+
+// chunkReference is ChunkPlan as it was before rows were slabbed: fresh
+// slices per VM, the DC's counts split into a parts slice first.
+func chunkReference(sim substrate.Cluster, pred bwmatrix.Matrix, plan optimize.Plan) map[substrate.VMID]PlanRow {
+	split := func(conns, k int) []int {
+		out := make([]int, k)
+		for i := range out {
+			out[i] = conns / k
+			if i < conns%k {
+				out[i]++
+			}
+		}
+		return out
+	}
+	n := sim.NumDCs()
+	rows := make(map[substrate.VMID]PlanRow, sim.NumVMs())
+	for dc := 0; dc < n; dc++ {
+		vms := sim.VMsOfDC(dc)
+		k := len(vms)
+		for idx, vm := range vms {
+			row := planRowFor(n, dc, 0, 0)
+			for j := 0; j < n; j++ {
+				if j == dc {
+					continue
+				}
+				perVM := pred[dc][j] / float64(k)
+				row.MinConns[j] = split(plan.MinConns[dc][j], k)[idx]
+				row.MaxConns[j] = split(plan.MaxConns[dc][j], k)[idx]
+				row.PredBW[j] = perVM
+				row.MinBW[j] = perVM * float64(row.MinConns[j])
+				row.MaxBW[j] = perVM * float64(row.MaxConns[j])
+			}
+			rows[vm] = row
+		}
+	}
+	return rows
+}
+
+// scribble overwrites every entry of a row with values no plan holds.
+func scribble(row PlanRow) {
+	for j := range row.MinConns {
+		row.MinConns[j], row.MaxConns[j] = -7, 99
+		row.MinBW[j], row.MaxBW[j], row.PredBW[j] = -1, 1e12, -3
+	}
+}
+
+func requireRowsEqual(t *testing.T, label string, got, want PlanRow) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s:\n got %+v\nwant %+v", label, got, want)
+	}
+}
+
+// TestChunkPlanIntoMatchesFresh reuses ONE dst — scribbled over before
+// every call — across clusters of equal VM count but different layouts
+// (where a VM's intra-DC column moves), clusters of other shapes, one
+// plan chunked for several slots (the Oversubscribe aliasing), job
+// partitions with zero windows and a dead DC's zeroed rows. The result
+// must equal the pre-slab reference and a nil-dst call every time, and
+// a dst of the wrong shape must be replaced, not written through.
+func TestChunkPlanIntoMatchesFresh(t *testing.T) {
+	layouts := [][]int{ // extra VMs per DC
+		{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, // 4 VMs over 3 DCs, three ways
+		{0, 0, 0, 0}, // 4 VMs over 4 DCs: same count, other width
+		{2, 1, 0, 3}, {1, 1},
+	}
+	var dst []PlanRow
+	for trial := 0; trial < 60; trial++ {
+		extra := layouts[trial%len(layouts)]
+		if trial%4 == 1 {
+			extra = layouts[(trial-1)%len(layouts)] // same cluster again: pure reuse
+		}
+		n := len(extra)
+		sim := multiVMSim(n, extra, uint64(trial))
+		pred := bwmatrix.New(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j {
+					pred[i][j] = 40 + float64((trial*31+i*7+j*3)%900)
+				}
+			}
+		}
+		if trial%5 == 2 {
+			dead := trial % n
+			for j := 0; j < n; j++ {
+				pred[dead][j], pred[j][dead] = 0, 0
+			}
+		}
+		plan := optimize.GlobalOptimize(pred, optimize.Options{M: 2 + trial%7})
+		plans := []optimize.Plan{plan, plan} // two slots aliasing one plan
+		if trial%3 == 0 {
+			plans = optimize.PartitionPlan(plan, []float64{1, 0, 2.5})
+		}
+		for _, part := range plans {
+			old := dst
+			var held []PlanRow
+			for _, row := range old {
+				scribble(row)
+				held = append(held, row.clone())
+			}
+			dst = ChunkPlanInto(dst, sim, pred, part)
+			want, fresh := chunkReference(sim, pred, part), ChunkPlan(sim, pred, part)
+			if len(dst) != sim.NumVMs() || len(fresh) != sim.NumVMs() {
+				t.Fatalf("trial %d: %d reused / %d fresh rows for %d VMs", trial, len(dst), len(fresh), sim.NumVMs())
+			}
+			for vm := range dst {
+				requireRowsEqual(t, fmt.Sprintf("trial %d VM %d reused dst", trial, vm), dst[vm], want[substrate.VMID(vm)])
+				requireRowsEqual(t, fmt.Sprintf("trial %d VM %d nil dst", trial, vm), fresh[vm], want[substrate.VMID(vm)])
+			}
+			reused := len(old) > 0 && &old[0] == &dst[0]
+			sameShape := len(old) == sim.NumVMs() && len(old) > 0 && len(old[0].MinConns) == n
+			if reused != sameShape {
+				t.Fatalf("trial %d: dst reused = %v, same shape = %v", trial, reused, sameShape)
+			}
+			if !reused {
+				for vm := range old {
+					requireRowsEqual(t, fmt.Sprintf("trial %d: replaced dst row %d written through", trial, vm), old[vm], held[vm])
+				}
+			}
+		}
+	}
+	sim := multiVMSim(4, []int{0, 0, 0, 0}, 1)
+	pred := bwmatrix.NewFilled(4, 300)
+	plan := optimize.GlobalOptimize(pred, optimize.Options{})
+	dst = ChunkPlanInto(nil, sim, pred, plan)
+	if avg := testing.AllocsPerRun(50, func() { dst = ChunkPlanInto(dst, sim, pred, plan) }); avg != 0 {
+		t.Errorf("ChunkPlanInto allocates %.1f times per warm call, want 0", avg)
+	}
+}
+
+// TestAgentKeepsItsOwnWindow is the ownership rule: ApplyPlan and
+// SwapWindow copy the row they are lent, so scribbling over it
+// afterwards — what the deployment's next ChunkPlanInto does — moves
+// neither the agent's window nor any later AIMD epoch, and Window
+// hands out a copy in turn.
+func TestAgentKeepsItsOwnWindow(t *testing.T) {
+	run := func(reuseRows bool) ([]EpochRecord, []PlanRow) {
+		sim := frozenSim(3, 9)
+		a := New(sim, sim.FirstVMOfDC(0), Config{})
+		f := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(2), conns: 8}
+		var windows []PlanRow
+		step := func(install func(PlanRow), row PlanRow) {
+			want := row.clone()
+			install(row)
+			if reuseRows {
+				scribble(row)
+			}
+			requireRowsEqual(t, "window after the lent row was overwritten", a.Window(), want)
+			scribble(a.Window()) // a copy: the agent must not see this
+			requireRowsEqual(t, "window after its copy-out was overwritten", a.Window(), want)
+			windows = append(windows, a.Window())
+			// A congested epoch (the decrease floors at MinConns/MinBW),
+			// then a healthy one (the increase caps at MaxConns/MaxBW and
+			// scales PredBW): every row of the window is read.
+			f.bytes += 2 << 20
+			a.epoch(sim.Now())
+			f.bytes += 8e9
+			a.epoch(sim.Now())
+		}
+		row := planRowFor(3, 0, 8, 400)
+		row.MinConns[2], row.MinBW[2] = 3, 1200
+		step(a.ApplyPlan, row)
+		a.Register(f)
+		step(a.SwapWindow, planRowFor(3, 0, 5, 650))
+		narrowed := planRowFor(3, 0, 2, 90)
+		step(a.SwapWindow, narrowed)
+		return a.History(), windows
+	}
+	wantHist, wantWin := run(false)
+	gotHist, gotWin := run(true)
+	if !reflect.DeepEqual(gotWin, wantWin) {
+		t.Errorf("windows moved with the caller's scratch:\n got %+v\nwant %+v", gotWin, wantWin)
+	}
+	if !reflect.DeepEqual(gotHist, wantHist) {
+		t.Errorf("AIMD epochs moved with the caller's scratch:\n got %+v\nwant %+v", gotHist, wantHist)
+	}
+	sawDecrease, sawIncrease := false, false
+	for _, rec := range wantHist {
+		sawDecrease = sawDecrease || rec.Modes[2] == ModeDecrease
+		sawIncrease = sawIncrease || rec.Modes[2] == ModeIncrease
+	}
+	if !sawDecrease || !sawIncrease {
+		t.Errorf("script exercised decrease = %v, increase = %v; want both", sawDecrease, sawIncrease)
+	}
+}
+
+// TestEpochCompactsPoolAndAccounts drives the WAN Monitor's pool — the
+// flows and the bytes each had moved at the last epoch, two parallel
+// slices compacted in one pass — through flows finishing at the front,
+// middle and back while others continue: every epoch's per-destination
+// bytes must be exactly the deltas of the flows registered, and a
+// finished flow must leave both slices.
+func TestEpochCompactsPoolAndAccounts(t *testing.T) {
+	sim := frozenSim(3, 4)
+	a := New(sim, sim.FirstVMOfDC(0), Config{})
+	a.ApplyPlan(planRowFor(3, 0, 8, 800))
+	flows := make([]*stubFlow, 6)
+	for i := range flows {
+		flows[i] = &stubFlow{id: substrate.FlowID(i), src: a.VM(), dst: sim.FirstVMOfDC(1 + i%2), conns: 1,
+			bytes: float64(1000 * (i + 1))} // a flow may have moved bytes before it registers
+		a.Register(flows[i])
+	}
+	finishAt := map[int]int{1: 2, 2: 0, 3: 5, 4: 3} // epoch -> flow finishing in it
+	alive := len(flows)
+	for epoch := 1; epoch <= 5; epoch++ {
+		want := make([]float64, 3)
+		for i, f := range flows {
+			if f.done {
+				continue
+			}
+			moved := float64((epoch*7+i*13)%50) * 1e6
+			f.bytes += moved
+			want[sim.DCOf(f.dst)] += moved
+		}
+		if i, ok := finishAt[epoch]; ok {
+			flows[i].done = true
+			alive--
+		}
+		if epoch == 3 {
+			late := &stubFlow{id: 9, src: a.VM(), dst: sim.FirstVMOfDC(2), conns: 1, bytes: 5e6}
+			flows = append(flows, late)
+			a.Register(late)
+			alive++
+		}
+		a.epoch(float64(5 * epoch))
+		got := a.MonitoredMbps()
+		for j := range want {
+			if mbps := want[j] * 8 / 1e6 / 5; got[j] != mbps {
+				t.Fatalf("epoch %d dst %d: monitored %v Mbps, flows moved %v", epoch, j, got[j], mbps)
+			}
+		}
+		if len(a.active) != alive || len(a.lastBytes) != alive {
+			t.Fatalf("epoch %d: pool holds %d flows / %d byte marks, %d alive", epoch, len(a.active), len(a.lastBytes), alive)
+		}
+		for k, f := range a.active {
+			if f.Done() || a.lastBytes[k] != f.TransferredBytes() {
+				t.Fatalf("epoch %d: pool slot %d holds flow %d (done %v) marked at %v, moved %v",
+					epoch, k, f.ID(), f.Done(), a.lastBytes[k], f.TransferredBytes())
+			}
+		}
+		for _, f := range a.active[len(a.active):cap(a.active)] {
+			if f != nil {
+				t.Fatalf("epoch %d: finished flow %d retained past the pool's length", epoch, f.ID())
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package rf
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/wanify/wanify/internal/simrand"
 )
@@ -144,7 +144,15 @@ func (g *grower) bestSplit(idx []int, parentMean float64) (feat int, thr, gain f
 	bestGain := 0.0
 	for _, f := range candidates {
 		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
+		slices.SortFunc(order, func(a, b int) int {
+			switch va, vb := x[a][f], x[b][f]; {
+			case va < vb:
+				return -1
+			case va > vb:
+				return 1
+			}
+			return 0
+		})
 
 		// Prefix scan: evaluate every boundary between distinct values.
 		var sumL, sumSqL float64

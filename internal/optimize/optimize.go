@@ -431,27 +431,6 @@ func ThrottleThresholds(maxBW bwmatrix.Matrix) []float64 {
 	return out
 }
 
-// SplitAcrossVMs distributes a DC-level connection count over k VMs
-// (the chunking step of association, §3.3.3): results are
-// proportionally chunked so each worker runs its share of the pool.
-// The returned slice has k entries summing to conns, each at least 1
-// when conns >= k.
-func SplitAcrossVMs(conns, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]int, k)
-	base := conns / k
-	rem := conns % k
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
-}
-
 // AggregateByDC sums a VM-level bandwidth matrix into a DC-level matrix
 // given the DC index of each VM — the "association" of §3.3.3 ("BWs are
 // summed to reflect the combined BW of a DC").

@@ -241,36 +241,6 @@ func TestThrottleThresholds(t *testing.T) {
 	}
 }
 
-// TestSplitAcrossVMs checks association chunking.
-func TestSplitAcrossVMs(t *testing.T) {
-	cases := []struct {
-		conns, k int
-		want     []int
-	}{
-		{8, 1, []int{8}},
-		{8, 3, []int{3, 3, 2}},
-		{2, 4, []int{1, 1, 0, 0}},
-		{0, 2, []int{0, 0}},
-	}
-	for _, c := range cases {
-		got := SplitAcrossVMs(c.conns, c.k)
-		if len(got) != len(c.want) {
-			t.Fatalf("SplitAcrossVMs(%d,%d) len = %d", c.conns, c.k, len(got))
-		}
-		sum := 0
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("SplitAcrossVMs(%d,%d) = %v, want %v", c.conns, c.k, got, c.want)
-				break
-			}
-			sum += got[i]
-		}
-		if sum != c.conns {
-			t.Errorf("SplitAcrossVMs(%d,%d) sums to %d", c.conns, c.k, sum)
-		}
-	}
-}
-
 // TestAggregateByDC checks association summing.
 func TestAggregateByDC(t *testing.T) {
 	vmBW := bwmatrix.New(3) // VMs 0,1 in DC0; VM 2 in DC1

@@ -61,32 +61,41 @@ func ParseShareMode(s string) (ShareMode, error) {
 // vanishing weight rather than zero so the largest-remainder split
 // still hands them slots only when every needy job is served.
 func ShareWeights(mode ShareMode, jobs int, priorities, remainingBytes []float64) []float64 {
-	w := make([]float64, jobs)
+	return ShareWeightsInto(nil, mode, jobs, priorities, remainingBytes)
+}
+
+// ShareWeightsInto is ShareWeights into dst, reused when its capacity
+// covers jobs (nil allocates): a deployment re-weighs its slots at
+// every admission and release.
+func ShareWeightsInto(dst []float64, mode ShareMode, jobs int, priorities, remainingBytes []float64) []float64 {
+	if cap(dst) < jobs {
+		dst = make([]float64, jobs)
+	}
+	w := dst[:jobs]
 	for i := range w {
 		w[i] = 1
 	}
-	pick := func(src []float64) {
-		if len(src) != jobs {
-			return
-		}
-		total := 0.0
-		for _, v := range src {
-			if v > 0 {
-				total += v
-			}
-		}
-		if total <= 0 {
-			return
-		}
-		for i, v := range src {
-			w[i] = math.Max(v, total*1e-9)
-		}
-	}
+	var src []float64
 	switch mode {
 	case SharePriority:
-		pick(priorities)
+		src = priorities
 	case ShareRemaining:
-		pick(remainingBytes)
+		src = remainingBytes
+	}
+	if len(src) != jobs {
+		return w
+	}
+	total := 0.0
+	for _, v := range src {
+		if v > 0 {
+			total += v
+		}
+	}
+	if total <= 0 {
+		return w
+	}
+	for i, v := range src {
+		w[i] = math.Max(v, total*1e-9)
 	}
 	return w
 }
@@ -97,10 +106,19 @@ func ShareWeights(mode ShareMode, jobs int, priorities, remainingBytes []float64
 // Non-positive weights receive units only after every positive weight's
 // remainder is exhausted.
 func SplitProportional(total int, weights []float64) []int {
+	out := make([]int, len(weights))
+	splitProportionalInto(out, make([]float64, len(weights)), total, weights)
+	return out
+}
+
+// splitProportionalInto is SplitProportional on caller scratch: out
+// receives the shares (every entry rewritten), rem holds the fractional
+// remainders; both are len(weights).
+func splitProportionalInto(out []int, rem []float64, total int, weights []float64) {
 	k := len(weights)
-	out := make([]int, k)
 	if k == 0 || total <= 0 {
-		return out
+		clear(out)
+		return
 	}
 	sum := 0.0
 	for _, w := range weights {
@@ -116,10 +134,9 @@ func SplitProportional(total int, weights []float64) []int {
 				out[i]++
 			}
 		}
-		return out
+		return
 	}
 	given := 0
-	rem := make([]float64, k)
 	for i, w := range weights {
 		if w < 0 {
 			w = 0
@@ -140,7 +157,6 @@ func SplitProportional(total int, weights []float64) []int {
 		rem[best] = -1 // each job gets at most one remainder unit per lap
 		given++
 	}
-	return out
 }
 
 // PartitionPlan splits a global plan into one plan per job, weighted by
@@ -162,35 +178,68 @@ func SplitProportional(total int, weights []float64) []int {
 // agents' ConnsTo floor), but its AIMD targets stay at the floor so it
 // yields the pair to the jobs that own the budget.
 func PartitionPlan(plan Plan, shares []float64) []Plan {
+	return PartitionPlanInto(nil, plan, shares)
+}
+
+// partitionStackJobs is the job count up to which PartitionPlanInto
+// splits on stack scratch.
+const partitionStackJobs = 8
+
+// PartitionPlanInto is PartitionPlan with a caller-owned result: dst —
+// nil, or an earlier result of this function — is reused when it holds
+// len(shares) plans of plan's dimension and replaced otherwise. Every
+// entry of the four window matrices is rewritten on every call, so the
+// result is bit-identical to PartitionPlan's whatever dst held; DCRel
+// aliases plan's, as there. The result is valid until the next call
+// with the same dst: a deployment that re-partitions at every admission,
+// release and replan keeps one dst and allocates nothing.
+func PartitionPlanInto(dst []Plan, plan Plan, shares []float64) []Plan {
 	jobs := len(shares)
 	if jobs == 0 {
 		return nil
 	}
 	n := len(plan.MinConns)
-	parts := make([]Plan, jobs)
-	for g := range parts {
-		parts[g] = Plan{
-			DCRel:    plan.DCRel,
-			MinConns: bwmatrix.NewConn(n),
-			MaxConns: bwmatrix.NewConn(n),
-			MinBW:    bwmatrix.New(n),
-			MaxBW:    bwmatrix.New(n),
+	reuse := len(dst) == jobs
+	for g := 0; reuse && g < jobs; g++ {
+		reuse = dst[g].MinConns.N() == n && dst[g].MaxConns.N() == n &&
+			dst[g].MinBW.N() == n && dst[g].MaxBW.N() == n
+	}
+	if !reuse {
+		dst = make([]Plan, jobs)
+		for g := range dst {
+			dst[g] = Plan{
+				MinConns: bwmatrix.NewConn(n),
+				MaxConns: bwmatrix.NewConn(n),
+				MinBW:    bwmatrix.New(n),
+				MaxBW:    bwmatrix.New(n),
+			}
 		}
 	}
+	for g := range dst {
+		dst[g].DCRel = plan.DCRel
+	}
+	var intBuf [2 * partitionStackJobs]int
+	var remBuf [partitionStackJobs]float64
+	ints, rem := intBuf[:], remBuf[:]
+	if jobs > partitionStackJobs {
+		ints, rem = make([]int, 2*jobs), make([]float64, jobs)
+	}
+	minParts, maxParts, rem := ints[:jobs], ints[jobs:2*jobs], rem[:jobs]
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
 				// Intra-DC slots are not a WAN budget; every job keeps
 				// the conventional single connection.
-				for g := range parts {
-					parts[g].MinConns[i][j] = plan.MinConns[i][j]
-					parts[g].MaxConns[i][j] = plan.MaxConns[i][j]
+				for g := range dst {
+					dst[g].MinConns[i][j] = plan.MinConns[i][j]
+					dst[g].MaxConns[i][j] = plan.MaxConns[i][j]
+					dst[g].MinBW[i][j], dst[g].MaxBW[i][j] = 0, 0
 				}
 				continue
 			}
 			minC, maxC := plan.MinConns[i][j], plan.MaxConns[i][j]
-			minParts := SplitProportional(minC, shares)
-			maxParts := SplitProportional(maxC, shares)
+			splitProportionalInto(minParts, rem, minC, shares)
+			splitProportionalInto(maxParts, rem, maxC, shares)
 			// Per-connection achievable bandwidth (Eq. 3 is linear in the
 			// connection count, so the global targets recover by scaling).
 			perConnMin, perConnMax := 0.0, 0.0
@@ -200,7 +249,7 @@ func PartitionPlan(plan Plan, shares []float64) []Plan {
 			if maxC > 0 {
 				perConnMax = plan.MaxBW[i][j] / float64(maxC)
 			}
-			for g := range parts {
+			for g := range dst {
 				lo, hi := minParts[g], maxParts[g]
 				if lo > hi {
 					// Rounding can hand a job its min slot on a pair where
@@ -209,12 +258,12 @@ func PartitionPlan(plan Plan, shares []float64) []Plan {
 					// invariant binds on MaxConns).
 					lo = hi
 				}
-				parts[g].MinConns[i][j] = lo
-				parts[g].MaxConns[i][j] = hi
-				parts[g].MinBW[i][j] = perConnMin * float64(lo)
-				parts[g].MaxBW[i][j] = perConnMax * float64(hi)
+				dst[g].MinConns[i][j] = lo
+				dst[g].MaxConns[i][j] = hi
+				dst[g].MinBW[i][j] = perConnMin * float64(lo)
+				dst[g].MaxBW[i][j] = perConnMax * float64(hi)
 			}
 		}
 	}
-	return parts
+	return dst
 }

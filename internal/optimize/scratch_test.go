@@ -111,3 +111,139 @@ func TestGlobalOptimizeIntoSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("GlobalOptimizeInto allocates %.1f times per warm call, want 0", avg)
 	}
 }
+
+// partitionReference is PartitionPlan written over the exported
+// SplitProportional — fresh scratch for every split, fresh matrices for
+// every job — the oracle the reusing path is held to.
+func partitionReference(plan Plan, shares []float64) []Plan {
+	n := len(plan.MinConns)
+	parts := make([]Plan, len(shares))
+	for g := range parts {
+		parts[g] = Plan{
+			DCRel:    plan.DCRel,
+			MinConns: bwmatrix.NewConn(n),
+			MaxConns: bwmatrix.NewConn(n),
+			MinBW:    bwmatrix.New(n),
+			MaxBW:    bwmatrix.New(n),
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			minC, maxC := plan.MinConns[i][j], plan.MaxConns[i][j]
+			if i == j {
+				for g := range parts {
+					parts[g].MinConns[i][j], parts[g].MaxConns[i][j] = minC, maxC
+				}
+				continue
+			}
+			minParts, maxParts := SplitProportional(minC, shares), SplitProportional(maxC, shares)
+			perConnMin, perConnMax := 0.0, 0.0
+			if minC > 0 {
+				perConnMin = plan.MinBW[i][j] / float64(minC)
+			}
+			if maxC > 0 {
+				perConnMax = plan.MaxBW[i][j] / float64(maxC)
+			}
+			for g := range parts {
+				lo, hi := minParts[g], maxParts[g]
+				if lo > hi {
+					lo = hi
+				}
+				parts[g].MinConns[i][j], parts[g].MaxConns[i][j] = lo, hi
+				parts[g].MinBW[i][j] = perConnMin * float64(lo)
+				parts[g].MaxBW[i][j] = perConnMax * float64(hi)
+			}
+		}
+	}
+	return parts
+}
+
+// TestPartitionPlanIntoMatchesFresh reuses ONE dst across plans of
+// changing dimension, job counts on both sides of the stack-scratch
+// limit, zero and tiny weights and a dead DC's zeroed rows: whatever
+// the dst held, the result equals the reference, and a dst of the
+// wrong shape is replaced rather than written through.
+func TestPartitionPlanIntoMatchesFresh(t *testing.T) {
+	rng := simrand.Derive(23, "partition-into")
+	var dst []Plan
+	prevN, prevJobs := 0, 0
+	for trial := 0; trial < 120; trial++ {
+		n := 2 + rng.IntN(5)
+		jobs := 1 + rng.IntN(4)
+		if trial%7 == 3 {
+			jobs = partitionStackJobs + 1 + rng.IntN(4)
+		}
+		if trial%3 != 0 && prevN != 0 {
+			n, jobs = prevN, prevJobs // steady state: the reuse path
+		}
+		pred := randomPred(n, uint64(trial))
+		if trial%5 == 4 {
+			dead := rng.IntN(n)
+			for j := 0; j < n; j++ {
+				pred[dead][j], pred[j][dead] = 0, 0
+			}
+		}
+		plan := GlobalOptimize(pred, Options{M: 2 + rng.IntN(7)})
+		shares := make([]float64, jobs)
+		for g := range shares {
+			switch rng.IntN(4) {
+			case 0:
+				shares[g] = 0 // a free slot
+			case 1:
+				shares[g] = 1e-9
+			default:
+				shares[g] = rng.Uniform(0.1, 10)
+			}
+		}
+
+		// What the old dst's matrices hold, to prove a replaced dst is
+		// left alone.
+		var held []Plan
+		for _, p := range dst {
+			held = append(held, Plan{DCRel: p.DCRel, MinConns: p.MinConns.Clone(),
+				MaxConns: p.MaxConns.Clone(), MinBW: p.MinBW.Clone(), MaxBW: p.MaxBW.Clone()})
+		}
+		old := dst
+		dst = PartitionPlanInto(dst, plan, shares)
+		want := partitionReference(plan, shares)
+		fresh := PartitionPlan(plan, shares)
+		if len(dst) != jobs || len(fresh) != jobs {
+			t.Fatalf("trial %d: %d reused / %d fresh parts for %d jobs", trial, len(dst), len(fresh), jobs)
+		}
+		for g := range want {
+			requirePlansEqual(t, dst[g], want[g], "reused-vs-reference")
+			requirePlansEqual(t, fresh[g], want[g], "fresh-vs-reference")
+		}
+		reused := len(old) > 0 && len(dst) > 0 && &old[0] == &dst[0]
+		if sameShape := prevN == n && prevJobs == jobs; reused != sameShape {
+			t.Fatalf("trial %d: dst reused = %v with shape (%d DCs, %d jobs) after (%d, %d)",
+				trial, reused, n, jobs, prevN, prevJobs)
+		}
+		if !reused {
+			for g := range old {
+				requirePlansEqual(t, old[g], held[g], "replaced dst written through")
+			}
+		}
+		prevN, prevJobs = n, jobs
+	}
+}
+
+// TestPartitionPlanIntoSteadyStateAllocs: a warm dst of the right
+// shape costs a re-partition nothing.
+func TestPartitionPlanIntoSteadyStateAllocs(t *testing.T) {
+	plan := GlobalOptimize(randomPred(4, 3), Options{})
+	shares := []float64{1, 0, 2.5, 1}
+	dst := PartitionPlanInto(nil, plan, shares)
+	if avg := testing.AllocsPerRun(50, func() {
+		dst = PartitionPlanInto(dst, plan, shares)
+	}); avg != 0 {
+		t.Fatalf("PartitionPlanInto allocates %.1f times per warm call, want 0", avg)
+	}
+	var w []float64
+	w = ShareWeightsInto(w, SharePriority, 4, shares, nil)
+	if avg := testing.AllocsPerRun(50, func() {
+		w = ShareWeightsInto(w, SharePriority, 4, shares, nil)
+	}); avg != 0 {
+		t.Fatalf("ShareWeightsInto allocates %.1f times per warm call, want 0", avg)
+	}
+}

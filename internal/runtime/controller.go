@@ -201,7 +201,9 @@ type Deps struct {
 	// Partition splits a re-gauged global plan into one plan per
 	// group (optimize.PartitionPlan under the deployment's share
 	// weights, re-evaluated at swap time so bytes-remaining sharing
-	// tracks job progress). Required with Groups.
+	// tracks job progress). Required with Groups. The result may be
+	// scratch the deployment reuses: the controller reads it within
+	// the swap and keeps nothing of it past the next Partition call.
 	Partition func(plan optimize.Plan) []optimize.Plan
 	// OnPlanSwap, when non-nil, runs after a replan's windows have
 	// been swapped in (same substrate event) — the multi-job
@@ -292,6 +294,9 @@ type Controller struct {
 	pred   bwmatrix.Matrix // prediction the current plan was built from
 	plan   optimize.Plan
 	planAt float64 // when the current plan was installed
+	// rows is the per-VM chunk scratch of a swap, reused across groups
+	// and replans: agents copy their row, nobody keeps it.
+	rows []agent.PlanRow
 
 	live        bwmatrix.Matrix // latest aggregated monitored rates
 	streak      int             // consecutive drifted epochs
@@ -723,9 +728,9 @@ func (c *Controller) applyRegauge(snap bwmatrix.Matrix, stats []substrate.VMStat
 		if len(group) == 0 {
 			continue // idle slot of a dynamic deployment
 		}
-		rows := agent.ChunkPlan(c.deps.Cluster, pred, parts[g])
+		c.rows = agent.ChunkPlanInto(c.rows, c.deps.Cluster, pred, parts[g])
 		for _, a := range group {
-			a.SwapWindow(rows[a.VM()])
+			a.SwapWindow(c.rows[a.VM()])
 		}
 	}
 	if c.deps.OnPlanSwap != nil {

@@ -89,6 +89,14 @@ type Framework struct {
 	slots     *slotState
 	groups    [][]*agent.Agent
 	throttled bool // cluster-level tc limits installed by the deployment
+
+	// Rebalance scratch, kept across admissions, releases and replans
+	// (ownership rule in dynamic.go): the share weights, the per-slot
+	// partition of the last plan, and the per-VM rows of the last slot
+	// chunked. Agents copy their row; nothing else outlives the call.
+	weights []float64
+	parts   []optimize.Plan
+	rows    []agent.PlanRow
 }
 
 // New builds a Framework around a trained prediction model.

@@ -20,7 +20,7 @@ import (
 // a real deployment would.
 var testModel *predict.Model
 
-func getModel(t *testing.T) *predict.Model {
+func getModel(t testing.TB) *predict.Model {
 	t.Helper()
 	if testModel == nil {
 		m, _, err := wanify.QuickModel(42)
