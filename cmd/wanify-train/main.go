@@ -5,7 +5,6 @@
 //
 //	wanify-train                         # paper-like configuration
 //	wanify-train -sessions 40 -trees 100 # heavier training run
-//	wanify-train -workers -1             # parallel tree training (DESIGN.md §6)
 //	wanify-train -out model.gob          # persist the trained model
 //	wanify-train -load model.gob         # evaluate a saved model
 //
@@ -38,7 +37,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		sessions = flag.Int("sessions", 15, "monitoring sessions per cluster size")
 		trees    = flag.Int("trees", 100, "Random Forest estimators (paper: 100)")
-		workers  = flag.Int("workers", 0, "parallel tree-training workers (-1 = GOMAXPROCS; 0 keeps the legacy sequential RNG scheme, bit-compatible with earlier models)")
 		outPath  = flag.String("out", "", "write the trained model to this file (gob)")
 		loadPath = flag.String("load", "", "evaluate an existing model instead of training")
 	)
@@ -78,7 +76,7 @@ func main() {
 	} else {
 		var err error
 		model, err = predict.Train(train, predict.TrainConfig{
-			Forest: rf.Config{NumTrees: *trees, Seed: *seed, Workers: *workers},
+			Forest: rf.Config{NumTrees: *trees, Seed: *seed},
 		})
 		if err != nil {
 			log.Fatalf("train: %v", err)

@@ -241,11 +241,7 @@ func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Repo
 	for _, p := range ps.pairs {
 		out[p[0]][p[1]] = noisy(byPair[p], ps.opts)
 	}
-	stats := make([]substrate.VMStats, ps.sim.NumVMs())
-	for v := 0; v < ps.sim.NumVMs(); v++ {
-		stats[v] = ps.sim.VMStats(substrate.VMID(v))
-	}
-	return out, stats, rep
+	return out, vmStats(ps.sim), rep
 }
 
 // drain is Collect's integration step: tear the probes down and fold
@@ -258,19 +254,7 @@ func (ps *PendingSnapshot) drain() (map[[2]int]float64, Report) {
 	if ps.hardened {
 		panic("measure: hardened snapshot must be collected with CollectPartial")
 	}
-	// Clock subtraction can land an ulp either side of the configured
-	// duration; treat anything within tol as on-time and use the
-	// configured duration verbatim so the division is bit-identical to
-	// the synchronous path.
-	const tol = 1e-9
-	elapsed := ps.sim.Now() - ps.begun
-	if elapsed < ps.opts.DurationS-tol {
-		panic(fmt.Sprintf("measure: snapshot collected after %.2fs of a %.2fs probe window", elapsed, ps.opts.DurationS))
-	}
-	window := elapsed
-	if math.Abs(elapsed-ps.opts.DurationS) <= tol {
-		window = ps.opts.DurationS
-	}
+	window := ps.collectWindow()
 	byPair := make(map[[2]int]float64, len(ps.pairs))
 	totalBytes := 0.0
 	failed := 0
@@ -296,6 +280,34 @@ func (ps *PendingSnapshot) drain() (map[[2]int]float64, Report) {
 		VMSeconds:        window * float64(ps.sim.NumVMs()),
 		FailedProbes:     failed,
 	}
+}
+
+// collectWindow returns the window a collection integrates over: the
+// substrate time since the probes began. It panics if the configured
+// duration has not elapsed yet.
+func (ps *PendingSnapshot) collectWindow() float64 {
+	// Clock subtraction can land an ulp either side of the configured
+	// duration; treat anything within tol as on-time and use the
+	// configured duration verbatim so the division is bit-identical to
+	// the synchronous path.
+	const tol = 1e-9
+	elapsed := ps.sim.Now() - ps.begun
+	if elapsed < ps.opts.DurationS-tol {
+		panic(fmt.Sprintf("measure: snapshot collected after %.2fs of a %.2fs probe window", elapsed, ps.opts.DurationS))
+	}
+	if math.Abs(elapsed-ps.opts.DurationS) <= tol {
+		return ps.opts.DurationS
+	}
+	return elapsed
+}
+
+// vmStats reads the host metrics of every VM, in VM order.
+func vmStats(sim substrate.Cluster) []substrate.VMStats {
+	stats := make([]substrate.VMStats, sim.NumVMs())
+	for v := range stats {
+		stats[v] = sim.VMStats(substrate.VMID(v))
+	}
+	return stats
 }
 
 // SnapshotByVM takes a short all-pairs sample at VM granularity: one
@@ -337,17 +349,13 @@ func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []subst
 		out[pr.src][pr.dst] = noisy(bytes*8/1e6/opts.DurationS, opts)
 		pr.flow.Stop()
 	}
-	stats := make([]substrate.VMStats, nv)
-	for v := 0; v < nv; v++ {
-		stats[v] = sim.VMStats(substrate.VMID(v))
-	}
 	rep := Report{
 		ElapsedS:         opts.DurationS,
 		BytesTransferred: totalBytes,
 		VMSeconds:        opts.DurationS * float64(nv),
 		FailedProbes:     failed,
 	}
-	return out, stats, rep
+	return out, vmStats(sim), rep
 }
 
 func maxIntOne(c int) int {

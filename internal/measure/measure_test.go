@@ -259,6 +259,78 @@ func TestPendingSnapshotGuards(t *testing.T) {
 	ps.Collect()
 }
 
+// TestCollectWindow pins the window check Collect and CollectPartial
+// share, on both paths: collecting early panics and leaves the snapshot
+// collectable, a late collection bills the real elapsed time, and a
+// clock an ulp either side of the configured duration bills the
+// duration itself.
+func TestCollectWindow(t *testing.T) {
+	paths := []struct {
+		name    string
+		begin   func(substrate.Cluster, Options) *PendingSnapshot
+		collect func(*PendingSnapshot) Report
+	}{
+		{"legacy", BeginSnapshot, func(ps *PendingSnapshot) Report {
+			_, _, rep := ps.Collect()
+			return rep
+		}},
+		{"hardened", func(sim substrate.Cluster, opts Options) *PendingSnapshot {
+			return BeginSnapshotHardened(sim, opts, RetryPolicy{})
+		}, func(ps *PendingSnapshot) Report { return ps.CollectPartial().Bill }},
+	}
+	for _, path := range paths {
+		t.Run(path.name+"/early-panics", func(t *testing.T) {
+			sim := frozenSim(3, 21)
+			ps := path.begin(sim, Options{DurationS: 1, Conns: 1})
+			sim.RunFor(0.5)
+			func() {
+				defer func() {
+					const want = "measure: snapshot collected after 0.50s of a 1.00s probe window"
+					if r := recover(); r != want {
+						t.Errorf("early collection panicked with %v, want %q", r, want)
+					}
+				}()
+				path.collect(ps)
+			}()
+			sim.RunFor(0.5)
+			if rep := path.collect(ps); rep.ElapsedS != 1 {
+				t.Errorf("collection after an early attempt billed %vs, want 1s", rep.ElapsedS)
+			}
+		})
+		t.Run(path.name+"/late-bills-elapsed", func(t *testing.T) {
+			sim := frozenSim(3, 22)
+			ps := path.begin(sim, Options{DurationS: 1, Conns: 1})
+			sim.RunFor(1.5)
+			rep := path.collect(ps)
+			if rep.ElapsedS != 1.5 || rep.VMSeconds != 1.5*3 {
+				t.Errorf("late collection billed %+v, want 1.5s elapsed and 4.5 VM-seconds", rep)
+			}
+		})
+		for _, c := range []struct {
+			name             string
+			settle, duration float64
+			short            bool
+		}{
+			{"ulp-short", 0.7, 0.1, true}, // 0.7+0.1-0.7 lands below 0.1
+			{"ulp-long", 0.1, 0.2, false}, // 0.1+0.2-0.1 lands above 0.2
+		} {
+			t.Run(path.name+"/"+c.name, func(t *testing.T) {
+				sim := frozenSim(3, 23)
+				sim.RunFor(c.settle)
+				begun := sim.Now()
+				ps := path.begin(sim, Options{DurationS: c.duration, Conns: 1})
+				sim.RunFor(c.duration)
+				if elapsed := sim.Now() - begun; elapsed == c.duration || (elapsed < c.duration) != c.short {
+					t.Fatalf("the clock read %v elapsed against %v: the case does not exercise its side of the tolerance", elapsed, c.duration)
+				}
+				if rep := path.collect(ps); rep.ElapsedS != c.duration {
+					t.Errorf("billed %vs (%b), want the configured %vs exactly", rep.ElapsedS, rep.ElapsedS, c.duration)
+				}
+			})
+		}
+	}
+}
+
 // TestPendingSnapshotAbandon checks Abandon tears probes down without
 // producing a sample.
 func TestPendingSnapshotAbandon(t *testing.T) {

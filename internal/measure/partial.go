@@ -13,7 +13,6 @@ package measure
 // last-known-good belief store; see DESIGN.md §11.
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/wanify/wanify/internal/bwmatrix"
@@ -263,16 +262,8 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	if ps.finished {
 		panic("measure: PendingSnapshot collected twice")
 	}
-	const tol = 1e-9
+	window := ps.collectWindow()
 	now := ps.sim.Now()
-	elapsed := now - ps.begun
-	if elapsed < ps.opts.DurationS-tol {
-		panic(fmt.Sprintf("measure: snapshot collected after %.2fs of a %.2fs probe window", elapsed, ps.opts.DurationS))
-	}
-	window := elapsed
-	if math.Abs(elapsed-ps.opts.DurationS) <= tol {
-		window = ps.opts.DurationS
-	}
 	ps.finished = true
 
 	type pairAgg struct {
@@ -362,11 +353,7 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 		}
 		out.Samples[p] = s
 	}
-	stats := make([]substrate.VMStats, ps.sim.NumVMs())
-	for v := 0; v < ps.sim.NumVMs(); v++ {
-		stats[v] = ps.sim.VMStats(substrate.VMID(v))
-	}
-	out.Stats = stats
+	out.Stats = vmStats(ps.sim)
 	out.Bill = Report{
 		ElapsedS:         window,
 		BytesTransferred: totalBytes,

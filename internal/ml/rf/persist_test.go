@@ -2,6 +2,7 @@ package rf
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 )
 
@@ -56,6 +57,68 @@ func TestLoadedForestCanWarmStart(t *testing.T) {
 	if g.NumTrees() != 15 {
 		t.Errorf("trees after warm start = %d", g.NumTrees())
 	}
+}
+
+// TestLoadIgnoresRetiredWorkersField checks that a model file written
+// when Config still carried a Workers field (it selected a streamed,
+// goroutine-parallel training mode) loads, predicts what its source
+// forest predicts, and warm-starts on the shared stream exactly like a
+// file without the field: gob drops a field the target struct lacks.
+func TestLoadIgnoresRetiredWorkersField(t *testing.T) {
+	type retiredConfig struct {
+		NumTrees, MaxDepth, MinLeaf, MinSplit, MaxFeatures int
+		Seed                                               uint64
+		Workers                                            int
+	}
+	type retiredPersistForest struct {
+		Version   int
+		NFeatures int
+		Config    retiredConfig
+		Trees     []persistTree
+	}
+	ds := synth(200, 34, func(x []float64) float64 { return 3*x[1] - x[0] })
+	f, err := Train(ds, Config{NumTrees: 12, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var current bytes.Buffer
+	if err := f.Save(&current); err != nil {
+		t.Fatal(err)
+	}
+	var old retiredPersistForest
+	if err := gob.NewDecoder(bytes.NewReader(current.Bytes())).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	old.Config.Workers = -1
+	var retired bytes.Buffer
+	if err := gob.NewEncoder(&retired).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := Load(&retired)
+	if err != nil {
+		t.Fatalf("file with a Workers field rejected: %v", err)
+	}
+	if g.cfg != f.cfg {
+		t.Fatalf("config after load %+v, want %+v", g.cfg, f.cfg)
+	}
+	for i, x := range ds.X {
+		if g.Predict(x) != f.Predict(x) {
+			t.Fatalf("row %d: loaded forest predicts %v, source %v", i, g.Predict(x), f.Predict(x))
+		}
+	}
+	want, err := Load(&current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := synth(80, 36, func(x []float64) float64 { return 3*x[1] - x[0] })
+	if err := g.WarmStart(extra, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WarmStart(extra, 5); err != nil {
+		t.Fatal(err)
+	}
+	requireForestsEqual(t, g, want, "warm-start after a Workers=-1 file")
 }
 
 // TestLoadRejectsGarbage checks error handling on corrupt input.

@@ -6,14 +6,13 @@ import (
 	"github.com/wanify/wanify/internal/simrand"
 )
 
-// This file keeps the pre-optimization training and batch-prediction
-// code verbatim, the same playbook as netsim's allocateReference: the
-// reference is the bit-exactness oracle (TestTrainMatchesReference
-// locks the scratch-slab grower against it node for node) and the
-// benchmark baseline (BenchmarkRFTrainReference and wanify-bench's
-// rf_train_reference_ns_per_op record what the optimization buys).
-// It is compiled into the package, not the tests, precisely so the
-// benchmarks can time it from cmd/wanify-bench.
+// This file keeps the pre-optimization training code verbatim, the
+// same playbook as netsim's allocateReference: the reference is the
+// bit-exactness oracle (TestTrainMatchesReference locks the
+// scratch-slab grower against it node for node) and the benchmark
+// baseline (BenchmarkRFTrainReference beside BenchmarkRFTrain records
+// what the optimization buys). It lives in a _test.go file, so no
+// shipped binary carries it.
 
 // trainReference fits a forest exactly like the original Train: one
 // shared RNG stream consumed tree after tree, with fresh allocations
@@ -169,15 +168,4 @@ func bestSplitReference(x [][]float64, y []float64, idx []int, p treeParams, rng
 		}
 	}
 	return feat, thr, bestGain, ok
-}
-
-// predictBatchReference is the original PredictBatch: a sequential
-// row-major loop. Kept as the baseline the parallel fan-out is
-// benchmarked (and bit-compared) against.
-func predictBatchReference(f *Forest, X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = f.Predict(x)
-	}
-	return out
 }

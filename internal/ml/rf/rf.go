@@ -17,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"github.com/wanify/wanify/internal/simrand"
 )
@@ -96,24 +94,6 @@ type Config struct {
 	MaxFeatures int
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed uint64
-	// Workers selects the training execution mode.
-	//
-	// 0 (the default) is the legacy sequential scheme: one shared RNG
-	// stream consumed tree after tree. It reproduces every forest ever
-	// trained by this package bit for bit (the experiment goldens
-	// depend on it), so it stays the default.
-	//
-	// Any non-zero value switches to deterministic per-tree RNG
-	// streams, each derived from (Seed, absolute tree index), executed
-	// on a pool of |Workers| goroutines (-1 = GOMAXPROCS). Because a
-	// tree's randomness is self-contained and ensemble/OOB folds happen
-	// in tree-index order, the forest is bit-identical for ANY worker
-	// count at ANY GOMAXPROCS — Workers=1 is the sequential reference
-	// of the scheme (locked by TestStreamedTrainInvariance). Forests
-	// from the two schemes differ (statistically equivalent, not
-	// bit-equal), so switching modes on an existing deployment is a
-	// model change, not a speedup.
-	Workers int
 }
 
 func (c Config) withDefaults(nFeatures int) Config {
@@ -181,22 +161,12 @@ func (f *Forest) params() treeParams {
 	}
 }
 
-// addTrees grows k bootstrap trees on ds and appends them, dispatching
-// on the training mode (Config.Workers).
+// addTrees grows k bootstrap trees on ds and appends them, drawing
+// from one shared RNG stream consumed tree after tree. Bit-identical to
+// addTreesReference — the bootstrap and split-subsample draws
+// interleave exactly as there; only the allocations live in the shared
+// grower scratch (locked by TestTrainMatchesReference).
 func (f *Forest) addTrees(ds Dataset, k int) {
-	if f.cfg.Workers != 0 {
-		f.addTreesStreamed(ds, k)
-		return
-	}
-	f.addTreesSequential(ds, k)
-}
-
-// addTreesSequential is the legacy mode: one shared RNG stream consumed
-// tree after tree. Bit-identical to addTreesReference — the bootstrap
-// and split-subsample draws interleave exactly as before; only the
-// allocations moved into the shared grower scratch (locked by
-// TestTrainMatchesReference).
-func (f *Forest) addTreesSequential(ds Dataset, k int) {
 	if f.rng == nil {
 		// Forests restored via Load have no RNG until they warm-start.
 		f.rng = simrand.Derive(f.cfg.Seed, "rf-loaded")
@@ -220,83 +190,6 @@ func (f *Forest) addTreesSequential(ds Dataset, k int) {
 			for i := 0; i < n; i++ {
 				if !inBag[i] {
 					f.oobSum[i] += tr.predict(ds.X[i])
-					f.oobCount[i]++
-				}
-			}
-		}
-	}
-}
-
-// addTreesStreamed is the parallel mode: tree base+t draws every random
-// it needs from its own stream Derive(Seed, "rf-tree-<base+t>"), so
-// trees can grow concurrently yet land in a schedule-independent
-// forest. Workers grow trees off a channel with per-worker grower
-// scratch; the ensemble append and the floating-point OOB accumulation
-// happen afterwards in tree-index order, which pins the result bits at
-// any GOMAXPROCS and any worker count.
-func (f *Forest) addTreesStreamed(ds Dataset, k int) {
-	n := ds.Len()
-	base := len(f.trees)
-	workers := f.cfg.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	trackOOB := len(f.oobSum) == n
-
-	type grown struct {
-		tr      *tree
-		inBag   []bool
-		oobPred []float64
-	}
-	out := make([]grown, k)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := newGrower(ds.X, ds.Y, f.params(), f.nFeatures)
-			idx := make([]int, n)
-			for t := range jobs {
-				rng := simrand.Derive(f.cfg.Seed, fmt.Sprintf("rf-tree-%d", base+t))
-				g.rng = rng
-				inBag := make([]bool, n)
-				for i := range idx {
-					j := rng.IntN(n)
-					idx[i] = j
-					inBag[j] = true
-				}
-				gr := grown{tr: g.grow(idx), inBag: inBag}
-				if trackOOB {
-					gr.oobPred = make([]float64, n)
-					for i := 0; i < n; i++ {
-						if !inBag[i] {
-							gr.oobPred[i] = gr.tr.predict(ds.X[i])
-						}
-					}
-				}
-				out[t] = gr
-			}
-		}()
-	}
-	for t := 0; t < k; t++ {
-		jobs <- t
-	}
-	close(jobs)
-	wg.Wait()
-
-	for t := 0; t < k; t++ {
-		f.trees = append(f.trees, out[t].tr)
-		if trackOOB {
-			for i := 0; i < n; i++ {
-				if !out[t].inBag[i] {
-					f.oobSum[i] += out[t].oobPred[i]
 					f.oobCount[i]++
 				}
 			}
@@ -340,49 +233,13 @@ func (f *Forest) Predict(x []float64) float64 {
 	return s / float64(len(f.trees))
 }
 
-// parallelPredictMin is the work size (rows × trees) below which
-// fanning PredictBatch across goroutines costs more than it saves.
-const parallelPredictMin = 1 << 14
-
-// PredictBatch predicts every row of X. Large batches fan out across
-// GOMAXPROCS goroutines; every row is independent, so the output is
-// bit-identical to the sequential loop regardless of parallelism
-// (locked by TestPredictBatchMatchesReference).
+// PredictBatch predicts every row of X.
 func (f *Forest) PredictBatch(X [][]float64) []float64 {
-	return f.PredictBatchInto(make([]float64, len(X)), X)
-}
-
-// PredictBatchInto is PredictBatch with a caller-owned result slice
-// (len(dst) must equal len(X)), for allocation-free steady-state use on
-// replan hot paths.
-func (f *Forest) PredictBatchInto(dst []float64, X [][]float64) []float64 {
-	if len(dst) != len(X) {
-		panic(fmt.Sprintf("rf: predict-batch dst length %d != %d rows", len(dst), len(X)))
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = f.Predict(x)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || len(X)*len(f.trees) < parallelPredictMin || len(X) < 2*workers {
-		for i, x := range X {
-			dst[i] = f.Predict(x)
-		}
-		return dst
-	}
-	chunk := (len(X) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for s := 0; s < len(X); s += chunk {
-		e := s + chunk
-		if e > len(X) {
-			e = len(X)
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				dst[i] = f.Predict(X[i])
-			}
-		}(s, e)
-	}
-	wg.Wait()
-	return dst
+	return out
 }
 
 // OOBRMSE returns the out-of-bag root-mean-square error over the most

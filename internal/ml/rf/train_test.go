@@ -3,7 +3,6 @@ package rf
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"github.com/wanify/wanify/internal/simrand"
@@ -69,8 +68,8 @@ func requireForestsEqual(t *testing.T, a, b *Forest, label string) {
 	}
 }
 
-// TestTrainMatchesReference locks the scratch-slab grower (legacy
-// Workers=0 mode) bit-exact against the kept-verbatim reference
+// TestTrainMatchesReference locks the scratch-slab grower bit-exact
+// against the kept-verbatim reference
 // implementation across dataset shapes and hyperparameters — the
 // contract that keeps every experiment golden byte-identical.
 func TestTrainMatchesReference(t *testing.T) {
@@ -110,89 +109,10 @@ func TestTrainMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStreamedTrainInvariance locks the parallel mode's determinism:
-// the forest is bit-identical for any worker count and any GOMAXPROCS,
-// because every tree owns its RNG stream and the folds happen in tree
-// order.
-func TestStreamedTrainInvariance(t *testing.T) {
-	ds := randomDataset(150, 6, 11)
-	cfg := Config{NumTrees: 24, Seed: 9, Workers: 1}
-	sequential, err := Train(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8, -1} {
-		cfg.Workers = workers
-		got, err := Train(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireForestsEqual(t, got, sequential, fmt.Sprintf("workers=%d", workers))
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		cfg.Workers = 4
-		got, err := Train(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = -1 // GOMAXPROCS-many workers
-		gotAuto, err := Train(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireForestsEqual(t, got, sequential, fmt.Sprintf("GOMAXPROCS=%d workers=4", procs))
-		requireForestsEqual(t, gotAuto, sequential, fmt.Sprintf("GOMAXPROCS=%d workers=-1", procs))
-	}
-
-	// Warm-start trees derive their streams from the absolute tree
-	// index, so parallel warm-starts are schedule-independent too.
-	extra := randomDataset(60, 6, 12)
-	cfg.Workers = 1
-	if err := sequential.WarmStart(extra, 9); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	parallel, err := Train(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WarmStart(extra, 9); err != nil {
-		t.Fatal(err)
-	}
-	requireForestsEqual(t, parallel, sequential, "warm-start workers=8 vs 1")
-}
-
-// TestPredictBatchMatchesReference checks the goroutine fan-out returns
-// exactly the sequential loop's bits, on batches small (sequential
-// path) and large (parallel path), plus the Into variant.
-func TestPredictBatchMatchesReference(t *testing.T) {
-	ds := randomDataset(200, 6, 21)
-	f, err := Train(ds, Config{NumTrees: 90, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rows := range []int{3, 64, 600} {
-		batch := randomDataset(rows, 6, uint64(rows)).X
-		want := predictBatchReference(f, batch)
-		got := f.PredictBatch(batch)
-		dst := make([]float64, rows)
-		f.PredictBatchInto(dst, batch)
-		for i := range want {
-			if got[i] != want[i] || dst[i] != want[i] {
-				t.Fatalf("rows=%d: prediction %d differs: %v / %v vs %v", rows, i, got[i], dst[i], want[i])
-			}
-		}
-	}
-}
-
 // TestPermIntoMatchesPerm locks the allocation-free permutation against
 // the stdlib path it replaces: interleaved calls on twin streams must
-// agree, or the legacy training mode would silently drift off the
-// golden RNG sequence.
+// agree, or training would silently drift off the golden RNG
+// sequence.
 func TestPermIntoMatchesPerm(t *testing.T) {
 	a := simrand.Derive(5, "perm")
 	b := simrand.Derive(5, "perm")
@@ -236,12 +156,12 @@ func benchDataset(rows int, seed uint64) Dataset {
 	return ds
 }
 
+// BenchmarkRFTrain times Train on the same forest
+// BenchmarkRFTrainReference grows with the kept-verbatim reference, so
+// the pair isolates what the scratch-slab grower saves.
 func BenchmarkRFTrain(b *testing.B) {
 	ds := benchDataset(benchTrainRows, 99)
-	// Workers capped at 4 so a many-core laptop stays comparable to the
-	// 4-vCPU CI runners, and clamped to GOMAXPROCS so a single core
-	// measures the scheme's sequential overhead, not goroutine thrash.
-	cfg := Config{NumTrees: 40, Seed: 7, Workers: min(4, runtime.GOMAXPROCS(0))}
+	cfg := Config{NumTrees: 40, Seed: 7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -269,23 +189,9 @@ func BenchmarkRFPredictBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	batch := benchDataset(512, 1234).X
-	dst := make([]float64, len(batch))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictBatchInto(dst, batch)
-	}
-}
-
-func BenchmarkRFPredictBatchReference(b *testing.B) {
-	f, err := Train(benchDataset(benchTrainRows, 99), Config{NumTrees: 60, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := benchDataset(512, 1234).X
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		predictBatchReference(f, batch)
+		f.PredictBatch(batch)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // The rate allocator distributes WAN capacity among active flows by
@@ -44,13 +42,12 @@ import (
 //  2. Bottleneck groups (churn.go). The live flows partition into
 //     connected components over shared resources; each group is
 //     water-filled independently. Filling is a pure function of
-//     group-local state, so groups run sequentially or concurrently on
-//     a worker pool (Config.Workers) with bit-identical results at any
-//     worker count, and scoped invalidation refills only the groups an
-//     event touched — clean groups keep their rates and
+//     group-local state, so the order groups are filled in cannot
+//     change a result, and scoped invalidation refills only the groups
+//     an event touched — clean groups keep their rates and
 //     retransmission attributions verbatim.
-//  3. Slab reuse, and tables that survive value-only events. Each
-//     worker owns a fillScratch: resource tables, membership lists,
+//  3. Slab reuse, and tables that survive value-only events. The Sim
+//     owns one fillScratch: resource tables, membership lists,
 //     weights, rates and freeze bitmaps are recycled across
 //     invocations, so a steady-state allocation performs no heap
 //     allocation at all. Resources exist only for the VMs and pairs a
@@ -70,8 +67,8 @@ import (
 //     partition beginning or healing — and can move only memF, the
 //     flows' own caps and the filling state (avail, sumW, dirty),
 //     which every fill recomputes. There is no second path: the key is
-//     checked at every worker count, and a scratch that last served
-//     another group simply rebuilds.
+//     checked on every fill, and a scratch that last served another
+//     group simply rebuilds.
 //  4. The filling round. Shared resources — VM egress/ingress and
 //     pair limits — keep a cached unfrozen-weight sum, recomputed only
 //     after one of their member flows froze in the previous round (the
@@ -103,31 +100,18 @@ import (
 //
 // Determinism: within a group, every floating-point operation happens
 // in the same order as the from-scratch reference, with flows visited
-// in start (id) order; across groups no state is shared, so neither
-// group execution order nor the worker count can perturb a result.
-// The merge is trivially deterministic — each group writes rates for
-// its own flows and retransmission attributions for its own VMs, and
-// the partition guarantees those sets are disjoint.
-
-// resKind distinguishes allocator resource types (for retransmission
-// attribution).
-type resKind uint8
-
-const (
-	resEgress resKind = iota
-	resIngress
-	resPairLimit
-)
+// in start (id) order; across groups no state is shared, so group
+// order cannot perturb a result. Each group writes rates for its own
+// flows and retransmission attributions for its own VMs, and the
+// partition guarantees those sets are disjoint.
 
 // allocEps is the relative tolerance deciding when a resource counts
 // as saturated in the progressive-filling loop.
 const allocEps = 1e-9
 
-// fillScratch is one worker's reusable filling state (layer 3 of the
+// fillScratch is the Sim's reusable filling state (layer 3 of the
 // architecture above). Shared resources are stored struct-of-arrays;
-// nRes tracks the live prefix so slabs shrink without freeing. A
-// scratch is owned by exactly one worker for the duration of an
-// allocation; the sequential path uses scratch 0.
+// nRes tracks the live prefix so slabs shrink without freeing.
 type fillScratch struct {
 	// The (Sim.structEpoch, group ordinal) the tables were built for.
 	// While the next fill carries the same key, everything below marked
@@ -148,11 +132,10 @@ type fillScratch struct {
 
 	// Shared-resource slabs, parallel arrays of length >= nRes. VM
 	// resources occupy indices 2l (egress) and 2l+1 (ingress) for local
-	// VM l; pair limits follow in first-use order. kind, resVM, resCap,
+	// VM l; pair limits follow in first-use order. resVM, resCap,
 	// availMin and members are table; avail, sumW, dirty and liveRes
 	// are reset by every fill.
 	nRes     int
-	kind     []resKind
 	resVM    []VMID
 	resCap   []float64
 	avail    []float64
@@ -202,10 +185,9 @@ func (a *fillScratch) localVM(v VMID) int32 {
 
 // addRes appends a shared resource to the slab, recycling member
 // storage.
-func (a *fillScratch) addRes(k resKind, vm VMID, capMbps float64) int32 {
+func (a *fillScratch) addRes(vm VMID, capMbps float64) int32 {
 	i := a.nRes
-	if i == len(a.kind) {
-		a.kind = append(a.kind, 0)
+	if i == len(a.resVM) {
 		a.resVM = append(a.resVM, 0)
 		a.resCap = append(a.resCap, 0)
 		a.avail = append(a.avail, 0)
@@ -214,7 +196,6 @@ func (a *fillScratch) addRes(k resKind, vm VMID, capMbps float64) int32 {
 		a.sumW = append(a.sumW, 0)
 		a.dirty = append(a.dirty, false)
 	}
-	a.kind[i] = k
 	a.resVM[i] = vm
 	a.resCap[i] = capMbps
 	a.availMin[i] = allocEps * math.Max(1, capMbps)
@@ -250,19 +231,10 @@ func (s *Sim) ensureAllocated() {
 	s.allocate()
 }
 
-// scratchFor returns worker w's fillScratch, growing the pool.
-func (s *Sim) scratchFor(w int) *fillScratch {
-	for len(s.scratches) <= w {
-		s.scratches = append(s.scratches, &fillScratch{})
-	}
-	return s.scratches[w]
-}
-
 // allocate recomputes flow rates: partition the live flows into
 // bottleneck groups (or keep the partition, when no structure event
 // came since it was built), decide which groups an event since the
-// last allocation touched, and water-fill exactly those, concurrently
-// when Config.Workers allows.
+// last allocation touched, and water-fill exactly those.
 func (s *Sim) allocate() {
 	order := s.flows // start (id) order
 	g := &s.groups
@@ -314,39 +286,14 @@ func (s *Sim) allocate() {
 	}
 	g.dirtyRoots = g.dirtyRoots[:0]
 	g.dirtyAll = false
-	g.dirtyG = g.dirtyG[:0]
-	for ord := 0; ord < ng; ord++ {
-		if g.needFill[ord] {
-			g.dirtyG = append(g.dirtyG, int32(ord))
-		}
-	}
 
 	// Fill the dirty groups. Each group writes only its own flows'
-	// rates and its own VMs' retransmission attributions, so the
-	// worker assignment cannot influence results.
-	if nw := min(s.workers, len(g.dirtyG)); nw > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			ws := s.scratchFor(w)
-			wg.Add(1)
-			go func(ws *fillScratch) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(g.dirtyG) {
-						return
-					}
-					ord := g.dirtyG[i]
-					ws.fillGroup(s, ord, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
-				}
-			}(ws)
-		}
-		wg.Wait()
-	} else {
-		ws := s.scratchFor(0)
-		for _, ord := range g.dirtyG {
-			ws.fillGroup(s, ord, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
+	// rates and its own VMs' retransmission attributions.
+	refilled := 0
+	for ord := int32(0); ord < int32(ng); ord++ {
+		if g.needFill[ord] {
+			s.scratch.fillGroup(s, ord, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
+			refilled++
 		}
 	}
 
@@ -363,7 +310,7 @@ func (s *Sim) allocate() {
 			}
 		}
 	}
-	s.lastGroups, s.lastRefilled = ng, len(g.dirtyG)
+	s.lastGroups, s.lastRefilled = ng, refilled
 }
 
 // regroup partitions the live flow set into bottleneck groups: group
@@ -455,8 +402,8 @@ func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 	for _, v := range a.vms {
 		cong := s.congFactor(v)
 		spec := &s.vms[v].spec
-		a.addRes(resEgress, v, spec.EgressMbps*cong)
-		a.addRes(resIngress, v, spec.IngressMbps*cong)
+		a.addRes(v, spec.EgressMbps*cong)
+		a.addRes(v, spec.IngressMbps*cong)
 	}
 
 	// Weights and lazily materialized pair limits, in flow order.
@@ -474,7 +421,7 @@ func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 			}
 			k := s.pairKey(srcDC, dstDC)
 			if a.pairRes[k] < 0 {
-				a.pairRes[k] = a.addRes(resPairLimit, 0, limit)
+				a.pairRes[k] = a.addRes(0, limit)
 				a.touched = append(a.touched, k)
 			}
 			sh[2] = a.pairRes[k]
@@ -497,9 +444,7 @@ func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 // fillGroup water-fills one bottleneck group: flows is the members of
 // group ord in start (id) order. It writes each flow's cap, rate and
 // cap slack and the retransmission attribution of every VM the group
-// touches, and no other simulator state. It reads only
-// immutable-within-allocation state from s, so concurrent calls on
-// disjoint groups are safe.
+// touches, and no other simulator state.
 func (a *fillScratch) fillGroup(s *Sim, ord int32, flows []*Flow) {
 	if a.builtEpoch == s.structEpoch && a.builtOrd == ord {
 		a.reused++

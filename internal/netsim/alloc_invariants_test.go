@@ -17,16 +17,7 @@ import (
 // invalidation scoping is exercised too.
 func churnSim(t *testing.T, seed uint64, steps int, check func(s *Sim)) {
 	t.Helper()
-	churnSimWorkers(t, seed, steps, 0, check)
-}
-
-// churnSimWorkers is churnSim with an allocator worker-pool size, so
-// the same invariants can be run against the sharded parallel path.
-func churnSimWorkers(t *testing.T, seed uint64, steps int, workers int, check func(s *Sim)) {
-	t.Helper()
-	cfg := UniformCluster(geo.TestbedSubset(6), substrate.T2Medium, seed)
-	cfg.Workers = workers
-	s := NewSim(cfg)
+	s := NewSim(UniformCluster(geo.TestbedSubset(6), substrate.T2Medium, seed))
 	rng := simrand.Derive(seed, "churn-test")
 	var live []*Flow
 	for step := 0; step < steps; step++ {

@@ -9,170 +9,108 @@ import (
 )
 
 // Tests for the sharded water-filling path: bottleneck-group
-// partitioning, worker-pool dispatch, and group-scoped refills. The
-// churn here uses a multi-VM topology with random VM endpoints so the
-// flow set genuinely decomposes into several groups (the single-VM
-// churnSim workload is usually one component).
+// partitioning and group-scoped refills. The churn here uses a
+// multi-VM topology with random VM endpoints so the flow set genuinely
+// decomposes into several groups (the single-VM churnSim workload is
+// usually one component).
 
-// shardedSim builds an 8-DC × 3-VM simulator (24 VMs) with the given
-// allocator worker count.
-func shardedSim(seed uint64, workers int) *Sim {
+// shardedSim builds an 8-DC × 3-VM simulator (24 VMs).
+func shardedSim(seed uint64) *Sim {
 	regions := geo.TestbedSubset(8)
 	vms := make([][]VMSpec, len(regions))
 	for i := range vms {
 		vms[i] = []VMSpec{substrate.T2Medium, substrate.T2Medium, substrate.T2Medium}
 	}
-	return NewSim(Config{Regions: regions, VMs: vms, Seed: seed, Workers: workers})
+	return NewSim(Config{Regions: regions, VMs: vms, Seed: seed})
 }
 
-// TestShardedMatchesSequentialLockstep drives identical churn schedules
-// through simulators that differ only in Workers and checks after every
-// step that all rates and retransmission attributions are bit-identical
-// across worker counts and to the from-scratch reference. It also
-// asserts the schedule actually produced multi-group allocations, so
-// the parallel dispatch path is known to have run.
+// TestShardedMatchesSequentialLockstep drives a churn schedule through
+// the sharded allocator and checks after every step that all rates and
+// retransmission attributions are bit-identical to the from-scratch
+// reference. It also asserts the schedule actually produced
+// multi-group allocations, and allocations that refilled more than one
+// group, so scoped refill across groups is known to have run.
 func TestShardedMatchesSequentialLockstep(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		workerCounts := []int{0, 2, 7}
-		sims := make([]*Sim, len(workerCounts))
-		for i, w := range workerCounts {
-			sims[i] = shardedSim(seed, w)
-		}
-		base := sims[0]
-		nVMs := base.NumVMs()
+		s := shardedSim(seed)
+		nVMs := s.NumVMs()
 		rng := simrand.Derive(seed, "sharded-lockstep")
-		live := make([][]*Flow, len(sims)) // live[i][k] is the same flow in sim i
+		var live []*Flow
 		maxGroups := 0
-		parallelAllocs := 0
+		multiRefills := 0
 		for step := 0; step < 150; step++ {
 			switch op := rng.IntN(10); {
-			case op < 4 || len(live[0]) == 0: // start a random VM-to-VM flow
+			case op < 4 || len(live) == 0: // start a random VM-to-VM flow
 				src := rng.IntN(nVMs)
 				dst := rng.IntN(nVMs)
-				for base.DCOf(VMID(dst)) == base.DCOf(VMID(src)) {
+				for s.DCOf(VMID(dst)) == s.DCOf(VMID(src)) {
 					dst = rng.IntN(nVMs)
 				}
 				conns := rng.IntN(8) + 1
 				probe := rng.IntN(2) == 0
 				bytes := float64(rng.IntN(200)+1) * 1e6
-				for i, s := range sims {
-					if probe {
-						live[i] = append(live[i], s.startProbe(VMID(src), VMID(dst), conns))
-					} else {
-						live[i] = append(live[i], s.startFlow(VMID(src), VMID(dst), conns, bytes, nil))
-					}
+				if probe {
+					live = append(live, s.startProbe(VMID(src), VMID(dst), conns))
+				} else {
+					live = append(live, s.startFlow(VMID(src), VMID(dst), conns, bytes, nil))
 				}
 			case op < 6: // finish
-				k := rng.IntN(len(live[0]))
-				for i := range sims {
-					live[i][k].Stop()
-					live[i] = append(live[i][:k], live[i][k+1:]...)
-				}
+				k := rng.IntN(len(live))
+				live[k].Stop()
+				live = append(live[:k], live[k+1:]...)
 			case op < 7: // resize
-				k := rng.IntN(len(live[0]))
-				n := rng.IntN(10) + 1
-				for i := range sims {
-					live[i][k].SetConns(n)
-				}
+				k := rng.IntN(len(live))
+				live[k].SetConns(rng.IntN(10) + 1)
 			case op < 8: // CPU load
 				v := VMID(rng.IntN(nVMs))
-				load := rng.Float64()
-				for _, s := range sims {
-					s.SetCPULoad(v, load)
-				}
+				s.SetCPULoad(v, rng.Float64())
 			case op < 9: // pair limit
 				src := rng.IntN(8)
 				dst := (src + rng.IntN(7) + 1) % 8
 				clear := rng.IntN(3) == 0
 				limit := float64(rng.IntN(900) + 100)
-				for _, s := range sims {
-					if clear {
-						s.ClearPairLimit(src, dst)
-					} else {
-						s.SetPairLimit(src, dst, limit)
-					}
+				if clear {
+					s.ClearPairLimit(src, dst)
+				} else {
+					s.SetPairLimit(src, dst, limit)
 				}
-			default: // let time pass (same seed ⇒ same fluctuation weather)
-				d := rng.Float64() * 2
-				for _, s := range sims {
-					s.RunFor(d)
+			default: // let time pass (fires ramps, fluct steps, completions)
+				s.RunFor(rng.Float64() * 2)
+			}
+			kept := live[:0]
+			for _, f := range live {
+				if !f.Done() {
+					kept = append(kept, f)
 				}
 			}
-			for i := range sims {
-				kept := live[i][:0]
-				for _, f := range live[i] {
-					if !f.Done() {
-						kept = append(kept, f)
-					}
-				}
-				live[i] = kept
-			}
-			for _, s := range sims {
-				s.ensureAllocated()
-			}
-			wantRates, wantRetrans := base.allocateReference()
-			for i, s := range sims {
-				for j, f := range s.flows {
-					if f.rate != wantRates[j] {
-						t.Fatalf("seed %d step %d: workers=%d flow %d rate %v != reference %v",
-							seed, step, workerCounts[i], f.id, f.rate, wantRates[j])
-					}
-				}
-				for v := 0; v < nVMs; v++ {
-					if got := s.vms[v].lastRetrans; got != wantRetrans[v] {
-						t.Fatalf("seed %d step %d: workers=%d vm %d retrans %v != reference %v",
-							seed, step, workerCounts[i], v, got, wantRetrans[v])
-					}
+			live = kept
+			s.ensureAllocated()
+			wantRates, wantRetrans := s.allocateReference()
+			for j, f := range s.flows {
+				if f.rate != wantRates[j] {
+					t.Fatalf("seed %d step %d: flow %d rate %v != reference %v",
+						seed, step, f.id, f.rate, wantRates[j])
 				}
 			}
-			if g, refilled := sims[len(sims)-1].AllocGroups(); g > maxGroups {
+			for v := 0; v < nVMs; v++ {
+				if got := s.vms[v].lastRetrans; got != wantRetrans[v] {
+					t.Fatalf("seed %d step %d: vm %d retrans %v != reference %v",
+						seed, step, v, got, wantRetrans[v])
+				}
+			}
+			if g, refilled := s.AllocGroups(); g > maxGroups {
 				maxGroups = g
-				_ = refilled
 			} else if g > 1 && refilled > 1 {
-				parallelAllocs++
+				multiRefills++
 			}
 		}
 		if maxGroups < 2 {
 			t.Fatalf("seed %d: churn never produced a multi-group allocation (max groups %d)", seed, maxGroups)
 		}
-		if parallelAllocs == 0 {
-			t.Fatalf("seed %d: no allocation refilled more than one group; parallel dispatch untested", seed)
+		if multiRefills == 0 {
+			t.Fatalf("seed %d: no allocation refilled more than one group; scoped refill across groups untested", seed)
 		}
 	}
-}
-
-// TestShardedChurnInvariants runs the standard allocator invariants —
-// reference equivalence, repeated-allocate determinism and resource
-// conservation — against the sharded path at Workers>1 on the churnSim
-// workload (mirrors the Workers=0 tests in alloc_invariants_test.go).
-func TestShardedChurnInvariants(t *testing.T) {
-	churnSimWorkers(t, 17, 120, 4, func(s *Sim) {
-		s.ensureAllocated()
-		wantRates, wantRetrans := s.allocateReference()
-		for i, f := range s.flows {
-			if f.rate != wantRates[i] {
-				t.Fatalf("flow %d rate %v != reference %v", f.id, f.rate, wantRates[i])
-			}
-		}
-		for v := 0; v < s.NumVMs(); v++ {
-			if got := s.vms[v].lastRetrans; got != wantRetrans[v] {
-				t.Fatalf("vm %d retrans %v != reference %v", v, got, wantRetrans[v])
-			}
-		}
-		// Repeated allocation with unchanged inputs must reproduce the
-		// same rates (worker scratch slabs must not leak state).
-		first := make(map[FlowID]float64, len(s.flows))
-		for _, f := range s.flows {
-			first[f.id] = f.rate
-		}
-		s.invalidate()
-		s.ensureAllocated()
-		for _, f := range s.flows {
-			if f.rate != first[f.id] {
-				t.Fatalf("flow %d rate changed across identical sharded allocations: %v vs %v", f.id, f.rate, first[f.id])
-			}
-		}
-	})
 }
 
 // TestScopedRefillCounters pins the group-scoped invalidation contract

@@ -5,10 +5,18 @@ import (
 	"slices"
 )
 
-// resFlowCap is the oracle's fourth resource kind: it still models a
-// flow's own cap as a single-member resource, which the production
-// allocator no longer does (alloc.go, layer 4).
-const resFlowCap = resPairLimit + 1
+// resKind distinguishes the oracle's resource types (for
+// retransmission attribution). resFlowCap is the fourth: the oracle
+// still models a flow's own cap as a single-member resource, which the
+// production allocator no longer does (alloc.go, layer 4).
+type resKind uint8
+
+const (
+	resEgress resKind = iota
+	resIngress
+	resPairLimit
+	resFlowCap
+)
 
 // allocateReference is the from-scratch allocator, preserved as the
 // oracle for the incremental sharded allocator — equivalence tests

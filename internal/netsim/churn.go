@@ -13,9 +13,8 @@ import "math"
 // set into independent bottleneck groups — connected components of the
 // graph whose vertices are VMs and whose edges are (src, dst) per flow,
 // plus links between flows on the same rate-limited DC pair. Groups
-// share no state, so each can be water-filled on its own: sequentially
-// in any order, or concurrently on a worker pool, with bit-identical
-// results either way (see alloc.go).
+// share no state, so each can be water-filled on its own, in any order,
+// with bit-identical results (see alloc.go).
 //
 // At paper scale (≤8 DCs, all-to-all shuffles) the whole flow set is
 // one group and grouping changes nothing; the win appears at fleet
@@ -70,7 +69,7 @@ type groupIndex struct {
 	pairTouched []int
 
 	// The grouping (ordOf to bucketed, see regroup) and the per-
-	// allocation refill decision (needFill, dirtyG).
+	// allocation refill decision (needFill).
 	ordOf    []int32 // per root VM: group ordinal (epoch-stamped)
 	ordEpoch []uint32
 	flowOrd  []int32 // per ordered-flow index: group ordinal
@@ -80,7 +79,6 @@ type groupIndex struct {
 	cursor   []int32 // bucketing write cursors
 	bucketed []*Flow // flows grouped by ordinal, id order within each
 	needFill []bool  // per ordinal: group must be refilled
-	dirtyG   []int32 // ordinals needing refill
 }
 
 func (g *groupIndex) grow(nVMs int) {

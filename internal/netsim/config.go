@@ -122,15 +122,6 @@ type Config struct {
 	// Frozen disables link fluctuation and degradation episodes,
 	// giving a perfectly stable network. Useful in unit tests.
 	Frozen bool
-
-	// Workers caps the goroutines water-filling independent bottleneck
-	// groups concurrently inside one rate allocation (0 or 1 runs
-	// sequentially). Rates are bit-identical at every setting — groups
-	// share no state — so the knob trades CPU for latency only. Useful
-	// on fleet-scale topologies where traffic decomposes into many
-	// groups; at paper scale the flow set is usually one group and
-	// extra workers have nothing to do.
-	Workers int
 }
 
 // withDefaults returns a copy of c with zero physics knobs replaced by
@@ -175,9 +166,8 @@ func UniformCluster(regions []geo.Region, spec VMSpec, seed uint64) Config {
 // FleetCluster returns a Config for a synthetic fleet topology
 // (geo.Fleet): dcs data centers with vmsPerDC identical VMs each, link
 // fluctuation frozen (fleet-scale runs exercise allocation and
-// planning, not network weather), and the allocator worker pool
-// enabled. RTT and per-connection bandwidth derive from the generated
-// geography exactly as on the testbed.
+// planning, not network weather). RTT and per-connection bandwidth
+// derive from the generated geography exactly as on the testbed.
 func FleetCluster(dcs, vmsPerDC int, spec VMSpec, seed uint64) Config {
 	if vmsPerDC < 1 {
 		vmsPerDC = 1
@@ -190,5 +180,5 @@ func FleetCluster(dcs, vmsPerDC int, spec VMSpec, seed uint64) Config {
 			vms[i][j] = spec
 		}
 	}
-	return Config{Regions: regions, VMs: vms, Seed: seed, Frozen: true, Workers: 8}
+	return Config{Regions: regions, VMs: vms, Seed: seed, Frozen: true}
 }

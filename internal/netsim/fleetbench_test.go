@@ -18,10 +18,8 @@ const fleetBenchVMs = 4
 // bottleneck groups of 4 VMs / 4 flows each — the many-small-groups
 // shape fleet workloads produce (regional shuffles, disjoint job
 // footprints).
-func fleetBenchSim(dcs, workers int) (*Sim, int) {
-	cfg := FleetCluster(dcs, fleetBenchVMs, substrate.T2Medium, 7)
-	cfg.Workers = workers
-	s := NewSim(cfg)
+func fleetBenchSim(dcs int) (*Sim, int) {
+	s := NewSim(FleetCluster(dcs, fleetBenchVMs, substrate.T2Medium, 7))
 	nFlows := 0
 	for b := 0; b+1 < dcs; b += 2 {
 		for v := 0; v < fleetBenchVMs; v++ {
@@ -38,7 +36,7 @@ func fleetBenchSim(dcs, workers int) (*Sim, int) {
 // TestFleetAllocStatsShape checks the fleet fixture's structure at the
 // 10-DC tier: cluster shape, flow count and group decomposition.
 func TestFleetAllocStatsShape(t *testing.T) {
-	s, nFlows := fleetBenchSim(10, 0)
+	s, nFlows := fleetBenchSim(10)
 	if len(s.vmsOfDC) != 10 || len(s.vms) != 10*fleetBenchVMs {
 		t.Fatalf("tier shape %d DCs / %d VMs, want 10x%d", len(s.vmsOfDC), len(s.vms), fleetBenchVMs)
 	}
@@ -63,7 +61,7 @@ func TestFleetAllocStatsShape(t *testing.T) {
 // too — this is the divergence that makes the per-group formulation
 // the semantic definition and the global loop only a baseline).
 func TestUnshardedFillMatchesReference(t *testing.T) {
-	s, nFlows := fleetBenchSim(20, 0)
+	s, nFlows := fleetBenchSim(20)
 
 	wantRates, wantRetrans := s.allocateReference()
 

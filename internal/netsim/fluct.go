@@ -67,8 +67,12 @@ func (p *ouProcess) advance(now, dt float64) {
 // refresh recomputes the stored factor from the process state. The
 // simulator calls it where the state moves while somebody can read the
 // result (the fluctuation tick, for pairs carrying flows) and where a
-// reader appears (addFlow) — never from factor itself: two bottleneck
-// groups on one DC pair read it concurrently under Workers > 1.
+// reader appears (addFlow) — never from factor itself. factor is read
+// by flowCap once per flow per fill and per ramp step, so a stored
+// value costs one Exp per loaded pair per tick where computing it on
+// read would cost one per flow per fill; and a getter that writes
+// nothing keeps every read of a pair between two ticks the same value
+// by construction.
 func (p *ouProcess) refresh() {
 	p.cur = math.Exp(p.x) * p.spikeDepth
 }

@@ -71,15 +71,14 @@ type Sim struct {
 	completed  []*Flow // advanceTo scratch
 
 	// Bottleneck-group machinery (churn.go, alloc.go): the group index,
-	// the per-worker filling scratches, and the shape of the last
-	// allocation for AllocGroups. structEpoch moves whenever the live
+	// the filling scratch, and the shape of the last allocation for
+	// AllocGroups. structEpoch moves whenever the live
 	// flow set, a connection count or a pair limit changes — everything
 	// the grouping and a group's resource tables are built from;
 	// allocations between two moves keep both (alloc.go, layer 3). It
 	// starts at 1: 0 is "never built" in groupIndex and fillScratch.
 	groups       groupIndex
-	scratches    []*fillScratch
-	workers      int
+	scratch      fillScratch
 	lastGroups   int
 	lastRefilled int
 	structEpoch  uint64
@@ -101,7 +100,6 @@ func NewSim(cfg Config) *Sim {
 		regions:    append([]geo.Region(nil), cfg.Regions...),
 		fluctEvery: 1.0,
 		allocDirty: true,
-		workers:    max(cfg.Workers, 1),
 		rng:        simrand.Derive(cfg.Seed, "netsim"),
 	}
 	s.groups.dirtyAll = true

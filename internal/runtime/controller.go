@@ -603,25 +603,22 @@ func (c *Controller) beginRegauge(now float64, reason Reason, drifted int, maxFr
 		c.deadHandled[dc] = true
 	}
 	opts := c.deps.SnapshotOpts()
+	var ps *measure.PendingSnapshot
 	if c.cfg.Hardened {
-		ps := measure.BeginSnapshotHardened(c.deps.Cluster, opts, c.cfg.Retry)
-		c.pending = ps
-		c.deps.Cluster.After(ps.DurationS(), func(applied float64) {
-			if c.stopped || c.pending != ps {
-				return // Stop drained the snapshot already
-			}
-			c.pending = nil
-			c.applyHardened(ps.CollectPartial(), now, applied, reason, drifted, maxFrac, evac)
-		})
-		return
+		ps = measure.BeginSnapshotHardened(c.deps.Cluster, opts, c.cfg.Retry)
+	} else {
+		ps = measure.BeginSnapshot(c.deps.Cluster, opts)
 	}
-	ps := measure.BeginSnapshot(c.deps.Cluster, opts)
 	c.pending = ps
 	c.deps.Cluster.After(ps.DurationS(), func(applied float64) {
 		if c.stopped || c.pending != ps {
 			return // Stop drained the snapshot already
 		}
 		c.pending = nil
+		if c.cfg.Hardened {
+			c.applyHardened(ps.CollectPartial(), now, applied, reason, drifted, maxFrac, evac)
+			return
+		}
 		snap, stats, rep := ps.Collect()
 		c.applyRegauge(snap, stats, rep, now, applied, reason, drifted, maxFrac, evac, 0)
 	})
