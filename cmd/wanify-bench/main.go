@@ -5,7 +5,7 @@
 //
 //	wanify-bench -list
 //	wanify-bench -run table1
-//	wanify-bench -run all -scale 0.2 -seed 7 -parallel 8
+//	wanify-bench -run all -scale 0.2 -seed 7
 //	wanify-bench -run fig5 -backend trace:mytrace.csv  # 8+ region trace
 //	wanify-bench -run all -model model.gob   # reuse a wanify-train model
 //
@@ -16,11 +16,9 @@
 // fewer than the testbed's 8 regions (smaller traces still drive
 // wanify-sim, which sizes the job to the backend).
 //
-// Independent scenario drivers run concurrently across a worker pool
-// (each owns its private cluster; the trained prediction model is
-// shared read-only), so wall-clock is bounded by the slowest driver.
-// Stdout is deterministic and byte-identical to a sequential run;
-// per-scenario wall-clock seconds go to stderr. Timing this system is
+// Scenario drivers run one after another in the listed order (each owns
+// its private cluster; the trained prediction model is shared). Stdout
+// is deterministic; per-scenario wall-clock seconds go to stderr. Timing this system is
 // bench/'s job (see bench/README.md), not this command's.
 package main
 
@@ -28,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"github.com/wanify/wanify/internal/experiments"
@@ -44,7 +41,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "input-size scale (1.0 = paper scale)")
 		backends = flag.String("backend", "netsim,trace", "comma-separated substrate backends: netsim | trace | trace:<name|file>")
 		modelIn  = flag.String("model", "", "load a wanify-train model instead of training (gob)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "scenario drivers to run concurrently (1 = sequential, <=0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -54,7 +50,7 @@ func main() {
 			fmt.Printf("  %s\n", id)
 		}
 		if *run == "" {
-			fmt.Println("\nusage: wanify-bench -run <id>|all [-seed N] [-scale F] [-backend LIST] [-parallel N]")
+			fmt.Println("\nusage: wanify-bench -run <id>|all [-seed N] [-scale F] [-backend LIST]")
 		}
 		return
 	}
@@ -112,7 +108,7 @@ func main() {
 	failed := 0
 	for k := 0; k < *seeds; k++ {
 		params := experiments.Params{Seed: *seed + uint64(k), Scale: *scale, Model: model}
-		for _, r := range experiments.RunScenarios(scenarios, params, *parallel) {
+		for _, r := range experiments.RunScenarios(scenarios, params) {
 			if r.Err != nil {
 				fmt.Fprintf(os.Stderr, "%s (seed %d): %v\n", r.ID, r.Seed, r.Err)
 				failed++

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/wanify/wanify/internal/predict"
@@ -21,58 +19,28 @@ type Run struct {
 
 // SharedModel returns the trained prediction model for p's seed,
 // training (and caching) one if needed. Exposed so harnesses can train
-// once up front and fan the same model out to concurrent drivers — the
-// offline module is cluster-independent, as in a real deployment.
+// once up front and hand the same model to every driver — the offline
+// module is cluster-independent, as in a real deployment.
 func SharedModel(p Params) (*predict.Model, error) {
 	return sharedModel(p.withDefaults())
 }
 
-// RunScenarios executes the given scenarios (experiment × backend)
-// across a pool of workers and returns one Run per scenario, in input
-// order. Every driver is deterministic for a given seed and owns its
-// private cluster, so results are identical to a sequential run
-// regardless of worker count; the only shared state is the read-only
-// prediction model, which is trained before the fan-out so workers
-// never contend on training.
-//
-// workers <= 0 selects GOMAXPROCS.
-func RunScenarios(scenarios []Scenario, p Params, workers int) []Run {
+// RunScenarios executes the given scenarios (experiment × backend) one
+// after another and returns one Run per scenario, in input order. The
+// prediction model is trained once before the first run, so every
+// driver shares it; a training failure surfaces per run, so callers see
+// which experiments needed it.
+func RunScenarios(scenarios []Scenario, p Params) []Run {
 	p = p.withDefaults()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
 	if p.Model == nil {
-		// Train the shared model once; a failure surfaces per run so
-		// callers see which experiments needed it.
 		if m, err := sharedModel(p); err == nil {
 			p.Model = m
 		}
 	}
-
 	runs := make([]Run, len(scenarios))
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(scenarios) {
-					return
-				}
-				runs[i] = runOne(scenarios[i], p)
-			}
-		}()
+	for i, sc := range scenarios {
+		runs[i] = runOne(sc, p)
 	}
-	wg.Wait()
 	return runs
 }
 

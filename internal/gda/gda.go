@@ -73,9 +73,9 @@ func NewClusterInfoEnergy(sim substrate.Cluster, rates cost.Rates, energy cost.E
 	return info
 }
 
-// carbonAt reads a carbon coefficient with nil-as-zeros semantics, so
+// coefAt reads a per-DC coefficient with nil-as-zeros semantics, so
 // ClusterInfo literals predating the energy model keep working.
-func carbonAt(xs []float64, i int) float64 {
+func coefAt(xs []float64, i int) float64 {
 	if i < len(xs) {
 		return xs[i]
 	}
@@ -98,142 +98,13 @@ func (Locality) Place(_ int, _ spark.Stage, layout []float64) spark.Placement {
 	return spark.LocalityPlacement(layout)
 }
 
-// estimator predicts a stage's completion time and WAN cost for a
-// candidate placement under a believed bandwidth matrix — the planning
-// model Tetrium and Kimchi share.
+// estimator is the planning model Tetrium and Kimchi share: a believed
+// bandwidth matrix and the cluster description. The search context
+// (search.go) is its only production evaluator; the from-scratch
+// estimates it is locked against live in reference_test.go.
 type estimator struct {
 	believed bwmatrix.Matrix
 	info     ClusterInfo
-}
-
-// estimate returns (seconds, networkUSD) for running the stage with
-// placement p over the current layout.
-func (e estimator) estimate(stage spark.Stage, layout []float64, p spark.Placement) (float64, float64) {
-	secs, _, usd := e.estimateDetail(stage, layout, p)
-	return secs, usd
-}
-
-// estimateDetail additionally returns the *sum* of per-link and per-DC
-// times. Greedy descent on a pure max() objective plateaus (a single
-// move cannot lower the max when several DCs tie at it), so schedulers
-// add a small multiple of the sum as gradient pressure.
-func (e estimator) estimateDetail(stage spark.Stage, layout []float64, p spark.Placement) (secs, loadSum, usd float64) {
-	var transfer [][]float64
-	if stage.Kind == spark.MapKind {
-		transfer = spark.MigrationMatrix(layout, p)
-	} else {
-		transfer = spark.ShuffleMatrix(layout, p)
-	}
-	n := e.info.N()
-	tNet := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b := transfer[i][j]
-			if i == j || b <= 0 {
-				continue
-			}
-			bw := e.believed[i][j]
-			// Deliberate 1 Mbps floor: a believed blackout (0 Mbps, or a
-			// stale/garbage negative) must still yield a finite — merely
-			// enormous — transfer-time estimate, so the greedy descent
-			// ranks placements away from the dead link instead of
-			// drowning every candidate in the same +Inf (which would
-			// erase the gradient entirely and freeze the search at its
-			// start). Locked by TestEstimateDetailBlackoutFloor.
-			if bw < 1 {
-				bw = 1
-			}
-			t := b * 8 / (bw * 1e6)
-			loadSum += t
-			if t > tNet {
-				tNet = t
-			}
-			usd += b / 1e9 * e.info.EgressPerGB[i]
-		}
-	}
-	total := 0.0
-	for _, b := range layout {
-		total += b
-	}
-	tComp := 0.0
-	for j := 0; j < n; j++ {
-		share := total * p[j]
-		if share <= 0 {
-			continue
-		}
-		rate := e.info.ComputeRates[j]
-		if rate <= 0 {
-			rate = 1e-6
-		}
-		t := share / 1e9 * stage.SecPerGB / rate
-		loadSum += t
-		if t > tComp {
-			tComp = t
-		}
-	}
-	return tNet + tComp, loadSum, usd
-}
-
-// estimateAgg is estimateDetail extended with the carbon aggregate:
-// the Secs/LoadSum/USD fields evaluate the identical expressions in
-// the identical order (locked bit-equal by
-// TestEstimateAggMatchesDetail), and KgCO2 accumulates each network
-// entry's sender-attributed transport carbon followed by each DC's
-// compute carbon — the canonical order the search context's carbon
-// delta paths replicate. This is the full-evaluation oracle behind
-// placeScorerReference.
-func (e estimator) estimateAgg(stage spark.Stage, layout []float64, p spark.Placement) Aggregates {
-	var transfer [][]float64
-	if stage.Kind == spark.MapKind {
-		transfer = spark.MigrationMatrix(layout, p)
-	} else {
-		transfer = spark.ShuffleMatrix(layout, p)
-	}
-	n := e.info.N()
-	var a Aggregates
-	tNet := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b := transfer[i][j]
-			if i == j || b <= 0 {
-				continue
-			}
-			bw := e.believed[i][j]
-			if bw < 1 {
-				bw = 1
-			}
-			t := b * 8 / (bw * 1e6)
-			a.LoadSum += t
-			if t > tNet {
-				tNet = t
-			}
-			a.USD += b / 1e9 * e.info.EgressPerGB[i]
-			a.KgCO2 += b / 1e9 * carbonAt(e.info.CarbonPerGB, i)
-		}
-	}
-	total := 0.0
-	for _, b := range layout {
-		total += b
-	}
-	tComp := 0.0
-	for j := 0; j < n; j++ {
-		share := total * p[j]
-		if share <= 0 {
-			continue
-		}
-		rate := e.info.ComputeRates[j]
-		if rate <= 0 {
-			rate = 1e-6
-		}
-		t := share / 1e9 * stage.SecPerGB / rate
-		a.LoadSum += t
-		if t > tComp {
-			tComp = t
-		}
-		a.KgCO2 += t * carbonAt(e.info.CarbonPerCompSec, j)
-	}
-	a.Secs = tNet + tComp
-	return a
 }
 
 // The descent's step schedule halves unconditionally after each
@@ -245,7 +116,7 @@ func (e estimator) estimateAgg(stage spark.Stage, layout []float64, p spark.Plac
 // placements, which would invalidate every golden experiment output;
 // we keep the always-halve schedule as the locked decision and dropped
 // the dead flag. The search itself lives in search.go (delta-evaluated)
-// with the original kept as descendReference in reference.go.
+// with the original kept as descendReference in reference_test.go.
 
 // Tetrium minimizes estimated stage completion time (network + compute)
 // over task placements, following Hung et al.'s multi-resource

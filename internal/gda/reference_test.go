@@ -12,7 +12,140 @@ import (
 // element for element across randomized clusters) and the benchmark
 // baseline behind BenchmarkSchedulerPlaceReference. It is O(n⁴) per
 // descent; past what that affords, the screens' oracle is
-// TestScreensNeverChangeThePlacement.
+// TestScreensNeverChangeThePlacement. The from-scratch estimators
+// (estimate, estimateDetail, estimateAgg) are the objectives those
+// oracles price every candidate with: one fresh transfer matrix per
+// call, folded in the canonical order the search context replicates.
+
+// estimate returns (seconds, networkUSD) for running the stage with
+// placement p over the current layout.
+func (e estimator) estimate(stage spark.Stage, layout []float64, p spark.Placement) (float64, float64) {
+	secs, _, usd := e.estimateDetail(stage, layout, p)
+	return secs, usd
+}
+
+// estimateDetail additionally returns the *sum* of per-link and per-DC
+// times. Greedy descent on a pure max() objective plateaus (a single
+// move cannot lower the max when several DCs tie at it), so schedulers
+// add a small multiple of the sum as gradient pressure.
+func (e estimator) estimateDetail(stage spark.Stage, layout []float64, p spark.Placement) (secs, loadSum, usd float64) {
+	var transfer [][]float64
+	if stage.Kind == spark.MapKind {
+		transfer = spark.MigrationMatrix(layout, p)
+	} else {
+		transfer = spark.ShuffleMatrix(layout, p)
+	}
+	n := e.info.N()
+	tNet := 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			b := transfer[i][j]
+			if i == j || b <= 0 {
+				continue
+			}
+			bw := e.believed[i][j]
+			// Deliberate 1 Mbps floor: a believed blackout (0 Mbps, or a
+			// stale/garbage negative) must still yield a finite — merely
+			// enormous — transfer-time estimate, so the greedy descent
+			// ranks placements away from the dead link instead of
+			// drowning every candidate in the same +Inf (which would
+			// erase the gradient entirely and freeze the search at its
+			// start). Locked by TestEstimateDetailBlackoutFloor.
+			if bw < 1 {
+				bw = 1
+			}
+			t := b * 8 / (bw * 1e6)
+			loadSum += t
+			if t > tNet {
+				tNet = t
+			}
+			usd += b / 1e9 * e.info.EgressPerGB[i]
+		}
+	}
+	total := 0.0
+	for _, b := range layout {
+		total += b
+	}
+	tComp := 0.0
+	for j := 0; j < n; j++ {
+		share := total * p[j]
+		if share <= 0 {
+			continue
+		}
+		rate := e.info.ComputeRates[j]
+		if rate <= 0 {
+			rate = 1e-6
+		}
+		t := share / 1e9 * stage.SecPerGB / rate
+		loadSum += t
+		if t > tComp {
+			tComp = t
+		}
+	}
+	return tNet + tComp, loadSum, usd
+}
+
+// estimateAgg is estimateDetail extended with the carbon aggregate:
+// the Secs/LoadSum/USD fields evaluate the identical expressions in
+// the identical order (locked bit-equal by
+// TestEstimateAggMatchesDetail), and KgCO2 accumulates each network
+// entry's sender-attributed transport carbon followed by each DC's
+// compute carbon — the canonical order the search context's carbon
+// delta paths replicate. This is the full-evaluation oracle behind
+// placeScorerReference.
+func (e estimator) estimateAgg(stage spark.Stage, layout []float64, p spark.Placement) Aggregates {
+	var transfer [][]float64
+	if stage.Kind == spark.MapKind {
+		transfer = spark.MigrationMatrix(layout, p)
+	} else {
+		transfer = spark.ShuffleMatrix(layout, p)
+	}
+	n := e.info.N()
+	var a Aggregates
+	tNet := 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			b := transfer[i][j]
+			if i == j || b <= 0 {
+				continue
+			}
+			bw := e.believed[i][j]
+			if bw < 1 {
+				bw = 1
+			}
+			t := b * 8 / (bw * 1e6)
+			a.LoadSum += t
+			if t > tNet {
+				tNet = t
+			}
+			a.USD += b / 1e9 * e.info.EgressPerGB[i]
+			a.KgCO2 += b / 1e9 * coefAt(e.info.CarbonPerGB, i)
+		}
+	}
+	total := 0.0
+	for _, b := range layout {
+		total += b
+	}
+	tComp := 0.0
+	for j := 0; j < n; j++ {
+		share := total * p[j]
+		if share <= 0 {
+			continue
+		}
+		rate := e.info.ComputeRates[j]
+		if rate <= 0 {
+			rate = 1e-6
+		}
+		t := share / 1e9 * stage.SecPerGB / rate
+		a.LoadSum += t
+		if t > tComp {
+			tComp = t
+		}
+		a.KgCO2 += t * coefAt(e.info.CarbonPerCompSec, j)
+	}
+	a.Secs = tNet + tComp
+	return a
+}
 
 // descendReference greedily improves a placement under the given
 // objective (lower is better), moving probability mass between DCs in

@@ -12,14 +12,14 @@ import (
 )
 
 // Aggregates are the estimator's per-placement totals a Scorer ranks
-// candidates by. They are exactly what estimateDetail computes —
-// bottleneck seconds, summed per-link/per-DC times, egress dollars —
-// plus the carbon aggregate maintained only when the scorer asks for
-// it (KgCO2 is exactly 0 otherwise). Restricting scorers to these
-// aggregates is what makes every scorer delta-able by construction:
-// the search context already knows how to delta-evaluate and screen
-// each aggregate per changed placement column (DESIGN.md §10), so a
-// new objective plugs into the PR-5 machinery without touching it.
+// candidates by: bottleneck seconds and summed per-link/per-DC times,
+// which the search keeps itself, then one field per linear objective —
+// USD from the search's slot 0, KgCO2 from slot 1, which is active only
+// when the scorer asks for it (KgCO2 is exactly 0 otherwise).
+// Restricting scorers to these aggregates is what makes every scorer
+// delta-able by construction: the search delta-evaluates and screens
+// each slot with the same code (DESIGN.md §10), so a new linear
+// objective is one more field and one more slot, not new machinery.
 type Aggregates struct {
 	// Secs is the estimated stage completion time: the slowest link's
 	// transfer plus the slowest DC's compute.

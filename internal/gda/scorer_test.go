@@ -75,7 +75,7 @@ func TestScorerPlaceMatchesReference(t *testing.T) {
 
 // TestScorerPlaceMatchesReferenceFleetSparse extends the scorer lock to
 // fleet-shaped sparse problems where the search runs its nzRows fast
-// paths — including n=64 with data on a handful of DCs.
+// paths — up to n=32 with data on a handful of DCs.
 func TestScorerPlaceMatchesReferenceFleetSparse(t *testing.T) {
 	scorers := []Scorer{
 		JCT{},
@@ -88,20 +88,10 @@ func TestScorerPlaceMatchesReferenceFleetSparse(t *testing.T) {
 		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
 	}
 	type dims struct{ n, nz int }
-	for _, d := range []dims{{24, 4}, {64, 6}} {
-		if d.n > 24 && testing.Short() {
-			continue // see TestPlaceMatchesReferenceFleetSparse
-		}
+	for _, d := range []dims{{24, 4}, {32, 5}} {
 		ci, believed, layout := fleetPlanningProblem(d.n, d.nz, uint64(d.n*5000+d.nz))
 		ci = withCarbon(ci, uint64(d.n*5000+d.nz))
-
-		// The dense reference is O(n⁴) per descent; at n=64 run the
-		// reduce stage only (the sparse map path is covered at 24).
-		checkStages := stages
-		if d.n > 24 {
-			checkStages = stages[1:]
-		}
-		for _, stage := range checkStages {
+		for _, stage := range stages {
 			for _, sc := range scorers {
 				// Cases are independent pure calls: run them in parallel.
 				t.Run(fmt.Sprintf("n=%d nz=%d stage=%s scorer=%s", d.n, d.nz, stage.Name, sc.Name()), func(t *testing.T) {

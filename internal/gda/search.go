@@ -1,6 +1,7 @@
 package gda
 
 import (
+	"math"
 	"sync"
 
 	"github.com/wanify/wanify/internal/spark"
@@ -18,42 +19,54 @@ import (
 //     only columns `from` and `to` of the transfer matrix
 //     (ShuffleMatrix[i][j] = layout[i]·p[j]) and the two compute
 //     terms, so a candidate recomputes O(n) expensive entries (the
-//     divisions by believed bandwidth) against the cached rest.
+//     divisions by believed bandwidth), swaps them into the cache,
+//     folds, and swaps the base back.
 //   - Map stages: migration volumes couple every entry through the
-//     total deficit, so candidates rebuild the matrix — but into
-//     scratch, with zero allocations.
+//     total deficit, so candidates rebuild the matrix — but fused with
+//     the fold, with zero allocations.
+//
+// Objectives. Seconds (the max-shaped Secs and the LoadSum pressure)
+// are the search's own state. Every other aggregate is linear: a
+// per-entry term b/1e9·net[src] plus, optionally, a per-DC compute
+// term comp[j]·cpu[j]. Each such objective is one `linear` slot — slot
+// 0 egress dollars (Aggregates.USD, no compute term), slot 1
+// Aggregates.KgCO2 — and every fill, refresh, fold and screen operation
+// on it is written once. The first k slots are active: slot 1 only
+// while the scorer needs it. An inactive slot reads as an exact 0 in
+// the aggregates and adds nothing to the screens' margins, which keeps
+// the single-slot path's bits free of slot 1.
 //
 // Bit-exactness contract (locked by TestPlaceMatchesReference and the
 // experiment goldens): every cached or delta-computed term is produced
-// by exactly the float expressions estimateDetail evaluates, and the
-// secs/loadSum/usd aggregates are reduced over the entries in
-// estimateDetail's canonical row-major order. Zero-valued skipped
+// by exactly the float expressions the from-scratch estimators
+// (estimateDetail/estimateAgg, reference_test.go) evaluate, and every
+// aggregate is reduced over the entries in their canonical row-major
+// order, each in its own accumulator. Zero-valued skipped
 // entries may be added where the reference skips them — x + (+0.0) is
 // an identity on the non-negative partial sums involved — but sums are
 // never delta-updated, because floating-point addition does not
 // associate; the cheap re-reduction is the price of returning the
-// identical bits. Base caches refresh once per accepted move, in O(n)
-// for shuffle stages.
+// identical bits.
 //
 // Sparsity: fleet-shaped problems place a job's data on a handful of
 // DCs out of hundreds, so the transfer matrices are mostly zero rows
 // (a shuffle row i is layout[i]·p[j]; a migration row is nonzero only
-// for surplus DCs, and surplus requires layout > 0). The shuffle hot
-// paths therefore iterate nzRows — the source DCs with layout[i] > 0 —
+// for surplus DCs, and surplus requires layout > 0). The hot paths
+// therefore iterate nzRows — the source DCs with layout[i] > 0 —
 // instead of all n rows: skipped entries are exact +0.0 contributions,
 // so sums, maxes and cached columns are bit-identical to the dense
 // sweep, while candidate evaluation drops from O(n²) to O(nz·n).
-// Zero-layout rows of the tE/uE slabs are never written or read by the
-// shuffle paths (map-stage fillBase rewrites every row before map
-// screening reads arbitrary corners).
+// Zero-layout rows of the shuffle slabs are never written or read; map
+// stages clear them, since mapScreen reads any corner.
 //
-// Contexts are pooled (schedulers are stateless values called from
-// concurrent experiment drivers) and reach zero steady-state
+// Contexts are pooled (schedulers are stateless values, and parallel
+// tests call them concurrently) and reach zero steady-state
 // allocations after the first Place at a given cluster size.
 type search struct {
 	n      int
 	est    estimator
 	stage  spark.Stage
+	isMap  bool
 	layout []float64
 	total  float64 // sum(layout), accumulated in estimateDetail's order
 	nzRows []int   // source DCs with layout[i] > 0, ascending
@@ -63,90 +76,104 @@ type search struct {
 
 	p spark.Placement // current placement (owned buffer)
 
-	transfer [][]float64 // n×n transfer-bytes scratch
-	mscr     spark.MatrixScratch
-
-	tE   []float64 // n×n per-entry network seconds for p (0 on diag / b<=0)
-	uE   []float64 // n×n per-entry egress dollars for p
+	sec  slab      // per-entry network seconds
 	comp []float64 // per-DC compute seconds for p
+	agg  Aggregates
 
-	agg Aggregates // estimateAgg(p) aggregates (KgCO2 only when needC)
+	lin     [2]linear // the linear objectives, in Aggregates order
+	k       int       // active slots: 1, or 2 while the scorer NeedsCarbon
+	prepped int       // slots whose coefficients this lease has filled
 
-	// Shuffle-candidate scratch: replacement columns `from` and `to`.
-	tF, tT, uF, uT []float64
-
-	// Carbon machinery, maintained only while the active scorer's
-	// NeedsCarbon — the aggregate is column-linear for shuffle stages
-	// and deficit-scalable for map stages exactly like usd, so it rides
-	// the same delta and screen structure. When needC is false every
-	// carbon aggregate is exactly 0 and the screens' added carbon terms
-	// are exact +0.0 identities, keeping the non-carbon path
-	// bit-identical to the pre-scorer search.
-	needC       bool
-	carbonReady bool      // per-lease: coefficient slabs filled
-	netC        []float64 // per-DC kgCO₂ per GB sent (ClusterInfo.CarbonPerGB)
-	compC       []float64 // per-DC kgCO₂ per compute-second
-	cE          []float64 // n×n per-entry network kgCO₂ for p
-	cbF, cbT    []float64 // shuffle-candidate carbon columns
-	colRateCSum []float64 // Σ_{i≠j} layout[i]/1e9·netC[i]
-	colSumC     []float64 // Σ_i cE[i][j]
-	totalC      float64   // Σ colSumC
-	compCarbSum float64   // Σ comp[j]·compC[j]
-	mapRowC     []float64 // per-row Σ cE (map stages)
-	mapColC     []float64 // per-column Σ cE (map stages)
-	mapTotC     float64
-
-	// Map-stage state: the base placement's surplus/deficit split
-	// (maintained like the shuffle column caches — two entries per
-	// accepted move) and the per-DC deficit-ratio scratch.
+	// Map-stage state: the base placement's surplus/deficit split and
+	// the per-DC deficit-ratio scratch. A migration entry is
+	// surplus_i·(deficit_j/totalDeficit)·8/den, so every entry whose DCs
+	// are untouched by a move scales by the one factor
+	// totalDeficit/totalDeficit' — mapScreen's O(1) bound.
 	mapSur, mapDef, drB []float64
+	mapTotalDef         float64
+	mapTop              [6]mapEntry   // largest base second entries
+	mapRow2, mapCol2    [][2]mapEntry // per-row / per-column two largest
 
-	// Map-stage screening aggregates over the base entry caches. A
-	// migration entry is surplus_i·(deficit_j/totalDeficit)·8/den, so
-	// every entry whose DCs are untouched by a move scales by the one
-	// factor totalDeficit/totalDeficit' — the unchanged block's sums and
-	// max scale with it, giving an O(1) rejection bound (approximate,
-	// margin-guarded, exactly like the shuffle screen).
-	mapRowT, mapColT []float64 // per-row / per-column Σ tE
-	mapRowU, mapColU []float64 // per-row / per-column Σ uE
-	mapTotT, mapTotU float64
-	mapTotalDef      float64
-	mapTop           [6]mapEntry   // largest base entries, for the block max
-	mapRow2, mapCol2 [][2]mapEntry // per-row / per-column two largest entries
-
-	// Screening aggregates (the column ones for shuffle stages only, the
-	// compute ones — compRate, compSum, compCarbSum, topComp — for map
-	// stages too). The scan over the n² single-move candidates is
-	// dominated by provably non-improving moves; the screen rejects most
-	// of them in O(1) flops without divisions. Everything here is
+	// Screening aggregates. The scan over the n² single-move candidates
+	// is dominated by provably non-improving moves; the screens reject
+	// most of them in O(1) flops without divisions. Everything here is
 	// APPROXIMATE and used strictly for rejection behind a wide error
 	// margin — any candidate that might improve still gets the exact
 	// canonical evaluation, so the bit-exact contract is untouched.
 	//
-	// Placement-independent column rates (a shuffle column j's entries
-	// are layout[i]·p[j]·8/den, so sums and maxes scale linearly with
-	// p[j] to within ulps):
+	// Placement-independent rates (a shuffle column j's entries are
+	// layout[i]·p[j]·8/den, so sums and maxes scale linearly with p[j]
+	// to within ulps):
 	colRateSum []float64 // Σ_{i≠j} layout[i]·8/den[i][j]
 	colRateMax []float64 // max_{i≠j} layout[i]·8/den[i][j]
-	colUsdSum  []float64 // Σ_{i≠j} layout[i]/1e9·egress[i]
 	compRate   []float64 // total/1e9·SecPerGB/rate[j]
-	// Placement-dependent column aggregates of the cached base entries,
-	// refreshed with the O(n) column updates of applyMove:
-	colSumT []float64 // Σ_i tE[i][j]
-	colMaxT []float64 // max_i tE[i][j]
-	colSumU []float64 // Σ_i uE[i][j]
-	totalT  float64   // Σ colSumT
-	totalU  float64   // Σ colSumU
-	compSum float64   // Σ comp
+	colMaxT    []float64 // max_i sec.E[i][j]
+	compSum    float64   // Σ comp
 	// A candidate leaves every column and compute term but from's and
 	// to's alone, so the max over the untouched ones is the first of the
-	// three largest that is neither — refreshed with the totals, once per
-	// accepted move, instead of rescanned per candidate.
+	// three largest that is neither — refreshed once per accepted move.
 	topCol  top3 // over colMaxT
 	topComp top3 // over comp
 
 	starts  [3]spark.Placement // descent start buffers
 	bestBuf spark.Placement    // winning placement across starts
+}
+
+// slab is one per-entry objective over the transfer entries (the
+// seconds' and each linear slot's): the base placement's n×n values,
+// the two columns a shuffle candidate displaces, and the screens' sums.
+type slab struct {
+	E              []float64 // n×n per-entry values for p (0 on diag / b<=0)
+	F, T           []float64 // base columns from/to displaced by a shuffle candidate
+	colSum         []float64 // Σ_i E[i][j] (shuffle stages)
+	total          float64   // Σ colSum
+	mapRow, mapCol []float64 // per-row / per-column Σ E (map stages)
+	mapTot         float64   // Σ mapRow
+}
+
+func (sl *slab) size(n int) {
+	sl.E = make([]float64, n*n)
+	sl.F, sl.T = make([]float64, n), make([]float64, n)
+	sl.colSum = make([]float64, n)
+	sl.mapRow, sl.mapCol = make([]float64, n), make([]float64, n)
+}
+
+// put writes row i's candidate entries vf, vt into columns from/to of
+// E, keeping the base's in F/T for restore.
+func (sl *slab) put(i, n, from, to int, vf, vt float64) {
+	f, t := i*n+from, i*n+to
+	sl.F[i], sl.T[i] = sl.E[f], sl.E[t]
+	sl.E[f], sl.E[t] = vf, vt
+}
+
+// restore writes the base's columns from/to back from F/T.
+func (sl *slab) restore(rows []int, n, from, to int) {
+	for _, i := range rows {
+		sl.E[i*n+from], sl.E[i*n+to] = sl.F[i], sl.T[i]
+	}
+}
+
+// sumCols re-derives total from the column sums (O(n) per accepted
+// move; avoids error drift across moves).
+func (sl *slab) sumCols() {
+	sl.total = 0
+	for _, c := range sl.colSum {
+		sl.total += c
+	}
+}
+
+// linear is one linear objective's slot. Its value is Σ b/1e9·net[i]
+// over the transfer entries (row-major), then, when cpu is non-empty,
+// Σ comp[j]·cpu[j] over the DCs — estimateAgg's order. Shuffle-column
+// sums scale with p[j] like the seconds columns do, and map entries
+// scale by the same surplus/deficit factors, so a slot rides the
+// seconds' delta and screen structure unchanged.
+type linear struct {
+	slab
+	net     []float64 // per-source-DC coefficient per GB sent
+	cpu     []float64 // per-DC coefficient per compute-second; empty: none
+	colRate []float64 // Σ_{i≠j} layout[i]/1e9·net[i] (shuffle screen)
+	cpuSum  float64   // Σ comp[j]·cpu[j]
 }
 
 // mapEntry is one ranked base migration entry for the map screen.
@@ -211,147 +238,123 @@ func putSearch(s *search) {
 
 // init sizes the scratch slabs and precomputes the placement-invariant
 // terms: the bandwidth denominators (with estimateDetail's 1 Mbps
-// blackout floor folded in) and the floored compute rates.
+// blackout floor folded in), the floored compute rates, the screens'
+// rates and slot 0's coefficients.
 func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 	n := est.info.N()
 	if s.n != n {
 		s.n = n
 		s.bwDen = make([]float64, n*n)
-		s.rate = make([]float64, n)
-		s.p = make(spark.Placement, n)
-		s.tE = make([]float64, n*n)
-		s.uE = make([]float64, n*n)
-		s.comp = make([]float64, n)
-		s.tF = make([]float64, n)
-		s.tT = make([]float64, n)
-		s.uF = make([]float64, n)
-		s.uT = make([]float64, n)
+		s.sec.size(n)
+		vec := func() []float64 { return make([]float64, n) }
+		s.rate, s.comp, s.compRate, s.colMaxT = vec(), vec(), vec(), vec()
+		s.colRateSum, s.colRateMax = vec(), vec()
+		s.mapSur, s.mapDef, s.drB = vec(), vec(), vec()
+		s.p, s.bestBuf = vec(), vec()
 		for i := range s.starts {
-			s.starts[i] = make(spark.Placement, n)
+			s.starts[i] = vec()
 		}
-		s.bestBuf = make(spark.Placement, n)
-		s.colRateSum = make([]float64, n)
-		s.colRateMax = make([]float64, n)
-		s.colUsdSum = make([]float64, n)
-		s.compRate = make([]float64, n)
-		s.colSumT = make([]float64, n)
-		s.colMaxT = make([]float64, n)
-		s.colSumU = make([]float64, n)
-		s.mapSur = make([]float64, n)
-		s.mapDef = make([]float64, n)
-		s.drB = make([]float64, n)
-		s.mapRowT = make([]float64, n)
-		s.mapColT = make([]float64, n)
-		s.mapRowU = make([]float64, n)
-		s.mapColU = make([]float64, n)
 		s.mapRow2 = make([][2]mapEntry, n)
 		s.mapCol2 = make([][2]mapEntry, n)
-		s.cE = nil // carbon slabs: prepCarbon sizes them on first need
-		s.transfer = nil
 	}
 	s.est, s.stage, s.layout = est, stage, layout
-	s.needC, s.carbonReady = false, false
-	total := 0.0
+	s.isMap = stage.Kind == spark.MapKind
+	s.total = 0
 	s.nzRows = s.nzRows[:0]
 	for i, b := range layout {
-		total += b
+		s.total += b
 		if b > 0 {
 			s.nzRows = append(s.nzRows, i)
 		}
 	}
-	s.total = total
 	// Denominators are only ever divided into with a positive numerator,
 	// which requires layout[i] > 0 (shuffle entries are layout[i]·p[j],
 	// migration entries need surplus, surplus needs layout); zero rows
 	// are left stale and unread.
 	for _, i := range s.nzRows {
-		row := est.believed[i]
-		base := i * n
-		for j := 0; j < n; j++ {
-			bw := row[j]
-			if bw < 1 {
-				bw = 1
-			}
-			s.bwDen[base+j] = bw * 1e6
+		for j, bw := range est.believed[i][:n] {
+			s.bwDen[i*n+j] = max(bw, 1) * 1e6
 		}
 	}
 	for j := 0; j < n; j++ {
-		r := est.info.ComputeRates[j]
-		if r <= 0 {
-			r = 1e-6
+		s.rate[j] = est.info.ComputeRates[j]
+		if s.rate[j] <= 0 {
+			s.rate[j] = 1e-6
 		}
-		s.rate[j] = r
-	}
-	for j := 0; j < n; j++ {
-		sum, max, usum := 0.0, 0.0, 0.0
+		sum, mx := 0.0, 0.0
 		for _, i := range s.nzRows {
-			if i == j {
-				continue
+			if i != j {
+				r := layout[i] * 8 / s.bwDen[i*n+j]
+				sum += r
+				mx = max(mx, r)
 			}
-			r := layout[i] * 8 / s.bwDen[i*n+j]
-			sum += r
-			if r > max {
-				max = r
-			}
-			usum += layout[i] / 1e9 * est.info.EgressPerGB[i]
 		}
-		s.colRateSum[j] = sum
-		s.colRateMax[j] = max
-		s.colUsdSum[j] = usum
-		s.compRate[j] = total / 1e9 / s.rate[j] * stage.SecPerGB
+		s.colRateSum[j], s.colRateMax[j] = sum, mx
+		s.compRate[j] = s.total / 1e9 / s.rate[j] * stage.SecPerGB
+	}
+	s.lin[0].prep(s, est.info.EgressPerGB, nil)
+	s.prepped = 1
+}
+
+// activate sets the active slot count for sc, once per descent. Slot
+// 1's coefficients are filled on its first use in a lease, so a scorer
+// that never reads it never pays for its n×n slab.
+func (s *search) activate(sc Scorer) {
+	s.k = 1
+	if sc.NeedsCarbon() {
+		s.k = 2
+	}
+	if s.prepped < s.k {
+		s.lin[1].prep(s, s.est.info.CarbonPerGB, s.est.info.CarbonPerCompSec)
+		s.prepped = s.k
 	}
 }
 
-// entryTerms computes one transfer entry's network time and egress
-// dollars — the exact per-entry expressions of estimateDetail.
-func (s *search) entryTerms(i, j int, b float64) (t, u float64) {
-	if i == j || b <= 0 {
-		return 0, 0
+// prep sizes the slot (once per context size) and fills its
+// coefficients, with ClusterInfo's nil-as-zeros semantics, and its
+// placement-independent shuffle column rates.
+func (l *linear) prep(s *search, net, cpu []float64) {
+	n := s.n
+	if len(l.E) != n*n {
+		l.size(n)
+		l.net = make([]float64, n)
+		l.colRate = make([]float64, n)
 	}
-	return b * 8 / s.bwDen[i*s.n+j], b / 1e9 * s.est.info.EgressPerGB[i]
+	l.cpu = l.cpu[:0]
+	for i := range l.net {
+		l.net[i] = coefAt(net, i)
+		if cpu != nil {
+			l.cpu = append(l.cpu, coefAt(cpu, i))
+		}
+	}
+	for j := range l.colRate {
+		sum := 0.0
+		for _, i := range s.nzRows {
+			if i != j {
+				sum += s.layout[i] / 1e9 * l.net[i]
+			}
+		}
+		l.colRate[j] = sum
+	}
 }
 
-// entryCarbon is the carbon counterpart of entryTerms — estimateAgg's
-// exact per-entry transport expression. Only called while needC.
-func (s *search) entryCarbon(i, j int, b float64) float64 {
+// active returns the slots the current scorer reads.
+func (s *search) active() []linear { return s.lin[:s.k] }
+
+// entry is the slot's exact per-entry expression of estimateAgg.
+func (l *linear) entry(i, j int, b float64) float64 {
 	if i == j || b <= 0 {
 		return 0
 	}
-	return b / 1e9 * s.netC[i]
+	return b / 1e9 * l.net[i]
 }
 
-// prepCarbon sizes (once per context size) and fills the carbon
-// coefficient slabs and their placement-independent screen rates, once
-// per lease and only when a carbon-pricing scorer actually descends on
-// this context — the others never pay for the n×n cE.
-func (s *search) prepCarbon() {
-	info := s.est.info
-	if n := s.n; len(s.cE) != n*n {
-		s.cE = make([]float64, n*n)
-		s.netC = make([]float64, n)
-		s.compC = make([]float64, n)
-		s.cbF = make([]float64, n)
-		s.cbT = make([]float64, n)
-		s.colRateCSum = make([]float64, n)
-		s.colSumC = make([]float64, n)
-		s.mapRowC = make([]float64, n)
-		s.mapColC = make([]float64, n)
+// netSecs is estimateDetail's exact per-entry network time.
+func (s *search) netSecs(i, j int, b float64) float64 {
+	if i == j || b <= 0 {
+		return 0
 	}
-	for i := 0; i < s.n; i++ {
-		s.netC[i] = carbonAt(info.CarbonPerGB, i)
-		s.compC[i] = carbonAt(info.CarbonPerCompSec, i)
-	}
-	for j := 0; j < s.n; j++ {
-		csum := 0.0
-		for _, i := range s.nzRows {
-			if i == j {
-				continue
-			}
-			csum += s.layout[i] / 1e9 * s.netC[i]
-		}
-		s.colRateCSum[j] = csum
-	}
-	s.carbonReady = true
+	return b * 8 / s.bwDen[i*s.n+j]
 }
 
 // splitSD is MigrationMatrix's surplus/deficit split for DC x holding
@@ -373,540 +376,430 @@ func (s *search) compTerm(pj float64, j int) float64 {
 	return share / 1e9 * s.stage.SecPerGB / s.rate[j]
 }
 
+// swap2 stores f, t at v[from], v[to] and returns the values they
+// replace; swapping those back restores v.
+func swap2(v []float64, from, to int, f, t float64) (float64, float64) {
+	v[from], v[to], f, t = f, t, v[from], v[to]
+	return f, t
+}
+
 // fillBase populates the per-entry caches and aggregates for the
 // current placement s.p — one full estimate, shared by every candidate
 // of the following sweep.
 func (s *search) fillBase() {
 	n := s.n
-	if s.stage.Kind == spark.MapKind {
-		// Migration entries couple through the total deficit; build the
-		// full matrix and rewrite every tE/uE row (zero rows included —
-		// mapScreen reads arbitrary corner entries, so no row may be
-		// left stale here).
-		s.transfer = spark.MigrationMatrixInto(s.transfer, s.layout, s.p, &s.mscr)
-		for i := 0; i < n; i++ {
-			row := s.transfer[i]
-			base := i * n
-			for j := 0; j < n; j++ {
-				s.tE[base+j], s.uE[base+j] = s.entryTerms(i, j, row[j])
-			}
-		}
-		if s.needC {
-			for i := 0; i < n; i++ {
-				row := s.transfer[i]
-				base := i * n
-				for j := 0; j < n; j++ {
-					s.cE[base+j] = s.entryCarbon(i, j, row[j])
-				}
-			}
-		}
-	} else {
-		// A shuffle entry is layout[i]·p[j] — ShuffleMatrixInto's exact
-		// expression, computed inline so zero rows need no matrix build
-		// and the nonzero rows need no n² intermediate.
-		for _, i := range s.nzRows {
-			base := i * n
-			for j := 0; j < n; j++ {
-				s.tE[base+j], s.uE[base+j] = s.entryTerms(i, j, s.layout[i]*s.p[j])
-			}
-		}
-		if s.needC {
-			for _, i := range s.nzRows {
-				base := i * n
-				for j := 0; j < n; j++ {
-					s.cE[base+j] = s.entryCarbon(i, j, s.layout[i]*s.p[j])
-				}
-			}
-		}
-	}
 	for j := 0; j < n; j++ {
 		s.comp[j] = s.compTerm(s.p[j], j)
 	}
-	s.agg = s.reduceBase()
-	if s.stage.Kind == spark.MapKind {
+	if s.isMap {
 		s.mapTotalDef = 0
 		for i := 0; i < n; i++ {
 			s.mapSur[i], s.mapDef[i] = s.splitSD(i, s.p[i])
 			s.mapTotalDef += s.mapDef[i]
 		}
-		s.mapTotT, s.mapTotU = 0, 0
-		for k := range s.mapTop {
-			s.mapTop[k] = mapEntry{i: -1, j: -1}
-		}
-		for i := 0; i < n; i++ {
-			rowT, rowU := 0.0, 0.0
-			base := i * n
-			s.mapRow2[i] = [2]mapEntry{{i: -1, j: -1}, {i: -1, j: -1}}
-			for j := 0; j < n; j++ {
-				t := s.tE[base+j]
-				rowT += t
-				rowU += s.uE[base+j]
-				if t > s.mapTop[len(s.mapTop)-1].v {
-					// Insertion into the small descending top list.
-					k := len(s.mapTop) - 1
-					for k > 0 && t > s.mapTop[k-1].v {
-						s.mapTop[k] = s.mapTop[k-1]
-						k--
-					}
-					s.mapTop[k] = mapEntry{v: t, i: i, j: j}
-				}
-				if t > s.mapRow2[i][0].v {
-					s.mapRow2[i][1] = s.mapRow2[i][0]
-					s.mapRow2[i][0] = mapEntry{v: t, i: i, j: j}
-				} else if t > s.mapRow2[i][1].v {
-					s.mapRow2[i][1] = mapEntry{v: t, i: i, j: j}
-				}
-			}
-			s.mapRowT[i], s.mapRowU[i] = rowT, rowU
-			s.mapTotT += rowT
-			s.mapTotU += rowU
-		}
-		for j := 0; j < n; j++ {
-			colT, colU := 0.0, 0.0
-			s.mapCol2[j] = [2]mapEntry{{i: -1, j: -1}, {i: -1, j: -1}}
-			for i := 0; i < n; i++ {
-				t := s.tE[i*n+j]
-				colT += t
-				colU += s.uE[i*n+j]
-				if t > s.mapCol2[j][0].v {
-					s.mapCol2[j][1] = s.mapCol2[j][0]
-					s.mapCol2[j][0] = mapEntry{v: t, i: i, j: j}
-				} else if t > s.mapCol2[j][1].v {
-					s.mapCol2[j][1] = mapEntry{v: t, i: i, j: j}
-				}
-			}
-			s.mapColT[j], s.mapColU[j] = colT, colU
-		}
-		if s.needC {
-			s.mapTotC = 0
-			for i := 0; i < n; i++ {
-				rowC := 0.0
-				base := i * n
-				for j := 0; j < n; j++ {
-					rowC += s.cE[base+j]
-				}
-				s.mapRowC[i] = rowC
-				s.mapTotC += rowC
-			}
-			for j := 0; j < n; j++ {
-				colC := 0.0
-				for i := 0; i < n; i++ {
-					colC += s.cE[i*n+j]
-				}
-				s.mapColC[j] = colC
-			}
-		}
-		s.refreshCompTotals()
+		s.fillMap()
 	} else {
 		for j := 0; j < n; j++ {
-			s.refreshColumn(j)
+			s.setColumn(j)
 		}
-		s.refreshTotals()
+	}
+	s.refreshTotals()
+	s.agg = s.fold()
+}
+
+// fillMap writes every slab's base migration entries — MigrationMatrix's
+// from the split in mapSur/mapDef — with the map screen's aggregates:
+// each slab's row and column sums, in index order, and the ranked
+// second entries. Only rows with layout can hold surplus; every other
+// row is zero (and must be: mapScreen reads arbitrary corners), adds
+// exact zeros to the sums and ranks nowhere, so one pass over nzRows
+// gives the bits of a full n² sweep.
+func (s *search) fillMap() {
+	n, lin := s.n, s.active()
+	moves := s.ratios()
+	none := mapEntry{i: -1, j: -1}
+	for k := range s.mapTop {
+		s.mapTop[k] = none
+	}
+	for i := range s.mapRow2 {
+		s.mapRow2[i], s.mapCol2[i] = [2]mapEntry{none, none}, [2]mapEntry{none, none}
+	}
+	for _, sl := range []*slab{&s.sec, &s.lin[0].slab, &s.lin[1].slab}[:1+len(lin)] {
+		clear(sl.E)
+		clear(sl.mapRow)
+		clear(sl.mapCol)
+		sl.mapTot = 0
+	}
+	for _, i := range s.nzRows {
+		sur, row := s.mapSur[i], [3]float64{}
+		for j := 0; j < n; j++ {
+			b := 0.0
+			if moves && sur > 0 {
+				b = sur * s.drB[j]
+			}
+			e := mapEntry{v: s.netSecs(i, j, b), i: i, j: j}
+			s.sec.E[i*n+j] = e.v
+			row[0] += e.v
+			s.sec.mapCol[j] += e.v
+			for k := range lin {
+				v := lin[k].entry(i, j, b)
+				lin[k].E[i*n+j] = v
+				row[k+1] += v
+				lin[k].mapCol[j] += v
+			}
+			// Insertion into the small descending top list.
+			for k := len(s.mapTop) - 1; k >= 0 && e.v > s.mapTop[k].v; k-- {
+				if k+1 < len(s.mapTop) {
+					s.mapTop[k+1] = s.mapTop[k]
+				}
+				s.mapTop[k] = e
+			}
+			push2(&s.mapRow2[i], e)
+			push2(&s.mapCol2[j], e)
+		}
+		s.sec.mapRow[i] = row[0]
+		s.sec.mapTot += row[0]
+		for k := range lin {
+			lin[k].mapRow[i] = row[k+1]
+			lin[k].mapTot += row[k+1]
+		}
 	}
 }
 
-// refreshColumn recomputes the screening aggregates of base column j
-// (shuffle stages only, so the zero layout rows — exact zero entries —
-// can be skipped).
-func (s *search) refreshColumn(j int) {
-	sum, max, usum := 0.0, 0.0, 0.0
+// push2 keeps in two the two largest entries seen, first wins ties.
+func push2(two *[2]mapEntry, e mapEntry) {
+	if e.v > two[0].v {
+		two[1], two[0] = two[0], e
+	} else if e.v > two[1].v {
+		two[1] = e
+	}
+}
+
+// setColumn recomputes base column j of every slab and its screening
+// sum (and the seconds' max). Shuffle stages only, so the zero layout
+// rows — exact zero entries — are skipped.
+func (s *search) setColumn(j int) {
+	n, pj := s.n, s.p[j]
+	sum, max := 0.0, 0.0
 	for _, i := range s.nzRows {
-		t := s.tE[i*s.n+j]
+		t := s.netSecs(i, j, s.layout[i]*pj)
+		s.sec.E[i*n+j] = t
 		sum += t
 		if t > max {
 			max = t
 		}
-		usum += s.uE[i*s.n+j]
 	}
-	s.colSumT[j] = sum
-	s.colMaxT[j] = max
-	s.colSumU[j] = usum
-	if s.needC {
-		csum := 0.0
+	s.sec.colSum[j], s.colMaxT[j] = sum, max
+	for k := range s.active() {
+		l := &s.lin[k]
+		sum := 0.0
 		for _, i := range s.nzRows {
-			csum += s.cE[i*s.n+j]
+			v := l.entry(i, j, s.layout[i]*pj)
+			l.E[i*n+j] = v
+			sum += v
 		}
-		s.colSumC[j] = csum
+		l.colSum[j] = sum
 	}
 }
 
-// refreshTotals re-derives the grand screening totals and the column
-// ranking from the column aggregates (O(n) per accepted move; avoids
-// error drift across them).
+// refreshTotals re-derives the screens' totals and rankings from the
+// column aggregates and the compute terms.
 func (s *search) refreshTotals() {
-	s.totalT, s.totalU = 0, 0
-	for j := 0; j < s.n; j++ {
-		s.totalT += s.colSumT[j]
-		s.totalU += s.colSumU[j]
-	}
-	if s.needC {
-		s.totalC = 0
-		for j := 0; j < s.n; j++ {
-			s.totalC += s.colSumC[j]
-		}
-	}
-	s.topCol.fill(s.colMaxT)
-	s.refreshCompTotals()
-}
-
-// refreshCompTotals re-derives the compute-side screening aggregates
-// from comp — the part of refreshTotals map stages share.
-func (s *search) refreshCompTotals() {
 	s.compSum = 0
 	for _, c := range s.comp {
 		s.compSum += c
 	}
-	if s.needC {
-		s.compCarbSum = 0
-		for j, c := range s.comp {
-			s.compCarbSum += c * s.compC[j]
+	s.topComp.fill(s.comp)
+	if !s.isMap {
+		s.sec.sumCols()
+		s.topCol.fill(s.colMaxT)
+	}
+	for k := range s.active() {
+		l := &s.lin[k]
+		l.cpuSum = l.foldCPU(0, s.comp)
+		if !s.isMap {
+			l.sumCols()
 		}
 	}
-	s.topComp.fill(s.comp)
 }
 
-// reduceBase folds the cached entries into the estimate Aggregates in
-// estimateDetail/estimateAgg's canonical order: network entries
-// row-major, then compute terms by DC. The carbon fold is a separate
-// pass over the same order — KgCO2 has its own accumulator, so its
-// bits only depend on its own addition sequence, and skipped zero
-// entries contribute exact +0.0 identities.
-func (s *search) reduceBase() Aggregates {
-	var a Aggregates
-	tNet := 0.0
+// foldCPU continues the slot's fold over the compute terms in DC order.
+func (l *linear) foldCPU(v float64, comp []float64) float64 {
+	comp = comp[:len(l.cpu)]
+	for j, c := range l.cpu {
+		v += comp[j] * c
+	}
+	return v
+}
+
+// fold reduces the cached entries — the base, or a shuffle candidate
+// written into them — in estimateDetail/estimateAgg's canonical order:
+// network entries row-major, then compute terms by DC. Every aggregate
+// has its own accumulator, so its bits depend only on its own addition
+// sequence. Slot 0 rides the seconds' pass (independent add chains
+// overlap instead of running back to back); slot 1 gets its own.
+func (s *search) fold() Aggregates {
+	n, l0 := s.n, &s.lin[0]
+	load, tNet, v0, v1 := 0.0, 0.0, 0.0, 0.0
 	for _, i := range s.nzRows {
-		base := i * s.n
-		for j := 0; j < s.n; j++ {
-			t := s.tE[base+j]
-			a.LoadSum += t
+		tRow := s.sec.E[i*n : i*n+n]
+		uRow := l0.E[i*n : i*n+n][:len(tRow)]
+		for j, t := range tRow {
+			load += t
 			if t > tNet {
 				tNet = t
 			}
-			a.USD += s.uE[base+j]
+			v0 += uRow[j]
 		}
 	}
+	if s.k > 1 {
+		for _, i := range s.nzRows {
+			for _, c := range s.lin[1].E[i*n : i*n+n] {
+				v1 += c
+			}
+		}
+	}
+	return s.finish(load, tNet, v0, v1)
+}
+
+// finish completes a fold from its network share: the compute seconds
+// by DC, then each active slot's compute term. The candidate's own
+// compute terms are in s.comp.
+func (s *search) finish(load, tNet, v0, v1 float64) Aggregates {
 	tComp := 0.0
 	for _, c := range s.comp {
-		a.LoadSum += c
+		load += c
 		if c > tComp {
 			tComp = c
 		}
 	}
-	a.Secs = tNet + tComp
-	if s.needC {
-		for _, i := range s.nzRows {
-			base := i * s.n
-			for j := 0; j < s.n; j++ {
-				a.KgCO2 += s.cE[base+j]
-			}
-		}
-		for j, c := range s.comp {
-			a.KgCO2 += c * s.compC[j]
-		}
+	a := Aggregates{Secs: tNet + tComp, LoadSum: load, USD: s.lin[0].foldCPU(v0, s.comp)}
+	if s.k > 1 {
+		a.KgCO2 = s.lin[1].foldCPU(v1, s.comp)
 	}
 	return a
 }
 
 // evalShuffleCand delta-evaluates the move (from→to, pf/pt being the
 // two changed placement entries) for a shuffle stage: O(n) fresh
-// divisions for the two changed transfer columns, then the canonical
-// reduction substituting them over the cached rest. The carbon fold,
-// when the scorer needs it, is the same substitution replayed for the
-// KgCO2 accumulator in its own canonical-order pass.
+// divisions for the two changed transfer columns, written with the two
+// compute terms into the base caches for the canonical fold, which are
+// then restored.
 func (s *search) evalShuffleCand(from, to int, pf, pt float64) Aggregates {
-	n := s.n
+	n, lin := s.n, s.active()
 	for _, i := range s.nzRows {
-		s.tF[i], s.uF[i] = s.entryTerms(i, from, s.layout[i]*pf)
-		s.tT[i], s.uT[i] = s.entryTerms(i, to, s.layout[i]*pt)
-	}
-	cF := s.compTerm(pf, from)
-	cT := s.compTerm(pt, to)
-
-	var a Aggregates
-	tNet := 0.0
-	for _, i := range s.nzRows {
-		base := i * n
-		for j := 0; j < n; j++ {
-			var t, u float64
-			switch j {
-			case from:
-				t, u = s.tF[i], s.uF[i]
-			case to:
-				t, u = s.tT[i], s.uT[i]
-			default:
-				t, u = s.tE[base+j], s.uE[base+j]
-			}
-			a.LoadSum += t
-			if t > tNet {
-				tNet = t
-			}
-			a.USD += u
+		bF, bT := s.layout[i]*pf, s.layout[i]*pt
+		s.sec.put(i, n, from, to, s.netSecs(i, from, bF), s.netSecs(i, to, bT))
+		for k := range lin {
+			lin[k].put(i, n, from, to, lin[k].entry(i, from, bF), lin[k].entry(i, to, bT))
 		}
 	}
-	tComp := 0.0
-	for j := 0; j < n; j++ {
-		c := s.comp[j]
-		switch j {
-		case from:
-			c = cF
-		case to:
-			c = cT
-		}
-		a.LoadSum += c
-		if c > tComp {
-			tComp = c
-		}
-	}
-	a.Secs = tNet + tComp
-	if s.needC {
-		for _, i := range s.nzRows {
-			s.cbF[i] = s.entryCarbon(i, from, s.layout[i]*pf)
-			s.cbT[i] = s.entryCarbon(i, to, s.layout[i]*pt)
-		}
-		for _, i := range s.nzRows {
-			base := i * n
-			for j := 0; j < n; j++ {
-				switch j {
-				case from:
-					a.KgCO2 += s.cbF[i]
-				case to:
-					a.KgCO2 += s.cbT[i]
-				default:
-					a.KgCO2 += s.cE[base+j]
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			c := s.comp[j]
-			switch j {
-			case from:
-				c = cF
-			case to:
-				c = cT
-			}
-			a.KgCO2 += c * s.compC[j]
-		}
+	cF, cT := swap2(s.comp, from, to, s.compTerm(pf, from), s.compTerm(pt, to))
+	a := s.fold()
+	swap2(s.comp, from, to, cF, cT)
+	s.sec.restore(s.nzRows, n, from, to)
+	for k := range lin {
+		lin[k].restore(s.nzRows, n, from, to)
 	}
 	return a
 }
 
 // evalMapCand evaluates a candidate for a map stage. The migration
 // matrix couples every entry through the total deficit, so there is no
-// column delta — but the nonzero block is only surplus-DCs × deficit-
-// DCs, so the evaluation fuses MigrationMatrix's construction with
-// estimateDetail's fold: surplus/deficit are computed with the matrix
-// builder's exact expressions, whole zero rows/columns are skipped
-// (they contribute nothing in the reference either), the deficit
-// ratios are hoisted per destination (the same division the reference
-// performs per entry, evaluated once), and the unchanged compute terms
-// come from the base cache. The nonzero entries fold in the reference's
-// row-major order, so the result bits match a full rebuild.
+// column delta: the candidate's surplus/deficit and compute terms at
+// the two moved DCs are swapped into the base split, and mapFold
+// rebuilds and folds the matrix from it.
 func (s *search) evalMapCand(from, to int, pf, pt float64) Aggregates {
-	n := s.n
-	oldF, oldT := s.p[from], s.p[to]
-	s.p[from], s.p[to] = pf, pt
+	surF, defF := s.splitSD(from, pf)
+	surT, defT := s.splitSD(to, pt)
+	surF, surT = swap2(s.mapSur, from, to, surF, surT)
+	defF, defT = swap2(s.mapDef, from, to, defF, defT)
+	cF, cT := swap2(s.comp, from, to, s.compTerm(pf, from), s.compTerm(pt, to))
+	a := s.mapFold()
+	swap2(s.comp, from, to, cF, cT)
+	swap2(s.mapDef, from, to, defF, defT)
+	swap2(s.mapSur, from, to, surF, surT)
+	return a
+}
 
-	var a Aggregates
-	tNet := 0.0
-	if s.total > 0 {
-		// Surplus/deficit differ from the maintained base split only at
-		// the two moved DCs; the total deficit still folds over every DC
-		// in index order (surplus DCs contribute an exact 0) so its bits
-		// match the builder's fresh accumulation.
-		surF, defF := s.splitSD(from, pf)
-		surT, defT := s.splitSD(to, pt)
-		var totalDeficit float64
-		for i := 0; i < n; i++ {
-			switch i {
-			case from:
-				totalDeficit += defF
-			case to:
-				totalDeficit += defT
-			default:
-				totalDeficit += s.mapDef[i]
+// ratios writes each DC's share of the total deficit to drB — the
+// division MigrationMatrix performs per entry, hoisted per destination.
+// The total folds over every DC in index order (surplus DCs add an
+// exact 0). It reports false when nothing migrates.
+func (s *search) ratios() bool {
+	totalDeficit := 0.0
+	for _, d := range s.mapDef {
+		totalDeficit += d
+	}
+	if s.total <= 0 || totalDeficit <= 0 {
+		return false
+	}
+	for j, d := range s.mapDef {
+		s.drB[j] = d / totalDeficit
+	}
+	return true
+}
+
+// mapFold fuses MigrationMatrix's construction from the split in
+// mapSur/mapDef with estimateAgg's fold: whole zero rows/columns are
+// skipped (they contribute nothing in the reference either), and the
+// nonzero entries fold in the reference's row-major order, each
+// aggregate in its own accumulator, so the bits match a full rebuild.
+// Every slot rides this pass; an inactive slot's coefficient is 0.
+func (s *search) mapFold() Aggregates {
+	n, l0, l1 := s.n, &s.lin[0], &s.lin[1]
+	load, tNet, v0, v1 := 0.0, 0.0, 0.0, 0.0
+	if s.ratios() {
+		for i, sur := range s.mapSur {
+			if sur <= 0 {
+				continue
 			}
-		}
-		if totalDeficit > 0 {
-			for j := 0; j < n; j++ {
-				d := s.mapDef[j]
-				switch j {
-				case from:
-					d = defF
-				case to:
-					d = defT
-				}
-				s.drB[j] = d / totalDeficit
+			c0, c1 := l0.net[i], 0.0
+			if s.k > 1 {
+				c1 = l1.net[i]
 			}
-			for i := 0; i < n; i++ {
-				sur := s.mapSur[i]
-				switch i {
-				case from:
-					sur = surF
-				case to:
-					sur = surT
-				}
-				if sur <= 0 {
+			den := s.bwDen[i*n : i*n+n]
+			for j, dr := range s.drB {
+				if dr <= 0 {
 					continue
 				}
-				base := i * n
-				for j := 0; j < n; j++ {
-					if s.drB[j] <= 0 {
-						continue
-					}
-					b := sur * s.drB[j]
-					if b <= 0 {
-						continue
-					}
-					t := b * 8 / s.bwDen[base+j]
-					a.LoadSum += t
-					if t > tNet {
-						tNet = t
-					}
-					a.USD += b / 1e9 * s.est.info.EgressPerGB[i]
-					if s.needC {
-						a.KgCO2 += b / 1e9 * s.netC[i]
-					}
+				b := sur * dr
+				if b <= 0 {
+					continue
 				}
+				t := b * 8 / den[j]
+				load += t
+				if t > tNet {
+					tNet = t
+				}
+				v0 += b / 1e9 * c0
+				v1 += b / 1e9 * c1
 			}
 		}
 	}
-	cF := s.compTerm(pf, from)
-	cT := s.compTerm(pt, to)
-	tComp := 0.0
-	for j := 0; j < n; j++ {
-		c := s.comp[j]
-		switch j {
-		case from:
-			c = cF
-		case to:
-			c = cT
-		}
-		a.LoadSum += c
-		if c > tComp {
-			tComp = c
-		}
-		if s.needC {
-			a.KgCO2 += c * s.compC[j]
-		}
-	}
-	s.p[from], s.p[to] = oldF, oldT
-	a.Secs = tNet + tComp
-	return a
+	return s.finish(load, tNet, v0, v1)
 }
 
 // applyMove commits the accepted move into s.p and refreshes the base
 // caches: O(n) column/compute updates for shuffle stages (the
-// recomputed entries land on exactly the winning candidate's bits),
-// nothing for map stages, whose candidates never read the caches.
+// recomputed entries land on exactly the winning candidate's bits), a
+// full re-derivation for map stages, whose every migration entry
+// changes through the total deficit.
 func (s *search) applyMove(from, to int, step float64) {
 	s.p[from] -= step
 	s.p[to] += step
-	if s.stage.Kind == spark.MapKind {
-		// Every migration entry changes through the total deficit, so
-		// re-derive the full base (caches + screening aggregates) — the
-		// once-per-accepted-move full estimate.
+	if s.isMap {
 		s.fillBase()
 		return
 	}
-	n := s.n
-	pf, pt := s.p[from], s.p[to]
-	for _, i := range s.nzRows {
-		base := i * n
-		s.tE[base+from], s.uE[base+from] = s.entryTerms(i, from, s.layout[i]*pf)
-		s.tE[base+to], s.uE[base+to] = s.entryTerms(i, to, s.layout[i]*pt)
-	}
-	if s.needC {
-		for _, i := range s.nzRows {
-			base := i * n
-			s.cE[base+from] = s.entryCarbon(i, from, s.layout[i]*pf)
-			s.cE[base+to] = s.entryCarbon(i, to, s.layout[i]*pt)
-		}
-	}
-	s.comp[from] = s.compTerm(pf, from)
-	s.comp[to] = s.compTerm(pt, to)
-	s.refreshColumn(from)
-	s.refreshColumn(to)
+	s.comp[from] = s.compTerm(s.p[from], from)
+	s.comp[to] = s.compTerm(s.p[to], to)
+	s.setColumn(from)
+	s.setColumn(to)
 	s.refreshTotals()
 }
 
-// screen cheaply decides whether the move (from→to) is provably
-// non-improving, in O(1) flops with no divisions and no loop over the
-// DCs: column sums and maxes of the candidate's two fresh columns are
-// the base column rates scaled by pf/pt (exact up to ulps); the
-// untouched columns' max and the untouched DCs' compute max come from
-// the top-3 rankings (exact — a max has no summation order); their
-// sums are the maintained totals minus the two changed terms (which
-// cancels, hence the absolute margin term). The approximation is
-// guarded by an error margin orders of magnitude wider than the float
+func clamp0(v float64) float64 { return max(v, 0) }
+
+// compBound is the screens' compute side: the candidate's compute
+// seconds at from and to (the rates scaled by pf/pt) and the max over
+// all compute terms.
+func (s *search) compBound(from, to int, pf, pt float64) (cF, cT, tComp float64) {
+	cF, cT = pf*s.compRate[from], pt*s.compRate[to]
+	return cF, cT, s.topComp.maxExcluding(s.comp, from, to, max(cF, cT))
+}
+
+// colBound is a shuffle candidate's column-linear sum of sl: the base
+// total with columns from/to swapped for their rates scaled by pf/pt.
+func (sl *slab) colBound(rate []float64, from, to int, pf, pt float64) float64 {
+	return sl.total - sl.colSum[from] - sl.colSum[to] + pf*rate[from] + pt*rate[to]
+}
+
+// swapCPU continues v with the slot's compute sum, from's and to's base
+// terms swapped for the candidate's compute seconds cF, cT.
+func (l *linear) swapCPU(v float64, comp []float64, from, to int, cF, cT float64) float64 {
+	if len(l.cpu) == 0 {
+		return v
+	}
+	return v + l.cpuSum - comp[from]*l.cpu[from] - comp[to]*l.cpu[to] + cF*l.cpu[from] + cT*l.cpu[to]
+}
+
+// screen bounds the shuffle move (from→to) from below in O(1) flops
+// with no divisions and no loop over the DCs, returning the bound and
+// its error margin; descend rejects the move when even the bound minus
+// the margin does not improve. Column sums and maxes of the
+// candidate's two fresh columns are the base column rates scaled by
+// pf/pt (exact up to ulps); the untouched columns' max and the
+// untouched DCs' compute max come from the top-3 rankings (exact — a
+// max has no summation order); their sums are the maintained totals
+// minus the two changed terms (which cancels, hence the absolute
+// margin term). The margin is orders of magnitude wider than the float
 // noise, so a true improvement can never be screened out — it merely
 // falls through to the exact canonical evaluation. Rejections are safe
-// by construction: the screen's value understates the candidate's true
-// objective by at most the margin — which is why only ScreenSafe
-// (monotone) scorers reach this path. The carbon terms are exact +0.0
-// when the scorer doesn't price carbon, so the non-carbon margin bits
-// are unchanged.
-func (s *search) screen(from, to int, pf, pt float64, bestV float64, sc Scorer) bool {
-	tNet := pf * s.colRateMax[from]
-	if v := pt * s.colRateMax[to]; v > tNet {
-		tNet = v
-	}
-	tComp := pf * s.compRate[from]
-	if v := pt * s.compRate[to]; v > tComp {
-		tComp = v
-	}
+// by construction: the bound understates every aggregate by at most the
+// margin — which is why only ScreenSafe (monotone) scorers reach this
+// path.
+func (s *search) screen(from, to int, pf, pt float64) (Aggregates, float64) {
+	tNet := max(pf*s.colRateMax[from], pt*s.colRateMax[to])
 	tNet = s.topCol.maxExcluding(s.colMaxT, from, to, tNet)
-	tComp = s.topComp.maxExcluding(s.comp, from, to, tComp)
-	load := s.totalT - s.colSumT[from] - s.colSumT[to] +
-		pf*s.colRateSum[from] + pt*s.colRateSum[to] +
-		s.compSum - s.comp[from] - s.comp[to] +
-		pf*s.compRate[from] + pt*s.compRate[to]
-	usd := s.totalU - s.colSumU[from] - s.colSumU[to] +
-		pf*s.colUsdSum[from] + pt*s.colUsdSum[to]
-	if load < 0 {
-		load = 0
-	}
-	if usd < 0 {
-		usd = 0
-	}
-	co2, cm := 0.0, 0.0
-	if s.needC {
-		// The carbon aggregate is column-linear exactly like usd, with
-		// the per-DC compute carbon scaling by pf/pt through compRate.
-		co2 = s.totalC - s.colSumC[from] - s.colSumC[to] +
-			pf*s.colRateCSum[from] + pt*s.colRateCSum[to] +
-			s.compCarbSum - s.comp[from]*s.compC[from] - s.comp[to]*s.compC[to] +
-			pf*s.compRate[from]*s.compC[from] + pt*s.compRate[to]*s.compC[to]
-		if co2 < 0 {
-			co2 = 0
-		}
-		cm = s.totalC + s.compCarbSum
+	cF, cT, tComp := s.compBound(from, to, pf, pt)
+	load := clamp0(s.sec.colBound(s.colRateSum, from, to, pf, pt) +
+		s.compSum - s.comp[from] - s.comp[to] + cF + cT)
+	var v, abs [2]float64
+	for k := range s.active() {
+		l := &s.lin[k]
+		v[k] = clamp0(l.swapCPU(l.colBound(l.colRate, from, to, pf, pt), s.comp, from, to, cF, cT))
+		abs[k] = l.total + l.cpuSum
 	}
 	secs := tNet + tComp
-	v := sc.Score(Aggregates{Secs: secs, LoadSum: load, USD: usd, KgCO2: co2})
 	// The margin dominates every error source: ulp-level scale
 	// factorization, arbitrary- vs canonical-order summation, the
 	// cancellation in the total-minus-columns differences (covered by
 	// the absolute term) and the ×1e6 amplification at Kimchi's
 	// latency wall (covered by the 1e-7·secs share, three orders wider
 	// than 1e6 × the relative secs error).
-	margin := 1e-7*(secs+load+usd+co2) + 1e-12*(s.totalT+s.totalU+s.compSum+cm)
-	return v-margin >= bestV-1e-9
+	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.total+abs[0]+s.compSum+abs[1])
+	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
+}
+
+// mapMove holds a map candidate's entrywise scale factors against the
+// base: k for the block untouched by the move, and the moved DCs' own
+// rows (rs*) and columns (cs*).
+type mapMove struct {
+	from, to              int
+	k, rsF, rsT, csF, csT float64
+}
+
+// bound is one slab's network share of the map screen: the unchanged
+// block scaled by k plus the moved rows/columns scaled by their ratios
+// (the corners, which scale by two ratios at once, contribute ≥ 0 and
+// are dropped).
+func (m *mapMove) bound(n int, sl *slab) float64 {
+	f, t, E, row, col := m.from, m.to, sl.E, sl.mapRow, sl.mapCol
+	corner := E[f*n+t] + E[t*n+f] + E[f*n+f] + E[t*n+t]
+	block := clamp0(sl.mapTot - row[f] - row[t] - col[f] - col[t] + corner)
+	return m.k*block +
+		m.rsF*clamp0(row[f]-E[f*n+f]-E[f*n+t]) +
+		m.rsT*clamp0(row[t]-E[t*n+t]-E[t*n+f]) +
+		m.csF*clamp0(col[f]-E[f*n+f]-E[t*n+f]) +
+		m.csT*clamp0(col[t]-E[t*n+t]-E[f*n+t])
 }
 
 // mapScreen is the map-stage counterpart of screen: entries of the
 // candidate whose source and destination DCs are untouched by the move
 // are the base entries scaled by totalDeficit/totalDeficit', so the
 // unchanged block's sums and max bound the candidate's objective from
-// below in O(1) (the corners, which scale by two ratios at once,
-// contribute ≥ 0 and are dropped). The compute side is screen's: top-3
-// max, total-minus-two sums. Approximate, margin-guarded,
-// rejection-only.
-func (s *search) mapScreen(from, to int, pf, pt float64, bestV float64, sc Scorer) bool {
-	n := s.n
+// below in O(1). The moved DCs' own rows and columns scale entrywise
+// too: for j∉{from,to}, cand[from][j] = base[from][j]·(sur'/sur)·k,
+// and likewise columns by deficit ratios — so their sums and maxes join
+// the bound scaled, instead of being dropped. The compute side is
+// screen's. Approximate, margin-guarded, rejection-only; an infinite
+// margin never rejects.
+func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 	surF, defF := s.splitSD(from, pf)
 	surT, defT := s.splitSD(to, pt)
 	totalDefC := s.mapTotalDef - s.mapDef[from] - s.mapDef[to] + defF + defT
-	k := 0.0
+	m := mapMove{from: from, to: to}
 	if totalDefC > 0 && s.mapTotalDef > 0 {
 		if totalDefC < 1e-6*s.mapTotalDef {
 			// Near-total cancellation: the delta-computed denominator is
@@ -914,129 +807,53 @@ func (s *search) mapScreen(from, to int, pf, pt float64, bestV float64, sc Score
 			// (A non-positive totalDefC is different: the candidate
 			// moves nothing, so k=0 under-counts and stays a valid
 			// lower bound.)
-			return false
+			return Aggregates{}, math.Inf(1)
 		}
-		k = s.mapTotalDef / totalDefC
-	}
-	cornerT := s.tE[from*n+to] + s.tE[to*n+from] + s.tE[from*n+from] + s.tE[to*n+to]
-	cornerU := s.uE[from*n+to] + s.uE[to*n+from] + s.uE[from*n+from] + s.uE[to*n+to]
-	blockT := s.mapTotT - s.mapRowT[from] - s.mapRowT[to] - s.mapColT[from] - s.mapColT[to] + cornerT
-	blockU := s.mapTotU - s.mapRowU[from] - s.mapRowU[to] - s.mapColU[from] - s.mapColU[to] + cornerU
-	if blockT < 0 {
-		blockT = 0
-	}
-	if blockU < 0 {
-		blockU = 0
-	}
-	blockMax := 0.0
-	for _, e := range s.mapTop {
-		if e.i != from && e.i != to && e.j != from && e.j != to {
-			blockMax = e.v
-			break
-		}
-	}
-
-	// The moved DCs' own rows and columns scale entrywise too: for
-	// j∉{from,to}, cand[from][j] = base[from][j]·(sur'/sur)·k, and
-	// likewise columns by deficit ratios — so their sums and maxes join
-	// the bound scaled, instead of being dropped (the corners, which
-	// scale by two ratios at once, stay dropped — they are ≥ 0).
-	rsF, rsT, csF, csT := 0.0, 0.0, 0.0, 0.0
-	if k > 0 {
-		if s.mapSur[from] > 0 {
-			rsF = surF / s.mapSur[from] * k
-		}
-		if s.mapSur[to] > 0 {
-			rsT = surT / s.mapSur[to] * k
-		}
-		if s.mapDef[from] > 0 {
-			csF = defF / s.mapDef[from] * k
-		}
-		if s.mapDef[to] > 0 {
-			csT = defT / s.mapDef[to] * k
-		}
-	}
-	clamp0 := func(v float64) float64 {
-		if v < 0 {
+		m.k = s.mapTotalDef / totalDefC
+		ratio := func(num, den float64) float64 {
+			if den > 0 {
+				return num / den * m.k
+			}
 			return 0
 		}
-		return v
+		m.rsF, m.rsT = ratio(surF, s.mapSur[from]), ratio(surT, s.mapSur[to])
+		m.csF, m.csT = ratio(defF, s.mapDef[from]), ratio(defT, s.mapDef[to])
 	}
-	netLoad := k*blockT +
-		rsF*clamp0(s.mapRowT[from]-s.tE[from*n+from]-s.tE[from*n+to]) +
-		rsT*clamp0(s.mapRowT[to]-s.tE[to*n+to]-s.tE[to*n+from]) +
-		csF*clamp0(s.mapColT[from]-s.tE[from*n+from]-s.tE[to*n+from]) +
-		csT*clamp0(s.mapColT[to]-s.tE[to*n+to]-s.tE[from*n+to])
-	netUsd := k*blockU +
-		rsF*clamp0(s.mapRowU[from]-s.uE[from*n+from]-s.uE[from*n+to]) +
-		rsT*clamp0(s.mapRowU[to]-s.uE[to*n+to]-s.uE[to*n+from]) +
-		csF*clamp0(s.mapColU[from]-s.uE[from*n+from]-s.uE[to*n+from]) +
-		csT*clamp0(s.mapColU[to]-s.uE[to*n+to]-s.uE[from*n+to])
-	tNet := k * blockMax
-	rowMax := func(two [2]mapEntry, scale float64) {
-		for _, e := range two {
-			if e.i < 0 || e.j == from || e.j == to {
-				continue // corner entries scale by two ratios; dropped
-			}
-			if v := scale * e.v; v > tNet {
-				tNet = v
-			}
+	tNet := 0.0
+	for _, e := range s.mapTop {
+		if e.i != from && e.i != to && e.j != from && e.j != to {
+			tNet = m.k * e.v
 			break
 		}
 	}
-	colMax := func(two [2]mapEntry, scale float64) {
+	// The moved rows' and columns' largest entries away from the
+	// corners (which scale by two ratios; dropped).
+	scale := [4]float64{m.rsF, m.rsT, m.csF, m.csT}
+	for x, two := range [4][2]mapEntry{s.mapRow2[from], s.mapRow2[to], s.mapCol2[from], s.mapCol2[to]} {
 		for _, e := range two {
-			if e.i < 0 || e.i == from || e.i == to {
-				continue
+			other := e.j
+			if x >= 2 {
+				other = e.i
 			}
-			if v := scale * e.v; v > tNet {
-				tNet = v
+			if e.i >= 0 && other != from && other != to {
+				tNet = max(tNet, scale[x]*e.v)
+				break
 			}
-			break
 		}
 	}
-	rowMax(s.mapRow2[from], rsF)
-	rowMax(s.mapRow2[to], rsT)
-	colMax(s.mapCol2[from], csF)
-	colMax(s.mapCol2[to], csT)
-
-	cF := pf * s.compRate[from]
-	cT := pt * s.compRate[to]
-	tComp := cF
-	if cT > tComp {
-		tComp = cT
-	}
-	tComp = s.topComp.maxExcluding(s.comp, from, to, tComp)
+	cF, cT, tComp := s.compBound(from, to, pf, pt)
 	compLoad := clamp0(s.compSum - s.comp[from] - s.comp[to] + cF + cT)
-
-	co2, cm := 0.0, 0.0
-	if s.needC {
-		// Carbon entries scale entrywise like dollars: the unchanged
-		// block by k, the moved DCs' rows/columns by their surplus/
-		// deficit ratios, plus the compute carbon of the candidate.
-		cornerC := s.cE[from*n+to] + s.cE[to*n+from] + s.cE[from*n+from] + s.cE[to*n+to]
-		blockC := s.mapTotC - s.mapRowC[from] - s.mapRowC[to] - s.mapColC[from] - s.mapColC[to] + cornerC
-		if blockC < 0 {
-			blockC = 0
-		}
-		co2 = k*blockC +
-			rsF*clamp0(s.mapRowC[from]-s.cE[from*n+from]-s.cE[from*n+to]) +
-			rsT*clamp0(s.mapRowC[to]-s.cE[to*n+to]-s.cE[to*n+from]) +
-			csF*clamp0(s.mapColC[from]-s.cE[from*n+from]-s.cE[to*n+from]) +
-			csT*clamp0(s.mapColC[to]-s.cE[to*n+to]-s.cE[from*n+to])
-		co2 += clamp0(s.compCarbSum - s.comp[from]*s.compC[from] - s.comp[to]*s.compC[to] +
-			cF*s.compC[from] + cT*s.compC[to])
-		cm = s.mapTotC + s.compCarbSum
+	var v, abs [2]float64
+	for k := range s.active() {
+		l := &s.lin[k]
+		v[k] = m.bound(s.n, &l.slab) + clamp0(l.swapCPU(0, s.comp, from, to, cF, cT))
+		abs[k] = l.mapTot + l.cpuSum
 	}
-
-	secs := tNet + tComp
-	load := netLoad + compLoad
-	usd := netUsd
-	v := sc.Score(Aggregates{Secs: secs, LoadSum: load, USD: usd, KgCO2: co2})
-	// compSum and compCarbSum (in cm) sit in the absolute term because
-	// the total-minus-two compute folds above cancel.
-	margin := 1e-7*(secs+load+usd+co2) + 1e-12*(s.mapTotT+s.mapTotU+compLoad+s.compSum+cm)
-	return v-margin >= bestV-1e-9
+	secs, load := tNet+tComp, m.bound(s.n, &s.sec)+compLoad
+	// compSum sits in the absolute term (after compLoad) because the
+	// total-minus-two compute folds above cancel.
+	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.mapTot+abs[0]+compLoad+s.compSum+abs[1])
+	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
 }
 
 // normalizeInto is Placement.Normalize writing into an owned buffer —
@@ -1048,17 +865,13 @@ func normalizeInto(dst, src spark.Placement) {
 			total += v
 		}
 	}
-	if total <= 0 {
-		u := 1 / float64(len(src))
-		for i := range dst {
-			dst[i] = u
-		}
-		return
-	}
 	for i, v := range src {
-		if v > 0 {
+		switch {
+		case total <= 0:
+			dst[i] = 1 / float64(len(src))
+		case v > 0:
 			dst[i] = v / total
-		} else {
+		default:
 			dst[i] = 0
 		}
 	}
@@ -1072,20 +885,14 @@ func normalizeInto(dst, src spark.Placement) {
 // Only ScreenSafe scorers get the rejection screens; the rest pay the
 // exact canonical evaluation for every candidate — slower, never wrong.
 func (s *search) descend(start spark.Placement, sc Scorer) float64 {
-	s.needC = sc.NeedsCarbon()
-	if s.needC && !s.carbonReady {
-		s.prepCarbon()
-	}
+	s.activate(sc)
 	useScreens := sc.ScreenSafe()
 	normalizeInto(s.p, start)
 	s.fillBase()
 	best := sc.Score(s.agg)
-	isMap := s.stage.Kind == spark.MapKind
-	step := 0.10
-	for step >= 0.005 {
+	for step := 0.10; step >= 0.005; step /= 2 {
 		for {
-			bestV := best
-			bestFrom, bestTo := -1, -1
+			bestV, bestFrom, bestTo := best, -1, -1
 			var bestAgg Aggregates
 			for from := 0; from < s.n; from++ {
 				if s.p[from] < step {
@@ -1098,21 +905,24 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 					}
 					pt := s.p[to] + step
 					var a Aggregates
-					if isMap {
-						if useScreens && s.mapScreen(from, to, pf, pt, bestV, sc) {
+					if useScreens {
+						var margin float64
+						if s.isMap {
+							a, margin = s.mapScreen(from, to, pf, pt)
+						} else {
+							a, margin = s.screen(from, to, pf, pt)
+						}
+						if sc.Score(a)-margin >= bestV-1e-9 {
 							continue
 						}
+					}
+					if s.isMap {
 						a = s.evalMapCand(from, to, pf, pt)
 					} else {
-						if useScreens && s.screen(from, to, pf, pt, bestV, sc) {
-							continue
-						}
 						a = s.evalShuffleCand(from, to, pf, pt)
 					}
 					if v := sc.Score(a); v < bestV-1e-9 {
-						bestV = v
-						bestFrom, bestTo = from, to
-						bestAgg = a
+						bestV, bestFrom, bestTo, bestAgg = v, from, to, a
 					}
 				}
 			}
@@ -1123,7 +933,6 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 			best = bestV
 			s.agg = bestAgg
 		}
-		step /= 2
 	}
 	return best
 }
@@ -1135,16 +944,13 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 // just scored, and both of its phases share this one context.
 func (s *search) placeMultiStart(sc Scorer) (best spark.Placement, agg Aggregates) {
 	normalizeInto(s.starts[0], s.layout) // data locality
-	u := 1 / float64(s.n)
 	for i := range s.starts[1] {
-		s.starts[1][i] = u // uniform
+		s.starts[1][i] = 1 / float64(s.n) // uniform
 	}
 	normalizeInto(s.starts[2], s.est.info.ComputeRates) // compute-proportional
-
 	bestV := 0.0
-	for i := 0; i < 3; i++ {
-		v := s.descend(s.starts[i], sc)
-		if i == 0 || v < bestV {
+	for i, start := range s.starts {
+		if v := s.descend(start, sc); i == 0 || v < bestV {
 			bestV = v
 			copy(s.bestBuf, s.p)
 			agg = s.agg
@@ -1161,11 +967,9 @@ func descendGeneric(n int, start spark.Placement, objective func(spark.Placement
 	p := start.Normalize()
 	cand := make(spark.Placement, n)
 	best := objective(p)
-	step := 0.10
-	for step >= 0.005 {
+	for step := 0.10; step >= 0.005; step /= 2 {
 		for {
-			bestV := best
-			bestFrom, bestTo := -1, -1
+			bestV, bestFrom, bestTo := best, -1, -1
 			for from := 0; from < n; from++ {
 				if p[from] < step {
 					continue
@@ -1178,8 +982,7 @@ func descendGeneric(n int, start spark.Placement, objective func(spark.Placement
 					cand[from] -= step
 					cand[to] += step
 					if v := objective(cand); v < bestV-1e-9 {
-						bestV = v
-						bestFrom, bestTo = from, to
+						bestV, bestFrom, bestTo = v, from, to
 					}
 				}
 			}
@@ -1190,7 +993,6 @@ func descendGeneric(n int, start spark.Placement, objective func(spark.Placement
 			p[bestTo] += step
 			best = bestV
 		}
-		step /= 2
 	}
 	return p
 }

@@ -2,6 +2,7 @@ package gda
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/wanify/wanify/internal/bwmatrix"
@@ -136,7 +137,7 @@ func fleetPlanningProblem(n, nz int, seed uint64) (ClusterInfo, bwmatrix.Matrix,
 
 // TestPlaceMatchesReferenceFleetSparse extends the equivalence lock
 // past the paper's n=8 to fleet-shaped sparse problems: randomized
-// clusters up to n=64 with data on only a handful of DCs, where the
+// clusters up to n=32 with data on only a handful of DCs, where the
 // search iterates its nzRows fast paths. Every scheduler must still
 // return element-for-element identical placements to the dense
 // reference on map and reduce stages.
@@ -146,21 +147,12 @@ func TestPlaceMatchesReferenceFleetSparse(t *testing.T) {
 		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
 	}
 	type dims struct{ n, nz, trials int }
-	for _, d := range []dims{{12, 3, 2}, {24, 4, 2}, {48, 5, 1}, {64, 6, 1}} {
-		if d.n > 24 && testing.Short() {
-			continue // the O(n⁴) reference is the suite's long pole; TestScreensNeverChangeThePlacement covers these sizes
-		}
+	// The dense reference is O(n⁴) per descent; larger fleets are
+	// TestScreensNeverChangeThePlacement's (n = 48/64/100).
+	for _, d := range []dims{{12, 3, 2}, {24, 4, 2}, {32, 5, 1}} {
 		for trial := 0; trial < d.trials; trial++ {
 			ci, believed, layout := fleetPlanningProblem(d.n, d.nz+trial, uint64(d.n*1000+trial))
-
-			// The dense reference is O(n⁴) per descent; past n=24 run
-			// the reduce stage only to keep the suite fast (the map
-			// path's sparse handling is covered at 12 and 24).
-			checkStages := stages
-			if d.n > 24 {
-				checkStages = stages[1:]
-			}
-			for _, stage := range checkStages {
+			for _, stage := range stages {
 				// Cases are independent pure calls: run them in parallel.
 				t.Run(fmt.Sprintf("n=%d nz=%d trial=%d stage=%s", d.n, d.nz+trial, trial, stage.Name), func(t *testing.T) {
 					t.Parallel()
@@ -304,7 +296,7 @@ func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
 		colMax := make([]float64, s.n)
 		for j := range colMax {
 			for _, i := range s.nzRows {
-				if v := s.tE[i*s.n+j]; v > colMax[j] {
+				if v := s.sec.E[i*s.n+j]; v > colMax[j] {
 					colMax[j] = v
 				}
 			}
@@ -322,15 +314,21 @@ func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
 				}
 			}
 		}
-		compSum, compCarb := 0.0, 0.0
-		for j, c := range s.comp {
+		compSum := 0.0
+		for _, c := range s.comp {
 			compSum += c
-			if s.needC {
-				compCarb += c * s.compC[j]
-			}
 		}
-		if s.compSum != compSum || (s.needC && s.compCarbSum != compCarb) {
-			t.Fatalf("%s: compSum %v / compCarbSum %v, in-order sums %v / %v", when, s.compSum, s.compCarbSum, compSum, compCarb)
+		if s.compSum != compSum {
+			t.Fatalf("%s: compSum %v, in-order sum %v", when, s.compSum, compSum)
+		}
+		for k, l := range s.active() {
+			cpuSum := 0.0
+			for j, c := range l.cpu {
+				cpuSum += s.comp[j] * c
+			}
+			if l.cpuSum != cpuSum {
+				t.Fatalf("%s: slot %d cpuSum %v, in-order sum %v", when, k, l.cpuSum, cpuSum)
+			}
 		}
 	}
 	for _, d := range [][2]int{{3, 2}, {8, 5}, {24, 4}} {
@@ -344,47 +342,114 @@ func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
 			for _, sc := range []Scorer{JCT{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}} {
 				label := fmt.Sprintf("n=%d stage=%s scorer=%s", n, stage.Name, sc.Name())
 				s := getSearch(estimator{believed: believed, info: ci}, stage, layout)
-				// descend's loop with the exact evaluator only, so the walk
-				// does not depend on the screens under test.
-				s.needC = sc.NeedsCarbon()
-				if s.needC {
-					s.prepCarbon()
-				}
-				normalizeInto(s.p, spark.UniformPlacement(n))
-				s.fillBase()
-				check(t, s, label+" after fillBase")
-				best, moves := sc.Score(s.agg), 0
-				for step := 0.10; step >= 0.005; step /= 2 {
-					for {
-						bestV, bestFrom, bestTo := best, -1, -1
-						for from := 0; from < n; from++ {
-							if s.p[from] < step {
-								continue
-							}
-							for to := 0; to < n; to++ {
-								if to == from {
-									continue
-								}
-								eval := s.evalShuffleCand
-								if stage.Kind == spark.MapKind {
-									eval = s.evalMapCand
-								}
-								if v := sc.Score(eval(from, to, s.p[from]-step, s.p[to]+step)); v < bestV-1e-9 {
-									bestV, bestFrom, bestTo = v, from, to
-								}
-							}
-						}
-						if bestFrom < 0 {
-							break
-						}
-						s.applyMove(bestFrom, bestTo, step)
-						best = bestV
-						moves++
-						check(t, s, fmt.Sprintf("%s after move %d (%d→%d)", label, moves, bestFrom, bestTo))
-					}
-				}
+				moves := exactWalk(s, sc, nil, func(when string) { check(t, s, label+" "+when) })
 				if moves == 0 {
 					t.Fatalf("%s: the walk accepted no move", label)
+				}
+				putSearch(s)
+			}
+		}
+	}
+}
+
+// exactWalk runs descend's loop from the uniform placement with the
+// exact evaluators only, so the walk does not depend on the screens.
+// It calls cand (if non-nil) for every candidate of every sweep with
+// the candidate's exact aggregates, and based after fillBase and after
+// every accepted move; it returns the number of moves.
+func exactWalk(s *search, sc Scorer, cand func(from, to int, pf, pt float64, exact Aggregates), based func(when string)) int {
+	s.activate(sc)
+	normalizeInto(s.p, spark.UniformPlacement(s.n))
+	s.fillBase()
+	based("after fillBase")
+	best, moves := sc.Score(s.agg), 0
+	for step := 0.10; step >= 0.005; step /= 2 {
+		for {
+			bestV, bestFrom, bestTo := best, -1, -1
+			for from := 0; from < s.n; from++ {
+				if s.p[from] < step {
+					continue
+				}
+				for to := 0; to < s.n; to++ {
+					if to == from {
+						continue
+					}
+					pf, pt := s.p[from]-step, s.p[to]+step
+					eval := s.evalShuffleCand
+					if s.isMap {
+						eval = s.evalMapCand
+					}
+					a := eval(from, to, pf, pt)
+					if cand != nil {
+						cand(from, to, pf, pt, a)
+					}
+					if v := sc.Score(a); v < bestV-1e-9 {
+						bestV, bestFrom, bestTo = v, from, to
+					}
+				}
+			}
+			if bestFrom < 0 {
+				break
+			}
+			s.applyMove(bestFrom, bestTo, step)
+			best = bestV
+			moves++
+			based(fmt.Sprintf("after move %d (%d→%d)", moves, bestFrom, bestTo))
+		}
+	}
+	return moves
+}
+
+// TestScreenBoundsUnderstateEveryCandidate checks the screens' contract
+// per aggregate rather than through the placement: for every candidate
+// of every sweep of an exact walk, each aggregate of the bound screen
+// or mapScreen returns is at most the exact evalShuffleCand /
+// evalMapCand aggregate plus the margin. On shuffle stages the screen
+// is exact up to its margin — every sum is a rearranged exact sum and
+// every max an exact max — so there the exact aggregate must also be
+// at most the bound plus the margin, which is what catches a bound that
+// drops or mis-scales one slot's term.
+func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
+	scorers := []Scorer{JCT{}, Cost{BudgetS: 120}, Carbon{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
+	for _, d := range [][2]int{{3, 2}, {8, 5}, {24, 4}} {
+		n, nz := d[0], d[1]
+		ci, believed, layout := fleetPlanningProblem(n, nz, uint64(n*7000+nz))
+		ci = withCarbon(ci, uint64(n*7000+nz))
+		for _, stage := range []spark.Stage{
+			{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
+			{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
+		} {
+			for _, sc := range scorers {
+				label := fmt.Sprintf("n=%d stage=%s scorer=%s", n, stage.Name, sc.Name())
+				s := getSearch(estimator{believed: believed, info: ci}, stage, layout)
+				checked, base := 0, ""
+				exactWalk(s, sc, func(from, to int, pf, pt float64, exact Aggregates) {
+					screen := s.screen
+					if s.isMap {
+						screen = s.mapScreen
+					}
+					lb, margin := screen(from, to, pf, pt)
+					if math.IsInf(margin, 1) {
+						return // never rejects
+					}
+					checked++
+					for _, f := range []struct {
+						name       string
+						bound, got float64
+					}{
+						{"Secs", lb.Secs, exact.Secs},
+						{"LoadSum", lb.LoadSum, exact.LoadSum},
+						{"USD", lb.USD, exact.USD},
+						{"KgCO2", lb.KgCO2, exact.KgCO2},
+					} {
+						if f.bound > f.got+margin || (!s.isMap && f.got > f.bound+margin) {
+							t.Fatalf("%s %s, move %d→%d: %s bound %v, exact %v, margin %v",
+								label, base, from, to, f.name, f.bound, f.got, margin)
+						}
+					}
+				}, func(when string) { base = when })
+				if checked == 0 {
+					t.Fatalf("%s: no candidate was screened", label)
 				}
 				putSearch(s)
 			}
@@ -498,6 +563,28 @@ func BenchmarkSchedulerPlaceReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		placeKimchiReference(kim, stage, layout)
+	}
+}
+
+// BenchmarkSchedulerPlaceBlend times the carbon slot: a three-way blend
+// on benchCluster with each DC's grid carbon filled in from the default
+// energy rates (a t2.medium's draw per unit of compute rate).
+func BenchmarkSchedulerPlaceBlend(b *testing.B) {
+	info, believed, layout := benchCluster()
+	energy := cost.DefaultEnergyRates()
+	n := info.N()
+	info.CarbonPerCompSec = make([]float64, n)
+	info.CarbonPerGB = make([]float64, n)
+	for i, r := range info.Regions {
+		info.CarbonPerCompSec[i] = energy.ComputeKgCO2PerSec(11*info.ComputeRates[i], r)
+		info.CarbonPerGB[i] = energy.WANKgCO2PerGB(r)
+	}
+	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
+	sched := Sched{Scorer: Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}, Believed: believed, Info: info}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sched.Place(0, stage, layout)
 	}
 }
 

@@ -20,9 +20,8 @@ var _ substrate.Cluster = (*Sim)(nil)
 // model; see Config for the knobs.
 //
 // Sim is not safe for concurrent use: the analytics engine, agents and
-// probes all run inside the single simulated timeline. Concurrency
-// lives one level up — independent experiment drivers each own a Sim
-// (see internal/experiments.RunScenarios).
+// probes all run inside the single simulated timeline; every
+// experiment driver owns its own Sim.
 type Sim struct {
 	cfg     Config
 	regions []geo.Region
@@ -512,14 +511,19 @@ func (s *Sim) finishFlow(f *Flow) {
 	if f.srcDC != f.dstDC {
 		s.interDCFlow--
 	}
+	// A finished flow drops its callbacks, so a handle that outlives it
+	// (a caller's, a pending ramp timer's) keeps nothing of the job that
+	// launched it reachable.
+	onDone, onFail := f.onDone, f.onFail
+	f.onDone, f.onFail = nil, nil
 	switch {
 	case f.failed:
-		if f.onFail != nil {
-			f.onFail()
+		if onFail != nil {
+			onFail()
 		}
 	case !f.stopped:
-		if f.onDone != nil {
-			f.onDone()
+		if onDone != nil {
+			onDone()
 		}
 	}
 }

@@ -78,6 +78,9 @@ type jobState struct {
 	stWaves      int
 
 	res RunResult
+
+	// wd is what this job's pending transfer deadlines hold of it.
+	wd *watchdog
 }
 
 // JobSet interleaves N jobs' stages over one engine's shared substrate
@@ -277,7 +280,7 @@ func (s *JobSet) Cancel(idx int) error {
 	}
 	s.releaseLoad(js)
 	js.flows, js.pairs = nil, nil
-	js.phase = phaseDone
+	js.finish()
 	s.running--
 	return nil
 }
@@ -425,16 +428,40 @@ func (s *JobSet) startStage(js *jobState, now float64) {
 // wave: one that outlives MaxStageTransferS fails the set, naming the
 // flows still pending.
 func (s *JobSet) watch(js *jobState, what string) {
-	e := s.eng
-	stageIdx := js.stage
-	e.sim.After(e.MaxStageTransferS, func(float64) {
-		if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
+	if js.wd == nil {
+		js.wd = &watchdog{s: s, js: js}
+	}
+	wd, stageIdx := js.wd, js.stage
+	s.eng.sim.After(s.eng.MaxStageTransferS, func(float64) {
+		s, js := wd.s, wd.js
+		if js == nil || s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
 			return
 		}
+		e := s.eng
 		s.abort(fmt.Errorf("spark: job %q stage %q: %s not drained after %.1fs of simulated time (pending: %s)",
 			js.run.Job.Name, js.run.Job.Stages[stageIdx].Name, what, e.MaxStageTransferS,
 			substrate.DescribePending(e.sim, js.flows)))
 	})
+}
+
+// watchdog is what a pending transfer deadline holds of its job. The
+// deadline outlives the job by up to MaxStageTransferS of simulated
+// time, so finish clears it: a substrate that lives on (the serving
+// plane's, or one a caller keeps) must not keep a finished job's state
+// and reports reachable.
+type watchdog struct {
+	s  *JobSet
+	js *jobState
+}
+
+// finish marks the job done and disarms its pending deadlines, which
+// would have returned without acting anyway: a done job never
+// transfers again.
+func (js *jobState) finish() {
+	js.phase = phaseDone
+	if js.wd != nil {
+		*js.wd = watchdog{}
+	}
 }
 
 // finishTransfers closes a stage's transfer phase (at the exact instant
@@ -525,7 +552,7 @@ func (s *JobSet) endStage(js *jobState, rep StageReport, now float64) {
 
 // finishJob completes a job's state machine.
 func (s *JobSet) finishJob(js *jobState, now float64) {
-	js.phase = phaseDone
+	js.finish()
 	js.res.JCTSeconds = now - js.startedAt
 	if math.IsInf(js.res.MinShuffleMbps, 1) {
 		js.res.MinShuffleMbps = 0
@@ -580,7 +607,7 @@ func (s *JobSet) abort(err error) {
 			}
 		}
 		s.releaseLoad(js)
-		js.phase = phaseDone
+		js.finish()
 	}
 	s.running = 0
 }

@@ -2,8 +2,10 @@ package spark
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/wanify/wanify/internal/cost"
 	"github.com/wanify/wanify/internal/geo"
@@ -218,6 +220,33 @@ func TestJobSetContentionAndConservation(t *testing.T) {
 	if !slower {
 		t.Error("two concurrent shuffles showed no contention at all")
 	}
+}
+
+// TestFinishedJobSetNotRetainedBySubstrate keeps only the simulator of
+// a finished job set. Its pending stage deadlines fire hours of
+// simulated time later and its finished flows can outlive the set
+// (pending ramp timers, a caller's handle), but none of them may keep
+// the jobs' state and stage reports reachable.
+func TestFinishedJobSetNotRetainedBySubstrate(t *testing.T) {
+	sim := frozenSim(4, 11)
+	got, err := NewEngine(sim, cost.DefaultRates()).RunJobSet([]JobRun{
+		{Job: testJob("a", 4, 8e9), Sched: localitySched{}, Policy: SingleConn{}},
+		{Job: testJob("b", 4, 6e9), Sched: localitySched{}, Policy: SingleConn{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := got.Results[1].Stages
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&last[len(last)-1].PairBytes[0], func(*[]float64) { close(freed) })
+	got, last = JobSetResult{}, nil
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Error("the simulator still reaches a finished job's stage report")
+	}
+	runtime.KeepAlive(sim)
 }
 
 // TestJobSetStartDelays staggers job entries and checks both the delay
