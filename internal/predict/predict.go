@@ -132,22 +132,7 @@ func (m *Model) predictVec(vec []float64) float64 {
 // the combined BW of a DC"). features is indexed by VM; dcOfVM maps
 // each VM to its DC.
 func (m *Model) PredictDCMatrixByVM(features [][]dataset.PairFeatures, dcOfVM []int, numDCs int) bwmatrix.Matrix {
-	return m.PredictDCMatrixByVMInto(nil, features, dcOfVM, numDCs)
-}
-
-// PredictDCMatrixByVMInto is PredictDCMatrixByVM with a caller-owned
-// result matrix (reused when already numDCs×numDCs, zeroed before the
-// accumulation) and a shared feature-vector buffer.
-func (m *Model) PredictDCMatrixByVMInto(dst bwmatrix.Matrix, features [][]dataset.PairFeatures, dcOfVM []int, numDCs int) bwmatrix.Matrix {
-	if dst.N() != numDCs {
-		dst = bwmatrix.New(numDCs)
-	} else {
-		for i := range dst {
-			for j := range dst[i] {
-				dst[i][j] = 0
-			}
-		}
-	}
+	dst := bwmatrix.New(numDCs)
 	var vecArr [dataset.NumFeatures]float64
 	vec := vecArr[:0]
 	for s := range features {

@@ -37,8 +37,8 @@ func randomPair(rng *simrand.Source, n int) dataset.PairFeatures {
 	}
 }
 
-// TestPredictMatrixIntoMatchesPlain locks the Into variants bit-exact
-// against the allocating paths, including reuse of a dirty dst.
+// TestPredictMatrixIntoMatchesPlain locks PredictMatrixInto bit-exact
+// against PredictMatrix, including reuse of a dirty dst.
 func TestPredictMatrixIntoMatchesPlain(t *testing.T) {
 	m := scratchModel(t)
 	rng := simrand.Derive(9, "predict-scratch-feats")
@@ -60,29 +60,6 @@ func TestPredictMatrixIntoMatchesPlain(t *testing.T) {
 			for j := 0; j < n; j++ {
 				if dst[i][j] != want[i][j] {
 					t.Fatalf("trial %d: PredictMatrixInto[%d][%d] %v vs %v", trial, i, j, dst[i][j], want[i][j])
-				}
-			}
-		}
-
-		// VM-association path: 2 VMs per DC.
-		nv := n * 2
-		vmFeats := make([][]dataset.PairFeatures, nv)
-		dcOf := make([]int, nv)
-		for s := range vmFeats {
-			vmFeats[s] = make([]dataset.PairFeatures, nv)
-			dcOf[s] = s / 2
-			for d := range vmFeats[s] {
-				if s != d && s/2 != d/2 {
-					vmFeats[s][d] = randomPair(rng, n)
-				}
-			}
-		}
-		wantDC := m.PredictDCMatrixByVM(vmFeats, dcOf, n)
-		gotDC := m.PredictDCMatrixByVMInto(bwmatrix.NewFilled(n, 123), vmFeats, dcOf, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if gotDC[i][j] != wantDC[i][j] {
-					t.Fatalf("trial %d: PredictDCMatrixByVMInto[%d][%d] %v vs %v", trial, i, j, gotDC[i][j], wantDC[i][j])
 				}
 			}
 		}

@@ -7,7 +7,7 @@ package runtime
 // machinery exists to stop) nor as the stale value at full weight.
 // The store keeps, per ordered DC pair, the last fused bandwidth, the
 // time it was observed and a confidence; the belief's WEIGHT decays
-// exponentially with staleness (half-life Config.BeliefHalfLifeS)
+// exponentially with staleness (half-life beliefHalfLifeS)
 // while its VALUE holds, floored at the same 1 Mbps blackout belief
 // internal/gda locks for believed-blackout pairs — an unmeasurable
 // pair degrades gracefully toward "assume blackout", never "assume
@@ -24,20 +24,21 @@ import (
 // treats a long-unmeasured pair as a blackout, not a hole.
 const blackoutFloorMbps = 1.0
 
+// beliefHalfLifeS is the staleness half-life of a belief's confidence.
+const beliefHalfLifeS = 120
+
 // beliefStore holds the per-pair last-known-good bandwidth belief.
 type beliefStore struct {
-	mbps      bwmatrix.Matrix
-	at        [][]float64
-	conf      [][]float64
-	halfLifeS float64
+	mbps bwmatrix.Matrix
+	at   [][]float64
+	conf [][]float64
 }
 
-func newBeliefStore(n int, halfLifeS float64) *beliefStore {
+func newBeliefStore(n int) *beliefStore {
 	b := &beliefStore{
-		mbps:      bwmatrix.New(n),
-		at:        make([][]float64, n),
-		conf:      make([][]float64, n),
-		halfLifeS: halfLifeS,
+		mbps: bwmatrix.New(n),
+		at:   make([][]float64, n),
+		conf: make([][]float64, n),
 	}
 	for i := range b.at {
 		b.at[i] = make([]float64, n)
@@ -69,7 +70,7 @@ func (b *beliefStore) weight(i, j int, now float64) float64 {
 	if age < 0 {
 		age = 0
 	}
-	return b.conf[i][j] * math.Exp2(-age/b.halfLifeS)
+	return b.conf[i][j] * math.Exp2(-age/beliefHalfLifeS)
 }
 
 // value returns the believed bandwidth, floored at the blackout

@@ -16,7 +16,7 @@ func seededStore(n int, mbps, conf, at float64) *beliefStore {
 			}
 		}
 	}
-	b := newBeliefStore(n, 120)
+	b := newBeliefStore(n)
 	b.seed(m, at, conf)
 	return b
 }
@@ -43,7 +43,7 @@ func TestBeliefWeightDecay(t *testing.T) {
 // the 1 Mbps blackout belief, never zero, and fusion cannot go below
 // the floor either.
 func TestBeliefBlackoutFloor(t *testing.T) {
-	b := newBeliefStore(3, 120)
+	b := newBeliefStore(3)
 	if got := b.value(0, 1); got != blackoutFloorMbps {
 		t.Errorf("unseeded value = %v, want the %v Mbps floor", got, blackoutFloorMbps)
 	}

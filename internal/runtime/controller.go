@@ -18,9 +18,9 @@
 //     pair against the plan's achievable-bandwidth model (Eq. 3
 //     evaluated at the agents' current window position — the
 //     operational form of the prediction the plan was built from).
-//   - Drift on a pair is a relative delta above Config.DriftFrac that
-//     is also absolutely significant (Config.SignificantMbps, the
-//     paper's 100 Mbps threshold). Hysteresis demands the drift
+//   - Drift on a pair is a relative delta above driftFrac (0.3) that
+//     is also absolutely significant (significantMbps, the paper's
+//     100 Mbps threshold). Hysteresis demands the drift
 //     persist for Config.HysteresisEpochs consecutive epochs, and a
 //     cooldown keeps replans apart, so transient wobbles and the
 //     controller's own plan swaps cause no churn. A staleness clock
@@ -62,7 +62,8 @@ import (
 
 // Config configures the re-gauging controller. The zero value (with
 // Enabled false) is the base WANify behaviour: plan once, never
-// revisit.
+// revisit. The drift thresholds and the failure-aware gauging policy
+// are fixed (the constants below), not settings.
 type Config struct {
 	// Enabled turns the controller on. Default off: all existing
 	// single-plan runs (and their golden outputs) are untouched.
@@ -70,24 +71,6 @@ type Config struct {
 	// EpochS is the controller's aggregation epoch in seconds (default
 	// 15 — three 5-second agent epochs per controller look).
 	EpochS float64
-	// DriftFrac is the relative per-pair delta between the live
-	// monitored rate and the plan's achievable-BW target beyond which
-	// the pair counts as drifted (default 0.3).
-	DriftFrac float64
-	// SignificantMbps is the absolute floor a drifted delta must also
-	// clear (default 100 Mbps, the paper's significance threshold) so
-	// thin links cannot trigger replans on noise.
-	SignificantMbps float64
-	// MinActiveMbps is the minimum live rate for a pair to participate
-	// in drift detection (default 5 Mbps); an idle link says nothing
-	// about the plan, exactly as in the agents' skip rule. Pairs with
-	// registered transfers still in flight participate regardless of
-	// their live rate, so a blackout (demand present, nothing
-	// delivered) cannot hide below the activity floor.
-	MinActiveMbps float64
-	// MinDriftPairs is how many pairs must drift in one epoch for the
-	// epoch to count toward the hysteresis streak (default 1).
-	MinDriftPairs int
 	// HysteresisEpochs is how many consecutive drifted epochs arm the
 	// trigger (default 2).
 	HysteresisEpochs int
@@ -100,70 +83,59 @@ type Config struct {
 	// MaxReplans caps the number of replans per controller lifetime
 	// (default 0: unlimited).
 	MaxReplans int
-
-	// --- failure-aware gauging (DESIGN.md §11; default all off) ---
-
-	// Hardened turns on failure-aware gauging: re-gauge snapshots run
-	// with probe retry/backoff (measure.BeginSnapshotHardened), come
-	// back as tagged partial samples, fuse with the last-known-good
-	// belief store, and pass through the coverage gate and circuit
-	// breaker below. Default off: the legacy collect-and-swap path is
-	// byte-identical to builds that predate hardening.
+	// Hardened turns on failure-aware gauging (DESIGN.md §11): re-gauge
+	// snapshots run with probe retry/backoff
+	// (measure.BeginSnapshotHardened), come back as tagged partial
+	// samples, fuse with the last-known-good belief store, and pass
+	// through the coverage gate and circuit breaker below. Default off:
+	// the legacy collect-and-swap path is byte-identical to builds that
+	// predate hardening.
 	Hardened bool
-	// Retry is the hardened snapshot's probe retry policy (zero value:
-	// measure defaults — 2 retries, 0.1 s base backoff, ×2 growth
-	// capped at 1 s).
-	Retry measure.RetryPolicy
-	// MinCoverage is the measured-pair fraction a snapshot must reach
-	// for the controller to replan from it (default 0.6). Below it the
+}
+
+// Drift detection and failure-aware gauging run at fixed thresholds.
+const (
+	// driftFrac is the relative per-pair delta between the live
+	// monitored rate and the plan's achievable-BW target beyond which
+	// the pair counts as drifted.
+	driftFrac = 0.3
+	// significantMbps is the absolute floor a drifted delta must also
+	// clear (the paper's significance threshold), so thin links cannot
+	// trigger replans on noise.
+	significantMbps = 100
+	// minActiveMbps is the minimum live rate for a pair to participate
+	// in drift detection; an idle link says nothing about the plan,
+	// exactly as in the agents' skip rule. Pairs with registered
+	// transfers still in flight participate regardless of their live
+	// rate, so a blackout (demand present, nothing delivered) cannot
+	// hide below the activity floor.
+	minActiveMbps = 5
+	// minDriftPairs is how many pairs must drift in one epoch for the
+	// epoch to count toward the hysteresis streak.
+	minDriftPairs = 1
+
+	// minCoverage is the measured-pair fraction a hardened snapshot
+	// must reach for the controller to replan from it. Below it the
 	// controller enters degraded mode for that trigger: the current
 	// plan is kept, the rejection is recorded as an incident, and the
 	// circuit breaker advances.
-	MinCoverage float64
-	// BeliefHalfLifeS is the staleness half-life of the per-pair
-	// belief store's confidence (default 120 s).
-	BeliefHalfLifeS float64
-	// BreakerThreshold is how many consecutive rejected snapshots open
-	// the circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerBackoffS is how long an open breaker suppresses re-gauge
-	// triggers before re-arming (default 4×EpochS).
-	BreakerBackoffS float64
-}
+	minCoverage = 0.6
+	// breakerThreshold consecutive rejected snapshots open the circuit
+	// breaker, which then suppresses re-gauge triggers for
+	// breakerBackoffEpochs controller epochs.
+	breakerThreshold     = 3
+	breakerBackoffEpochs = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.EpochS == 0 {
 		c.EpochS = 15
-	}
-	if c.DriftFrac == 0 {
-		c.DriftFrac = 0.3
-	}
-	if c.SignificantMbps == 0 {
-		c.SignificantMbps = 100
-	}
-	if c.MinActiveMbps == 0 {
-		c.MinActiveMbps = 5
-	}
-	if c.MinDriftPairs == 0 {
-		c.MinDriftPairs = 1
 	}
 	if c.HysteresisEpochs == 0 {
 		c.HysteresisEpochs = 2
 	}
 	if c.CooldownS == 0 {
 		c.CooldownS = 2 * c.EpochS
-	}
-	if c.MinCoverage == 0 {
-		c.MinCoverage = 0.6
-	}
-	if c.BeliefHalfLifeS == 0 {
-		c.BeliefHalfLifeS = 120
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerBackoffS == 0 {
-		c.BreakerBackoffS = 4 * c.EpochS
 	}
 	return c
 }
@@ -221,7 +193,7 @@ const (
 	ReasonDrift    Reason = iota // live rates departed from the plan
 	ReasonStale                  // the plan aged past StaleAfterS
 	ReasonEvacuate               // a DC was confirmed dead; plan routes around it
-	ReasonDegraded               // snapshot rejected: coverage below MinCoverage
+	ReasonDegraded               // snapshot rejected: coverage below minCoverage
 	ReasonBreaker                // consecutive rejections opened the circuit breaker
 )
 
@@ -371,7 +343,7 @@ func Start(deps Deps, cfg Config, pred bwmatrix.Matrix, plan optimize.Plan) *Con
 		// Seed the belief store with the prediction the current plan
 		// was built from: the best last-known-good available before
 		// any hardened snapshot lands.
-		c.belief = newBeliefStore(deps.Cluster.NumDCs(), c.cfg.BeliefHalfLifeS)
+		c.belief = newBeliefStore(deps.Cluster.NumDCs())
 		c.belief.seed(pred, c.planAt, 0.5)
 		c.gauge = GaugeStats{Hardened: true, LastCoverage: 1}
 	}
@@ -463,7 +435,7 @@ func (c *Controller) epoch(now float64) {
 	live, expected, demand := c.aggregate()
 	c.live = live
 	drifted, maxFrac := c.drift(live, expected, demand)
-	if drifted >= c.cfg.MinDriftPairs {
+	if drifted >= minDriftPairs {
 		c.streak++
 		c.driftEpochs++
 	} else {
@@ -566,8 +538,8 @@ func (c *Controller) aggregate() (live, expected bwmatrix.Matrix, demand [][]int
 }
 
 // drift counts the active pairs whose live rate departs from the
-// plan's target both relatively (DriftFrac) and absolutely
-// (SignificantMbps), returning the count and the worst relative delta.
+// plan's target both relatively (driftFrac) and absolutely
+// (significantMbps), returning the count and the worst relative delta.
 // A pair is active when its live rate clears the floor or transfers
 // are still in flight on it — a dead-but-demanded link is the
 // strongest drift signal there is, not an idle one.
@@ -578,12 +550,12 @@ func (c *Controller) drift(live, expected bwmatrix.Matrix, demand [][]int) (pair
 			if i == j || expected[i][j] <= 0 {
 				continue
 			}
-			if live[i][j] < c.cfg.MinActiveMbps && demand[i][j] == 0 {
+			if live[i][j] < minActiveMbps && demand[i][j] == 0 {
 				continue
 			}
 			diff := math.Abs(live[i][j] - expected[i][j])
 			frac := diff / expected[i][j]
-			if frac > c.cfg.DriftFrac && diff > c.cfg.SignificantMbps {
+			if frac > driftFrac && diff > significantMbps {
 				pairs++
 				if frac > maxFrac {
 					maxFrac = frac
@@ -605,7 +577,7 @@ func (c *Controller) beginRegauge(now float64, reason Reason, drifted int, maxFr
 	opts := c.deps.SnapshotOpts()
 	var ps *measure.PendingSnapshot
 	if c.cfg.Hardened {
-		ps = measure.BeginSnapshotHardened(c.deps.Cluster, opts, c.cfg.Retry)
+		ps = measure.BeginSnapshotHardened(c.deps.Cluster, opts)
 	} else {
 		ps = measure.BeginSnapshot(c.deps.Cluster, opts)
 	}
@@ -637,11 +609,11 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 	// Evacuation bypasses the coverage gate: a dead DC is a fact, not a
 	// measurement, and its own pairs are what drag coverage down (2/n of
 	// the ordered pairs on an n-DC cluster — a 3- or 4-DC cluster can
-	// never clear the 0.6 default with one DC dark). beginRegauge already
+	// never clear the 0.6 gate with one DC dark). beginRegauge already
 	// marked the DC handled, so gating here would refuse the evacuation
 	// forever; instead the unmeasurable pairs fall back to the decayed
 	// belief below and applyRegauge zeroes the dead DC's rows anyway.
-	if cov < c.cfg.MinCoverage && reason != ReasonEvacuate {
+	if cov < minCoverage && reason != ReasonEvacuate {
 		// Degraded mode: too few pairs answered for the snapshot to
 		// describe the WAN. Replanning from it would swap a poisoned
 		// plan into every agent, so the controller refuses: the
@@ -663,8 +635,8 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 			Cost:         part.Bill,
 			Coverage:     cov,
 		})
-		if c.breakerFails >= c.cfg.BreakerThreshold {
-			c.breakerUntil = applied + c.cfg.BreakerBackoffS
+		if c.breakerFails >= breakerThreshold {
+			c.breakerUntil = applied + breakerBackoffEpochs*c.cfg.EpochS
 			c.incidents = append(c.incidents, Event{
 				TriggeredAt: applied,
 				Reason:      ReasonBreaker,
@@ -675,7 +647,7 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 		}
 		return
 	}
-	if cov >= c.cfg.MinCoverage {
+	if cov >= minCoverage {
 		// Only a snapshot that genuinely cleared the gate re-arms the
 		// breaker counter — an evacuation swapped at low coverage says
 		// nothing about whether the WAN can be measured again.
@@ -685,8 +657,8 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 	// unmeasurable pairs fall back to the believed value, floored at
 	// the 1 Mbps blackout belief — never a fabricated zero.
 	fused := part.BW.Clone()
-	for _, p := range part.Pairs {
-		s := part.Samples[p]
+	for k, p := range part.Pairs {
+		s := part.Samples[k]
 		if s.Outcome == measure.PairUnmeasurable {
 			fused[p[0]][p[1]] = c.belief.value(p[0], p[1])
 			c.gauge.FusedPairs++

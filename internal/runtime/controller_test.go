@@ -192,7 +192,7 @@ func TestDriftTriggersReplanAndSwapsWindows(t *testing.T) {
 }
 
 // TestBlackoutStillTriggersReplan pins the dead-link case: a pair
-// whose live rate collapses below the MinActiveMbps floor while
+// whose live rate collapses below the minActiveMbps floor while
 // transfers are still in flight must count as drifted (demand present,
 // nothing delivered), not as idle.
 func TestBlackoutStillTriggersReplan(t *testing.T) {

@@ -82,11 +82,11 @@ func TestDegradedModeAndBreaker(t *testing.T) {
 		snapshots++
 		return baseSnap()
 	}
-	const minCov = 0.6
+	const minCov = 0.6 // the controller's coverage gate
 	ctl := rgauge.Start(d, rgauge.Config{
 		Enabled: true, EpochS: 5, StaleAfterS: 30, CooldownS: 10,
-		Hardened: true, MinCoverage: minCov,
-		// Defaults: BreakerThreshold 3, BreakerBackoffS 4×EpochS = 20.
+		Hardened: true,
+		// The breaker opens after 3 rejections, for 4 epochs = 20 s.
 	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 	defer ctl.Stop()
 
@@ -210,7 +210,7 @@ func TestBeliefFillsUnmeasurablePairs(t *testing.T) {
 
 // TestNoSwapBelowCoverageThresholdProperty is the seed-swept property
 // lock: whatever the fault timing does to coverage, every applied
-// drift/staleness swap consumed a snapshot at or above MinCoverage and
+// drift/staleness swap consumed a snapshot at or above minCoverage and
 // every rejection was below it. (Evacuation swaps are exempt by design
 // — see TestEvacuationBypassesCoverageGate — but these scenarios only
 // partition DCs, never kill VMs, so none fire here.)

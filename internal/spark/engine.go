@@ -197,7 +197,7 @@ func (e *Engine) launchTransfers(transfer [][]float64, policy ConnPolicy, each f
 // pairRates converts per-pair completion bookkeeping into the average
 // achieved Mbps per DC pair for a transfer phase that began at start.
 func pairRates(n int, pairs []*pendingPair, start float64) [][]float64 {
-	pairMbps := reuseMatrix(nil, n)
+	pairMbps := newMatrix(n)
 	for _, pp := range pairs {
 		d := pp.done - start
 		if d > 0 {

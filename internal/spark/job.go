@@ -126,56 +126,22 @@ func UniformPlacement(n int) Placement {
 	return p
 }
 
-// MatrixScratch holds the reusable interior buffers of the Into matrix
-// variants, for callers (the scheduler search, the replan loop) that
-// rebuild transfer matrices at high frequency.
-type MatrixScratch struct {
-	surplus, deficit []float64
-}
-
-func (s *MatrixScratch) buffers(n int) (surplus, deficit []float64) {
-	if cap(s.surplus) < n {
-		s.surplus = make([]float64, n)
-		s.deficit = make([]float64, n)
+// newMatrix returns a zero n×n matrix over one backing array.
+func newMatrix(n int) [][]float64 {
+	m := make([][]float64, n)
+	backing := make([]float64, n*n)
+	for i := range m {
+		m[i], backing = backing[:n:n], backing[n:]
 	}
-	return s.surplus[:n], s.deficit[:n]
-}
-
-// reuseMatrix returns dst zeroed when it already has the right shape,
-// or a fresh zero n×n matrix otherwise.
-func reuseMatrix(dst [][]float64, n int) [][]float64 {
-	if len(dst) != n {
-		dst = make([][]float64, n)
-		backing := make([]float64, n*n)
-		for i := range dst {
-			dst[i], backing = backing[:n:n], backing[n:]
-		}
-		return dst
-	}
-	for i := range dst {
-		row := dst[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	return dst
+	return m
 }
 
 // MigrationMatrix computes the minimal bulk movement (bytes from i to
 // j) that turns the current layout into the target distribution: DCs
 // with surplus send, DCs with deficit receive, matched proportionally.
 func MigrationMatrix(layout []float64, target Placement) [][]float64 {
-	return MigrationMatrixInto(nil, layout, target, nil)
-}
-
-// MigrationMatrixInto is MigrationMatrix with caller-owned result and
-// scratch buffers: dst is reused when it is already n×n (nil allocates)
-// and s, when non-nil, supplies the surplus/deficit temporaries. The
-// entries are bit-identical to MigrationMatrix's — the same expressions
-// evaluate in the same order.
-func MigrationMatrixInto(dst [][]float64, layout []float64, target Placement, s *MatrixScratch) [][]float64 {
 	n := len(layout)
-	t := reuseMatrix(dst, n)
+	t := newMatrix(n)
 	total := 0.0
 	for _, b := range layout {
 		total += b
@@ -183,18 +149,13 @@ func MigrationMatrixInto(dst [][]float64, layout []float64, target Placement, s 
 	if total <= 0 {
 		return t
 	}
-	if s == nil {
-		s = &MatrixScratch{}
-	}
-	surplus, deficit := s.buffers(n)
+	surplus, deficit := make([]float64, n), make([]float64, n)
 	var totalDeficit float64
 	for i := 0; i < n; i++ {
 		want := total * target[i]
 		if layout[i] > want {
 			surplus[i] = layout[i] - want
-			deficit[i] = 0
 		} else {
-			surplus[i] = 0
 			deficit[i] = want - layout[i]
 			totalDeficit += deficit[i]
 		}
@@ -220,14 +181,8 @@ func MigrationMatrixInto(dst [][]float64, layout []float64, target Placement, s 
 // target[j] belongs to reduce tasks at DC j. The diagonal (local data)
 // is zeroed — it never crosses the WAN.
 func ShuffleMatrix(layout []float64, target Placement) [][]float64 {
-	return ShuffleMatrixInto(nil, layout, target)
-}
-
-// ShuffleMatrixInto is ShuffleMatrix with a caller-owned result matrix,
-// reused when already n×n (nil allocates).
-func ShuffleMatrixInto(dst [][]float64, layout []float64, target Placement) [][]float64 {
 	n := len(layout)
-	t := reuseMatrix(dst, n)
+	t := newMatrix(n)
 	for i := range t {
 		for j := 0; j < n; j++ {
 			if i != j {

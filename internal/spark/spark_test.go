@@ -344,7 +344,7 @@ func TestPriceEnergyMatchPerEntryFold(t *testing.T) {
 	rng := simrand.Derive(23, "spark-price")
 	res := RunResult{JCTSeconds: 321.5, Stages: make([]StageReport, 3)}
 	for s := range res.Stages {
-		m := reuseMatrix(nil, n)
+		m := newMatrix(n)
 		for i := range m {
 			if !rng.Bool(0.15) {
 				continue // fleet jobs touch a handful of source DCs
