@@ -25,8 +25,9 @@ type StageReport struct {
 	TransferS float64 // WAN transfer (migration or shuffle) duration
 	ComputeS  float64 // compute phase duration
 	WANBytes  float64 // bytes launched across DCs (including recovery waves)
-	PairMbps  [][]float64
-	PairBytes [][]float64
+	// Pairs holds one entry per non-zero off-diagonal entry of the
+	// planned transfer, i-major; recovery waves add none.
+	Pairs []PairStat
 
 	// Fault-recovery accounting (all zero on fault-free runs).
 	DeliveredBytes float64 // bytes physically delivered by the stage's flows
@@ -34,6 +35,13 @@ type StageReport struct {
 	RecoveredBytes float64 // bytes re-routed by recovery waves and layout repair
 	RecomputeS     float64 // extra compute charged for re-executed partitions
 	Recoveries     int     // recovery waves this stage ran
+}
+
+// PairStat is one DC pair's planned transfer within a stage.
+type PairStat struct {
+	I, J  int32   // source and destination DC
+	Bytes float64 // planned bytes, sub-byte entries (never launched) included
+	Mbps  float64 // average achieved rate from the stage start; 0 if never timed
 }
 
 // RunResult is the outcome of one job execution.
@@ -45,7 +53,7 @@ type RunResult struct {
 	WANBytes   float64
 	// MinShuffleMbps is the paper's "minimum BW of the cluster": the
 	// lowest per-pair average rate observed across all meaningful
-	// (≥1 MB) WAN transfers of the job.
+	// (≥1 MiB) planned WAN transfers of the job.
 	MinShuffleMbps float64
 	Cost           cost.Breakdown
 	// Energy is the job's energy/carbon account, itemized like Cost:
@@ -139,6 +147,7 @@ func (e *Engine) RunJob(job Job, sched Scheduler, policy ConnPolicy) (RunResult,
 // pendingPair tracks one DC pair's transfer within a stage.
 type pendingPair struct {
 	i, j  int
+	idx   int // the pair's entry in the stage's planned list; -1 for a recovery wave
 	bytes float64
 	done  float64 // completion time of the pair's last flow
 	left  int
@@ -151,60 +160,59 @@ type pendingPair struct {
 
 // launchTransfers starts one flow per (source VM, destination DC) pair
 // share and returns the started flows plus the per-pair bookkeeping.
-// each runs after every flow completion (after the pair's own
-// accounting) — the runner counts a stage's outstanding flows through
-// it. recs ties each flow to its pair
-// for the recovery machinery; flows are spread over living VMs only
-// (identical to the full set when no fault has fired).
-func (e *Engine) launchTransfers(transfer [][]float64, policy ConnPolicy, each func()) (flows []substrate.Flow, pairs []*pendingPair, wanBytes float64, recs []*flowRec) {
-	n := e.sim.NumDCs()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b := transfer[i][j]
-			if i == j || b < 1 {
-				continue
-			}
-			wanBytes += b
-			pp := &pendingPair{i: i, j: j, bytes: b}
-			pairs = append(pairs, pp)
-			srcVMs := aliveVMs(e.sim, i)
-			dstVMs := aliveVMs(e.sim, j)
-			// Spread the pair's bytes across source VMs; each source VM
-			// sends to one destination VM (round-robin).
-			share := b / float64(len(srcVMs))
-			for k, src := range srcVMs {
-				dst := dstVMs[k%len(dstVMs)]
-				conns := policy.Conns(src, j)
-				pp.left++
-				pair := pp
-				f := e.sim.StartFlow(src, dst, conns, share, func() {
-					pair.delivered += share
-					pair.left--
-					if pair.left == 0 {
-						pair.done = e.sim.Now()
-					}
-					each()
-				})
-				policy.Register(f)
-				flows = append(flows, f)
-				recs = append(recs, &flowRec{f: f, pp: pp, bytes: share})
-			}
+// Pairs of the stage's planned list keep their index into it; a
+// recovery wave's (planned false) have none. each runs after every
+// flow completion (after the pair's own accounting) — the runner
+// counts a stage's outstanding flows through it. recs ties each flow
+// to its pair for the recovery machinery; flows are spread over living
+// VMs only (identical to the full set when no fault has fired).
+func (e *Engine) launchTransfers(transfer []PairStat, planned bool, policy ConnPolicy, each func()) (flows []substrate.Flow, pairs []*pendingPair, wanBytes float64, recs []*flowRec) {
+	for idx, ps := range transfer {
+		b := ps.Bytes
+		if b < 1 {
+			continue
+		}
+		wanBytes += b
+		pp := &pendingPair{i: int(ps.I), j: int(ps.J), idx: -1, bytes: b}
+		if planned {
+			pp.idx = idx
+		}
+		pairs = append(pairs, pp)
+		srcVMs := aliveVMs(e.sim, pp.i)
+		dstVMs := aliveVMs(e.sim, pp.j)
+		// Spread the pair's bytes across source VMs; each source VM
+		// sends to one destination VM (round-robin).
+		share := b / float64(len(srcVMs))
+		for k, src := range srcVMs {
+			dst := dstVMs[k%len(dstVMs)]
+			conns := policy.Conns(src, pp.j)
+			pp.left++
+			pair := pp
+			f := e.sim.StartFlow(src, dst, conns, share, func() {
+				pair.delivered += share
+				pair.left--
+				if pair.left == 0 {
+					pair.done = e.sim.Now()
+				}
+				each()
+			})
+			policy.Register(f)
+			flows = append(flows, f)
+			recs = append(recs, &flowRec{f: f, pp: pp, bytes: share})
 		}
 	}
 	return flows, pairs, wanBytes, recs
 }
 
-// pairRates converts per-pair completion bookkeeping into the average
-// achieved Mbps per DC pair for a transfer phase that began at start.
-func pairRates(n int, pairs []*pendingPair, start float64) [][]float64 {
-	pairMbps := newMatrix(n)
+// pairRates writes each planned pair's average achieved Mbps, for a
+// transfer phase that began at start, into its entry of stats. A
+// recovery wave's pair carries only re-routed bytes, so it has no rate.
+func pairRates(stats []PairStat, pairs []*pendingPair, start float64) {
 	for _, pp := range pairs {
-		d := pp.done - start
-		if d > 0 {
-			pairMbps[pp.i][pp.j] = pp.bytes * 8 / 1e6 / d
+		if d := pp.done - start; pp.idx >= 0 && d > 0 {
+			stats[pp.idx].Mbps = pp.bytes * 8 / 1e6 / d
 		}
 	}
-	return pairMbps
 }
 
 // computeSeconds is the stage-compute model: the stage finishes when
@@ -269,12 +277,8 @@ func (e *Engine) price(job Job, res RunResult) cost.Breakdown {
 		perGB[i] = e.rates.EgressPerGBFor(r)
 	}
 	for _, st := range res.Stages {
-		for i := range st.PairBytes {
-			for j := range st.PairBytes[i] {
-				if i != j {
-					b.NetworkUSD += st.PairBytes[i][j] / 1e9 * perGB[i]
-				}
-			}
+		for _, ps := range st.Pairs {
+			b.NetworkUSD += ps.Bytes / 1e9 * perGB[ps.I]
 		}
 	}
 	b.StorageUSD = e.rates.StorageUSD(job.TotalInputBytes()/1e9, res.JCTSeconds)
@@ -302,14 +306,10 @@ func (e *Engine) energy(res RunResult) cost.EnergyBreakdown {
 		b.ComputeKgCO2 += kwh * gPerKWh[e.sim.DCOf(id)] / 1000
 	}
 	for _, st := range res.Stages {
-		for i := range st.PairBytes {
-			for j := range st.PairBytes[i] {
-				if i != j {
-					kwh := e.Energy.NetworkKWh(st.PairBytes[i][j])
-					b.NetworkKWh += kwh
-					b.NetworkKgCO2 += kwh * gPerKWh[i] / 1000
-				}
-			}
+		for _, ps := range st.Pairs {
+			kwh := e.Energy.NetworkKWh(ps.Bytes)
+			b.NetworkKWh += kwh
+			b.NetworkKgCO2 += kwh * gPerKWh[ps.I] / 1000
 		}
 	}
 	return b

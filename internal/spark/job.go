@@ -126,54 +126,80 @@ func UniformPlacement(n int) Placement {
 	return p
 }
 
-// newMatrix returns a zero n×n matrix over one backing array.
-func newMatrix(n int) [][]float64 {
-	m := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for i := range m {
-		m[i], backing = backing[:n:n], backing[n:]
+// migrationFactors writes MigrationMatrix's factors into row and col
+// (each len(layout) long): row[i] is DC i's surplus, col[j] DC j's
+// share of the total deficit. Everything else is zero.
+func migrationFactors(row, col, layout []float64, target Placement) {
+	clear(row)
+	clear(col)
+	total := 0.0
+	for _, b := range layout {
+		total += b
 	}
-	return m
+	if total <= 0 {
+		return
+	}
+	var totalDeficit float64
+	for i := range layout {
+		want := total * target[i]
+		if layout[i] > want {
+			row[i] = layout[i] - want
+		} else {
+			col[i] = want - layout[i]
+			totalDeficit += col[i]
+		}
+	}
+	if totalDeficit <= 0 {
+		return
+	}
+	for j := range col {
+		col[j] /= totalDeficit
+	}
+}
+
+// eachPair calls fn with every non-zero off-diagonal entry row[i]·col[j],
+// i-major. Both stage kinds plan their transfer as such an outer
+// product; the dense matrices and a stage's pair list are its sinks.
+func eachPair(row, col []float64, fn func(i, j int, b float64)) {
+	for i, r := range row {
+		if r == 0 {
+			continue
+		}
+		for j, c := range col {
+			if b := r * c; b != 0 && i != j {
+				fn(i, j, b)
+			}
+		}
+	}
+}
+
+// denseOf is eachPair's n×n sink, one backing array.
+func denseOf(row, col []float64) [][]float64 {
+	n := len(row)
+	t, backing := make([][]float64, n), make([]float64, n*n)
+	for i := range t {
+		t[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	eachPair(row, col, func(i, j int, b float64) { t[i][j] = b })
+	return t
+}
+
+// pairsOf is eachPair's list sink, at exact length.
+func pairsOf(row, col []float64) []PairStat {
+	n := 0
+	eachPair(row, col, func(int, int, float64) { n++ })
+	out := make([]PairStat, 0, n)
+	eachPair(row, col, func(i, j int, b float64) { out = append(out, PairStat{I: int32(i), J: int32(j), Bytes: b}) })
+	return out
 }
 
 // MigrationMatrix computes the minimal bulk movement (bytes from i to
 // j) that turns the current layout into the target distribution: DCs
 // with surplus send, DCs with deficit receive, matched proportionally.
 func MigrationMatrix(layout []float64, target Placement) [][]float64 {
-	n := len(layout)
-	t := newMatrix(n)
-	total := 0.0
-	for _, b := range layout {
-		total += b
-	}
-	if total <= 0 {
-		return t
-	}
-	surplus, deficit := make([]float64, n), make([]float64, n)
-	var totalDeficit float64
-	for i := 0; i < n; i++ {
-		want := total * target[i]
-		if layout[i] > want {
-			surplus[i] = layout[i] - want
-		} else {
-			deficit[i] = want - layout[i]
-			totalDeficit += deficit[i]
-		}
-	}
-	if totalDeficit <= 0 {
-		return t
-	}
-	for i := 0; i < n; i++ {
-		if surplus[i] <= 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if deficit[j] > 0 {
-				t[i][j] = surplus[i] * (deficit[j] / totalDeficit)
-			}
-		}
-	}
-	return t
+	row, col := make([]float64, len(layout)), make([]float64, len(layout))
+	migrationFactors(row, col, layout, target)
+	return denseOf(row, col)
 }
 
 // ShuffleMatrix computes the all-to-all hash-shuffle transfer: source
@@ -181,14 +207,5 @@ func MigrationMatrix(layout []float64, target Placement) [][]float64 {
 // target[j] belongs to reduce tasks at DC j. The diagonal (local data)
 // is zeroed — it never crosses the WAN.
 func ShuffleMatrix(layout []float64, target Placement) [][]float64 {
-	n := len(layout)
-	t := newMatrix(n)
-	for i := range t {
-		for j := 0; j < n; j++ {
-			if i != j {
-				t[i][j] = layout[i] * target[j]
-			}
-		}
-	}
-	return t
+	return denseOf(layout, target)
 }

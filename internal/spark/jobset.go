@@ -58,7 +58,7 @@ type jobState struct {
 	pairs         []*pendingPair
 	flows         []substrate.Flow
 	flowsLeft     int
-	curTransfer   [][]float64
+	curPairs      []PairStat // the stage's planned transfer, its report's Pairs
 	curPlacement  Placement
 
 	// loadDeltas is the job's live CPU-load contribution, held between
@@ -106,6 +106,7 @@ type JobSet struct {
 	err          error
 	computeRates []float64
 	inFlight     []substrate.Flow // Run's scratch list of undrained transfers
+	row, col     []float64        // plannedPairs' migration factors
 
 	// Open-mode state (NewOpenJobSet): an open set accepts Admit and
 	// Cancel while an external driver advances the clock, instead of
@@ -393,18 +394,12 @@ func (s *JobSet) startStage(js *jobState, now float64) {
 	if alive != nil {
 		p = maskPlacement(p, alive)
 	}
-	var transfer [][]float64
-	if stage.Kind == MapKind {
-		transfer = MigrationMatrix(js.layout, p)
-	} else {
-		transfer = ShuffleMatrix(js.layout, p)
-	}
-	js.curTransfer = transfer
+	js.curPairs = s.plannedPairs(stage.Kind, js.layout, p)
 	js.curPlacement = p
 	js.transferStart = now
 	js.phase = phaseTransfer
 
-	flows, pairs, wanBytes, recs := e.launchTransfers(transfer, js.run.Policy, s.transferDone(js))
+	flows, pairs, wanBytes, recs := e.launchTransfers(js.curPairs, true, js.run.Policy, s.transferDone(js))
 	js.flows = flows
 	js.pairs = pairs
 	js.flowsLeft = len(flows)
@@ -422,6 +417,19 @@ func (s *JobSet) startStage(js *jobState, now float64) {
 	// dead) fires its handler synchronously from inside armRecs, which
 	// needs the counters and watchdog above in place.
 	s.armRecs(js, recs)
+}
+
+// plannedPairs is a stage's planned transfer as its report's pair list:
+// MigrationMatrix's or ShuffleMatrix's entries, without the matrix.
+func (s *JobSet) plannedPairs(kind StageKind, layout []float64, p Placement) []PairStat {
+	if kind != MapKind {
+		return pairsOf(layout, p)
+	}
+	if len(s.row) != len(layout) {
+		s.row, s.col = make([]float64, len(layout)), make([]float64, len(layout))
+	}
+	migrationFactors(s.row, s.col, layout, p)
+	return pairsOf(s.row, s.col)
 }
 
 // watch arms the liveness watchdog of a transfer phase or recovery
@@ -468,7 +476,6 @@ func (js *jobState) finish() {
 // the last flow drained) and begins its compute phase.
 func (s *JobSet) finishTransfers(js *jobState, now float64) {
 	e := s.eng
-	n := e.sim.NumDCs()
 	stage := js.run.Job.Stages[js.stage]
 	s.releaseLoad(js)
 	rep := StageReport{
@@ -476,8 +483,7 @@ func (s *JobSet) finishTransfers(js *jobState, now float64) {
 		Kind:       stage.Kind,
 		Placement:  js.curPlacement,
 		TransferS:  now - js.transferStart,
-		PairMbps:   pairRates(n, js.pairs, js.transferStart),
-		PairBytes:  js.curTransfer,
+		Pairs:      js.curPairs,
 		LostBytes:  js.stLost,
 		RecomputeS: js.stRecomputeS,
 		Recoveries: js.stWaves,
@@ -491,11 +497,10 @@ func (s *JobSet) finishTransfers(js *jobState, now float64) {
 	js.res.RecoveredBytes += js.stRecovered
 	js.res.RecomputeS += js.stRecomputeS
 	js.res.Recoveries += js.stWaves
-	for i := range rep.PairMbps {
-		for j := range rep.PairMbps[i] {
-			if js.curTransfer[i][j] >= 1<<20 && rep.PairMbps[i][j] > 0 && rep.PairMbps[i][j] < js.res.MinShuffleMbps {
-				js.res.MinShuffleMbps = rep.PairMbps[i][j]
-			}
+	pairRates(rep.Pairs, js.pairs, js.transferStart)
+	for _, ps := range rep.Pairs {
+		if ps.Bytes >= 1<<20 && ps.Mbps > 0 && ps.Mbps < js.res.MinShuffleMbps {
+			js.res.MinShuffleMbps = ps.Mbps
 		}
 	}
 	js.flows, js.pairs = nil, nil
@@ -505,7 +510,7 @@ func (s *JobSet) finishTransfers(js *jobState, now float64) {
 	for _, b := range js.layout {
 		total += b
 	}
-	for j := 0; j < n; j++ {
+	for j := range js.layout {
 		js.layout[j] = total * js.curPlacement[j]
 	}
 

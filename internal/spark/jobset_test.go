@@ -237,9 +237,13 @@ func TestFinishedJobSetNotRetainedBySubstrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := got.Results[1].Stages
+	pairs := last[len(last)-1].Pairs // the shuffle: it moved bytes
+	if len(pairs) == 0 {
+		t.Fatal("the last stage planned no transfer")
+	}
 	freed := make(chan struct{})
-	runtime.SetFinalizer(&last[len(last)-1].PairBytes[0], func(*[]float64) { close(freed) })
-	got, last = JobSetResult{}, nil
+	runtime.SetFinalizer(&pairs[0], func(*PairStat) { close(freed) })
+	got, last, pairs = JobSetResult{}, nil, nil
 	runtime.GC()
 	select {
 	case <-freed:

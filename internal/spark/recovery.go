@@ -99,7 +99,8 @@ func aliveVMs(sim substrate.Cluster, dc int) []substrate.VMID {
 
 // maskPlacement zeroes dead DCs' fractions and renormalizes; if the
 // placement put everything on dead DCs it falls back to uniform over
-// the survivors. Callers guarantee at least one DC is alive.
+// the survivors. Callers guarantee at least one DC is alive. Over the
+// job's durable input it gives the weights re-executed bytes spread by.
 func maskPlacement(p Placement, alive []bool) Placement {
 	out := make(Placement, len(p))
 	sum := 0.0
@@ -122,35 +123,6 @@ func maskPlacement(p Placement, alive []bool) Placement {
 		out[j] /= sum
 	}
 	return out
-}
-
-// inputWeights distributes re-executed bytes over surviving DCs in
-// proportion to the job's durable input layout (uniform over survivors
-// when the surviving input is empty).
-func inputWeights(js *jobState, alive []bool) []float64 {
-	w := make([]float64, len(alive))
-	sum := 0.0
-	for k, b := range js.run.Job.InputBytes {
-		if alive[k] {
-			w[k] = b
-			sum += b
-		}
-	}
-	if sum <= 0 {
-		uniform := 1.0 / float64(countAlive(alive))
-		for k := range w {
-			if alive[k] {
-				w[k] = uniform
-			} else {
-				w[k] = 0
-			}
-		}
-		return w
-	}
-	for k := range w {
-		w[k] /= sum
-	}
-	return w
 }
 
 // armRecs registers the stage's flow-failure handlers. Called after
@@ -234,23 +206,20 @@ func (s *JobSet) recoverStage(js *jobState, now float64) {
 		}
 	}
 
-	makeup := make([][]float64, n)
-	for i := range makeup {
-		makeup[i] = make([]float64, n)
-	}
+	makeup := make([]float64, n*n) // source-major
 	reexec := 0.0
 	routeFrom := func(srcDC, dst int, b float64) {
 		switch {
 		case alive[srcDC]:
-			makeup[srcDC][dst] += b
+			makeup[srcDC*n+dst] += b
 		case alive[(srcDC+1)%n]:
 			// The ring replica holds a copy of the dead DC's outputs.
-			makeup[(srcDC+1)%n][dst] += b
+			makeup[(srcDC+1)%n*n+dst] += b
 		default:
 			// No replica survived: re-execute from durable input.
-			for k, wk := range inputWeights(js, alive) {
+			for k, wk := range maskPlacement(js.run.Job.InputBytes, alive) {
 				if wk > 0 {
-					makeup[k][dst] += b * wk
+					makeup[k*n+dst] += b * wk
 				}
 			}
 			reexec += b
@@ -289,21 +258,16 @@ func (s *JobSet) recoverStage(js *jobState, now float64) {
 		js.stRecovered += lost
 		route(pp.i, pp.j, lost)
 	}
-	if reexec > 0 && js.stage > 0 {
-		prev := js.run.Job.Stages[js.stage-1]
-		rate := 0.0
-		for k := range alive {
-			if alive[k] {
-				rate += s.computeRates[k]
-			}
-		}
-		if rate > 0 {
-			js.stRecomputeS += reexec / 1e9 * prev.SecPerGB / rate
-		}
-	}
+	s.chargeRecompute(js, alive, reexec)
 	js.stWaves++
 
-	flows, pairs, wanBytes, recs := e.launchTransfers(makeup, js.run.Policy, s.transferDone(js))
+	var wave []PairStat
+	for k, b := range makeup {
+		if i, j := k/n, k%n; b != 0 && i != j {
+			wave = append(wave, PairStat{I: int32(i), J: int32(j), Bytes: b})
+		}
+	}
+	flows, pairs, wanBytes, recs := e.launchTransfers(wave, false, js.run.Policy, s.transferDone(js))
 	js.flows = append(js.flows, flows...)
 	js.pairs = append(js.pairs, pairs...)
 	js.flowsLeft += len(flows)
@@ -342,22 +306,29 @@ func (s *JobSet) repairLayout(js *jobState, alive []bool) {
 		reexec += b
 	}
 	if reexec > 0 {
-		for k, wk := range inputWeights(js, alive) {
+		for k, wk := range maskPlacement(js.run.Job.InputBytes, alive) {
 			if wk > 0 {
 				js.layout[k] += reexec * wk
 			}
 		}
-		if js.stage > 0 {
-			prev := js.run.Job.Stages[js.stage-1]
-			rate := 0.0
-			for k := range alive {
-				if alive[k] {
-					rate += s.computeRates[k]
-				}
-			}
-			if rate > 0 {
-				js.stRecomputeS += reexec / 1e9 * prev.SecPerGB / rate
-			}
+		s.chargeRecompute(js, alive, reexec)
+	}
+}
+
+// chargeRecompute charges re-executed bytes to the stage's recompute
+// time, at the survivors' summed compute rate over the previous stage's
+// work; the first stage re-reads durable input and pays nothing.
+func (s *JobSet) chargeRecompute(js *jobState, alive []bool, reexec float64) {
+	if reexec <= 0 || js.stage == 0 {
+		return
+	}
+	rate := 0.0
+	for k := range alive {
+		if alive[k] {
+			rate += s.computeRates[k]
 		}
+	}
+	if rate > 0 {
+		js.stRecomputeS += reexec / 1e9 * js.run.Job.Stages[js.stage-1].SecPerGB / rate
 	}
 }

@@ -73,6 +73,18 @@ func TestRecoveryDeadDC(t *testing.T) {
 		if st.Placement[2] != 0 {
 			t.Errorf("stage %d placement still uses the dead DC: %v", si, st.Placement)
 		}
+		// A rate is a planned pair's: a recovery wave re-sends only part
+		// of the pair's bytes, timed from the stage start, and must not
+		// overwrite it with one slower than the stage itself allows.
+		for _, ps := range st.Pairs {
+			if s := ps.Bytes * 8 / 1e6 / ps.Mbps; ps.Mbps > 0 && s > st.TransferS*(1+1e-9) {
+				t.Errorf("stage %d pair %d->%d: %.1f Mbps for %.3g bytes is %.2f s of transfer in a %.2f s stage",
+					si, ps.I, ps.J, ps.Mbps, ps.Bytes, s, st.TransferS)
+			}
+		}
+	}
+	if res.MinShuffleMbps <= 0 {
+		t.Error("no planned pair of the faulted run reported a rate")
 	}
 	wantOut := 30e9 * 0.5 * 0.1
 	if math.Abs(res.OutputBytes-wantOut)/wantOut > 1e-6 {

@@ -314,11 +314,13 @@ func TestOverlapFetchCompute(t *testing.T) {
 	}
 }
 
-// TestPriceEnergyMatchPerEntryFold locks price and energy, which resolve
-// each DC's egress rate and grid intensity once into a table, to the
-// per-entry fold through Rates.EgressUSD / EnergyRates.IntensityFor they
-// replaced — every dollar and gram bit for bit, on a 100-DC fleet whose
-// region codes hit nested prefixes, single prefixes and the defaults.
+// TestPriceEnergyMatchPerEntryFold locks price and energy, which read
+// each stage's pair list and resolve each DC's egress rate and grid
+// intensity once into a table, to the per-entry fold through
+// Rates.EgressUSD / EnergyRates.IntensityFor over the dense matrix the
+// list was read from — every dollar and gram bit for bit, on a 100-DC
+// fleet whose region codes hit nested prefixes, single prefixes and the
+// defaults.
 func TestPriceEnergyMatchPerEntryFold(t *testing.T) {
 	const n = 100
 	sim := netsim.NewSim(netsim.FleetCluster(n, 2, substrate.T2Medium, 11))
@@ -343,6 +345,7 @@ func TestPriceEnergyMatchPerEntryFold(t *testing.T) {
 
 	rng := simrand.Derive(23, "spark-price")
 	res := RunResult{JCTSeconds: 321.5, Stages: make([]StageReport, 3)}
+	dense := make([][][]float64, len(res.Stages))
 	for s := range res.Stages {
 		m := newMatrix(n)
 		for i := range m {
@@ -353,16 +356,17 @@ func TestPriceEnergyMatchPerEntryFold(t *testing.T) {
 				m[i][j] = rng.Uniform(0, 3e9) // diagonal included: it must not be priced
 			}
 		}
-		res.Stages[s].PairBytes = m
+		dense[s] = m
+		res.Stages[s].Pairs = pairsOfDense(m)
 	}
 	job := Job{InputBytes: make([]float64, n)}
 	job.InputBytes[3], job.InputBytes[70] = 40e9, 12.5e9
 
 	var wantUSD, wantKWh, wantKg, wantCompKg float64
 	regions := sim.Regions()
-	for _, st := range res.Stages {
-		for i := range st.PairBytes {
-			for j, b := range st.PairBytes[i] {
+	for _, m := range dense {
+		for i := range m {
+			for j, b := range m[i] {
 				if i != j {
 					wantUSD += rates.EgressUSD(regions[i], b)
 					kwh := eng.Energy.NetworkKWh(b)
