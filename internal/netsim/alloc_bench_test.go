@@ -122,18 +122,19 @@ func BenchmarkAllocServeChurn(b *testing.B) {
 }
 
 // BenchmarkTimerHeap measures a push/pop cycle on a 512-deep timer
-// heap — the event loop's core data structure, hand-rolled to avoid
-// the per-event boxing of the old container/heap implementation.
+// heap — the event loop's core data structure (eventHeap, also the ramp
+// boundaries' heap), hand-rolled to avoid the per-event boxing of the
+// old container/heap implementation.
 func BenchmarkTimerHeap(b *testing.B) {
-	var h timerHeap
+	var h eventHeap[func(now float64)]
 	fn := func(float64) {}
 	for i := 0; i < 512; i++ {
-		h.push(timerEvent{at: float64(i % 97), seq: int64(i), fn: fn})
+		h.push(event[func(now float64)]{at: float64(i % 97), seq: int64(i), x: fn})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		h.push(timerEvent{at: float64(n % 89), seq: int64(n + 512), fn: fn})
+		h.push(event[func(now float64)]{at: float64(n % 89), seq: int64(n + 512), x: fn})
 		h.pop()
 	}
 }

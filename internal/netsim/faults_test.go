@@ -43,14 +43,16 @@ func TestKillVMFailsActiveFlows(t *testing.T) {
 }
 
 // TestDeadVMRejectsNewFlows: flows and probes against a dead endpoint
-// are born failed; OnFail registered afterwards still fires.
+// are born failed; OnFail registered afterwards still fires, and like
+// any finished flow they hold no callback.
 func TestDeadVMRejectsNewFlows(t *testing.T) {
 	s := frozenSim(3, 2)
 	dead := s.FirstVMOfDC(1)
 	s.KillVM(dead, 0) // immediate
+	onDone := func() { t.Error("a flow born failed completed") }
 	for _, f := range []*Flow{
-		s.startFlow(s.FirstVMOfDC(0), dead, 1, 1e9, nil),
-		s.startFlow(dead, s.FirstVMOfDC(2), 1, 1e9, nil),
+		s.startFlow(s.FirstVMOfDC(0), dead, 1, 1e9, onDone),
+		s.startFlow(dead, s.FirstVMOfDC(2), 1, 1e9, onDone),
 		s.startProbe(s.FirstVMOfDC(0), dead, 1),
 	} {
 		if !f.Done() || !f.Failed() {
@@ -60,6 +62,9 @@ func TestDeadVMRejectsNewFlows(t *testing.T) {
 		f.OnFail(func() { fired++ })
 		if fired != 1 {
 			t.Errorf("flow #%d: OnFail after failure fired %d times", f.ID(), fired)
+		}
+		if f.onDone != nil || f.onFail != nil {
+			t.Errorf("flow #%d born failed still holds a callback", f.ID())
 		}
 	}
 	if s.ActiveFlows() != 0 {

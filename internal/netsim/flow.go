@@ -114,9 +114,13 @@ func (f *Flow) Failed() bool { return f.failed }
 
 // OnFail registers fn to run when the flow fails. A flow that is
 // already failed (started against a dead endpoint) fires fn
-// immediately. At most one handler is held.
+// immediately. At most one handler is held, and a finished flow holds
+// none: it can never fail again.
 func (f *Flow) OnFail(fn func()) {
-	f.onFail = fn
+	if !f.done {
+		f.onFail = fn
+		return
+	}
 	if f.failed && fn != nil {
 		fn()
 	}

@@ -59,8 +59,11 @@ type Sim struct {
 	pairFlows   [][]*Flow // active flows per DC pair, in start order
 	interDCFlow int       // active flows whose endpoints sit in different DCs
 
-	now        float64
-	timers     timerHeap
+	now float64
+	// Two event heaps in one (at, seq) order: upper-layer timers and
+	// slow-start ramp boundaries. timerSeq numbers the events of both.
+	timers     eventHeap[func(now float64)]
+	ramps      eventHeap[*Flow]
 	timerSeq   int64
 	fluctEvery float64 // seconds between fluctuation steps
 
@@ -395,11 +398,13 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	if s.vms[src].dead || s.vms[dst].dead {
 		// A dead VM accepts no flows: the flow is born failed, never
 		// enters the active set, and fires OnFail as soon as a handler
-		// registers. The id is still consumed so flow identities stay
-		// unique and ascending regardless of faults.
+		// registers. Like any finished flow it holds no callback (see
+		// finishFlow): onDone could never fire. The id is still consumed
+		// so flow identities stay unique and ascending regardless of
+		// faults.
 		f := &Flow{
 			id: s.nextFlowID, src: src, dst: dst, srcDC: srcDC, dstDC: dstDC,
-			conns: conns, remainingBits: bits, sim: s, onDone: onDone,
+			conns: conns, remainingBits: bits, sim: s,
 			startedAt: s.now, done: true, failed: true,
 		}
 		s.nextFlowID++
@@ -426,9 +431,9 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	rtt := s.rttSec[srcDC][dstDC]
 	f.rampS = s.cfg.RampRTTs * rtt / (1 + math.Log2(float64(conns)))
 	if f.rampS > 0 {
-		step := func(float64) { s.rampStep(f) }
 		for _, frac := range [...]float64{1.0 / 3, 2.0 / 3, 1} {
-			s.at(s.now+f.rampS*frac, step)
+			s.timerSeq++
+			s.ramps.push(event[*Flow]{at: s.now + f.rampS*frac, seq: s.timerSeq, x: f})
 		}
 	}
 
@@ -512,8 +517,9 @@ func (s *Sim) finishFlow(f *Flow) {
 		s.interDCFlow--
 	}
 	// A finished flow drops its callbacks, so a handle that outlives it
-	// (a caller's, a pending ramp timer's) keeps nothing of the job that
-	// launched it reachable.
+	// (a caller's, a pending ramp boundary's) keeps nothing of the job
+	// that launched it reachable, and a caller may reuse whatever the
+	// callbacks point at once they have fired.
 	onDone, onFail := f.onDone, f.onFail
 	f.onDone, f.onFail = nil, nil
 	switch {
@@ -545,27 +551,32 @@ func (s *Sim) PairRate(srcDC, dstDC int) float64 {
 
 // --- timers and the event loop ---
 
-type timerEvent struct {
+// event is one entry of an event heap: x is due at instant at, and seq
+// (from Sim.timerSeq, shared by every heap) breaks ties in the order
+// the events were scheduled.
+type event[T any] struct {
 	at  float64
 	seq int64
-	fn  func(now float64)
+	x   T
 }
 
-// timerHeap is a binary min-heap of timer events ordered by (at, seq).
-// It replaces the earlier container/heap implementation, whose
+// eventHeap is a binary min-heap of events ordered by (at, seq). The
+// simulator keeps two: upper-layer timers (x is the callback) and
+// slow-start ramp boundaries (x is the flow), so a boundary needs no
+// closure. It replaces the earlier container/heap implementation, whose
 // heap.Interface methods forced every event through an interface{}
-// (now spelled any) box — one allocation per scheduled timer. The
-// typed sift operations below allocate only on slice growth.
-type timerHeap []timerEvent
+// (now spelled any) box — one allocation per scheduled timer. The typed
+// sift operations below allocate only on slice growth.
+type eventHeap[T any] []event[T]
 
-func (h timerHeap) less(i, j int) bool {
+func (h eventHeap[T]) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
 
-func (h *timerHeap) push(ev timerEvent) {
+func (h *eventHeap[T]) push(ev event[T]) {
 	*h = append(*h, ev)
 	q := *h
 	i := len(q) - 1
@@ -579,12 +590,12 @@ func (h *timerHeap) push(ev timerEvent) {
 	}
 }
 
-func (h *timerHeap) pop() timerEvent {
+func (h *eventHeap[T]) pop() event[T] {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = timerEvent{} // release the closure
+	q[n] = event[T]{} // release the callback or flow
 	q = q[:n]
 	*h = q
 	i := 0
@@ -608,7 +619,7 @@ func (h *timerHeap) pop() timerEvent {
 
 func (s *Sim) at(t float64, fn func(now float64)) {
 	s.timerSeq++
-	s.timers.push(timerEvent{at: t, seq: s.timerSeq, fn: fn})
+	s.timers.push(event[func(now float64)]{at: t, seq: s.timerSeq, x: fn})
 }
 
 // After schedules fn to run once, delay seconds from now.
@@ -666,20 +677,45 @@ func (s *Sim) stepOnce(limit float64) {
 			next = tc
 		}
 	}
-	// Earliest timer.
-	if len(s.timers) > 0 && s.timers[0].at < next {
-		next = s.timers[0].at
+	// Earliest timer or ramp boundary.
+	if at, _, ok := s.nextEvent(); ok && at < next {
+		next = at
 	}
 	if next < s.now {
 		next = s.now
 	}
 	s.advanceTo(next)
 
-	// Fire all timers due at the new time.
-	for len(s.timers) > 0 && s.timers[0].at <= s.now+eps {
-		ev := s.timers.pop()
-		ev.fn(s.now)
+	// Fire all events due at the new time, both heaps merged in (at, seq)
+	// order: the earlier head is the earliest event of all, so it is due
+	// exactly when any event is.
+	for {
+		at, ramp, ok := s.nextEvent()
+		if !ok || at > s.now+eps {
+			return
+		}
+		if ramp {
+			s.rampStep(s.ramps.pop().x)
+		} else {
+			s.timers.pop().x(s.now)
+		}
 	}
+}
+
+// nextEvent returns the instant of the earliest pending event in (at,
+// seq) order and whether it is a ramp boundary (else a timer); ok is
+// false when neither heap holds one.
+func (s *Sim) nextEvent() (at float64, ramp, ok bool) {
+	if len(s.ramps) > 0 {
+		r := &s.ramps[0]
+		if len(s.timers) == 0 || r.at < s.timers[0].at || r.at == s.timers[0].at && r.seq < s.timers[0].seq {
+			return r.at, true, true
+		}
+	}
+	if len(s.timers) > 0 {
+		return s.timers[0].at, false, true
+	}
+	return 0, false, false
 }
 
 // advanceTo moves time forward to tNext, crediting flow progress at the

@@ -159,27 +159,29 @@ type pendingPair struct {
 }
 
 // launchTransfers starts one flow per (source VM, destination DC) pair
-// share and returns the started flows plus the per-pair bookkeeping.
-// Pairs of the stage's planned list keep their index into it; a
-// recovery wave's (planned false) have none. each runs after every
-// flow completion (after the pair's own accounting) — the runner
-// counts a stage's outstanding flows through it. recs ties each flow
-// to its pair for the recovery machinery; flows are spread over living
-// VMs only (identical to the full set when no fault has fired).
-func (e *Engine) launchTransfers(transfer []PairStat, planned bool, policy ConnPolicy, each func()) (flows []substrate.Flow, pairs []*pendingPair, wanBytes float64, recs []*flowRec) {
+// share and appends the pairs, the flows and the flows' records to the
+// job's lists, taking pairs and records off the set's free lists; it
+// returns the bytes launched. Pairs of the stage's planned list keep
+// their index into it; a recovery wave's (planned false) have none.
+// Each flow completes through its record's done callback, which counts
+// the stage's outstanding flows; flows are spread over living VMs only
+// (identical to the full set when no fault has fired).
+func (s *JobSet) launchTransfers(js *jobState, transfer []PairStat, planned bool) (wanBytes float64) {
+	sim, policy := s.eng.sim, js.run.Policy
 	for idx, ps := range transfer {
 		b := ps.Bytes
 		if b < 1 {
 			continue
 		}
 		wanBytes += b
-		pp := &pendingPair{i: int(ps.I), j: int(ps.J), idx: -1, bytes: b}
+		pp := s.takePair()
+		*pp = pendingPair{i: int(ps.I), j: int(ps.J), idx: -1, bytes: b}
 		if planned {
 			pp.idx = idx
 		}
-		pairs = append(pairs, pp)
-		srcVMs := aliveVMs(e.sim, pp.i)
-		dstVMs := aliveVMs(e.sim, pp.j)
+		js.pairs = append(js.pairs, pp)
+		srcVMs := aliveVMs(sim, pp.i)
+		dstVMs := aliveVMs(sim, pp.j)
 		// Spread the pair's bytes across source VMs; each source VM
 		// sends to one destination VM (round-robin).
 		share := b / float64(len(srcVMs))
@@ -187,21 +189,15 @@ func (e *Engine) launchTransfers(transfer []PairStat, planned bool, policy ConnP
 			dst := dstVMs[k%len(dstVMs)]
 			conns := policy.Conns(src, pp.j)
 			pp.left++
-			pair := pp
-			f := e.sim.StartFlow(src, dst, conns, share, func() {
-				pair.delivered += share
-				pair.left--
-				if pair.left == 0 {
-					pair.done = e.sim.Now()
-				}
-				each()
-			})
-			policy.Register(f)
-			flows = append(flows, f)
-			recs = append(recs, &flowRec{f: f, pp: pp, bytes: share})
+			rec := s.takeRec()
+			rec.js, rec.stage, rec.pp, rec.bytes = js, js.stage, pp, share
+			rec.f = sim.StartFlow(src, dst, conns, share, rec.done)
+			policy.Register(rec.f)
+			js.flows = append(js.flows, rec.f)
+			js.recs = append(js.recs, rec)
 		}
 	}
-	return flows, pairs, wanBytes, recs
+	return wanBytes
 }
 
 // pairRates writes each planned pair's average achieved Mbps, for a

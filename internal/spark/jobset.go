@@ -55,11 +55,10 @@ type jobState struct {
 
 	// Transfer-phase bookkeeping.
 	transferStart float64
-	pairs         []*pendingPair
-	flows         []substrate.Flow
-	flowsLeft     int
-	curPairs      []PairStat // the stage's planned transfer, its report's Pairs
-	curPlacement  Placement
+	stageLists
+	flowsLeft    int
+	curPairs     []PairStat // the stage's planned transfer, its report's Pairs
+	curPlacement Placement
 
 	// loadDeltas is the job's live CPU-load contribution, held between
 	// a phase's shift-in and shift-out. Per job, because concurrent
@@ -81,6 +80,17 @@ type jobState struct {
 
 	// wd is what this job's pending transfer deadlines hold of it.
 	wd *watchdog
+}
+
+// stageLists is a job's transfer bookkeeping for its current stage, in
+// launch order: the pairs, their flows and the flows' records (a
+// recovery wave appends to all three). A job empties and refills them
+// from one stage to the next, and a finished job hands them to its set
+// for the next job admitted.
+type stageLists struct {
+	pairs []*pendingPair
+	flows []substrate.Flow
+	recs  []*flowRec
 }
 
 // JobSet interleaves N jobs' stages over one engine's shared substrate
@@ -107,6 +117,12 @@ type JobSet struct {
 	computeRates []float64
 	inFlight     []substrate.Flow // Run's scratch list of undrained transfers
 	row, col     []float64        // plannedPairs' migration factors
+
+	// Recycled transfer bookkeeping (see recycle): pairs and records no
+	// flow can reach, and the emptied lists of finished jobs.
+	freePairs []*pendingPair
+	freeRecs  []*flowRec
+	spare     []stageLists
 
 	// Open-mode state (NewOpenJobSet): an open set accepts Admit and
 	// Cancel while an external driver advances the clock, instead of
@@ -155,6 +171,9 @@ func (s *JobSet) add(run JobRun) (*jobState, error) {
 			Scheduler:      run.Sched.Name(),
 			MinShuffleMbps: math.Inf(1),
 		},
+	}
+	if k := len(s.spare); k > 0 {
+		js.stageLists, s.spare = s.spare[k-1], s.spare[:k-1]
 	}
 	s.states = append(s.states, js)
 	s.running++
@@ -280,8 +299,8 @@ func (s *JobSet) Cancel(idx int) error {
 		}
 	}
 	s.releaseLoad(js)
-	js.flows, js.pairs = nil, nil
-	js.finish()
+	s.recycle(js)
+	s.retire(js)
 	s.running--
 	return nil
 }
@@ -352,16 +371,76 @@ func (s *JobSet) Run() (JobSetResult, error) {
 	return out, nil
 }
 
-// transferDone builds the flow-completion callback counting a stage's
-// outstanding flows. The stage's transfer phase ends only when no flow
-// is in flight AND no failure is awaiting a recovery wave.
-func (s *JobSet) transferDone(js *jobState) func() {
-	return func() {
-		js.flowsLeft--
-		if js.flowsLeft == 0 && !js.recovering && len(js.failedRecs) == 0 {
-			s.finishTransfers(js, s.eng.sim.Now())
-		}
+// flowDone is a flow's completion callback (its record's done): it
+// settles the pair's accounting and counts the stage's outstanding
+// flows. The stage's transfer phase ends only when no flow is in flight
+// AND no failure is awaiting a recovery wave.
+func (s *JobSet) flowDone(rec *flowRec) {
+	js, pp := rec.js, rec.pp
+	js.flowsLeft--
+	pp.delivered += rec.bytes
+	pp.left--
+	if pp.left == 0 {
+		pp.done = s.eng.sim.Now()
 	}
+	if js.flowsLeft == 0 && !js.recovering && len(js.failedRecs) == 0 {
+		s.finishTransfers(js, s.eng.sim.Now())
+	}
+}
+
+// takeRec takes a record off the free list, or allocates one and builds
+// its two callbacks — the only closures a flow of this set ever gets.
+func (s *JobSet) takeRec() *flowRec {
+	if k := len(s.freeRecs); k > 0 {
+		rec := s.freeRecs[k-1]
+		s.freeRecs = s.freeRecs[:k-1]
+		return rec
+	}
+	rec := &flowRec{}
+	rec.done = func() { s.flowDone(rec) }
+	rec.fail = func() { s.flowFailed(rec) }
+	return rec
+}
+
+// takePair takes a pair off the free list, or allocates one.
+func (s *JobSet) takePair() *pendingPair {
+	if k := len(s.freePairs); k > 0 {
+		pp := s.freePairs[k-1]
+		s.freePairs = s.freePairs[:k-1]
+		return pp
+	}
+	return new(pendingPair)
+}
+
+// recycle hands the job's stage bookkeeping back to the set, once every
+// flow of the stage has finished (finishTransfers) or been stopped
+// (Cancel) and the stage report has read it. A finished flow holds no
+// callback (netsim drops them in finishFlow), so no flow can reach a
+// record any more, and the next stage — this job's or another's — may
+// reuse it. Each record is zeroed but for its callbacks: a late call on
+// one would panic on its nil js, never act for the job that reuses it.
+func (s *JobSet) recycle(js *jobState) {
+	for _, pp := range js.pairs {
+		*pp = pendingPair{}
+	}
+	for _, rec := range js.recs {
+		*rec = flowRec{done: rec.done, fail: rec.fail}
+	}
+	s.freePairs = append(s.freePairs, js.pairs...)
+	s.freeRecs = append(s.freeRecs, js.recs...)
+	clear(js.pairs)
+	clear(js.flows)
+	clear(js.recs)
+	js.pairs, js.flows, js.recs = js.pairs[:0], js.flows[:0], js.recs[:0]
+	js.failedRecs = nil
+}
+
+// retire parks a job that will not transfer again, and hands its
+// emptied lists to the set for the next job admitted.
+func (s *JobSet) retire(js *jobState) {
+	js.finish()
+	s.spare = append(s.spare, js.stageLists)
+	js.stageLists = stageLists{}
 }
 
 // startStage places the current stage and launches its WAN transfers;
@@ -399,13 +478,11 @@ func (s *JobSet) startStage(js *jobState, now float64) {
 	js.transferStart = now
 	js.phase = phaseTransfer
 
-	flows, pairs, wanBytes, recs := e.launchTransfers(js.curPairs, true, js.run.Policy, s.transferDone(js))
-	js.flows = flows
-	js.pairs = pairs
-	js.flowsLeft = len(flows)
-	js.res.WANBytes += wanBytes
+	// The lists are empty here: the previous stage recycled its records.
+	js.res.WANBytes += s.launchTransfers(js, js.curPairs, true)
+	js.flowsLeft = len(js.flows)
 
-	if len(flows) == 0 {
+	if len(js.flows) == 0 {
 		s.finishTransfers(js, now)
 		return
 	}
@@ -416,7 +493,7 @@ func (s *JobSet) startStage(js *jobState, now float64) {
 	// Arm failure handlers last: a flow born failed (endpoint already
 	// dead) fires its handler synchronously from inside armRecs, which
 	// needs the counters and watchdog above in place.
-	s.armRecs(js, recs)
+	armRecs(js.recs)
 }
 
 // plannedPairs is a stage's planned transfer as its report's pair list:
@@ -503,7 +580,7 @@ func (s *JobSet) finishTransfers(js *jobState, now float64) {
 			js.res.MinShuffleMbps = ps.Mbps
 		}
 	}
-	js.flows, js.pairs = nil, nil
+	s.recycle(js)
 
 	// The stage's input is now distributed per the placement.
 	total := 0.0
@@ -557,7 +634,7 @@ func (s *JobSet) endStage(js *jobState, rep StageReport, now float64) {
 
 // finishJob completes a job's state machine.
 func (s *JobSet) finishJob(js *jobState, now float64) {
-	js.finish()
+	s.retire(js)
 	js.res.JCTSeconds = now - js.startedAt
 	if math.IsInf(js.res.MinShuffleMbps, 1) {
 		js.res.MinShuffleMbps = 0

@@ -225,7 +225,7 @@ func TestJobSetContentionAndConservation(t *testing.T) {
 // TestFinishedJobSetNotRetainedBySubstrate keeps only the simulator of
 // a finished job set. Its pending stage deadlines fire hours of
 // simulated time later and its finished flows can outlive the set
-// (pending ramp timers, a caller's handle), but none of them may keep
+// (pending ramp boundaries, a caller's handle), but none of them may keep
 // the jobs' state and stage reports reachable.
 func TestFinishedJobSetNotRetainedBySubstrate(t *testing.T) {
 	sim := frozenSim(4, 11)

@@ -46,13 +46,20 @@ func (c RecoveryConfig) maxWaves() int {
 	return 8
 }
 
-// flowRec ties a launched flow to its pair bookkeeping so a failure
-// can be re-routed: the pair identifies src/dst DCs, bytes the payload
-// share this flow carried.
+// flowRec ties a launched flow to its job, stage and pair bookkeeping
+// so its completion can be counted and a failure re-routed: the pair
+// identifies src/dst DCs, bytes the payload share this flow carried.
+// Records are recycled (JobSet.takeRec, JobSet.recycle): done and fail
+// are the flow's callbacks, built once when the record is allocated,
+// and a free record has a nil js.
 type flowRec struct {
+	js    *jobState
+	stage int
 	f     substrate.Flow
 	pp    *pendingPair
 	bytes float64
+
+	done, fail func()
 }
 
 // aliveDCs reports, per DC, whether at least one of its VMs is alive.
@@ -79,22 +86,29 @@ func countAlive(alive []bool) int {
 	return n
 }
 
-// aliveVMs returns the DC's living VMs; when every VM is dead it
-// returns the full list so callers keep a well-defined (failing) path
-// instead of dividing by zero — flows against dead VMs are born failed
-// and surface through the failure machinery.
+// aliveVMs returns the DC's living VMs — while all of them live, the
+// cluster's own list, not a copy (callers only read it). When every VM
+// is dead it returns the full list so callers keep a well-defined
+// (failing) path instead of dividing by zero — flows against dead VMs
+// are born failed and surface through the failure machinery.
 func aliveVMs(sim substrate.Cluster, dc int) []substrate.VMID {
 	all := sim.VMsOfDC(dc)
-	var alive []substrate.VMID
-	for _, vm := range all {
+	for k, vm := range all {
 		if sim.VMAlive(vm) {
-			alive = append(alive, vm)
+			continue
 		}
+		alive := append([]substrate.VMID(nil), all[:k]...)
+		for _, vm := range all[k+1:] {
+			if sim.VMAlive(vm) {
+				alive = append(alive, vm)
+			}
+		}
+		if len(alive) == 0 {
+			return all
+		}
+		return alive
 	}
-	if len(alive) == 0 {
-		return all
-	}
-	return alive
+	return all
 }
 
 // maskPlacement zeroes dead DCs' fractions and renormalizes; if the
@@ -125,15 +139,13 @@ func maskPlacement(p Placement, alive []bool) Placement {
 	return out
 }
 
-// armRecs registers the stage's flow-failure handlers. Called after
-// the stage's counters are set up: a flow born failed (started against
-// a VM that died before launch) fires its handler synchronously from
-// inside this call.
-func (s *JobSet) armRecs(js *jobState, recs []*flowRec) {
-	stageIdx := js.stage
+// armRecs registers the flow-failure handlers of just-launched
+// records. Called after the stage's counters are set up: a flow born
+// failed (started against a VM that died before launch) fires its
+// handler synchronously from inside this call.
+func armRecs(recs []*flowRec) {
 	for _, rec := range recs {
-		rec := rec
-		rec.f.OnFail(func() { s.flowFailed(js, rec, stageIdx) })
+		rec.f.OnFail(rec.fail)
 	}
 }
 
@@ -142,8 +154,9 @@ func (s *JobSet) armRecs(js *jobState, recs []*flowRec) {
 // the loss for the next recovery wave. Failures are batched: the first
 // one in a quiet stage schedules one wave DetectS seconds out, and
 // later failures ride along.
-func (s *JobSet) flowFailed(js *jobState, rec *flowRec, stageIdx int) {
-	if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
+func (s *JobSet) flowFailed(rec *flowRec) {
+	js, stageIdx := rec.js, rec.stage
+	if js.phase != phaseTransfer || js.stage != stageIdx || s.err != nil {
 		return
 	}
 	e := s.eng
@@ -267,14 +280,12 @@ func (s *JobSet) recoverStage(js *jobState, now float64) {
 			wave = append(wave, PairStat{I: int32(i), J: int32(j), Bytes: b})
 		}
 	}
-	flows, pairs, wanBytes, recs := e.launchTransfers(wave, false, js.run.Policy, s.transferDone(js))
-	js.flows = append(js.flows, flows...)
-	js.pairs = append(js.pairs, pairs...)
-	js.flowsLeft += len(flows)
-	js.res.WANBytes += wanBytes
-	if len(flows) > 0 {
+	first := len(js.recs)
+	js.res.WANBytes += s.launchTransfers(js, wave, false)
+	if launched := js.recs[first:]; len(launched) > 0 {
+		js.flowsLeft += len(launched)
 		s.watch(js, "recovery wave")
-		s.armRecs(js, recs)
+		armRecs(launched)
 	}
 	if js.flowsLeft == 0 && !js.recovering && len(js.failedRecs) == 0 {
 		s.finishTransfers(js, now)
