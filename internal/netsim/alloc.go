@@ -35,7 +35,7 @@ import (
 // (allocateReference, test-only, in allocref_test.go):
 //
 //  1. Incremental indexes. Per-VM terminating-connection counts
-//     (Sim.vmConns) and per-DC-pair flow lists (Sim.pairFlows) are
+//     (Sim.vmConns) and per-DC-pair flow lists (pair.flows) are
 //     maintained as flows start/finish/resize, so congestion factors
 //     and memory utilization — previously an O(flows) rescan per flow,
 //     making each allocation O(flows²) — are O(1) lookups.
@@ -145,11 +145,12 @@ type fillScratch struct {
 	dirty    []bool    // sumW must be rescanned (a member froze)
 	liveRes  []int     // resources that still have unfrozen members
 
-	// pairRes maps pairKey -> pair-limit resource index while the tables
-	// are being built (-1 when not materialized); touched lists the keys
-	// to reset afterwards. Sized numDCs² lazily, only when limits exist.
+	// pairRes maps pair ordinal -> pair-limit resource index while the
+	// tables are being built (-1 when not materialized); touched lists
+	// the ordinals to reset afterwards. Sized to the pair store lazily,
+	// only when limits exist.
 	pairRes []int32
-	touched []int
+	touched []int32
 
 	// Per-flow slabs. weights and shared are table; the rest is reset
 	// by every fill. A flow's own cap is not a resource: nothing shares
@@ -167,14 +168,6 @@ type fillScratch struct {
 // localVM returns the group-local ordinal of v, adding it to the group
 // VM table on first sight.
 func (a *fillScratch) localVM(v VMID) int32 {
-	if len(a.vmEpoch) <= int(v) {
-		grown := make([]uint32, int(v)+1)
-		copy(grown, a.vmEpoch)
-		a.vmEpoch = grown
-		l := make([]int32, int(v)+1)
-		copy(l, a.vmLocal)
-		a.vmLocal = l
-	}
 	if a.vmEpoch[v] != a.epoch {
 		a.vmEpoch[v] = a.epoch
 		a.vmLocal[v] = int32(len(a.vms))
@@ -387,6 +380,11 @@ func (g *groupIndex) vmDirty(v VMID) bool {
 // limit with SetPairLimit), each flow's weight and the resources it
 // crosses, and the member lists.
 func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
+	if len(a.vmEpoch) < len(s.vms) {
+		// Sized once per Sim: the VM set never changes.
+		a.vmEpoch = make([]uint32, len(s.vms))
+		a.vmLocal = make([]int32, len(s.vms))
+	}
 	a.epoch++
 	a.vms = a.vms[:0]
 
@@ -409,22 +407,21 @@ func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 	// Weights and lazily materialized pair limits, in flow order.
 	a.growFlows(len(flows))
 	for fi, f := range flows {
-		srcDC, dstDC := f.srcDC, f.dstDC
-		a.weights[fi] = float64(f.conns) / s.rttBiasPow[srcDC][dstDC]
+		p := s.flowPair(f)
+		a.weights[fi] = float64(f.conns) / p.biasPow
 		sh := [3]int32{2 * a.vmLocal[f.src], 2*a.vmLocal[f.dst] + 1, -1}
-		if limit := s.pairLimitAt(srcDC, dstDC); !math.IsNaN(limit) {
-			if n := len(s.regions) * len(s.regions); len(a.pairRes) < n {
+		if !math.IsNaN(p.limit) {
+			if n := s.pairSlots(); len(a.pairRes) < n {
 				a.pairRes = make([]int32, n)
 				for i := range a.pairRes {
 					a.pairRes[i] = -1
 				}
 			}
-			k := s.pairKey(srcDC, dstDC)
-			if a.pairRes[k] < 0 {
-				a.pairRes[k] = a.addRes(0, limit)
-				a.touched = append(a.touched, k)
+			if a.pairRes[p.idx] < 0 {
+				a.pairRes[p.idx] = a.addRes(0, p.limit)
+				a.touched = append(a.touched, p.idx)
 			}
-			sh[2] = a.pairRes[k]
+			sh[2] = a.pairRes[p.idx]
 		}
 		a.shared[fi] = sh
 	}
@@ -644,12 +641,13 @@ func (s *Sim) flowCap(f *Flow, memF float64) float64 {
 	if s.severed(f.srcDC, f.dstDC) {
 		return 0 // active DC partition: the pair delivers nothing
 	}
+	p := s.flowPair(f)
 	fluct := 1.0
-	if p := s.fluct[f.srcDC][f.dstDC]; p != nil {
-		fluct = p.factor()
+	if p.fluct != nil {
+		fluct = p.fluct.factor()
 	}
 	cpuF := cpuFactor(s.vms[f.src].cpuLoad)
-	return float64(f.conns) * s.perConnBase[f.srcDC][f.dstDC] * fluct * memF * cpuF * s.rampFactor(f)
+	return float64(f.conns) * p.connBase * fluct * memF * cpuF * s.rampFactor(f)
 }
 
 // rampStep is a slow-start level boundary of f (layer 5 above). The
@@ -685,8 +683,8 @@ func (s *Sim) rampStep(f *Flow) {
 // attributeRetrans recomputes v's retransmission attribution as a fill
 // of its group would: egress term then ingress term, each summing the
 // caps of v's flows in start order. The flows come from v's DC's row
-// (egress) or column (ingress) of pairFlows, sorted by id across the
-// per-pair lists.
+// (egress) or column (ingress) of pair records, sorted by id across
+// the per-pair lists.
 func (s *Sim) attributeRetrans(v VMID) {
 	vm, n := s.vms[v], len(s.regions)
 	cong := s.congFactor(v)
@@ -694,11 +692,15 @@ func (s *Sim) attributeRetrans(v VMID) {
 	for dir, specMbps := range [2]float64{vm.spec.EgressMbps, vm.spec.IngressMbps} {
 		buf := s.attrBuf[:0]
 		for o := 0; o < n; o++ {
-			k := s.pairKey(vm.dc, o)
+			srcDC, dstDC := vm.dc, o
 			if dir == 1 {
-				k = s.pairKey(o, vm.dc)
+				srcDC, dstDC = o, vm.dc
 			}
-			for _, f := range s.pairFlows[k] {
+			p := s.lookupPair(srcDC, dstDC)
+			if p == nil {
+				continue
+			}
+			for _, f := range p.flows {
 				if [2]VMID{f.src, f.dst}[dir] == v {
 					buf = append(buf, f)
 				}

@@ -100,8 +100,15 @@ func TestIncrementalCountersMatchScan(t *testing.T) {
 			}
 		}
 		for k := range pairs {
-			if len(s.pairFlows[k]) != pairs[k] {
-				t.Fatalf("pairFlows[%d] has %d flows, scan says %d", k, len(s.pairFlows[k]), pairs[k])
+			got := 0
+			if p := s.lookupPair(k/n, k%n); p != nil {
+				got = len(p.flows)
+				if s.pairByIdx(p.idx) != p || s.pairAt[k] != p.idx+1 {
+					t.Fatalf("pair %d: record ordinal %d, pairAt %d", k, p.idx, s.pairAt[k])
+				}
+			}
+			if got != pairs[k] {
+				t.Fatalf("pair %d has %d flows, scan says %d", k, got, pairs[k])
 			}
 		}
 		if s.interDCFlow != interDC {
@@ -119,23 +126,23 @@ func TestAllocationConservation(t *testing.T) {
 		s.ensureAllocated()
 		egress := make([]float64, s.NumVMs())
 		ingress := make([]float64, s.NumVMs())
-		n := s.NumDCs()
-		pairRate := make([]float64, n*n)
+		pairRate := make([]float64, s.numPairs)
 		for _, f := range s.flows {
 			if f.rate < 0 {
 				t.Fatalf("flow %d has negative rate %v", f.id, f.rate)
 			}
 			egress[f.src] += f.rate
 			ingress[f.dst] += f.rate
-			pairRate[s.pairKey(f.srcDC, f.dstDC)] += f.rate
+			p := s.flowPair(f)
+			pairRate[p.idx] += f.rate
 			// Per-flow cap envelope (fluctuation can only cut below the
 			// nominal per-connection cap by a bounded factor; use the
 			// exact current factor).
 			fl := 1.0
-			if p := s.fluct[f.srcDC][f.dstDC]; p != nil {
-				fl = p.factor()
+			if p.fluct != nil {
+				fl = p.fluct.factor()
 			}
-			capF := float64(f.conns) * s.perConnBase[f.srcDC][f.dstDC] * fl
+			capF := float64(f.conns) * p.connBase * fl
 			if f.rate > capF*slack {
 				t.Fatalf("flow %d rate %v exceeds cap envelope %v", f.id, f.rate, capF)
 			}
@@ -153,9 +160,9 @@ func TestAllocationConservation(t *testing.T) {
 				t.Fatalf("vm %d ingress %v exceeds %v", v, ingress[v], s.vms[v].spec.IngressMbps*cong)
 			}
 		}
-		for k, limit := range s.pairLimits {
-			if !math.IsNaN(limit) && pairRate[k] > limit*slack {
-				t.Fatalf("pair %d rate %v exceeds tc limit %v", k, pairRate[k], limit)
+		for idx, rate := range pairRate {
+			if limit := s.pairByIdx(int32(idx)).limit; !math.IsNaN(limit) && rate > limit*slack {
+				t.Fatalf("pair #%d rate %v exceeds tc limit %v", idx, rate, limit)
 			}
 		}
 	})

@@ -200,12 +200,12 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 		f := order[fi]
 		srcDC, dstDC := f.srcDC, f.dstDC
 		fluct := 1.0
-		if p := s.fluct[srcDC][dstDC]; p != nil {
-			fluct = p.factor()
+		if p := s.lookupPair(srcDC, dstDC); p.fluct != nil {
+			fluct = p.fluct.factor()
 		}
 		memF := memFactor(memScan(f.dst))
 		cpuF := cpuFactor(s.vms[f.src].cpuLoad)
-		capF := float64(f.conns) * s.perConnBase[srcDC][dstDC] * fluct * memF * cpuF * s.rampFactor(f)
+		capF := float64(f.conns) * s.PerConnCapMbps(srcDC, dstDC) * fluct * memF * cpuF * s.rampFactor(f)
 		if s.severed(srcDC, dstDC) {
 			capF = 0
 		}
@@ -213,7 +213,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 		capRes := len(resources)
 		resources = append(resources, refResource{kind: resFlowCap, cap: capF})
 
-		rtt := s.rttSec[srcDC][dstDC]
+		rtt := s.RTTSeconds(srcDC, dstDC)
 		if rtt <= 0 {
 			rtt = 1e-3
 		}

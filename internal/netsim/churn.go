@@ -62,11 +62,12 @@ type groupIndex struct {
 	dirtyAll   bool
 
 	// pairFirst links flows that share a rate-limited DC pair during
-	// grouping: first source VM seen per pair key, reset via the
-	// touched list. Sized numDCs² lazily, only when limits exist.
+	// grouping: first source VM seen per pair ordinal, reset via the
+	// touched list. Sized to the pair store lazily, only when limits
+	// exist.
 	pairFirst   []VMID
 	pairFirstOK []bool
-	pairTouched []int
+	pairTouched []int32
 
 	// The grouping (ordOf to bucketed, see regroup) and the per-
 	// allocation refill decision (needFill).
@@ -142,21 +143,21 @@ func (g *groupIndex) linkLimitedPairs(s *Sim, order []*Flow) {
 	if s.numLimits == 0 {
 		return
 	}
-	if n := len(s.regions) * len(s.regions); len(g.pairFirst) < n {
+	if n := s.pairSlots(); len(g.pairFirst) < n {
 		g.pairFirst = make([]VMID, n)
 		g.pairFirstOK = make([]bool, n)
 	}
 	for _, f := range order {
-		if math.IsNaN(s.pairLimitAt(f.srcDC, f.dstDC)) {
+		p := s.flowPair(f)
+		if math.IsNaN(p.limit) {
 			continue
 		}
-		k := s.pairKey(f.srcDC, f.dstDC)
-		if g.pairFirstOK[k] {
-			g.union(f.src, g.pairFirst[k])
+		if g.pairFirstOK[p.idx] {
+			g.union(f.src, g.pairFirst[p.idx])
 		} else {
-			g.pairFirst[k] = f.src
-			g.pairFirstOK[k] = true
-			g.pairTouched = append(g.pairTouched, k)
+			g.pairFirst[p.idx] = f.src
+			g.pairFirstOK[p.idx] = true
+			g.pairTouched = append(g.pairTouched, p.idx)
 		}
 	}
 	for _, k := range g.pairTouched {
@@ -191,8 +192,8 @@ func (s *Sim) dirtyFlow(f *Flow) {
 // refilled. Connectivity may also change (a limit appearing can merge
 // groups, one clearing can split), which needs no extra handling: the
 // re-derived groups refill whenever they contain a dirtied VM.
-func (s *Sim) dirtyPair(k int) {
-	for _, f := range s.pairFlows[k] {
+func (s *Sim) dirtyPair(p *pair) {
+	for _, f := range p.flows {
 		s.dirtyVM(f.src)
 	}
 }

@@ -93,7 +93,11 @@ func (s *Sim) ResetPair(srcDC, dstDC int, t float64) {
 	fire := func(float64) {
 		// Copy: failFlow edits the pair list. Pair lists are kept in
 		// start order, so the failure sequence is deterministic.
-		victims := append([]*Flow(nil), s.pairFlows[s.pairKey(srcDC, dstDC)]...)
+		p := s.lookupPair(srcDC, dstDC)
+		if p == nil {
+			return
+		}
+		victims := append([]*Flow(nil), p.flows...)
 		for _, f := range victims {
 			s.failFlow(f)
 		}

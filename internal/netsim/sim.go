@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/simrand"
@@ -29,18 +28,17 @@ type Sim struct {
 	vms     []*vm
 	vmsOfDC [][]VMID
 
-	// Pairwise physics, indexed [srcDC][dstDC].
-	perConnBase [][]float64 // Mbps per connection at nominal conditions
-	rttSec      [][]float64
-	rttBiasPow  [][]float64 // RTT^RTTBiasExp, precomputed (hot in allocate)
-	distKm      [][]float64
-	fluct       [][]*ouProcess
-
-	// pairLimits holds the simulated `tc` rate limits in Mbps, indexed
-	// by pairKey(srcDC, dstDC); NaN means unlimited. numLimits counts
-	// the non-NaN entries so the common no-limits case stays O(1).
-	pairLimits []float64
+	// The pair store: one record per ordered DC pair that has carried a
+	// flow, a rate limit or a cap override (see pair). pairAt[pairKey]
+	// is 1 + the pair's ordinal in build order, or 0 for a pair never
+	// built; records live in append-only blocks of NumDCs values, so a
+	// *pair never moves. numLimits counts the pairs with a limit so the
+	// common no-limits case stays O(1).
+	pairAt     []int32
+	pairBlocks [][]pair
+	numPairs   int
 	numLimits  int
+	perConnA   float64 // PerConnRefMbps·PerConnRefKm^PerConnExp
 
 	// partActive counts the currently-active PartitionDC faults per DC;
 	// while any is nonzero every inter-DC pair involving the DC has
@@ -55,9 +53,8 @@ type Sim struct {
 
 	// Incrementally maintained flow indexes (updated on start/finish/
 	// SetConns rather than recomputed per allocation):
-	vmConns     []int     // connections terminating at each VM (both directions)
-	pairFlows   [][]*Flow // active flows per DC pair, in start order
-	interDCFlow int       // active flows whose endpoints sit in different DCs
+	vmConns     []int // connections terminating at each VM (both directions)
+	interDCFlow int   // active flows whose endpoints sit in different DCs
 
 	now float64
 	// Two event heaps in one (at, seq) order: upper-layer timers and
@@ -119,66 +116,124 @@ func NewSim(cfg Config) *Sim {
 		}
 	}
 	s.vmConns = make([]int, len(s.vms))
-	s.pairFlows = make([][]*Flow, n*n)
 	s.partActive = make([]int, n)
-	s.pairLimits = make([]float64, n*n)
-	for i := range s.pairLimits {
-		s.pairLimits[i] = math.NaN()
-	}
-	a := cfg.PerConnRefMbps * math.Pow(cfg.PerConnRefKm, cfg.PerConnExp)
-	s.perConnBase = make([][]float64, n)
-	s.rttSec = make([][]float64, n)
-	s.rttBiasPow = make([][]float64, n)
-	s.distKm = make([][]float64, n)
-	s.fluct = make([][]*ouProcess, n)
-	for i := 0; i < n; i++ {
-		s.perConnBase[i] = make([]float64, n)
-		s.rttSec[i] = make([]float64, n)
-		s.rttBiasPow[i] = make([]float64, n)
-		s.distKm[i] = make([]float64, n)
-		s.fluct[i] = make([]*ouProcess, n)
-		for j := 0; j < n; j++ {
-			d := geo.DistanceKm(cfg.Regions[i], cfg.Regions[j])
-			s.distKm[i][j] = d
-			eff := math.Max(d, cfg.MinPathKm)
-			s.perConnBase[i][j] = a / math.Pow(eff, cfg.PerConnExp)
-			s.rttSec[i][j] = geo.RTT(cfg.Regions[i], cfg.Regions[j]).Seconds()
-			rtt := s.rttSec[i][j]
-			if rtt <= 0 {
-				rtt = 1e-3
-			}
-			s.rttBiasPow[i][j] = math.Pow(rtt, cfg.RTTBiasExp)
-			if i != j && !cfg.Frozen {
-				// Frozen networks have no fluctuation processes at all:
-				// factor is exactly 1 everywhere, forever.
-				s.fluct[i][j] = newOUProcess(
-					s.rng.Derive(fmt.Sprintf("fluct/%d/%d", i, j)),
-					cfg.FluctTheta, cfg.FluctSigma, cfg.SpikeProbPerSec, cfg.SpikeMeanDurS)
+	s.pairAt = make([]int32, n*n)
+	s.perConnA = cfg.PerConnRefMbps * math.Pow(cfg.PerConnRefKm, cfg.PerConnExp)
+	if !cfg.Frozen {
+		// Every inter-DC pair fluctuates whether or not it carries
+		// traffic, and each process's stream is derived from s.rng in
+		// i-major order, so a fluctuating network builds all of them
+		// here. Frozen networks have no fluctuation processes at all:
+		// factor is exactly 1 everywhere, forever.
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j {
+					s.buildPair(i, j).fluct = newOUProcess(
+						s.rng.Derive(fmt.Sprintf("fluct/%d/%d", i, j)),
+						cfg.FluctTheta, cfg.FluctSigma, cfg.SpikeProbPerSec, cfg.SpikeMeanDurS)
+				}
 			}
 		}
-	}
-	if !cfg.Frozen {
 		s.scheduleFluct()
 	}
 	return s
 }
 
-// pairKey flattens a DC pair into an index for pairLimits/pairFlows.
+// pair is the state of one ordered DC pair. Only pairs something has
+// touched have one: addFlow, SetPairLimit and SetPerConnCap build it on
+// first use, every read-only accessor treats a missing record as an
+// empty, unlimited pair with its geographic physics. A record is never
+// removed, so a pair that once carried traffic keeps its flow list's
+// storage for the next.
+type pair struct {
+	flows    []*Flow    // active flows, in start order
+	limit    float64    // simulated `tc` rate limit in Mbps; NaN = none
+	connBase float64    // Mbps per connection at nominal conditions
+	rtt      float64    // round-trip time, seconds
+	biasPow  float64    // rtt^RTTBiasExp, precomputed (hot in allocate)
+	fluct    *ouProcess // nil on frozen networks and intra-DC pairs
+	idx      int32      // ordinal in build order
+}
+
+// pairKey flattens a DC pair into an index for pairAt.
 func (s *Sim) pairKey(srcDC, dstDC int) int { return srcDC*len(s.regions) + dstDC }
+
+// pairByIdx returns the record with the given ordinal.
+func (s *Sim) pairByIdx(idx int32) *pair {
+	n := int32(len(s.regions))
+	return &s.pairBlocks[idx/n][idx%n]
+}
+
+// pairSlots is the number of records the store's blocks hold: the
+// size of a scratch keyed by pair ordinal.
+func (s *Sim) pairSlots() int { return len(s.pairBlocks) * len(s.regions) }
+
+// lookupPair returns a DC pair's record, or nil if it was never built.
+// It never builds one.
+func (s *Sim) lookupPair(srcDC, dstDC int) *pair {
+	if o := s.pairAt[s.pairKey(srcDC, dstDC)]; o != 0 {
+		return s.pairByIdx(o - 1)
+	}
+	return nil
+}
+
+// flowPair returns the record of f's DC pair, which addFlow built.
+func (s *Sim) flowPair(f *Flow) *pair {
+	return s.pairByIdx(s.pairAt[s.pairKey(f.srcDC, f.dstDC)] - 1)
+}
+
+// pairOf returns a DC pair's record, building it on first use.
+func (s *Sim) pairOf(srcDC, dstDC int) *pair {
+	if p := s.lookupPair(srcDC, dstDC); p != nil {
+		return p
+	}
+	return s.buildPair(srcDC, dstDC)
+}
+
+// buildPair appends the record of a pair not built yet, with its
+// physics derived from geography and no limit.
+func (s *Sim) buildPair(srcDC, dstDC int) *pair {
+	idx := s.numPairs
+	if idx == s.pairSlots() {
+		s.pairBlocks = append(s.pairBlocks, make([]pair, len(s.regions)))
+	}
+	s.numPairs++
+	s.pairAt[s.pairKey(srcDC, dstDC)] = int32(idx + 1)
+	rtt := s.RTTSeconds(srcDC, dstDC)
+	biasRTT := rtt
+	if biasRTT <= 0 {
+		biasRTT = 1e-3
+	}
+	p := s.pairByIdx(int32(idx))
+	*p = pair{
+		limit:    math.NaN(),
+		connBase: s.geoConnBase(srcDC, dstDC),
+		rtt:      rtt,
+		biasPow:  math.Pow(biasRTT, s.cfg.RTTBiasExp),
+		idx:      int32(idx),
+	}
+	return p
+}
+
+// geoConnBase is the nominal per-connection cap geography gives a pair.
+func (s *Sim) geoConnBase(srcDC, dstDC int) float64 {
+	d := geo.DistanceKm(s.regions[srcDC], s.regions[dstDC])
+	return s.perConnA / math.Pow(math.Max(d, s.cfg.MinPathKm), s.cfg.PerConnExp)
+}
 
 // scheduleFluct installs the recurring fluctuation step.
 func (s *Sim) scheduleFluct() {
 	var step func(now float64)
 	step = func(now float64) {
-		for i := range s.fluct {
-			for j, p := range s.fluct[i] {
-				if p != nil {
-					p.advance(now, s.fluctEvery)
-					// Only a pair with flows has its factor read before
-					// the next tick; addFlow covers a pair that gains one.
-					if len(s.pairFlows[s.pairKey(i, j)]) > 0 {
-						p.refresh()
-					}
+		// Each process draws from its own stream, so build order is as
+		// good as any.
+		for idx := range int32(s.numPairs) {
+			if p := s.pairByIdx(idx); p.fluct != nil {
+				p.fluct.advance(now, s.fluctEvery)
+				// Only a pair with flows has its factor read before the
+				// next tick; addFlow covers a pair that gains one.
+				if len(p.flows) > 0 {
+					p.fluct.refresh()
 				}
 			}
 		}
@@ -216,15 +271,20 @@ func (s *Sim) DCOf(id VMID) int { return s.vms[id].dc }
 // Spec returns the VMSpec of the given VM.
 func (s *Sim) Spec(id VMID) VMSpec { return s.vms[id].spec }
 
-// DistanceKm returns the great-circle distance between two DCs.
-func (s *Sim) DistanceKm(i, j int) float64 { return s.distKm[i][j] }
-
 // RTTSeconds returns the modelled round-trip time between two DCs.
-func (s *Sim) RTTSeconds(i, j int) float64 { return s.rttSec[i][j] }
+func (s *Sim) RTTSeconds(i, j int) float64 {
+	return geo.RTT(s.regions[i], s.regions[j]).Seconds()
+}
 
 // PerConnCapMbps returns the nominal (fluctuation-free) single
-// connection throughput cap between two DCs.
-func (s *Sim) PerConnCapMbps(i, j int) float64 { return s.perConnBase[i][j] }
+// connection throughput cap between two DCs: SetPerConnCap's override,
+// or what geography gives a pair that has none.
+func (s *Sim) PerConnCapMbps(i, j int) float64 {
+	if p := s.lookupPair(i, j); p != nil {
+		return p.connBase
+	}
+	return s.geoConnBase(i, j)
+}
 
 // Now returns the current simulated time in seconds.
 func (s *Sim) Now() float64 { return s.now }
@@ -284,44 +344,46 @@ func (s *Sim) VMStats(id VMID) VMStats {
 // from srcDC to dstDC, in Mbps. WANify's local agents use this to
 // throttle BW-rich links (§3.2.2).
 func (s *Sim) SetPairLimit(srcDC, dstDC int, mbps float64) {
-	k := s.pairKey(srcDC, dstDC)
-	if math.IsNaN(s.pairLimits[k]) {
+	p := s.pairOf(srcDC, dstDC)
+	if math.IsNaN(p.limit) {
 		s.numLimits++
 	}
-	s.pairLimits[k] = mbps
+	p.limit = mbps
 	s.structEpoch++
-	if len(s.pairFlows[k]) > 0 {
-		s.dirtyPair(k)
+	if len(p.flows) > 0 {
+		s.dirtyPair(p)
 	}
 }
 
 // ClearPairLimit removes a pair rate limit.
 func (s *Sim) ClearPairLimit(srcDC, dstDC int) {
-	k := s.pairKey(srcDC, dstDC)
-	if math.IsNaN(s.pairLimits[k]) {
+	p := s.lookupPair(srcDC, dstDC)
+	if p == nil || math.IsNaN(p.limit) {
 		return
 	}
 	// Dirty before clearing: the limit's flows may span several groups
 	// only while the shared resource still links them.
-	if len(s.pairFlows[k]) > 0 {
-		s.dirtyPair(k)
+	if len(p.flows) > 0 {
+		s.dirtyPair(p)
 	}
-	s.pairLimits[k] = math.NaN()
+	p.limit = math.NaN()
 	s.numLimits--
 	s.structEpoch++
 }
 
-// ClearAllPairLimits removes every pair rate limit.
+// ClearAllPairLimits removes every pair rate limit. It walks the pairs
+// in build order, which depends on the call history; that is harmless
+// because the dirt it records (groups.dirtyRoots) is consumed as a set.
 func (s *Sim) ClearAllPairLimits() {
 	if s.numLimits == 0 {
 		return
 	}
-	for k := range s.pairLimits {
-		if !math.IsNaN(s.pairLimits[k]) {
-			if len(s.pairFlows[k]) > 0 {
-				s.dirtyPair(k)
+	for idx := range int32(s.numPairs) {
+		if p := s.pairByIdx(idx); !math.IsNaN(p.limit) {
+			if len(p.flows) > 0 {
+				s.dirtyPair(p)
 			}
-			s.pairLimits[k] = math.NaN()
+			p.limit = math.NaN()
 		}
 	}
 	s.numLimits = 0
@@ -330,7 +392,10 @@ func (s *Sim) ClearAllPairLimits() {
 
 // pairLimitAt returns the rate limit for a DC pair, or NaN if none.
 func (s *Sim) pairLimitAt(srcDC, dstDC int) float64 {
-	return s.pairLimits[s.pairKey(srcDC, dstDC)]
+	if p := s.lookupPair(srcDC, dstDC); p != nil {
+		return p.limit
+	}
+	return math.NaN()
 }
 
 // SetPerConnCap overrides the nominal single-connection throughput cap
@@ -343,12 +408,13 @@ func (s *Sim) SetPerConnCap(srcDC, dstDC int, mbps float64) {
 	if mbps < 0 {
 		mbps = 0
 	}
-	if s.perConnBase[srcDC][dstDC] == mbps {
+	p := s.pairOf(srcDC, dstDC)
+	if p.connBase == mbps {
 		return
 	}
-	s.perConnBase[srcDC][dstDC] = mbps
-	if k := s.pairKey(srcDC, dstDC); len(s.pairFlows[k]) > 0 {
-		s.dirtyPair(k)
+	p.connBase = mbps
+	if len(p.flows) > 0 {
+		s.dirtyPair(p)
 	}
 }
 
@@ -428,8 +494,8 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	// parallel connections shorten the ramp (larger aggregate initial
 	// window). The ramp is quantized into three cap levels, so we
 	// schedule a rampStep at each level boundary.
-	rtt := s.rttSec[srcDC][dstDC]
-	f.rampS = s.cfg.RampRTTs * rtt / (1 + math.Log2(float64(conns)))
+	p := s.pairOf(srcDC, dstDC)
+	f.rampS = s.cfg.RampRTTs * p.rtt / (1 + math.Log2(float64(conns)))
 	if f.rampS > 0 {
 		for _, frac := range [...]float64{1.0 / 3, 2.0 / 3, 1} {
 			s.timerSeq++
@@ -441,13 +507,12 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	s.structEpoch++
 	s.vmConns[src] += conns
 	s.vmConns[dst] += conns
-	k := s.pairKey(srcDC, dstDC)
-	s.pairFlows[k] = append(s.pairFlows[k], f) // ids ascend: start order kept
+	p.flows = append(p.flows, f) // ids ascend: start order kept
 	if srcDC != dstDC {
 		s.interDCFlow++
 	}
-	if p := s.fluct[srcDC][dstDC]; p != nil {
-		p.refresh() // the tick skips pairs without flows
+	if p.fluct != nil {
+		p.fluct.refresh() // the tick skips pairs without flows
 	}
 	s.dirtyFlow(f)
 	return f
@@ -502,14 +567,13 @@ func (s *Sim) finishFlow(f *Flow) {
 	if s.vmConns[f.dst] == 0 {
 		s.vms[f.dst].lastRetrans = 0
 	}
-	k := s.pairKey(f.srcDC, f.dstDC)
-	pf := s.pairFlows[k]
-	for i, g := range pf {
+	p := s.flowPair(f)
+	for i, g := range p.flows {
 		if g == f {
 			// Order-preserving removal: pair lists stay in start order
 			// so PairRate sums deterministically. Lists are per-pair and
 			// short, so the copy is cheap.
-			s.pairFlows[k] = append(pf[:i], pf[i+1:]...)
+			p.flows = append(p.flows[:i], p.flows[i+1:]...)
 			break
 		}
 	}
@@ -543,8 +607,10 @@ func (s *Sim) ActiveFlows() int { return len(s.flows) }
 func (s *Sim) PairRate(srcDC, dstDC int) float64 {
 	s.ensureAllocated()
 	total := 0.0
-	for _, f := range s.pairFlows[s.pairKey(srcDC, dstDC)] {
-		total += f.rate
+	if p := s.lookupPair(srcDC, dstDC); p != nil {
+		for _, f := range p.flows {
+			total += f.rate
+		}
 	}
 	return total
 }
@@ -776,9 +842,4 @@ func (s *Sim) AwaitFlows(maxWait float64, flows ...substrate.Flow) error {
 		}
 		s.stepOnce(deadline)
 	}
-}
-
-// RTTOf returns the modelled RTT between two DCs as a time.Duration.
-func (s *Sim) RTTOf(i, j int) time.Duration {
-	return time.Duration(s.rttSec[i][j] * float64(time.Second))
 }

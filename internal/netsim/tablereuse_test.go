@@ -161,7 +161,7 @@ func tableReuseChurn(t *testing.T, vmsPerDC int, seed uint64) {
 					when, f.id, f.rate, f.capMbps, f.capSlack, g.rate, g.capMbps, g.capSlack)
 			}
 			// The stored fluctuation factor a fill reads is the current one.
-			if p := s.fluct[f.srcDC][f.dstDC]; p != nil && p.factor() != math.Exp(p.x)*p.spikeDepth {
+			if p := s.flowPair(f).fluct; p != nil && p.factor() != math.Exp(p.x)*p.spikeDepth {
 				t.Fatalf("%s: pair %d->%d carries flows but its stored factor %v is stale (%v)",
 					when, f.srcDC, f.dstDC, p.factor(), math.Exp(p.x)*p.spikeDepth)
 			}
@@ -244,7 +244,7 @@ func TestFusedRoundAgainstReference(t *testing.T) {
 		cfg.RTTBiasExp = math.Log(1e-307) / math.Log(ref.RTTSeconds(0, 1))
 		s := NewSim(cfg)
 		a, b := s.startProbe(0, 1, 10), s.startProbe(0, 1, 10)
-		if w := 10 / s.rttBiasPow[0][1]; math.IsInf(w, 0) || !math.IsInf(w+w, 1) {
+		if w := 10 / s.lookupPair(0, 1).biasPow; math.IsInf(w, 0) || !math.IsInf(w+w, 1) {
 			t.Fatalf("weight %v: want finite with an infinite sum", w)
 		}
 		requireMatchesReference(t, s, "stall")
