@@ -279,8 +279,9 @@ func main() {
 		}
 	}
 
-	// Connection policy (one per job with -jobs > 1 under wanify:
-	// each job's agents hold that job's partition of the plan).
+	// Connection policy (one per job under wanify: each job's agents
+	// hold that job's partition of the plan, and throttling is
+	// installed at the cluster level from the global plan).
 	var jobSet *spark.JobSet // assigned before Run; feeds bytes-remaining sharing
 	var policy spark.ConnPolicy = spark.SingleConn{}
 	policies := make([]spark.ConnPolicy, *jobs)
@@ -299,30 +300,23 @@ func main() {
 		}
 		opts := wanify.OptimizeOptions{SkewWeights: ws}
 		plan := fw.Optimize(pred, opts)
-		// One job takes the whole plan and throttles through its own
-		// agents; N jobs partition it and throttle at the cluster level.
-		// Everything after the deploy call is the same.
-		if *jobs == 1 {
-			fw.DeployAgents(pred, plan)
-		} else {
-			prios := make([]float64, *jobs)
-			for i := range prios {
-				prios[i] = float64(*jobs - i)
-			}
-			if _, err := fw.DeployJobSetAgents(pred, plan, wanify.JobSetOptions{
-				Jobs:       *jobs,
-				Share:      share,
-				Priorities: prios,
-				Remaining: func() []float64 {
-					if jobSet == nil {
-						return nil
-					}
-					return jobSet.RemainingBytes()
-				},
-				Optimize: opts,
-			}); err != nil {
-				log.Fatal(err)
-			}
+		prios := make([]float64, *jobs)
+		for i := range prios {
+			prios[i] = float64(*jobs - i)
+		}
+		if _, err := fw.DeployJobSetAgents(pred, plan, wanify.JobSetOptions{
+			Jobs:       *jobs,
+			Share:      share,
+			Priorities: prios,
+			Remaining: func() []float64 {
+				if jobSet == nil {
+					return nil
+				}
+				return jobSet.RemainingBytes()
+			},
+			Optimize: opts,
+		}); err != nil {
+			log.Fatal(err)
 		}
 		defer fw.StopAgents()
 		copy(policies, fw.JobPolicies())

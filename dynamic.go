@@ -1,15 +1,17 @@
 package wanify
 
-// The slot model — the one deployment every Enable* entry point is a
-// configuration of. A deployment opens a fixed number of job SLOTS over
-// one global plan; jobs occupy and free slots while everything runs:
+// The slot model — the one deployment both entry-point pairs are
+// configurations of. A deployment opens a fixed number of job SLOTS
+// over one global plan; jobs occupy and free slots while everything
+// runs:
 //
-//   - Enable / DeployAgents open ONE slot, occupied at once, that takes
-//     the whole plan and whose agents throttle BW-rich links locally.
 //   - EnableJobSet / DeployJobSetAgents open N slots, all occupied in
 //     one rebalance under the Share / Oversubscribe policy.
-//   - EnableDynamicJobSet opens N FREE slots for the serving control
-//     plane (internal/serve) to fill: AdmitJob claims a free slot,
+//   - Enable / DeployAgents are its one-slot configuration: ONE slot,
+//     occupied at once, that takes the whole plan and whose agents
+//     throttle BW-rich links locally.
+//   - Under JobSetOptions.Dynamic the N slots open FREE for the serving
+//     control plane (internal/serve) to fill: AdmitJob claims a free slot,
 //     re-partitions the current global plan across the now-occupied
 //     slots, atomically narrows every running job's windows to its new
 //     share (agent.SwapWindow — the same primitive the re-gauging
@@ -28,8 +30,12 @@ package wanify
 // nobody deploys agents for them.
 //
 // ShareRemaining is a roster-wide progress signal polled from one
-// spark.JobSet; a churning roster has no single set to poll, so
-// EnableDynamicJobSet rejects it.
+// spark.JobSet; a churning roster has no single set to poll, so a
+// Dynamic deployment rejects it.
+//
+// Every enable stops the previous deployment before it snapshots: the
+// gauge measures the bare WAN, not one under the old deployment's tc
+// limits with its agents and controller still armed.
 //
 // Ownership. A plan travels optimizer → partition → chunk → window, and
 // every hop has one owner and makes no garbage:
@@ -70,18 +76,6 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// DynamicJobSetOptions configures a dynamic multi-job deployment.
-type DynamicJobSetOptions struct {
-	// Slots is the maximum number of concurrently admitted jobs.
-	Slots int
-	// Share selects how occupied slots split the global plan:
-	// ShareFair (default) or SharePriority (weights from AdmitJob).
-	Share optimize.ShareMode
-	// Optimize carries the §3.3 heterogeneity inputs of the shared
-	// global optimization.
-	Optimize OptimizeOptions
-}
-
 // slotState is a deployment's policy and occupancy.
 type slotState struct {
 	// opts is the share policy; opts.Jobs is the slot count.
@@ -95,13 +89,14 @@ type slotState struct {
 	prio  []float64 // per-slot SharePriority weight (all zero: fair)
 }
 
-// enable gauges the cluster once (snapshot → predict → optimize), opens
-// the deployment, and starts the shared controller when Config.Runtime
-// is enabled.
-func (f *Framework) enable(o JobSetOptions, local, occupied bool) (bwmatrix.Matrix, measure.Report) {
+// enable stops any previous deployment, gauges the cluster once
+// (snapshot → predict → optimize), opens the deployment, and starts the
+// shared controller when Config.Runtime is enabled.
+func (f *Framework) enable(o JobSetOptions, local bool) (bwmatrix.Matrix, measure.Report) {
+	f.StopAgents()
 	pred, rep := f.DetermineRuntimeBW()
 	plan := f.Optimize(pred, o.Optimize)
-	f.deploy(pred, plan, o, local, occupied)
+	f.deploy(pred, plan, o, local)
 	if f.cfg.Runtime.Enabled {
 		f.startController()
 	}
@@ -110,38 +105,20 @@ func (f *Framework) enable(o JobSetOptions, local, occupied bool) (bwmatrix.Matr
 
 // deploy stops any previous deployment and opens o.Jobs slots over
 // (pred, plan) — all occupied, their agents spawned in one rebalance,
-// or all free.
-func (f *Framework) deploy(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions, local, occupied bool) {
+// or all free under o.Dynamic.
+func (f *Framework) deploy(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions, local bool) {
 	f.StopAgents()
 	f.deployed = pred.Clone()
 	f.slots = &slotState{opts: o, local: local, used: make([]bool, o.Jobs), prio: make([]float64, o.Jobs)}
 	copy(f.slots.prio, o.Priorities)
 	f.groups = make([][]*agent.Agent, o.Jobs)
 	for g := range f.slots.used {
-		f.slots.used[g] = occupied
+		f.slots.used[g] = !o.Dynamic
 	}
 	f.rebalance(pred, plan)
 	if f.cfg.Agent.Throttle && !local {
 		f.applyGlobalThrottles(plan)
 	}
-}
-
-// EnableDynamicJobSet gauges the cluster once (snapshot → predict →
-// optimize) and opens a dynamic multi-job deployment with all slots
-// free. When Config.Runtime is enabled the shared arbitration
-// controller starts immediately — over an empty roster, which it
-// tolerates: epochs aggregate nothing until the first AdmitJob attaches
-// agents. Returns the predicted matrix and the measurement bill.
-func (f *Framework) EnableDynamicJobSet(o DynamicJobSetOptions) (bwmatrix.Matrix, measure.Report, error) {
-	if o.Slots < 1 {
-		return nil, measure.Report{}, fmt.Errorf("wanify: dynamic job set needs at least one slot, got %d", o.Slots)
-	}
-	if o.Share == optimize.ShareRemaining {
-		return nil, measure.Report{}, fmt.Errorf("wanify: dynamic job sets support fair or priority sharing only")
-	}
-	f.StopAgents()
-	pred, rep := f.enable(JobSetOptions{Jobs: o.Slots, Share: o.Share, Optimize: o.Optimize}, false, false)
-	return pred, rep, nil
 }
 
 // DynamicSlots reports (occupied, total) slots of the deployment,
@@ -241,7 +218,7 @@ func (f *Framework) currentBelief() (bwmatrix.Matrix, optimize.Plan) {
 // is free (the caller queues).
 func (f *Framework) AdmitJob(priority float64) (int, spark.ConnPolicy, error) {
 	if f.slots == nil {
-		return 0, nil, fmt.Errorf("wanify: AdmitJob without EnableDynamicJobSet")
+		return 0, nil, fmt.Errorf("wanify: AdmitJob without a deployment")
 	}
 	slot := -1
 	for i, used := range f.slots.used {
@@ -267,7 +244,7 @@ func (f *Framework) AdmitJob(priority float64) (int, spark.ConnPolicy, error) {
 // new shares.
 func (f *Framework) ReleaseJob(slot int) error {
 	if f.slots == nil {
-		return fmt.Errorf("wanify: ReleaseJob without EnableDynamicJobSet")
+		return fmt.Errorf("wanify: ReleaseJob without a deployment")
 	}
 	if slot < 0 || slot >= len(f.slots.used) || !f.slots.used[slot] {
 		return fmt.Errorf("wanify: release of unoccupied slot %d", slot)

@@ -39,7 +39,7 @@ func newDynamicDeployment(tb testing.TB, vmsPerDC []int, share optimize.ShareMod
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := fw.EnableDynamicJobSet(wanify.DynamicJobSetOptions{Slots: slots, Share: share}); err != nil {
+	if _, _, _, err := fw.EnableJobSet(wanify.JobSetOptions{Jobs: slots, Dynamic: true, Share: share}); err != nil {
 		tb.Fatal(err)
 	}
 	return fw, sim

@@ -182,24 +182,55 @@ func TestRefactorFromProviders(t *testing.T) {
 	}
 }
 
-// TestEnableIsRepeatable checks Enable can be called again (fresh
-// query, new snapshot) without leaking agents.
+// TestEnableIsRepeatable checks Enable and EnableJobSet can be called
+// again (fresh query, new snapshot) without leaking agents, and that
+// the second call gauges the bare WAN: it stops the old deployment —
+// its throttles and agents — before the snapshot, so it predicts and
+// bills exactly what a twin that called StopAgents in between does.
 func TestEnableIsRepeatable(t *testing.T) {
-	fw, _ := newFramework(t, []int{1, 1, 1}, true)
-	fw.Enable(wanify.OptimizeOptions{})
-	first := fw.Agents()
-	fw.Enable(wanify.OptimizeOptions{})
-	second := fw.Agents()
-	defer fw.StopAgents()
-	if len(second) != len(first) {
-		t.Errorf("agent count changed: %d -> %d", len(first), len(second))
-	}
-	for _, a := range first {
-		for _, b := range second {
-			if a == b {
-				t.Fatal("old agents leaked into the new deployment")
+	for _, tc := range []struct {
+		name   string
+		enable func(t *testing.T, fw *wanify.Framework) (bwmatrix.Matrix, measure.Report)
+	}{
+		{"Enable", func(t *testing.T, fw *wanify.Framework) (bwmatrix.Matrix, measure.Report) {
+			pred, _, rep := fw.Enable(wanify.OptimizeOptions{})
+			return pred, rep
+		}},
+		{"EnableJobSet", func(t *testing.T, fw *wanify.Framework) (bwmatrix.Matrix, measure.Report) {
+			pred, _, rep, err := fw.EnableJobSet(wanify.JobSetOptions{Jobs: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			return pred, rep
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fw, _ := newFramework(t, []int{2, 1, 1}, true)
+			tc.enable(t, fw)
+			first := fw.Agents()
+			pred, rep := tc.enable(t, fw)
+			second := fw.Agents()
+			defer fw.StopAgents()
+			if len(second) != len(first) {
+				t.Errorf("agent count changed: %d -> %d", len(first), len(second))
+			}
+			for _, a := range first {
+				for _, b := range second {
+					if a == b {
+						t.Fatal("old agents leaked into the new deployment")
+					}
+				}
+			}
+
+			twin, _ := newFramework(t, []int{2, 1, 1}, true)
+			tc.enable(t, twin)
+			twin.StopAgents()
+			wantPred, wantRep := tc.enable(t, twin)
+			defer twin.StopAgents()
+			if rep != wantRep || !reflect.DeepEqual(pred, wantPred) {
+				t.Errorf("second enable gauged under the old deployment: %+v, %v; after StopAgents: %+v, %v", rep, pred, wantRep, wantPred)
+			}
+		})
 	}
 }
 
@@ -392,8 +423,8 @@ func newLoggedFramework(t *testing.T) (*wanify.Framework, *opLog) {
 }
 
 // sameDeployment compares two deployments agent by agent — VM, current
-// connection counts, achievable-BW targets — and by what they did to
-// their clusters.
+// connection counts, achievable-BW targets, windows — and by what they
+// did to their clusters.
 func sameDeployment(t *testing.T, what string, a, b [][]*agent.Agent, logA, logB *opLog) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -405,9 +436,10 @@ func sameDeployment(t *testing.T, what string, a, b [][]*agent.Agent, logA, logB
 		}
 		for k := range a[g] {
 			x, y := a[g][k], b[g][k]
-			if x.VM() != y.VM() || !reflect.DeepEqual(x.Conns(), y.Conns()) || !reflect.DeepEqual(x.TargetBW(), y.TargetBW()) {
-				t.Errorf("%s: group %d agent %d differs: vm %d conns %v targets %v vs vm %d conns %v targets %v",
-					what, g, k, x.VM(), x.Conns(), x.TargetBW(), y.VM(), y.Conns(), y.TargetBW())
+			if x.VM() != y.VM() || !reflect.DeepEqual(x.Conns(), y.Conns()) || !reflect.DeepEqual(x.TargetBW(), y.TargetBW()) ||
+				!reflect.DeepEqual(x.Window(), y.Window()) {
+				t.Errorf("%s: group %d agent %d differs: vm %d conns %v targets %v window %+v vs vm %d conns %v targets %v window %+v",
+					what, g, k, x.VM(), x.Conns(), x.TargetBW(), x.Window(), y.VM(), y.Conns(), y.TargetBW(), y.Window())
 			}
 		}
 	}

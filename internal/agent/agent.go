@@ -38,35 +38,26 @@ type Mode int8
 
 // AIMD modes.
 const (
-	ModeIdle     Mode = iota // skipped: < MinTransferBytes moved
+	ModeIdle     Mode = iota // skipped: < minTransferBytes moved
 	ModeIncrease             // additive increase
 	ModeDecrease             // multiplicative decrease
 )
 
+// The agent's fixed AIMD parameters.
+const (
+	// epochS is the AIMD epoch (5 s, §5.7).
+	epochS = 5.0
+	// significantMbps is the congestion threshold Δ.
+	significantMbps = 100.0
+	// minTransferBytes is the per-epoch transfer size below which a
+	// pair is skipped (1 MB, §3.2.2).
+	minTransferBytes = 1 << 20
+)
+
 // Config configures a local agent.
 type Config struct {
-	// EpochS is the AIMD epoch (default 5 s, §5.7).
-	EpochS float64
-	// SignificantMbps is the congestion threshold Δ (default 100 Mbps).
-	SignificantMbps float64
-	// MinTransferBytes is the per-epoch transfer size below which a
-	// pair is skipped (default 1 MB, §3.2.2).
-	MinTransferBytes float64
 	// Throttle enables BW-rich link throttling via simulated `tc`.
 	Throttle bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.EpochS == 0 {
-		c.EpochS = 5
-	}
-	if c.SignificantMbps == 0 {
-		c.SignificantMbps = 100
-	}
-	if c.MinTransferBytes == 0 {
-		c.MinTransferBytes = 1 << 20
-	}
-	return c
 }
 
 // PlanRow is the slice of a global-optimization Plan that concerns one
@@ -240,7 +231,7 @@ func New(sim substrate.Cluster, vm substrate.VMID, cfg Config) *Agent {
 		sim: sim,
 		vm:  vm,
 		dc:  sim.DCOf(vm),
-		cfg: cfg.withDefaults(),
+		cfg: cfg,
 	}
 }
 
@@ -327,7 +318,7 @@ func (a *Agent) Start() {
 		panic("agent: Start before ApplyPlan")
 	}
 	a.started = true
-	a.cancel = a.sim.Every(a.cfg.EpochS, a.epoch)
+	a.cancel = a.sim.Every(epochS, a.epoch)
 }
 
 // Stop halts the AIMD loop and removes this agent's throttles.
@@ -442,7 +433,7 @@ func (a *Agent) epoch(now float64) {
 	clear(a.active[len(kept):]) // finished flows are not retained
 	a.active, a.lastBytes = kept, a.lastBytes[:len(kept)]
 	for j := 0; j < n; j++ {
-		monitored[j] = a.epochBytes[j] * 8 / 1e6 / a.cfg.EpochS // Mbps
+		monitored[j] = a.epochBytes[j] * 8 / 1e6 / epochS // Mbps
 	}
 
 	modes := make([]Mode, n)
@@ -451,11 +442,11 @@ func (a *Agent) epoch(now float64) {
 			continue
 		}
 		// Skip rule: a pair that moved almost nothing tells us nothing.
-		if a.epochBytes[j] < a.cfg.MinTransferBytes {
+		if a.epochBytes[j] < minTransferBytes {
 			modes[j] = ModeIdle
 			continue
 		}
-		if a.targetBW[j]-monitored[j] > a.cfg.SignificantMbps {
+		if a.targetBW[j]-monitored[j] > significantMbps {
 			// Multiplicative decrease: congestion.
 			modes[j] = ModeDecrease
 			a.conns[j] = maxInt(a.row.MinConns[j], a.conns[j]/2)

@@ -282,8 +282,8 @@ func (f *stubFlow) Failed() bool              { return false }
 func (f *stubFlow) OnFail(func())             {}
 
 // TestMinTransferBytesBoundary pins the §3.2.2 skip rule at its exact
-// boundary: a pair that moved one byte less than MinTransferBytes is
-// skipped as idle, while a pair at exactly MinTransferBytes
+// boundary: a pair that moved one byte less than minTransferBytes
+// (1 MiB) is skipped as idle, while a pair at exactly minTransferBytes
 // participates in AIMD.
 func TestMinTransferBytesBoundary(t *testing.T) {
 	const minBytes = 1 << 20

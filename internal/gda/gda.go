@@ -50,7 +50,7 @@ func NewClusterInfo(sim substrate.Cluster, rates cost.Rates) ClusterInfo {
 }
 
 // NewClusterInfoEnergy is NewClusterInfo with explicit energy rates
-// (wanify.Config.Energy feeds through here).
+// (plan with the same table the engine's Energy bills with).
 func NewClusterInfoEnergy(sim substrate.Cluster, rates cost.Rates, energy cost.EnergyRates) ClusterInfo {
 	n := sim.NumDCs()
 	info := ClusterInfo{

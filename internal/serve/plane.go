@@ -347,8 +347,9 @@ func (p *Plane) Start() error {
 			return err
 		}
 	}
-	_, _, err := p.fw.EnableDynamicJobSet(wanify.DynamicJobSetOptions{
-		Slots:    p.cfg.MaxRunning,
+	_, _, _, err := p.fw.EnableJobSet(wanify.JobSetOptions{
+		Jobs:     p.cfg.MaxRunning,
+		Dynamic:  true,
 		Share:    p.cfg.Share,
 		Optimize: p.cfg.Optimize,
 	})

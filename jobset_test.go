@@ -70,6 +70,18 @@ func TestEnableJobSetValidates(t *testing.T) {
 	}); err == nil {
 		t.Error("mismatched priorities accepted")
 	}
+	// A dynamic set takes priorities per AdmitJob and has no single job
+	// set to poll for remaining bytes.
+	for name, o := range map[string]wanify.JobSetOptions{
+		"zero slots":    {Jobs: 0, Dynamic: true},
+		"priorities":    {Jobs: 2, Dynamic: true, Share: optimize.SharePriority, Priorities: []float64{3, 1}},
+		"oversubscribe": {Jobs: 2, Dynamic: true, Oversubscribe: true},
+		"remaining":     {Jobs: 2, Dynamic: true, Share: optimize.ShareRemaining},
+	} {
+		if _, _, _, err := fw.EnableJobSet(o); err == nil {
+			t.Errorf("dynamic job set with %s accepted", name)
+		}
+	}
 }
 
 // TestJobSetEndToEndContention runs two TeraSorts concurrently under
@@ -136,8 +148,7 @@ func TestJobSetControllerArbitratesForAllJobs(t *testing.T) {
 	}
 	// EnableJobSet without Runtime leaves no controller; start one by
 	// hand with a staleness clock through the framework path.
-	ctl := fw.StartJobSetController()
-	_ = ctl
+	fw.StartController(fwCfg.Optimize)
 	defer fw.StopAgents()
 	if fw.Controller() == nil {
 		t.Fatal("no controller")
@@ -180,15 +191,43 @@ func TestStopAgentsClearsJobSetState(t *testing.T) {
 
 // TestEnableJobSetIsTheHandDrivenSteps is the job-set counterpart of
 // TestEnableIsTheHandDrivenSteps: EnableJobSet is nothing but
-// DetermineRuntimeBW → Optimize → DeployJobSetAgents →
-// StartJobSetController, group by group and agent by agent.
+// DetermineRuntimeBW → Optimize → DeployJobSetAgents → StartController,
+// group by group and agent by agent — with every slot occupied at once,
+// and with the slots open free and two jobs admitted after.
 func TestEnableJobSetIsTheHandDrivenSteps(t *testing.T) {
-	o := wanify.JobSetOptions{Jobs: 2, Share: optimize.SharePriority, Priorities: []float64{3, 1}}
+	for _, tc := range []struct {
+		name string
+		o    wanify.JobSetOptions
+	}{
+		{"occupied", wanify.JobSetOptions{Jobs: 2, Share: optimize.SharePriority, Priorities: []float64{3, 1}}},
+		{"dynamic", wanify.JobSetOptions{Jobs: 2, Share: optimize.SharePriority, Dynamic: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { handDrivenJobSet(t, tc.o) })
+	}
+}
+
+func handDrivenJobSet(t *testing.T, o wanify.JobSetOptions) {
+	// admit fills a dynamic deployment's slots (priorities 3 and 1, as
+	// the occupied row's) and returns the policies the jobs run under.
+	admit := func(fw *wanify.Framework, policies []spark.ConnPolicy) []spark.ConnPolicy {
+		if !o.Dynamic {
+			return policies
+		}
+		for _, prio := range []float64{3, 1} {
+			slot, policy, err := fw.AdmitJob(prio)
+			if err != nil {
+				t.Fatal(err)
+			}
+			policies[slot] = policy
+		}
+		return policies
+	}
 	fwA, logA := newLoggedFramework(t)
 	predA, policiesA, repA, err := fwA.EnableJobSet(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	policiesA = admit(fwA, policiesA)
 	defer fwA.StopAgents()
 
 	fwB, logB := newLoggedFramework(t)
@@ -196,8 +235,8 @@ func TestEnableJobSetIsTheHandDrivenSteps(t *testing.T) {
 	if _, err := fwB.DeployJobSetAgents(predB, fwB.Optimize(predB, o.Optimize), o); err != nil {
 		t.Fatal(err)
 	}
-	fwB.StartJobSetController()
-	policiesB := fwB.JobPolicies()
+	fwB.StartController(o.Optimize)
+	policiesB := admit(fwB, fwB.JobPolicies())
 	defer fwB.StopAgents()
 
 	if !reflect.DeepEqual(predA, predB) || repA != repB {

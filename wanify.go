@@ -48,10 +48,6 @@ type Config struct {
 	Cluster substrate.Cluster
 	// Rates prices measurement and query activity.
 	Rates cost.Rates
-	// Energy parameterizes the energy/carbon account behind the
-	// carbon-aware placement scorer and the engine's per-job
-	// EnergyBreakdown (zero value: DefaultEnergyRates).
-	Energy cost.EnergyRates
 	// Seed drives snapshot noise and any tie-breaking.
 	Seed uint64
 	// MaxConnsPerPair is the optimizer's M (default 8).
@@ -113,9 +109,6 @@ func New(cfg Config, model *predict.Model) (*Framework, error) {
 	if cfg.RelationD == 0 {
 		cfg.RelationD = optimize.DefaultD
 	}
-	if cfg.Energy.IsZero() {
-		cfg.Energy = cost.DefaultEnergyRates()
-	}
 	return &Framework{
 		cfg:   cfg,
 		model: model,
@@ -125,11 +118,6 @@ func New(cfg Config, model *predict.Model) (*Framework, error) {
 
 // Model returns the framework's prediction model.
 func (f *Framework) Model() *predict.Model { return f.model }
-
-// EnergyRates returns the deployment's energy/carbon parameters
-// (Config.Energy, or the defaults when unset) — what schedulers and
-// engines built next to this framework should price carbon with.
-func (f *Framework) EnergyRates() cost.EnergyRates { return f.cfg.Energy }
 
 // DetermineRuntimeBW takes a 1-second snapshot of the cluster and
 // predicts the stable runtime bandwidth matrix — the §4.1.2 Runtime
@@ -179,11 +167,11 @@ func (f *Framework) Optimize(pred bwmatrix.Matrix, opts OptimizeOptions) optimiz
 func (f *Framework) Plan() optimize.Plan { return f.plan }
 
 // DeployAgents starts one local agent per VM, loaded with the plan
-// chunked per VM (association, §3.3.3): a deployment of one slot that
-// takes the whole plan, its agents throttling locally. Any previously
-// deployed agents are stopped first.
+// chunked per VM (association, §3.3.3): DeployJobSetAgents' one-slot
+// configuration, except that its agents throttle locally. Any
+// previously deployed agents are stopped first.
 func (f *Framework) DeployAgents(pred bwmatrix.Matrix, plan optimize.Plan) []*agent.Agent {
-	f.deploy(pred, plan, JobSetOptions{Jobs: 1, Oversubscribe: true}, true, true)
+	f.deploy(pred, plan, JobSetOptions{Jobs: 1, Oversubscribe: true}, true)
 	return f.groups[0]
 }
 
@@ -227,16 +215,20 @@ func (f *Framework) StopAgents() {
 // Config.Runtime is disabled or agents are not deployed.
 func (f *Framework) Controller() *rgauge.Controller { return f.controller }
 
-// StartController launches the mid-job re-gauging loop over the
-// current deployment, re-planning with the given optimizer options
-// whenever drift or staleness triggers (internal/runtime). Enable calls
-// this automatically when Config.Runtime.Enabled is set; callers
-// driving the deploy steps by hand (including ones whose plan was built
-// from a measured rather than predicted matrix) can invoke it directly
-// after DeployAgents.
+// StartController launches the deployment's one re-gauging controller,
+// re-planning with the given optimizer options whenever drift or
+// staleness triggers (internal/runtime). It arbitrates for every slot:
+// monitored rates aggregate across jobs per DC pair, a trigger
+// re-gauges the cluster once, and each slot's partition of the new
+// windows swaps in atomically (with shares re-evaluated, so
+// bytes-remaining sharing follows job progress). Enable and
+// EnableJobSet call this automatically when Config.Runtime.Enabled is
+// set; callers driving the deploy steps by hand (including ones whose
+// plan was built from a measured rather than predicted matrix) invoke
+// it after DeployAgents or DeployJobSetAgents.
 func (f *Framework) StartController(opts OptimizeOptions) *rgauge.Controller {
 	if f.slots == nil {
-		panic("wanify: StartController before DeployAgents")
+		panic("wanify: StartController before a deployment")
 	}
 	f.slots.opts.Optimize = opts
 	return f.startController()
@@ -252,11 +244,13 @@ func (f *Framework) ConnPolicy() spark.ConnPolicy {
 // transfers data among DCs can reap WANify's benefits using the WANify
 // Interface"): snapshot → predict → optimize → deploy agents — plus,
 // when Config.Runtime is enabled, the mid-job re-gauging loop that
-// revisits that plan as WAN conditions shift. It returns the predicted
-// matrix (for the GDA system's placement decisions) and the connection
-// policy (for its shuffle transfers).
+// revisits that plan as WAN conditions shift. It is EnableJobSet's
+// one-slot configuration, except that its agents throttle locally. Any
+// previous deployment is stopped before the snapshot. It returns the
+// predicted matrix (for the GDA system's placement decisions) and the
+// connection policy (for its shuffle transfers).
 func (f *Framework) Enable(opts OptimizeOptions) (bwmatrix.Matrix, spark.ConnPolicy, measure.Report) {
-	pred, rep := f.enable(JobSetOptions{Jobs: 1, Oversubscribe: true, Optimize: opts}, true, true)
+	pred, rep := f.enable(JobSetOptions{Jobs: 1, Oversubscribe: true, Optimize: opts}, true)
 	return pred, f.ConnPolicy(), rep
 }
 
@@ -266,8 +260,16 @@ func (f *Framework) Enable(opts OptimizeOptions) (bwmatrix.Matrix, spark.ConnPol
 // concurrent jobs over one cluster, each receiving its share of the
 // global plan's connection windows and achievable-BW targets.
 type JobSetOptions struct {
-	// Jobs is how many concurrent jobs share the cluster.
+	// Jobs is how many concurrent jobs share the cluster: the
+	// deployment's slot count.
 	Jobs int
+	// Dynamic opens the Jobs slots free for AdmitJob and ReleaseJob to
+	// fill while everything runs (the serving control plane,
+	// internal/serve) instead of occupying them all at once. It
+	// supports fair and priority sharing, with priorities given per
+	// AdmitJob, so it rejects Priorities, Oversubscribe and
+	// ShareRemaining.
+	Dynamic bool
 	// Share selects the partitioning policy (fair, priority,
 	// bytes-remaining).
 	Share optimize.ShareMode
@@ -322,20 +324,24 @@ func (o JobSetOptions) validate() error {
 	if o.Priorities != nil && len(o.Priorities) != o.Jobs {
 		return fmt.Errorf("wanify: %d priorities for %d jobs", len(o.Priorities), o.Jobs)
 	}
+	if o.Dynamic && (o.Priorities != nil || o.Oversubscribe || o.Share == optimize.ShareRemaining) {
+		return fmt.Errorf("wanify: dynamic job sets support fair or priority sharing only, with priorities given per AdmitJob")
+	}
 	return nil
 }
 
 // DeployJobSetAgents partitions the plan across the configured jobs
 // and starts one agent per (job, VM), each loaded with its job's
-// chunk: a deployment of o.Jobs slots, all occupied at once. Any
-// previous deployment is stopped first. Per-job agents run with
-// Throttle off; when Config.Agent requests throttling the deployment
-// installs cluster-level limits from the global plan instead.
+// chunk: a deployment of o.Jobs slots, all occupied at once, or all
+// free under o.Dynamic. Any previous deployment is stopped first.
+// Per-job agents run with Throttle off; when Config.Agent requests
+// throttling the deployment installs cluster-level limits from the
+// global plan instead.
 func (f *Framework) DeployJobSetAgents(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions) ([][]*agent.Agent, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	f.deploy(pred, plan, o, false, true)
+	f.deploy(pred, plan, o, false)
 	return f.groups, nil
 }
 
@@ -353,28 +359,18 @@ func (f *Framework) JobPolicies() []spark.ConnPolicy {
 	return out
 }
 
-// StartJobSetController launches ONE re-gauging controller arbitrating
-// for every job in the deployed set: monitored rates aggregate across
-// jobs per DC pair, a drift or staleness trigger re-gauges the cluster
-// once, and each job's partition of the new windows swaps in
-// atomically (with shares re-evaluated, so bytes-remaining sharing
-// follows job progress).
-func (f *Framework) StartJobSetController() *rgauge.Controller {
-	if f.slots == nil {
-		panic("wanify: StartJobSetController before DeployJobSetAgents")
-	}
-	return f.startController()
-}
-
 // EnableJobSet is the multi-tenant Enable: snapshot → predict →
 // optimize once → partition across jobs → deploy per-job agents (plus
-// the shared arbitration controller when Config.Runtime is enabled).
-// It returns the predicted matrix, one connection policy per job, and
+// the shared arbitration controller when Config.Runtime is enabled;
+// under o.Dynamic it starts over the still-empty roster, which it
+// tolerates). Any previous deployment is stopped before the snapshot.
+// It returns the predicted matrix, one connection policy per slot (a
+// free slot's consults no agents: AdmitJob returns the one to use), and
 // the measurement bill.
 func (f *Framework) EnableJobSet(o JobSetOptions) (bwmatrix.Matrix, []spark.ConnPolicy, measure.Report, error) {
 	if err := o.validate(); err != nil {
 		return nil, nil, measure.Report{}, err
 	}
-	pred, rep := f.enable(o, false, true)
+	pred, rep := f.enable(o, false)
 	return pred, f.JobPolicies(), rep, nil
 }
