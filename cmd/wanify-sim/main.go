@@ -256,7 +256,7 @@ func main() {
 	if *sched != "locality" {
 		switch *believe {
 		case "static":
-			believed, _ = measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+			believed, _ = measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 		case "simultaneous":
 			believed, _ = measure.StaticSimultaneous(sim, measure.StableOptions())
 		case "predicted":

@@ -64,7 +64,7 @@ func main() {
 		var believed bwmatrix.Matrix
 		switch v.belief {
 		case "static":
-			believed, _ = measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+			believed, _ = measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 			sim.RunUntil(trainStart)
 		case "simultaneous":
 			sim.RunUntil(trainStart - 20)

@@ -60,7 +60,7 @@ func main() {
 	// Variant 1: vanilla Tetrium on static-independent beliefs.
 	{
 		sim := netsim.NewSim(netsim.UniformCluster(geo.Testbed(), substrate.T2Medium, seed))
-		believed, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+		believed, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 		sim.RunUntil(queryStart)
 		eng := spark.NewEngine(sim, rates)
 		sched := gda.Tetrium{Label: "tetrium(static)", Believed: believed, Info: gda.NewClusterInfo(sim, rates)}

@@ -292,7 +292,7 @@ func runSeedQuery(t *testing.T, model *predict.Model, rates cost.Rates, input []
 	info := gda.NewClusterInfo(sim, rates)
 
 	if !useWANify {
-		believed, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+		believed, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 		sim.RunUntil(700)
 		res, err := eng.RunJob(job, gda.Tetrium{Believed: believed, Info: info}, spark.SingleConn{})
 		if err != nil {

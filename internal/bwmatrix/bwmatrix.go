@@ -83,19 +83,6 @@ func (m Matrix) MaxOffDiagonal() float64 {
 	return best
 }
 
-// OffDiagonal returns all off-diagonal entries in row-major order.
-func (m Matrix) OffDiagonal() []float64 {
-	out := make([]float64, 0, len(m)*(len(m)-1))
-	for i := range m {
-		for j := range m[i] {
-			if i != j {
-				out = append(out, m[i][j])
-			}
-		}
-	}
-	return out
-}
-
 // Scale returns a new matrix with every entry multiplied by f.
 func (m Matrix) Scale(f float64) Matrix {
 	c := m.Clone()
@@ -230,20 +217,4 @@ func (m ConnMatrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Mul returns bw ⊙ conns entrywise as a new bandwidth matrix — the
-// paper's "achievable BW" construction (Eq. 3 uses the product of
-// predicted BW and determined connections).
-func Mul(bw Matrix, conns ConnMatrix) Matrix {
-	if len(bw) != len(conns) {
-		panic(fmt.Sprintf("bwmatrix: size mismatch %d vs %d", len(bw), len(conns)))
-	}
-	out := New(len(bw))
-	for i := range bw {
-		for j := range bw[i] {
-			out[i][j] = bw[i][j] * float64(conns[i][j])
-		}
-	}
-	return out
 }

@@ -43,17 +43,6 @@ func TestMinMaxOffDiagonal(t *testing.T) {
 	}
 }
 
-// TestOffDiagonal checks extraction order and length.
-func TestOffDiagonal(t *testing.T) {
-	m := New(2)
-	m[0][1] = 1
-	m[1][0] = 2
-	od := m.OffDiagonal()
-	if len(od) != 2 || od[0] != 1 || od[1] != 2 {
-		t.Errorf("offdiagonal = %v", od)
-	}
-}
-
 // TestAbsDiffAndCount checks the significance counting used by the
 // accuracy experiments.
 func TestAbsDiffAndCount(t *testing.T) {
@@ -117,28 +106,6 @@ func TestConnMatrix(t *testing.T) {
 	if c[0][1] != 8 {
 		t.Error("ConnMatrix clone aliases")
 	}
-}
-
-// TestMul checks the Eq. 3 achievable-BW construction.
-func TestMul(t *testing.T) {
-	bw := New(2)
-	bw[0][1] = 120
-	conns := NewConn(2)
-	conns[0][1] = 8
-	got := Mul(bw, conns)
-	if got[0][1] != 960 {
-		t.Errorf("mul = %v, want 960", got[0][1])
-	}
-}
-
-// TestMulPanicsOnMismatch checks the size guard.
-func TestMulPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on size mismatch")
-		}
-	}()
-	Mul(New(2), NewConn(3))
 }
 
 // TestStringRendering checks both String methods produce grid output.

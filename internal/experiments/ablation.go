@@ -201,7 +201,7 @@ func MultiCloud(p Params) (*MultiCloudResult, error) {
 	}
 	sim := netsim.NewSim(netsim.Config{Regions: regions, VMs: vms, Seed: p.Seed + 77})
 
-	static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+	static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 	sim.RunUntil(queryStart - 21)
 	feats, _ := dataset.SnapshotFeatures(sim, simrand.Derive(p.Seed, "multicloud"))
 	pred := model.PredictMatrix(feats)

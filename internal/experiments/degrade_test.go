@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -60,23 +58,7 @@ func TestGoldenDegradeOutputs(t *testing.T) {
 				t.Error("hardened variant never opened its circuit breaker")
 			}
 
-			got := fmt.Sprintf("=== degrade ===\n%s\n", res)
-			path := filepath.Join("testdata", fmt.Sprintf("golden_degrade_seed%d.txt", seed))
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update): %v", err)
-			}
-			if got != string(want) {
-				dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-				t.Errorf("degrade output diverged from golden file %s;\nfirst divergence near byte %d",
-					path, firstDiff(got, string(want)))
-			}
+			checkGolden(t, fmt.Sprintf("golden_degrade_seed%d.txt", seed), fmt.Sprintf("=== degrade ===\n%s\n", res))
 		})
 	}
 }

@@ -157,7 +157,7 @@ func obtainBelief(sim substrate.Cluster, kind beliefKind, model *predict.Model, 
 	switch kind {
 	case beliefStaticIndependent:
 		// Measured early, one pair at a time — stale by query time.
-		m, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+		m, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 		if sim.Now() > queryStart {
 			return nil, fmt.Errorf("experiments: static measurement overran query start (%.0fs)", sim.Now())
 		}

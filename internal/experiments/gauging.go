@@ -117,7 +117,7 @@ func Table4(p Params) (*Table4Result, error) {
 			return nil, err
 		}
 		_, repSim := measure.StaticSimultaneous(sim, measure.StableOptions())
-		_, repSnap := measure.StaticSimultaneous(sim, measure.Options{DurationS: 1, Conns: 1})
+		_, repSnap := measure.StaticSimultaneous(sim, measure.Options{DurationS: 1})
 		perQueryRuns := 4.0 * 5 // 4 queries x 5 runs each (paper protocol)
 		regions := sim.Regions()
 		var simUSD, snapUSD float64

@@ -30,22 +30,94 @@ var separateGolden = map[string]bool{
 	"degrade":        true,
 }
 
-// renderAll runs every registered experiment at the given seed and
-// concatenates the rendered results in registry order.
-func renderAll(t *testing.T, seed uint64) string {
+// renderIDs runs the named experiments at p and concatenates their
+// rendered results, each under an "=== id ===" header.
+func renderIDs(t *testing.T, p Params, ids ...string) string {
 	t.Helper()
 	var sb strings.Builder
-	for _, id := range IDs() {
-		if separateGolden[id] {
-			continue
-		}
-		res, err := Registry[id](Params{Seed: seed, Scale: goldenScale})
+	for _, id := range ids {
+		res, err := Registry[id](p)
 		if err != nil {
-			t.Fatalf("%s (seed %d): %v", id, seed, err)
+			t.Fatalf("%s (seed %d): %v", id, p.Seed, err)
 		}
 		fmt.Fprintf(&sb, "=== %s ===\n%s\n", id, res)
 	}
 	return sb.String()
+}
+
+// renderAll runs every registered experiment at the given seed and
+// concatenates the rendered results in registry order.
+func renderAll(t *testing.T, seed uint64) string {
+	t.Helper()
+	var ids []string
+	for _, id := range IDs() {
+		if !separateGolden[id] {
+			ids = append(ids, id)
+		}
+	}
+	return renderIDs(t, Params{Seed: seed, Scale: goldenScale}, ids...)
+}
+
+// checkGolden compares got with testdata/<file> byte for byte, or
+// rewrites the file when the test runs with -update. On a mismatch it
+// reports the first differing byte and dumps the got and want sides
+// into $WANIFY_GOLDEN_DIFF_DIR (when set) so CI can upload them as
+// workflow artifacts and a failure is debuggable without a local
+// reproduction.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	if dir := os.Getenv("WANIFY_GOLDEN_DIFF_DIR"); dir != "" {
+		dumpGoldenDiff(t, dir, file, got, string(want))
+	}
+	t.Errorf("output diverged from golden file %s;\nfirst divergence near byte %d",
+		path, firstDiff(got, string(want)))
+}
+
+// dumpGoldenDiff writes got_<file> and want_<file> into dir.
+func dumpGoldenDiff(t *testing.T, dir, file, got, want string) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Logf("golden-diff dir: %v", err)
+		return
+	}
+	for _, f := range []struct{ prefix, content string }{
+		{"got_", got},
+		{"want_", want},
+	} {
+		p := filepath.Join(dir, f.prefix+file)
+		if err := os.WriteFile(p, []byte(f.content), 0o644); err != nil {
+			t.Logf("golden-diff dump: %v", err)
+			return
+		}
+	}
+	t.Logf("golden got/want dumped to %s for artifact upload", dir)
+}
+
+func firstDiff(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }
 
 // TestGoldenOutputs locks the rendered output of the full experiment
@@ -55,57 +127,10 @@ func renderAll(t *testing.T, seed uint64) string {
 // `go test -run TestGoldenOutputs -update`).
 func TestGoldenOutputs(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			got := renderAll(t, seed)
-			path := filepath.Join("testdata", fmt.Sprintf("golden_seed%d.txt", seed))
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update): %v", err)
-			}
-			if got != string(want) {
-				dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-				t.Errorf("seed %d output diverged from golden file %s;\nfirst divergence near byte %d",
-					seed, path, firstDiff(got, string(want)))
-			}
+			checkGolden(t, fmt.Sprintf("golden_seed%d.txt", seed), renderAll(t, seed))
 		})
 	}
-}
-
-// dumpGoldenDiff writes the got and want sides of a golden mismatch
-// into $WANIFY_GOLDEN_DIFF_DIR (when set) so CI can upload them as
-// workflow artifacts and a failure is debuggable without a local
-// reproduction.
-func dumpGoldenDiff(t *testing.T, name, got, want string) {
-	t.Helper()
-	dir := os.Getenv("WANIFY_GOLDEN_DIFF_DIR")
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("golden-diff dir: %v", err)
-		return
-	}
-	for _, f := range []struct{ prefix, content string }{
-		{"got_", got},
-		{"want_", want},
-	} {
-		p := filepath.Join(dir, f.prefix+name)
-		if err := os.WriteFile(p, []byte(f.content), 0o644); err != nil {
-			t.Logf("golden-diff dump: %v", err)
-			return
-		}
-	}
-	t.Logf("golden got/want dumped to %s for artifact upload", dir)
 }
 
 // TestGoldenTraceOutputs locks the trace-backend scenarios: every
@@ -128,188 +153,47 @@ func TestGoldenTraceOutputs(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "=== %s ===\n%s\n", Scenario{ID: id, Backend: backend}.Name(), res)
 	}
-	got := sb.String()
-	path := filepath.Join("testdata", "golden_trace_diurnal8_seed1.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-		t.Errorf("trace-backend output diverged from golden file %s;\nfirst divergence near byte %d",
-			path, firstDiff(got, string(want)))
-	}
+	checkGolden(t, "golden_trace_diurnal8_seed1.txt", sb.String())
 }
+
+// The drivers below are locked in golden files of their own (seed 1),
+// keeping the per-seed files of TestGoldenOutputs untouched. Regenerate
+// one deliberately with `go test -run <its test> -update`.
 
 // TestGoldenMultijobOutputs locks the multi-job drivers on their
 // respective backends (multijob on netsim, multijob-trace on the
-// bundled cloud4 replay) byte for byte, in their own golden file so
-// the pre-existing per-seed goldens stay untouched. Regenerate
-// deliberately with `go test -run TestGoldenMultijobOutputs -update`.
+// bundled cloud4 replay).
 func TestGoldenMultijobOutputs(t *testing.T) {
-	var sb strings.Builder
-	for _, id := range []string{"multijob", "multijob-trace"} {
-		res, err := Registry[id](Params{Seed: 1, Scale: goldenScale})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		fmt.Fprintf(&sb, "=== %s ===\n%s\n", id, res)
-	}
-	got := sb.String()
-	path := filepath.Join("testdata", "golden_multijob_seed1.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-		t.Errorf("multijob output diverged from golden file %s;\nfirst divergence near byte %d",
-			path, firstDiff(got, string(want)))
-	}
+	got := renderIDs(t, Params{Seed: 1, Scale: goldenScale}, "multijob", "multijob-trace")
+	checkGolden(t, "golden_multijob_seed1.txt", got)
 }
 
 // TestGoldenFaultOutputs locks the fault-injection drivers (failover,
-// chaos) byte for byte in their own golden file, keeping the
-// pre-existing per-seed goldens untouched. Regenerate deliberately
-// with `go test -run TestGoldenFaultOutputs -update`.
+// chaos).
 func TestGoldenFaultOutputs(t *testing.T) {
-	var sb strings.Builder
-	for _, id := range []string{"failover", "chaos"} {
-		res, err := Registry[id](Params{Seed: 1, Scale: goldenScale})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		fmt.Fprintf(&sb, "=== %s ===\n%s\n", id, res)
-	}
-	got := sb.String()
-	path := filepath.Join("testdata", "golden_faults_seed1.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-		t.Errorf("fault-driver output diverged from golden file %s;\nfirst divergence near byte %d",
-			path, firstDiff(got, string(want)))
-	}
+	got := renderIDs(t, Params{Seed: 1, Scale: goldenScale}, "failover", "chaos")
+	checkGolden(t, "golden_faults_seed1.txt", got)
 }
 
-// TestGoldenFleetOutputs locks the fleet-scale driver byte for byte in
-// its own golden file: 100 DCs, staggered regional jobs, the sharded
-// allocator decomposing the flow set into many bottleneck groups.
-// Regenerate deliberately with `go test -run TestGoldenFleetOutputs
-// -update`.
+// TestGoldenFleetOutputs locks the fleet-scale driver: 100 DCs,
+// staggered regional jobs, the sharded allocator decomposing the flow
+// set into many bottleneck groups.
 func TestGoldenFleetOutputs(t *testing.T) {
-	res, err := Registry["fleet"](Params{Seed: 1, Scale: goldenScale})
-	if err != nil {
-		t.Fatalf("fleet: %v", err)
-	}
-	got := fmt.Sprintf("=== fleet ===\n%s\n", res)
-	path := filepath.Join("testdata", "golden_fleet_seed1.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-		t.Errorf("fleet-driver output diverged from golden file %s;\nfirst divergence near byte %d",
-			path, firstDiff(got, string(want)))
-	}
+	checkGolden(t, "golden_fleet_seed1.txt", renderIDs(t, Params{Seed: 1, Scale: goldenScale}, "fleet"))
 }
 
-// TestGoldenServeOutputs locks the control-plane load test byte for
-// byte in its own golden file: 1100 scripted submissions through the
-// Plane's admission machinery, with queue overflow, quota rejections,
-// cancels, model refreshes, and the shared re-gauging controller all
-// on one substrate timeline. Regenerate deliberately with
-// `go test -run TestGoldenServeOutputs -update`.
+// TestGoldenServeOutputs locks the control-plane load test: 1100
+// scripted submissions through the Plane's admission machinery, with
+// queue overflow, quota rejections, cancels, model refreshes, and the
+// shared re-gauging controller all on one substrate timeline.
 func TestGoldenServeOutputs(t *testing.T) {
-	res, err := Registry["serve"](Params{Seed: 1, Scale: goldenScale})
-	if err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	got := fmt.Sprintf("=== serve ===\n%s\n", res)
-	path := filepath.Join("testdata", "golden_serve_seed1.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-		t.Errorf("serve-driver output diverged from golden file %s;\nfirst divergence near byte %d",
-			path, firstDiff(got, string(want)))
-	}
+	checkGolden(t, "golden_serve_seed1.txt", renderIDs(t, Params{Seed: 1, Scale: goldenScale}, "serve"))
 }
 
-// TestGoldenParetoOutputs locks the multi-objective scheduler sweep
-// byte for byte in its own golden file: 13 descent objectives (classic
-// schedulers, single-objective scorers, blend weights) each placing the
-// same TeraSort on the 8-DC testbed, with the JCT-vs-$-vs-kgCO2
-// frontier marked. Regenerate deliberately with
-// `go test -run TestGoldenParetoOutputs -update`.
+// TestGoldenParetoOutputs locks the multi-objective scheduler sweep: 13
+// descent objectives (classic schedulers, single-objective scorers,
+// blend weights) each placing the same TeraSort on the 8-DC testbed,
+// with the JCT-vs-$-vs-kgCO2 frontier marked.
 func TestGoldenParetoOutputs(t *testing.T) {
-	res, err := Registry["pareto"](Params{Seed: 1, Scale: goldenScale})
-	if err != nil {
-		t.Fatalf("pareto: %v", err)
-	}
-	got := fmt.Sprintf("=== pareto ===\n%s\n", res)
-	path := filepath.Join("testdata", "golden_pareto_seed1.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		dumpGoldenDiff(t, filepath.Base(path), got, string(want))
-		t.Errorf("pareto-driver output diverged from golden file %s;\nfirst divergence near byte %d",
-			path, firstDiff(got, string(want)))
-	}
-}
-
-func firstDiff(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
+	checkGolden(t, "golden_pareto_seed1.txt", renderIDs(t, Params{Seed: 1, Scale: goldenScale}, "pareto"))
 }

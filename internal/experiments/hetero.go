@@ -144,7 +144,7 @@ func Fig11a(p Params) (*Fig11aResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+		static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 		sim.RunUntil(queryStart - 21)
 		feats, _ := dataset.SnapshotFeatures(sim, simrand.Derive(p.Seed, "fig11a"))
 		predicted := model.PredictMatrix(feats)
@@ -208,7 +208,7 @@ func Fig11b(p Params) (*Fig11bResult, error) {
 		}
 		sim := netsim.NewSim(netsim.Config{Regions: regions, VMs: vms, Seed: p.Seed + uint64(extra)})
 
-		static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 6, Conns: 1})
+		static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 6})
 		sim.RunUntil(queryStart + 200) // independent probing takes longer here
 		featsVM, _ := dataset.SnapshotFeaturesByVM(sim, simrand.Derive(p.Seed, "fig11b"))
 		dcOf := make([]int, sim.NumVMs())

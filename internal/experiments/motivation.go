@@ -30,7 +30,7 @@ func Fig1(p Params) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+	m, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 	return &Fig1Result{Regions: sim.Regions(), BW: m}, nil
 }
 
@@ -85,7 +85,7 @@ func Table1(p Params) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8, Conns: 1})
+	static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
 	sim.RunUntil(queryStart - 20)
 	runtime, _ := measure.StaticSimultaneous(sim, measure.StableOptions())
 

@@ -298,7 +298,3 @@ var (
 	_ spark.Scheduler = Kimchi{}
 	_ spark.Scheduler = Iridium{}
 )
-
-// MinBelievedBW is a convenience for experiments: the weakest believed
-// link, used when reporting "minimum BW of the cluster" improvements.
-func MinBelievedBW(m bwmatrix.Matrix) float64 { return m.MinOffDiagonal() }

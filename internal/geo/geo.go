@@ -101,17 +101,3 @@ func RTT(a, b Region) time.Duration {
 	micros := 2*d*usPerKmOneWay*routeInflation + floorMicros
 	return time.Duration(micros * float64(time.Microsecond))
 }
-
-// DistanceMatrixMiles returns the symmetric pairwise distance matrix in
-// miles for the given regions.
-func DistanceMatrixMiles(regions []Region) [][]float64 {
-	n := len(regions)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		for j := range m[i] {
-			m[i][j] = DistanceMiles(regions[i], regions[j])
-		}
-	}
-	return m
-}

@@ -117,24 +117,6 @@ func TestRTTMonotoneInDistance(t *testing.T) {
 	}
 }
 
-// TestDistanceMatrix checks shape and symmetry of the matrix helper.
-func TestDistanceMatrix(t *testing.T) {
-	m := DistanceMatrixMiles(TestbedSubset(4))
-	if len(m) != 4 {
-		t.Fatalf("matrix size %d", len(m))
-	}
-	for i := range m {
-		if m[i][i] != 0 {
-			t.Errorf("diagonal [%d][%d] = %v", i, i, m[i][i])
-		}
-		for j := range m[i] {
-			if m[i][j] != m[j][i] {
-				t.Errorf("asymmetry at [%d][%d]", i, j)
-			}
-		}
-	}
-}
-
 // TestTestbedSubsetPanics checks range validation.
 func TestTestbedSubsetPanics(t *testing.T) {
 	defer func() {

@@ -67,7 +67,7 @@ func TestProbeOriginFrames(t *testing.T) {
 	sim := frozenSim(4, 19)
 	sim.RunFor(5)
 	c := &probeLog{Cluster: sim}
-	opts := Options{DurationS: 1, Conns: 1}
+	opts := Options{DurationS: 1}
 	ps := BeginSnapshot(c, opts)
 	c.RunFor(1)
 	ps.Collect()
@@ -95,7 +95,7 @@ func TestProbeOriginFrames(t *testing.T) {
 // the pair 0→1 so late that a hardened retry is still scheduled when
 // the window closes: five probes die, and FailedProbes must count them.
 func TestNoProbeOutlivesSnapshot(t *testing.T) {
-	opts := Options{DurationS: 1, Conns: 1}
+	opts := Options{DurationS: 1}
 	cases := []struct {
 		name string
 		// run ends the snapshot and returns its FailedProbes, -1 when
@@ -203,7 +203,7 @@ func TestSnapshotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
 	}
-	opts := Options{DurationS: 1, Conns: 1}
+	opts := Options{DurationS: 1}
 	for _, c := range []struct {
 		name   string
 		parent float64
@@ -234,7 +234,7 @@ func TestSnapshotAllocs(t *testing.T) {
 // legacy gauge of a dense fleet, and an 8-DC hardened one with a pair
 // reset mid-window (one retry probe started and folded).
 func BenchmarkSnapshot(b *testing.B) {
-	opts := Options{DurationS: 1, Conns: 1}
+	opts := Options{DurationS: 1}
 	b.Run("legacy24", func(b *testing.B) {
 		sim := netsim.NewSim(netsim.FleetCluster(24, 1, substrate.T2Medium, 2025))
 		b.ReportAllocs()

@@ -30,15 +30,13 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// Options configures a measurement run.
+// Options configures a measurement run. Every probe is one connection,
+// as in all of the paper's measurements; the connection experiments use
+// the optimizer instead.
 type Options struct {
 	// DurationS is how long each probe set runs (seconds). The paper
 	// uses 20 s for stable runtime BWs and 1 s for snapshots.
 	DurationS float64
-	// Conns is the number of parallel connections per probe (1 for all
-	// of the paper's measurements; the connection experiments use the
-	// optimizer instead).
-	Conns int
 	// NoiseSD is the relative standard deviation of multiplicative
 	// measurement noise applied to reported values. Snapshots are noisy
 	// (0.04 by default for SnapshotOptions); long averages are not.
@@ -49,12 +47,12 @@ type Options struct {
 
 // StableOptions returns the paper's stable-runtime measurement setup
 // (20-second all-pairs run, no reporting noise).
-func StableOptions() Options { return Options{DurationS: 20, Conns: 1} }
+func StableOptions() Options { return Options{DurationS: 20} }
 
 // SnapshotOptions returns the paper's snapshot setup (1-second all-pairs
 // run with light measurement noise).
 func SnapshotOptions(rng *simrand.Source) Options {
-	return Options{DurationS: 1, Conns: 1, NoiseSD: 0.04, Rng: rng}
+	return Options{DurationS: 1, NoiseSD: 0.04, Rng: rng}
 }
 
 // Report describes the resources a measurement consumed, for pricing.
@@ -234,11 +232,10 @@ func beginProbes(sim substrate.Cluster, opts Options, n int, pairs [][2]int, cha
 	if opts.DurationS <= 0 {
 		panic("measure: non-positive probe duration")
 	}
-	conns := maxIntOne(opts.Conns)
 	ps := &PendingSnapshot{sim: sim, opts: opts, n: n, pairs: pairs, chains: chains, begun: sim.Now()}
 	first := make([]probeSeg, len(chains))
 	for i := range chains {
-		f := sim.StartProbe(chains[i].src, chains[i].dst, conns)
+		f := sim.StartProbe(chains[i].src, chains[i].dst, 1)
 		first[i] = probeSeg{flow: f, startBytes: f.TransferredBytes(), startT: ps.begun, endT: -1}
 		chains[i].segs = first[i : i+1 : i+1]
 	}
@@ -357,13 +354,6 @@ func vmStats(sim substrate.Cluster) []substrate.VMStats {
 		stats[v] = sim.VMStats(substrate.VMID(v))
 	}
 	return stats
-}
-
-func maxIntOne(c int) int {
-	if c < 1 {
-		return 1
-	}
-	return c
 }
 
 func noisy(v float64, opts Options) float64 {

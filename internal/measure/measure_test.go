@@ -22,7 +22,7 @@ func frozenSim(n int, seed uint64) *netsim.Sim {
 // (the probes run alone, so nothing contends).
 func TestStaticIndependentMatchesUncontendedCaps(t *testing.T) {
 	sim := frozenSim(4, 1)
-	m, rep := StaticIndependent(sim, Options{DurationS: 10, Conns: 1})
+	m, rep := StaticIndependent(sim, Options{DurationS: 10})
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if i == j {
@@ -48,7 +48,7 @@ func TestStaticIndependentMatchesUncontendedCaps(t *testing.T) {
 // uncontended ones on strong links.
 func TestSimultaneousBelowIndependent(t *testing.T) {
 	sim := frozenSim(8, 2)
-	indep, _ := StaticIndependent(sim, Options{DurationS: 6, Conns: 1})
+	indep, _ := StaticIndependent(sim, Options{DurationS: 6})
 	simul, _ := StaticSimultaneous(sim, StableOptions())
 	if simul.MaxOffDiagonal() >= indep.MaxOffDiagonal() {
 		t.Errorf("simultaneous max %.0f >= independent max %.0f", simul.MaxOffDiagonal(), indep.MaxOffDiagonal())
@@ -93,7 +93,7 @@ func TestSnapshotPanicsWithoutRng(t *testing.T) {
 			t.Error("no panic for NoiseSD without Rng")
 		}
 	}()
-	StaticSimultaneous(sim, Options{DurationS: 1, Conns: 1, NoiseSD: 0.1})
+	StaticSimultaneous(sim, Options{DurationS: 1, NoiseSD: 0.1})
 }
 
 // TestSnapshotUnderreportsFarLinks checks the slow-start interaction
@@ -101,8 +101,8 @@ func TestSnapshotPanicsWithoutRng(t *testing.T) {
 // path reads below the stable value.
 func TestSnapshotUnderreportsFarLinks(t *testing.T) {
 	sim := frozenSim(4, 5)
-	short, _ := StaticSimultaneous(sim, Options{DurationS: 1, Conns: 1})
-	long, _ := StaticSimultaneous(sim, Options{DurationS: 20, Conns: 1})
+	short, _ := StaticSimultaneous(sim, Options{DurationS: 1})
+	long, _ := StaticSimultaneous(sim, Options{DurationS: 20})
 	// DC0 (US East) -> DC3 (AP SE): ~220 ms RTT, ramp eats most of 1 s.
 	if short[0][3] >= long[0][3]*0.95 {
 		t.Errorf("1s far-link reading %.0f not below 20s reading %.0f", short[0][3], long[0][3])
@@ -119,7 +119,7 @@ func TestSnapshotByVM(t *testing.T) {
 	}
 	cfg := netsim.Config{Regions: regions, VMs: vms, Seed: 6, Frozen: true}
 	sim := netsim.NewSim(cfg)
-	m, stats, _ := SnapshotByVM(sim, Options{DurationS: 5, Conns: 1})
+	m, stats, _ := SnapshotByVM(sim, Options{DurationS: 5})
 	if m.N() != 4 {
 		t.Fatalf("VM matrix is %dx%d, want 4x4", m.N(), m.N())
 	}
@@ -179,7 +179,7 @@ func TestMonitorClose(t *testing.T) {
 // TestReportAccounting checks measurement-cost bookkeeping.
 func TestReportAccounting(t *testing.T) {
 	sim := frozenSim(3, 9)
-	_, rep := StaticSimultaneous(sim, Options{DurationS: 10, Conns: 1})
+	_, rep := StaticSimultaneous(sim, Options{DurationS: 10})
 	if rep.ElapsedS != 10 {
 		t.Errorf("elapsed %v, want 10", rep.ElapsedS)
 	}
@@ -240,7 +240,7 @@ func TestBeginSnapshotMatchesSnapshot(t *testing.T) {
 // and double collection.
 func TestPendingSnapshotGuards(t *testing.T) {
 	sim := frozenSim(3, 8)
-	ps := BeginSnapshot(sim, Options{DurationS: 1, Conns: 1})
+	ps := BeginSnapshot(sim, Options{DurationS: 1})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -279,7 +279,7 @@ func TestCollectWindow(t *testing.T) {
 	for _, path := range paths {
 		t.Run(path.name+"/early-panics", func(t *testing.T) {
 			sim := frozenSim(3, 21)
-			ps := path.begin(sim, Options{DurationS: 1, Conns: 1})
+			ps := path.begin(sim, Options{DurationS: 1})
 			sim.RunFor(0.5)
 			func() {
 				defer func() {
@@ -297,7 +297,7 @@ func TestCollectWindow(t *testing.T) {
 		})
 		t.Run(path.name+"/late-bills-elapsed", func(t *testing.T) {
 			sim := frozenSim(3, 22)
-			ps := path.begin(sim, Options{DurationS: 1, Conns: 1})
+			ps := path.begin(sim, Options{DurationS: 1})
 			sim.RunFor(1.5)
 			rep := path.collect(ps)
 			if rep.ElapsedS != 1.5 || rep.VMSeconds != 1.5*3 {
@@ -316,7 +316,7 @@ func TestCollectWindow(t *testing.T) {
 				sim := frozenSim(3, 23)
 				sim.RunFor(c.settle)
 				begun := sim.Now()
-				ps := path.begin(sim, Options{DurationS: c.duration, Conns: 1})
+				ps := path.begin(sim, Options{DurationS: c.duration})
 				sim.RunFor(c.duration)
 				if elapsed := sim.Now() - begun; elapsed == c.duration || (elapsed < c.duration) != c.short {
 					t.Fatalf("the clock read %v elapsed against %v: the case does not exercise its side of the tolerance", elapsed, c.duration)
@@ -333,7 +333,7 @@ func TestCollectWindow(t *testing.T) {
 // producing a sample.
 func TestPendingSnapshotAbandon(t *testing.T) {
 	sim := frozenSim(3, 9)
-	ps := BeginSnapshot(sim, Options{DurationS: 1, Conns: 1})
+	ps := BeginSnapshot(sim, Options{DurationS: 1})
 	if sim.ActiveFlows() == 0 {
 		t.Fatal("no probes started")
 	}

@@ -135,9 +135,8 @@ func (s *PartialSnapshot) Retries() int {
 func BeginSnapshotHardened(sim substrate.Cluster, opts Options) *PendingSnapshot {
 	ps := BeginSnapshot(sim, opts)
 	ps.hardened = true
-	conns := maxIntOne(opts.Conns)
 	for i := range ps.chains {
-		ps.armRetry(&ps.chains[i], conns)
+		ps.armRetry(&ps.chains[i])
 	}
 	return ps
 }
@@ -149,7 +148,7 @@ func BeginSnapshotHardened(sim substrate.Cluster, opts Options) *PendingSnapshot
 // endpoints live. A probe born failed (dead endpoint) fires the
 // handler immediately, so the first retry is scheduled from within
 // BeginSnapshotHardened itself.
-func (ps *PendingSnapshot) armRetry(ch *chain, conns int) {
+func (ps *PendingSnapshot) armRetry(ch *chain) {
 	idx := len(ch.segs) - 1
 	ch.segs[idx].flow.OnFail(func() {
 		if ps.finished || ch.segs[idx].endT >= 0 {
@@ -169,11 +168,11 @@ func (ps *PendingSnapshot) armRetry(ch *chain, conns int) {
 				!ps.sim.VMAlive(ch.src) || !ps.sim.VMAlive(ch.dst) {
 				return
 			}
-			f := ps.sim.StartProbe(ch.src, ch.dst, conns)
+			f := ps.sim.StartProbe(ch.src, ch.dst, 1)
 			ch.segs = append(ch.segs, probeSeg{
 				flow: f, startBytes: f.TransferredBytes(), startT: now, endT: -1,
 			})
-			ps.armRetry(ch, conns)
+			ps.armRetry(ch)
 		})
 	})
 }

@@ -15,7 +15,7 @@ import (
 func collectHardened(n int, seed uint64, sched substrate.FaultSchedule) *PartialSnapshot {
 	sim := frozenSim(n, seed)
 	sim.RunFor(5) // settle away from t=0 so fault times are mid-stream
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1})
+	ps := BeginSnapshotHardened(sim, Options{DurationS: 1})
 	sched.Apply(sim)
 	sim.RunFor(1)
 	return ps.CollectPartial()
@@ -35,7 +35,7 @@ func sampleOf(part *PartialSnapshot, p [2]int) PairSample {
 // hardened snapshot must read exactly what the legacy snapshot reads —
 // every pair Measured at confidence 1, coverage 1, same matrix.
 func TestHardenedMatchesLegacyOnHealthyCluster(t *testing.T) {
-	opts := Options{DurationS: 1, Conns: 1}
+	opts := Options{DurationS: 1}
 
 	legacySim := frozenSim(4, 7)
 	legacy := BeginSnapshot(legacySim, opts)
@@ -170,7 +170,7 @@ func TestCollectPartialDeterministicPerSeed(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	sim := frozenSim(3, 5)
 	sim.RunFor(5)
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1})
+	ps := BeginSnapshotHardened(sim, Options{DurationS: 1})
 	// Reset the pair at every instant a probe could be running.
 	for _, at := range []float64{5.1, 5.25, 5.5, 5.75, 5.9} {
 		sim.ResetPair(0, 1, at)
@@ -194,12 +194,12 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // snapshots.
 func TestHardenedGuards(t *testing.T) {
 	sim := frozenSim(3, 1)
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1, Conns: 1})
+	ps := BeginSnapshotHardened(sim, Options{DurationS: 1})
 	sim.RunFor(1)
 	mustPanic(t, "Collect on a hardened snapshot", func() { ps.Collect() })
 
 	sim2 := frozenSim(3, 1)
-	legacy := BeginSnapshot(sim2, Options{DurationS: 1, Conns: 1})
+	legacy := BeginSnapshot(sim2, Options{DurationS: 1})
 	sim2.RunFor(1)
 	mustPanic(t, "CollectPartial on a legacy snapshot", func() { legacy.CollectPartial() })
 }

@@ -145,13 +145,12 @@ type GenConfig struct {
 	DrawsPerSize int
 	// Seed drives all randomness.
 	Seed uint64
-	// Spec is the VM shape used for the monitoring cluster (default
-	// T3Nano, the paper's monitoring instance).
-	Spec substrate.VMSpec
-	// MaxWarmupS is the maximum random warmup before sampling, which
-	// diversifies the network-weather states seen (default 180).
-	MaxWarmupS float64
 }
+
+// maxWarmupS is the maximum random warmup before sampling, which
+// diversifies the network-weather states a session sees. Every session
+// runs on T3Nano VMs, the paper's monitoring instance.
+const maxWarmupS = 180
 
 func (c GenConfig) withDefaults() GenConfig {
 	if len(c.Sizes) == 0 {
@@ -159,12 +158,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	if c.DrawsPerSize == 0 {
 		c.DrawsPerSize = 20
-	}
-	if c.Spec.Type == "" {
-		c.Spec = substrate.T3Nano
-	}
-	if c.MaxWarmupS == 0 {
-		c.MaxWarmupS = 180
 	}
 	return c
 }
@@ -180,7 +173,7 @@ func Generate(cfg GenConfig) (rf.Dataset, measure.Report) {
 	var rep measure.Report
 	for _, size := range cfg.Sizes {
 		for d := 0; d < cfg.DrawsPerSize; d++ {
-			rows, labels, r := session(cfg, size, rng.Derive("session"))
+			rows, labels, r := session(size, rng.Derive("session"))
 			for k := range rows {
 				ds.X = append(ds.X, rows[k])
 				ds.Y = append(ds.Y, labels[k])
@@ -193,7 +186,7 @@ func Generate(cfg GenConfig) (rf.Dataset, measure.Report) {
 
 // session runs one monitoring session: build a random cluster of the
 // given size, randomize load, snapshot, then measure stable labels.
-func session(cfg GenConfig, size int, rng *simrand.Source) (rows [][]float64, labels []float64, rep measure.Report) {
+func session(size int, rng *simrand.Source) (rows [][]float64, labels []float64, rep measure.Report) {
 	// Random subset of the canonical testbed for distance diversity.
 	all := geo.Testbed()
 	perm := rng.Perm(len(all))
@@ -202,7 +195,7 @@ func session(cfg GenConfig, size int, rng *simrand.Source) (rows [][]float64, la
 		regions[i] = all[perm[i]]
 	}
 
-	simCfg := netsim.UniformCluster(regions, cfg.Spec, rng.Uint64())
+	simCfg := netsim.UniformCluster(regions, substrate.T3Nano, rng.Uint64())
 	sim := netsim.NewSim(simCfg)
 
 	// Randomize host load: CPU busy on some VMs, background transfers
@@ -221,7 +214,7 @@ func session(cfg GenConfig, size int, rng *simrand.Source) (rows [][]float64, la
 			}
 		}
 	}
-	sim.RunFor(rng.Uniform(5, cfg.MaxWarmupS))
+	sim.RunFor(rng.Uniform(5, maxWarmupS))
 
 	feats, r1 := SnapshotFeatures(sim, rng.Derive("noise"))
 	label, r2 := measure.StaticSimultaneous(sim, measure.StableOptions())
@@ -241,20 +234,4 @@ func session(cfg GenConfig, size int, rng *simrand.Source) (rows [][]float64, la
 		}
 	}
 	return rows, labels, rep
-}
-
-// LabeledMatrices bundles one session's snapshot features and stable
-// label matrix, used by integration tests and the staleness monitor.
-type LabeledMatrices struct {
-	Features [][]PairFeatures
-	Stable   bwmatrix.Matrix
-}
-
-// CollectSession captures features and a stable label matrix from an
-// existing simulation (without constructing a new cluster), consuming
-// ~21 seconds of simulated time.
-func CollectSession(sim substrate.Cluster, rng *simrand.Source) (LabeledMatrices, measure.Report) {
-	feats, r1 := SnapshotFeatures(sim, rng)
-	stable, r2 := measure.StaticSimultaneous(sim, measure.StableOptions())
-	return LabeledMatrices{Features: feats, Stable: stable}, r1.Add(r2)
 }

@@ -145,24 +145,6 @@ func TestSnapshotFeaturesByVM(t *testing.T) {
 	}
 }
 
-// TestCollectSession checks live-cluster collection.
-func TestCollectSession(t *testing.T) {
-	cfg := netsim.UniformCluster(geo.TestbedSubset(3), substrate.T3Nano, 3)
-	cfg.Frozen = true
-	sim := netsim.NewSim(cfg)
-	before := sim.Now()
-	lm, rep := CollectSession(sim, simrand.Derive(3, "t"))
-	if sim.Now()-before != 21 {
-		t.Errorf("session consumed %v s, want 21", sim.Now()-before)
-	}
-	if lm.Stable.N() != 3 || len(lm.Features) != 3 {
-		t.Error("session shapes wrong")
-	}
-	if rep.ElapsedS != 21 {
-		t.Errorf("report elapsed %v", rep.ElapsedS)
-	}
-}
-
 // TestSnapshotStableCorrelation verifies the premise §2.2 rests on:
 // 1-second snapshots have a positive Pearson correlation with the
 // stable runtime bandwidths they are used to predict.

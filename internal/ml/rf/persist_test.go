@@ -3,6 +3,7 @@ package rf
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"testing"
 )
 
@@ -59,23 +60,30 @@ func TestLoadedForestCanWarmStart(t *testing.T) {
 	}
 }
 
-// TestLoadIgnoresRetiredWorkersField checks that a model file written
-// when Config still carried a Workers field (it selected a streamed,
-// goroutine-parallel training mode) loads, predicts what its source
-// forest predicts, and warm-starts on the shared stream exactly like a
-// file without the field: gob drops a field the target struct lacks.
-func TestLoadIgnoresRetiredWorkersField(t *testing.T) {
-	type retiredConfig struct {
-		NumTrees, MaxDepth, MinLeaf, MinSplit, MaxFeatures int
-		Seed                                               uint64
-		Workers                                            int
-	}
-	type retiredPersistForest struct {
-		Version   int
-		NFeatures int
-		Config    retiredConfig
-		Trees     []persistTree
-	}
+// retiredConfig is Config as model files once stored it: with a
+// Workers field (it selected a streamed, goroutine-parallel training
+// mode) and with the tree bounds MaxDepth, MinLeaf and MinSplit, which
+// are constants now.
+type retiredConfig struct {
+	NumTrees, MaxDepth, MinLeaf, MinSplit, MaxFeatures int
+	Seed                                               uint64
+	Workers                                            int
+}
+
+type retiredPersistForest struct {
+	Version   int
+	NFeatures int
+	Config    retiredConfig
+	Trees     []persistTree
+}
+
+// requireRetiredFileLoads rewrites a current model file in the retired
+// layout with cfg's retired fields set by retire, and checks the result
+// loads, predicts what its source forest predicts, and warm-starts on
+// the shared stream exactly like the current file: gob drops a field
+// the target struct lacks.
+func requireRetiredFileLoads(t *testing.T, retire func(*retiredConfig)) {
+	t.Helper()
 	ds := synth(200, 34, func(x []float64) float64 { return 3*x[1] - x[0] })
 	f, err := Train(ds, Config{NumTrees: 12, Seed: 35})
 	if err != nil {
@@ -89,7 +97,7 @@ func TestLoadIgnoresRetiredWorkersField(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(current.Bytes())).Decode(&old); err != nil {
 		t.Fatal(err)
 	}
-	old.Config.Workers = -1
+	retire(&old.Config)
 	var retired bytes.Buffer
 	if err := gob.NewEncoder(&retired).Encode(old); err != nil {
 		t.Fatal(err)
@@ -97,7 +105,7 @@ func TestLoadIgnoresRetiredWorkersField(t *testing.T) {
 
 	g, err := Load(&retired)
 	if err != nil {
-		t.Fatalf("file with a Workers field rejected: %v", err)
+		t.Fatalf("file with retired fields %+v rejected: %v", old.Config, err)
 	}
 	if g.cfg != f.cfg {
 		t.Fatalf("config after load %+v, want %+v", g.cfg, f.cfg)
@@ -118,7 +126,26 @@ func TestLoadIgnoresRetiredWorkersField(t *testing.T) {
 	if err := want.WarmStart(extra, 5); err != nil {
 		t.Fatal(err)
 	}
-	requireForestsEqual(t, g, want, "warm-start after a Workers=-1 file")
+	requireForestsEqual(t, g, want, fmt.Sprintf("warm-start after a %+v file", old.Config))
+}
+
+// TestLoadIgnoresRetiredWorkersField checks a model file written when
+// Config still carried a Workers field.
+func TestLoadIgnoresRetiredWorkersField(t *testing.T) {
+	requireRetiredFileLoads(t, func(c *retiredConfig) {
+		c.MinLeaf, c.MinSplit = minLeaf, minSplit
+		c.Workers = -1
+	})
+}
+
+// TestLoadIgnoresRetiredTreeBounds checks a model file written when
+// Config still carried MaxDepth, MinLeaf and MinSplit, at the defaults
+// every such file holds (unbounded depth, 2, 5): the constants that
+// replaced them grow the same trees on warm start.
+func TestLoadIgnoresRetiredTreeBounds(t *testing.T) {
+	requireRetiredFileLoads(t, func(c *retiredConfig) {
+		c.MaxDepth, c.MinLeaf, c.MinSplit = 0, 2, 5
+	})
 }
 
 // TestLoadRejectsGarbage checks error handling on corrupt input.

@@ -41,7 +41,7 @@ func (f *Forest) addTreesReference(ds Dataset, k int) {
 	if f.rng == nil {
 		f.rng = simrand.Derive(f.cfg.Seed, "rf-loaded")
 	}
-	p := f.params()
+	p := f.cfg.MaxFeatures
 	n := ds.Len()
 	for t := 0; t < k; t++ {
 		inBag := make([]bool, n)
@@ -66,23 +66,23 @@ func (f *Forest) addTreesReference(ds Dataset, k int) {
 
 // growTreeReference builds a regression tree on the given sample
 // indices — the original growTree.
-func growTreeReference(x [][]float64, y []float64, idx []int, p treeParams, nFeat int, rng *simrand.Source) *tree {
+func growTreeReference(x [][]float64, y []float64, idx []int, maxFeatures, nFeat int, rng *simrand.Source) *tree {
 	t := &tree{featGain: make([]float64, nFeat)}
-	t.buildReference(x, y, idx, p, 0, rng)
+	t.buildReference(x, y, idx, maxFeatures, rng)
 	return t
 }
 
 // buildReference grows the subtree for idx and returns its node index —
 // the original build, allocating fresh left/right index slices per node.
-func (t *tree) buildReference(x [][]float64, y []float64, idx []int, p treeParams, depth int, rng *simrand.Source) int32 {
+func (t *tree) buildReference(x [][]float64, y []float64, idx []int, maxFeatures int, rng *simrand.Source) int32 {
 	self := int32(len(t.nodes))
 	t.nodes = append(t.nodes, node{feature: -1, value: meanAt(y, idx)})
 
-	if len(idx) < p.minSplit || (p.maxDepth > 0 && depth >= p.maxDepth) || constantAt(y, idx) {
+	if len(idx) < minSplit || constantAt(y, idx) {
 		return self
 	}
 
-	feat, thr, gain, ok := bestSplitReference(x, y, idx, p, rng)
+	feat, thr, gain, ok := bestSplitReference(x, y, idx, maxFeatures, rng)
 	if !ok {
 		return self
 	}
@@ -95,13 +95,13 @@ func (t *tree) buildReference(x [][]float64, y []float64, idx []int, p treeParam
 			right = append(right, i)
 		}
 	}
-	if len(left) < p.minLeaf || len(right) < p.minLeaf {
+	if len(left) < minLeaf || len(right) < minLeaf {
 		return self
 	}
 
 	t.featGain[feat] += gain
-	l := t.buildReference(x, y, left, p, depth+1, rng)
-	r := t.buildReference(x, y, right, p, depth+1, rng)
+	l := t.buildReference(x, y, left, maxFeatures, rng)
+	r := t.buildReference(x, y, right, maxFeatures, rng)
 	t.nodes[self].feature = feat
 	t.nodes[self].threshold = thr
 	t.nodes[self].left = l
@@ -112,11 +112,11 @@ func (t *tree) buildReference(x [][]float64, y []float64, idx []int, p treeParam
 // bestSplitReference searches a random feature subset for the split
 // with maximal SSE reduction — the original bestSplit, with its
 // per-call order allocation and duplicate parent-mean computation.
-func bestSplitReference(x [][]float64, y []float64, idx []int, p treeParams, rng *simrand.Source) (feat int, thr, gain float64, ok bool) {
+func bestSplitReference(x [][]float64, y []float64, idx []int, maxFeatures int, rng *simrand.Source) (feat int, thr, gain float64, ok bool) {
 	nFeat := len(x[0])
 	candidates := rng.Perm(nFeat)
-	if p.maxFeatures < nFeat {
-		candidates = candidates[:p.maxFeatures]
+	if maxFeatures < nFeat {
+		candidates = candidates[:maxFeatures]
 	}
 
 	// Parent SSE.
@@ -149,7 +149,7 @@ func bestSplitReference(x [][]float64, y []float64, idx []int, p treeParams, rng
 			sumSqR -= yi * yi
 			nl := float64(k + 1)
 			nr := n - nl
-			if int(nl) < p.minLeaf || int(nr) < p.minLeaf {
+			if int(nl) < minLeaf || int(nr) < minLeaf {
 				continue
 			}
 			v, vNext := x[order[k]][f], x[order[k+1]][f]

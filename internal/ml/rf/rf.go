@@ -83,12 +83,6 @@ type Config struct {
 	// NumTrees is the ensemble size (default 100, the paper's best
 	// estimator count, §5.1).
 	NumTrees int
-	// MaxDepth bounds tree depth; 0 means unbounded.
-	MaxDepth int
-	// MinLeaf is the minimum samples per leaf (default 2).
-	MinLeaf int
-	// MinSplit is the minimum node size to attempt a split (default 5).
-	MinSplit int
 	// MaxFeatures is the number of features sampled per split
 	// (default max(1, p/3), the usual regression-forest heuristic).
 	MaxFeatures int
@@ -99,12 +93,6 @@ type Config struct {
 func (c Config) withDefaults(nFeatures int) Config {
 	if c.NumTrees == 0 {
 		c.NumTrees = 100
-	}
-	if c.MinLeaf == 0 {
-		c.MinLeaf = 2
-	}
-	if c.MinSplit == 0 {
-		c.MinSplit = 5
 	}
 	if c.MaxFeatures == 0 {
 		c.MaxFeatures = nFeatures / 3
@@ -151,16 +139,6 @@ func Train(ds Dataset, cfg Config) (*Forest, error) {
 	return f, nil
 }
 
-// params bundles the tree-growth hyperparameters.
-func (f *Forest) params() treeParams {
-	return treeParams{
-		maxDepth:    f.cfg.MaxDepth,
-		minLeaf:     f.cfg.MinLeaf,
-		minSplit:    f.cfg.MinSplit,
-		maxFeatures: f.cfg.MaxFeatures,
-	}
-}
-
 // addTrees grows k bootstrap trees on ds and appends them, drawing
 // from one shared RNG stream consumed tree after tree. Bit-identical to
 // addTreesReference — the bootstrap and split-subsample draws
@@ -172,7 +150,7 @@ func (f *Forest) addTrees(ds Dataset, k int) {
 		f.rng = simrand.Derive(f.cfg.Seed, "rf-loaded")
 	}
 	n := ds.Len()
-	g := newGrower(ds.X, ds.Y, f.params(), f.nFeatures)
+	g := newGrower(ds.X, ds.Y, f.cfg.MaxFeatures, f.nFeatures)
 	g.rng = f.rng
 	inBag := make([]bool, n)
 	idx := make([]int, n)

@@ -242,50 +242,3 @@ func TestConstantLabels(t *testing.T) {
 		t.Errorf("constant-label prediction %v, want 7", got)
 	}
 }
-
-// TestMaxDepthRespected checks the depth bound truncates trees.
-func TestMaxDepthRespected(t *testing.T) {
-	ds := synth(500, 40, func(x []float64) float64 { return x[0]*x[1] + x[2] })
-	shallow, err := Train(ds, Config{NumTrees: 10, MaxDepth: 2, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deep, err := Train(ds, Config{NumTrees: 10, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A depth-2 tree has at most 7 nodes; unbounded trees on 500 noisy
-	// rows grow far larger. Compare total node counts via a proxy:
-	// shallow must fit strictly worse in-sample.
-	sp := shallow.PredictBatch(ds.X)
-	dp := deep.PredictBatch(ds.X)
-	var sErr, dErr float64
-	for i := range ds.Y {
-		sErr += (sp[i] - ds.Y[i]) * (sp[i] - ds.Y[i])
-		dErr += (dp[i] - ds.Y[i]) * (dp[i] - ds.Y[i])
-	}
-	if dErr >= sErr {
-		t.Errorf("unbounded trees (sse %.0f) should fit better in-sample than depth-2 (sse %.0f)", dErr, sErr)
-	}
-}
-
-// TestMinLeafRespected checks large MinLeaf smooths predictions: with
-// MinLeaf = n/2 a tree can split at most once.
-func TestMinLeafRespected(t *testing.T) {
-	ds := synth(100, 42, func(x []float64) float64 { return 10 * x[0] })
-	coarse, err := Train(ds, Config{NumTrees: 5, MinLeaf: 50, MinSplit: 100, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With at most one split, there are at most 2 distinct leaf values
-	// per tree, so across 5 trees at most 2^5... in practice predictions
-	// take few distinct values. Check far fewer distinct outputs than
-	// inputs.
-	seen := map[float64]bool{}
-	for _, x := range ds.X {
-		seen[coarse.Predict(x)] = true
-	}
-	if len(seen) > 40 {
-		t.Errorf("%d distinct predictions from heavily constrained trees", len(seen))
-	}
-}

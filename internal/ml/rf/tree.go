@@ -25,13 +25,12 @@ type tree struct {
 	featGain []float64
 }
 
-// treeParams are the growth hyperparameters shared by the forest.
-type treeParams struct {
-	maxDepth    int // 0 = unbounded
-	minLeaf     int // minimum samples per leaf
-	minSplit    int // minimum samples to consider splitting
-	maxFeatures int // features sampled per split
-}
+// Tree growth stops at nodes below minSplit samples and never leaves
+// fewer than minLeaf samples on a side. Depth is unbounded.
+const (
+	minLeaf  = 2
+	minSplit = 5
+)
 
 // grower grows CART trees over one dataset with reusable scratch slabs:
 // the sort order, the stable-partition halves and the feature
@@ -46,11 +45,11 @@ type treeParams struct {
 // A grower is single-goroutine state; parallel training gives each
 // worker its own.
 type grower struct {
-	x     [][]float64
-	y     []float64
-	p     treeParams
-	nFeat int
-	rng   *simrand.Source
+	x           [][]float64
+	y           []float64
+	maxFeatures int // features sampled per split
+	nFeat       int
+	rng         *simrand.Source
 
 	order []int // bestSplit sort buffer (len = dataset size)
 	lbuf  []int // stable-partition scratch, left half
@@ -59,10 +58,10 @@ type grower struct {
 }
 
 // newGrower sizes the scratch for a dataset of len(x) rows.
-func newGrower(x [][]float64, y []float64, p treeParams, nFeat int) *grower {
+func newGrower(x [][]float64, y []float64, maxFeatures, nFeat int) *grower {
 	n := len(x)
 	return &grower{
-		x: x, y: y, p: p, nFeat: nFeat,
+		x: x, y: y, maxFeatures: maxFeatures, nFeat: nFeat,
 		order: make([]int, n),
 		lbuf:  make([]int, n),
 		rbuf:  make([]int, n),
@@ -75,17 +74,17 @@ func newGrower(x [][]float64, y []float64, p treeParams, nFeat int) *grower {
 // while recursing, so the caller must refill it before the next tree.
 func (g *grower) grow(idx []int) *tree {
 	t := &tree{featGain: make([]float64, g.nFeat)}
-	g.build(t, idx, 0)
+	g.build(t, idx)
 	return t
 }
 
 // build grows the subtree over idx and returns its node index.
-func (g *grower) build(t *tree, idx []int, depth int) int32 {
+func (g *grower) build(t *tree, idx []int) int32 {
 	self := int32(len(t.nodes))
 	mean := meanAt(g.y, idx)
 	t.nodes = append(t.nodes, node{feature: -1, value: mean})
 
-	if len(idx) < g.p.minSplit || (g.p.maxDepth > 0 && depth >= g.p.maxDepth) || constantAt(g.y, idx) {
+	if len(idx) < minSplit || constantAt(g.y, idx) {
 		return self
 	}
 
@@ -107,15 +106,15 @@ func (g *grower) build(t *tree, idx []int, depth int) int32 {
 			nr++
 		}
 	}
-	if nl < g.p.minLeaf || nr < g.p.minLeaf {
+	if nl < minLeaf || nr < minLeaf {
 		return self
 	}
 	copy(idx[:nl], g.lbuf[:nl])
 	copy(idx[nl:], g.rbuf[:nr])
 
 	t.featGain[feat] += gain
-	l := g.build(t, idx[:nl], depth+1)
-	r := g.build(t, idx[nl:], depth+1)
+	l := g.build(t, idx[:nl])
+	r := g.build(t, idx[nl:])
 	t.nodes[self].feature = feat
 	t.nodes[self].threshold = thr
 	t.nodes[self].left = l
@@ -128,8 +127,8 @@ func (g *grower) build(t *tree, idx []int, depth int) int32 {
 // the node mean build already computed (the reference recomputed it).
 func (g *grower) bestSplit(idx []int, parentMean float64) (feat int, thr, gain float64, ok bool) {
 	candidates := g.rng.PermInto(g.perm)
-	if g.p.maxFeatures < g.nFeat {
-		candidates = candidates[:g.p.maxFeatures]
+	if g.maxFeatures < g.nFeat {
+		candidates = candidates[:g.maxFeatures]
 	}
 
 	// Parent SSE.
@@ -170,7 +169,7 @@ func (g *grower) bestSplit(idx []int, parentMean float64) (feat int, thr, gain f
 			sumSqR -= yi * yi
 			nl := float64(k + 1)
 			nr := n - nl
-			if int(nl) < g.p.minLeaf || int(nr) < g.p.minLeaf {
+			if int(nl) < minLeaf || int(nr) < minLeaf {
 				continue
 			}
 			v, vNext := x[order[k]][f], x[order[k+1]][f]

@@ -631,7 +631,7 @@ func (s *Sim) congFactor(v VMID) float64 {
 	if over < 0 {
 		over = 0
 	}
-	return 1 / (1 + s.cfg.CongestionSlope*over)
+	return 1 / (1 + congestionSlope*over)
 }
 
 // flowCap is the flow's own ceiling: conns × the pair's per-connection

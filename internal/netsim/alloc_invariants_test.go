@@ -152,7 +152,7 @@ func TestAllocationConservation(t *testing.T) {
 			if over < 0 {
 				over = 0
 			}
-			cong := 1 / (1 + s.cfg.CongestionSlope*over)
+			cong := 1 / (1 + congestionSlope*over)
 			if egress[v] > s.vms[v].spec.EgressMbps*cong*slack {
 				t.Fatalf("vm %d egress %v exceeds %v", v, egress[v], s.vms[v].spec.EgressMbps*cong)
 			}

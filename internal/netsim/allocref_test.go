@@ -79,7 +79,7 @@ func (s *Sim) allocateReferenceSlack() (rates []float64, retrans []float64, slac
 		if over < 0 {
 			over = 0
 		}
-		congFactor[i] = 1 / (1 + s.cfg.CongestionSlope*over)
+		congFactor[i] = 1 / (1 + congestionSlope*over)
 	}
 
 	// Bottleneck groups: connected components over VMs joined by flows,
@@ -162,7 +162,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 	memScan := func(id VMID) float64 {
 		v := s.vms[id]
 		base := 0.20 + 0.25*v.cpuLoad
-		buf := float64(connsScan(id)) * s.cfg.BufferMBPerConn / (v.spec.MemGB * 1024)
+		buf := float64(connsScan(id)) * bufferMBPerConn / (v.spec.MemGB * 1024)
 		return math.Min(1, base+buf)
 	}
 

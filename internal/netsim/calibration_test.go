@@ -34,8 +34,8 @@ func TestStaticVsRuntimeGap(t *testing.T) {
 	cfg := netsim.UniformCluster(geo.Testbed(), substrate.T2Medium, 11)
 	sim := netsim.NewSim(cfg)
 
-	static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 10, Conns: 1})
-	runtime, _ := measure.StaticSimultaneous(sim, measure.Options{DurationS: 20, Conns: 1})
+	static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 10})
+	runtime, _ := measure.StaticSimultaneous(sim, measure.Options{DurationS: 20})
 
 	diff := static.AbsDiff(runtime)
 	sig := diff.CountOffDiagAbove(100)

@@ -34,6 +34,8 @@
 package netsim
 
 import (
+	"math"
+
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/substrate"
 )
@@ -53,8 +55,62 @@ type (
 	VMStats = substrate.VMStats
 )
 
-// Config configures a Sim. Zero-valued physics knobs take the defaults
-// listed on each field (applied by NewSim).
+// The simulator's physics. None of these was ever run at another value;
+// DESIGN.md §2 tabulates them with their calibration.
+const (
+	// perConnRefMbps is the single-connection throughput at the
+	// reference distance, the paper's US East↔US West (see perConnA).
+	perConnRefMbps = 1700
+	// perConnExp is the distance-decay exponent of per-connection
+	// throughput; it reproduces the paper's 121 Mbps US East↔AP SE
+	// anchor within 2%.
+	perConnExp = 1.9
+	// minPathKm floors the effective path distance so nearby DCs do not
+	// get unbounded per-connection caps.
+	minPathKm = 500
+
+	// fluctSigma is the volatility of the per-link Ornstein–Uhlenbeck
+	// bandwidth factor; it yields a stable-runtime-BW standard deviation
+	// near the ~184 Mbps the paper reports for its collected datasets
+	// (§5.1). fluctTheta is its mean-reversion rate per second.
+	fluctSigma = 0.13
+	fluctTheta = 0.25
+	// spikeProbPerSec is the per-second probability that a link enters
+	// a transient degradation episode; spikeMeanDurS is the episode's
+	// mean duration in seconds.
+	spikeProbPerSec = 0.002
+	spikeMeanDurS   = 30
+
+	// congestionSlope is the capacity degradation per connection beyond
+	// the congestion knee. This is what makes blind uniform parallelism
+	// (WANify-P) lose to AIMD-managed pools: 8 connections to every peer
+	// drives a VM far past the knee (§5.3.1).
+	congestionSlope = 0.045
+	// bufferMBPerConn is the memory each connection's socket buffers
+	// consume, feeding the Md feature.
+	bufferMBPerConn = 3
+
+	// rampRTTs models TCP slow start: a new flow's per-connection cap
+	// ramps to full over roughly rampRTTs round trips. Opening parallel
+	// connections shortens the ramp (aggregate initial window grows with
+	// the connection count), which is part of why parallel connections
+	// help small WAN transfers.
+	rampRTTs = 4
+	// rampMinFactor is the cap fraction at flow start. NewSim copies it
+	// into Sim.rampMinFactor, a typed float64, so rampFactor's level
+	// arithmetic runs in float64 rather than as an exact constant
+	// expression.
+	rampMinFactor = 0.35
+)
+
+// perConnA is the per-connection cap's distance-decay numerator,
+// perConnRefMbps·perConnRefKm^perConnExp, where the reference distance
+// perConnRefKm is the haversine US East↔US West distance (≈3877 km).
+var perConnA = perConnRefMbps * math.Pow(geo.DistanceKm(geo.USEast, geo.USWest), perConnExp)
+
+// Config configures a Sim. The two physics knobs it carries are the
+// ones the netsim ablation sweeps; zero takes the default listed on
+// each field (applied by NewSim).
 type Config struct {
 	// Regions lists the data centers in cluster order.
 	Regions []geo.Region
@@ -65,59 +121,13 @@ type Config struct {
 	// same network weather.
 	Seed uint64
 
-	// PerConnRefMbps is the single-connection throughput at the
-	// reference distance (default 1700, the paper's US East↔US West).
-	PerConnRefMbps float64
-	// PerConnRefKm is the reference distance (default: the haversine
-	// US East↔US West distance, ≈3877 km).
-	PerConnRefKm float64
-	// PerConnExp is the distance-decay exponent of per-connection
-	// throughput (default 1.9; reproduces the paper's 121 Mbps
-	// US East↔AP SE anchor within 2%).
-	PerConnExp float64
-	// MinPathKm floors the effective path distance so nearby DCs do not
-	// get unbounded per-connection caps (default 500).
-	MinPathKm float64
 	// RTTBiasExp is the exponent of the RTT bias in contention shares:
 	// a connection's weight is 1/RTT^RTTBiasExp (default 1.5, between
 	// ACK-clocking (1) and loss-synchronized (2) regimes).
 	RTTBiasExp float64
-
-	// FluctSigma is the volatility of the per-link Ornstein–Uhlenbeck
-	// bandwidth factor (default 0.13, which yields a stable-runtime-BW
-	// standard deviation near the ~184 Mbps the paper reports for its
-	// collected datasets, §5.1).
-	FluctSigma float64
-	// FluctTheta is the mean-reversion rate of the factor per second
-	// (default 0.25).
-	FluctTheta float64
-	// SpikeProbPerSec is the per-second probability that a link enters
-	// a transient degradation episode (default 0.002).
-	SpikeProbPerSec float64
-	// SpikeMeanDurS is the mean duration of a degradation episode in
-	// seconds (default 30).
-	SpikeMeanDurS float64
-
 	// CongestionKnee is the per-VM total connection count beyond which
 	// effective NIC capacity degrades (default 24).
 	CongestionKnee int
-	// CongestionSlope is the capacity degradation per connection beyond
-	// the knee (default 0.045). This is what makes blind uniform
-	// parallelism (WANify-P) lose to AIMD-managed pools: 8 connections
-	// to every peer drives a VM far past the knee (§5.3.1).
-	CongestionSlope float64
-	// BufferMBPerConn is the memory each connection's socket buffers
-	// consume (default 3 MB), feeding the Md feature.
-	BufferMBPerConn float64
-
-	// RampRTTs models TCP slow start: a new flow's per-connection cap
-	// ramps to full over roughly RampRTTs round trips (default 4).
-	// Opening parallel connections shortens the ramp (aggregate initial
-	// window grows with the connection count), which is part of why
-	// parallel connections help small WAN transfers.
-	RampRTTs float64
-	// RampMinFactor is the cap fraction at flow start (default 0.35).
-	RampMinFactor float64
 
 	// Frozen disables link fluctuation and degradation episodes,
 	// giving a perfectly stable network. Useful in unit tests.
@@ -127,29 +137,12 @@ type Config struct {
 // withDefaults returns a copy of c with zero physics knobs replaced by
 // their documented defaults.
 func (c Config) withDefaults() Config {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
+	if c.RTTBiasExp == 0 {
+		c.RTTBiasExp = 1.5
 	}
-	def(&c.PerConnRefMbps, 1700)
-	if c.PerConnRefKm == 0 {
-		c.PerConnRefKm = geo.DistanceKm(geo.USEast, geo.USWest)
-	}
-	def(&c.PerConnExp, 1.9)
-	def(&c.MinPathKm, 500)
-	def(&c.RTTBiasExp, 1.5)
-	def(&c.FluctSigma, 0.13)
-	def(&c.FluctTheta, 0.25)
-	def(&c.SpikeProbPerSec, 0.002)
-	def(&c.SpikeMeanDurS, 30)
 	if c.CongestionKnee == 0 {
 		c.CongestionKnee = 24
 	}
-	def(&c.CongestionSlope, 0.045)
-	def(&c.BufferMBPerConn, 3)
-	def(&c.RampRTTs, 4)
-	def(&c.RampMinFactor, 0.35)
 	return c
 }
 

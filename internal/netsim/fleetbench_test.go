@@ -79,7 +79,7 @@ func TestUnshardedFillMatchesReference(t *testing.T) {
 		if over < 0 {
 			over = 0
 		}
-		congFactor[i] = 1 / (1 + s.cfg.CongestionSlope*over)
+		congFactor[i] = 1 / (1 + congestionSlope*over)
 	}
 	members := make([]int, nFlows)
 	for i := range members {

@@ -12,31 +12,22 @@ import (
 // links drift around their nominal capacity on the scale of minutes,
 // with rare sharper dips (routing events, cross-traffic bursts).
 type ouProcess struct {
-	rng   *simrand.Source
-	theta float64 // mean reversion per second
-	sigma float64 // volatility per sqrt(second)
+	rng *simrand.Source
 
 	x   float64 // current log-factor
 	cur float64 // factor as of the last refresh
 
-	spikeProb    float64 // per-second episode probability
-	spikeMeanDur float64 // seconds
-	spikeUntil   float64 // sim time the current episode ends
-	spikeDepth   float64 // multiplicative factor during the episode
+	spikeUntil float64 // sim time the current episode ends
+	spikeDepth float64 // multiplicative factor during the episode
 }
 
-func newOUProcess(rng *simrand.Source, theta, sigma, spikeProb, spikeMeanDur float64) *ouProcess {
-	p := &ouProcess{
-		rng:          rng,
-		theta:        theta,
-		sigma:        sigma,
-		spikeProb:    spikeProb,
-		spikeMeanDur: spikeMeanDur,
-		spikeDepth:   1,
-	}
+// newOUProcess starts a process with fluctTheta, fluctSigma,
+// spikeProbPerSec and spikeMeanDurS (config.go).
+func newOUProcess(rng *simrand.Source) *ouProcess {
+	p := &ouProcess{rng: rng, spikeDepth: 1}
 	// Start from the stationary distribution so early samples are not
 	// biased toward factor == 1.
-	sd := sigma / math.Sqrt(2*theta)
+	sd := fluctSigma / math.Sqrt(2*fluctTheta)
 	p.x = rng.Norm(0, sd)
 	return p
 }
@@ -46,7 +37,7 @@ func (p *ouProcess) advance(now, dt float64) {
 	if dt <= 0 {
 		return
 	}
-	p.x += p.theta*(0-p.x)*dt + p.sigma*math.Sqrt(dt)*p.rng.Norm(0, 1)
+	p.x += fluctTheta*(0-p.x)*dt + fluctSigma*math.Sqrt(dt)*p.rng.Norm(0, 1)
 	// Clamp the log-factor so a pathological random walk cannot produce
 	// absurd capacities (factor stays within [e^-1.2, e^+1.2] ≈ [0.3, 3.3]).
 	if p.x > 1.2 {
@@ -57,9 +48,9 @@ func (p *ouProcess) advance(now, dt float64) {
 	}
 	if now >= p.spikeUntil {
 		p.spikeDepth = 1
-		if p.rng.Bool(p.spikeProb * dt) {
+		if p.rng.Bool(spikeProbPerSec * dt) {
 			p.spikeDepth = p.rng.Uniform(0.3, 0.7)
-			p.spikeUntil = now + p.rng.Exp(p.spikeMeanDur)
+			p.spikeUntil = now + p.rng.Exp(spikeMeanDurS)
 		}
 	}
 }

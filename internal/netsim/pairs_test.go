@@ -15,9 +15,9 @@ import (
 // bias power, computed by the same expressions.
 func densePhysics(s *Sim, i, j int) (connBase, rtt, biasPow float64) {
 	cfg := s.cfg
-	a := cfg.PerConnRefMbps * math.Pow(cfg.PerConnRefKm, cfg.PerConnExp)
+	a := perConnRefMbps * math.Pow(geo.DistanceKm(geo.USEast, geo.USWest), perConnExp)
 	d := geo.DistanceKm(cfg.Regions[i], cfg.Regions[j])
-	connBase = a / math.Pow(math.Max(d, cfg.MinPathKm), cfg.PerConnExp)
+	connBase = a / math.Pow(math.Max(d, minPathKm), perConnExp)
 	rtt = geo.RTT(cfg.Regions[i], cfg.Regions[j]).Seconds()
 	b := rtt
 	if b <= 0 {

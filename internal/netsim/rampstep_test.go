@@ -156,14 +156,17 @@ func rampTimerFires(t *testing.T, s *Sim) (fast bool) {
 }
 
 // lonePairSim is a frozen two-DC simulator whose single VM per DC has
-// the given egress capacity (ingress is left far above it).
-func lonePairSim(egressMbps, rampMinFactor float64) *Sim {
+// the given egress capacity (ingress is left far above it) and the
+// given ramp floor (0 keeps rampMinFactor).
+func lonePairSim(egressMbps, minFactor float64) *Sim {
 	spec := substrate.T2Medium
 	spec.EgressMbps = egressMbps
 	spec.IngressMbps = 1e6
-	cfg := FleetCluster(2, 1, spec, 7)
-	cfg.RampMinFactor = rampMinFactor
-	return NewSim(cfg)
+	s := NewSim(FleetCluster(2, 1, spec, 7))
+	if minFactor != 0 {
+		s.rampMinFactor = minFactor
+	}
+	return s
 }
 
 // TestRampStepSlowPathBoundaries pins the cases rampStep must not
@@ -188,7 +191,7 @@ func TestRampStepSlowPathBoundaries(t *testing.T) {
 		// cap: one round exhausts both resources and freezes the flow on
 		// both, so its cap is not slack although the VM binds too.
 		probe := lonePairSim(1e5, 0)
-		minF := probe.cfg.RampMinFactor
+		minF := probe.rampMinFactor
 		s := lonePairSim(probe.PerConnCapMbps(0, 1)*minF, 0)
 		f := s.startProbe(0, 1, 1)
 		if f.Rate() != f.capMbps || f.rate != s.vms[0].spec.EgressMbps {

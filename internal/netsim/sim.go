@@ -38,7 +38,6 @@ type Sim struct {
 	pairBlocks [][]pair
 	numPairs   int
 	numLimits  int
-	perConnA   float64 // PerConnRefMbps·PerConnRefKm^PerConnExp
 
 	// partActive counts the currently-active PartitionDC faults per DC;
 	// while any is nonzero every inter-DC pair involving the DC has
@@ -63,6 +62,9 @@ type Sim struct {
 	ramps      eventHeap[*Flow]
 	timerSeq   int64
 	fluctEvery float64 // seconds between fluctuation steps
+	// rampMinFactor is the constant of the same name, held in a typed
+	// float64 (see rampFactor). Tests set it to build boundary cases.
+	rampMinFactor float64
 
 	allocDirty bool
 	rampFast   int     // ramp steps rampStep absorbed without a refill
@@ -95,11 +97,12 @@ func NewSim(cfg Config) *Sim {
 		panic(fmt.Sprintf("netsim: VMs for %d DCs but %d regions", len(cfg.VMs), len(cfg.Regions)))
 	}
 	s := &Sim{
-		cfg:        cfg,
-		regions:    append([]geo.Region(nil), cfg.Regions...),
-		fluctEvery: 1.0,
-		allocDirty: true,
-		rng:        simrand.Derive(cfg.Seed, "netsim"),
+		cfg:           cfg,
+		regions:       append([]geo.Region(nil), cfg.Regions...),
+		fluctEvery:    1.0,
+		rampMinFactor: rampMinFactor,
+		allocDirty:    true,
+		rng:           simrand.Derive(cfg.Seed, "netsim"),
 	}
 	s.groups.dirtyAll = true
 	s.structEpoch = 1
@@ -118,7 +121,6 @@ func NewSim(cfg Config) *Sim {
 	s.vmConns = make([]int, len(s.vms))
 	s.partActive = make([]int, n)
 	s.pairAt = make([]int32, n*n)
-	s.perConnA = cfg.PerConnRefMbps * math.Pow(cfg.PerConnRefKm, cfg.PerConnExp)
 	if !cfg.Frozen {
 		// Every inter-DC pair fluctuates whether or not it carries
 		// traffic, and each process's stream is derived from s.rng in
@@ -128,9 +130,7 @@ func NewSim(cfg Config) *Sim {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j {
-					s.buildPair(i, j).fluct = newOUProcess(
-						s.rng.Derive(fmt.Sprintf("fluct/%d/%d", i, j)),
-						cfg.FluctTheta, cfg.FluctSigma, cfg.SpikeProbPerSec, cfg.SpikeMeanDurS)
+					s.buildPair(i, j).fluct = newOUProcess(s.rng.Derive(fmt.Sprintf("fluct/%d/%d", i, j)))
 				}
 			}
 		}
@@ -218,7 +218,7 @@ func (s *Sim) buildPair(srcDC, dstDC int) *pair {
 // geoConnBase is the nominal per-connection cap geography gives a pair.
 func (s *Sim) geoConnBase(srcDC, dstDC int) float64 {
 	d := geo.DistanceKm(s.regions[srcDC], s.regions[dstDC])
-	return s.perConnA / math.Pow(math.Max(d, s.cfg.MinPathKm), s.cfg.PerConnExp)
+	return perConnA / math.Pow(math.Max(d, minPathKm), perConnExp)
 }
 
 // scheduleFluct installs the recurring fluctuation step.
@@ -322,7 +322,7 @@ func (s *Sim) connsAt(id VMID) int { return s.vmConns[id] }
 func (s *Sim) memUtil(id VMID) float64 {
 	v := s.vms[id]
 	base := 0.20 + 0.25*v.cpuLoad // resident engine + task working set
-	buf := float64(s.vmConns[id]) * s.cfg.BufferMBPerConn / (v.spec.MemGB * 1024)
+	buf := float64(s.vmConns[id]) * bufferMBPerConn / (v.spec.MemGB * 1024)
 	return math.Min(1, base+buf)
 }
 
@@ -495,7 +495,7 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	// window). The ramp is quantized into three cap levels, so we
 	// schedule a rampStep at each level boundary.
 	p := s.pairOf(srcDC, dstDC)
-	f.rampS = s.cfg.RampRTTs * p.rtt / (1 + math.Log2(float64(conns)))
+	f.rampS = rampRTTs * p.rtt / (1 + math.Log2(float64(conns)))
 	if f.rampS > 0 {
 		for _, frac := range [...]float64{1.0 / 3, 2.0 / 3, 1} {
 			s.timerSeq++
@@ -519,14 +519,14 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 }
 
 // rampFactor returns the slow-start cap fraction for a flow at the
-// current sim time: three quantized steps from RampMinFactor to 1.
+// current sim time: three quantized steps from rampMinFactor to 1.
 func (s *Sim) rampFactor(f *Flow) float64 {
 	if f.rampS <= 0 {
 		return 1
 	}
 	age := s.now - f.startedAt
 	progress := age / f.rampS
-	min := s.cfg.RampMinFactor
+	min := s.rampMinFactor
 	// The level boundaries are scheduled as timers at exactly these
 	// progress fractions; tolerate float round-off so the flow cannot
 	// get stuck one epsilon below a level with no further event coming.

@@ -213,7 +213,7 @@ func TestFusedRoundAgainstReference(t *testing.T) {
 		// ingress and stays live or freezes earlier.
 		ref := NewSim(FleetCluster(3, 1, wide, 7))
 		spec := wide
-		spec.EgressMbps = ref.PerConnCapMbps(0, 1) * ref.cfg.RampMinFactor
+		spec.EgressMbps = ref.PerConnCapMbps(0, 1) * ref.rampMinFactor
 		s := NewSim(FleetCluster(3, 1, spec, 7))
 		a, b := s.startProbe(0, 1, 1), s.startProbe(2, 1, 1)
 		requireMatchesReference(t, s, "tie")

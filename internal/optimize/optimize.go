@@ -430,22 +430,3 @@ func ThrottleThresholds(maxBW bwmatrix.Matrix) []float64 {
 	}
 	return out
 }
-
-// AggregateByDC sums a VM-level bandwidth matrix into a DC-level matrix
-// given the DC index of each VM — the "association" of §3.3.3 ("BWs are
-// summed to reflect the combined BW of a DC").
-func AggregateByDC(vmBW bwmatrix.Matrix, dcOfVM []int, numDCs int) bwmatrix.Matrix {
-	if vmBW.N() != len(dcOfVM) {
-		panic(fmt.Sprintf("optimize: %dx%d VM matrix with %d DC mappings", vmBW.N(), vmBW.N(), len(dcOfVM)))
-	}
-	out := bwmatrix.New(numDCs)
-	for i := range vmBW {
-		for j := range vmBW[i] {
-			di, dj := dcOfVM[i], dcOfVM[j]
-			if di != dj {
-				out[di][dj] += vmBW[i][j]
-			}
-		}
-	}
-	return out
-}

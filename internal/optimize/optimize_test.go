@@ -241,24 +241,6 @@ func TestThrottleThresholds(t *testing.T) {
 	}
 }
 
-// TestAggregateByDC checks association summing.
-func TestAggregateByDC(t *testing.T) {
-	vmBW := bwmatrix.New(3) // VMs 0,1 in DC0; VM 2 in DC1
-	vmBW[0] = []float64{0, 500, 100}
-	vmBW[1] = []float64{450, 0, 150}
-	vmBW[2] = []float64{120, 130, 0}
-	dc := AggregateByDC(vmBW, []int{0, 0, 1}, 2)
-	if dc[0][1] != 250 {
-		t.Errorf("DC0->DC1 = %v, want 250", dc[0][1])
-	}
-	if dc[1][0] != 250 {
-		t.Errorf("DC1->DC0 = %v, want 250", dc[1][0])
-	}
-	if dc[0][0] != 0 {
-		t.Errorf("intra-DC aggregated to %v, want 0", dc[0][0])
-	}
-}
-
 // TestInferDCRelationsEdgeBranches exercises the binary-search interval
 // handling: values below the lowest retained level, above the highest,
 // and exactly between two levels.

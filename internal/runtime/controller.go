@@ -80,9 +80,6 @@ type Config struct {
 	// StaleAfterS forces a re-gauge when the current plan is older than
 	// this many seconds even without drift (default 0: disabled).
 	StaleAfterS float64
-	// MaxReplans caps the number of replans per controller lifetime
-	// (default 0: unlimited).
-	MaxReplans int
 	// Hardened turns on failure-aware gauging (DESIGN.md §11): re-gauge
 	// snapshots run with probe retry/backoff
 	// (measure.BeginSnapshotHardened), come back as tagged partial
@@ -442,15 +439,12 @@ func (c *Controller) epoch(now float64) {
 		c.streak = 0
 	}
 
-	if c.cfg.MaxReplans > 0 && len(c.events) >= c.cfg.MaxReplans {
-		return
-	}
 	// A confirmed-dead DC triggers evacuation: re-gauge, re-optimize
 	// over the surviving topology, and swap the evacuated plan in. It
 	// bypasses hysteresis and cooldown — waiting cannot resurrect a DC —
-	// but still respects MaxReplans (above) and the one-snapshot-at-a-
-	// time guard: a blocked detection simply retries next epoch, and the
-	// DC is marked handled only when its replan actually starts.
+	// but still respects the one-snapshot-at-a-time guard: a blocked
+	// detection simply retries next epoch, and the DC is marked handled
+	// only when its replan actually starts.
 	if evac := c.newlyDead(); len(evac) > 0 {
 		c.beginRegauge(now, ReasonEvacuate, drifted, maxFrac, evac)
 		return

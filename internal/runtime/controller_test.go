@@ -272,22 +272,6 @@ func TestStalenessClockForcesReplan(t *testing.T) {
 	}
 }
 
-// TestMaxReplansCap checks the replan budget.
-func TestMaxReplansCap(t *testing.T) {
-	sim := frozenSim(3, 5)
-	pred := accuratePred(sim)
-	agents := deployAgents(sim, tightRows(sim, pred))
-	ctl := rgauge.Start(deps(sim, agents, 5), rgauge.Config{
-		Enabled: true, EpochS: 5, StaleAfterS: 20, CooldownS: 5, MaxReplans: 1,
-	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
-	defer ctl.Stop()
-
-	sim.RunFor(200)
-	if got := ctl.Replans(); got != 1 {
-		t.Errorf("MaxReplans=1 but %d replans fired", got)
-	}
-}
-
 // TestConservationAcrossPlanSwap checks no bytes are lost or invented
 // when windows swap mid-transfer: every sized flow still delivers
 // exactly its payload.
@@ -456,15 +440,15 @@ func TestStaleFiresAtZeroLiveRate(t *testing.T) {
 	}
 }
 
-// TestMaxReplansCapsEvacuation checks the replan budget binds
-// evacuations too: with MaxReplans=1 spent on the first dead DC, a
-// second DC death must not schedule another replan, however justified.
-func TestMaxReplansCapsEvacuation(t *testing.T) {
+// TestSecondDeadDCEvacuatesAgain checks a DC that dies after an
+// evacuation gets its own: each death is one evacuation of exactly that
+// DC, in death order.
+func TestSecondDeadDCEvacuatesAgain(t *testing.T) {
 	sim := frozenSim(3, 43)
 	pred := accuratePred(sim)
 	agents := deployAgents(sim, tightRows(sim, pred))
 	ctl := rgauge.Start(deps(sim, agents, 43), rgauge.Config{
-		Enabled: true, EpochS: 5, MaxReplans: 1,
+		Enabled: true, EpochS: 5,
 	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 	defer ctl.Stop()
 
@@ -476,12 +460,13 @@ func TestMaxReplansCapsEvacuation(t *testing.T) {
 	}
 	sim.RunFor(150)
 
-	if got := ctl.Replans(); got != 1 {
-		t.Fatalf("MaxReplans=1 but %d replans fired across two DC deaths", got)
+	if got := ctl.Replans(); got != 2 {
+		t.Fatalf("%d replans fired across two DC deaths, want 2", got)
 	}
-	ev := ctl.Events()[0]
-	if ev.Reason != rgauge.ReasonEvacuate || !reflect.DeepEqual(ev.EvacuatedDCs, []int{1}) {
-		t.Errorf("sole replan = %v, want evacuation of DC1", ev)
+	for k, ev := range ctl.Events() {
+		if want := []int{k + 1}; ev.Reason != rgauge.ReasonEvacuate || !reflect.DeepEqual(ev.EvacuatedDCs, want) {
+			t.Errorf("replan %d = %v, want evacuation of DC%d", k, ev, k+1)
+		}
 	}
 }
 

@@ -139,13 +139,6 @@ func (c *ModelCache) Stats() CacheStats {
 	return c.stats
 }
 
-// Keys returns the resident fingerprints in LRU order, oldest first.
-func (c *ModelCache) Keys() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]uint64(nil), c.order...)
-}
-
 // touch moves fp to the most-recently-used end. Caller holds mu.
 func (c *ModelCache) touch(fp uint64) {
 	for i, k := range c.order {

@@ -26,6 +26,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -92,8 +93,6 @@ type Config struct {
 	QuantMbps float64
 	// Sink receives telemetry (nil = discard).
 	Sink Sink
-	// Optimize carries the §3.3 heterogeneity inputs.
-	Optimize wanify.OptimizeOptions
 }
 
 func (c Config) withDefaults() Config {
@@ -157,18 +156,19 @@ type JobSpec struct {
 	// Workload is "terasort", "wordcount", or "tpcds:<query>" (82, 95,
 	// 11, 78).
 	Workload string `json:"workload"`
-	// InputGB is the job's total input volume in GB.
+	// InputGB is the job's total input volume in GB (positive, and
+	// finite in bytes).
 	InputGB float64 `json:"input_gb"`
 	// HotDCs concentrates the input: these DCs hold HotShare of it
 	// (default: uniform across the cluster).
 	HotDCs []int `json:"hot_dcs,omitempty"`
-	// HotShare is the input fraction on HotDCs (default 0.8 when
-	// HotDCs is set).
+	// HotShare is the input fraction on HotDCs, in [0, 1] (default 0.8
+	// when HotDCs is set).
 	HotShare float64 `json:"hot_share,omitempty"`
 	// DCs restricts placement to these data centers (default: all).
 	DCs []int `json:"dcs,omitempty"`
 	// Priority weights the job's WAN share under priority sharing
-	// (default 1).
+	// (non-negative; default 1).
 	Priority float64 `json:"priority,omitempty"`
 }
 
@@ -347,11 +347,12 @@ func (p *Plane) Start() error {
 			return err
 		}
 	}
+	// The plane plans with uniform skew weights and no refactoring
+	// vector (zero wanify.OptimizeOptions).
 	_, _, _, err := p.fw.EnableJobSet(wanify.JobSetOptions{
-		Jobs:     p.cfg.MaxRunning,
-		Dynamic:  true,
-		Share:    p.cfg.Share,
-		Optimize: p.cfg.Optimize,
+		Jobs:    p.cfg.MaxRunning,
+		Dynamic: true,
+		Share:   p.cfg.Share,
 	})
 	if err != nil {
 		return err
@@ -413,12 +414,21 @@ func (p *Plane) installModel(fp uint64) error {
 	return nil
 }
 
-// buildJob materializes a spec into a spark job.
+// buildJob materializes a spec into a spark job. It rejects specs no
+// job can be built from: an input that is not a positive, finite byte
+// count, a hot share outside [0, 1] (it would put negative bytes on the
+// cold DCs) and a negative priority.
 func buildJob(spec JobSpec, n int) (spark.Job, error) {
-	if spec.InputGB <= 0 {
-		return spark.Job{}, fmt.Errorf("serve: job needs input_gb > 0")
-	}
 	bytes := spec.InputGB * 1e9
+	if !(bytes > 0) || math.IsInf(bytes, 1) {
+		return spark.Job{}, fmt.Errorf("serve: job needs a finite input_gb > 0, got %v", spec.InputGB)
+	}
+	if !(spec.HotShare >= 0 && spec.HotShare <= 1) {
+		return spark.Job{}, fmt.Errorf("serve: hot_share %v outside [0,1]", spec.HotShare)
+	}
+	if !(spec.Priority >= 0) {
+		return spark.Job{}, fmt.Errorf("serve: priority %v, want >= 0", spec.Priority)
+	}
 	var input []float64
 	if len(spec.HotDCs) > 0 {
 		share := spec.HotShare

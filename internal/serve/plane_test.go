@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -147,6 +148,50 @@ func TestPlaneQueueAndQuotaRejections(t *testing.T) {
 	}
 	if _, err := p.Submit(JobSpec{Workload: "terasort", InputGB: 1, DCs: []int{99}}); err == nil {
 		t.Fatalf("out-of-range placement mask accepted")
+	}
+}
+
+// TestPlaneRejectsHostileSpecs submits specs no job can be built from.
+// Each was once accepted: a hot share above 1 or below 0 put negative
+// bytes on the cold DCs and billed more WAN traffic than the input
+// held, an input overflowing to +Inf bytes held its slot forever, and a
+// negative priority ran at the default. Every one must be refused up
+// front and leave no job record; the bounds themselves are accepted.
+func TestPlaneRejectsHostileSpecs(t *testing.T) {
+	p, _ := newTestPlane(t, 11, nil)
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		ok   bool
+	}{
+		{"hot-share-above-one", JobSpec{InputGB: 1, HotDCs: []int{0}, HotShare: 5}, false},
+		{"hot-share-negative", JobSpec{InputGB: 1, HotDCs: []int{0}, HotShare: -1}, false},
+		{"hot-share-nan", JobSpec{InputGB: 1, HotDCs: []int{0}, HotShare: math.NaN()}, false},
+		{"input-overflows-to-inf", JobSpec{InputGB: 1e300}, false},
+		{"input-inf", JobSpec{InputGB: math.Inf(1)}, false},
+		{"input-nan", JobSpec{InputGB: math.NaN()}, false},
+		{"priority-negative", JobSpec{InputGB: 1, Priority: -3}, false},
+		{"priority-nan", JobSpec{InputGB: 1, Priority: math.NaN()}, false},
+		{"hot-share-one", JobSpec{InputGB: 0.1, HotDCs: []int{0}, HotShare: 1}, true},
+		{"priority-zero", JobSpec{InputGB: 0.1, Priority: 0}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Workload = "terasort"
+			before := len(p.Jobs())
+			st, err := p.Submit(tc.spec)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("spec %+v refused: %v", tc.spec, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("spec %+v accepted as %+v", tc.spec, st)
+			}
+			if got := len(p.Jobs()); got != before {
+				t.Fatalf("refused spec left a record: %d jobs, want %d", got, before)
+			}
+		})
 	}
 }
 

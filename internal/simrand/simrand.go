@@ -11,7 +11,6 @@ package simrand
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand/v2"
 )
 
@@ -64,12 +63,6 @@ func (s *Source) Norm(mean, sd float64) float64 {
 	return mean + sd*s.rng.NormFloat64()
 }
 
-// LogNorm returns a log-normally distributed value whose underlying
-// normal has the given mu and sigma.
-func (s *Source) LogNorm(mu, sigma float64) float64 {
-	return math.Exp(s.Norm(mu, sigma))
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.rng.Float64() < p }
 
@@ -95,30 +88,4 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 // Exp returns an exponentially distributed value with the given mean.
 func (s *Source) Exp(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean
-}
-
-// Zipf returns a value in [0, n) following a Zipf-like distribution with
-// skew parameter alpha >= 0. alpha = 0 is uniform; larger values
-// concentrate mass on low indices. Used to model skewed input data.
-func (s *Source) Zipf(n int, alpha float64) int {
-	if n <= 1 {
-		return 0
-	}
-	if alpha <= 0 {
-		return s.IntN(n)
-	}
-	// Inverse-CDF sampling over the (small) discrete support.
-	total := 0.0
-	for i := 1; i <= n; i++ {
-		total += 1 / math.Pow(float64(i), alpha)
-	}
-	u := s.Float64() * total
-	acc := 0.0
-	for i := 1; i <= n; i++ {
-		acc += 1 / math.Pow(float64(i), alpha)
-		if u <= acc {
-			return i - 1
-		}
-	}
-	return n - 1
 }

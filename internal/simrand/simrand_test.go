@@ -107,46 +107,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-// TestZipfSkew checks that larger alpha concentrates mass on low
-// indices, and alpha = 0 is uniform-ish.
-func TestZipfSkew(t *testing.T) {
-	s := Derive(5, "zipf")
-	const n, k = 20000, 8
-	countLow := func(alpha float64) int {
-		low := 0
-		for i := 0; i < n; i++ {
-			if s.Zipf(k, alpha) == 0 {
-				low++
-			}
-		}
-		return low
-	}
-	uniform := countLow(0)
-	skewed := countLow(1.5)
-	if float64(uniform)/n > 0.2 {
-		t.Errorf("alpha=0: P(0) = %.3f, want ~1/8", float64(uniform)/n)
-	}
-	if skewed < 2*uniform {
-		t.Errorf("alpha=1.5 should concentrate mass: low counts %d vs %d", skewed, uniform)
-	}
-}
-
-// TestZipfBounds property-checks Zipf stays in range.
-func TestZipfBounds(t *testing.T) {
-	s := Derive(6, "zipf-bounds")
-	f := func(n uint8, alpha float64) bool {
-		k := int(n%16) + 1
-		if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
-			alpha = 0
-		}
-		v := s.Zipf(k, math.Abs(alpha))
-		return v >= 0 && v < k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPermIsPermutation checks Perm returns each index exactly once.
 func TestPermIsPermutation(t *testing.T) {
 	s := Derive(7, "perm")

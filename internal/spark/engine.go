@@ -78,9 +78,6 @@ type Engine struct {
 	rates cost.Rates
 	loads *loadLedger
 
-	// ComputeLoadDuringTransfer is the CPU load set on worker VMs while
-	// shuffles run (serialization/IO work, default 0.3).
-	ComputeLoadDuringTransfer float64
 	// MaxStageTransferS bounds a single transfer phase in simulated
 	// seconds before the engine reports an error (default 6 hours).
 	MaxStageTransferS float64
@@ -102,11 +99,10 @@ type Engine struct {
 // NewEngine builds an engine over a simulator with the given pricing.
 func NewEngine(sim substrate.Cluster, rates cost.Rates) *Engine {
 	return &Engine{
-		sim:                       sim,
-		rates:                     rates,
-		ComputeLoadDuringTransfer: 0.3,
-		MaxStageTransferS:         6 * 3600,
-		Energy:                    cost.DefaultEnergyRates(),
+		sim:               sim,
+		rates:             rates,
+		MaxStageTransferS: 6 * 3600,
+		Energy:            cost.DefaultEnergyRates(),
 	}
 }
 
@@ -253,8 +249,12 @@ func (e *Engine) transferLoad() float64 {
 	if e.OverlapFetchCompute {
 		return 0.9
 	}
-	return e.ComputeLoadDuringTransfer
+	return transferCPULoad
 }
+
+// transferCPULoad is the CPU load set on worker VMs while shuffles run
+// (serialization/IO work) without OverlapFetchCompute.
+const transferCPULoad = 0.3
 
 // price itemizes the job cost: every cluster VM is held for the full
 // JCT (compute), cross-DC bytes pay their source region's egress rate

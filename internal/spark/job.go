@@ -12,7 +12,10 @@
 // pools under WANify). Everything the paper varies is injected.
 package spark
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StageKind distinguishes how a stage's input reaches its tasks.
 type StageKind int
@@ -72,6 +75,11 @@ func (j Job) TotalInputBytes() float64 {
 func (j Job) Validate(n int) error {
 	if len(j.InputBytes) != n {
 		return fmt.Errorf("spark: job %q has input for %d DCs, cluster has %d", j.Name, len(j.InputBytes), n)
+	}
+	for dc, b := range j.InputBytes {
+		if !(b >= 0) || math.IsInf(b, 1) {
+			return fmt.Errorf("spark: job %q has input %v bytes at DC %d", j.Name, b, dc)
+		}
 	}
 	if len(j.Stages) == 0 {
 		return fmt.Errorf("spark: job %q has no stages", j.Name)

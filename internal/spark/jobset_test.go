@@ -82,9 +82,9 @@ func TestLoadLedgerComposesDuringPhases(t *testing.T) {
 	if math.Abs(duringCompute-1.0) > 1e-9 { // 0.4 + 0.9 clamped to the substrate domain
 		t.Fatalf("mid-compute load = %v, want 0.4 + 0.9 clamped to 1", duringCompute)
 	}
-	want := 0.4 + eng.ComputeLoadDuringTransfer
+	want := 0.4 + transferCPULoad
 	if math.Abs(duringTransfer-want) > 1e-9 {
-		t.Fatalf("mid-transfer load = %v, want co-tenant 0.4 + transfer %v", duringTransfer, eng.ComputeLoadDuringTransfer)
+		t.Fatalf("mid-transfer load = %v, want co-tenant 0.4 + transfer %v", duringTransfer, transferCPULoad)
 	}
 }
 

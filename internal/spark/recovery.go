@@ -11,8 +11,8 @@ import (
 // fault then fails the run with a descriptive error instead of leaving
 // it to the transfer watchdog. When enabled, JobSet state machines
 // re-enter the transfer phase instead of aborting: failed flows are
-// detected through the flow-failure callback, batched for DetectS
-// seconds, and their lost bytes re-sent in a recovery wave — from the
+// detected through the flow-failure callback, batched for
+// recoveryDetectS seconds, and their lost bytes re-sent in a recovery wave — from the
 // original source when it survives, from its ring replica ((dc+1) mod
 // n, replication factor 2 for stage outputs) when the source DC died,
 // or re-executed from durable input across the survivors when neither
@@ -23,28 +23,17 @@ type RecoveryConfig struct {
 	// Enabled turns fault recovery on. Off by default; fault-free runs
 	// are byte-identical either way.
 	Enabled bool
-	// DetectS batches flow failures before launching a recovery wave,
-	// modeling the failure-detection latency of a driver heartbeat.
-	// Default 1 s.
-	DetectS float64
-	// MaxWaves caps recovery waves per stage; a stage still losing
-	// flows after that many waves aborts the set. Default 8.
-	MaxWaves int
 }
 
-func (c RecoveryConfig) detectS() float64 {
-	if c.DetectS > 0 {
-		return c.DetectS
-	}
-	return 1.0
-}
-
-func (c RecoveryConfig) maxWaves() int {
-	if c.MaxWaves > 0 {
-		return c.MaxWaves
-	}
-	return 8
-}
+const (
+	// recoveryDetectS batches flow failures before launching a recovery
+	// wave, modeling the failure-detection latency of a driver
+	// heartbeat.
+	recoveryDetectS = 1.0
+	// recoveryMaxWaves caps recovery waves per stage; a stage still
+	// losing flows after that many waves aborts the set.
+	recoveryMaxWaves = 8
+)
 
 // flowRec ties a launched flow to its job, stage and pair bookkeeping
 // so its completion can be counted and a failure re-routed: the pair
@@ -152,7 +141,7 @@ func armRecs(recs []*flowRec) {
 // flowFailed is the flow-failure callback: it settles the flow's
 // accounting, and either aborts the set (recovery disabled) or queues
 // the loss for the next recovery wave. Failures are batched: the first
-// one in a quiet stage schedules one wave DetectS seconds out, and
+// one in a quiet stage schedules one wave recoveryDetectS seconds out, and
 // later failures ride along.
 func (s *JobSet) flowFailed(rec *flowRec) {
 	js, stageIdx := rec.js, rec.stage
@@ -175,7 +164,7 @@ func (s *JobSet) flowFailed(rec *flowRec) {
 		return
 	}
 	js.recovering = true
-	s.wake(js, e.Recovery.detectS(), func(now float64) {
+	s.wake(js, recoveryDetectS, func(now float64) {
 		if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
 			return
 		}
@@ -189,16 +178,16 @@ func (s *JobSet) flowFailed(rec *flowRec) {
 // source DC died come from the ring replica, or are re-executed from
 // durable input when the replica died too. The wave's flows carry the
 // same failure handlers, so cascading faults trigger further waves up
-// to the MaxWaves cap.
+// to the recoveryMaxWaves cap.
 func (s *JobSet) recoverStage(js *jobState, now float64) {
 	e := s.eng
 	n := e.sim.NumDCs()
 	js.recovering = false
 	js.attempts++
 	stage := js.run.Job.Stages[js.stage]
-	if js.attempts > e.Recovery.maxWaves() {
+	if js.attempts > recoveryMaxWaves {
 		s.abort(fmt.Errorf("spark: job %q stage %q: still losing flows after %d recovery waves",
-			js.run.Job.Name, stage.Name, e.Recovery.maxWaves()))
+			js.run.Job.Name, stage.Name, recoveryMaxWaves))
 		return
 	}
 	failed := js.failedRecs

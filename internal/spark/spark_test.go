@@ -143,6 +143,9 @@ func TestJobValidate(t *testing.T) {
 		{Name: "wrong-n", InputBytes: []float64{1}, Stages: []Stage{{}}},
 		{Name: "no-stages", InputBytes: []float64{1, 2}},
 		{Name: "neg", InputBytes: []float64{1, 2}, Stages: []Stage{{Selectivity: -1}}},
+		{Name: "neg-input", InputBytes: []float64{1, -2}, Stages: []Stage{{Selectivity: 1}}},
+		{Name: "nan-input", InputBytes: []float64{math.NaN(), 2}, Stages: []Stage{{Selectivity: 1}}},
+		{Name: "inf-input", InputBytes: []float64{1, math.Inf(1)}, Stages: []Stage{{Selectivity: 1}}},
 	}
 	for _, j := range bad {
 		if err := j.Validate(2); err == nil {

@@ -5,10 +5,7 @@
 // experiments.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice. The
 // incremental form avoids intermediate-sum overflow for extreme inputs.
@@ -63,15 +60,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.
@@ -161,30 +149,6 @@ func R2(pred, label []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Percentile returns the p-th percentile (p in [0, 100]) of xs using
-// linear interpolation between closest ranks.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
 }
 
 // Bucket describes a half-open numeric interval (Lo, Hi]. A Hi of

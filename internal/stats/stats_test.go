@@ -26,11 +26,11 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-// TestMinMaxSum checks the extrema helpers.
-func TestMinMaxSum(t *testing.T) {
+// TestMinMax checks the extrema helpers.
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Errorf("min/max/sum = %v/%v/%v", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Errorf("min/max = %v/%v", Min(xs), Max(xs))
 	}
 	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty min/max should be 0")
@@ -103,28 +103,6 @@ func TestR2(t *testing.T) {
 	mean := []float64{2.5, 2.5, 2.5, 2.5}
 	if r := R2(mean, label); !almost(r, 0) {
 		t.Errorf("mean-predictor R2 = %v", r)
-	}
-}
-
-// TestPercentile checks interpolation and bounds.
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 40}, {50, 25}, {25, 17.5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want) {
-			t.Errorf("P%.0f = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-	// Input must not be mutated (Percentile sorts a copy).
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 50)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Error("Percentile mutated its input")
 	}
 }
 

@@ -70,15 +70,6 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 // Len returns the number of samples taken.
 func (r *Recorder) Len() int { return len(r.samples) }
 
-// PairSeries extracts one pair's rate series.
-func (r *Recorder) PairSeries(src, dst int) (times, rates []float64) {
-	for _, s := range r.samples {
-		times = append(times, s.Now)
-		rates = append(rates, s.RateMbps[src][dst])
-	}
-	return times, rates
-}
-
 // WriteCSV writes the recording in long form: one row per
 // (time, src, dst) with the region names resolved. Idle pairs are
 // skipped when skipZeros is true, which keeps shuffle recordings

@@ -26,14 +26,13 @@ func TestRecorderSamplesRates(t *testing.T) {
 	if rec.Len() != 5 {
 		t.Fatalf("%d samples over 5.5s at 1 Hz, want 5", rec.Len())
 	}
-	_, rates := rec.PairSeries(0, 1)
-	if rates[len(rates)-1] <= 0 {
+	samples := rec.Samples()
+	if samples[len(samples)-1].RateMbps[0][1] <= 0 {
 		t.Error("active pair recorded as idle")
 	}
-	_, idle := rec.PairSeries(1, 2)
-	for _, v := range idle {
-		if v != 0 {
-			t.Errorf("idle pair recorded rate %v", v)
+	for _, s := range samples {
+		if v := s.RateMbps[1][2]; v != 0 {
+			t.Errorf("idle pair recorded rate %v at t=%v", v, s.Now)
 		}
 	}
 	f.Stop()

@@ -50,11 +50,6 @@ type Config struct {
 	Rates cost.Rates
 	// Seed drives snapshot noise and any tie-breaking.
 	Seed uint64
-	// MaxConnsPerPair is the optimizer's M (default 8).
-	MaxConnsPerPair int
-	// RelationD is Algorithm 1's minimum significant BW difference
-	// (default 30 Mbps, the paper's worked example).
-	RelationD float64
 	// Agent configures the local agents (epoch, thresholds, throttle).
 	Agent agent.Config
 	// Runtime configures the mid-job re-gauging controller
@@ -103,12 +98,6 @@ func New(cfg Config, model *predict.Model) (*Framework, error) {
 	if model == nil {
 		return nil, fmt.Errorf("wanify: nil prediction model")
 	}
-	if cfg.MaxConnsPerPair == 0 {
-		cfg.MaxConnsPerPair = optimize.DefaultM
-	}
-	if cfg.RelationD == 0 {
-		cfg.RelationD = optimize.DefaultD
-	}
 	return &Framework{
 		cfg:   cfg,
 		model: model,
@@ -151,11 +140,11 @@ type OptimizeOptions struct {
 
 // Optimize runs global optimization (Algorithm 1 + Eq. 2–3) on a
 // predicted runtime BW matrix, returning the connection/BW windows.
+// Algorithm 1 runs at its defaults, M = optimize.DefaultM and
+// D = optimize.DefaultD.
 func (f *Framework) Optimize(pred bwmatrix.Matrix, opts OptimizeOptions) optimize.Plan {
 	var plan optimize.Plan
 	optimize.GlobalOptimizeInto(&plan, pred, optimize.Options{
-		M:           f.cfg.MaxConnsPerPair,
-		D:           f.cfg.RelationD,
 		SkewWeights: opts.SkewWeights,
 		RVec:        opts.RVec,
 	}, &f.optScratch)
