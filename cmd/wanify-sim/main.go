@@ -72,7 +72,7 @@ func main() {
 		gb      = flag.Float64("gb", 100, "input size in GB (terasort, tpcds)")
 		mb      = flag.Float64("mb", 600, "input size in MB (wordcount)")
 		skew    = flag.Bool("skew", false, "skew input onto 4 hot DCs (§5.8.1)")
-		sched   = flag.String("sched", "locality", schedUsage)
+		sched   = flag.String("sched", "locality", gda.SchedulerSpecs())
 		believe = flag.String("believe", "predicted", "static | simultaneous | predicted | oracle (for tetrium/kimchi; oracle = netsim true caps)")
 		conns   = flag.String("conns", "single", "single | uniform | wanify")
 		jobs    = flag.Int("jobs", 1, "run N copies of the job concurrently over one cluster (multi-tenant)")
@@ -95,7 +95,7 @@ func main() {
 	// Validate the enumerated flags up front — before any model
 	// training or cluster construction runs — so a typo fails in
 	// milliseconds with the valid set, not minutes in.
-	if _, err := schedFor(*sched, nil, gda.ClusterInfo{}); err != nil {
+	if _, err := gda.ParseScheduler(*sched, nil, gda.ClusterInfo{}); err != nil {
 		log.Fatal(err)
 	}
 	switch *believe {
@@ -266,14 +266,7 @@ func main() {
 			if !ok {
 				log.Fatal("-believe oracle reads the simulator's true caps and needs the netsim backend")
 			}
-			believed = bwmatrix.New(n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if i != j {
-						believed[i][j] = ns.PerConnCapMbps(i, j)
-					}
-				}
-			}
+			believed = ns.PerConnCapMatrix()
 		default:
 			log.Fatalf("unknown belief %q", *believe)
 		}
@@ -334,7 +327,7 @@ func main() {
 
 	// Scheduler (validated up front; this construction cannot fail).
 	info := gda.NewClusterInfo(sim, rates)
-	scheduler, err := schedFor(*sched, believed, info)
+	scheduler, err := gda.ParseScheduler(*sched, believed, info)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -423,34 +416,6 @@ func main() {
 	if len(results) > 1 {
 		fmt.Printf("\nmakespan: %.1f s (%.1f min)\n", makespan, makespan/60)
 	}
-}
-
-// schedUsage is derived from the scorer registry so the flag help, the
-// up-front validation error, and the blend: parser can never drift
-// apart: registering a scorer in internal/gda surfaces it here.
-var schedUsage = "locality | iridium | tetrium | kimchi | " +
-	strings.Join(gda.ScorerNames(), " | ") +
-	" | blend:jct=W,cost=W,carbon=W"
-
-// schedFor resolves a -sched spec to a scheduler. The classic
-// composed schedulers keep their names; everything else goes through
-// the scorer registry (bare scorer names and blend: specs).
-func schedFor(spec string, believed bwmatrix.Matrix, info gda.ClusterInfo) (spark.Scheduler, error) {
-	switch spec {
-	case "locality":
-		return gda.Locality{}, nil
-	case "iridium":
-		return gda.Iridium{Believed: believed, Info: info}, nil
-	case "tetrium":
-		return gda.Tetrium{Believed: believed, Info: info}, nil
-	case "kimchi":
-		return gda.Kimchi{Believed: believed, Info: info}, nil
-	}
-	sc, err := gda.ParseScorer(spec)
-	if err != nil {
-		return nil, fmt.Errorf("unknown scheduler %q (want %s): %v", spec, schedUsage, err)
-	}
-	return gda.Sched{Scorer: sc, Believed: believed, Info: info}, nil
 }
 
 func sumOf(xs []float64) float64 {

@@ -33,16 +33,6 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// Mode is the AIMD decision an agent took for a pair in an epoch.
-type Mode int8
-
-// AIMD modes.
-const (
-	ModeIdle     Mode = iota // skipped: < minTransferBytes moved
-	ModeIncrease             // additive increase
-	ModeDecrease             // multiplicative decrease
-)
-
 // The agent's fixed AIMD parameters.
 const (
 	// epochS is the AIMD epoch (5 s, §5.7).
@@ -194,17 +184,9 @@ func ChunkPlanInto(dst []PlanRow, sim substrate.Cluster, pred bwmatrix.Matrix, p
 	return dst
 }
 
-// EpochRecord captures one AIMD epoch for analysis (Fig. 9 computes the
-// standard deviation of TargetBW across destinations per epoch).
-type EpochRecord struct {
-	Now       float64
-	TargetBW  []float64
-	Monitored []float64
-	Conns     []int
-	Modes     []Mode
-}
-
-// Agent is a local agent bound to one VM.
+// Agent is a local agent bound to one VM. Its state is the live window,
+// targets, pool and last monitor reading, on two slabs allocated at the
+// first ApplyPlan; an epoch rewrites them in place and keeps no record.
 type Agent struct {
 	sim substrate.Cluster
 	vm  substrate.VMID
@@ -218,8 +200,8 @@ type Agent struct {
 	lastBytes  []float64 // parallel to active: bytes each flow had moved at the last epoch
 	epochBytes []float64 // per destination DC, bytes moved this epoch
 	monitored  []float64 // last epoch's WAN-monitor rates, Mbps per destination DC
+	monitoring bool      // an epoch has written monitored
 
-	history []EpochRecord
 	cancel  func()
 	started bool
 }
@@ -251,7 +233,6 @@ func (a *Agent) ApplyPlan(row PlanRow) {
 	a.copyRow(row)
 	copy(a.conns, row.MaxConns)
 	copy(a.targetBW, row.MaxBW)
-	clear(a.epochBytes)
 	if a.cfg.Throttle {
 		a.applyThrottles()
 	}
@@ -265,10 +246,10 @@ func (a *Agent) copyRow(row PlanRow) {
 		panic(fmt.Sprintf("agent: plan row width != %d DCs", n))
 	}
 	if a.conns == nil {
-		ints, floats := make([]int, 3*n), make([]float64, 5*n)
+		ints, floats := make([]int, 3*n), make([]float64, 6*n)
 		a.row = carveRow(ints, floats, n)
 		a.conns = ints[2*n:]
-		a.targetBW, a.epochBytes = floats[3*n:4*n:4*n], floats[4*n:]
+		a.targetBW, a.epochBytes, a.monitored = floats[3*n:4*n:4*n], floats[4*n:5*n:5*n], floats[5*n:]
 	}
 	copy(a.row.MinConns, row.MinConns)
 	copy(a.row.MaxConns, row.MaxConns)
@@ -373,7 +354,7 @@ func (a *Agent) TargetBW() []float64 {
 // (internal/runtime) aggregates these across agents into the live
 // cluster bandwidth matrix it checks the global plan against.
 func (a *Agent) MonitoredMbps() []float64 {
-	if a.monitored == nil {
+	if !a.monitoring {
 		return nil
 	}
 	return append([]float64(nil), a.monitored...)
@@ -400,11 +381,8 @@ func (a *Agent) Conns() []int {
 	return append([]int(nil), a.conns...)
 }
 
-// History returns the recorded AIMD epochs.
-func (a *Agent) History() []EpochRecord { return a.history }
-
 // epoch runs one AIMD step.
-func (a *Agent) epoch(now float64) {
+func (a *Agent) epoch(float64) {
 	if !a.sim.VMAlive(a.vm) {
 		// A dead VM's agent is gone with its host: no AIMD decisions, no
 		// throttle writes, no monitor updates — the controller's
@@ -412,10 +390,7 @@ func (a *Agent) epoch(now float64) {
 		return
 	}
 	n := a.sim.NumDCs()
-	monitored := make([]float64, n)
-	for j := range a.epochBytes {
-		a.epochBytes[j] = 0
-	}
+	clear(a.epochBytes)
 
 	// WAN Monitor: account bytes moved by the registered pool since the
 	// last epoch, dropping completed flows.
@@ -432,28 +407,25 @@ func (a *Agent) epoch(now float64) {
 	}
 	clear(a.active[len(kept):]) // finished flows are not retained
 	a.active, a.lastBytes = kept, a.lastBytes[:len(kept)]
-	for j := 0; j < n; j++ {
-		monitored[j] = a.epochBytes[j] * 8 / 1e6 / epochS // Mbps
+	for j, b := range a.epochBytes {
+		a.monitored[j] = b * 8 / 1e6 / epochS // Mbps
 	}
+	a.monitoring = true
 
-	modes := make([]Mode, n)
 	for j := 0; j < n; j++ {
 		if j == a.dc {
 			continue
 		}
 		// Skip rule: a pair that moved almost nothing tells us nothing.
 		if a.epochBytes[j] < minTransferBytes {
-			modes[j] = ModeIdle
 			continue
 		}
-		if a.targetBW[j]-monitored[j] > significantMbps {
+		if a.targetBW[j]-a.monitored[j] > significantMbps {
 			// Multiplicative decrease: congestion.
-			modes[j] = ModeDecrease
-			a.conns[j] = maxInt(a.row.MinConns[j], a.conns[j]/2)
+			a.conns[j] = max(a.row.MinConns[j], a.conns[j]/2)
 			a.targetBW[j] = math.Max(a.row.MinBW[j], a.targetBW[j]/2)
 		} else {
 			// Additive increase back toward the maximum configuration.
-			modes[j] = ModeIncrease
 			if a.conns[j] < a.row.MaxConns[j] {
 				a.conns[j]++
 			}
@@ -467,15 +439,6 @@ func (a *Agent) epoch(now float64) {
 			}
 		}
 	}
-
-	a.monitored = monitored
-	a.history = append(a.history, EpochRecord{
-		Now:       now,
-		TargetBW:  append([]float64(nil), a.targetBW...),
-		Monitored: monitored,
-		Conns:     append([]int(nil), a.conns...),
-		Modes:     modes,
-	})
 }
 
 // SwapWindow atomically replaces the agent's optimization window with a
@@ -515,11 +478,4 @@ func (a *Agent) SwapWindow(row PlanRow) {
 	if a.cfg.Throttle {
 		a.applyThrottles()
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

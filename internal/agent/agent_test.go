@@ -59,7 +59,8 @@ func TestStartsAtMaximum(t *testing.T) {
 
 // TestMultiplicativeDecreaseOnCongestion checks the AIMD decrease path:
 // when the monitored rate is significantly below target, connections
-// halve (not below min) and target BW halves (not below min BW).
+// halve and target BW halves, epoch after epoch, until both sit at the
+// window minimum (1 connection, 800 Mbps), where they stay.
 func TestMultiplicativeDecreaseOnCongestion(t *testing.T) {
 	sim := frozenSim(3, 2)
 	a := New(sim, sim.FirstVMOfDC(0), Config{})
@@ -73,62 +74,77 @@ func TestMultiplicativeDecreaseOnCongestion(t *testing.T) {
 	// A big transfer toward DC 2 (AP SE), registered with the agent.
 	f := sim.StartFlow(sim.FirstVMOfDC(0), sim.FirstVMOfDC(2), a.ConnsTo(2), 10e9, nil)
 	a.Register(f)
-	sim.RunFor(11) // two epochs
-
-	hist := a.History()
-	if len(hist) < 2 {
-		t.Fatalf("%d epochs recorded", len(hist))
+	if a.MonitoredMbps() != nil {
+		t.Fatal("monitor reading before the first epoch")
 	}
-	if hist[0].Modes[2] != ModeDecrease {
-		t.Errorf("epoch 0 mode = %v, want decrease", hist[0].Modes[2])
-	}
-	if got := a.Conns()[2]; got >= 8 {
-		t.Errorf("conns after congestion = %d, want halved", got)
-	}
-	if got := a.TargetBW()[2]; got >= 6400 {
-		t.Errorf("target BW after congestion = %v, want halved", got)
+	wantConns := []int{4, 2, 1, 1}
+	wantTarget := []float64{3200, 1600, 800, 800}
+	sim.RunFor(1) // epochs fall at t = 5, 10, 15, 20
+	for e := range wantConns {
+		before := a.TargetBW()[2]
+		sim.RunFor(5)
+		mon := a.MonitoredMbps()
+		if mon == nil || !(mon[2] > 0 && before-mon[2] > significantMbps) {
+			t.Fatalf("epoch %d: monitored %v against target %v: not congested (test premise broken)", e, mon, before)
+		}
+		if got := a.Conns()[2]; got != wantConns[e] {
+			t.Errorf("epoch %d: conns = %d, want %d", e, got, wantConns[e])
+		}
+		if got := a.TargetBW()[2]; got != wantTarget[e] {
+			t.Errorf("epoch %d: target BW = %v, want %v", e, got, wantTarget[e])
+		}
 	}
 	f.Stop()
 }
 
 // TestAdditiveIncreaseWhenHealthy checks the increase path: when the
-// monitored rate matches the target, connections climb by one per epoch
-// toward the maximum.
+// monitored rate meets the target, connections climb by one per epoch
+// up to the maximum, and the target becomes max(target, conns·PredBW)
+// capped at MaxBW — so a target already above conns·PredBW holds.
 func TestAdditiveIncreaseWhenHealthy(t *testing.T) {
-	sim := frozenSim(3, 3)
-	a := New(sim, sim.FirstVMOfDC(0), Config{})
-	// Realistic target: per-conn prediction ~matches the actual cap for
-	// US East -> US West (1700), so the link delivers what is promised.
-	row := planRowFor(3, 0, 4, 1700)
-	// Start from the low end to watch the climb.
-	a.ApplyPlan(row)
-	a.conns[1] = 1
-	a.targetBW[1] = 1700
-	a.Start()
-	defer a.Stop()
-
-	f := sim.StartFlow(sim.FirstVMOfDC(0), sim.FirstVMOfDC(1), 1, 20e9, nil)
-	a.Register(f)
-	sim.RunFor(16) // three epochs
-
-	hist := a.History()
-	sawIncrease := false
-	for _, rec := range hist {
-		if rec.Modes[1] == ModeIncrease {
-			sawIncrease = true
-		}
+	for _, tc := range []struct {
+		name       string
+		target     float64
+		wantConns  []int
+		wantTarget []float64
+	}{
+		{"from-the-floor", 1700, []int{2, 3, 4, 4}, []float64{3400, 5100, 6800, 6800}},
+		{"target-above-conns", 5500, []int{2, 3, 4, 4}, []float64{5500, 5500, 6800, 6800}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := frozenSim(3, 3)
+			a := New(sim, sim.FirstVMOfDC(0), Config{})
+			a.ApplyPlan(planRowFor(3, 0, 4, 1700)) // MaxBW 6800
+			// Start from the low end to watch the climb.
+			a.conns[1] = 1
+			a.targetBW[1] = tc.target
+			f := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(1), conns: 1}
+			a.Register(f)
+			for e := range tc.wantConns {
+				// The link delivers the target: healthy.
+				before := a.TargetBW()[1]
+				f.bytes += before * 1e6 / 8 * epochS
+				a.epoch(sim.Now())
+				if mon := a.MonitoredMbps()[1]; before-mon > significantMbps {
+					t.Fatalf("epoch %d: monitored %v against target %v (test premise broken)", e, mon, before)
+				}
+				if got := a.Conns()[1]; got != tc.wantConns[e] {
+					t.Errorf("epoch %d: conns = %d, want %d", e, got, tc.wantConns[e])
+				}
+				if got := a.TargetBW()[1]; got != tc.wantTarget[e] {
+					t.Errorf("epoch %d: target BW = %v, want %v", e, got, tc.wantTarget[e])
+				}
+				if f.conns != tc.wantConns[e] {
+					t.Errorf("epoch %d: live flow at %d conns, want %d", e, f.conns, tc.wantConns[e])
+				}
+			}
+		})
 	}
-	if !sawIncrease {
-		t.Error("no additive-increase epoch despite healthy link")
-	}
-	if got := a.Conns()[1]; got <= 1 {
-		t.Errorf("conns did not climb: %d", got)
-	}
-	f.Stop()
 }
 
 // TestIdleSkipRule checks the <1 MB rule: pairs that moved almost
-// nothing are skipped, leaving targets untouched.
+// nothing are skipped, leaving connections and targets untouched while
+// the monitor still reports their (zero) rate.
 func TestIdleSkipRule(t *testing.T) {
 	sim := frozenSim(3, 4)
 	a := New(sim, sim.FirstVMOfDC(0), Config{})
@@ -136,16 +152,16 @@ func TestIdleSkipRule(t *testing.T) {
 	a.Start()
 	defer a.Stop()
 
-	before := a.Conns()[1]
+	conns, target := a.Conns(), a.TargetBW()
 	sim.RunFor(11) // epochs pass with no traffic at all
-	hist := a.History()
-	for _, rec := range hist {
-		if rec.Modes[1] != ModeIdle {
-			t.Errorf("idle pair got mode %v", rec.Modes[1])
-		}
+	if mon := a.MonitoredMbps(); mon == nil || mon[1] != 0 || mon[2] != 0 {
+		t.Errorf("monitored after idle epochs = %v, want zeros", mon)
 	}
-	if got := a.Conns()[1]; got != before {
-		t.Errorf("idle pair's conns changed %d -> %d", before, got)
+	if got := a.Conns(); !reflect.DeepEqual(got, conns) {
+		t.Errorf("idle pairs' conns changed %v -> %v", conns, got)
+	}
+	if got := a.TargetBW(); !reflect.DeepEqual(got, target) {
+		t.Errorf("idle pairs' targets changed %v -> %v", target, got)
 	}
 }
 
@@ -303,14 +319,20 @@ func TestMinTransferBytesBoundary(t *testing.T) {
 			a.Register(f)
 			f.bytes = tc.moved
 			a.epoch(5)
-			rec := a.History()[0]
-			if gotIdle := rec.Modes[1] == ModeIdle; gotIdle != tc.wantIdle {
-				t.Errorf("moved %.0f bytes: idle = %v, want %v", tc.moved, gotIdle, tc.wantIdle)
+			if got, want := a.MonitoredMbps()[1], tc.moved*8/1e6/5; got != want {
+				t.Errorf("moved %.0f bytes: monitored %v Mbps, want %v", tc.moved, got, want)
 			}
-			if !tc.wantIdle && rec.Modes[1] != ModeDecrease {
-				// 1 MB over 5 s is ~1.7 Mbps against an 800 Mbps target:
-				// participating means seeing congestion here.
-				t.Errorf("boundary pair mode = %v, want decrease", rec.Modes[1])
+			// 1 MB over 5 s is ~1.7 Mbps against a 6400 Mbps target:
+			// participating means a decrease to half, idle means untouched.
+			wantConns, wantTarget := 4, 3200.0
+			if tc.wantIdle {
+				wantConns, wantTarget = 8, 6400
+			}
+			if got := a.Conns()[1]; got != wantConns {
+				t.Errorf("moved %.0f bytes: conns = %d, want %d", tc.moved, got, wantConns)
+			}
+			if got := a.TargetBW()[1]; got != wantTarget {
+				t.Errorf("moved %.0f bytes: target BW = %v, want %v", tc.moved, got, wantTarget)
 			}
 		})
 	}
@@ -335,17 +357,17 @@ func TestWindowCollapse(t *testing.T) {
 	// epochs: decrease mode fires but cannot leave the window.
 	f := sim.StartFlow(sim.FirstVMOfDC(0), sim.FirstVMOfDC(2), a.ConnsTo(2), 100e9, nil)
 	a.Register(f)
-	sim.RunFor(21)
+	sim.RunFor(1) // epochs fall at t = 5, 10, 15, 20
 	sawDecrease := false
-	for _, rec := range a.History() {
-		if rec.Conns[2] != 3 {
-			t.Errorf("collapsed window moved to %d conns", rec.Conns[2])
+	for e := 0; e < 4; e++ {
+		sim.RunFor(5)
+		mon := a.MonitoredMbps()
+		sawDecrease = sawDecrease || mon[2] > 0 && 2400-mon[2] > significantMbps
+		if got := a.Conns()[2]; got != 3 {
+			t.Errorf("epoch %d: collapsed window moved to %d conns", e, got)
 		}
-		if rec.Modes[2] == ModeDecrease {
-			sawDecrease = true
-		}
-		if rec.TargetBW[2] != 2400 {
-			t.Errorf("collapsed window target moved to %v", rec.TargetBW[2])
+		if got := a.TargetBW()[2]; got != 2400 {
+			t.Errorf("epoch %d: collapsed window target moved to %v", e, got)
 		}
 	}
 	if !sawDecrease {
@@ -429,7 +451,7 @@ func TestThrottleTracksWindowSwap(t *testing.T) {
 
 	// The next epoch still runs (mid-epoch swap does not wedge AIMD).
 	sim.RunFor(3)
-	if len(a.History()) == 0 {
+	if a.MonitoredMbps() == nil {
 		t.Error("no AIMD epoch after mid-epoch swap")
 	}
 	probe.Stop()
@@ -749,17 +771,39 @@ func TestChunkPlanIntoMatchesFresh(t *testing.T) {
 	}
 }
 
+// epochSample is what an observer reads from an agent after an epoch:
+// the state the AIMD step left behind.
+type epochSample struct {
+	Conns     []int
+	TargetBW  []float64
+	Monitored []float64
+}
+
 // TestAgentKeepsItsOwnWindow is the ownership rule: ApplyPlan and
 // SwapWindow copy the row they are lent, so scribbling over it
 // afterwards — what the deployment's next ChunkPlanInto does — moves
 // neither the agent's window nor any later AIMD epoch, and Window
 // hands out a copy in turn.
 func TestAgentKeepsItsOwnWindow(t *testing.T) {
-	run := func(reuseRows bool) ([]EpochRecord, []PlanRow) {
+	sawDecrease, sawIncrease := false, false
+	run := func(reuseRows bool) ([]epochSample, []PlanRow) {
 		sim := frozenSim(3, 9)
 		a := New(sim, sim.FirstVMOfDC(0), Config{})
 		f := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(2), conns: 8}
 		var windows []PlanRow
+		var samples []epochSample
+		epoch := func(moved float64) {
+			before := a.TargetBW()[2]
+			f.bytes += moved
+			a.epoch(sim.Now())
+			s := epochSample{a.Conns(), a.TargetBW(), a.MonitoredMbps()}
+			samples = append(samples, s)
+			if before-s.Monitored[2] > significantMbps {
+				sawDecrease = true
+			} else {
+				sawIncrease = true
+			}
+		}
 		step := func(install func(PlanRow), row PlanRow) {
 			want := row.clone()
 			install(row)
@@ -773,10 +817,8 @@ func TestAgentKeepsItsOwnWindow(t *testing.T) {
 			// A congested epoch (the decrease floors at MinConns/MinBW),
 			// then a healthy one (the increase caps at MaxConns/MaxBW and
 			// scales PredBW): every row of the window is read.
-			f.bytes += 2 << 20
-			a.epoch(sim.Now())
-			f.bytes += 8e9
-			a.epoch(sim.Now())
+			epoch(2 << 20)
+			epoch(8e9)
 		}
 		row := planRowFor(3, 0, 8, 400)
 		row.MinConns[2], row.MinBW[2] = 3, 1200
@@ -785,23 +827,50 @@ func TestAgentKeepsItsOwnWindow(t *testing.T) {
 		step(a.SwapWindow, planRowFor(3, 0, 5, 650))
 		narrowed := planRowFor(3, 0, 2, 90)
 		step(a.SwapWindow, narrowed)
-		return a.History(), windows
+		return samples, windows
 	}
-	wantHist, wantWin := run(false)
-	gotHist, gotWin := run(true)
+	wantSamples, wantWin := run(false)
+	gotSamples, gotWin := run(true)
 	if !reflect.DeepEqual(gotWin, wantWin) {
 		t.Errorf("windows moved with the caller's scratch:\n got %+v\nwant %+v", gotWin, wantWin)
 	}
-	if !reflect.DeepEqual(gotHist, wantHist) {
-		t.Errorf("AIMD epochs moved with the caller's scratch:\n got %+v\nwant %+v", gotHist, wantHist)
-	}
-	sawDecrease, sawIncrease := false, false
-	for _, rec := range wantHist {
-		sawDecrease = sawDecrease || rec.Modes[2] == ModeDecrease
-		sawIncrease = sawIncrease || rec.Modes[2] == ModeIncrease
+	if !reflect.DeepEqual(gotSamples, wantSamples) {
+		t.Errorf("AIMD epochs moved with the caller's scratch:\n got %+v\nwant %+v", gotSamples, wantSamples)
 	}
 	if !sawDecrease || !sawIncrease {
 		t.Errorf("script exercised decrease = %v, increase = %v; want both", sawDecrease, sawIncrease)
+	}
+}
+
+// TestWarmEpochAllocatesNothing pins the agent's live-state design: an
+// epoch rewrites the monitor, targets and connection counts in place,
+// so once the pool is warm it allocates nothing — with real netsim
+// flows in the pool and stub flows moving bytes through both AIMD
+// branches.
+func TestWarmEpochAllocatesNothing(t *testing.T) {
+	sim := frozenSim(3, 14)
+	a := New(sim, sim.FirstVMOfDC(0), Config{})
+	a.ApplyPlan(planRowFor(3, 0, 8, 400))
+	for dc := 1; dc < 3; dc++ {
+		f := sim.StartFlow(a.VM(), sim.FirstVMOfDC(dc), a.ConnsTo(dc), 1e12, nil)
+		defer f.Stop()
+		a.Register(f)
+	}
+	congested := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(1), conns: 8}
+	healthy := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(2), conns: 8}
+	a.Register(congested)
+	a.Register(healthy)
+	epoch := func() {
+		congested.bytes += 2 << 20
+		healthy.bytes += 8e9
+		a.epoch(sim.Now())
+	}
+	epoch()
+	if avg := testing.AllocsPerRun(50, epoch); avg != 0 {
+		t.Errorf("a warm epoch allocates %.1f times, want 0", avg)
+	}
+	if len(a.active) != 4 {
+		t.Fatalf("pool holds %d flows, want the 4 live ones", len(a.active))
 	}
 }
 

@@ -50,12 +50,6 @@ func DefaultEnergyRates() EnergyRates {
 	}
 }
 
-// IsZero reports whether the rates are entirely unset (the Config
-// default-filling test).
-func (e EnergyRates) IsZero() bool {
-	return e.WANKWhPerGB == 0 && e.DefaultGPerKWh == 0 && e.GPerKWh == nil
-}
-
 // IntensityFor returns the grid carbon intensity (gCO₂/kWh) of a
 // region, by longest matching code prefix.
 func (e EnergyRates) IntensityFor(r geo.Region) float64 {

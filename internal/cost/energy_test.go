@@ -79,24 +79,3 @@ func TestEnergyBreakdown(t *testing.T) {
 		t.Errorf("zero identity: %+v != %+v", got, a)
 	}
 }
-
-// TestEnergyRatesIsZero checks the Config default-filling predicate:
-// only the fully unset value reads as zero.
-func TestEnergyRatesIsZero(t *testing.T) {
-	if !(EnergyRates{}).IsZero() {
-		t.Error("zero value should be IsZero")
-	}
-	if DefaultEnergyRates().IsZero() {
-		t.Error("defaults should not be IsZero")
-	}
-	partials := []EnergyRates{
-		{WANKWhPerGB: 0.01},
-		{DefaultGPerKWh: 100},
-		{GPerKWh: map[string]float64{}},
-	}
-	for i, e := range partials {
-		if e.IsZero() {
-			t.Errorf("partial %d should not be IsZero", i)
-		}
-	}
-}

@@ -64,34 +64,6 @@ func Fig9(p Params) (*Fig9Result, error) {
 	pred, policy, _ := fw.Enable(wanify.OptimizeOptions{})
 	defer fw.StopAgents()
 
-	// ifTop-equivalent monitor on US East (DC 0), sampled every second
-	// over 5-second windows to match the agent epochs.
-	mon := measure.NewMonitor(sim, 0, 1.0, 5)
-	defer mon.Close()
-
-	// Record actual rates at each agent epoch by sampling the monitor
-	// on the same cadence.
-	var actualSDs []float64
-	cancel := sim.Every(5.0, func(now float64) {
-		rts := mon.Rates()
-		var nonzero []float64
-		for d, r := range rts {
-			if d != 0 {
-				nonzero = append(nonzero, r)
-			}
-		}
-		actualSDs = append(actualSDs, stats.StdDev(nonzero))
-	})
-	defer cancel()
-
-	eng := spark.NewEngine(sim, rates)
-	info := gda.NewClusterInfo(sim, rates)
-	sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: info}
-	if _, err := eng.RunJob(job, sched, policy); err != nil {
-		return nil, err
-	}
-
-	// Pull the US East agent's history.
 	var east *agent.Agent
 	for _, a := range fw.Agents() {
 		if a.DC() == 0 {
@@ -102,39 +74,61 @@ func Fig9(p Params) (*Fig9Result, error) {
 	if east == nil {
 		return nil, fmt.Errorf("fig9: no US East agent")
 	}
-	hist := east.History()
+
+	// ifTop-equivalent monitor on US East (DC 0), sampled every second
+	// over 5-second windows to match the agent epochs.
+	mon := measure.NewMonitor(sim, 0, 1.0, 5)
+	defer mon.Close()
+
+	// Sample the US East agent on its own cadence. Both timers fire
+	// every 5 s from the same instant and the agent's was armed first,
+	// so at every shared instant its epoch has just run: each sample is
+	// that epoch's targets and monitored rates, beside the monitor's.
 	rng := simrand.Derive(p.Seed, "fig9-20pct")
 	res := &Fig9Result{}
-	for i, rec := range hist {
+	cancel := sim.Every(5.0, func(now float64) {
+		var actual []float64
+		for d, r := range mon.Rates() {
+			if d != 0 {
+				actual = append(actual, r)
+			}
+		}
+		monitored := east.MonitoredMbps()
 		var targets, errTargets []float64
 		sig := false
-		for d, t := range rec.TargetBW {
+		for d, t := range east.TargetBW() {
 			if d == 0 {
 				continue
 			}
 			targets = append(targets, t)
 			et := t * rng.Uniform(0.8, 1.2) // 20% random error
 			errTargets = append(errTargets, et)
-			if d < len(rec.Monitored) && rec.Monitored[d] > 0 {
-				if diff := et - rec.Monitored[d]; diff > 100 || diff < -100 {
+			if monitored[d] > 0 {
+				if diff := et - monitored[d]; diff > 100 || diff < -100 {
 					sig = true
 				}
 			}
 		}
 		ep := Fig9Epoch{
-			Now:         rec.Now,
+			Now:         now,
 			TargetSD:    stats.StdDev(targets),
+			ActualSD:    stats.StdDev(actual),
 			ErrTargetSD: stats.StdDev(errTargets),
 			SigDelta:    sig,
-		}
-		if i < len(actualSDs) {
-			ep.ActualSD = actualSDs[i]
 		}
 		res.Epochs = append(res.Epochs, ep)
 		if sig {
 			res.SigDeltasWithErr++
 		}
 		res.MeanAbsSDGap += abs(ep.TargetSD - ep.ActualSD)
+	})
+	defer cancel()
+
+	eng := spark.NewEngine(sim, rates)
+	info := gda.NewClusterInfo(sim, rates)
+	sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: info}
+	if _, err := eng.RunJob(job, sched, policy); err != nil {
+		return nil, err
 	}
 	if len(res.Epochs) > 0 {
 		res.MeanAbsSDGap /= float64(len(res.Epochs))

@@ -7,7 +7,6 @@ import (
 
 	wanify "github.com/wanify/wanify"
 	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/netsim"
@@ -279,21 +278,6 @@ func chaosSchedule(rng *simrand.Source, sim *netsim.Sim) substrate.FaultSchedule
 	return s
 }
 
-// oracleBelief builds a scheduler belief from the simulator's actual
-// single-connection caps — no model, so a soak run costs no training.
-func oracleBelief(sim *netsim.Sim) bwmatrix.Matrix {
-	n := sim.NumDCs()
-	out := bwmatrix.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				out[i][j] = sim.PerConnCapMbps(i, j)
-			}
-		}
-	}
-	return out
-}
-
 // ChaosRun executes one soak: generate the schedule for schedSeed,
 // run a TeraSort with recovery enabled underneath it, and check the
 // conservation invariants. The whole run — cluster weather, schedule
@@ -315,7 +299,7 @@ func ChaosRun(schedSeed uint64, scale float64) ChaosOutcome {
 	job := workloads.TeraSort(workloads.UniformInput(chaosDCs, totalBytes*scale))
 	eng := spark.NewEngine(sim, rates)
 	eng.Recovery = spark.RecoveryConfig{Enabled: true}
-	sched := gda.Tetrium{Label: "tetrium(oracle)", Believed: oracleBelief(sim), Info: gda.NewClusterInfo(sim, rates)}
+	sched := gda.Tetrium{Label: "tetrium(oracle)", Believed: sim.PerConnCapMatrix(), Info: gda.NewClusterInfo(sim, rates)}
 	res, err := eng.RunJob(job, sched, spark.UniformConn{K: 4})
 
 	out := ChaosOutcome{SchedSeed: schedSeed, Schedule: schedule}

@@ -120,7 +120,7 @@ func Fleet(p Params) (*FleetResult, error) {
 	sim := netsim.NewSim(netsim.FleetCluster(fleetDCs, fleetVMsPerDC, substrate.T2Medium, p.Seed))
 	sim.RunUntil(fleetStart)
 
-	believed := oracleBelief(sim)
+	believed := sim.PerConnCapMatrix()
 	info := gda.NewClusterInfo(sim, rates)
 	eng := spark.NewEngine(sim, rates)
 

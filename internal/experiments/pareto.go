@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/netsim"
 	"github.com/wanify/wanify/internal/spark"
@@ -28,8 +27,8 @@ func init() {
 // paretoVariants are the swept -sched specs: the classic composed
 // schedulers, the single-objective scorers, and blend weights walking
 // the JCT-vs-cost and JCT-vs-carbon edges plus the balanced interior
-// point. Specs parse through the same gda.ParseScorer registry as
-// wanify-sim's -sched flag.
+// point. Specs resolve through gda.ParseScheduler, like wanify-sim's
+// -sched flag.
 var paretoVariants = []string{
 	"locality",
 	"iridium",
@@ -80,9 +79,9 @@ func Pareto(p Params) (*ParetoResult, error) {
 			return nil, fmt.Errorf("pareto: oracle beliefs need the netsim backend, not %s", p.Backend)
 		}
 		sim.RunUntil(queryStart - 1)
-		believed := oracleBelief(ns)
+		believed := ns.PerConnCapMatrix()
 		info := gda.NewClusterInfo(sim, rates)
-		sched, err := paretoSched(spec, believed, info)
+		sched, err := gda.ParseScheduler(spec, believed, info)
 		if err != nil {
 			return nil, fmt.Errorf("pareto %s: %w", spec, err)
 		}
@@ -100,25 +99,6 @@ func Pareto(p Params) (*ParetoResult, error) {
 	}
 	markFrontier(res.Rows)
 	return res, nil
-}
-
-// paretoSched resolves a swept spec: the classic composed schedulers by
-// name, everything else through the scorer registry — the same
-// resolution order as wanify-sim's -sched flag.
-func paretoSched(spec string, believed bwmatrix.Matrix, info gda.ClusterInfo) (spark.Scheduler, error) {
-	switch spec {
-	case "locality":
-		return gda.Locality{}, nil
-	case "iridium":
-		return gda.Iridium{Believed: believed, Info: info}, nil
-	case "tetrium", "kimchi":
-		return schedFor(spec, spec, believed, info), nil
-	}
-	sc, err := gda.ParseScorer(spec)
-	if err != nil {
-		return nil, err
-	}
-	return gda.Sched{Scorer: sc, Believed: believed, Info: info}, nil
 }
 
 // markFrontier flags the non-dominated rows: row i is on the frontier

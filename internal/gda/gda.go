@@ -44,14 +44,10 @@ type ClusterInfo struct {
 }
 
 // NewClusterInfo extracts scheduler-visible cluster facts from a
-// simulator and pricing table, with the default energy/carbon rates.
+// simulator and pricing table, with the default energy/carbon rates —
+// the table spark.Engine bills with.
 func NewClusterInfo(sim substrate.Cluster, rates cost.Rates) ClusterInfo {
-	return NewClusterInfoEnergy(sim, rates, cost.DefaultEnergyRates())
-}
-
-// NewClusterInfoEnergy is NewClusterInfo with explicit energy rates
-// (plan with the same table the engine's Energy bills with).
-func NewClusterInfoEnergy(sim substrate.Cluster, rates cost.Rates, energy cost.EnergyRates) ClusterInfo {
+	energy := cost.DefaultEnergyRates()
 	n := sim.NumDCs()
 	info := ClusterInfo{
 		Regions:          sim.Regions(),

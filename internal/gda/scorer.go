@@ -237,6 +237,35 @@ func ParseScorer(spec string) (Scorer, error) {
 	return b, nil
 }
 
+// ParseScheduler resolves a scheduler spec: the classic composed
+// schedulers by name (locality, iridium, tetrium, kimchi), every other
+// spec through ParseScorer as a Sched over that scorer. It is the one
+// resolver behind wanify-sim's -sched flag and the pareto sweep.
+func ParseScheduler(spec string, believed bwmatrix.Matrix, info ClusterInfo) (spark.Scheduler, error) {
+	switch spec {
+	case "locality":
+		return Locality{}, nil
+	case "iridium":
+		return Iridium{Believed: believed, Info: info}, nil
+	case "tetrium":
+		return Tetrium{Believed: believed, Info: info}, nil
+	case "kimchi":
+		return Kimchi{Believed: believed, Info: info}, nil
+	}
+	sc, err := ParseScorer(spec)
+	if err != nil {
+		return nil, fmt.Errorf("gda: unknown scheduler %q (want %s): %v", spec, SchedulerSpecs(), err)
+	}
+	return Sched{Scorer: sc, Believed: believed, Info: info}, nil
+}
+
+// SchedulerSpecs lists the specs ParseScheduler accepts, derived from
+// the scorer registry so flag help cannot drift from the parser.
+func SchedulerSpecs() string {
+	return "locality | iridium | tetrium | kimchi | " + strings.Join(ScorerNames(), " | ") +
+		" | blend:jct=W,cost=W,carbon=W"
+}
+
 // cut is strings.Cut, kept local for the repo's minimum Go version.
 func cut(s, sep string) (before, after string, found bool) {
 	if i := strings.Index(s, sep); i >= 0 {

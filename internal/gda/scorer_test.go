@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/simrand"
 	"github.com/wanify/wanify/internal/spark"
 )
@@ -240,6 +242,54 @@ func TestParseScorer(t *testing.T) {
 	if got != b {
 		t.Fatalf("round-trip %q = %#v", b.Name(), got)
 	}
+}
+
+// TestParseScheduler checks the one -sched resolver: the classic
+// schedulers by name over the given belief, every scorer spec as a
+// Sched, and an error naming every accepted spec otherwise.
+func TestParseScheduler(t *testing.T) {
+	believed := bwmatrix.NewFilled(2, 100)
+	info := ClusterInfo{ComputeRates: []float64{1, 2}}
+	cases := []struct {
+		spec string
+		want spark.Scheduler
+	}{
+		{"locality", Locality{}},
+		{"iridium", Iridium{Believed: believed, Info: info}},
+		{"tetrium", Tetrium{Believed: believed, Info: info}},
+		{"kimchi", Kimchi{Believed: believed, Info: info}},
+		{"cost", Sched{Scorer: Cost{BudgetS: math.Inf(1)}, Believed: believed, Info: info}},
+		{"blend:jct=1,carbon=1", Sched{Scorer: Blend{WJCT: 1, WCarbon: 1}, Believed: believed, Info: info}},
+	}
+	for _, c := range cases {
+		got, err := ParseScheduler(c.spec, believed, info)
+		if err != nil {
+			t.Fatalf("ParseScheduler(%q): %v", c.spec, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("ParseScheduler(%q) = %#v, want %#v", c.spec, got, c.want)
+		}
+	}
+	_, err := ParseScheduler("Tetrium", believed, info)
+	if err == nil || !strings.Contains(err.Error(), SchedulerSpecs()) {
+		t.Fatalf("ParseScheduler(%q) error %v does not list %q", "Tetrium", err, SchedulerSpecs())
+	}
+}
+
+// FuzzParseScheduler feeds arbitrary -sched specs to the resolver: each
+// must be refused or resolve to a scheduler with a name, never panic.
+// The seed corpus (testdata/fuzz/FuzzParseScheduler) holds malformed
+// and extreme blends.
+func FuzzParseScheduler(f *testing.F) {
+	for _, spec := range []string{"locality", "iridium", "tetrium", "kimchi", "jct", "cost", "carbon", "blend:jct=0.5,cost=0.5"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseScheduler(spec, nil, ClusterInfo{})
+		if err == nil && s.Name() == "" {
+			t.Fatalf("ParseScheduler(%q) resolved to an unnamed scheduler %#v", spec, s)
+		}
+	})
 }
 
 func TestScorerNames(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/simrand"
 	"github.com/wanify/wanify/internal/substrate"
@@ -284,6 +285,22 @@ func (s *Sim) PerConnCapMbps(i, j int) float64 {
 		return p.connBase
 	}
 	return s.geoConnBase(i, j)
+}
+
+// PerConnCapMatrix is PerConnCapMbps for every ordered pair, zero on
+// the diagonal: the simulator's ground truth, which oracle beliefs plan
+// with and the bundled traces are derived from.
+func (s *Sim) PerConnCapMatrix() bwmatrix.Matrix {
+	n := s.NumDCs()
+	out := bwmatrix.New(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				out[i][j] = s.PerConnCapMbps(i, j)
+			}
+		}
+	}
+	return out
 }
 
 // Now returns the current simulated time in seconds.

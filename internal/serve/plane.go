@@ -156,8 +156,8 @@ type JobSpec struct {
 	// Workload is "terasort", "wordcount", or "tpcds:<query>" (82, 95,
 	// 11, 78).
 	Workload string `json:"workload"`
-	// InputGB is the job's total input volume in GB (positive, and
-	// finite in bytes).
+	// InputGB is the job's total input volume in GB (at least one
+	// byte, and finite in bytes).
 	InputGB float64 `json:"input_gb"`
 	// HotDCs concentrates the input: these DCs hold HotShare of it
 	// (default: uniform across the cluster).
@@ -415,13 +415,14 @@ func (p *Plane) installModel(fp uint64) error {
 }
 
 // buildJob materializes a spec into a spark job. It rejects specs no
-// job can be built from: an input that is not a positive, finite byte
-// count, a hot share outside [0, 1] (it would put negative bytes on the
-// cold DCs) and a negative priority.
+// job can be built from: an input that is not a finite count of at
+// least one byte (below it the per-DC split runs into subnormal floats
+// and stops summing to the input), a hot share outside [0, 1] (it would
+// put negative bytes on the cold DCs) and a negative priority.
 func buildJob(spec JobSpec, n int) (spark.Job, error) {
 	bytes := spec.InputGB * 1e9
-	if !(bytes > 0) || math.IsInf(bytes, 1) {
-		return spark.Job{}, fmt.Errorf("serve: job needs a finite input_gb > 0, got %v", spec.InputGB)
+	if !(bytes >= 1) || math.IsInf(bytes, 1) {
+		return spark.Job{}, fmt.Errorf("serve: job needs a finite input_gb of at least one byte, got %v", spec.InputGB)
 	}
 	if !(spec.HotShare >= 0 && spec.HotShare <= 1) {
 		return spark.Job{}, fmt.Errorf("serve: hot_share %v outside [0,1]", spec.HotShare)

@@ -154,9 +154,11 @@ func TestPlaneQueueAndQuotaRejections(t *testing.T) {
 // TestPlaneRejectsHostileSpecs submits specs no job can be built from.
 // Each was once accepted: a hot share above 1 or below 0 put negative
 // bytes on the cold DCs and billed more WAN traffic than the input
-// held, an input overflowing to +Inf bytes held its slot forever, and a
-// negative priority ran at the default. Every one must be refused up
-// front and leave no job record; the bounds themselves are accepted.
+// held, an input overflowing to +Inf bytes held its slot forever, an
+// input below one byte split into subnormal floats that no longer
+// summed to it, and a negative priority ran at the default. Every one
+// must be refused up front and leave no job record; the bounds
+// themselves are accepted.
 func TestPlaneRejectsHostileSpecs(t *testing.T) {
 	p, _ := newTestPlane(t, 11, nil)
 	for _, tc := range []struct {
@@ -170,6 +172,7 @@ func TestPlaneRejectsHostileSpecs(t *testing.T) {
 		{"input-overflows-to-inf", JobSpec{InputGB: 1e300}, false},
 		{"input-inf", JobSpec{InputGB: math.Inf(1)}, false},
 		{"input-nan", JobSpec{InputGB: math.NaN()}, false},
+		{"input-below-one-byte", JobSpec{InputGB: 5e-324, HotDCs: []int{0}}, false},
 		{"priority-negative", JobSpec{InputGB: 1, Priority: -3}, false},
 		{"priority-nan", JobSpec{InputGB: 1, Priority: math.NaN()}, false},
 		{"hot-share-one", JobSpec{InputGB: 0.1, HotDCs: []int{0}, HotShare: 1}, true},

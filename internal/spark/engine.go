@@ -91,9 +91,10 @@ type Engine struct {
 	// Recovery controls reaction to substrate faults (see
 	// RecoveryConfig). Zero value: disabled, faults fail the run.
 	Recovery RecoveryConfig
-	// Energy parameterizes the energy/carbon account (NewEngine fills
-	// the defaults; zero-value Engines report zero energy).
-	Energy cost.EnergyRates
+
+	// energyRates parameterizes the energy/carbon account (NewEngine
+	// fills the defaults; zero-value Engines report zero energy).
+	energyRates cost.EnergyRates
 }
 
 // NewEngine builds an engine over a simulator with the given pricing.
@@ -102,7 +103,7 @@ func NewEngine(sim substrate.Cluster, rates cost.Rates) *Engine {
 		sim:               sim,
 		rates:             rates,
 		MaxStageTransferS: 6 * 3600,
-		Energy:            cost.DefaultEnergyRates(),
+		energyRates:       cost.DefaultEnergyRates(),
 	}
 }
 
@@ -293,17 +294,17 @@ func (e *Engine) energy(res RunResult) cost.EnergyBreakdown {
 	regions := e.sim.Regions()
 	gPerKWh := make([]float64, len(regions))
 	for i, r := range regions {
-		gPerKWh[i] = e.Energy.IntensityFor(r)
+		gPerKWh[i] = e.energyRates.IntensityFor(r)
 	}
 	for v := 0; v < e.sim.NumVMs(); v++ {
 		id := substrate.VMID(v)
-		kwh := e.Energy.ComputeKWh(e.sim.Spec(id), res.JCTSeconds)
+		kwh := e.energyRates.ComputeKWh(e.sim.Spec(id), res.JCTSeconds)
 		b.ComputeKWh += kwh
 		b.ComputeKgCO2 += kwh * gPerKWh[e.sim.DCOf(id)] / 1000
 	}
 	for _, st := range res.Stages {
 		for _, ps := range st.Pairs {
-			kwh := e.Energy.NetworkKWh(ps.Bytes)
+			kwh := e.energyRates.NetworkKWh(ps.Bytes)
 			b.NetworkKWh += kwh
 			b.NetworkKgCO2 += kwh * gPerKWh[ps.I] / 1000
 		}

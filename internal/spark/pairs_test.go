@@ -105,9 +105,9 @@ func networkReference(e *Engine, stages [][][]float64) (usd, kwh, kg float64) {
 			for j := range m[i] {
 				if i != j {
 					usd += m[i][j] / 1e9 * e.rates.EgressPerGBFor(regions[i])
-					k := e.Energy.NetworkKWh(m[i][j])
+					k := e.energyRates.NetworkKWh(m[i][j])
 					kwh += k
-					kg += k * e.Energy.IntensityFor(regions[i]) / 1000
+					kg += k * e.energyRates.IntensityFor(regions[i]) / 1000
 				}
 			}
 		}

@@ -337,7 +337,7 @@ func TestPriceEnergyMatchPerEntryFold(t *testing.T) {
 		"fleet-sa-":          0.138,
 	}
 	eng := NewEngine(sim, rates)
-	eng.Energy.GPerKWh = map[string]float64{
+	eng.energyRates.GPerKWh = map[string]float64{
 		"fleet-na-":          379,
 		"fleet-na-oregon":    220,
 		"fleet-eu-":          316,
@@ -372,16 +372,16 @@ func TestPriceEnergyMatchPerEntryFold(t *testing.T) {
 			for j, b := range m[i] {
 				if i != j {
 					wantUSD += rates.EgressUSD(regions[i], b)
-					kwh := eng.Energy.NetworkKWh(b)
+					kwh := eng.energyRates.NetworkKWh(b)
 					wantKWh += kwh
-					wantKg += kwh * eng.Energy.IntensityFor(regions[i]) / 1000
+					wantKg += kwh * eng.energyRates.IntensityFor(regions[i]) / 1000
 				}
 			}
 		}
 	}
 	for v := 0; v < sim.NumVMs(); v++ {
 		id := substrate.VMID(v)
-		wantCompKg += eng.Energy.ComputeKWh(sim.Spec(id), res.JCTSeconds) * eng.Energy.IntensityFor(regions[sim.DCOf(id)]) / 1000
+		wantCompKg += eng.energyRates.ComputeKWh(sim.Spec(id), res.JCTSeconds) * eng.energyRates.IntensityFor(regions[sim.DCOf(id)]) / 1000
 	}
 
 	if got := eng.price(job, res).NetworkUSD; got != wantUSD || got == 0 {

@@ -47,17 +47,7 @@ func baseCaps(regions []geo.Region) [][]float64 {
 		VMs:     uniformVMs(len(regions)),
 		Frozen:  true,
 	})
-	n := len(regions)
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			if i != j {
-				out[i][j] = sim.PerConnCapMbps(i, j)
-			}
-		}
-	}
-	return out
+	return sim.PerConnCapMatrix()
 }
 
 func uniformVMs(n int) [][]substrate.VMSpec {

@@ -31,6 +31,8 @@ func UniformInput(n int, totalBytes float64) []float64 {
 // SkewedInput concentrates hotShare of totalBytes on the given hot DCs
 // (evenly among them), spreading the remainder over the others — the
 // §5.8.1 skew setup where HDFS blocks are moved toward a few regions.
+// When every DC is hot there are no others, and the hot DCs share the
+// whole total.
 func SkewedInput(n int, totalBytes float64, hotDCs []int, hotShare float64) []float64 {
 	out := make([]float64, n)
 	hot := make(map[int]bool, len(hotDCs))
@@ -38,6 +40,9 @@ func SkewedInput(n int, totalBytes float64, hotDCs []int, hotShare float64) []fl
 		hot[d] = true
 	}
 	cold := n - len(hot)
+	if cold == 0 {
+		hotShare = 1
+	}
 	for i := range out {
 		if hot[i] {
 			out[i] = totalBytes * hotShare / float64(len(hot))

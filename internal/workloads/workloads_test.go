@@ -46,6 +46,28 @@ func TestSkewedInput(t *testing.T) {
 	}
 }
 
+// TestSkewedInputConservesTotal checks that every byte lands on some
+// DC, whatever the hot set: one hot DC, several, duplicates, and every
+// DC hot (where the hot DCs must take the whole total, not hotShare of
+// it).
+func TestSkewedInputConservesTotal(t *testing.T) {
+	const n, total = 4, 1e9
+	for _, hot := range [][]int{{0}, {1, 3}, {2, 2}, {0, 1, 2}, {0, 1, 2, 3}, {3, 2, 1, 0, 1}} {
+		for _, share := range []float64{0, 0.3, 0.8, 0.95, 1} {
+			sum := 0.0
+			for dc, b := range SkewedInput(n, total, hot, share) {
+				if !(b >= 0) {
+					t.Errorf("hot %v share %v: DC %d holds %v bytes", hot, share, dc, b)
+				}
+				sum += b
+			}
+			if math.Abs(sum-total) > 1e-9*total {
+				t.Errorf("hot %v share %v: input sums to %v, want %v", hot, share, sum, total)
+			}
+		}
+	}
+}
+
 // TestSkewWeights checks the ws conversion: mean 1, proportional to
 // data share.
 func TestSkewWeights(t *testing.T) {
