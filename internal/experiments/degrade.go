@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
-	"github.com/wanify/wanify/internal/netsim"
 	rgauge "github.com/wanify/wanify/internal/runtime"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/substrate"
 	"github.com/wanify/wanify/internal/workloads"
 )
@@ -143,60 +138,8 @@ func (r *DegradeResult) String() string {
 	return b.String()
 }
 
-// runDegradeVariant executes one TeraSort under the degrade scenario.
-func runDegradeVariant(p Params, variant string) (DegradeVariant, error) {
-	model, err := sharedModel(p)
-	if err != nil {
-		return DegradeVariant{}, err
-	}
-	sim := netsim.NewSim(netsim.UniformCluster(geo.Testbed(), substrate.T2Medium, p.Seed))
-	if variant != "clean" {
-		degradeSchedule().Apply(sim)
-	}
-	cfg := wanify.Config{
-		Cluster: sim, Rates: rates, Seed: p.Seed,
-		Agent:   agent.Config{Throttle: true},
-		Runtime: degradeRuntime(variant == "hardened"),
-	}
-	fw, err := wanify.New(cfg, model)
-	if err != nil {
-		return DegradeVariant{}, err
-	}
-	sim.RunUntil(queryStart - 1)
-	pred, policy, _ := fw.Enable(wanify.OptimizeOptions{})
-	defer fw.StopAgents()
-
-	job := workloads.TeraSort(workloads.UniformInput(sim.NumDCs(), 1000e9*p.Scale))
-	eng := spark.NewEngine(sim, rates)
-	eng.Recovery = spark.RecoveryConfig{Enabled: true}
-	sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: gda.NewClusterInfo(sim, rates)}
-	res, err := eng.RunJob(job, sched, policy)
-	if err != nil {
-		return DegradeVariant{}, fmt.Errorf("%s: %w", variant, err)
-	}
-	v := DegradeVariant{
-		Variant:    variant,
-		JCTSeconds: res.JCTSeconds,
-		WANBytes:   res.WANBytes,
-	}
-	if ctl := fw.Controller(); ctl != nil {
-		v.Replans = ctl.Replans()
-		g := ctl.Gauge()
-		v.Rejected = g.RejectedSnapshots
-		v.Retries = g.Retries
-		v.Unmeasurable = g.UnmeasurablePairs
-		v.Fused = g.FusedPairs
-		for _, ev := range ctl.Events() {
-			v.Events = append(v.Events, ev.String())
-		}
-		for _, in := range ctl.Incidents() {
-			v.Incidents = append(v.Incidents, in.String())
-		}
-	}
-	return v, nil
-}
-
-// Degrade runs the three variants and reports the JCT spread.
+// Degrade runs the three variants of one TeraSort, each with spark
+// recovery on, and reports the JCT spread.
 func Degrade(p Params) (*DegradeResult, error) {
 	p = p.withDefaults()
 	res := &DegradeResult{
@@ -204,12 +147,33 @@ func Degrade(p Params) (*DegradeResult, error) {
 		Fault: fmt.Sprintf("dc1-3 partitioned t=[%.1f, %.1f]s across the t=745 re-gauge window, dc%d->dc%d reset at t=%.1fs",
 			degradeBlackoutStart, degradeBlackoutEnd, degradeResetSrc, degradeResetDst, degradeResetAt),
 	}
+	job := workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 1000e9*p.Scale))
 	for _, variant := range []string{"clean", "naive", "hardened"} {
-		row, err := runDegradeVariant(p, variant)
+		t := wanifyTrial(p, func(seed uint64) (substrate.Cluster, error) {
+			sim := netsimTestbed(seed)
+			if variant != "clean" {
+				degradeSchedule().Apply(sim)
+			}
+			return sim, nil
+		}, 0)
+		t.runtime, t.recover = degradeRuntime(variant == "hardened"), true
+		run, ctl, err := t.run(job)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", variant, err)
 		}
-		res.Rows = append(res.Rows, row)
+		g := ctl.Gauge()
+		v := DegradeVariant{
+			Variant: variant, JCTSeconds: run.JCTSeconds, WANBytes: run.WANBytes,
+			Replans: ctl.Replans(), Rejected: g.RejectedSnapshots, Retries: g.Retries,
+			Unmeasurable: g.UnmeasurablePairs, Fused: g.FusedPairs,
+		}
+		for _, ev := range ctl.Events() {
+			v.Events = append(v.Events, ev.String())
+		}
+		for _, in := range ctl.Incidents() {
+			v.Incidents = append(v.Incidents, in.String())
+		}
+		res.Rows = append(res.Rows, v)
 	}
 	res.HardenedVsNaivePct = pct(res.Rows[1].JCTSeconds, res.Rows[2].JCTSeconds)
 	res.HardenedVsCleanPct = -pct(res.Rows[0].JCTSeconds, res.Rows[2].JCTSeconds)

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
 	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/measure"
 	"github.com/wanify/wanify/internal/simrand"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/stats"
 	"github.com/wanify/wanify/internal/workloads"
 )
@@ -39,33 +36,17 @@ type Fig9Result struct {
 // (Fig. 9(b)).
 func Fig9(p Params) (*Fig9Result, error) {
 	p = p.withDefaults()
-	model, err := sharedModel(p)
+	job, err := workloads.TPCDS(78, workloads.UniformInput(8, 100e9*p.Scale))
 	if err != nil {
 		return nil, err
 	}
-	input := workloads.UniformInput(8, 100e9*p.Scale)
-	job, err := workloads.TPCDS(78, input)
+	tr, err := wanifyTrial(p, nil, 0).setup()
 	if err != nil {
 		return nil, err
 	}
-
-	sim, err := testbedCluster(p, 8, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	fw, err := wanify.New(wanify.Config{
-		Cluster: sim, Rates: rates, Seed: p.Seed,
-		Agent: agent.Config{Throttle: true},
-	}, model)
-	if err != nil {
-		return nil, err
-	}
-	sim.RunUntil(queryStart - 1)
-	pred, policy, _ := fw.Enable(wanify.OptimizeOptions{})
-	defer fw.StopAgents()
-
+	defer tr.stop()
 	var east *agent.Agent
-	for _, a := range fw.Agents() {
+	for _, a := range tr.fw.Agents() {
 		if a.DC() == 0 {
 			east = a
 			break
@@ -74,6 +55,7 @@ func Fig9(p Params) (*Fig9Result, error) {
 	if east == nil {
 		return nil, fmt.Errorf("fig9: no US East agent")
 	}
+	sim := tr.sim
 
 	// ifTop-equivalent monitor on US East (DC 0), sampled every second
 	// over 5-second windows to match the agent epochs.
@@ -124,10 +106,7 @@ func Fig9(p Params) (*Fig9Result, error) {
 	})
 	defer cancel()
 
-	eng := spark.NewEngine(sim, rates)
-	info := gda.NewClusterInfo(sim, rates)
-	sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: info}
-	if _, err := eng.RunJob(job, sched, policy); err != nil {
+	if _, _, err := tr.run(job); err != nil {
 		return nil, err
 	}
 	if len(res.Epochs) > 0 {

@@ -9,20 +9,13 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
-	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/cost"
-	"github.com/wanify/wanify/internal/gda"
-	"github.com/wanify/wanify/internal/measure"
 	"github.com/wanify/wanify/internal/ml/dataset"
 	"github.com/wanify/wanify/internal/ml/rf"
 	"github.com/wanify/wanify/internal/predict"
-	"github.com/wanify/wanify/internal/simrand"
-	"github.com/wanify/wanify/internal/spark"
-	"github.com/wanify/wanify/internal/substrate"
 )
 
 // Params configures an experiment run.
@@ -118,72 +111,6 @@ func sharedModel(p Params) (*predict.Model, error) {
 	}
 	modelCache[p.Seed] = m
 	return m, nil
-}
-
-// --- shared cluster/measurement protocol ---
-
-// queryStart is the common simulated instant (seconds) at which every
-// compared variant launches its query. Static-independent measurement
-// happens early (and is stale by then); simultaneous measurement and
-// snapshots happen just before. Link-fluctuation draws depend only on
-// elapsed time, so all variants see identical network weather from
-// queryStart onward.
-const queryStart = 700.0
-
-// beliefKind selects how a scheduler's bandwidth matrix is obtained.
-type beliefKind int
-
-const (
-	beliefStaticIndependent beliefKind = iota
-	beliefStaticSimultaneous
-	beliefPredicted
-)
-
-func (k beliefKind) String() string {
-	switch k {
-	case beliefStaticIndependent:
-		return "static-independent"
-	case beliefStaticSimultaneous:
-		return "static-simultaneous"
-	default:
-		return "predicted"
-	}
-}
-
-// obtainBelief measures/predicts a bandwidth matrix on sim according to
-// kind, then fast-forwards to queryStart so the subsequent query runs
-// under identical conditions for every variant.
-func obtainBelief(sim substrate.Cluster, kind beliefKind, model *predict.Model, seed uint64) (bwmatrix.Matrix, error) {
-	switch kind {
-	case beliefStaticIndependent:
-		// Measured early, one pair at a time — stale by query time.
-		m, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 8})
-		if sim.Now() > queryStart {
-			return nil, fmt.Errorf("experiments: static measurement overran query start (%.0fs)", sim.Now())
-		}
-		sim.RunUntil(queryStart)
-		return m, nil
-	case beliefStaticSimultaneous:
-		sim.RunUntil(queryStart - 20)
-		m, _ := measure.StaticSimultaneous(sim, measure.StableOptions())
-		return m, nil
-	default:
-		sim.RunUntil(queryStart - 1)
-		feats, _ := dataset.SnapshotFeatures(sim, simrand.Derive(seed, "belief-snapshot"))
-		return model.PredictMatrix(feats), nil
-	}
-}
-
-// schedFor builds a Tetrium or Kimchi scheduler over a believed matrix.
-func schedFor(system string, label string, believed bwmatrix.Matrix, info gda.ClusterInfo) spark.Scheduler {
-	switch system {
-	case "tetrium":
-		return gda.Tetrium{Label: label, Believed: believed, Info: info}
-	case "kimchi":
-		return gda.Kimchi{Label: label, Believed: believed, Info: info}
-	default:
-		panic("experiments: unknown system " + system)
-	}
 }
 
 // pct returns the relative improvement of v over base in percent

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
 	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/netsim"
@@ -91,82 +89,52 @@ func (r *FailoverResult) String() string {
 	return b.String()
 }
 
-// runFailoverVariant executes the TeraSort under the DC-death schedule,
-// with or without the recovery stack (spark recovery + the evacuation-
-// capable re-gauging controller).
-func runFailoverVariant(p Params, recover bool) (FailoverVariant, error) {
-	model, err := sharedModel(p)
-	if err != nil {
-		return FailoverVariant{}, err
-	}
-	sim := netsim.NewSim(netsim.UniformCluster(geo.Testbed(), substrate.T2Medium, p.Seed))
-	var schedule substrate.FaultSchedule
-	for _, vm := range sim.VMsOfDC(failoverVictimDC) {
-		schedule = append(schedule, substrate.Fault{
-			Kind: substrate.FaultKillVM, VM: vm, At: queryStart + 60,
-		})
-	}
-	schedule.Apply(sim)
-
-	cfg := wanify.Config{
-		Cluster: sim, Rates: rates, Seed: p.Seed,
-		Agent: agent.Config{Throttle: true},
-	}
-	if recover {
-		cfg.Runtime = rebalanceRuntime()
-	}
-	fw, err := wanify.New(cfg, model)
-	if err != nil {
-		return FailoverVariant{}, err
-	}
-	sim.RunUntil(queryStart - 1)
-	pred, policy, _ := fw.Enable(wanify.OptimizeOptions{})
-	defer fw.StopAgents()
-
-	job := workloads.TeraSort(workloads.UniformInput(sim.NumDCs(), 1000e9*p.Scale))
-	eng := spark.NewEngine(sim, rates)
-	if recover {
-		eng.Recovery = spark.RecoveryConfig{Enabled: true}
-	}
-	sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: gda.NewClusterInfo(sim, rates)}
-	name := "norecovery"
-	if recover {
-		name = "recovery"
-	}
-	res, err := eng.RunJob(job, sched, policy)
-	if err != nil {
-		// The baseline's expected fate: the fault error is the result.
-		return FailoverVariant{Variant: name, Err: err.Error()}, nil
-	}
-	v := FailoverVariant{
-		Variant: name, Completed: true,
-		JCTSeconds: res.JCTSeconds, WANBytes: res.WANBytes,
-		LostBytes: res.LostBytes, RecoveredB: res.RecoveredBytes,
-		Recoveries: res.Recoveries,
-	}
-	if ctl := fw.Controller(); ctl != nil {
-		v.Replans = ctl.Replans()
-		for _, ev := range ctl.Events() {
-			v.Events = append(v.Events, ev.String())
-		}
-	}
-	return v, nil
-}
-
 // Failover is the DC-death scenario: a TeraSort on the 8-DC testbed
-// loses all of DC 2 sixty seconds into its shuffle.
+// loses all of DC 2 sixty seconds into its shuffle, with and without
+// the recovery stack (spark recovery + the evacuation-capable
+// re-gauging controller).
 func Failover(p Params) (*FailoverResult, error) {
 	p = p.withDefaults()
 	res := &FailoverResult{
 		Scenario: "netsim 8-DC testbed",
 		Fault:    fmt.Sprintf("all VMs of dc%d killed at t=%.0fs, job at t=%.0fs", failoverVictimDC, queryStart+60, queryStart),
 	}
+	job := workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 1000e9*p.Scale))
 	for _, recover := range []bool{false, true} {
-		row, err := runFailoverVariant(p, recover)
+		t := wanifyTrial(p, func(seed uint64) (substrate.Cluster, error) {
+			sim := netsimTestbed(seed)
+			var schedule substrate.FaultSchedule
+			for _, vm := range sim.VMsOfDC(failoverVictimDC) {
+				schedule = append(schedule, substrate.Fault{Kind: substrate.FaultKillVM, VM: vm, At: queryStart + 60})
+			}
+			schedule.Apply(sim)
+			return sim, nil
+		}, 0)
+		v := FailoverVariant{Variant: "norecovery"}
+		if recover {
+			t.runtime, t.recover, v.Variant = rebalanceRuntime(), true, "recovery"
+		}
+		tr, err := t.setup()
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		run, ctl, err := tr.run(job)
+		if err != nil {
+			// The baseline's expected fate: the fault error is the result.
+			v.Err = err.Error()
+			res.Rows = append(res.Rows, v)
+			continue
+		}
+		v.Completed = true
+		v.JCTSeconds, v.WANBytes = run.JCTSeconds, run.WANBytes
+		v.LostBytes, v.RecoveredB, v.Recoveries = run.LostBytes, run.RecoveredBytes, run.Recoveries
+		if ctl != nil {
+			v.Replans = ctl.Replans()
+			for _, ev := range ctl.Events() {
+				v.Events = append(v.Events, ev.String())
+			}
+		}
+		res.Rows = append(res.Rows, v)
 	}
 	return res, nil
 }

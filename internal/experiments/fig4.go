@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/bwmatrix"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/workloads"
 )
 
@@ -32,58 +28,25 @@ type Fig4Result struct{ Rows []Fig4Row }
 // (WQ).
 func Fig4(p Params) (*Fig4Result, error) {
 	p = p.withDefaults()
-	model, err := sharedModel(p)
-	if err != nil {
-		return nil, err
-	}
 	cfg := workloads.DefaultMLConfig()
 	res := &Fig4Result{}
-
-	type variant struct {
-		name    string
-		belief  beliefKind
-		noQuant bool
-		wanify  bool
-	}
-	variants := []variant{
-		{name: "NoQ", noQuant: true},
+	for _, v := range []struct {
+		name   string
+		belief beliefKind
+		conns  connKind
+	}{
+		{name: "NoQ"},
 		{name: "SAGQ", belief: beliefStaticIndependent},
 		{name: "SimQ", belief: beliefStaticSimultaneous},
 		{name: "PredQ", belief: beliefPredicted},
-		{name: "WQ", belief: beliefPredicted, wanify: true},
-	}
-	for _, v := range variants {
-		sim, err := testbedCluster(p, 8, p.Seed+404)
+		{name: "WQ", belief: beliefPredicted, conns: connTC},
+	} {
+		r, err := trial{p: p, seed: p.Seed + 404, belief: v.belief, rng: "belief-snapshot", conns: v.conns}.setup()
 		if err != nil {
 			return nil, err
 		}
-		var believed bwmatrix.Matrix
-		if !v.noQuant {
-			b, err := obtainBelief(sim, v.belief, model, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			believed = b
-		} else {
-			sim.RunUntil(queryStart)
-		}
-
-		policy := spark.ConnPolicy(spark.SingleConn{})
-		if v.wanify {
-			fw, err := wanify.New(wanify.Config{
-				Cluster: sim, Rates: rates, Seed: p.Seed,
-				Agent: agent.Config{Throttle: true},
-			}, model)
-			if err != nil {
-				return nil, err
-			}
-			plan := fw.Optimize(believed, wanify.OptimizeOptions{})
-			fw.DeployAgents(believed, plan)
-			defer fw.StopAgents()
-			policy = fw.ConnPolicy()
-		}
-
-		run, err := workloads.RunQuantizedTraining(sim, rates, believed, policy, cfg)
+		run, err := workloads.RunQuantizedTraining(r.sim, rates, r.belief, r.policy, cfg)
+		r.stop()
 		if err != nil {
 			return nil, fmt.Errorf("fig4 %s: %w", v.name, err)
 		}

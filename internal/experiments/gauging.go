@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/measure"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/workloads"
 )
 
@@ -42,10 +40,6 @@ type Table4Result struct {
 // TPC-DS queries.
 func Table4(p Params) (*Table4Result, error) {
 	p = p.withDefaults()
-	model, err := sharedModel(p)
-	if err != nil {
-		return nil, err
-	}
 	res := &Table4Result{
 		Queries:      workloads.TPCDSQueries(),
 		Cells:        map[string]map[string]map[int]Table4Cell{},
@@ -69,18 +63,9 @@ func Table4(p Params) (*Table4Result, error) {
 			}
 			var baseJCT, baseCost, baseMinBW float64
 			for _, belief := range []beliefKind{beliefStaticIndependent, beliefStaticSimultaneous, beliefPredicted} {
-				sim, err := testbedCluster(p, 8, p.Seed+uint64(q)*13)
-				if err != nil {
-					return nil, err
-				}
-				believed, err := obtainBelief(sim, belief, model, p.Seed+uint64(q))
-				if err != nil {
-					return nil, err
-				}
-				eng := spark.NewEngine(sim, rates)
-				info := gda.NewClusterInfo(sim, rates)
-				sched := schedFor(system, fmt.Sprintf("%s(%s)", system, belief), believed, info)
-				run, err := eng.RunJob(job, sched, spark.SingleConn{})
+				t := queryTrial(p, system, q, belief.String())
+				t.belief, t.rng, t.beliefSeed = belief, "belief-snapshot", p.Seed+uint64(q)
+				run, _, err := t.run(job)
 				if err != nil {
 					return nil, err
 				}

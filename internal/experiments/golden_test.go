@@ -197,3 +197,55 @@ func TestGoldenServeOutputs(t *testing.T) {
 func TestGoldenParetoOutputs(t *testing.T) {
 	checkGolden(t, "golden_pareto_seed1.txt", renderIDs(t, Params{Seed: 1, Scale: goldenScale}, "pareto"))
 }
+
+// TestEveryDriverGoldenLocked checks that no registered driver sits
+// outside the golden files: each id heads a section of some
+// testdata/golden_*.txt. An id in separateGolden must head one in a
+// file of its own test (not a per-seed or trace file renderAll and
+// TestGoldenTraceOutputs write); every other id must head one in each
+// per-seed file.
+func TestEveryDriverGoldenLocked(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden_*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSeed := map[string]bool{"golden_seed1.txt": true, "golden_seed2.txt": true, "golden_seed3.txt": true}
+	inPerSeed, inOwn := map[string]int{}, map[string]bool{}
+	for _, path := range files {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := filepath.Base(path)
+		for _, line := range strings.Split(string(b), "\n") {
+			id, ok := strings.CutPrefix(line, "=== ")
+			if !ok {
+				continue
+			}
+			id = strings.TrimSuffix(id, " ===")
+			switch {
+			case perSeed[file]:
+				inPerSeed[id]++
+			case !strings.HasPrefix(file, "golden_trace_"):
+				inOwn[id] = true
+			}
+		}
+	}
+	for _, id := range IDs() {
+		if separateGolden[id] {
+			if !inOwn[id] {
+				t.Errorf("%s is in separateGolden but no golden test of its own renders it", id)
+			}
+			if inPerSeed[id] > 0 {
+				t.Errorf("%s is in separateGolden but also in the per-seed golden files", id)
+			}
+		} else if inPerSeed[id] != len(perSeed) {
+			t.Errorf("%s heads %d of the %d per-seed golden files", id, inPerSeed[id], len(perSeed))
+		}
+	}
+	for id := range separateGolden {
+		if Registry[id] == nil {
+			t.Errorf("separateGolden lists %q, which is not registered", id)
+		}
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/measure"
 	"github.com/wanify/wanify/internal/ml/dataset"
@@ -37,10 +35,6 @@ type Fig10Result struct{ Rows []Fig10Row }
 // WANify-with-skew-weights} for Tetrium and Kimchi.
 func Fig10(p Params) (*Fig10Result, error) {
 	p = p.withDefaults()
-	model, err := sharedModel(p)
-	if err != nil {
-		return nil, err
-	}
 	// 600 MB moved toward US East, US West, AP South, AP SE (§5.8.1),
 	// 64 MB HDFS blocks -> ~9 blocks on the 4 hot DCs. The input is
 	// scaled 4x relative to the paper: our engine has none of Spark's
@@ -54,51 +48,28 @@ func Fig10(p Params) (*Fig10Result, error) {
 
 	res := &Fig10Result{}
 	for _, system := range []string{"tetrium", "kimchi"} {
-		run := func(variant string, policyFor func(sim substrate.Cluster, fw *wanify.Framework) spark.ConnPolicy, skew []float64) error {
-			sim, err := testbedCluster(p, 8, p.Seed)
+		for _, v := range []struct {
+			name  string
+			conns connKind
+			skew  []float64
+		}{
+			{"single", connSingle, nil},
+			{"uniform-p", connUniform, nil},
+			{"wanify-wns", connTC, nil},
+			{"wanify-w", connTC, ws},
+		} {
+			r, _, err := trial{
+				p: p, seed: p.Seed, belief: beliefWANify, conns: v.conns,
+				opts:   wanify.OptimizeOptions{SkewWeights: v.skew},
+				system: system, label: fmt.Sprintf("%s(%s)", system, v.name),
+			}.run(job)
 			if err != nil {
-				return err
-			}
-			fw, err := wanify.New(wanify.Config{
-				Cluster: sim, Rates: rates, Seed: p.Seed,
-				Agent: agent.Config{Throttle: true},
-			}, model)
-			if err != nil {
-				return err
-			}
-			sim.RunUntil(queryStart - 1)
-			pred, _ := fw.DetermineRuntimeBW()
-			plan := fw.Optimize(pred, wanify.OptimizeOptions{SkewWeights: skew})
-			policy := policyFor(sim, fw)
-			if policy == nil { // agent-managed variants
-				fw.DeployAgents(pred, plan)
-				defer fw.StopAgents()
-				policy = fw.ConnPolicy()
-			}
-			eng := spark.NewEngine(sim, rates)
-			info := gda.NewClusterInfo(sim, rates)
-			sched := schedFor(system, fmt.Sprintf("%s(%s)", system, variant), pred, info)
-			r, err := eng.RunJob(job, sched, policy)
-			if err != nil {
-				return err
+				return nil, err
 			}
 			res.Rows = append(res.Rows, Fig10Row{
-				Variant: variant, System: system,
+				Variant: v.name, System: system,
 				JCT: r.JCTSeconds, Cost: r.Cost.Total(), MinBW: r.MinShuffleMbps,
 			})
-			return nil
-		}
-		if err := run("single", func(substrate.Cluster, *wanify.Framework) spark.ConnPolicy { return spark.SingleConn{} }, nil); err != nil {
-			return nil, err
-		}
-		if err := run("uniform-p", func(substrate.Cluster, *wanify.Framework) spark.ConnPolicy { return spark.UniformConn{K: 8} }, nil); err != nil {
-			return nil, err
-		}
-		if err := run("wanify-wns", func(substrate.Cluster, *wanify.Framework) spark.ConnPolicy { return nil }, nil); err != nil {
-			return nil, err
-		}
-		if err := run("wanify-w", func(substrate.Cluster, *wanify.Framework) spark.ConnPolicy { return nil }, ws); err != nil {
-			return nil, err
 		}
 	}
 	return res, nil
@@ -211,11 +182,7 @@ func Fig11b(p Params) (*Fig11bResult, error) {
 		static, _ := measure.StaticIndependent(sim, measure.Options{DurationS: 6})
 		sim.RunUntil(queryStart + 200) // independent probing takes longer here
 		featsVM, _ := dataset.SnapshotFeaturesByVM(sim, simrand.Derive(p.Seed, "fig11b"))
-		dcOf := make([]int, sim.NumVMs())
-		for v := range dcOf {
-			dcOf[v] = sim.DCOf(netsim.VMID(v))
-		}
-		predicted := model.PredictDCMatrixByVM(featsVM, dcOf, sim.NumDCs())
+		predicted := model.PredictDCMatrixByVM(featsVM, dcOfVMs(sim), sim.NumDCs())
 		actual, _ := measure.StaticSimultaneous(sim, measure.StableOptions())
 
 		res.Rows = append(res.Rows, Fig11bRow{
@@ -253,80 +220,39 @@ type Sec583Result struct {
 // Sec583 runs TPC-DS query 78 with an extra t2.medium in US East.
 func Sec583(p Params) (*Sec583Result, error) {
 	p = p.withDefaults()
-	model, err := sharedModel(p)
+	job, err := workloads.TPCDS(78, workloads.UniformInput(8, 100e9*p.Scale))
 	if err != nil {
 		return nil, err
 	}
-	input := workloads.UniformInput(8, 100e9*p.Scale)
-	job, err := workloads.TPCDS(78, input)
-	if err != nil {
-		return nil, err
-	}
-
-	newSim := func() *netsim.Sim {
+	extraEast := func(seed uint64) (substrate.Cluster, error) {
 		regions := geo.Testbed()
 		vms := make([][]substrate.VMSpec, len(regions))
 		for i := range vms {
 			vms[i] = []substrate.VMSpec{substrate.T2Medium}
 		}
 		vms[0] = append(vms[0], substrate.T2Medium) // extra worker in US East
-		return netsim.NewSim(netsim.Config{Regions: regions, VMs: vms, Seed: p.Seed + 583})
+		return netsim.NewSim(netsim.Config{Regions: regions, VMs: vms, Seed: seed}), nil
 	}
-
-	res := &Sec583Result{}
-
-	{ // vanilla: static-independent, single connection
-		sim := newSim()
-		believed, err := obtainBelief(sim, beliefStaticIndependent, model, p.Seed)
-		if err != nil {
+	var runs [3]spark.RunResult
+	for i, t := range []trial{
+		// vanilla: static-independent, single connection
+		{belief: beliefStaticIndependent, label: "tetrium(vanilla)"},
+		// Tetrium-r: predicted BWs (VM-level association), single connection
+		{belief: beliefPredictedByVM, rng: "sec583", label: "tetrium-r"},
+		// full WANify: predicted + agents + throttling
+		{belief: beliefWANify, conns: connTC, label: "tetrium(wanify)"},
+	} {
+		t.p, t.cluster, t.seed, t.system = p, extraEast, p.Seed+583, "tetrium"
+		if runs[i], _, err = t.run(job); err != nil {
 			return nil, err
 		}
-		eng := spark.NewEngine(sim, rates)
-		sched := gda.Tetrium{Label: "tetrium(vanilla)", Believed: believed, Info: gda.NewClusterInfo(sim, rates)}
-		run, err := eng.RunJob(job, sched, spark.SingleConn{})
-		if err != nil {
-			return nil, err
-		}
-		res.VanillaJCT, res.VanillaCost, res.VanillaMinBW = run.JCTSeconds, run.Cost.Total(), run.MinShuffleMbps
 	}
-	{ // Tetrium-r: predicted BWs (VM-level association), single connection
-		sim := newSim()
-		sim.RunUntil(queryStart - 1)
-		featsVM, _ := dataset.SnapshotFeaturesByVM(sim, simrand.Derive(p.Seed, "sec583"))
-		dcOf := make([]int, sim.NumVMs())
-		for v := range dcOf {
-			dcOf[v] = sim.DCOf(netsim.VMID(v))
-		}
-		pred := model.PredictDCMatrixByVM(featsVM, dcOf, sim.NumDCs())
-		eng := spark.NewEngine(sim, rates)
-		sched := gda.Tetrium{Label: "tetrium-r", Believed: pred, Info: gda.NewClusterInfo(sim, rates)}
-		run, err := eng.RunJob(job, sched, spark.SingleConn{})
-		if err != nil {
-			return nil, err
-		}
-		res.TetriumRJCT, res.TetriumRCost, res.TetriumRMinBW = run.JCTSeconds, run.Cost.Total(), run.MinShuffleMbps
-	}
-	{ // full WANify: predicted + agents + throttling
-		sim := newSim()
-		fw, err := wanify.New(wanify.Config{
-			Cluster: sim, Rates: rates, Seed: p.Seed,
-			Agent: agent.Config{Throttle: true},
-		}, model)
-		if err != nil {
-			return nil, err
-		}
-		sim.RunUntil(queryStart - 1)
-		pred, policy, _ := fw.Enable(wanify.OptimizeOptions{})
-		defer fw.StopAgents()
-		eng := spark.NewEngine(sim, rates)
-		sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: gda.NewClusterInfo(sim, rates)}
-		run, err := eng.RunJob(job, sched, policy)
-		if err != nil {
-			return nil, err
-		}
-		res.WANifyJCT, res.WANifyCost, res.WANifyMinBW = run.JCTSeconds, run.Cost.Total(), run.MinShuffleMbps
-	}
-	return res, nil
+	van, r, wan := runs[0], runs[1], runs[2]
+	return &Sec583Result{
+		VanillaJCT: van.JCTSeconds, TetriumRJCT: r.JCTSeconds, WANifyJCT: wan.JCTSeconds,
+		VanillaCost: van.Cost.Total(), TetriumRCost: r.Cost.Total(), WANifyCost: wan.Cost.Total(),
+		VanillaMinBW: van.MinShuffleMbps, TetriumRMinBW: r.MinShuffleMbps, WANifyMinBW: wan.MinShuffleMbps,
+	}, nil
 }
 
 // String renders the §5.8.3 comparison.

@@ -8,7 +8,6 @@ import (
 	"github.com/wanify/wanify/internal/agent"
 	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
-	"github.com/wanify/wanify/internal/netsim"
 	"github.com/wanify/wanify/internal/optimize"
 	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/substrate"
@@ -124,56 +123,51 @@ func multijobJobs(n int, scale float64) ([]multijobSpec, error) {
 	}, nil
 }
 
-// runMultijobSolo runs each job alone on a fresh, identically-seeded
-// cluster — the zero-contention floor.
-func runMultijobSolo(p Params, mk func() (substrate.Cluster, error), startAt float64, specs []multijobSpec) (MultijobVariant, error) {
-	model, err := sharedModel(p)
-	if err != nil {
-		return MultijobVariant{}, err
-	}
-	v := MultijobVariant{Name: "solo"}
-	for _, spec := range specs {
-		sim, err := mk()
-		if err != nil {
-			return MultijobVariant{}, err
-		}
-		fw, err := wanify.New(wanify.Config{
-			Cluster: sim, Rates: rates, Seed: p.Seed,
-			Agent: agent.Config{Throttle: true},
-		}, model)
-		if err != nil {
-			return MultijobVariant{}, err
-		}
-		sim.RunUntil(startAt - 1)
-		pred, policy, _ := fw.Enable(wanify.OptimizeOptions{})
-		eng := spark.NewEngine(sim, rates)
-		sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: gda.NewClusterInfo(sim, rates)}
-		res, err := eng.RunJob(spec.job, sched, policy)
-		fw.StopAgents()
-		if err != nil {
-			return MultijobVariant{}, err
-		}
-		v.Rows = append(v.Rows, MultijobJobRow{
-			Job: spec.name, JCTSeconds: res.JCTSeconds,
-			MinBW: res.MinShuffleMbps, WANBytes: res.WANBytes,
-		})
-		if res.JCTSeconds > v.MakespanS {
-			v.MakespanS = res.JCTSeconds // jobs run in separate universes: max, not sum
-		}
-	}
-	return v, nil
+// multijobDeploy is one concurrent deployment of the job set: a
+// sharing policy (oversubscribed when whole is set), optionally with
+// the shared re-gauging controller.
+type multijobDeploy struct {
+	name           string
+	share          optimize.ShareMode
+	whole, regauge bool
 }
 
-// runMultijobVariant runs the whole set concurrently under one sharing
-// policy (oversubscribed when whole is set), optionally with the
-// shared re-gauging controller.
-func runMultijobVariant(p Params, name string, mk func() (substrate.Cluster, error), startAt float64,
-	specs []multijobSpec, share optimize.ShareMode, whole, regauge bool) (MultijobVariant, error) {
+// multijobCompare fills res with the solo floor — each job alone on a
+// fresh, identically-seeded cluster — then each concurrent deployment.
+func multijobCompare(p Params, res *MultijobResult, mk func(seed uint64) (substrate.Cluster, error), startAt float64,
+	specs []multijobSpec, deploys []multijobDeploy) (*MultijobResult, error) {
+	solo := MultijobVariant{Name: "solo"}
+	for _, spec := range specs {
+		run, _, err := wanifyTrial(p, mk, startAt).run(spec.job)
+		if err != nil {
+			return nil, err
+		}
+		solo.Rows = append(solo.Rows, MultijobJobRow{
+			Job: spec.name, JCTSeconds: run.JCTSeconds,
+			MinBW: run.MinShuffleMbps, WANBytes: run.WANBytes,
+		})
+		solo.MakespanS = max(solo.MakespanS, run.JCTSeconds) // jobs run in separate universes: max, not sum
+	}
+	res.Variants = append(res.Variants, solo)
+	for _, d := range deploys {
+		v, err := runMultijobVariant(p, d, mk, startAt, specs)
+		if err != nil {
+			return nil, err
+		}
+		res.Variants = append(res.Variants, v)
+	}
+	return res, nil
+}
+
+// runMultijobVariant runs the whole set concurrently under one
+// deployment.
+func runMultijobVariant(p Params, d multijobDeploy, mk func(seed uint64) (substrate.Cluster, error), startAt float64,
+	specs []multijobSpec) (MultijobVariant, error) {
 	model, err := sharedModel(p)
 	if err != nil {
 		return MultijobVariant{}, err
 	}
-	sim, err := mk()
+	sim, err := mk(p.Seed)
 	if err != nil {
 		return MultijobVariant{}, err
 	}
@@ -181,7 +175,7 @@ func runMultijobVariant(p Params, name string, mk func() (substrate.Cluster, err
 		Cluster: sim, Rates: rates, Seed: p.Seed,
 		Agent: agent.Config{Throttle: true},
 	}
-	if regauge {
+	if d.regauge {
 		cfg.Runtime = rebalanceRuntime()
 	}
 	fw, err := wanify.New(cfg, model)
@@ -197,7 +191,7 @@ func runMultijobVariant(p Params, name string, mk func() (substrate.Cluster, err
 	var js *spark.JobSet
 	pred, policies, _, err := fw.EnableJobSet(wanify.JobSetOptions{
 		Jobs:       len(specs),
-		Share:      share,
+		Share:      d.share,
 		Priorities: priorities,
 		Remaining: func() []float64 {
 			if js == nil {
@@ -211,7 +205,7 @@ func runMultijobVariant(p Params, name string, mk func() (substrate.Cluster, err
 			}
 			return js.RemainingBytes()
 		},
-		Oversubscribe: whole,
+		Oversubscribe: d.whole,
 	})
 	if err != nil {
 		return MultijobVariant{}, err
@@ -237,7 +231,7 @@ func runMultijobVariant(p Params, name string, mk func() (substrate.Cluster, err
 	if err != nil {
 		return MultijobVariant{}, err
 	}
-	v := MultijobVariant{Name: name, MakespanS: res.MakespanS}
+	v := MultijobVariant{Name: d.name, MakespanS: res.MakespanS}
 	for i, r := range res.Results {
 		v.Rows = append(v.Rows, MultijobJobRow{
 			Job: specs[i].name, JCTSeconds: r.JCTSeconds,
@@ -256,9 +250,6 @@ func runMultijobVariant(p Params, name string, mk func() (substrate.Cluster, err
 // bytes-remaining deployments.
 func Multijob(p Params) (*MultijobResult, error) {
 	p = p.withDefaults()
-	mk := func() (substrate.Cluster, error) {
-		return netsim.NewSim(netsim.UniformCluster(geo.Testbed(), substrate.T2Medium, p.Seed)), nil
-	}
 	specs, err := multijobJobs(len(geo.Testbed()), p.Scale)
 	if err != nil {
 		return nil, err
@@ -267,28 +258,13 @@ func Multijob(p Params) (*MultijobResult, error) {
 		Scenario: "netsim 8-DC testbed",
 		Jobs:     "terasort + tpcds-78 (+30s) + tpcds-95 (+60s, priority 4)",
 	}
-	solo, err := runMultijobSolo(p, mk, queryStart, specs)
-	if err != nil {
-		return nil, err
-	}
-	res.Variants = append(res.Variants, solo)
-	for _, variant := range []struct {
-		name  string
-		share optimize.ShareMode
-		whole bool
-	}{
-		{"whole", optimize.ShareFair, true},
-		{"fair", optimize.ShareFair, false},
-		{"priority", optimize.SharePriority, false},
-		{"remaining", optimize.ShareRemaining, false},
-	} {
-		v, err := runMultijobVariant(p, variant.name, mk, queryStart, specs, variant.share, variant.whole, false)
-		if err != nil {
-			return nil, err
-		}
-		res.Variants = append(res.Variants, v)
-	}
-	return res, nil
+	return multijobCompare(p, res, func(seed uint64) (substrate.Cluster, error) { return netsimTestbed(seed), nil }, queryStart, specs,
+		[]multijobDeploy{
+			{name: "whole", share: optimize.ShareFair, whole: true},
+			{name: "fair", share: optimize.ShareFair},
+			{name: "priority", share: optimize.SharePriority},
+			{name: "remaining", share: optimize.ShareRemaining},
+		})
 }
 
 // MultijobTrace is the cloud4 scenario: two concurrent jobs launched
@@ -297,13 +273,6 @@ func Multijob(p Params) (*MultijobResult, error) {
 func MultijobTrace(p Params) (*MultijobResult, error) {
 	p = p.withDefaults()
 	const startAt = 560.0
-	mk := func() (substrate.Cluster, error) {
-		return tracesim.New(tracesim.Config{
-			Trace: tracesim.Cloud4(),
-			Spec:  substrate.T2Medium,
-			Seed:  p.Seed,
-		})
-	}
 	n := tracesim.Cloud4().N()
 	q95, err := workloads.TPCDS(95, workloads.UniformInput(n, 160e9*p.Scale))
 	if err != nil {
@@ -317,23 +286,8 @@ func MultijobTrace(p Params) (*MultijobResult, error) {
 		Scenario: "trace:cloud4 4-DC replay",
 		Jobs:     "terasort + tpcds-95 (+20s), recorded congestion episode at t=[600, 900]s",
 	}
-	solo, err := runMultijobSolo(p, mk, startAt, specs)
-	if err != nil {
-		return nil, err
-	}
-	res.Variants = append(res.Variants, solo)
-	for _, variant := range []struct {
-		name    string
-		regauge bool
-	}{
-		{"static", false},
-		{"regauge", true},
-	} {
-		v, err := runMultijobVariant(p, variant.name, mk, startAt, specs, optimize.ShareFair, false, variant.regauge)
-		if err != nil {
-			return nil, err
-		}
-		res.Variants = append(res.Variants, v)
-	}
-	return res, nil
+	return multijobCompare(p, res, cloud4Replay, startAt, specs, []multijobDeploy{
+		{name: "static", share: optimize.ShareFair},
+		{name: "regauge", share: optimize.ShareFair, regauge: true},
+	})
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/wanify/wanify/internal/gda"
-	"github.com/wanify/wanify/internal/netsim"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/workloads"
 )
 
@@ -67,26 +64,10 @@ type ParetoResult struct {
 // Pareto dominance.
 func Pareto(p Params) (*ParetoResult, error) {
 	p = p.withDefaults()
-	input := workloads.UniformInput(8, 100e9*p.Scale)
 	res := &ParetoResult{InputGB: 100 * p.Scale}
+	job := workloads.TeraSort(workloads.UniformInput(8, 100e9*p.Scale))
 	for _, spec := range paretoVariants {
-		sim, err := testbedCluster(p, 8, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		ns, ok := sim.(*netsim.Sim)
-		if !ok {
-			return nil, fmt.Errorf("pareto: oracle beliefs need the netsim backend, not %s", p.Backend)
-		}
-		sim.RunUntil(queryStart - 1)
-		believed := ns.PerConnCapMatrix()
-		info := gda.NewClusterInfo(sim, rates)
-		sched, err := gda.ParseScheduler(spec, believed, info)
-		if err != nil {
-			return nil, fmt.Errorf("pareto %s: %w", spec, err)
-		}
-		eng := spark.NewEngine(sim, rates)
-		run, err := eng.RunJob(workloads.TeraSort(input), sched, spark.UniformConn{K: 8})
+		run, _, err := trial{p: p, seed: p.Seed, belief: beliefOracle, conns: connUniform, system: spec}.run(job)
 		if err != nil {
 			return nil, fmt.Errorf("pareto %s: %w", spec, err)
 		}

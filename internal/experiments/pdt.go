@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/gda"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/workloads"
 )
 
@@ -21,43 +17,19 @@ const (
 	variantThrottle pdtVariant = "wanify-tc"      // heterogeneous + AIMD + TC throttling
 )
 
-// pdtRun executes one job under one §5.3 variant on a fresh testbed
-// sim, using locality scheduling throughout ("avoids WAN-aware GDA
-// systems", §5.3).
-func pdtRun(p Params, job func(n int) spark.Job, variant pdtVariant) (spark.RunResult, error) {
-	model, err := sharedModel(p)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim, err := testbedCluster(p, 8, p.Seed)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	var policy spark.ConnPolicy = spark.SingleConn{}
-	var fw *wanify.Framework
-
+// pdtTrial is one §5.3 variant on the testbed, under locality
+// scheduling throughout ("avoids WAN-aware GDA systems", §5.3).
+func pdtTrial(p Params, variant pdtVariant) trial {
+	t := trial{p: p, seed: p.Seed, system: "locality"}
 	switch variant {
-	case variantVanilla:
-		sim.RunUntil(queryStart)
 	case variantUniform:
-		sim.RunUntil(queryStart)
-		policy = spark.UniformConn{K: 8}
-	case variantDynamic, variantThrottle:
-		fw, err = wanify.New(wanify.Config{
-			Cluster: sim, Rates: rates, Seed: p.Seed,
-			Agent: agent.Config{Throttle: variant == variantThrottle},
-		}, model)
-		if err != nil {
-			return spark.RunResult{}, err
-		}
-		sim.RunUntil(queryStart - 1)
-		_, pol, _ := fw.Enable(wanify.OptimizeOptions{})
-		policy = pol
-		defer fw.StopAgents()
+		t.conns = connUniform
+	case variantDynamic:
+		t.belief, t.conns = beliefWANify, connDynamic
+	case variantThrottle:
+		t.belief, t.conns = beliefWANify, connTC
 	}
-
-	eng := spark.NewEngine(sim, rates)
-	return eng.RunJob(job(sim.NumDCs()), gda.Locality{}, policy)
+	return t
 }
 
 // --- Fig. 5: comparing data transfer approaches on TeraSort ---
@@ -80,12 +52,10 @@ type Fig5Result struct {
 func Fig5(p Params) (*Fig5Result, error) {
 	p = p.withDefaults()
 	inputBytes := 100e9 * p.Scale
-	job := func(n int) spark.Job {
-		return workloads.TeraSort(workloads.UniformInput(n, inputBytes))
-	}
+	job := workloads.TeraSort(workloads.UniformInput(8, inputBytes))
 	res := &Fig5Result{InputGB: inputBytes / 1e9}
 	for _, v := range []pdtVariant{variantVanilla, variantUniform, variantDynamic, variantThrottle} {
-		run, err := pdtRun(p, job, v)
+		run, _, err := pdtTrial(p, v).run(job)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 %s: %w", v, err)
 		}
@@ -136,15 +106,12 @@ func Fig6(p Params) (*Fig6Result, error) {
 	// values follow the paper's 2.06/3.63/7.4-and-beyond progression.
 	for _, perPairMB := range []float64{2.06, 3.63, 7.4, 10.7} {
 		shuffle := perPairMB * 56 * 1e6
-		job := func(n int) spark.Job {
-			input := workloads.UniformInput(n, shuffle)
-			return workloads.WordCount(input, shuffle)
-		}
-		van, err := pdtRun(p, job, variantVanilla)
+		job := workloads.WordCount(workloads.UniformInput(8, shuffle), shuffle)
+		van, _, err := pdtTrial(p, variantVanilla).run(job)
 		if err != nil {
 			return nil, err
 		}
-		wan, err := pdtRun(p, job, variantThrottle)
+		wan, _, err := pdtTrial(p, variantThrottle).run(job)
 		if err != nil {
 			return nil, err
 		}

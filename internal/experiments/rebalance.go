@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
-	"github.com/wanify/wanify/internal/netsim"
 	rgauge "github.com/wanify/wanify/internal/runtime"
 	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/substrate"
@@ -100,66 +96,35 @@ func (r *RebalanceResult) String() string {
 	return b.String()
 }
 
-// runRebalanceVariant executes one TeraSort under the given cluster
-// factory, starting the job at startAt, with or without the re-gauging
-// controller.
-func runRebalanceVariant(p Params, mk func() (substrate.Cluster, error), startAt, totalBytes float64, regauge bool) (RebalanceVariant, error) {
-	model, err := sharedModel(p)
-	if err != nil {
-		return RebalanceVariant{}, err
-	}
-	sim, err := mk()
-	if err != nil {
-		return RebalanceVariant{}, err
-	}
-	cfg := wanify.Config{
-		Cluster: sim, Rates: rates, Seed: p.Seed,
-		Agent: agent.Config{Throttle: true},
-	}
-	if regauge {
-		cfg.Runtime = rebalanceRuntime()
-	}
-	fw, err := wanify.New(cfg, model)
-	if err != nil {
-		return RebalanceVariant{}, err
-	}
-	sim.RunUntil(startAt - 1)
-	pred, policy, _ := fw.Enable(wanify.OptimizeOptions{})
-	defer fw.StopAgents()
-
-	job := workloads.TeraSort(workloads.UniformInput(sim.NumDCs(), totalBytes))
-	eng := spark.NewEngine(sim, rates)
-	sched := gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: gda.NewClusterInfo(sim, rates)}
-	res, err := eng.RunJob(job, sched, policy)
-	if err != nil {
-		return RebalanceVariant{}, err
-	}
-	v := RebalanceVariant{
-		Variant:        "static",
-		JCTSeconds:     res.JCTSeconds,
-		MinShuffleMbps: res.MinShuffleMbps,
-		WANBytes:       res.WANBytes,
-	}
-	if ctl := fw.Controller(); ctl != nil {
-		v.Variant = "regauge"
-		v.Replans = ctl.Replans()
-		v.DriftEpochs = ctl.DriftEpochs()
-		for _, ev := range ctl.Events() {
-			v.Events = append(v.Events, ev.String())
-		}
-		v.RegaugeBytes = ctl.TotalCost().BytesTransferred
-	}
-	return v, nil
-}
-
-func rebalanceCompare(p Params, scenario, episode string, mk func() (substrate.Cluster, error), startAt, totalBytes float64) (*RebalanceResult, error) {
+// rebalanceCompare runs job on WANify-enabled Tetrium launched at
+// startAt, once with the static one-shot plan and once re-gauging.
+func rebalanceCompare(p Params, scenario, episode string, mk func(seed uint64) (substrate.Cluster, error), startAt float64, job spark.Job) (*RebalanceResult, error) {
 	res := &RebalanceResult{Scenario: scenario, Episode: episode}
 	for _, regauge := range []bool{false, true} {
-		row, err := runRebalanceVariant(p, mk, startAt, totalBytes, regauge)
+		t := wanifyTrial(p, mk, startAt)
+		if regauge {
+			t.runtime = rebalanceRuntime()
+		}
+		run, ctl, err := t.run(job)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		v := RebalanceVariant{
+			Variant:        "static",
+			JCTSeconds:     run.JCTSeconds,
+			MinShuffleMbps: run.MinShuffleMbps,
+			WANBytes:       run.WANBytes,
+		}
+		if ctl != nil {
+			v.Variant = "regauge"
+			v.Replans = ctl.Replans()
+			v.DriftEpochs = ctl.DriftEpochs()
+			for _, ev := range ctl.Events() {
+				v.Events = append(v.Events, ev.String())
+			}
+			v.RegaugeBytes = ctl.TotalCost().BytesTransferred
+		}
+		res.Rows = append(res.Rows, v)
 	}
 	res.ImprovementPct = pct(res.Rows[0].JCTSeconds, res.Rows[1].JCTSeconds)
 	return res, nil
@@ -175,8 +140,8 @@ func Rebalance(p Params) (*RebalanceResult, error) {
 		episodeEnd   = episodeStart + 240
 		cutFactor    = 0.45
 	)
-	mk := func() (substrate.Cluster, error) {
-		sim := netsim.NewSim(netsim.UniformCluster(geo.Testbed(), substrate.T2Medium, p.Seed))
+	mk := func(seed uint64) (substrate.Cluster, error) {
+		sim := netsimTestbed(seed)
 		base := make([]float64, sim.NumDCs())
 		for j := 1; j < sim.NumDCs(); j++ {
 			base[j] = sim.PerConnCapMbps(0, j)
@@ -196,7 +161,7 @@ func Rebalance(p Params) (*RebalanceResult, error) {
 	return rebalanceCompare(p,
 		"netsim 8-DC testbed",
 		fmt.Sprintf("US East egress cut to %.0f%% during t=[%.0f, %.0f]s", cutFactor*100, float64(episodeStart), float64(episodeEnd)),
-		mk, queryStart, 1000e9*p.Scale)
+		mk, queryStart, workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 1000e9*p.Scale)))
 }
 
 // RebalanceTrace is the cloud4 scenario: the job launches at t=560 s,
@@ -205,15 +170,13 @@ func Rebalance(p Params) (*RebalanceResult, error) {
 func RebalanceTrace(p Params) (*RebalanceResult, error) {
 	p = p.withDefaults()
 	const startAt = 560.0
-	mk := func() (substrate.Cluster, error) {
-		return tracesim.New(tracesim.Config{
-			Trace: tracesim.Cloud4(),
-			Spec:  substrate.T2Medium,
-			Seed:  p.Seed,
-		})
-	}
 	return rebalanceCompare(p,
 		"trace:cloud4 4-DC replay",
 		"recorded US East->EU West congestion episode at t=[600, 900]s",
-		mk, startAt, 600e9*p.Scale)
+		cloud4Replay, startAt, workloads.TeraSort(workloads.UniformInput(tracesim.Cloud4().N(), 600e9*p.Scale)))
+}
+
+// cloud4Replay replays the bundled cloud4 recording.
+func cloud4Replay(seed uint64) (substrate.Cluster, error) {
+	return tracesim.New(tracesim.Config{Trace: tracesim.Cloud4(), Spec: substrate.T2Medium, Seed: seed})
 }

@@ -4,84 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
 	"github.com/wanify/wanify/internal/bwmatrix"
-	"github.com/wanify/wanify/internal/gda"
-	"github.com/wanify/wanify/internal/ml/dataset"
-	"github.com/wanify/wanify/internal/optimize"
-	"github.com/wanify/wanify/internal/predict"
 	"github.com/wanify/wanify/internal/simrand"
-	"github.com/wanify/wanify/internal/spark"
-	"github.com/wanify/wanify/internal/substrate"
 	"github.com/wanify/wanify/internal/workloads"
 )
 
-// runWANifyQuery runs one TPC-DS query on a WAN-aware system with full
-// WANify enabled (predicted BWs + agents). perturb optionally modifies
-// the predicted matrix before use (Fig 8(b)'s WANify-err), and
-// skewWeights feeds §3.3.1.
-func runWANifyQuery(p Params, system string, query int, input []float64,
-	perturb func(bwmatrix.Matrix) bwmatrix.Matrix,
-	skewWeights []float64, throttle bool) (spark.RunResult, error) {
-
-	model, err := sharedModel(p)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	job, err := workloads.TPCDS(query, input)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim, err := testbedCluster(p, 8, p.Seed+uint64(query)*13)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	fw, err := wanify.New(wanify.Config{
-		Cluster: sim, Rates: rates, Seed: p.Seed,
-		Agent: agent.Config{Throttle: throttle},
-	}, model)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim.RunUntil(queryStart - 1)
-	pred, _ := fw.DetermineRuntimeBW()
-	if perturb != nil {
-		pred = perturb(pred)
-	}
-	plan := fw.Optimize(pred, wanify.OptimizeOptions{SkewWeights: skewWeights})
-	fw.DeployAgents(pred, plan)
-	defer fw.StopAgents()
-
-	eng := spark.NewEngine(sim, rates)
-	info := gda.NewClusterInfo(sim, rates)
-	sched := schedFor(system, system+"(wanify)", pred, info)
-	return eng.RunJob(job, sched, fw.ConnPolicy())
-}
-
-// runVanillaQuery runs one TPC-DS query on a WAN-aware system with
-// static-independent beliefs and a single connection.
-func runVanillaQuery(p Params, system string, query int, input []float64) (spark.RunResult, error) {
-	model, err := sharedModel(p)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	job, err := workloads.TPCDS(query, input)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim, err := testbedCluster(p, 8, p.Seed+uint64(query)*13)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	believed, err := obtainBelief(sim, beliefStaticIndependent, model, p.Seed)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	eng := spark.NewEngine(sim, rates)
-	info := gda.NewClusterInfo(sim, rates)
-	sched := schedFor(system, system+"(vanilla)", believed, info)
-	return eng.RunJob(job, sched, spark.SingleConn{})
+// queryTrial is the TPC-DS trial of system on query q that Figs. 7
+// and 8 and Table 4 compare, labelled system(variant) in reports.
+func queryTrial(p Params, system string, q int, variant string) trial {
+	return trial{p: p, seed: p.Seed + uint64(q)*13, system: system, label: system + "(" + variant + ")"}
 }
 
 // --- Fig. 7: state-of-the-art systems with/without WANify ---
@@ -109,11 +40,18 @@ func Fig7(p Params) (*Fig7Result, error) {
 	res := &Fig7Result{InputGB: 100 * p.Scale}
 	for _, system := range []string{"tetrium", "kimchi"} {
 		for _, q := range workloads.TPCDSQueries() {
-			van, err := runVanillaQuery(p, system, q, input)
+			job, err := workloads.TPCDS(q, input)
 			if err != nil {
 				return nil, err
 			}
-			wan, err := runWANifyQuery(p, system, q, input, nil, nil, true)
+			vt, wt := queryTrial(p, system, q, "vanilla"), queryTrial(p, system, q, "wanify")
+			vt.belief = beliefStaticIndependent
+			wt.belief, wt.conns = beliefWANify, connTC
+			van, _, err := vt.run(job)
+			if err != nil {
+				return nil, err
+			}
+			wan, _, err := wt.run(job)
 			if err != nil {
 				return nil, err
 			}
@@ -164,38 +102,32 @@ type Fig8aResult struct{ Rows []Fig8aRow }
 // WANify for both systems.
 func Fig8a(p Params) (*Fig8aResult, error) {
 	p = p.withDefaults()
-	model, err := sharedModel(p)
+	const query = 78
+	job, err := workloads.TPCDS(query, workloads.UniformInput(8, 100e9*p.Scale))
 	if err != nil {
 		return nil, err
 	}
-	input := workloads.UniformInput(8, 100e9*p.Scale)
-	const query = 78
 	res := &Fig8aResult{}
-
 	for _, system := range []string{"tetrium", "kimchi"} {
-		van, err := runVanillaQuery(p, system, query, input)
+		vt := queryTrial(p, system, query, "vanilla")
+		vt.belief = beliefStaticIndependent
+		van, _, err := vt.run(job)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, Fig8aRow{Variant: "vanilla", System: system, JCT: van.JCTSeconds, MinBWRatio: 1})
-
-		type variantRun struct {
-			name string
-			run  func() (spark.RunResult, error)
-		}
-		variants := []variantRun{
-			{"global-only", func() (spark.RunResult, error) {
-				return runGlobalOnly(p, model, system, query, input)
-			}},
-			{"local-only", func() (spark.RunResult, error) {
-				return runLocalOnly(p, model, system, query, input)
-			}},
-			{"wanify", func() (spark.RunResult, error) {
-				return runWANifyQuery(p, system, query, input, nil, nil, true)
-			}},
-		}
-		for _, v := range variants {
-			run, err := v.run()
+		for _, v := range []struct {
+			name   string
+			belief beliefKind
+			conns  connKind
+		}{
+			{"global-only", beliefPredicted, connGlobalOnly},
+			{"local-only", beliefPredicted, connLocalOnly},
+			{"wanify", beliefWANify, connTC},
+		} {
+			t := queryTrial(p, system, query, v.name)
+			t.belief, t.conns, t.rng = v.belief, v.conns, "ablation-snapshot"
+			run, _, err := t.run(job)
 			if err != nil {
 				return nil, fmt.Errorf("fig8a %s/%s: %w", system, v.name, err)
 			}
@@ -208,79 +140,6 @@ func Fig8a(p Params) (*Fig8aResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// runGlobalOnly applies the global optimizer's heterogeneous solution
-// as a static connection matrix (no agents, no AIMD, no throttling).
-func runGlobalOnly(p Params, model *predict.Model, system string, query int, input []float64) (spark.RunResult, error) {
-	job, err := workloads.TPCDS(query, input)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim, err := testbedCluster(p, 8, p.Seed+uint64(query)*13)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim.RunUntil(queryStart - 1)
-	pred, err := predictOn(sim, model, p.Seed)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	plan := optimize.GlobalOptimize(pred, optimize.Options{})
-	eng := spark.NewEngine(sim, rates)
-	info := gda.NewClusterInfo(sim, rates)
-	sched := schedFor(system, system+"(global-only)", pred, info)
-	return eng.RunJob(job, sched, spark.FixedConn{Cluster: sim, Matrix: plan.MaxConns})
-}
-
-// runLocalOnly runs agents with the §5.5 static window (1–8 connections
-// for every pair) and no global closeness inference.
-func runLocalOnly(p Params, model *predict.Model, system string, query int, input []float64) (spark.RunResult, error) {
-	job, err := workloads.TPCDS(query, input)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim, err := testbedCluster(p, 8, p.Seed+uint64(query)*13)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	sim.RunUntil(queryStart - 1)
-	pred, err := predictOn(sim, model, p.Seed)
-	if err != nil {
-		return spark.RunResult{}, err
-	}
-	n := sim.NumDCs()
-	var agents []*agent.Agent
-	for dc := 0; dc < n; dc++ {
-		for _, vm := range sim.VMsOfDC(dc) {
-			row := agent.PlanRow{
-				MinConns: make([]int, n), MaxConns: make([]int, n),
-				MinBW: make([]float64, n), MaxBW: make([]float64, n),
-				PredBW: make([]float64, n),
-			}
-			for j := 0; j < n; j++ {
-				row.MinConns[j], row.MaxConns[j] = 1, 8
-				if j != dc {
-					row.PredBW[j] = pred[dc][j]
-					row.MinBW[j] = pred[dc][j]
-					row.MaxBW[j] = pred[dc][j] * 8
-				}
-			}
-			a := agent.New(sim, vm, agent.Config{})
-			a.ApplyPlan(row)
-			a.Start()
-			agents = append(agents, a)
-		}
-	}
-	defer func() {
-		for _, a := range agents {
-			a.Stop()
-		}
-	}()
-	eng := spark.NewEngine(sim, rates)
-	info := gda.NewClusterInfo(sim, rates)
-	sched := schedFor(system, system+"(local-only)", pred, info)
-	return eng.RunJob(job, sched, spark.NewAgentConn(agents))
 }
 
 // String renders the ablation.
@@ -310,15 +169,19 @@ type Fig8bResult struct {
 // predicted BWs and measures the damage on query 78.
 func Fig8b(p Params) (*Fig8bResult, error) {
 	p = p.withDefaults()
-	input := workloads.UniformInput(8, 100e9*p.Scale)
 	const query = 78
-
-	good, err := runWANifyQuery(p, "tetrium", query, input, nil, nil, true)
+	job, err := workloads.TPCDS(query, workloads.UniformInput(8, 100e9*p.Scale))
+	if err != nil {
+		return nil, err
+	}
+	t := queryTrial(p, "tetrium", query, "wanify")
+	t.belief, t.conns = beliefWANify, connTC
+	good, _, err := t.run(job)
 	if err != nil {
 		return nil, err
 	}
 	rng := simrand.Derive(p.Seed, "fig8b-error")
-	perturb := func(m bwmatrix.Matrix) bwmatrix.Matrix {
+	t.perturb = func(m bwmatrix.Matrix) bwmatrix.Matrix {
 		out := m.Clone()
 		for i := range out {
 			for j := range out[i] {
@@ -337,7 +200,7 @@ func Fig8b(p Params) (*Fig8bResult, error) {
 		}
 		return out
 	}
-	bad, err := runWANifyQuery(p, "tetrium", query, input, perturb, nil, true)
+	bad, _, err := t.run(job)
 	if err != nil {
 		return nil, err
 	}
@@ -359,12 +222,4 @@ func (r *Fig8bResult) String() string {
 	fmt.Fprintf(&b, "latency +%.1f%%, cost +%.1f%%, min BW %.0f%% of accurate (paper: +18%% latency, +5%% cost, -38%% min BW)\n",
 		-pct(r.WANifyJCT, r.ErrJCT), -pct(r.WANifyCost, r.ErrCost), 100*r.ErrMinBW/nonZero(r.WANifyMinBW))
 	return b.String()
-}
-
-// --- shared helper: predict on a live sim ---
-
-// predictOn snapshots the sim and predicts the runtime BW matrix.
-func predictOn(sim substrate.Cluster, model *predict.Model, seed uint64) (bwmatrix.Matrix, error) {
-	feats, _ := dataset.SnapshotFeatures(sim, simrand.Derive(seed, "ablation-snapshot"))
-	return model.PredictMatrix(feats), nil
 }

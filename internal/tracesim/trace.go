@@ -100,7 +100,11 @@ func (tr *Trace) Subset(n int) (*Trace, error) {
 	return out, nil
 }
 
-// validate checks structural invariants shared by both file formats.
+// validate checks structural invariants shared by both file formats:
+// at least two regions and one sample, finite sample times in strictly
+// ascending order from 0, square per-sample matrices whose entries are
+// finite and non-negative or NaN (no override), and a finite loop
+// period past the last sample.
 func (tr *Trace) validate() error {
 	if tr.N() < 2 {
 		return fmt.Errorf("tracesim: trace %q has %d regions, need at least 2", tr.Name, tr.N())
@@ -110,6 +114,9 @@ func (tr *Trace) validate() error {
 	}
 	prev := math.Inf(-1)
 	for k, s := range tr.Samples {
+		if math.IsNaN(s.T) || math.IsInf(s.T, 0) {
+			return fmt.Errorf("tracesim: trace %q sample %d has non-finite time %v", tr.Name, k, s.T)
+		}
 		if s.T < 0 {
 			return fmt.Errorf("tracesim: trace %q sample %d has negative time %v", tr.Name, k, s.T)
 		}
@@ -124,10 +131,15 @@ func (tr *Trace) validate() error {
 			if len(row) != tr.N() {
 				return fmt.Errorf("tracesim: trace %q sample %d row %d has %d columns for %d regions", tr.Name, k, i, len(row), tr.N())
 			}
+			for j, v := range row {
+				if v < 0 || math.IsInf(v, 0) {
+					return fmt.Errorf("tracesim: trace %q sample %d pair %d->%d has rate %v (want finite and >= 0, or NaN for no override)", tr.Name, k, i, j, v)
+				}
+			}
 		}
 	}
-	if tr.Loop && tr.PeriodS <= tr.DurationS() {
-		return fmt.Errorf("tracesim: trace %q loop period %.0fs must exceed last sample time %.0fs", tr.Name, tr.PeriodS, tr.DurationS())
+	if tr.Loop && (math.IsInf(tr.PeriodS, 0) || !(tr.PeriodS > tr.DurationS())) {
+		return fmt.Errorf("tracesim: trace %q loop period %.0fs must be finite and exceed last sample time %.0fs", tr.Name, tr.PeriodS, tr.DurationS())
 	}
 	return nil
 }
@@ -210,7 +222,8 @@ func ParseJSON(r io.Reader) (*Trace, error) {
 // contended runs replay as a (pessimistic) per-connection cap. DC
 // order is the order of first appearance of a region name; pairs
 // omitted at a timestamp hold their previous value (pairs never
-// mentioned keep the geography cap).
+// mentioned keep the geography cap). A `NaN` value spells "no
+// override" explicitly; a negative one is refused.
 func ParseCSV(r io.Reader, name string) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.Comment = '#'
@@ -287,7 +300,9 @@ func ParseCSV(r io.Reader, name string) (*Trace, error) {
 		}
 		current[o.src][o.dst] = o.mbps
 	}
-	flush(all[len(all)-1].t)
+	if len(all) > 0 { // a header-only file has no regions: validate refuses it
+		flush(all[len(all)-1].t)
+	}
 	if err := tr.validate(); err != nil {
 		return nil, err
 	}

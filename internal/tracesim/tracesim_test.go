@@ -360,6 +360,66 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsHostileTraces feeds the readers inputs an earlier
+// version accepted or crashed on. Each must be a clean error, while an
+// explicit NaN ("no override" in CSV) still parses.
+func TestParseRejectsHostileTraces(t *testing.T) {
+	const hdr = "time_s,src,dst,per_conn_mbps\n"
+	for name, doc := range map[string]string{
+		"header only":   hdr,
+		"NaN time":      hdr + "NaN,US East,US West,500\n0,US East,US West,600\n",
+		"Inf time":      hdr + "0,US East,US West,500\nInf,US East,US West,600\n",
+		"Inf rate":      hdr + "0,US East,US West,+Inf\n0,US West,US East,700\n",
+		"negative rate": hdr + "0,US East,US West,-5\n0,US West,US East,700\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if tr, err := ParseCSV(strings.NewReader(doc), "hostile"); err == nil {
+				t.Errorf("accepted with %d samples", len(tr.Samples))
+			}
+		})
+	}
+	tr, err := ParseCSV(strings.NewReader(hdr+"0,US East,US West,NaN\n0,US West,US East,700\n"), "nan")
+	if err != nil {
+		t.Fatalf("explicit no-override refused: %v", err)
+	}
+	if !math.IsNaN(tr.Samples[0].PerConnMbps[0][1]) {
+		t.Error("NaN entry not kept as no-override")
+	}
+	loop := tinyTrace(true)
+	loop.PeriodS = math.Inf(1)
+	if _, err := New(Config{Trace: loop}); err == nil {
+		t.Error("infinite loop period accepted")
+	}
+}
+
+// FuzzParseTrace feeds arbitrary bytes to both trace readers. Each must
+// refuse the input or return a trace the replay backend accepts, with
+// finite sample times in strictly ascending order.
+func FuzzParseTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		csvTr, csvErr := ParseCSV(bytes.NewReader(data), "fuzz")
+		jsonTr, jsonErr := ParseJSON(bytes.NewReader(data))
+		for _, parsed := range []struct {
+			tr  *Trace
+			err error
+		}{{csvTr, csvErr}, {jsonTr, jsonErr}} {
+			if parsed.err != nil {
+				continue
+			}
+			prev := math.Inf(-1)
+			for k, s := range parsed.tr.Samples {
+				if math.IsInf(s.T, 0) || !(s.T > prev) {
+					t.Fatalf("sample %d time %v after %v", k, s.T, prev)
+				}
+				prev = s.T
+			}
+			if _, err := New(Config{Trace: parsed.tr}); err != nil {
+				t.Fatalf("parsed trace refused by New: %v", err)
+			}
+		}
+	})
+}
+
 // TestNegativeMeansNoOverride checks that negative JSON entries leave
 // the geography-derived cap in place.
 func TestNegativeMeansNoOverride(t *testing.T) {
