@@ -74,13 +74,9 @@ func main() {
 	)
 	flag.Parse()
 
-	share := optimize.ShareFair
-	switch *shareS {
-	case "fair":
-	case "priority":
-		share = optimize.SharePriority
-	default:
-		log.Fatalf("wanify-serve: unknown -share %q (want fair or priority)", *shareS)
+	share, err := optimize.ParseShareMode(*shareS) // serve.New refuses remaining
+	if err != nil {
+		log.Fatalf("wanify-serve: %v", err)
 	}
 	if *dcs < 2 || *dcs > 8 {
 		log.Fatalf("wanify-serve: -dcs %d out of range [2,8]", *dcs)

@@ -19,7 +19,10 @@
 // -believe picks the bandwidth matrix they plan with (static,
 // simultaneous, predicted). Connection strategies: single, uniform
 // (8 per pair), wanify (predicted BWs + heterogeneous agent-managed
-// pools + throttling). -jobs N runs N copies of the job concurrently
+// pools + throttling: one wanify.EnableJobSet gauges the cluster,
+// plans from WANify's prediction whatever -believe says, and deploys
+// the agents; with -believe predicted that prediction is also the
+// scheduler's belief). -jobs N runs N copies of the job concurrently
 // over one cluster (the multi-tenant JobSet runner); with -conns
 // wanify, -share picks how the global plan's windows split across the
 // jobs (fair, priority, remaining). -rebalance adds the mid-job
@@ -74,7 +77,7 @@ func main() {
 		skew    = flag.Bool("skew", false, "skew input onto 4 hot DCs (§5.8.1)")
 		sched   = flag.String("sched", "locality", gda.SchedulerSpecs())
 		believe = flag.String("believe", "predicted", "static | simultaneous | predicted | oracle (for tetrium/kimchi; oracle = netsim true caps)")
-		conns   = flag.String("conns", "single", "single | uniform | wanify")
+		conns   = flag.String("conns", "single", "single | uniform | wanify (windows planned from WANify's own prediction, whatever -believe says)")
 		jobs    = flag.Int("jobs", 1, "run N copies of the job concurrently over one cluster (multi-tenant)")
 		shareS  = flag.String("share", "fair", "with -jobs N and -conns wanify: split the global plan's windows across jobs by fair | priority | remaining (priority: job 0 ranks highest)")
 		rebal   = flag.Bool("rebalance", false, "with -conns wanify: re-gauge and rebalance the plan mid-job when WAN drift is detected (with -jobs N: one shared controller arbitrates for all jobs)")
@@ -244,7 +247,7 @@ func main() {
 		fw, err = wanify.New(wanify.Config{
 			Cluster: sim, Rates: rates, Seed: *seed,
 			Agent:   agent.Config{Throttle: true},
-			Runtime: rgauge.Config{Hardened: *harden},
+			Runtime: rgauge.Config{Enabled: *rebal, Hardened: *harden},
 		}, model)
 		if err != nil {
 			log.Fatal(err)
@@ -260,15 +263,15 @@ func main() {
 		case "simultaneous":
 			believed, _ = measure.StaticSimultaneous(sim, measure.StableOptions())
 		case "predicted":
-			believed, _ = fw.DetermineRuntimeBW()
+			if *conns != "wanify" { // -conns wanify gauges as it deploys, below
+				believed, _ = fw.DetermineRuntimeBW()
+			}
 		case "oracle":
 			ns, ok := sim.(*netsim.Sim)
 			if !ok {
 				log.Fatal("-believe oracle reads the simulator's true caps and needs the netsim backend")
 			}
 			believed = ns.PerConnCapMatrix()
-		default:
-			log.Fatalf("unknown belief %q", *believe)
 		}
 	}
 
@@ -277,27 +280,21 @@ func main() {
 	// installed at the cluster level from the global plan).
 	var jobSet *spark.JobSet // assigned before Run; feeds bytes-remaining sharing
 	var policy spark.ConnPolicy = spark.SingleConn{}
-	policies := make([]spark.ConnPolicy, *jobs)
+	var policies []spark.ConnPolicy // per job under wanify
 	switch *conns {
 	case "single":
 	case "uniform":
 		policy = spark.UniformConn{K: 8}
 	case "wanify":
-		pred := believed
-		if pred == nil {
-			pred, _ = fw.DetermineRuntimeBW()
-		}
 		var ws []float64
 		if *skew {
 			ws = workloads.SkewWeights(input)
 		}
-		opts := wanify.OptimizeOptions{SkewWeights: ws}
-		plan := fw.Optimize(pred, opts)
 		prios := make([]float64, *jobs)
 		for i := range prios {
 			prios[i] = float64(*jobs - i)
 		}
-		if _, err := fw.DeployJobSetAgents(pred, plan, wanify.JobSetOptions{
+		pred, slots, _, err := fw.EnableJobSet(wanify.JobSetOptions{
 			Jobs:       *jobs,
 			Share:      share,
 			Priorities: prios,
@@ -307,21 +304,15 @@ func main() {
 				}
 				return jobSet.RemainingBytes()
 			},
-			Optimize: opts,
-		}); err != nil {
+			Optimize: wanify.OptimizeOptions{SkewWeights: ws},
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
 		defer fw.StopAgents()
-		copy(policies, fw.JobPolicies())
-		if *rebal {
-			fw.StartController(opts)
-		}
-	default:
-		log.Fatalf("unknown conns %q", *conns)
-	}
-	for i := range policies {
-		if policies[i] == nil {
-			policies[i] = policy
+		policies = slots
+		if *sched != "locality" && *believe == "predicted" {
+			believed = pred
 		}
 	}
 
@@ -350,7 +341,10 @@ func main() {
 
 	runs := make([]spark.JobRun, *jobs)
 	for i := range runs {
-		runs[i] = spark.JobRun{Job: job, Sched: scheduler, Policy: policies[i]}
+		runs[i] = spark.JobRun{Job: job, Sched: scheduler, Policy: policy}
+		if policies != nil {
+			runs[i].Policy = policies[i]
+		}
 	}
 	jobSet, err = spark.NewJobSet(eng, runs)
 	if err != nil {

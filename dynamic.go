@@ -1,15 +1,16 @@
 package wanify
 
-// The slot model — the one deployment both entry-point pairs are
-// configurations of. A deployment opens a fixed number of job SLOTS
+// The slot model — the one deployment every entry point is a
+// configuration of. A deployment opens a fixed number of job SLOTS
 // over one global plan; jobs occupy and free slots while everything
 // runs:
 //
-//   - EnableJobSet / DeployJobSetAgents open N slots, all occupied in
-//     one rebalance under the Share / Oversubscribe policy.
-//   - Enable / DeployAgents are its one-slot configuration: ONE slot,
-//     occupied at once, that takes the whole plan and whose agents
-//     throttle BW-rich links locally.
+//   - EnableJobSet opens N slots, all occupied in one rebalance under
+//     the Share / Oversubscribe policy.
+//   - Enable is its one-slot configuration: ONE slot, occupied at
+//     once, that takes the whole plan and whose agents throttle
+//     BW-rich links locally. DeployAgents opens the same slot over a
+//     belief the caller supplies.
 //   - Under JobSetOptions.Dynamic the N slots open FREE for the serving
 //     control plane (internal/serve) to fill: AdmitJob claims a free slot,
 //     re-partitions the current global plan across the now-occupied

@@ -151,11 +151,11 @@ func RuntimeMonitoringAnnualUSD(p MonitoringParams, r Rates) float64 {
 	return float64(p.OccurrencesPerYear) * float64(p.N) * p.perInstanceUSD(r)
 }
 
-// SessionsFor returns how many monitoring sessions a cluster of n DCs
+// sessionsFor returns how many monitoring sessions a cluster of n DCs
 // needs to collect `rows` labeled pairs: each session yields one row
 // per ordered DC pair, so larger clusters need fewer sessions — the
 // reason Table 2's training and prediction costs *decrease* with N.
-func SessionsFor(rows, n int) int {
+func sessionsFor(rows, n int) int {
 	perSession := n * (n - 1)
 	if perSession <= 0 {
 		return 0
@@ -190,7 +190,7 @@ func DefaultTrainingParams(n int) TrainingParams {
 
 // TrainingCostUSD prices training-set collection: sessions × N × (x×y + z).
 func TrainingCostUSD(p TrainingParams) float64 {
-	sessions := SessionsFor(p.Rows, p.N)
+	sessions := sessionsFor(p.Rows, p.N)
 	xy := p.Spec.HourlyUSD / 3600 * p.SessionS
 	gb := p.SessionMbps * p.SessionS / 8 / 1000
 	return float64(sessions) * float64(p.N) * (xy + gb*p.NetPerGB)
@@ -223,7 +223,7 @@ func DefaultPredictionParams(n int) PredictionParams {
 
 // PredictionCostUSD prices a year of snapshot-driven predictions.
 func PredictionCostUSD(p PredictionParams) float64 {
-	sessions := SessionsFor(p.RowsPerYear, p.N)
+	sessions := sessionsFor(p.RowsPerYear, p.N)
 	xy := p.Spec.HourlyUSD / 3600 * p.SnapshotS
 	gb := p.SessionMbps * p.SnapshotS / 8 / 1000
 	return float64(sessions) * float64(p.N) * (xy + gb*p.NetPerGB)

@@ -97,8 +97,8 @@ func TestSessionsFor(t *testing.T) {
 		{5, 1, 0}, // degenerate: no pairs
 	}
 	for _, c := range cases {
-		if got := SessionsFor(c.rows, c.n); got != c.want {
-			t.Errorf("SessionsFor(%d, %d) = %d, want %d", c.rows, c.n, got, c.want)
+		if got := sessionsFor(c.rows, c.n); got != c.want {
+			t.Errorf("sessionsFor(%d, %d) = %d, want %d", c.rows, c.n, got, c.want)
 		}
 	}
 }

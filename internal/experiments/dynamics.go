@@ -40,7 +40,7 @@ func Fig9(p Params) (*Fig9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := wanifyTrial(p, nil, 0).setup()
+	tr, err := wanifyTrial(p, nil, 0).setup(trialJob{job: job})
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func Fig9(p Params) (*Fig9Result, error) {
 	})
 	defer cancel()
 
-	if _, _, err := tr.run(job); err != nil {
+	if _, _, err := tr.run(); err != nil {
 		return nil, err
 	}
 	if len(res.Epochs) > 0 {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/netsim"
 	"github.com/wanify/wanify/internal/simrand"
@@ -114,17 +113,18 @@ func Failover(p Params) (*FailoverResult, error) {
 		if recover {
 			t.runtime, t.recover, v.Variant = rebalanceRuntime(), true, "recovery"
 		}
-		tr, err := t.setup()
+		tr, err := t.setup(trialJob{job: job})
 		if err != nil {
 			return nil, err
 		}
-		run, ctl, err := tr.run(job)
+		set, ctl, err := tr.run()
 		if err != nil {
 			// The baseline's expected fate: the fault error is the result.
 			v.Err = err.Error()
 			res.Rows = append(res.Rows, v)
 			continue
 		}
+		run := set.Results[0]
 		v.Completed = true
 		v.JCTSeconds, v.WANBytes = run.JCTSeconds, run.WANBytes
 		v.LostBytes, v.RecoveredB, v.Recoveries = run.LostBytes, run.RecoveredBytes, run.Recoveries
@@ -251,24 +251,25 @@ func chaosSchedule(rng *simrand.Source, sim *netsim.Sim) substrate.FaultSchedule
 // conservation invariants. The whole run — cluster weather, schedule
 // and recovery decisions — is deterministic in (schedSeed, scale).
 func ChaosRun(schedSeed uint64, scale float64) ChaosOutcome {
-	rng := simrand.Derive(schedSeed, "chaos-schedule")
-	cfg := netsim.UniformCluster(geo.TestbedSubset(chaosDCs), substrate.T2Medium, schedSeed)
-	for i := range cfg.VMs {
-		for len(cfg.VMs[i]) < chaosVMsPerDC {
-			cfg.VMs[i] = append(cfg.VMs[i], substrate.T2Medium)
+	var sim *netsim.Sim
+	var schedule substrate.FaultSchedule
+	cluster := func(seed uint64) (substrate.Cluster, error) {
+		cfg := netsim.UniformCluster(geo.TestbedSubset(chaosDCs), substrate.T2Medium, seed)
+		for i := range cfg.VMs {
+			for len(cfg.VMs[i]) < chaosVMsPerDC {
+				cfg.VMs[i] = append(cfg.VMs[i], substrate.T2Medium)
+			}
 		}
+		sim = netsim.NewSim(cfg)
+		schedule = chaosSchedule(simrand.Derive(schedSeed, "chaos-schedule"), sim)
+		schedule.Apply(sim)
+		return sim, nil
 	}
-	sim := netsim.NewSim(cfg)
-	schedule := chaosSchedule(rng, sim)
-	schedule.Apply(sim)
-	sim.RunUntil(chaosStart)
-
 	const totalBytes = 240e9
 	job := workloads.TeraSort(workloads.UniformInput(chaosDCs, totalBytes*scale))
-	eng := spark.NewEngine(sim, rates)
-	eng.Recovery = spark.RecoveryConfig{Enabled: true}
-	sched := gda.Tetrium{Label: "tetrium(oracle)", Believed: sim.PerConnCapMatrix(), Info: gda.NewClusterInfo(sim, rates)}
-	res, err := eng.RunJob(job, sched, spark.UniformConn{K: 4})
+	// The oracle belief is read, and the job launched, at chaosStart.
+	res, _, err := trial{cluster: cluster, seed: schedSeed, start: chaosStart + 1, belief: beliefOracle,
+		conns: connUniform, k: 4, recover: true, system: "tetrium", label: "tetrium(oracle)"}.run(job)
 
 	out := ChaosOutcome{SchedSeed: schedSeed, Schedule: schedule}
 	if err != nil {

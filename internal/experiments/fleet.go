@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/netsim"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/substrate"
 	"github.com/wanify/wanify/internal/workloads"
 )
@@ -31,7 +29,11 @@ func init() {
 // input lives on fleetJobDCs consecutive DCs (consecutive fleet ids
 // share a metro/continent), with footprints spread across the fleet
 // and starts staggered so early jobs are mid-shuffle when later ones
-// arrive.
+// arrive. Each job places work only inside its footprint (gda.Masked,
+// the per-job quota a shared fleet enforces): unconfined, a
+// compute-heavy stage spreads over all 100 DCs and every shuffle
+// becomes a fleet-wide all-to-all of ~40k flows in one bottleneck
+// group.
 const (
 	fleetDCs      = 100
 	fleetVMsPerDC = 4
@@ -41,41 +43,6 @@ const (
 	fleetStart    = 30.0
 	fleetJobGB    = 150.0 // per-job input at scale 1.0
 )
-
-// fleetRegionalSched confines a job to its regional subcluster: the
-// inner scheduler plans over the whole fleet, and the wrapper masks
-// the placement down to the job's DC quota (renormalizing; uniform
-// over the region if the inner placement put everything elsewhere) —
-// the per-job capacity quota a shared fleet enforces in practice.
-// Without the quota a compute-heavy stage spreads over all 100 DCs
-// and every job's shuffle becomes a fleet-wide all-to-all: ~40k
-// concurrent flows in one bottleneck group, which is neither how
-// fleets are operated nor a feasible golden.
-type fleetRegionalSched struct {
-	inner   spark.Scheduler
-	allowed []bool
-}
-
-func (s fleetRegionalSched) Name() string { return s.inner.Name() + "@region" }
-
-func (s fleetRegionalSched) Place(stage int, st spark.Stage, layout []float64) spark.Placement {
-	p := s.inner.Place(stage, st, layout)
-	total := 0.0
-	for i := range p {
-		if !s.allowed[i] {
-			p[i] = 0
-		}
-		total += p[i]
-	}
-	if total <= 0 {
-		for i := range p {
-			if s.allowed[i] {
-				p[i] = 1
-			}
-		}
-	}
-	return p.Normalize()
-}
 
 // FleetJobRow is one regional job's outcome.
 type FleetJobRow struct {
@@ -117,37 +84,30 @@ func (r *FleetResult) String() string {
 // allocator decomposition. Deterministic in (seed, scale).
 func Fleet(p Params) (*FleetResult, error) {
 	p = p.withDefaults()
-	sim := netsim.NewSim(netsim.FleetCluster(fleetDCs, fleetVMsPerDC, substrate.T2Medium, p.Seed))
-	sim.RunUntil(fleetStart)
-
-	believed := sim.PerConnCapMatrix()
-	info := gda.NewClusterInfo(sim, rates)
-	eng := spark.NewEngine(sim, rates)
-
-	var runs []spark.JobRun
+	var jobs []trialJob
 	stride := fleetDCs / fleetJobs
 	for j := 0; j < fleetJobs; j++ {
 		first := j * stride
 		hot := make([]int, fleetJobDCs)
+		allowed := make([]bool, fleetDCs)
 		for k := range hot {
 			hot[k] = first + k
-		}
-		allowed := make([]bool, fleetDCs)
-		for _, dc := range hot {
-			allowed[dc] = true
+			allowed[first+k] = true
 		}
 		job := workloads.TeraSort(workloads.SkewedInput(fleetDCs, fleetJobGB*1e9*p.Scale, hot, 1.0))
 		job.Name = fmt.Sprintf("sort-%d", j)
-		runs = append(runs, spark.JobRun{
-			Job: job,
-			Sched: fleetRegionalSched{
-				inner:   gda.Tetrium{Label: "tetrium(oracle)", Believed: believed, Info: info},
-				allowed: allowed,
-			},
-			Policy:      spark.UniformConn{K: 4},
-			StartDelayS: float64(j) * fleetStaggerS,
-		})
+		jobs = append(jobs, trialJob{job: job, delayS: float64(j) * fleetStaggerS, allowed: allowed})
 	}
+	// The oracle belief is read, and the set launched, at fleetStart.
+	tr, err := trial{p: p, seed: p.Seed, start: fleetStart + 1, belief: beliefOracle, conns: connUniform, k: 4,
+		system: "tetrium", label: "tetrium(oracle)@region",
+		cluster: func(seed uint64) (substrate.Cluster, error) {
+			return netsim.NewSim(netsim.FleetCluster(fleetDCs, fleetVMsPerDC, substrate.T2Medium, seed)), nil
+		}}.setup(jobs...)
+	if err != nil {
+		return nil, err
+	}
+	sim := tr.sim.(*netsim.Sim)
 
 	// Sample the allocator shape while the set runs: the probe
 	// reschedules itself on the substrate clock every simulated
@@ -169,7 +129,7 @@ func Fleet(p Params) (*FleetResult, error) {
 	}
 	sim.After(1, probe)
 
-	set, err := eng.RunJobSet(runs)
+	set, _, err := tr.run()
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +138,7 @@ func Fleet(p Params) (*FleetResult, error) {
 		res.Rows = append(res.Rows, FleetJobRow{
 			Name:       rr.Job,
 			FirstDC:    j * stride,
-			StartS:     runs[j].StartDelayS,
+			StartS:     jobs[j].delayS,
 			JCTSeconds: rr.JCTSeconds,
 			WANBytes:   rr.WANBytes,
 			OutputB:    rr.OutputBytes,

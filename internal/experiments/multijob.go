@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	wanify "github.com/wanify/wanify"
-	"github.com/wanify/wanify/internal/agent"
-	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/optimize"
-	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/substrate"
 	"github.com/wanify/wanify/internal/tracesim"
 	"github.com/wanify/wanify/internal/workloads"
@@ -95,34 +91,6 @@ func (r *MultijobResult) String() string {
 	return b.String()
 }
 
-// multijobSpec is one job of the set.
-type multijobSpec struct {
-	name     string
-	job      spark.Job
-	delayS   float64
-	priority float64
-}
-
-// multijobJobs builds the shared job mix for a cluster of n DCs:
-// a heavy TeraSort entering first and two TPC-DS queries behind it,
-// the lightest with the highest priority (the priority variant shows
-// it cutting ahead).
-func multijobJobs(n int, scale float64) ([]multijobSpec, error) {
-	q78, err := workloads.TPCDS(78, workloads.UniformInput(n, 200e9*scale))
-	if err != nil {
-		return nil, err
-	}
-	q95, err := workloads.TPCDS(95, workloads.UniformInput(n, 160e9*scale))
-	if err != nil {
-		return nil, err
-	}
-	return []multijobSpec{
-		{name: "terasort", job: workloads.TeraSort(workloads.UniformInput(n, 300e9*scale)), delayS: 0, priority: 1},
-		{name: "tpcds-78", job: q78, delayS: 30, priority: 1},
-		{name: "tpcds-95", job: q95, delayS: 60, priority: 4},
-	}, nil
-}
-
 // multijobDeploy is one concurrent deployment of the job set: a
 // sharing policy (oversubscribed when whole is set), optionally with
 // the shared re-gauging controller.
@@ -133,124 +101,62 @@ type multijobDeploy struct {
 }
 
 // multijobCompare fills res with the solo floor — each job alone on a
-// fresh, identically-seeded cluster — then each concurrent deployment.
+// fresh, identically-seeded cluster — then each concurrent deployment
+// of the named jobs as one trial.
 func multijobCompare(p Params, res *MultijobResult, mk func(seed uint64) (substrate.Cluster, error), startAt float64,
-	specs []multijobSpec, deploys []multijobDeploy) (*MultijobResult, error) {
+	names []string, jobs []trialJob, deploys []multijobDeploy) (*MultijobResult, error) {
 	solo := MultijobVariant{Name: "solo"}
-	for _, spec := range specs {
-		run, _, err := wanifyTrial(p, mk, startAt).run(spec.job)
+	for i, j := range jobs {
+		run, _, err := wanifyTrial(p, mk, startAt).run(j.job)
 		if err != nil {
 			return nil, err
 		}
 		solo.Rows = append(solo.Rows, MultijobJobRow{
-			Job: spec.name, JCTSeconds: run.JCTSeconds,
+			Job: names[i], JCTSeconds: run.JCTSeconds,
 			MinBW: run.MinShuffleMbps, WANBytes: run.WANBytes,
 		})
 		solo.MakespanS = max(solo.MakespanS, run.JCTSeconds) // jobs run in separate universes: max, not sum
 	}
 	res.Variants = append(res.Variants, solo)
 	for _, d := range deploys {
-		v, err := runMultijobVariant(p, d, mk, startAt, specs)
+		t := wanifyTrial(p, mk, startAt)
+		t.share, t.whole = d.share, d.whole
+		if d.regauge {
+			t.runtime = rebalanceRuntime()
+		}
+		set, ctl, err := t.runSet(jobs...)
 		if err != nil {
 			return nil, err
+		}
+		v := MultijobVariant{Name: d.name, MakespanS: set.MakespanS}
+		for i, r := range set.Results {
+			v.Rows = append(v.Rows, MultijobJobRow{
+				Job: names[i], JCTSeconds: r.JCTSeconds,
+				MinBW: r.MinShuffleMbps, WANBytes: r.WANBytes,
+			})
+		}
+		if ctl != nil {
+			v.Replans = ctl.Replans()
+			v.RegaugeBytes = ctl.TotalCost().BytesTransferred
 		}
 		res.Variants = append(res.Variants, v)
 	}
 	return res, nil
 }
 
-// runMultijobVariant runs the whole set concurrently under one
-// deployment.
-func runMultijobVariant(p Params, d multijobDeploy, mk func(seed uint64) (substrate.Cluster, error), startAt float64,
-	specs []multijobSpec) (MultijobVariant, error) {
-	model, err := sharedModel(p)
-	if err != nil {
-		return MultijobVariant{}, err
-	}
-	sim, err := mk(p.Seed)
-	if err != nil {
-		return MultijobVariant{}, err
-	}
-	cfg := wanify.Config{
-		Cluster: sim, Rates: rates, Seed: p.Seed,
-		Agent: agent.Config{Throttle: true},
-	}
-	if d.regauge {
-		cfg.Runtime = rebalanceRuntime()
-	}
-	fw, err := wanify.New(cfg, model)
-	if err != nil {
-		return MultijobVariant{}, err
-	}
-	sim.RunUntil(startAt - 1)
-
-	priorities := make([]float64, len(specs))
-	for i, spec := range specs {
-		priorities[i] = spec.priority
-	}
-	var js *spark.JobSet
-	pred, policies, _, err := fw.EnableJobSet(wanify.JobSetOptions{
-		Jobs:       len(specs),
-		Share:      d.share,
-		Priorities: priorities,
-		Remaining: func() []float64 {
-			if js == nil {
-				// Deploy-time seed, before the runner exists: everything
-				// is still remaining, so weigh by total input bytes.
-				out := make([]float64, len(specs))
-				for i, spec := range specs {
-					out[i] = spec.job.TotalInputBytes()
-				}
-				return out
-			}
-			return js.RemainingBytes()
-		},
-		Oversubscribe: d.whole,
-	})
-	if err != nil {
-		return MultijobVariant{}, err
-	}
-	defer fw.StopAgents()
-
-	eng := spark.NewEngine(sim, rates)
-	info := gda.NewClusterInfo(sim, rates)
-	var runs []spark.JobRun
-	for i, spec := range specs {
-		runs = append(runs, spark.JobRun{
-			Job:         spec.job,
-			Sched:       gda.Tetrium{Label: "tetrium(wanify)", Believed: pred, Info: info},
-			Policy:      policies[i],
-			StartDelayS: spec.delayS,
-		})
-	}
-	js, err = spark.NewJobSet(eng, runs)
-	if err != nil {
-		return MultijobVariant{}, err
-	}
-	res, err := js.Run()
-	if err != nil {
-		return MultijobVariant{}, err
-	}
-	v := MultijobVariant{Name: d.name, MakespanS: res.MakespanS}
-	for i, r := range res.Results {
-		v.Rows = append(v.Rows, MultijobJobRow{
-			Job: specs[i].name, JCTSeconds: r.JCTSeconds,
-			MinBW: r.MinShuffleMbps, WANBytes: r.WANBytes,
-		})
-	}
-	if ctl := fw.Controller(); ctl != nil {
-		v.Replans = ctl.Replans()
-		v.RegaugeBytes = ctl.TotalCost().BytesTransferred
-	}
-	return v, nil
-}
-
 // Multijob is the netsim contention scenario: three staggered jobs on
-// the 8-DC testbed under solo / oversubscribed / fair / priority /
-// bytes-remaining deployments.
+// the 8-DC testbed — a heavy TeraSort entering first and two TPC-DS
+// queries behind it, the lightest with the highest priority (the
+// priority variant shows it cutting ahead) — under solo /
+// oversubscribed / fair / priority / bytes-remaining deployments.
 func Multijob(p Params) (*MultijobResult, error) {
 	p = p.withDefaults()
-	specs, err := multijobJobs(len(geo.Testbed()), p.Scale)
+	n := len(geo.Testbed())
+	q78, err := workloads.TPCDS(78, workloads.UniformInput(n, 200e9*p.Scale))
+	if err != nil {
+		return nil, err
+	}
+	q95, err := workloads.TPCDS(95, workloads.UniformInput(n, 160e9*p.Scale))
 	if err != nil {
 		return nil, err
 	}
@@ -258,8 +164,12 @@ func Multijob(p Params) (*MultijobResult, error) {
 		Scenario: "netsim 8-DC testbed",
 		Jobs:     "terasort + tpcds-78 (+30s) + tpcds-95 (+60s, priority 4)",
 	}
-	return multijobCompare(p, res, func(seed uint64) (substrate.Cluster, error) { return netsimTestbed(seed), nil }, queryStart, specs,
-		[]multijobDeploy{
+	return multijobCompare(p, res, func(seed uint64) (substrate.Cluster, error) { return netsimTestbed(seed), nil }, queryStart,
+		[]string{"terasort", "tpcds-78", "tpcds-95"}, []trialJob{
+			{job: workloads.TeraSort(workloads.UniformInput(n, 300e9*p.Scale)), priority: 1},
+			{job: q78, delayS: 30, priority: 1},
+			{job: q95, delayS: 60, priority: 4},
+		}, []multijobDeploy{
 			{name: "whole", share: optimize.ShareFair, whole: true},
 			{name: "fair", share: optimize.ShareFair},
 			{name: "priority", share: optimize.SharePriority},
@@ -278,15 +188,14 @@ func MultijobTrace(p Params) (*MultijobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := []multijobSpec{
-		{name: "terasort", job: workloads.TeraSort(workloads.UniformInput(n, 240e9*p.Scale)), delayS: 0, priority: 1},
-		{name: "tpcds-95", job: q95, delayS: 20, priority: 1},
-	}
 	res := &MultijobResult{
 		Scenario: "trace:cloud4 4-DC replay",
 		Jobs:     "terasort + tpcds-95 (+20s), recorded congestion episode at t=[600, 900]s",
 	}
-	return multijobCompare(p, res, cloud4Replay, startAt, specs, []multijobDeploy{
+	return multijobCompare(p, res, cloud4Replay, startAt, []string{"terasort", "tpcds-95"}, []trialJob{
+		{job: workloads.TeraSort(workloads.UniformInput(n, 240e9*p.Scale)), priority: 1},
+		{job: q95, delayS: 20, priority: 1},
+	}, []multijobDeploy{
 		{name: "static", share: optimize.ShareFair},
 		{name: "regauge", share: optimize.ShareFair, regauge: true},
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	wanify "github.com/wanify/wanify"
@@ -19,16 +20,18 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// --- the trial: one single-job evaluation variant ---
+// --- the trial: one evaluation variant ---
 //
 // The §5 comparisons differ on two axes only: where the scheduler's
-// bandwidth belief comes from, and how the job's transfers pick their
+// bandwidth belief comes from, and how the jobs' transfers pick their
 // connections. A trial is one point of that grid on a fresh cluster
 // launched at a common start instant, so every compared variant of a
 // figure sees the same network weather from the start onward (link
-// draws depend only on elapsed time). Drivers that run something other
-// than one job on one freshly gauged cluster — job sets, the serving
-// plane, chaos soaks, the measurement-only figures — stay outside it.
+// draws depend only on elapsed time). It runs one job, or several as
+// one spark.JobSet (multijob's shared deployments, fleet's regional
+// jobs), with recovery when the driver injects faults (failover,
+// degrade, chaos). Only the serving plane, which admits jobs while the
+// clock runs, and the measurement-only figures stay outside it.
 
 // queryStart is the default start instant (seconds). Static-independent
 // measurement happens early (and is stale by then); simultaneous
@@ -41,7 +44,7 @@ type beliefKind int
 
 const (
 	beliefNone               beliefKind = iota // none: the cluster runs to the start
-	beliefOracle                               // netsim's true per-connection caps
+	beliefOracle                               // netsim's true caps, read (and the jobs launched) at start − 1
 	beliefStaticIndependent                    // one pair at a time, early: stale by the start
 	beliefStaticSimultaneous                   // all pairs at once for 20 s before the start
 	beliefPredicted                            // a 1 s snapshot through the model
@@ -67,9 +70,9 @@ const (
 	connTC                         // connDynamic plus §3.2.2 throttling (WANify-TC)
 )
 
-// trial is one single-job variant. The zero value of every field but p
-// and system is the default: p's 8-DC testbed seeded with seed,
-// launched at queryStart with no belief over single connections.
+// trial is one variant. The zero value of every field but p and
+// system is the default: p's 8-DC testbed seeded with seed, launched at
+// queryStart with no belief over single connections.
 type trial struct {
 	p Params
 	// cluster builds the trial's cluster from seed (nil: p's 8-DC
@@ -82,10 +85,16 @@ type trial struct {
 	// beliefSeed (0: p.Seed).
 	rng        string
 	beliefSeed uint64
-	// perturb, when set, rewrites the belief before anything uses it.
+	// perturb, when set, rewrites the belief before anything uses it;
+	// the belief then deploys without a re-gauging controller.
 	perturb func(bwmatrix.Matrix) bwmatrix.Matrix
 	conns   connKind
+	k       int // connUniform's connections per pair (0: 8)
 	opts    wanify.OptimizeOptions
+	// share splits a job set's windows across its jobs; whole hands
+	// every job the whole window instead (JobSetOptions.Oversubscribe).
+	share   optimize.ShareMode
+	whole   bool
 	runtime rgauge.Config // the re-gauging controller (off when zero)
 	recover bool          // spark fault recovery
 	// system is a gda.ParseScheduler spec; label names a tetrium or
@@ -93,27 +102,57 @@ type trial struct {
 	system, label string
 }
 
-// trialRun is a trial set up to its start instant.
-type trialRun struct {
-	t      trial
-	sim    substrate.Cluster
-	belief bwmatrix.Matrix
-	policy spark.ConnPolicy
-	fw     *wanify.Framework // nil unless the belief or the connections need it
+// trialJob is one job of a trial's set.
+type trialJob struct {
+	job      spark.Job
+	delayS   float64 // start delay after the set enters
+	priority float64 // SharePriority weight
+	allowed  []bool  // the DCs it may place work on (nil: all)
 }
 
-// run sets the trial up and runs job on it.
+// trialRun is a trial set up to its start instant.
+type trialRun struct {
+	t        trial
+	jobs     []trialJob
+	sim      substrate.Cluster
+	belief   bwmatrix.Matrix
+	policy   spark.ConnPolicy
+	policies []spark.ConnPolicy // per job, when a job set's slots hold them
+	fw       *wanify.Framework  // nil unless the belief or the connections need it
+	set      *spark.JobSet      // the running set, for ShareRemaining
+}
+
+// run sets the trial up and runs job on it alone.
 func (t trial) run(job spark.Job) (spark.RunResult, *rgauge.Controller, error) {
-	r, err := t.setup()
+	set, ctl, err := t.runSet(trialJob{job: job})
 	if err != nil {
-		return spark.RunResult{}, nil, err
+		return spark.RunResult{}, ctl, err
 	}
-	return r.run(job)
+	return set.Results[0], ctl, nil
+}
+
+// runSet sets the trial up and runs jobs on it as one set.
+func (t trial) runSet(jobs ...trialJob) (spark.JobSetResult, *rgauge.Controller, error) {
+	r, err := t.setup(jobs...)
+	if err != nil {
+		return spark.JobSetResult{}, nil, err
+	}
+	return r.run()
+}
+
+// enables reports whether the trial opens its deployment with the
+// framework's own one call, Enable or EnableJobSet: an unperturbed
+// WANify belief, deployed to agents in the global plan's window.
+func (t trial) enables() bool {
+	return t.belief == beliefWANify && t.conns >= connDynamic && t.perturb == nil
 }
 
 // setup builds the cluster, runs it to the start instant while
-// obtaining the belief, and deploys the connection strategy.
-func (t trial) setup() (*trialRun, error) {
+// obtaining the belief, and deploys the connection strategy for jobs:
+// one slot each through EnableJobSet when the trial enables, one slot
+// shared by all of them otherwise (none: for a driver that runs its
+// own workload).
+func (t trial) setup(jobs ...trialJob) (*trialRun, error) {
 	var model *predict.Model
 	if t.belief >= beliefPredicted || t.conns >= connLocalOnly {
 		var err error
@@ -129,7 +168,7 @@ func (t trial) setup() (*trialRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &trialRun{t: t, sim: sim, policy: spark.SingleConn{}}
+	r := &trialRun{t: t, jobs: jobs, sim: sim, policy: spark.SingleConn{}}
 	if t.belief == beliefWANify || t.conns >= connLocalOnly {
 		r.fw, err = wanify.New(wanify.Config{
 			Cluster: sim, Rates: rates, Seed: t.p.Seed,
@@ -146,23 +185,46 @@ func (t trial) setup() (*trialRun, error) {
 	if t.perturb != nil {
 		r.belief = t.perturb(r.belief)
 	}
-	switch t.conns {
-	case connUniform:
-		r.policy = spark.UniformConn{K: 8}
-	case connGlobalOnly:
+	switch {
+	case t.conns == connUniform:
+		r.policy = spark.UniformConn{K: cmp.Or(t.k, 8)}
+	case t.conns == connGlobalOnly:
 		plan := optimize.GlobalOptimize(r.belief, optimize.Options{})
 		r.policy = spark.FixedConn{Cluster: sim, Matrix: plan.MaxConns}
-	case connLocalOnly:
+	case t.conns == connLocalOnly:
 		r.fw.DeployAgents(r.belief, localOnlyPlan(r.belief))
 		r.policy = r.fw.ConnPolicy()
-	case connDynamic, connTC:
+	case t.enables() && len(jobs) > 1:
+		r.belief, r.policies, _, err = r.fw.EnableJobSet(r.jobSetOptions())
+	case t.enables():
+		r.belief, r.policy, _ = r.fw.Enable(t.opts)
+	case t.conns >= connDynamic:
 		r.fw.DeployAgents(r.belief, r.fw.Optimize(r.belief, t.opts))
-		if t.runtime.Enabled {
-			r.fw.StartController(t.opts)
-		}
 		r.policy = r.fw.ConnPolicy()
 	}
-	return r, nil
+	return r, err
+}
+
+// jobSetOptions is the trial's EnableJobSet deployment: one slot per
+// job at its priority, the Remaining hook polling the trial's own set.
+func (r *trialRun) jobSetOptions() wanify.JobSetOptions {
+	o := wanify.JobSetOptions{Jobs: len(r.jobs), Share: r.t.share, Oversubscribe: r.t.whole, Optimize: r.t.opts}
+	for _, j := range r.jobs {
+		o.Priorities = append(o.Priorities, j.priority)
+	}
+	o.Remaining = func() []float64 {
+		if r.set == nil {
+			// Deploy-time seed, before the set exists: everything is
+			// still remaining, so weigh by total input bytes.
+			out := make([]float64, len(r.jobs))
+			for i, j := range r.jobs {
+				out[i] = j.job.TotalInputBytes()
+			}
+			return out
+		}
+		return r.set.RemainingBytes()
+	}
+	return o
 }
 
 // gauge runs sim to the start instant, obtaining the belief on the way.
@@ -208,6 +270,9 @@ func (t trial) gauge(sim substrate.Cluster, fw *wanify.Framework, model *predict
 		feats, _ := dataset.SnapshotFeaturesByVM(sim, simrand.Derive(seed, t.rng))
 		return model.PredictDCMatrixByVM(feats, dcOfVMs(sim), sim.NumDCs()), nil
 	}
+	if t.enables() {
+		return nil, nil // Enable gauges as it deploys
+	}
 	pred, _ := fw.DetermineRuntimeBW()
 	return pred, nil
 }
@@ -232,10 +297,10 @@ func dcOfVMs(sim substrate.Cluster) []int {
 	return dcOf
 }
 
-// run executes job under the trial's scheduler and stops the
-// deployment. The controller it returns (nil without t.runtime) is
-// stopped with its history intact.
-func (r *trialRun) run(job spark.Job) (spark.RunResult, *rgauge.Controller, error) {
+// run executes the jobs as one set under the trial's scheduler and
+// stops the deployment. The controller it returns (nil without
+// t.runtime) is stopped with its history intact.
+func (r *trialRun) run() (spark.JobSetResult, *rgauge.Controller, error) {
 	defer r.stop()
 	eng := spark.NewEngine(r.sim, rates)
 	if r.t.recover {
@@ -243,9 +308,22 @@ func (r *trialRun) run(job spark.Job) (spark.RunResult, *rgauge.Controller, erro
 	}
 	sched, err := r.t.scheduler(r.belief, gda.NewClusterInfo(r.sim, rates))
 	if err != nil {
-		return spark.RunResult{}, nil, err
+		return spark.JobSetResult{}, nil, err
 	}
-	res, err := eng.RunJob(job, sched, r.policy)
+	runs := make([]spark.JobRun, len(r.jobs))
+	for i, j := range r.jobs {
+		runs[i] = spark.JobRun{Job: j.job, Sched: sched, Policy: r.policy, StartDelayS: j.delayS}
+		if j.allowed != nil {
+			runs[i].Sched = gda.Masked{Inner: sched, Allowed: j.allowed}
+		}
+		if r.policies != nil {
+			runs[i].Policy = r.policies[i]
+		}
+	}
+	var res spark.JobSetResult
+	if r.set, err = spark.NewJobSet(eng, runs); err == nil {
+		res, err = r.set.Run()
+	}
 	var ctl *rgauge.Controller
 	if r.fw != nil {
 		ctl = r.fw.Controller()

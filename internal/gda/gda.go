@@ -94,6 +94,43 @@ func (Locality) Place(_ int, _ spark.Stage, layout []float64) spark.Placement {
 	return spark.LocalityPlacement(layout)
 }
 
+// Masked confines a scheduler to the allowed DCs (a job's capacity
+// quota): the inner placement with every disallowed DC zeroed,
+// renormalized in place, or uniform over the allowed set when the
+// inner placement put everything elsewhere. It keeps the inner name.
+type Masked struct {
+	Inner   spark.Scheduler
+	Allowed []bool
+}
+
+// Name implements spark.Scheduler.
+func (m Masked) Name() string { return m.Inner.Name() }
+
+// Place implements spark.Scheduler.
+func (m Masked) Place(stageIdx int, stage spark.Stage, layout []float64) spark.Placement {
+	p := m.Inner.Place(stageIdx, stage, layout)
+	total := 0.0
+	for i := range p {
+		if !m.Allowed[i] {
+			p[i] = 0
+		}
+		total += p[i]
+	}
+	if total <= 0 {
+		total = 0 // counts the allowed DCs exactly: each gets 1/count
+		for i, ok := range m.Allowed {
+			if ok {
+				p[i] = 1
+				total++
+			}
+		}
+	}
+	for i := range p {
+		p[i] /= total
+	}
+	return p
+}
+
 // estimator is the planning model Tetrium and Kimchi share: a believed
 // bandwidth matrix and the cluster description. The search context
 // (search.go) is its only production evaluator; the from-scratch

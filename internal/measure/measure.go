@@ -245,11 +245,6 @@ func beginProbes(sim substrate.Cluster, opts Options, n int, pairs [][2]int, cha
 // DurationS returns the configured probe duration.
 func (ps *PendingSnapshot) DurationS() float64 { return ps.opts.DurationS }
 
-// Ready reports whether the configured probe duration has elapsed.
-func (ps *PendingSnapshot) Ready() bool {
-	return ps.sim.Now() >= ps.begun+ps.opts.DurationS
-}
-
 // Abandon tears the probes down without producing a sample (the
 // snapshot's owner is shutting down mid-window). Teardown is
 // idempotent under faults: probes a VM kill or pair reset already

@@ -213,7 +213,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 		capRes := len(resources)
 		resources = append(resources, refResource{kind: resFlowCap, cap: capF})
 
-		rtt := s.RTTSeconds(srcDC, dstDC)
+		rtt := s.rttSeconds(srcDC, dstDC)
 		if rtt <= 0 {
 			rtt = 1e-3
 		}

@@ -266,7 +266,7 @@ func TestSlowStartRamp(t *testing.T) {
 	s := frozenSim(4, 9)
 	src, dst := s.FirstVMOfDC(0), s.FirstVMOfDC(3) // long RTT
 	f := s.startProbe(src, dst, 1)
-	rampWindow := 4 * s.RTTSeconds(0, 3)
+	rampWindow := 4 * s.rttSeconds(0, 3)
 	s.RunFor(rampWindow / 4)
 	early := f.Rate()
 	s.RunFor(rampWindow * 3)

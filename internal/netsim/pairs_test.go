@@ -37,8 +37,8 @@ func requireDensePhysics(t *testing.T, s *Sim, when string) {
 			if got := s.PerConnCapMbps(i, j); math.Float64bits(got) != math.Float64bits(connBase) {
 				t.Fatalf("%s: PerConnCapMbps(%d, %d) = %v, dense %v", when, i, j, got, connBase)
 			}
-			if got := s.RTTSeconds(i, j); math.Float64bits(got) != math.Float64bits(rtt) {
-				t.Fatalf("%s: RTTSeconds(%d, %d) = %v, dense %v", when, i, j, got, rtt)
+			if got := s.rttSeconds(i, j); math.Float64bits(got) != math.Float64bits(rtt) {
+				t.Fatalf("%s: rttSeconds(%d, %d) = %v, dense %v", when, i, j, got, rtt)
 			}
 			if p := s.lookupPair(i, j); p != nil && (math.Float64bits(p.connBase) != math.Float64bits(connBase) ||
 				math.Float64bits(p.rtt) != math.Float64bits(rtt) || math.Float64bits(p.biasPow) != math.Float64bits(biasPow)) {
@@ -114,7 +114,7 @@ func TestReadOnlyAccessorsBuildNoPair(t *testing.T) {
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					_ = s.PerConnCapMbps(i, j)
-					_ = s.RTTSeconds(i, j)
+					_ = s.rttSeconds(i, j)
 					if r := s.PairRate(i, j); r != 0 {
 						t.Fatalf("PairRate(%d, %d) = %v on an idle network", i, j, r)
 					}

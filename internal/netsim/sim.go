@@ -200,7 +200,7 @@ func (s *Sim) buildPair(srcDC, dstDC int) *pair {
 	}
 	s.numPairs++
 	s.pairAt[s.pairKey(srcDC, dstDC)] = int32(idx + 1)
-	rtt := s.RTTSeconds(srcDC, dstDC)
+	rtt := s.rttSeconds(srcDC, dstDC)
 	biasRTT := rtt
 	if biasRTT <= 0 {
 		biasRTT = 1e-3
@@ -272,8 +272,8 @@ func (s *Sim) DCOf(id VMID) int { return s.vms[id].dc }
 // Spec returns the VMSpec of the given VM.
 func (s *Sim) Spec(id VMID) VMSpec { return s.vms[id].spec }
 
-// RTTSeconds returns the modelled round-trip time between two DCs.
-func (s *Sim) RTTSeconds(i, j int) float64 {
+// rttSeconds returns the modelled round-trip time between two DCs.
+func (s *Sim) rttSeconds(i, j int) float64 {
 	return geo.RTT(s.regions[i], s.regions[j]).Seconds()
 }
 

@@ -241,7 +241,7 @@ func TestFusedRoundAgainstReference(t *testing.T) {
 		// ever exhausts anything, and only the stall fallback ends the fill.
 		ref := NewSim(FleetCluster(2, 1, wide, 7))
 		cfg := FleetCluster(2, 1, wide, 7)
-		cfg.RTTBiasExp = math.Log(1e-307) / math.Log(ref.RTTSeconds(0, 1))
+		cfg.RTTBiasExp = math.Log(1e-307) / math.Log(ref.rttSeconds(0, 1))
 		s := NewSim(cfg)
 		a, b := s.startProbe(0, 1, 10), s.startProbe(0, 1, 10)
 		if w := 10 / s.lookupPair(0, 1).biasPow; math.IsInf(w, 0) || !math.IsInf(w+w, 1) {

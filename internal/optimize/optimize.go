@@ -73,7 +73,7 @@ func reuseRel(dst [][]int, n int) [][]int {
 	return dst
 }
 
-// InferDCRelations implements Algorithm 1 (INFER_DC_RELATIONS).
+// InferDCRelationsInto implements Algorithm 1 (INFER_DC_RELATIONS).
 //
 // Given a runtime bandwidth matrix and the minimum significant
 // difference D, it returns the closeness-index matrix DCrel: 1 for the
@@ -86,13 +86,9 @@ func reuseRel(dst [][]int, n int) [][]int {
 // Note: the paper's pseudocode loops i,j over 1..N/2, but its own
 // worked example assigns closeness to every pair; we iterate all pairs
 // (see DESIGN.md §2, "known paper quirks").
-func InferDCRelations(bw bwmatrix.Matrix, d float64) [][]int {
-	return InferDCRelationsInto(nil, bw, d, nil)
-}
-
-// InferDCRelationsInto is InferDCRelations with a caller-owned result
-// matrix (reused when already n×n) and scratch temporaries. Results
-// are identical to InferDCRelations'.
+//
+// The result matrix is dst when already n×n (nil: a fresh one), and s
+// (nil: fresh) holds the temporaries.
 func InferDCRelationsInto(dst [][]int, bw bwmatrix.Matrix, d float64, s *Scratch) [][]int {
 	n := bw.N()
 

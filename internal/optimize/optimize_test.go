@@ -22,7 +22,7 @@ func paperExample() bwmatrix.Matrix {
 // {110, 380, 1000}; closeness 1 for 1000, 2 for {400, 380}, 3 for
 // {120, 130, 110}.
 func TestInferDCRelationsPaperExample(t *testing.T) {
-	rel := InferDCRelations(paperExample(), 30)
+	rel := inferDCRelations(paperExample(), 30)
 	want := [][]int{
 		{1, 2, 3},
 		{2, 1, 3},
@@ -45,11 +45,11 @@ func TestInferDCRelationsPaperExample(t *testing.T) {
 // shifted the reverse-traversal comparisons and could re-index every
 // pair.
 func TestInferDCRelationsFloatNoiseStable(t *testing.T) {
-	clean := InferDCRelations(paperExample(), 30)
+	clean := inferDCRelations(paperExample(), 30)
 	noisy := paperExample()
 	noisy[1][0] = 380 + 1e-9 // duplicate 380 an artifact apart
 	noisy[2][1] = 120 - 1e-9 // and 120, in the other direction
-	got := InferDCRelations(noisy, 30)
+	got := inferDCRelations(noisy, 30)
 	for i := range clean {
 		for j := range clean[i] {
 			if got[i][j] != clean[i][j] {
@@ -70,7 +70,7 @@ func TestInferDCRelationsPhantomLevel(t *testing.T) {
 	m[0] = []float64{1000, 100, 130}
 	m[1] = []float64{100 + 1e-9, 1000, 130}
 	m[2] = []float64{130, 130, 1000}
-	rel := InferDCRelations(m, 30)
+	rel := inferDCRelations(m, 30)
 	// Levels must be {100, 130, 1000}: closeness 1 on the diagonal, 2
 	// for the 130 links, 3 for the 100 links.
 	want := [][]int{
@@ -249,7 +249,7 @@ func TestInferDCRelationsEdgeBranches(t *testing.T) {
 	m := bwmatrix.New(2)
 	m[0] = []float64{1000, 50}  // 50 is below the lowest level
 	m[1] = []float64{2000, 100} // 2000 is above the highest level
-	rel := InferDCRelations(m, 30)
+	rel := inferDCRelations(m, 30)
 	// L = 5 levels? set = {1000, 50, 2000, 100}; sorted {50,100,1000,2000};
 	// filtering: 2000-1000 keep, 1000-100 keep, 100-50=50>=30 keep -> L=4.
 	// closeness: 2000 -> 1, 1000 -> 2, 100 -> 3, 50 -> 4.
@@ -266,7 +266,7 @@ func TestInferDCRelationsEdgeBranches(t *testing.T) {
 	mid := bwmatrix.New(2)
 	mid[0] = []float64{1000, 985}
 	mid[1] = []float64{120, 100}
-	relMid := InferDCRelations(mid, 30)
+	relMid := inferDCRelations(mid, 30)
 	if relMid[0][0] != relMid[0][1] {
 		t.Errorf("1000 got closeness %d, 985 got %d — want equal (merged level)", relMid[0][0], relMid[0][1])
 	}

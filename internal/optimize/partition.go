@@ -100,20 +100,13 @@ func ShareWeightsInto(dst []float64, mode ShareMode, jobs int, priorities, remai
 	return w
 }
 
-// SplitProportional divides total integer units across positive weights
-// using the largest-remainder method: shares sum exactly to total, and
-// ties break toward the lowest index so the split is deterministic.
-// Non-positive weights receive units only after every positive weight's
-// remainder is exhausted.
-func SplitProportional(total int, weights []float64) []int {
-	out := make([]int, len(weights))
-	splitProportionalInto(out, make([]float64, len(weights)), total, weights)
-	return out
-}
-
-// splitProportionalInto is SplitProportional on caller scratch: out
-// receives the shares (every entry rewritten), rem holds the fractional
-// remainders; both are len(weights).
+// splitProportionalInto divides total integer units across positive
+// weights using the largest-remainder method: shares sum exactly to
+// total, and ties break toward the lowest index so the split is
+// deterministic. Non-positive weights receive units only after every
+// positive weight's remainder is exhausted. out receives the shares
+// (every entry rewritten), rem holds the fractional remainders; both
+// are len(weights).
 func splitProportionalInto(out []int, rem []float64, total int, weights []float64) {
 	k := len(weights)
 	if k == 0 || total <= 0 {

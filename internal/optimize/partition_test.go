@@ -17,7 +17,7 @@ func TestSplitProportionalConserves(t *testing.T) {
 		for i := range w {
 			w[i] = rng.Float64() * 10
 		}
-		parts := SplitProportional(total, w)
+		parts := splitProportional(total, w)
 		sum := 0
 		for _, p := range parts {
 			if p < 0 {
@@ -32,18 +32,18 @@ func TestSplitProportionalConserves(t *testing.T) {
 }
 
 func TestSplitProportionalDeterministicTies(t *testing.T) {
-	a := SplitProportional(3, []float64{1, 1})
+	a := splitProportional(3, []float64{1, 1})
 	if a[0] != 2 || a[1] != 1 {
 		t.Fatalf("tie should break toward the lowest index, got %v", a)
 	}
-	b := SplitProportional(1, []float64{1, 1, 1})
+	b := splitProportional(1, []float64{1, 1, 1})
 	if b[0] != 1 || b[1] != 0 || b[2] != 0 {
 		t.Fatalf("single slot should land on job 0, got %v", b)
 	}
 }
 
 func TestSplitProportionalDegenerateWeights(t *testing.T) {
-	got := SplitProportional(5, []float64{0, 0, 0})
+	got := splitProportional(5, []float64{0, 0, 0})
 	if got[0]+got[1]+got[2] != 5 {
 		t.Fatalf("zero weights should fall back to an even split, got %v", got)
 	}

@@ -84,7 +84,7 @@ func TestGlobalOptimizeIntoMatchesPlain(t *testing.T) {
 			requirePlansEqual(t, reused, want, "into-vs-plain")
 
 			rel := InferDCRelationsInto(nil, pred, DefaultD, &s)
-			relPlain := InferDCRelations(pred, DefaultD)
+			relPlain := inferDCRelations(pred, DefaultD)
 			for i := range rel {
 				for j := range rel[i] {
 					if rel[i][j] != relPlain[i][j] {
@@ -136,7 +136,7 @@ func partitionReference(plan Plan, shares []float64) []Plan {
 				}
 				continue
 			}
-			minParts, maxParts := SplitProportional(minC, shares), SplitProportional(maxC, shares)
+			minParts, maxParts := splitProportional(minC, shares), splitProportional(maxC, shares)
 			perConnMin, perConnMax := 0.0, 0.0
 			if minC > 0 {
 				perConnMin = plan.MinBW[i][j] / float64(minC)

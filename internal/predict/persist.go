@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/wanify/wanify/internal/ml/dataset"
 	"github.com/wanify/wanify/internal/ml/rf"
 )
 
@@ -53,6 +54,7 @@ func Load(r io.Reader) (*Model, error) {
 	// byte-exact so the second starts where the first stopped.
 	br := bytes.NewReader(data)
 	var hdr persistModel
+	var m *Model
 	if err := gob.NewDecoder(br).Decode(&hdr); err != nil || hdr.Magic != persistMagic {
 		// Not a model header — try the legacy bare-forest format (what
 		// `wanify-train -out` wrote before model-level persistence)
@@ -64,19 +66,24 @@ func Load(r io.Reader) (*Model, error) {
 			}
 			return nil, ferr
 		}
-		return &Model{forest: f, errCap: defaultErrWindow, flagLimit: defaultFlagLimit}, nil
+		m = &Model{forest: f, errCap: defaultErrWindow, flagLimit: defaultFlagLimit}
+	} else {
+		if hdr.Version != persistVersion {
+			return nil, fmt.Errorf("predict: model file version %d, want %d", hdr.Version, persistVersion)
+		}
+		if hdr.ErrCap <= 0 || !(hdr.FlagLimit > 0) {
+			return nil, fmt.Errorf("predict: model file has invalid staleness config %+v", hdr)
+		}
+		f, err := rf.Load(br)
+		if err != nil {
+			return nil, err
+		}
+		m = &Model{forest: f, errCap: hdr.ErrCap, flagLimit: hdr.FlagLimit}
 	}
-	if hdr.Version != persistVersion {
-		return nil, fmt.Errorf("predict: model file version %d, want %d", hdr.Version, persistVersion)
+	if w := m.forest.NumFeatures(); w != dataset.NumFeatures {
+		return nil, fmt.Errorf("predict: model reads %d features, snapshots yield %d", w, dataset.NumFeatures)
 	}
-	if hdr.ErrCap <= 0 || hdr.FlagLimit <= 0 {
-		return nil, fmt.Errorf("predict: model file has invalid staleness config %+v", hdr)
-	}
-	f, err := rf.Load(br)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{forest: f, errCap: hdr.ErrCap, flagLimit: hdr.FlagLimit}, nil
+	return m, nil
 }
 
 // SaveFile writes the model to a file.

@@ -2,6 +2,8 @@ package predict
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -89,4 +91,100 @@ func TestLoadLegacyForestFile(t *testing.T) {
 	if got.errCap != defaultErrWindow || got.flagLimit != defaultFlagLimit {
 		t.Errorf("legacy load staleness config: errCap=%d flagLimit=%v", got.errCap, got.flagLimit)
 	}
+}
+
+// fileNode, fileTree and fileForest mirror the forest's gob layout
+// (internal/ml/rf): gob matches fields by name, so a test can write any
+// forest a file could hold.
+type fileNode struct {
+	Feature          int
+	Threshold, Value float64
+	Left, Right      int32
+}
+
+type fileTree struct {
+	Nodes    []fileNode
+	FeatGain []float64
+}
+
+type fileForest struct {
+	Version, NFeatures int
+	Trees              []fileTree
+}
+
+// stump is a well-formed one-split tree: feature 0 at 1.0, leaves 10
+// and 20.
+func stump() fileTree {
+	return fileTree{Nodes: []fileNode{{Feature: 0, Threshold: 1, Left: 1, Right: 2}, {Feature: -1, Value: 10}, {Feature: -1, Value: 20}}}
+}
+
+// hostileForests are forests a file can hold that prediction cannot
+// walk: each would panic, loop or yield a non-finite bandwidth.
+func hostileForests() map[string]fileForest {
+	one := func(edit func(*fileTree)) fileForest {
+		tr := stump()
+		edit(&tr)
+		return fileForest{Version: 1, NFeatures: dataset.NumFeatures, Trees: []fileTree{tr}}
+	}
+	return map[string]fileForest{
+		"no-nodes":             one(func(tr *fileTree) { tr.Nodes = nil }),
+		"child-out-of-range":   one(func(tr *fileTree) { tr.Nodes[0].Right = 3 }),
+		"child-before-parent":  one(func(tr *fileTree) { tr.Nodes[0].Left = 0 }),
+		"feature-out-of-range": one(func(tr *fileTree) { tr.Nodes[0].Feature = dataset.NumFeatures }),
+		"gains-beyond-features": one(func(tr *fileTree) {
+			tr.FeatGain = make([]float64, dataset.NumFeatures+1)
+		}),
+		"nan-threshold": one(func(tr *fileTree) { tr.Nodes[0].Threshold = math.NaN() }),
+		"inf-value":     one(func(tr *fileTree) { tr.Nodes[2].Value = math.Inf(1) }),
+		"sum-overflows": {Version: 1, NFeatures: dataset.NumFeatures, Trees: []fileTree{
+			{Nodes: []fileNode{{Feature: -1, Value: math.MaxFloat64}}},
+			{Nodes: []fileNode{{Feature: -1, Value: math.MaxFloat64}}},
+		}},
+		"wrong-width": {Version: 1, NFeatures: dataset.NumFeatures - 1, Trees: []fileTree{stump()}},
+	}
+}
+
+func encodeForest(t testing.TB, ff fileForest) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ff); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsHostileForests checks Load refuses every forest whose
+// prediction would panic, loop or overflow, and still loads the
+// well-formed stump they are edited from.
+func TestLoadRejectsHostileForests(t *testing.T) {
+	m, err := Load(bytes.NewReader(encodeForest(t, fileForest{Version: 1, NFeatures: dataset.NumFeatures, Trees: []fileTree{stump()}})))
+	if err != nil {
+		t.Fatalf("well-formed stump rejected: %v", err)
+	}
+	if got := m.PredictPair(dataset.PairFeatures{N: 8, SnapshotMbps: 2}); got != 20 {
+		t.Fatalf("stump predicts %v, want 20", got)
+	}
+	for name, ff := range hostileForests() {
+		if _, err := Load(bytes.NewReader(encodeForest(t, ff))); err == nil {
+			t.Errorf("%s: hostile forest accepted", name)
+		}
+	}
+}
+
+// FuzzLoadModel drives a model file's bytes through Load. Every input
+// must be refused, or load as a model whose prediction for a fixed
+// feature vector is a finite bandwidth. The seed corpus
+// (testdata/fuzz/FuzzLoadModel) holds a small trained model, the same
+// forest bare, and every hostile forest of TestLoadRejectsHostileForests.
+func FuzzLoadModel(f *testing.F) {
+	pf := dataset.PairFeatures{N: 8, SnapshotMbps: 350, MemUtilDst: 0.4, CPULoadSrc: 0.3, RetransSrc: 0.01, DistanceMiles: 2400}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if v := m.PredictPair(pf); math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("loaded model predicts %v", v)
+		}
+	})
 }

@@ -471,8 +471,8 @@ func TestSecondDeadDCEvacuatesAgain(t *testing.T) {
 }
 
 // deployJobGroups starts one agent per (job, VM), each loaded with its
-// job's chunk of a partitioned plan — the wanify.DeployJobSetAgents
-// shape without the framework.
+// job's chunk of a partitioned plan — the wanify.EnableJobSet
+// deployment without the framework.
 func deployJobGroups(sim *netsim.Sim, pred bwmatrix.Matrix, parts []optimize.Plan) [][]*agent.Agent {
 	var groups [][]*agent.Agent
 	for _, part := range parts {

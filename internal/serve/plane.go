@@ -462,47 +462,6 @@ func buildJob(spec JobSpec, n int) (spark.Job, error) {
 	}
 }
 
-// maskedSched restricts a scheduler's placements to allowed DCs,
-// renormalizing; a placement with no allowed mass degrades to uniform
-// over the allowed set.
-type maskedSched struct {
-	inner   spark.Scheduler
-	allowed []bool
-}
-
-// Name implements spark.Scheduler.
-func (m maskedSched) Name() string { return m.inner.Name() }
-
-// Place implements spark.Scheduler.
-func (m maskedSched) Place(stageIdx int, stage spark.Stage, layout []float64) spark.Placement {
-	p := m.inner.Place(stageIdx, stage, layout)
-	total := 0.0
-	for i := range p {
-		if !m.allowed[i] {
-			p[i] = 0
-		}
-		total += p[i]
-	}
-	if total <= 0 {
-		cnt := 0
-		for _, ok := range m.allowed {
-			if ok {
-				cnt++
-			}
-		}
-		for i := range p {
-			if m.allowed[i] {
-				p[i] = 1 / float64(cnt)
-			}
-		}
-		return p
-	}
-	for i := range p {
-		p[i] /= total
-	}
-	return p
-}
-
 // schedulerFor builds the job's placement scheduler: Tetrium over the
 // belief current at admission (windows keep adapting afterward through
 // the controller; placements are per-stage decisions made from the
@@ -520,7 +479,7 @@ func (p *Plane) schedulerFor(spec JobSpec) (spark.Scheduler, error) {
 		}
 		allowed[dc] = true
 	}
-	return maskedSched{inner: s, allowed: allowed}, nil
+	return gda.Masked{Inner: s, Allowed: allowed}, nil
 }
 
 // Submit admits a job or queues it, returning its immediate status.

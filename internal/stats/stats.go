@@ -17,8 +17,8 @@ func Mean(xs []float64) float64 {
 	return m
 }
 
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
+// variance returns the population variance of xs, or 0 when len(xs) < 2.
+func variance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
@@ -32,7 +32,7 @@ func Variance(xs []float64) float64 {
 }
 
 // StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
+func StdDev(xs []float64) float64 { return math.Sqrt(variance(xs)) }
 
 // Min returns the minimum of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {

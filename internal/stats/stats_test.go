@@ -15,13 +15,13 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if m := Mean(xs); !almost(m, 5) {
 		t.Errorf("mean = %v, want 5", m)
 	}
-	if v := Variance(xs); !almost(v, 4) {
+	if v := variance(xs); !almost(v, 4) {
 		t.Errorf("variance = %v, want 4", v)
 	}
 	if s := StdDev(xs); !almost(s, 2) {
 		t.Errorf("sd = %v, want 2", s)
 	}
-	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if Mean(nil) != 0 || variance(nil) != 0 || StdDev([]float64{1}) != 0 {
 		t.Error("degenerate inputs should yield 0")
 	}
 }

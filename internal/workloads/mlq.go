@@ -80,7 +80,7 @@ func bitBandMbps(bw float64) int {
 	}
 }
 
-// AllocateBits picks per-worker gradient precisions from believed
+// allocateBits picks per-worker gradient precisions from believed
 // bandwidths to the master: links believed fast keep full precision,
 // links believed slow degrade, and the mean precision across workers
 // must stay at or above minMeanBits (the accuracy budget). A nil
@@ -91,7 +91,7 @@ func bitBandMbps(bw float64) int {
 // keeps too many links at high precision and the congested ones stall
 // the synchronous exchange. Simultaneous/predicted beliefs see the
 // contended values and quantize accordingly.
-func AllocateBits(believed bwmatrix.Matrix, masterDC int, minMeanBits float64) []int {
+func allocateBits(believed bwmatrix.Matrix, masterDC int, minMeanBits float64) []int {
 	if believed == nil {
 		return nil
 	}
@@ -159,7 +159,7 @@ func meanBits(bits []int, masterDC int) float64 {
 // all paper variants except WQ, which passes agent-managed pools).
 func RunQuantizedTraining(sim substrate.Cluster, rates cost.Rates, believed bwmatrix.Matrix, policy spark.ConnPolicy, cfg MLConfig) (MLResult, error) {
 	n := sim.NumDCs()
-	bits := AllocateBits(believed, cfg.MasterDC, cfg.MinMeanBits)
+	bits := allocateBits(believed, cfg.MasterDC, cfg.MinMeanBits)
 	if bits == nil {
 		bits = make([]int, n)
 		for d := range bits {

@@ -145,13 +145,13 @@ func TestTPCDSProfiles(t *testing.T) {
 // get few bits, the accuracy budget lifts the strongest links first,
 // and NoQ (nil matrix) disables quantization.
 func TestAllocateBits(t *testing.T) {
-	if AllocateBits(nil, 0, 16) != nil {
+	if allocateBits(nil, 0, 16) != nil {
 		t.Error("nil believed should mean NoQ")
 	}
 	b := bwmatrix.New(4)
 	// Links to master (DC0): DC1 strong, DC2 mid, DC3 weak.
 	b[1][0], b[2][0], b[3][0] = 900, 300, 60
-	bits := AllocateBits(b, 0, 4) // tiny budget: no raising needed
+	bits := allocateBits(b, 0, 4) // tiny budget: no raising needed
 	if bits[0] != 32 {
 		t.Errorf("master bits %d", bits[0])
 	}
@@ -163,7 +163,7 @@ func TestAllocateBits(t *testing.T) {
 	}
 
 	// A high budget raises precisions, strongest-believed first.
-	raised := AllocateBits(b, 0, 30)
+	raised := allocateBits(b, 0, 30)
 	mean := float64(raised[1]+raised[2]+raised[3]) / 3
 	if mean < 30-8 { // one step of quantization slack
 		t.Errorf("budget not enforced: bits %v mean %.1f", raised, mean)

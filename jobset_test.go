@@ -232,7 +232,7 @@ func handDrivenJobSet(t *testing.T, o wanify.JobSetOptions) {
 
 	fwB, logB := newLoggedFramework(t)
 	predB, repB := fwB.DetermineRuntimeBW()
-	if _, err := fwB.DeployJobSetAgents(predB, fwB.Optimize(predB, o.Optimize), o); err != nil {
+	if err := fwB.DeployJobSetAgents(predB, fwB.Optimize(predB, o.Optimize), o); err != nil {
 		t.Fatal(err)
 	}
 	fwB.StartController(o.Optimize)

@@ -156,9 +156,10 @@ func (f *Framework) Optimize(pred bwmatrix.Matrix, opts OptimizeOptions) optimiz
 func (f *Framework) Plan() optimize.Plan { return f.plan }
 
 // DeployAgents starts one local agent per VM, loaded with the plan
-// chunked per VM (association, §3.3.3): DeployJobSetAgents' one-slot
-// configuration, except that its agents throttle locally. Any
-// previously deployed agents are stopped first.
+// chunked per VM (association, §3.3.3), for a belief the caller
+// supplies: Enable's deployment without the gauging, and without a
+// re-gauging controller. Its agents throttle locally. Any previously
+// deployed agents are stopped first.
 func (f *Framework) DeployAgents(pred bwmatrix.Matrix, plan optimize.Plan) []*agent.Agent {
 	f.deploy(pred, plan, JobSetOptions{Jobs: 1, Oversubscribe: true}, true)
 	return f.groups[0]
@@ -203,25 +204,6 @@ func (f *Framework) StopAgents() {
 // Controller returns the running re-gauging controller, or nil when
 // Config.Runtime is disabled or agents are not deployed.
 func (f *Framework) Controller() *rgauge.Controller { return f.controller }
-
-// StartController launches the deployment's one re-gauging controller,
-// re-planning with the given optimizer options whenever drift or
-// staleness triggers (internal/runtime). It arbitrates for every slot:
-// monitored rates aggregate across jobs per DC pair, a trigger
-// re-gauges the cluster once, and each slot's partition of the new
-// windows swaps in atomically (with shares re-evaluated, so
-// bytes-remaining sharing follows job progress). Enable and
-// EnableJobSet call this automatically when Config.Runtime.Enabled is
-// set; callers driving the deploy steps by hand (including ones whose
-// plan was built from a measured rather than predicted matrix) invoke
-// it after DeployAgents or DeployJobSetAgents.
-func (f *Framework) StartController(opts OptimizeOptions) *rgauge.Controller {
-	if f.slots == nil {
-		panic("wanify: StartController before a deployment")
-	}
-	f.slots.opts.Optimize = opts
-	return f.startController()
-}
 
 // ConnPolicy returns the connection policy a spark engine should use so
 // transfers are sized and managed by the deployed agents.
@@ -319,28 +301,9 @@ func (o JobSetOptions) validate() error {
 	return nil
 }
 
-// DeployJobSetAgents partitions the plan across the configured jobs
-// and starts one agent per (job, VM), each loaded with its job's
-// chunk: a deployment of o.Jobs slots, all occupied at once, or all
-// free under o.Dynamic. Any previous deployment is stopped first.
-// Per-job agents run with Throttle off; when Config.Agent requests
-// throttling the deployment installs cluster-level limits from the
-// global plan instead.
-func (f *Framework) DeployJobSetAgents(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions) ([][]*agent.Agent, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	f.deploy(pred, plan, o, false)
-	return f.groups, nil
-}
-
-// JobAgents returns the per-slot agent groups (nil when nothing is
-// deployed; a free slot's group is nil).
-func (f *Framework) JobAgents() [][]*agent.Agent { return f.groups }
-
-// JobPolicies returns one connection policy per job, each consulting
-// that job's agents — what a spark.JobRun plugs in as its Policy.
-func (f *Framework) JobPolicies() []spark.ConnPolicy {
+// jobPolicies returns one connection policy per slot, each consulting
+// that slot's agents — what a spark.JobRun plugs in as its Policy.
+func (f *Framework) jobPolicies() []spark.ConnPolicy {
 	out := make([]spark.ConnPolicy, len(f.groups))
 	for g, group := range f.groups {
 		out[g] = spark.NewAgentConn(group)
@@ -361,5 +324,5 @@ func (f *Framework) EnableJobSet(o JobSetOptions) (bwmatrix.Matrix, []spark.Conn
 		return nil, nil, measure.Report{}, err
 	}
 	pred, rep := f.enable(o, false)
-	return pred, f.JobPolicies(), rep, nil
+	return pred, f.jobPolicies(), rep, nil
 }
