@@ -22,8 +22,11 @@ import (
 //     divisions by believed bandwidth), swaps them into the cache,
 //     folds, and swaps the base back.
 //   - Map stages: migration volumes couple every entry through the
-//     total deficit, so candidates rebuild the matrix — but fused with
-//     the fold, with zero allocations.
+//     total deficit, so a move has no column delta: every entry
+//     rescales. But the matrix is nonzero only on surplus rows ×
+//     deficit columns, so a candidate merges from/to into the base's
+//     surplus and deficit DC lists and folds over that support alone —
+//     fused with the matrix build, with zero allocations.
 //
 // Objectives. Seconds (the max-shaped Secs and the LoadSum pressure)
 // are the search's own state. Every other aggregate is linear: a
@@ -51,13 +54,13 @@ import (
 // Sparsity: fleet-shaped problems place a job's data on a handful of
 // DCs out of hundreds, so the transfer matrices are mostly zero rows
 // (a shuffle row i is layout[i]·p[j]; a migration row is nonzero only
-// for surplus DCs, and surplus requires layout > 0). The hot paths
-// therefore iterate nzRows — the source DCs with layout[i] > 0 —
-// instead of all n rows: skipped entries are exact +0.0 contributions,
-// so sums, maxes and cached columns are bit-identical to the dense
-// sweep, while candidate evaluation drops from O(n²) to O(nz·n).
-// Zero-layout rows of the shuffle slabs are never written or read; map
-// stages clear them, since mapScreen reads any corner.
+// for surplus DCs, and surplus requires layout > 0). Shuffle paths
+// iterate nzRows — the source DCs with layout[i] > 0 — and map paths
+// the surplus × deficit support instead of all n²: skipped entries are
+// exact +0.0 contributions, so sums, maxes and cached columns are
+// bit-identical to the dense sweep. Zero-layout rows of the shuffle
+// slabs are never written or read; map stages clear the whole slab,
+// since mapScreen reads any corner.
 //
 // Contexts are pooled (schedulers are stateless values, and parallel
 // tests call them concurrently) and reach zero steady-state
@@ -93,6 +96,9 @@ type search struct {
 	mapTotalDef         float64
 	mapTop              [6]mapEntry   // largest base second entries
 	mapRow2, mapCol2    [][2]mapEntry // per-row / per-column two largest
+	// The support: the DCs with mapSur > 0 and with mapDef > 0,
+	// ascending — the base's (fillBase) and a candidate's (evalMapCand).
+	surIdx, defIdx, surC, defC []int
 
 	// Screening aggregates. The scan over the n² single-move candidates
 	// is dominated by provably non-improving moves; the screens reject
@@ -109,6 +115,7 @@ type search struct {
 	compRate   []float64 // total/1e9·SecPerGB/rate[j]
 	colMaxT    []float64 // max_i sec.E[i][j]
 	compSum    float64   // Σ comp
+	loadInc    low2      // over colRateSum[j] + compRate[j]: LoadSum's growth per share moved to j
 	// A candidate leaves every column and compute term but from's and
 	// to's alone, so the max over the untouched ones is the first of the
 	// three largest that is neither — refreshed once per accepted move.
@@ -174,6 +181,7 @@ type linear struct {
 	cpu     []float64 // per-DC coefficient per compute-second; empty: none
 	colRate []float64 // Σ_{i≠j} layout[i]/1e9·net[i] (shuffle screen)
 	cpuSum  float64   // Σ comp[j]·cpu[j]
+	inc     low2      // over colRate[j] + compRate[j]·cpu[j]: the value's growth per share moved to j
 }
 
 // mapEntry is one ranked base migration entry for the map screen.
@@ -214,6 +222,31 @@ func (t *top3) maxExcluding(v []float64, a, b int, floor float64) float64 {
 		}
 	}
 	return floor
+}
+
+// low2 holds a vector's two smallest values and the index of the
+// smallest, so the minimum over every index but one is O(1).
+type low2 struct {
+	j      int
+	v0, v1 float64
+}
+
+func (l *low2) reset() { *l = low2{j: -1, v0: math.Inf(1), v1: math.Inf(1)} }
+
+func (l *low2) push(j int, x float64) {
+	if x < l.v0 {
+		l.j, l.v0, l.v1 = j, x, l.v0
+	} else if x < l.v1 {
+		l.v1 = x
+	}
+}
+
+// minExcluding is the smallest value at an index other than j.
+func (l *low2) minExcluding(j int) float64 {
+	if j == l.j {
+		return l.v1
+	}
+	return l.v0
 }
 
 var searchPool = sync.Pool{New: func() any { return new(search) }}
@@ -276,6 +309,7 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 			s.bwDen[i*n+j] = max(bw, 1) * 1e6
 		}
 	}
+	s.loadInc.reset()
 	for j := 0; j < n; j++ {
 		s.rate[j] = est.info.ComputeRates[j]
 		if s.rate[j] <= 0 {
@@ -291,6 +325,7 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 		}
 		s.colRateSum[j], s.colRateMax[j] = sum, mx
 		s.compRate[j] = s.total / 1e9 / s.rate[j] * stage.SecPerGB
+		s.loadInc.push(j, sum+s.compRate[j])
 	}
 	s.lin[0].prep(s, est.info.EgressPerGB, nil)
 	s.prepped = 1
@@ -312,7 +347,7 @@ func (s *search) activate(sc Scorer) {
 
 // prep sizes the slot (once per context size) and fills its
 // coefficients, with ClusterInfo's nil-as-zeros semantics, and its
-// placement-independent shuffle column rates.
+// placement-independent shuffle column rates (s.compRate is filled).
 func (l *linear) prep(s *search, net, cpu []float64) {
 	n := s.n
 	if len(l.E) != n*n {
@@ -327,6 +362,7 @@ func (l *linear) prep(s *search, net, cpu []float64) {
 			l.cpu = append(l.cpu, coefAt(cpu, i))
 		}
 	}
+	l.inc.reset()
 	for j := range l.colRate {
 		sum := 0.0
 		for _, i := range s.nzRows {
@@ -335,6 +371,7 @@ func (l *linear) prep(s *search, net, cpu []float64) {
 			}
 		}
 		l.colRate[j] = sum
+		l.inc.push(j, sum+l.cpuShift(j, 0, s.compRate[j]))
 	}
 }
 
@@ -358,9 +395,9 @@ func (s *search) netSecs(i, j int, b float64) float64 {
 }
 
 // splitSD is MigrationMatrix's surplus/deficit split for DC x holding
-// task share px — the builder's exact expressions.
+// task share px — the builder's exact expressions (rounded as mapFold's).
 func (s *search) splitSD(x int, px float64) (sur, def float64) {
-	want := s.total * px
+	want := float64(s.total * px)
 	if s.layout[x] > want {
 		return s.layout[x] - want, 0
 	}
@@ -393,9 +430,16 @@ func (s *search) fillBase() {
 	}
 	if s.isMap {
 		s.mapTotalDef = 0
+		s.surIdx, s.defIdx = s.surIdx[:0], s.defIdx[:0]
 		for i := 0; i < n; i++ {
 			s.mapSur[i], s.mapDef[i] = s.splitSD(i, s.p[i])
 			s.mapTotalDef += s.mapDef[i]
+			if s.mapSur[i] > 0 {
+				s.surIdx = append(s.surIdx, i)
+			}
+			if s.mapDef[i] > 0 {
+				s.defIdx = append(s.defIdx, i)
+			}
 		}
 		s.fillMap()
 	} else {
@@ -410,13 +454,13 @@ func (s *search) fillBase() {
 // fillMap writes every slab's base migration entries — MigrationMatrix's
 // from the split in mapSur/mapDef — with the map screen's aggregates:
 // each slab's row and column sums, in index order, and the ranked
-// second entries. Only rows with layout can hold surplus; every other
-// row is zero (and must be: mapScreen reads arbitrary corners), adds
-// exact zeros to the sums and ranks nowhere, so one pass over nzRows
-// gives the bits of a full n² sweep.
+// second entries. Only surplus rows × deficit columns hold migration;
+// every other entry is zero (and must be: mapScreen reads arbitrary
+// corners), adds exact zeros to the sums and ranks nowhere, so one pass
+// over the support gives the bits of a full n² sweep.
 func (s *search) fillMap() {
 	n, lin := s.n, s.active()
-	moves := s.ratios()
+	moves := s.ratios(s.defIdx)
 	none := mapEntry{i: -1, j: -1}
 	for k := range s.mapTop {
 		s.mapTop[k] = none
@@ -430,13 +474,13 @@ func (s *search) fillMap() {
 		clear(sl.mapCol)
 		sl.mapTot = 0
 	}
-	for _, i := range s.nzRows {
+	if !moves {
+		return
+	}
+	for _, i := range s.surIdx {
 		sur, row := s.mapSur[i], [3]float64{}
-		for j := 0; j < n; j++ {
-			b := 0.0
-			if moves && sur > 0 {
-				b = sur * s.drB[j]
-			}
+		for _, j := range s.defIdx {
+			b := sur * s.drB[j]
 			e := mapEntry{v: s.netSecs(i, j, b), i: i, j: j}
 			s.sec.E[i*n+j] = e.v
 			row[0] += e.v
@@ -527,7 +571,7 @@ func (s *search) refreshTotals() {
 func (l *linear) foldCPU(v float64, comp []float64) float64 {
 	comp = comp[:len(l.cpu)]
 	for j, c := range l.cpu {
-		v += comp[j] * c
+		v += float64(comp[j] * c)
 	}
 	return v
 }
@@ -607,63 +651,86 @@ func (s *search) evalShuffleCand(from, to int, pf, pt float64) Aggregates {
 // evalMapCand evaluates a candidate for a map stage. The migration
 // matrix couples every entry through the total deficit, so there is no
 // column delta: the candidate's surplus/deficit and compute terms at
-// the two moved DCs are swapped into the base split, and mapFold
-// rebuilds and folds the matrix from it.
+// the two moved DCs are swapped into the base split, from and to are
+// merged into the base's support, and mapFold rebuilds and folds the
+// matrix over it.
 func (s *search) evalMapCand(from, to int, pf, pt float64) Aggregates {
 	surF, defF := s.splitSD(from, pf)
 	surT, defT := s.splitSD(to, pt)
+	s.surC = mergeSupport(s.surC[:0], s.surIdx, from, to, surF > 0, surT > 0)
+	s.defC = mergeSupport(s.defC[:0], s.defIdx, from, to, defF > 0, defT > 0)
 	surF, surT = swap2(s.mapSur, from, to, surF, surT)
 	defF, defT = swap2(s.mapDef, from, to, defF, defT)
 	cF, cT := swap2(s.comp, from, to, s.compTerm(pf, from), s.compTerm(pt, to))
-	a := s.mapFold()
+	a := s.mapFold(s.surC, s.defC)
 	swap2(s.comp, from, to, cF, cT)
 	swap2(s.mapDef, from, to, defF, defT)
 	swap2(s.mapSur, from, to, surF, surT)
 	return a
 }
 
-// ratios writes each DC's share of the total deficit to drB — the
-// division MigrationMatrix performs per entry, hoisted per destination.
-// The total folds over every DC in index order (surplus DCs add an
-// exact 0). It reports false when nothing migrates.
-func (s *search) ratios() bool {
+// mergeSupport appends to dst, ascending, the support list base with
+// from and to taken out, then put back where in says they belong.
+func mergeSupport(dst, base []int, from, to int, inF, inT bool) []int {
+	moved, in := [2]int{from, to}, [2]bool{inF, inT}
+	if from > to {
+		moved, in = [2]int{to, from}, [2]bool{inT, inF}
+	}
+	k := 0
+	for x, i := range moved {
+		for k < len(base) && base[k] < i {
+			dst = append(dst, base[k])
+			k++
+		}
+		if k < len(base) && base[k] == i {
+			k++
+		}
+		if in[x] {
+			dst = append(dst, i)
+		}
+	}
+	return append(dst, base[k:]...)
+}
+
+// ratios writes each deficit DC's share of the total deficit to drB —
+// MigrationMatrix's per-entry division, hoisted per destination. The
+// total folds over def in index order (every other DC adds an exact 0
+// in the builder's fold). It reports false when nothing migrates.
+func (s *search) ratios(def []int) bool {
 	totalDeficit := 0.0
-	for _, d := range s.mapDef {
-		totalDeficit += d
+	for _, j := range def {
+		totalDeficit += s.mapDef[j]
 	}
 	if s.total <= 0 || totalDeficit <= 0 {
 		return false
 	}
-	for j, d := range s.mapDef {
-		s.drB[j] = d / totalDeficit
+	for _, j := range def {
+		s.drB[j] = s.mapDef[j] / totalDeficit
 	}
 	return true
 }
 
 // mapFold fuses MigrationMatrix's construction from the split in
-// mapSur/mapDef with estimateAgg's fold: whole zero rows/columns are
-// skipped (they contribute nothing in the reference either), and the
-// nonzero entries fold in the reference's row-major order, each
-// aggregate in its own accumulator, so the bits match a full rebuild.
-// Every slot rides this pass; an inactive slot's coefficient is 0.
-func (s *search) mapFold() Aggregates {
+// mapSur/mapDef with estimateAgg's fold over the support: sur and def
+// list the surplus rows and deficit columns, the only ones that hold
+// migration. Every skipped entry is an exact +0.0 in the reference, and
+// the nonzero entries fold in its row-major order, each aggregate in its
+// own accumulator, so the bits match a full rebuild. Every slot rides
+// this pass; an inactive slot's coefficient is 0. Products that feed a
+// sum here, in splitSD and in foldCPU are rounded with float64(), so no
+// target fuses them into a multiply-add the reference does not perform.
+func (s *search) mapFold(sur, def []int) Aggregates {
 	n, l0, l1 := s.n, &s.lin[0], &s.lin[1]
 	load, tNet, v0, v1 := 0.0, 0.0, 0.0, 0.0
-	if s.ratios() {
-		for i, sur := range s.mapSur {
-			if sur <= 0 {
-				continue
-			}
-			c0, c1 := l0.net[i], 0.0
+	if s.ratios(def) {
+		for _, i := range sur {
+			si, c0, c1 := s.mapSur[i], l0.net[i], 0.0
 			if s.k > 1 {
 				c1 = l1.net[i]
 			}
 			den := s.bwDen[i*n : i*n+n]
-			for j, dr := range s.drB {
-				if dr <= 0 {
-					continue
-				}
-				b := sur * dr
+			for _, j := range def {
+				b := si * s.drB[j]
 				if b <= 0 {
 					continue
 				}
@@ -672,8 +739,8 @@ func (s *search) mapFold() Aggregates {
 				if t > tNet {
 					tNet = t
 				}
-				v0 += b / 1e9 * c0
-				v1 += b / 1e9 * c1
+				v0 += float64(b / 1e9 * c0)
+				v1 += float64(b / 1e9 * c1)
 			}
 		}
 	}
@@ -699,66 +766,91 @@ func (s *search) applyMove(from, to int, step float64) {
 	s.refreshTotals()
 }
 
-func clamp0(v float64) float64 { return max(v, 0) }
-
-// compBound is the screens' compute side: the candidate's compute
-// seconds at from and to (the rates scaled by pf/pt) and the max over
-// all compute terms.
-func (s *search) compBound(from, to int, pf, pt float64) (cF, cT, tComp float64) {
-	cF, cT = pf*s.compRate[from], pt*s.compRate[to]
-	return cF, cT, s.topComp.maxExcluding(s.comp, from, to, max(cF, cT))
-}
-
-// colBound is a shuffle candidate's column-linear sum of sl: the base
-// total with columns from/to swapped for their rates scaled by pf/pt.
-func (sl *slab) colBound(rate []float64, from, to int, pf, pt float64) float64 {
-	return sl.total - sl.colSum[from] - sl.colSum[to] + pf*rate[from] + pt*rate[to]
-}
-
-// swapCPU continues v with the slot's compute sum, from's and to's base
-// terms swapped for the candidate's compute seconds cF, cT.
-func (l *linear) swapCPU(v float64, comp []float64, from, to int, cF, cT float64) float64 {
-	if len(l.cpu) == 0 {
-		return v
+// clamp0 floors a screen's sum at 0; a −0 or NaN passes, harmlessly.
+func clamp0(v float64) float64 {
+	if v < 0 {
+		return 0
 	}
-	return v + l.cpuSum - comp[from]*l.cpu[from] - comp[to]*l.cpu[to] + cF*l.cpu[from] + cT*l.cpu[to]
+	return v
 }
 
-// screen bounds the shuffle move (from→to) from below in O(1) flops
-// with no divisions and no loop over the DCs, returning the bound and
-// its error margin; descend rejects the move when even the bound minus
-// the margin does not improve. Column sums and maxes of the
-// candidate's two fresh columns are the base column rates scaled by
-// pf/pt (exact up to ulps); the untouched columns' max and the
-// untouched DCs' compute max come from the top-3 rankings (exact — a
-// max has no summation order); their sums are the maintained totals
-// minus the two changed terms (which cancels, hence the absolute
-// margin term). The margin is orders of magnitude wider than the float
-// noise, so a true improvement can never be screened out — it merely
-// falls through to the exact canonical evaluation. Rejections are safe
-// by construction: the bound understates every aggregate by at most the
-// margin — which is why only ScreenSafe (monotone) scorers reach this
-// path.
-func (s *search) screen(from, to int, pf, pt float64) (Aggregates, float64) {
-	tNet := max(pf*s.colRateMax[from], pt*s.colRateMax[to])
-	tNet = s.topCol.maxExcluding(s.colMaxT, from, to, tNet)
-	cF, cT, tComp := s.compBound(from, to, pf, pt)
-	load := clamp0(s.sec.colBound(s.colRateSum, from, to, pf, pt) +
-		s.compSum - s.comp[from] - s.comp[to] + cF + cT)
-	var v, abs [2]float64
+// cpuShift is the slot's change when DC j's compute goes from was to now.
+func (l *linear) cpuShift(j int, was, now float64) float64 {
+	if len(l.cpu) == 0 {
+		return 0
+	}
+	return now*l.cpu[j] - was*l.cpu[j]
+}
+
+// shuffleRow is the part of a shuffle move's screen without to: from's
+// column and compute term at pf, every other column and DC at its base.
+type shuffleRow struct {
+	from           int
+	netF, cF, load float64    // from's column max and compute term; LoadSum
+	v              [2]float64 // each active slot's value
+}
+
+func (s *search) row(from int, pf float64) shuffleRow {
+	r := shuffleRow{from: from, netF: pf * s.colRateMax[from], cF: pf * s.compRate[from]}
+	r.load = s.sec.total - s.sec.colSum[from] + pf*s.colRateSum[from] + s.compSum - s.comp[from] + r.cF
 	for k := range s.active() {
 		l := &s.lin[k]
-		v[k] = clamp0(l.swapCPU(l.colBound(l.colRate, from, to, pf, pt), s.comp, from, to, cF, cT))
-		abs[k] = l.total + l.cpuSum
+		r.v[k] = l.total + l.cpuSum - l.colSum[from] + pf*l.colRate[from] + l.cpuShift(from, s.comp[from], r.cF)
 	}
-	secs := tNet + tComp
-	// The margin dominates every error source: ulp-level scale
-	// factorization, arbitrary- vs canonical-order summation, the
-	// cancellation in the total-minus-columns differences (covered by
-	// the absolute term) and the ×1e6 amplification at Kimchi's
-	// latency wall (covered by the 1e-7·secs share, three orders wider
-	// than 1e6 × the relative secs error).
-	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.total+abs[0]+s.compSum+abs[1])
+	return r
+}
+
+// rowScreen bounds every shuffle move out of r.from at once: moving
+// mass to a DC only grows its column and compute term, so a candidate's
+// maxes are at least r's, and each sum at least r's plus step times the
+// cheapest destination's rate (init's and prep's low2). Approximate
+// like screen, and rejection-only under the same margin.
+func (s *search) rowScreen(r *shuffleRow, step float64) (Aggregates, float64) {
+	tNet := s.topCol.maxExcluding(s.colMaxT, r.from, -1, r.netF)
+	tComp := s.topComp.maxExcluding(s.comp, r.from, -1, r.cF)
+	var v [2]float64
+	for k := range s.active() {
+		v[k] = clamp0(r.v[k] + step*s.lin[k].inc.minExcluding(r.from))
+	}
+	return s.bounded(tNet+tComp, clamp0(r.load+step*s.loadInc.minExcluding(r.from)), v)
+}
+
+// screen bounds the shuffle move (r.from→to) from below in O(1) flops,
+// with no divisions and no loop over the DCs, by adding to's terms to
+// its row's; descend rejects the move when even the bound minus the
+// margin does not improve. The candidate's two fresh columns' sums and
+// maxes are the base column rates scaled by pf/pt (exact up to ulps);
+// the untouched columns' and DCs' maxes come from the top-3 rankings
+// (exact: a max has no summation order); their sums are the totals
+// minus the two changed terms (which cancels, hence the absolute margin
+// term). The margin is orders of magnitude wider than the float noise,
+// so a true improvement falls through to the exact evaluation: the
+// bound understates every aggregate by at most the margin, which is
+// why only ScreenSafe (monotone) scorers reach this path.
+func (s *search) screen(r *shuffleRow, to int, pt float64) (Aggregates, float64) {
+	cT := pt * s.compRate[to]
+	tNet := s.topCol.maxExcluding(s.colMaxT, r.from, to, max(r.netF, pt*s.colRateMax[to]))
+	tComp := s.topComp.maxExcluding(s.comp, r.from, to, max(r.cF, cT))
+	load := clamp0(r.load - s.sec.colSum[to] + pt*s.colRateSum[to] - s.comp[to] + cT)
+	var v [2]float64
+	for k := range s.active() {
+		l := &s.lin[k]
+		v[k] = clamp0(r.v[k] - l.colSum[to] + pt*l.colRate[to] + l.cpuShift(to, s.comp[to], cT))
+	}
+	return s.bounded(tNet+tComp, load, v)
+}
+
+// bounded attaches the shuffle screens' margin to a bound. It dominates
+// every error source: ulp-level scale factorization, summation order,
+// the total-minus-columns cancellation (the absolute term) and the ×1e6
+// amplification at Kimchi's latency wall (the 1e-7·secs share, three
+// orders wider than 1e6 × the relative secs error).
+func (s *search) bounded(secs, load float64, v [2]float64) (Aggregates, float64) {
+	abs := s.sec.total + s.compSum
+	for k := range s.active() {
+		abs += s.lin[k].total + s.lin[k].cpuSum
+	}
+	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*abs
 	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
 }
 
@@ -820,7 +912,7 @@ func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 		m.csF, m.csT = ratio(defF, s.mapDef[from]), ratio(defT, s.mapDef[to])
 	}
 	tNet := 0.0
-	for _, e := range s.mapTop {
+	for _, e := range &s.mapTop {
 		if e.i != from && e.i != to && e.j != from && e.j != to {
 			tNet = m.k * e.v
 			break
@@ -829,7 +921,7 @@ func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 	// The moved rows' and columns' largest entries away from the
 	// corners (which scale by two ratios; dropped).
 	scale := [4]float64{m.rsF, m.rsT, m.csF, m.csT}
-	for x, two := range [4][2]mapEntry{s.mapRow2[from], s.mapRow2[to], s.mapCol2[from], s.mapCol2[to]} {
+	for x, two := range [4]*[2]mapEntry{&s.mapRow2[from], &s.mapRow2[to], &s.mapCol2[from], &s.mapCol2[to]} {
 		for _, e := range two {
 			other := e.j
 			if x >= 2 {
@@ -841,12 +933,13 @@ func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 			}
 		}
 	}
-	cF, cT, tComp := s.compBound(from, to, pf, pt)
+	cF, cT := pf*s.compRate[from], pt*s.compRate[to]
+	tComp := s.topComp.maxExcluding(s.comp, from, to, max(cF, cT))
 	compLoad := clamp0(s.compSum - s.comp[from] - s.comp[to] + cF + cT)
 	var v, abs [2]float64
 	for k := range s.active() {
 		l := &s.lin[k]
-		v[k] = m.bound(s.n, &l.slab) + clamp0(l.swapCPU(0, s.comp, from, to, cF, cT))
+		v[k] = m.bound(s.n, &l.slab) + clamp0(l.cpuSum+l.cpuShift(from, s.comp[from], cF)+l.cpuShift(to, s.comp[to], cT))
 		abs[k] = l.mapTot + l.cpuSum
 	}
 	secs, load := tNet+tComp, m.bound(s.n, &s.sec)+compLoad
@@ -899,6 +992,13 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 					continue
 				}
 				pf := s.p[from] - step
+				var row shuffleRow
+				if useScreens && !s.isMap {
+					row = s.row(from, pf)
+					if a, margin := s.rowScreen(&row, step); sc.Score(a)-margin >= bestV-1e-9 {
+						continue
+					}
+				}
 				for to := 0; to < s.n; to++ {
 					if to == from {
 						continue
@@ -910,7 +1010,7 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 						if s.isMap {
 							a, margin = s.mapScreen(from, to, pf, pt)
 						} else {
-							a, margin = s.screen(from, to, pf, pt)
+							a, margin = s.screen(&row, to, pt)
 						}
 						if sc.Score(a)-margin >= bestV-1e-9 {
 							continue

@@ -282,17 +282,64 @@ func TestTop3MaxExcluding(t *testing.T) {
 	}
 }
 
+// TestLow2MinExcluding checks the row screen's ranking against a scan
+// on random vectors with ties, for every excluded index.
+func TestLow2MinExcluding(t *testing.T) {
+	rng := simrand.Derive(6, "gda-low2")
+	for _, n := range []int{2, 3, 7, 100} {
+		for trial := 0; trial < 40; trial++ {
+			v := make([]float64, n)
+			var lo low2
+			lo.reset()
+			for j := range v {
+				v[j] = float64(rng.IntN(1 + trial%5)) // trial%5 == 0: all zero
+				lo.push(j, v[j])
+			}
+			for x := range v {
+				want := math.Inf(1)
+				for j, y := range v {
+					if j != x && y < want {
+						want = y
+					}
+				}
+				if got := lo.minExcluding(x); got != want {
+					t.Fatalf("n=%d v=%v excluding %d: low2 %v, scan %v", n, v, x, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestScreenMaxesFreshAfterEveryMove walks descents on shuffle and map
 // stages and, after the initial fillBase and after every applyMove,
 // checks for every (from, to) that the screens' O(1) maxes — the
 // untouched columns' network max and the untouched DCs' compute max —
-// equal a scan of the base caches bit for bit, and that the compute
-// totals the map screen now reads are the in-order sums. A refresh site
-// missed by the top-3 bookkeeping fails here on the next move.
+// equal a scan of the base caches bit for bit, that the compute totals
+// the map screen now reads are the in-order sums, and that a map
+// stage's support lists are the ascending scans of mapSur > 0 and
+// mapDef > 0. A refresh site missed by the top-3 or support bookkeeping
+// fails here on the next move.
 func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
 	check := func(t *testing.T, s *search, when string) {
 		t.Helper()
 		isMap := s.stage.Kind == spark.MapKind
+		if isMap {
+			for _, l := range []struct {
+				name string
+				got  []int
+				v    []float64
+			}{{"surplus", s.surIdx, s.mapSur}, {"deficit", s.defIdx, s.mapDef}} {
+				var want []int
+				for i, x := range l.v {
+					if x > 0 {
+						want = append(want, i)
+					}
+				}
+				if fmt.Sprint(l.got) != fmt.Sprint(want) {
+					t.Fatalf("%s: %s list %v, scan %v", when, l.name, l.got, want)
+				}
+			}
+		}
 		colMax := make([]float64, s.n)
 		for j := range colMax {
 			for _, i := range s.nzRows {
@@ -352,12 +399,45 @@ func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
 	}
 }
 
+// TestMergeSupport checks the support merge against hand-built lists:
+// from below and above to, the moved DCs at either end of the list,
+// entering, leaving and staying in the support, and an empty base.
+func TestMergeSupport(t *testing.T) {
+	for _, c := range []struct {
+		base     []int
+		from, to int
+		inF, inT bool
+		want     []int
+	}{
+		{[]int{1, 4, 7}, 2, 5, true, true, []int{1, 2, 4, 5, 7}}, // both enter, from < to
+		{[]int{1, 4, 7}, 5, 2, true, true, []int{1, 2, 4, 5, 7}}, // both enter, from > to
+		{[]int{1, 4, 7}, 4, 2, false, true, []int{1, 2, 7}},      // from leaves, to enters
+		{[]int{1, 4, 7}, 2, 4, true, false, []int{1, 2, 7}},      // to leaves, from enters
+		{[]int{1, 4, 7}, 1, 7, false, false, []int{4}},           // both ends leave
+		{[]int{1, 4, 7}, 7, 1, true, true, []int{1, 4, 7}},       // both ends stay
+		{[]int{1, 4, 7}, 0, 9, true, true, []int{0, 1, 4, 7, 9}}, // enter past either end
+		{[]int{1, 4, 7}, 9, 0, false, false, []int{1, 4, 7}},     // outside, stay out
+		{[]int{1, 4, 7}, 3, 5, false, false, []int{1, 4, 7}},     // inside, stay out
+		{nil, 3, 1, true, false, []int{3}},                       // empty base, from enters
+		{nil, 3, 1, false, true, []int{1}},                       // empty base, to enters
+		{nil, 0, 1, false, false, nil},                           // empty stays empty
+		{[]int{2}, 2, 0, false, true, []int{0}},                  // the only DC leaves
+	} {
+		got := mergeSupport(nil, c.base, c.from, c.to, c.inF, c.inT)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("mergeSupport(%v, from=%d, to=%d, %v, %v) = %v, want %v", c.base, c.from, c.to, c.inF, c.inT, got, c.want)
+		}
+	}
+}
+
 // exactWalk runs descend's loop from the uniform placement with the
 // exact evaluators only, so the walk does not depend on the screens.
 // It calls cand (if non-nil) for every candidate of every sweep with
-// the candidate's exact aggregates, and based after fillBase and after
-// every accepted move; it returns the number of moves.
-func exactWalk(s *search, sc Scorer, cand func(from, to int, pf, pt float64, exact Aggregates), based func(when string)) int {
+// the sweep's step, the best objective the sweep has seen before the
+// candidate (descend's rejection threshold) and the candidate's exact
+// aggregates, and based after fillBase and after every accepted move;
+// it returns the number of moves.
+func exactWalk(s *search, sc Scorer, cand func(from, to int, step, pf, pt, bestV float64, exact Aggregates), based func(when string)) int {
 	s.activate(sc)
 	normalizeInto(s.p, spark.UniformPlacement(s.n))
 	s.fillBase()
@@ -381,7 +461,7 @@ func exactWalk(s *search, sc Scorer, cand func(from, to int, pf, pt float64, exa
 					}
 					a := eval(from, to, pf, pt)
 					if cand != nil {
-						cand(from, to, pf, pt, a)
+						cand(from, to, step, pf, pt, bestV, a)
 					}
 					if v := sc.Score(a); v < bestV-1e-9 {
 						bestV, bestFrom, bestTo = v, from, to
@@ -408,7 +488,10 @@ func exactWalk(s *search, sc Scorer, cand func(from, to int, pf, pt float64, exa
 // is exact up to its margin — every sum is a rearranged exact sum and
 // every max an exact max — so there the exact aggregate must also be
 // at most the bound plus the margin, which is what catches a bound that
-// drops or mis-scales one slot's term.
+// drops or mis-scales one slot's term. The row screen's bound for the
+// candidate's from must understate the candidate too, and on every
+// shuffle walk it must turn away at least one row, or this test would
+// pass on a row screen that never fires.
 func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 	scorers := []Scorer{JCT{}, Cost{BudgetS: 120}, Carbon{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
 	for _, d := range [][2]int{{3, 2}, {8, 5}, {24, 4}} {
@@ -422,17 +505,8 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 			for _, sc := range scorers {
 				label := fmt.Sprintf("n=%d stage=%s scorer=%s", n, stage.Name, sc.Name())
 				s := getSearch(estimator{believed: believed, info: ci}, stage, layout)
-				checked, base := 0, ""
-				exactWalk(s, sc, func(from, to int, pf, pt float64, exact Aggregates) {
-					screen := s.screen
-					if s.isMap {
-						screen = s.mapScreen
-					}
-					lb, margin := screen(from, to, pf, pt)
-					if math.IsInf(margin, 1) {
-						return // never rejects
-					}
-					checked++
+				checked, rowsRejected, base := 0, 0, ""
+				requireBelow := func(what string, from, to int, lb Aggregates, margin float64, exact Aggregates, tight bool) {
 					for _, f := range []struct {
 						name       string
 						bound, got float64
@@ -442,14 +516,41 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 						{"USD", lb.USD, exact.USD},
 						{"KgCO2", lb.KgCO2, exact.KgCO2},
 					} {
-						if f.bound > f.got+margin || (!s.isMap && f.got > f.bound+margin) {
-							t.Fatalf("%s %s, move %d→%d: %s bound %v, exact %v, margin %v",
-								label, base, from, to, f.name, f.bound, f.got, margin)
+						if f.bound > f.got+margin || (tight && f.got > f.bound+margin) {
+							t.Fatalf("%s %s, move %d→%d: %s %s bound %v, exact %v, margin %v",
+								label, base, from, to, what, f.name, f.bound, f.got, margin)
 						}
+					}
+				}
+				exactWalk(s, sc, func(from, to int, step, pf, pt, bestV float64, exact Aggregates) {
+					if s.isMap {
+						lb, margin := s.mapScreen(from, to, pf, pt)
+						if math.IsInf(margin, 1) {
+							return // never rejects
+						}
+						checked++
+						requireBelow("mapScreen", from, to, lb, margin, exact, false)
+						return
+					}
+					row := s.row(from, pf)
+					lb, margin := s.screen(&row, to, pt)
+					checked++
+					requireBelow("screen", from, to, lb, margin, exact, true)
+					rb, rowMargin := s.rowScreen(&row, step)
+					requireBelow("rowScreen", from, to, rb, rowMargin, exact, false)
+					firstTo := 0
+					if from == 0 {
+						firstTo = 1
+					}
+					if to == firstTo && sc.Score(rb)-rowMargin >= bestV-1e-9 {
+						rowsRejected++
 					}
 				}, func(when string) { base = when })
 				if checked == 0 {
 					t.Fatalf("%s: no candidate was screened", label)
+				}
+				if !s.isMap && rowsRejected == 0 {
+					t.Fatalf("%s: the row screen rejected no row", label)
 				}
 				putSearch(s)
 			}
@@ -496,22 +597,32 @@ func TestSearchAggregatesMatchEstimateDetail(t *testing.T) {
 
 // TestPlaceSteadyStateAllocs checks the pooled context reaches a small
 // constant allocation count per Place (starts and the returned
-// placement only — no per-candidate garbage).
+// placement only — no per-candidate garbage): a reduce stage at n = 8,
+// and a map stage on a 100-DC fleet, whose support lists must live in
+// the pooled context too.
 func TestPlaceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
 	}
 	ci, believed, layout := randomPlanningProblem(8, 99)
-
-	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
-	tet := Tetrium{Believed: believed, Info: ci}
-	tet.Place(0, stage, layout) // warm the pool
-	avg := testing.AllocsPerRun(20, func() { tet.Place(0, stage, layout) })
-	// Reference needs thousands of allocations per Place (a fresh
-	// candidate slice per move evaluation plus a rebuilt matrix per
-	// estimate); the context needs a handful of fixed ones.
-	if avg > 12 {
-		t.Fatalf("Tetrium.Place allocates %.1f times per call in steady state", avg)
+	fleetCI, fleetBelieved, fleetLayout := fleetPlanningProblem(100, 6, 100006)
+	for _, c := range []struct {
+		tet    Tetrium
+		stage  spark.Stage
+		layout []float64
+		runs   int // a 100-DC map Place takes ~0.3 s
+	}{
+		{Tetrium{Believed: believed, Info: ci}, spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}, layout, 20},
+		{Tetrium{Believed: fleetBelieved, Info: fleetCI}, spark.Stage{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5}, fleetLayout, 1},
+	} {
+		c.tet.Place(0, c.stage, c.layout) // warm the pool
+		avg := testing.AllocsPerRun(c.runs, func() { c.tet.Place(0, c.stage, c.layout) })
+		// Reference needs thousands of allocations per Place (a fresh
+		// candidate slice per move evaluation plus a rebuilt matrix per
+		// estimate); the context needs a handful of fixed ones.
+		if avg > 12 {
+			t.Fatalf("n=%d stage %s: Tetrium.Place allocates %.1f times per call in steady state", len(c.layout), c.stage.Name, avg)
+		}
 	}
 }
 
