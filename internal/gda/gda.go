@@ -179,8 +179,9 @@ func (t Tetrium) Name() string {
 // uniform, and compute-proportional — because the max() objective has
 // valleys a single-move greedy cannot cross (e.g. shifting work toward
 // a fast DC raises the network max before the compute max falls).
-// The descent itself runs on the pooled delta-evaluating context
-// (search.go), bit-identical to placeTetriumReference.
+// Each distinct start is descended once (a repeat could only tie, and a
+// tie keeps the earlier winner), on the pooled delta-evaluating context
+// (search.go): bit-identical to placeTetriumReference's three descents.
 func (t Tetrium) Place(_ int, stage spark.Stage, layout []float64) spark.Placement {
 	return PlaceScored(JCT{}, t.Believed, t.Info, stage, layout)
 }
@@ -255,11 +256,16 @@ func (ir Iridium) Name() string {
 // Place implements spark.Scheduler: minimize max_i max(upload_i,
 // download_i) with upload_i = data_i·(1−p_i)/U_i and download_i =
 // (total−data_i)·p_i/D_i, U/D being the believed aggregate egress and
-// ingress of site i.
+// ingress of site i. It descends from the locality start, and from the
+// uniform one unless the two are bit-identical (a tie would pick a).
 func (ir Iridium) Place(_ int, stage spark.Stage, layout []float64) spark.Placement {
 	obj, n := ir.objective(stage, layout)
-	a := descendGeneric(n, spark.LocalityPlacement(layout), obj)
-	b := descendGeneric(n, spark.UniformPlacement(n), obj)
+	loc, uni := spark.LocalityPlacement(layout), spark.UniformPlacement(n)
+	a := descendGeneric(n, loc, obj)
+	if repeatsStart(uni, loc) {
+		return a
+	}
+	b := descendGeneric(n, uni, obj)
 	if obj(a) <= obj(b) {
 		return a
 	}

@@ -207,7 +207,7 @@ func ParseScorer(spec string) (Scorer, error) {
 	}
 	var b Blend
 	for _, kv := range strings.Split(strings.TrimPrefix(spec, "blend:"), ",") {
-		name, val, ok := cut(kv, "=")
+		name, val, ok := strings.Cut(kv, "=")
 		if !ok {
 			return nil, fmt.Errorf("gda: bad blend component %q in %q (want name=weight)", kv, spec)
 		}
@@ -266,18 +266,11 @@ func SchedulerSpecs() string {
 		" | blend:jct=W,cost=W,carbon=W"
 }
 
-// cut is strings.Cut, kept local for the repo's minimum Go version.
-func cut(s, sep string) (before, after string, found bool) {
-	if i := strings.Index(s, sep); i >= 0 {
-		return s[:i], s[i+len(sep):], true
-	}
-	return s, "", false
-}
-
 // PlaceScored runs the three-start descent under any Scorer on the
 // pooled delta-evaluating search context — the generic placement every
-// scorer-composed scheduler is a one-liner over. Bit-exact against
-// placeScorerReference (TestScorerPlaceMatchesReference).
+// scorer-composed scheduler is a one-liner over. Each distinct start is
+// descended once (placeMultiStart); bit-exact against the three descents
+// of placeScorerReference (TestScorerPlaceMatchesReference).
 func PlaceScored(sc Scorer, believed bwmatrix.Matrix, info ClusterInfo, stage spark.Stage, layout []float64) spark.Placement {
 	s := getSearch(estimator{believed: believed, info: info}, stage, layout)
 	best, _ := s.placeMultiStart(sc)

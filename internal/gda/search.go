@@ -2,6 +2,7 @@ package gda
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/wanify/wanify/internal/spark"
@@ -1041,7 +1042,10 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 // returns the winning placement in s.bestBuf along with its estimate
 // aggregates. Kimchi reads the JCT phase's seconds for its latency
 // budget directly instead of re-estimating the placement the descent
-// just scored, and both of its phases share this one context.
+// just scored, and both of its phases share this one context. A start
+// bit-identical to an earlier one (compute-proportional is uniform at
+// one rate everywhere) is not descended again: descend is a pure function
+// of start and lease, so a repeat could only tie, and `v < bestV` is strict.
 func (s *search) placeMultiStart(sc Scorer) (best spark.Placement, agg Aggregates) {
 	normalizeInto(s.starts[0], s.layout) // data locality
 	for i := range s.starts[1] {
@@ -1050,6 +1054,9 @@ func (s *search) placeMultiStart(sc Scorer) (best spark.Placement, agg Aggregate
 	normalizeInto(s.starts[2], s.est.info.ComputeRates) // compute-proportional
 	bestV := 0.0
 	for i, start := range s.starts {
+		if repeatsStart(start, s.starts[:i]...) {
+			continue
+		}
 		if v := s.descend(start, sc); i == 0 || v < bestV {
 			bestV = v
 			copy(s.bestBuf, s.p)
@@ -1057,6 +1064,17 @@ func (s *search) placeMultiStart(sc Scorer) (best spark.Placement, agg Aggregate
 		}
 	}
 	return s.bestBuf, agg
+}
+
+// repeatsStart reports whether start equals one of earlier bit for bit
+// (math.Float64bits, so ±0 and NaN cannot alias).
+func repeatsStart(start spark.Placement, earlier ...spark.Placement) bool {
+	for _, e := range earlier {
+		if slices.EqualFunc(start, e, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			return true
+		}
+	}
+	return false
 }
 
 // descendGeneric is the allocation-light descent for objectives without

@@ -3,6 +3,7 @@ package gda
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/wanify/wanify/internal/bwmatrix"
@@ -177,6 +178,135 @@ func TestPlaceMatchesReferenceFleetSparse(t *testing.T) {
 					want = placeIridiumReference(ir, stage, layout)
 					requirePlacementsEqual(t, got, want, "iridium")
 				})
+			}
+		}
+	}
+}
+
+// TestPlaceMatchesReferenceCoincidingStarts runs the oracles on the
+// problems where the search skips a start: every DC at one compute
+// rate, or at rate 0 (the 1e-6 floor, whose normalized start is uniform
+// too), over the drawn layout, an even one and an all-zero one, at
+// n = 2…8 and on one fleet-sparse n = 24. The references descend from
+// all three starts; every scheduler and scorer must still return their
+// placements element for element.
+func TestPlaceMatchesReferenceCoincidingStarts(t *testing.T) {
+	stages := []spark.Stage{
+		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
+		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
+		{Name: "r0", Kind: spark.ReduceKind, SecPerGB: 0, Selectivity: 1}, // network-only
+	}
+	scorers := []Scorer{JCT{}, Cost{BudgetS: math.Inf(1)}, Carbon{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
+	type problem struct {
+		label    string
+		ci       ClusterInfo
+		believed bwmatrix.Matrix
+		layout   []float64
+	}
+	oneRate := func(ci ClusterInfo, rate float64) ClusterInfo {
+		ci.ComputeRates = slices.Repeat([]float64{rate}, ci.N())
+		return ci
+	}
+	var problems []problem
+	for n := 2; n <= 8; n++ {
+		ci, believed, drawn := randomPlanningProblem(n, uint64(n*900+1))
+		ci = withCarbon(ci, uint64(n*900+1))
+		for _, rate := range []float64{2.5, 0} {
+			for _, l := range []struct {
+				name   string
+				layout []float64
+			}{{"drawn", drawn}, {"even", slices.Repeat([]float64{8e9}, n)}, {"zero", make([]float64, n)}} {
+				label := fmt.Sprintf("n=%d rate=%v layout=%s", n, rate, l.name)
+				problems = append(problems, problem{label, oneRate(ci, rate), believed, l.layout})
+			}
+		}
+	}
+	// One fleet-sparse problem: the dense references take about a
+	// second a stage at this size.
+	ci, believed, layout := fleetPlanningProblem(24, 4, 24*9000+4)
+	problems = append(problems, problem{"n=24 nz=4 rate=2.5 layout=drawn", oneRate(withCarbon(ci, 24*9000+4), 2.5), believed, layout})
+
+	for _, p := range problems {
+		// The problem must reach the skip: its compute-proportional
+		// start is the uniform one.
+		n := p.ci.N()
+		prop := spark.Placement(slices.Clone(p.ci.ComputeRates)).Normalize()
+		requirePlacementsEqual(t, prop, spark.UniformPlacement(n), p.label+" compute-proportional start")
+		for _, stage := range stages {
+			// Cases are independent pure calls: run them in parallel.
+			t.Run(p.label+" stage="+stage.Name, func(t *testing.T) {
+				t.Parallel()
+				tet := Tetrium{Believed: p.believed, Info: p.ci}
+				requirePlacementsEqual(t, tet.Place(0, stage, p.layout), placeTetriumReference(tet, stage, p.layout), "tetrium")
+				kim := Kimchi{Believed: p.believed, Info: p.ci}
+				requirePlacementsEqual(t, kim.Place(0, stage, p.layout), placeKimchiReference(kim, stage, p.layout), "kimchi")
+				ir := Iridium{Believed: p.believed, Info: p.ci}
+				requirePlacementsEqual(t, ir.Place(0, stage, p.layout), placeIridiumReference(ir, stage, p.layout), "iridium")
+				for _, sc := range scorers {
+					got := PlaceScored(sc, p.believed, p.ci, stage, p.layout)
+					want := placeScorerReference(sc, p.believed, p.ci, stage, p.layout)
+					requirePlacementsEqual(t, got, want, "scorer="+sc.Name())
+				}
+			})
+		}
+	}
+}
+
+// countingScorer counts its Score calls: the work of a descent, seen
+// from outside the search.
+type countingScorer struct {
+	Scorer
+	calls *int
+}
+
+func (c countingScorer) Score(a Aggregates) float64 {
+	*c.calls++
+	return c.Scorer.Score(a)
+}
+
+// TestPlaceDescendsEachDistinctStartOnce checks that the multi-start
+// search runs one descent per distinct start: PlaceScored scores
+// exactly as many candidates as descend run once from each distinct
+// start. Heterogeneous compute rates give three distinct starts, one
+// shared rate two (compute-proportional is uniform), and one shared
+// rate over an even layout one (locality is uniform too).
+func TestPlaceDescendsEachDistinctStartOnce(t *testing.T) {
+	info, believed, layout := benchCluster()
+	n := info.N()
+	shared := info
+	shared.ComputeRates = slices.Repeat([]float64{2}, n)
+	even := slices.Repeat([]float64{10e9}, n)
+	loc, uni := spark.LocalityPlacement(layout), spark.UniformPlacement(n)
+	prop := spark.Placement(slices.Clone(info.ComputeRates)).Normalize()
+	for _, c := range []struct {
+		name   string
+		info   ClusterInfo
+		layout []float64
+		starts []spark.Placement // the distinct ones, in search order
+	}{
+		{"heterogeneous rates", info, layout, []spark.Placement{loc, uni, prop}},
+		{"one rate", shared, layout, []spark.Placement{loc, uni}},
+		{"one rate, even layout", shared, even, []spark.Placement{uni}},
+	} {
+		for _, stage := range []spark.Stage{
+			{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
+			{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1},
+		} {
+			var calls int
+			sc := countingScorer{JCT{}, &calls}
+			PlaceScored(sc, believed, c.info, stage, c.layout)
+			got := calls
+			want := 0
+			s := getSearch(estimator{believed: believed, info: c.info}, stage, c.layout)
+			for _, start := range c.starts {
+				calls = 0
+				s.descend(start, sc)
+				want += calls
+			}
+			putSearch(s)
+			if got != want {
+				t.Fatalf("%s stage=%s: PlaceScored scored %d candidates, %d distinct descents score %d",
+					c.name, stage.Name, got, len(c.starts), want)
 			}
 		}
 	}
@@ -657,6 +787,24 @@ func benchCluster() (ClusterInfo, bwmatrix.Matrix, []float64) {
 
 func BenchmarkSchedulerPlace(b *testing.B) {
 	info, believed, layout := benchCluster()
+	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
+	kim := Kimchi{Believed: believed, Info: info}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kim.Place(0, stage, layout)
+	}
+}
+
+// BenchmarkSchedulerPlaceUniformRates is BenchmarkSchedulerPlace with
+// one compute rate at every DC — the paper's testbed, one instance type
+// in every region — where the compute-proportional start is the uniform
+// start and the search descends from it once.
+func BenchmarkSchedulerPlaceUniformRates(b *testing.B) {
+	info, believed, layout := benchCluster()
+	for i := range info.ComputeRates {
+		info.ComputeRates[i] = 2
+	}
 	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
 	kim := Kimchi{Believed: believed, Info: info}
 	b.ReportAllocs()
