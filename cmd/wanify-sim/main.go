@@ -74,7 +74,7 @@ func main() {
 		jobName = flag.String("job", "terasort", "terasort | wordcount | tpcds-82 | tpcds-95 | tpcds-11 | tpcds-78")
 		gb      = flag.Float64("gb", 100, "input size in GB (terasort, tpcds)")
 		mb      = flag.Float64("mb", 600, "input size in MB (wordcount)")
-		skew    = flag.Bool("skew", false, "skew input onto 4 hot DCs (§5.8.1)")
+		skew    = flag.Bool("skew", false, "wordcount only: skew input onto 4 hot DCs (§5.8.1)")
 		sched   = flag.String("sched", "locality", gda.SchedulerSpecs())
 		believe = flag.String("believe", "predicted", "static | simultaneous | predicted | oracle (for tetrium/kimchi; oracle = netsim true caps)")
 		conns   = flag.String("conns", "single", "single | uniform | wanify (windows planned from WANify's own prediction, whatever -believe says)")
@@ -116,6 +116,9 @@ func main() {
 	}
 	if *harden && !*rebal {
 		log.Fatal("-hardened configures the re-gauging controller and requires -rebalance")
+	}
+	if *skew && *jobName != "wordcount" {
+		log.Fatalf("-skew skews the wordcount input and requires -job wordcount, not %q", *jobName)
 	}
 	share, err := optimize.ParseShareMode(*shareS)
 	if err != nil {

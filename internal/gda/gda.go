@@ -148,7 +148,7 @@ type estimator struct {
 // new point and produce different (occasionally better, always slower)
 // placements, which would invalidate every golden experiment output;
 // we keep the always-halve schedule as the locked decision and dropped
-// the dead flag. The search itself lives in search.go (delta-evaluated)
+// the dead flag. The search itself lives in search.go (pooled and screened)
 // with the original kept as descendReference in reference_test.go.
 
 // Tetrium minimizes estimated stage completion time (network + compute)
@@ -180,7 +180,7 @@ func (t Tetrium) Name() string {
 // valleys a single-move greedy cannot cross (e.g. shifting work toward
 // a fast DC raises the network max before the compute max falls).
 // Each distinct start is descended once (a repeat could only tie, and a
-// tie keeps the earlier winner), on the pooled delta-evaluating context
+// tie keeps the earlier winner), on the pooled search context
 // (search.go): bit-identical to placeTetriumReference's three descents.
 func (t Tetrium) Place(_ int, stage spark.Stage, layout []float64) spark.Placement {
 	return PlaceScored(JCT{}, t.Believed, t.Info, stage, layout)

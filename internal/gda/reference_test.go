@@ -7,9 +7,9 @@ import (
 
 // This file keeps the pre-optimization scheduler search verbatim — the
 // same playbook as netsim's allocateReference and rf's trainReference.
-// descendReference is the oracle the delta-evaluated search context is
-// locked against (TestPlaceMatchesReference compares final placements
-// element for element across randomized clusters) and the benchmark
+// descendReference is the oracle the search context is locked against
+// (TestPlaceMatchesReference compares final placements element for
+// element across randomized clusters) and the benchmark
 // baseline behind BenchmarkSchedulerPlaceReference. It is O(n⁴) per
 // descent; past what that affords, the screens' oracle is
 // TestScreensNeverChangeThePlacement. The from-scratch estimators

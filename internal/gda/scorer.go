@@ -17,9 +17,9 @@ import (
 // USD from the search's slot 0, KgCO2 from slot 1, which is active only
 // when the scorer asks for it (KgCO2 is exactly 0 otherwise).
 // Restricting scorers to these aggregates is what makes every scorer
-// delta-able by construction: the search delta-evaluates and screens
-// each slot with the same code (DESIGN.md §10), so a new linear
-// objective is one more field and one more slot, not new machinery.
+// cheap by construction: the search folds and screens each slot with
+// the same code (DESIGN.md §10), so a new linear objective is one more
+// field and one more slot, not new machinery.
 type Aggregates struct {
 	// Secs is the estimated stage completion time: the slowest link's
 	// transfer plus the slowest DC's compute.
@@ -41,8 +41,8 @@ type Aggregates struct {
 // no allocation — because Score runs on the descent hot path for every
 // candidate the screens cannot reject.
 //
-// The delta-or-screen contract: the search delta-evaluates the
-// aggregates themselves, so any Scorer gets exact O(n) candidate
+// The fold-or-screen contract: the search computes the aggregates
+// itself, so any Scorer gets the exact, allocation-free candidate
 // evaluation for free. ScreenSafe additionally enables the O(1)
 // rejection screens, which are only sound for scorers monotone
 // non-decreasing in every aggregate (the screens understate each
@@ -267,7 +267,7 @@ func SchedulerSpecs() string {
 }
 
 // PlaceScored runs the three-start descent under any Scorer on the
-// pooled delta-evaluating search context — the generic placement every
+// pooled search context — the generic placement every
 // scorer-composed scheduler is a one-liner over. Each distinct start is
 // descended once (placeMultiStart); bit-exact against the three descents
 // of placeScorerReference (TestScorerPlaceMatchesReference).

@@ -13,21 +13,25 @@ import (
 // cost/carbon/blend Scheds). The reference search re-allocates a
 // candidate Placement and rebuilds the full O(n²) Shuffle/Migration
 // matrix for every single-move candidate at every step level; the
-// context instead keeps per-entry caches of the base placement's
-// estimate and delta-evaluates each (from,to) move:
+// context prices a candidate in one allocation-free pass instead.
 //
-//   - Shuffle stages: moving mass from DC `from` to DC `to` changes
-//     only columns `from` and `to` of the transfer matrix
-//     (ShuffleMatrix[i][j] = layout[i]·p[j]) and the two compute
-//     terms, so a candidate recomputes O(n) expensive entries (the
-//     divisions by believed bandwidth), swaps them into the cache,
-//     folds, and swaps the base back.
+// Exact evaluation. Both stage kinds plan their transfer as an outer
+// product of a row and a column factor — a shuffle entry is
+// layout[i]·p[j], a migration entry surplus[i]·deficitRatio[j] — and
+// fold builds each entry from its two factors and reduces it straight
+// into the aggregates, over the rows × columns that can be nonzero. It
+// is the one exact evaluator: the base of every sweep and each of its
+// candidates, of both kinds, and no per-entry value outlives it.
+//
+//   - Shuffle stages: a candidate swaps p[from], p[to] and the two
+//     compute terms into the base, folds nzRows × every DC, and swaps
+//     them back.
 //   - Map stages: migration volumes couple every entry through the
-//     total deficit, so a move has no column delta: every entry
-//     rescales. But the matrix is nonzero only on surplus rows ×
-//     deficit columns, so a candidate merges from/to into the base's
-//     surplus and deficit DC lists and folds over that support alone —
-//     fused with the matrix build, with zero allocations.
+//     total deficit, so a move rescales every entry. A candidate swaps
+//     its surplus/deficit split at from and to into the base's, merges
+//     from/to into the base's surplus and deficit DC lists, writes its
+//     own deficit ratios (apart from the base's, which the map screen
+//     reads) and folds surplus × deficit alone.
 //
 // Objectives. Seconds (the max-shaped Secs and the LoadSum pressure)
 // are the search's own state. Every other aggregate is linear: a
@@ -40,16 +44,16 @@ import (
 // the aggregates and adds nothing to the screens' margins, which keeps
 // the single-slot path's bits free of slot 1.
 //
-// Bit-exactness contract (locked by TestPlaceMatchesReference and the
-// experiment goldens): every cached or delta-computed term is produced
-// by exactly the float expressions the from-scratch estimators
-// (estimateDetail/estimateAgg, reference_test.go) evaluate, and every
-// aggregate is reduced over the entries in their canonical row-major
-// order, each in its own accumulator. Zero-valued skipped
-// entries may be added where the reference skips them — x + (+0.0) is
-// an identity on the non-negative partial sums involved — but sums are
-// never delta-updated, because floating-point addition does not
-// associate; the cheap re-reduction is the price of returning the
+// Bit-exactness contract (locked by TestPlaceMatchesReference,
+// TestCandidateAggregatesMatchEstimateAgg and the experiment goldens):
+// every term fold builds is produced by exactly the float expressions
+// the from-scratch estimators (estimateDetail/estimateAgg,
+// reference_test.go) evaluate, and every aggregate is reduced over the
+// entries in their canonical row-major order, each in its own
+// accumulator. Skipping an entry the reference skips leaves out an
+// exact +0.0 — an identity on the non-negative partial sums involved —
+// but sums are never delta-updated, because floating-point addition
+// does not associate; the re-reduction is the price of returning the
 // identical bits.
 //
 // Sparsity: fleet-shaped problems place a job's data on a handful of
@@ -58,10 +62,8 @@ import (
 // for surplus DCs, and surplus requires layout > 0). Shuffle paths
 // iterate nzRows — the source DCs with layout[i] > 0 — and map paths
 // the surplus × deficit support instead of all n²: skipped entries are
-// exact +0.0 contributions, so sums, maxes and cached columns are
-// bit-identical to the dense sweep. Zero-layout rows of the shuffle
-// slabs are never written or read; map stages clear the whole slab,
-// since mapScreen reads any corner.
+// exact +0.0 contributions, so sums and maxes are bit-identical to the
+// dense sweep.
 //
 // Contexts are pooled (schedulers are stateless values, and parallel
 // tests call them concurrently) and reach zero steady-state
@@ -74,13 +76,14 @@ type search struct {
 	layout []float64
 	total  float64 // sum(layout), accumulated in estimateDetail's order
 	nzRows []int   // source DCs with layout[i] > 0, ascending
+	all    []int   // every DC, ascending: a shuffle's columns
 
 	bwDen []float64 // n×n flattened: floored believed BW × 1e6 (denominators)
 	rate  []float64 // per-DC compute rate with estimateDetail's 1e-6 floor
 
 	p spark.Placement // current placement (owned buffer)
 
-	sec  slab      // per-entry network seconds
+	sec  slab      // the network seconds' screening sums
 	comp []float64 // per-DC compute seconds for p
 	agg  Aggregates
 
@@ -89,14 +92,14 @@ type search struct {
 	prepped int       // slots whose coefficients this lease has filled
 
 	// Map-stage state: the base placement's surplus/deficit split and
-	// the per-DC deficit-ratio scratch. A migration entry is
-	// surplus_i·(deficit_j/totalDeficit)·8/den, so every entry whose DCs
-	// are untouched by a move scales by the one factor
-	// totalDeficit/totalDeficit' — mapScreen's O(1) bound.
-	mapSur, mapDef, drB []float64
-	mapTotalDef         float64
-	mapTop              [6]mapEntry   // largest base second entries
-	mapRow2, mapCol2    [][2]mapEntry // per-row / per-column two largest
+	// its per-DC deficit ratios (drB), with a candidate's ratios apart
+	// (drC). A migration entry is surplus_i·(deficit_j/totalDeficit)·8/den,
+	// so every entry whose DCs are untouched by a move scales by the one
+	// factor totalDeficit/totalDeficit' — mapScreen's O(1) bound.
+	mapSur, mapDef, drB, drC []float64
+	mapTotalDef              float64
+	mapTop                   [6]mapEntry   // largest base second entries
+	mapRow2, mapCol2         [][2]mapEntry // per-row / per-column two largest
 	// The support: the DCs with mapSur > 0 and with mapDef > 0,
 	// ascending — the base's (fillBase) and a candidate's (evalMapCand).
 	surIdx, defIdx, surC, defC []int
@@ -114,7 +117,7 @@ type search struct {
 	colRateSum []float64 // Σ_{i≠j} layout[i]·8/den[i][j]
 	colRateMax []float64 // max_{i≠j} layout[i]·8/den[i][j]
 	compRate   []float64 // total/1e9·SecPerGB/rate[j]
-	colMaxT    []float64 // max_i sec.E[i][j]
+	colMaxT    []float64 // max_i of column j's network seconds
 	compSum    float64   // Σ comp
 	loadInc    low2      // over colRateSum[j] + compRate[j]: LoadSum's growth per share moved to j
 	// A candidate leaves every column and compute term but from's and
@@ -127,38 +130,18 @@ type search struct {
 	bestBuf spark.Placement    // winning placement across starts
 }
 
-// slab is one per-entry objective over the transfer entries (the
-// seconds' and each linear slot's): the base placement's n×n values,
-// the two columns a shuffle candidate displaces, and the screens' sums.
+// slab holds one objective's (the seconds' or a linear slot's) sums
+// over the base placement's transfer entries, for the screens.
 type slab struct {
-	E              []float64 // n×n per-entry values for p (0 on diag / b<=0)
-	F, T           []float64 // base columns from/to displaced by a shuffle candidate
-	colSum         []float64 // Σ_i E[i][j] (shuffle stages)
+	colSum         []float64 // per-column Σ (shuffle stages)
 	total          float64   // Σ colSum
-	mapRow, mapCol []float64 // per-row / per-column Σ E (map stages)
+	mapRow, mapCol []float64 // per-row / per-column Σ (map stages)
 	mapTot         float64   // Σ mapRow
 }
 
 func (sl *slab) size(n int) {
-	sl.E = make([]float64, n*n)
-	sl.F, sl.T = make([]float64, n), make([]float64, n)
 	sl.colSum = make([]float64, n)
 	sl.mapRow, sl.mapCol = make([]float64, n), make([]float64, n)
-}
-
-// put writes row i's candidate entries vf, vt into columns from/to of
-// E, keeping the base's in F/T for restore.
-func (sl *slab) put(i, n, from, to int, vf, vt float64) {
-	f, t := i*n+from, i*n+to
-	sl.F[i], sl.T[i] = sl.E[f], sl.E[t]
-	sl.E[f], sl.E[t] = vf, vt
-}
-
-// restore writes the base's columns from/to back from F/T.
-func (sl *slab) restore(rows []int, n, from, to int) {
-	for _, i := range rows {
-		sl.E[i*n+from], sl.E[i*n+to] = sl.F[i], sl.T[i]
-	}
 }
 
 // sumCols re-derives total from the column sums (O(n) per accepted
@@ -175,7 +158,7 @@ func (sl *slab) sumCols() {
 // Σ comp[j]·cpu[j] over the DCs — estimateAgg's order. Shuffle-column
 // sums scale with p[j] like the seconds columns do, and map entries
 // scale by the same surplus/deficit factors, so a slot rides the
-// seconds' delta and screen structure unchanged.
+// seconds' screen structure unchanged.
 type linear struct {
 	slab
 	net     []float64 // per-source-DC coefficient per GB sent
@@ -283,7 +266,11 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 		vec := func() []float64 { return make([]float64, n) }
 		s.rate, s.comp, s.compRate, s.colMaxT = vec(), vec(), vec(), vec()
 		s.colRateSum, s.colRateMax = vec(), vec()
-		s.mapSur, s.mapDef, s.drB = vec(), vec(), vec()
+		s.mapSur, s.mapDef, s.drB, s.drC = vec(), vec(), vec(), vec()
+		s.all = make([]int, n)
+		for j := range s.all {
+			s.all[j] = j
+		}
 		s.p, s.bestBuf = vec(), vec()
 		for i := range s.starts {
 			s.starts[i] = vec()
@@ -334,7 +321,7 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 
 // activate sets the active slot count for sc, once per descent. Slot
 // 1's coefficients are filled on its first use in a lease, so a scorer
-// that never reads it never pays for its n×n slab.
+// that never reads it never pays for them.
 func (s *search) activate(sc Scorer) {
 	s.k = 1
 	if sc.NeedsCarbon() {
@@ -351,7 +338,7 @@ func (s *search) activate(sc Scorer) {
 // placement-independent shuffle column rates (s.compRate is filled).
 func (l *linear) prep(s *search, net, cpu []float64) {
 	n := s.n
-	if len(l.E) != n*n {
+	if len(l.colSum) != n {
 		l.size(n)
 		l.net = make([]float64, n)
 		l.colRate = make([]float64, n)
@@ -421,14 +408,15 @@ func swap2(v []float64, from, to int, f, t float64) (float64, float64) {
 	return f, t
 }
 
-// fillBase populates the per-entry caches and aggregates for the
-// current placement s.p — one full estimate, shared by every candidate
-// of the following sweep.
+// fillBase derives the screens' sums and rankings and the aggregates
+// for the current placement s.p — one full estimate, shared by every
+// candidate of the following sweep.
 func (s *search) fillBase() {
 	n := s.n
 	for j := 0; j < n; j++ {
 		s.comp[j] = s.compTerm(s.p[j], j)
 	}
+	rows, cols, rowF, colF := s.nzRows, s.all, s.layout, []float64(s.p)
 	if s.isMap {
 		s.mapTotalDef = 0
 		s.surIdx, s.defIdx = s.surIdx[:0], s.defIdx[:0]
@@ -442,26 +430,26 @@ func (s *search) fillBase() {
 				s.defIdx = append(s.defIdx, i)
 			}
 		}
-		s.fillMap()
+		rows, cols, rowF, colF = s.fillMap(), s.defIdx, s.mapSur, s.drB
 	} else {
 		for j := 0; j < n; j++ {
 			s.setColumn(j)
 		}
 	}
 	s.refreshTotals()
-	s.agg = s.fold()
+	s.agg = s.fold(rows, cols, rowF, colF)
 }
 
-// fillMap writes every slab's base migration entries — MigrationMatrix's
-// from the split in mapSur/mapDef — with the map screen's aggregates:
-// each slab's row and column sums, in index order, and the ranked
-// second entries. Only surplus rows × deficit columns hold migration;
-// every other entry is zero (and must be: mapScreen reads arbitrary
-// corners), adds exact zeros to the sums and ranks nowhere, so one pass
-// over the support gives the bits of a full n² sweep.
-func (s *search) fillMap() {
-	n, lin := s.n, s.active()
-	moves := s.ratios(s.defIdx)
+// fillMap writes the base's deficit ratios to drB and the map screen's
+// aggregates over its migration entries — MigrationMatrix's, from the
+// split in mapSur/mapDef: each slab's row and column sums, in index
+// order, and the ranked second entries. Only surplus rows × deficit
+// columns hold migration; every other entry is zero, adds exact zeros
+// to the sums and ranks nowhere, so one pass over the support gives the
+// bits of a full n² sweep. It returns the rows that migrate (ratios).
+func (s *search) fillMap() []int {
+	lin := s.active()
+	rows := s.ratios(s.drB, s.surIdx, s.defIdx)
 	none := mapEntry{i: -1, j: -1}
 	for k := range s.mapTop {
 		s.mapTop[k] = none
@@ -470,25 +458,19 @@ func (s *search) fillMap() {
 		s.mapRow2[i], s.mapCol2[i] = [2]mapEntry{none, none}, [2]mapEntry{none, none}
 	}
 	for _, sl := range []*slab{&s.sec, &s.lin[0].slab, &s.lin[1].slab}[:1+len(lin)] {
-		clear(sl.E)
 		clear(sl.mapRow)
 		clear(sl.mapCol)
 		sl.mapTot = 0
 	}
-	if !moves {
-		return
-	}
-	for _, i := range s.surIdx {
+	for _, i := range rows {
 		sur, row := s.mapSur[i], [3]float64{}
 		for _, j := range s.defIdx {
 			b := sur * s.drB[j]
 			e := mapEntry{v: s.netSecs(i, j, b), i: i, j: j}
-			s.sec.E[i*n+j] = e.v
 			row[0] += e.v
 			s.sec.mapCol[j] += e.v
 			for k := range lin {
 				v := lin[k].entry(i, j, b)
-				lin[k].E[i*n+j] = v
 				row[k+1] += v
 				lin[k].mapCol[j] += v
 			}
@@ -509,6 +491,7 @@ func (s *search) fillMap() {
 			lin[k].mapTot += row[k+1]
 		}
 	}
+	return rows
 }
 
 // push2 keeps in two the two largest entries seen, first wins ties.
@@ -520,15 +503,14 @@ func push2(two *[2]mapEntry, e mapEntry) {
 	}
 }
 
-// setColumn recomputes base column j of every slab and its screening
-// sum (and the seconds' max). Shuffle stages only, so the zero layout
-// rows — exact zero entries — are skipped.
+// setColumn recomputes base column j's screening sum for every slab
+// (and the seconds' max). Shuffle stages only, so the zero layout rows
+// — exact zero entries — are skipped.
 func (s *search) setColumn(j int) {
-	n, pj := s.n, s.p[j]
+	pj := s.p[j]
 	sum, max := 0.0, 0.0
 	for _, i := range s.nzRows {
 		t := s.netSecs(i, j, s.layout[i]*pj)
-		s.sec.E[i*n+j] = t
 		sum += t
 		if t > max {
 			max = t
@@ -539,9 +521,7 @@ func (s *search) setColumn(j int) {
 		l := &s.lin[k]
 		sum := 0.0
 		for _, i := range s.nzRows {
-			v := l.entry(i, j, s.layout[i]*pj)
-			l.E[i*n+j] = v
-			sum += v
+			sum += l.entry(i, j, s.layout[i]*pj)
 		}
 		l.colSum[j] = sum
 	}
@@ -577,31 +557,37 @@ func (l *linear) foldCPU(v float64, comp []float64) float64 {
 	return v
 }
 
-// fold reduces the cached entries — the base, or a shuffle candidate
-// written into them — in estimateDetail/estimateAgg's canonical order:
-// network entries row-major, then compute terms by DC. Every aggregate
-// has its own accumulator, so its bits depend only on its own addition
-// sequence. Slot 0 rides the seconds' pass (independent add chains
-// overlap instead of running back to back); slot 1 gets its own.
-func (s *search) fold() Aggregates {
-	n, l0 := s.n, &s.lin[0]
+// fold fuses the transfer matrix's construction with estimateAgg's
+// fold: entry (i, j) is rowF[i]·colF[j] — a shuffle's layout[i]·p[j], a
+// migration's surplus[i]·deficitRatio[j] — over the rows × cols that
+// can hold one. Every skipped entry is an exact +0.0 in the reference,
+// and the nonzero entries fold in its row-major order, each aggregate
+// in its own accumulator, then the compute terms in s.comp by DC
+// (finish), so the bits match a full rebuild. Every slot rides this
+// pass; an inactive slot's coefficient is 0. Products that feed a sum
+// here, in splitSD and in foldCPU are rounded with float64(), so no
+// target fuses them into a multiply-add the reference does not perform.
+func (s *search) fold(rows, cols []int, rowF, colF []float64) Aggregates {
+	n, l0, l1 := s.n, &s.lin[0], &s.lin[1]
 	load, tNet, v0, v1 := 0.0, 0.0, 0.0, 0.0
-	for _, i := range s.nzRows {
-		tRow := s.sec.E[i*n : i*n+n]
-		uRow := l0.E[i*n : i*n+n][:len(tRow)]
-		for j, t := range tRow {
+	for _, i := range rows {
+		ri, c0, c1 := rowF[i], l0.net[i], 0.0
+		if s.k > 1 {
+			c1 = l1.net[i]
+		}
+		den := s.bwDen[i*n : i*n+n]
+		for _, j := range cols {
+			b := ri * colF[j]
+			if b <= 0 || i == j {
+				continue
+			}
+			t := b * 8 / den[j]
 			load += t
 			if t > tNet {
 				tNet = t
 			}
-			v0 += uRow[j]
-		}
-	}
-	if s.k > 1 {
-		for _, i := range s.nzRows {
-			for _, c := range s.lin[1].E[i*n : i*n+n] {
-				v1 += c
-			}
+			v0 += float64(b / 1e9 * c0)
+			v1 += float64(b / 1e9 * c1)
 		}
 	}
 	return s.finish(load, tNet, v0, v1)
@@ -625,36 +611,25 @@ func (s *search) finish(load, tNet, v0, v1 float64) Aggregates {
 	return a
 }
 
-// evalShuffleCand delta-evaluates the move (from→to, pf/pt being the
-// two changed placement entries) for a shuffle stage: O(n) fresh
-// divisions for the two changed transfer columns, written with the two
-// compute terms into the base caches for the canonical fold, which are
-// then restored.
+// evalShuffleCand evaluates the move (from→to, pf/pt being the two
+// changed placement entries) for a shuffle stage: the two placement
+// entries and compute terms are swapped into the base, fold rebuilds
+// the matrix over nzRows × every DC, and the base is swapped back.
 func (s *search) evalShuffleCand(from, to int, pf, pt float64) Aggregates {
-	n, lin := s.n, s.active()
-	for _, i := range s.nzRows {
-		bF, bT := s.layout[i]*pf, s.layout[i]*pt
-		s.sec.put(i, n, from, to, s.netSecs(i, from, bF), s.netSecs(i, to, bT))
-		for k := range lin {
-			lin[k].put(i, n, from, to, lin[k].entry(i, from, bF), lin[k].entry(i, to, bT))
-		}
-	}
 	cF, cT := swap2(s.comp, from, to, s.compTerm(pf, from), s.compTerm(pt, to))
-	a := s.fold()
+	pf, pt = swap2(s.p, from, to, pf, pt)
+	a := s.fold(s.nzRows, s.all, s.layout, s.p)
+	swap2(s.p, from, to, pf, pt)
 	swap2(s.comp, from, to, cF, cT)
-	s.sec.restore(s.nzRows, n, from, to)
-	for k := range lin {
-		lin[k].restore(s.nzRows, n, from, to)
-	}
 	return a
 }
 
 // evalMapCand evaluates a candidate for a map stage. The migration
-// matrix couples every entry through the total deficit, so there is no
-// column delta: the candidate's surplus/deficit and compute terms at
-// the two moved DCs are swapped into the base split, from and to are
-// merged into the base's support, and mapFold rebuilds and folds the
-// matrix over it.
+// matrix couples every entry through the total deficit, so the
+// candidate's surplus/deficit and compute terms at the two moved DCs
+// are swapped into the base split, from and to are merged into the
+// base's support, the candidate's deficit ratios go to drC, and fold
+// rebuilds the matrix over the merged support.
 func (s *search) evalMapCand(from, to int, pf, pt float64) Aggregates {
 	surF, defF := s.splitSD(from, pf)
 	surT, defT := s.splitSD(to, pt)
@@ -663,7 +638,7 @@ func (s *search) evalMapCand(from, to int, pf, pt float64) Aggregates {
 	surF, surT = swap2(s.mapSur, from, to, surF, surT)
 	defF, defT = swap2(s.mapDef, from, to, defF, defT)
 	cF, cT := swap2(s.comp, from, to, s.compTerm(pf, from), s.compTerm(pt, to))
-	a := s.mapFold(s.surC, s.defC)
+	a := s.fold(s.ratios(s.drC, s.surC, s.defC), s.defC, s.mapSur, s.drC)
 	swap2(s.comp, from, to, cF, cT)
 	swap2(s.mapDef, from, to, defF, defT)
 	swap2(s.mapSur, from, to, surF, surT)
@@ -693,66 +668,33 @@ func mergeSupport(dst, base []int, from, to int, inF, inT bool) []int {
 	return append(dst, base[k:]...)
 }
 
-// ratios writes each deficit DC's share of the total deficit to drB —
-// MigrationMatrix's per-entry division, hoisted per destination. The
-// total folds over def in index order (every other DC adds an exact 0
-// in the builder's fold). It reports false when nothing migrates.
-func (s *search) ratios(def []int) bool {
+// ratios writes each deficit DC's share of the total deficit to dr —
+// MigrationMatrix's per-entry division, hoisted per destination — and
+// returns the rows that migrate: sur, or none (with dr 0 over def) when
+// nothing does. The total folds over def in index order (every other DC
+// adds an exact 0 in the builder's fold).
+func (s *search) ratios(dr []float64, sur, def []int) []int {
 	totalDeficit := 0.0
 	for _, j := range def {
 		totalDeficit += s.mapDef[j]
 	}
 	if s.total <= 0 || totalDeficit <= 0 {
-		return false
+		for _, j := range def {
+			dr[j] = 0
+		}
+		return nil
 	}
 	for _, j := range def {
-		s.drB[j] = s.mapDef[j] / totalDeficit
+		dr[j] = s.mapDef[j] / totalDeficit
 	}
-	return true
+	return sur
 }
 
-// mapFold fuses MigrationMatrix's construction from the split in
-// mapSur/mapDef with estimateAgg's fold over the support: sur and def
-// list the surplus rows and deficit columns, the only ones that hold
-// migration. Every skipped entry is an exact +0.0 in the reference, and
-// the nonzero entries fold in its row-major order, each aggregate in its
-// own accumulator, so the bits match a full rebuild. Every slot rides
-// this pass; an inactive slot's coefficient is 0. Products that feed a
-// sum here, in splitSD and in foldCPU are rounded with float64(), so no
-// target fuses them into a multiply-add the reference does not perform.
-func (s *search) mapFold(sur, def []int) Aggregates {
-	n, l0, l1 := s.n, &s.lin[0], &s.lin[1]
-	load, tNet, v0, v1 := 0.0, 0.0, 0.0, 0.0
-	if s.ratios(def) {
-		for _, i := range sur {
-			si, c0, c1 := s.mapSur[i], l0.net[i], 0.0
-			if s.k > 1 {
-				c1 = l1.net[i]
-			}
-			den := s.bwDen[i*n : i*n+n]
-			for _, j := range def {
-				b := si * s.drB[j]
-				if b <= 0 {
-					continue
-				}
-				t := b * 8 / den[j]
-				load += t
-				if t > tNet {
-					tNet = t
-				}
-				v0 += float64(b / 1e9 * c0)
-				v1 += float64(b / 1e9 * c1)
-			}
-		}
-	}
-	return s.finish(load, tNet, v0, v1)
-}
-
-// applyMove commits the accepted move into s.p and refreshes the base
-// caches: O(n) column/compute updates for shuffle stages (the
-// recomputed entries land on exactly the winning candidate's bits), a
+// applyMove commits the accepted move into s.p and refreshes the
+// screens' state: O(n) column/compute updates for shuffle stages, a
 // full re-derivation for map stages, whose every migration entry
-// changes through the total deficit.
+// changes through the total deficit. The aggregates are the winning
+// candidate's (descend).
 func (s *search) applyMove(from, to int, step float64) {
 	s.p[from] -= step
 	s.p[to] += step
@@ -866,16 +808,25 @@ type mapMove struct {
 // bound is one slab's network share of the map screen: the unchanged
 // block scaled by k plus the moved rows/columns scaled by their ratios
 // (the corners, which scale by two ratios at once, contribute ≥ 0 and
-// are dropped).
-func (m *mapMove) bound(n int, sl *slab) float64 {
-	f, t, E, row, col := m.from, m.to, sl.E, sl.mapRow, sl.mapCol
-	corner := E[f*n+t] + E[t*n+f] + E[f*n+f] + E[t*n+t]
-	block := clamp0(sl.mapTot - row[f] - row[t] - col[f] - col[t] + corner)
+// are dropped). ft and tf are the slab's base entries from→to and
+// to→from; the diagonal corners are 0.
+func (m *mapMove) bound(sl *slab, ft, tf float64) float64 {
+	f, t, row, col := m.from, m.to, sl.mapRow, sl.mapCol
+	block := clamp0(sl.mapTot - row[f] - row[t] - col[f] - col[t] + (ft + tf))
 	return m.k*block +
-		m.rsF*clamp0(row[f]-E[f*n+f]-E[f*n+t]) +
-		m.rsT*clamp0(row[t]-E[t*n+t]-E[t*n+f]) +
-		m.csF*clamp0(col[f]-E[f*n+f]-E[t*n+f]) +
-		m.csT*clamp0(col[t]-E[t*n+t]-E[f*n+t])
+		m.rsF*clamp0(row[f]-ft) +
+		m.rsT*clamp0(row[t]-tf) +
+		m.csF*clamp0(col[f]-tf) +
+		m.csT*clamp0(col[t]-ft)
+}
+
+// baseMig is the base split's migration volume i→j, MigrationMatrix's
+// entry: 0 unless i is a surplus and j a deficit DC.
+func (s *search) baseMig(i, j int) float64 {
+	if s.mapSur[i] > 0 && s.mapDef[j] > 0 {
+		return s.mapSur[i] * s.drB[j]
+	}
+	return 0
 }
 
 // mapScreen is the map-stage counterpart of screen: entries of the
@@ -937,13 +888,15 @@ func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 	cF, cT := pf*s.compRate[from], pt*s.compRate[to]
 	tComp := s.topComp.maxExcluding(s.comp, from, to, max(cF, cT))
 	compLoad := clamp0(s.compSum - s.comp[from] - s.comp[to] + cF + cT)
+	bFT, bTF := s.baseMig(from, to), s.baseMig(to, from)
 	var v, abs [2]float64
 	for k := range s.active() {
 		l := &s.lin[k]
-		v[k] = m.bound(s.n, &l.slab) + clamp0(l.cpuSum+l.cpuShift(from, s.comp[from], cF)+l.cpuShift(to, s.comp[to], cT))
+		v[k] = m.bound(&l.slab, l.entry(from, to, bFT), l.entry(to, from, bTF)) +
+			clamp0(l.cpuSum+l.cpuShift(from, s.comp[from], cF)+l.cpuShift(to, s.comp[to], cT))
 		abs[k] = l.mapTot + l.cpuSum
 	}
-	secs, load := tNet+tComp, m.bound(s.n, &s.sec)+compLoad
+	secs, load := tNet+tComp, m.bound(&s.sec, s.netSecs(from, to, bFT), s.netSecs(to, from, bTF))+compLoad
 	// compSum sits in the absolute term (after compLoad) because the
 	// total-minus-two compute folds above cancel.
 	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.mapTot+abs[0]+compLoad+s.compSum+abs[1])

@@ -473,7 +473,7 @@ func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
 		colMax := make([]float64, s.n)
 		for j := range colMax {
 			for _, i := range s.nzRows {
-				if v := s.sec.E[i*s.n+j]; v > colMax[j] {
+				if v := s.netSecs(i, j, s.layout[i]*s.p[j]); v > colMax[j] {
 					colMax[j] = v
 				}
 			}
@@ -681,6 +681,59 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 				}
 				if !s.isMap && rowsRejected == 0 {
 					t.Fatalf("%s: the row screen rejected no row", label)
+				}
+				putSearch(s)
+			}
+		}
+	}
+}
+
+// TestCandidateAggregatesMatchEstimateAgg holds the exact evaluator to
+// the from-scratch estimator per candidate, not only through the
+// placements it leads to: for every candidate of every sweep of an
+// exact walk, the aggregates evalShuffleCand / evalMapCand return must
+// equal, bit for bit, estimateAgg of the candidate placement (KgCO2
+// reads 0 while the scorer leaves the carbon slot inactive). Fully
+// dense layouts (nz = n) are covered beside the fleet-sparse ones.
+func TestCandidateAggregatesMatchEstimateAgg(t *testing.T) {
+	for _, d := range [][2]int{{3, 2}, {8, 5}, {8, 8}, {24, 4}} {
+		n, nz := d[0], d[1]
+		ci, believed, layout := fleetPlanningProblem(n, nz, uint64(n*5000+nz))
+		ci = withCarbon(ci, uint64(n*5000+nz))
+		est := estimator{believed: believed, info: ci}
+		for _, stage := range []spark.Stage{
+			{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
+			{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
+		} {
+			for _, sc := range []Scorer{JCT{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}} {
+				label := fmt.Sprintf("n=%d nz=%d stage=%s scorer=%s", n, nz, stage.Name, sc.Name())
+				s := getSearch(est, stage, layout)
+				cand, checked, base := make(spark.Placement, n), 0, ""
+				exactWalk(s, sc, func(from, to int, step, pf, pt, bestV float64, got Aggregates) {
+					copy(cand, s.p)
+					cand[from], cand[to] = pf, pt
+					want := est.estimateAgg(stage, layout, cand)
+					if !sc.NeedsCarbon() {
+						want.KgCO2 = 0
+					}
+					checked++
+					for _, f := range []struct {
+						name      string
+						got, want float64
+					}{
+						{"Secs", got.Secs, want.Secs},
+						{"LoadSum", got.LoadSum, want.LoadSum},
+						{"USD", got.USD, want.USD},
+						{"KgCO2", got.KgCO2, want.KgCO2},
+					} {
+						if math.Float64bits(f.got) != math.Float64bits(f.want) {
+							t.Fatalf("%s %s, move %d→%d step %v: %s %v, estimateAgg %v",
+								label, base, from, to, step, f.name, f.got, f.want)
+						}
+					}
+				}, func(when string) { base = when })
+				if checked == 0 {
+					t.Fatalf("%s: the walk evaluated no candidate", label)
 				}
 				putSearch(s)
 			}

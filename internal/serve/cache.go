@@ -24,9 +24,11 @@ import (
 //   - Accuracy: a model whose own §3.3.4 staleness detector trips
 //     (predict.Model.NeedsRetrain — observed-error windows exceeding
 //     the paper's significance threshold) is evicted on lookup
-//     regardless of age. This is the cache hook into predict's
-//     staleness machinery: serving keeps feeding observed rates to the
-//     model via ObserveActual, and the cache honors the verdict.
+//     regardless of age. This is the cache's hook into predict's
+//     staleness machinery, but nothing feeds it yet: no caller in the
+//     tree hands observed rates to predict.Model.ObserveActual, so the
+//     flag never trips and in practice only capacity and the TTL
+//     evict. Wiring that loop (or deleting it) is ROADMAP item 11.
 //
 // All methods are safe for concurrent use: the simulated control plane
 // is single-timeline, but the HTTP layer and tests (-race) reach the
