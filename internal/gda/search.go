@@ -408,15 +408,17 @@ func swap2(v []float64, from, to int, f, t float64) (float64, float64) {
 	return f, t
 }
 
-// fillBase derives the screens' sums and rankings and the aggregates
-// for the current placement s.p — one full estimate, shared by every
-// candidate of the following sweep.
-func (s *search) fillBase() {
+// fillBase derives the screens' sums and rankings for the current
+// placement s.p, shared by every candidate of the following sweep, and
+// returns fold's arguments for its estimate aggregates. Only a
+// descent's start folds them: after a move, the aggregates are the
+// winning candidate's.
+func (s *search) fillBase() (rows, cols []int, rowF, colF []float64) {
 	n := s.n
 	for j := 0; j < n; j++ {
 		s.comp[j] = s.compTerm(s.p[j], j)
 	}
-	rows, cols, rowF, colF := s.nzRows, s.all, s.layout, []float64(s.p)
+	rows, cols, rowF, colF = s.nzRows, s.all, s.layout, s.p
 	if s.isMap {
 		s.mapTotalDef = 0
 		s.surIdx, s.defIdx = s.surIdx[:0], s.defIdx[:0]
@@ -437,7 +439,7 @@ func (s *search) fillBase() {
 		}
 	}
 	s.refreshTotals()
-	s.agg = s.fold(rows, cols, rowF, colF)
+	return rows, cols, rowF, colF
 }
 
 // fillMap writes the base's deficit ratios to drB and the map screen's
@@ -935,7 +937,7 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 	s.activate(sc)
 	useScreens := sc.ScreenSafe()
 	normalizeInto(s.p, start)
-	s.fillBase()
+	s.agg = s.fold(s.fillBase())
 	best := sc.Score(s.agg)
 	for step := 0.10; step >= 0.005; step /= 2 {
 		for {

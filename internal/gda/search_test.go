@@ -58,12 +58,12 @@ func randomPlanningProblem(n int, seed uint64) (ClusterInfo, bwmatrix.Matrix, []
 	return ci, believed, layout
 }
 
-// TestPlaceMatchesReference locks the delta-evaluated search bit-exact
-// against the kept-verbatim reference: for randomized clusters of every
-// size (hostile believed matrices included), Tetrium, Kimchi and
-// Iridium must return element-for-element identical placements on both
-// map and reduce stages. This is the contract that keeps the
-// scheduler-comparison goldens byte-identical.
+// TestPlaceMatchesReference locks the screened, support-folding search
+// bit-exact against the kept-verbatim reference: for randomized
+// clusters of every size (hostile believed matrices included), Tetrium,
+// Kimchi and Iridium must return element-for-element identical
+// placements on both map and reduce stages. This is the contract that
+// keeps the scheduler-comparison goldens byte-identical.
 func TestPlaceMatchesReference(t *testing.T) {
 	stages := []spark.Stage{
 		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
@@ -570,7 +570,7 @@ func TestMergeSupport(t *testing.T) {
 func exactWalk(s *search, sc Scorer, cand func(from, to int, step, pf, pt, bestV float64, exact Aggregates), based func(when string)) int {
 	s.activate(sc)
 	normalizeInto(s.p, spark.UniformPlacement(s.n))
-	s.fillBase()
+	s.agg = s.fold(s.fillBase())
 	based("after fillBase")
 	best, moves := sc.Score(s.agg), 0
 	for step := 0.10; step >= 0.005; step /= 2 {

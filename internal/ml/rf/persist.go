@@ -63,8 +63,8 @@ func (f *Forest) Save(w io.Writer) error {
 // feature outside the vector, a child out of range or not after its
 // parent (the walk would loop), a non-finite threshold or value, leaf
 // values whose sum over the trees overflows — and feature gains that
-// outnumber the features. Loaded forests predict and warm-start
-// normally; out-of-bag statistics restart empty.
+// outnumber the features. Loaded forests predict normally; out-of-bag
+// statistics restart empty.
 func Load(r io.Reader) (*Forest, error) {
 	var pf persistForest
 	if err := gob.NewDecoder(r).Decode(&pf); err != nil {
@@ -79,7 +79,6 @@ func Load(r io.Reader) (*Forest, error) {
 	f := &Forest{
 		cfg:       pf.Config,
 		nFeatures: pf.NFeatures,
-		rng:       nil, // set lazily by WarmStart if ever needed
 	}
 	bound := 0.0 // Σ over trees of the largest |value|: it bounds every prediction
 	for k, pt := range pf.Trees {

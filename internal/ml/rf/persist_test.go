@@ -3,7 +3,6 @@ package rf
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"testing"
 )
 
@@ -40,26 +39,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadedForestCanWarmStart checks restored models keep learning.
-func TestLoadedForestCanWarmStart(t *testing.T) {
-	ds := synth(200, 32, func(x []float64) float64 { return 10 })
-	f, _ := Train(ds, Config{NumTrees: 10, Seed: 33})
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WarmStart(ds, 5); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumTrees() != 15 {
-		t.Errorf("trees after warm start = %d", g.NumTrees())
-	}
-}
-
 // retiredConfig is Config as model files once stored it: with a
 // Workers field (it selected a streamed, goroutine-parallel training
 // mode) and with the tree bounds MaxDepth, MinLeaf and MinSplit, which
@@ -79,9 +58,8 @@ type retiredPersistForest struct {
 
 // requireRetiredFileLoads rewrites a current model file in the retired
 // layout with cfg's retired fields set by retire, and checks the result
-// loads, predicts what its source forest predicts, and warm-starts on
-// the shared stream exactly like the current file: gob drops a field
-// the target struct lacks.
+// loads with its source's config and predicts what its source forest
+// predicts: gob drops a field the target struct lacks.
 func requireRetiredFileLoads(t *testing.T, retire func(*retiredConfig)) {
 	t.Helper()
 	ds := synth(200, 34, func(x []float64) float64 { return 3*x[1] - x[0] })
@@ -115,18 +93,6 @@ func requireRetiredFileLoads(t *testing.T, retire func(*retiredConfig)) {
 			t.Fatalf("row %d: loaded forest predicts %v, source %v", i, g.Predict(x), f.Predict(x))
 		}
 	}
-	want, err := Load(&current)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := synth(80, 36, func(x []float64) float64 { return 3*x[1] - x[0] })
-	if err := g.WarmStart(extra, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.WarmStart(extra, 5); err != nil {
-		t.Fatal(err)
-	}
-	requireForestsEqual(t, g, want, fmt.Sprintf("warm-start after a %+v file", old.Config))
 }
 
 // TestLoadIgnoresRetiredWorkersField checks a model file written when
@@ -140,8 +106,7 @@ func TestLoadIgnoresRetiredWorkersField(t *testing.T) {
 
 // TestLoadIgnoresRetiredTreeBounds checks a model file written when
 // Config still carried MaxDepth, MinLeaf and MinSplit, at the defaults
-// every such file holds (unbounded depth, 2, 5): the constants that
-// replaced them grow the same trees on warm start.
+// every such file holds (unbounded depth, 2, 5).
 func TestLoadIgnoresRetiredTreeBounds(t *testing.T) {
 	requireRetiredFileLoads(t, func(c *retiredConfig) {
 		c.MaxDepth, c.MinLeaf, c.MinSplit = 0, 2, 5

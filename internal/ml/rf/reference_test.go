@@ -15,8 +15,8 @@ import (
 // shipped binary carries it.
 
 // trainReference fits a forest exactly like the original Train: one
-// shared RNG stream consumed tree after tree, with fresh allocations
-// for every bootstrap, sort order and partition.
+// RNG stream consumed tree after tree, with fresh allocations for every
+// bootstrap, sort order and partition.
 func trainReference(ds Dataset, cfg Config) (*Forest, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -26,39 +26,33 @@ func trainReference(ds Dataset, cfg Config) (*Forest, error) {
 	f := &Forest{
 		cfg:       cfg,
 		nFeatures: nFeat,
-		rng:       simrand.Derive(cfg.Seed, "rf"),
 		oobSum:    make([]float64, ds.Len()),
 		oobCount:  make([]int, ds.Len()),
 		oobY:      append([]float64(nil), ds.Y...),
 	}
-	f.addTreesReference(ds, cfg.NumTrees)
+	f.addTreesReference(ds, cfg.NumTrees, simrand.Derive(cfg.Seed, "rf"))
 	return f, nil
 }
 
-// addTreesReference grows k bootstrap trees on ds and appends them —
-// the original addTrees body.
-func (f *Forest) addTreesReference(ds Dataset, k int) {
-	if f.rng == nil {
-		f.rng = simrand.Derive(f.cfg.Seed, "rf-loaded")
-	}
+// addTreesReference grows k bootstrap trees on ds from rng and appends
+// them — the original addTrees body.
+func (f *Forest) addTreesReference(ds Dataset, k int, rng *simrand.Source) {
 	p := f.cfg.MaxFeatures
 	n := ds.Len()
 	for t := 0; t < k; t++ {
 		inBag := make([]bool, n)
 		idx := make([]int, n)
 		for i := range idx {
-			j := f.rng.IntN(n)
+			j := rng.IntN(n)
 			idx[i] = j
 			inBag[j] = true
 		}
-		tr := growTreeReference(ds.X, ds.Y, idx, p, f.nFeatures, f.rng)
+		tr := growTreeReference(ds.X, ds.Y, idx, p, f.nFeatures, rng)
 		f.trees = append(f.trees, tr)
-		if len(f.oobSum) == n {
-			for i := 0; i < n; i++ {
-				if !inBag[i] {
-					f.oobSum[i] += tr.predict(ds.X[i])
-					f.oobCount[i]++
-				}
+		for i := 0; i < n; i++ {
+			if !inBag[i] {
+				f.oobSum[i] += tr.predict(ds.X[i])
+				f.oobCount[i]++
 			}
 		}
 	}

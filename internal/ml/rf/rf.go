@@ -5,12 +5,9 @@
 // The paper motivates the choice: the runtime-BW problem is a
 // multivariate regression with many outliers, where ensembles of
 // variance-reduction trees resist over-fitting and need far less
-// training data than deep models. This implementation supports the two
-// capabilities §3.3 depends on — warm-start retraining (new trees
-// appended on fresh data when cluster sizes change or the model goes
-// stale) and out-of-bag error tracking (the §3.3.4 staleness signal) —
-// plus impurity-based feature importance used to validate that "all
-// features in Table 3 were significant".
+// training data than deep models. Training also reports an out-of-bag
+// error estimate and the impurity-based feature importance used to
+// validate that "all features in Table 3 were significant".
 package rf
 
 import (
@@ -69,14 +66,6 @@ func (d Dataset) Split(testFrac float64, rng *simrand.Source) (train, test Datas
 	return train, test
 }
 
-// Append returns d with the rows of o appended.
-func (d Dataset) Append(o Dataset) Dataset {
-	return Dataset{
-		X: append(append([][]float64{}, d.X...), o.X...),
-		Y: append(append([]float64{}, d.Y...), o.Y...),
-	}
-}
-
 // Config holds the forest hyperparameters. The zero value is usable:
 // every field defaults as documented.
 type Config struct {
@@ -111,10 +100,8 @@ type Forest struct {
 	cfg       Config
 	nFeatures int
 	trees     []*tree
-	rng       *simrand.Source
 
-	// oobSum/oobCount accumulate out-of-bag predictions per training
-	// row of the most recent Train/WarmStart dataset.
+	// oobSum/oobCount accumulate out-of-bag predictions per training row.
 	oobSum   []float64
 	oobCount []int
 	oobY     []float64
@@ -130,67 +117,41 @@ func Train(ds Dataset, cfg Config) (*Forest, error) {
 	f := &Forest{
 		cfg:       cfg,
 		nFeatures: nFeat,
-		rng:       simrand.Derive(cfg.Seed, "rf"),
 		oobSum:    make([]float64, ds.Len()),
 		oobCount:  make([]int, ds.Len()),
 		oobY:      append([]float64(nil), ds.Y...),
 	}
-	f.addTrees(ds, cfg.NumTrees)
+	f.addTrees(ds, cfg.NumTrees, simrand.Derive(cfg.Seed, "rf"))
 	return f, nil
 }
 
 // addTrees grows k bootstrap trees on ds and appends them, drawing
-// from one shared RNG stream consumed tree after tree. Bit-identical to
+// from one RNG stream consumed tree after tree. Bit-identical to
 // addTreesReference — the bootstrap and split-subsample draws
 // interleave exactly as there; only the allocations live in the shared
 // grower scratch (locked by TestTrainMatchesReference).
-func (f *Forest) addTrees(ds Dataset, k int) {
-	if f.rng == nil {
-		// Forests restored via Load have no RNG until they warm-start.
-		f.rng = simrand.Derive(f.cfg.Seed, "rf-loaded")
-	}
+func (f *Forest) addTrees(ds Dataset, k int, rng *simrand.Source) {
 	n := ds.Len()
 	g := newGrower(ds.X, ds.Y, f.cfg.MaxFeatures, f.nFeatures)
-	g.rng = f.rng
+	g.rng = rng
 	inBag := make([]bool, n)
 	idx := make([]int, n)
 	for t := 0; t < k; t++ {
 		clear(inBag)
 		for i := range idx {
-			j := f.rng.IntN(n)
+			j := rng.IntN(n)
 			idx[i] = j
 			inBag[j] = true
 		}
 		tr := g.grow(idx)
 		f.trees = append(f.trees, tr)
-		// Out-of-bag bookkeeping (only valid for rows of ds).
-		if len(f.oobSum) == n {
-			for i := 0; i < n; i++ {
-				if !inBag[i] {
-					f.oobSum[i] += tr.predict(ds.X[i])
-					f.oobCount[i]++
-				}
+		for i := 0; i < n; i++ {
+			if !inBag[i] {
+				f.oobSum[i] += tr.predict(ds.X[i])
+				f.oobCount[i]++
 			}
 		}
 	}
-}
-
-// WarmStart grows k additional trees on ds (which may contain new
-// cluster sizes or freshly collected rows) and appends them to the
-// ensemble — the paper's §3.3.2/§3.3.4 retraining path. OOB statistics
-// are reset to the new dataset.
-func (f *Forest) WarmStart(ds Dataset, k int) error {
-	if err := ds.Validate(); err != nil {
-		return err
-	}
-	if len(ds.X[0]) != f.nFeatures {
-		return fmt.Errorf("rf: warm-start width %d != model width %d", len(ds.X[0]), f.nFeatures)
-	}
-	f.oobSum = make([]float64, ds.Len())
-	f.oobCount = make([]int, ds.Len())
-	f.oobY = append([]float64(nil), ds.Y...)
-	f.addTrees(ds, k)
-	return nil
 }
 
 // NumTrees returns the ensemble size.
@@ -220,10 +181,11 @@ func (f *Forest) PredictBatch(X [][]float64) []float64 {
 	return out
 }
 
-// OOBRMSE returns the out-of-bag root-mean-square error over the most
-// recent training dataset — an unbiased generalization estimate used as
-// the staleness threshold signal (§3.3.4). Rows never out of bag are
-// skipped; it returns 0 when no row qualifies.
+// OOBRMSE returns the out-of-bag root-mean-square error over the
+// training dataset — an unbiased generalization estimate for the
+// training report, not a staleness signal: a loaded forest has no
+// training rows and reports 0. Rows never out of bag are skipped; it
+// returns 0 when no row qualifies.
 func (f *Forest) OOBRMSE() float64 {
 	var sse float64
 	var n int

@@ -98,39 +98,6 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-// TestWarmStart checks the §3.3.2/§3.3.4 path: appending trees on new
-// data grows the ensemble and shifts predictions toward the new regime.
-func TestWarmStart(t *testing.T) {
-	old := synth(400, 13, func(x []float64) float64 { return 10 })
-	f, err := Train(old, Config{NumTrees: 20, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumTrees() != 20 {
-		t.Fatalf("tree count %d", f.NumTrees())
-	}
-	probe := []float64{5, 5, 5}
-	before := f.Predict(probe)
-
-	newData := synth(400, 15, func(x []float64) float64 { return 90 })
-	if err := f.WarmStart(newData, 40); err != nil {
-		t.Fatal(err)
-	}
-	if f.NumTrees() != 60 {
-		t.Fatalf("tree count after warm start %d, want 60", f.NumTrees())
-	}
-	after := f.Predict(probe)
-	if after <= before+20 {
-		t.Errorf("warm start barely moved prediction: %.1f -> %.1f", before, after)
-	}
-
-	// Width mismatch is rejected.
-	bad := Dataset{X: [][]float64{{1, 2}}, Y: []float64{1}}
-	if err := f.WarmStart(bad, 1); err == nil {
-		t.Error("warm start accepted mismatched width")
-	}
-}
-
 // TestOOBRMSE checks the out-of-bag error is a sane magnitude.
 func TestOOBRMSE(t *testing.T) {
 	ds := synth(600, 16, func(x []float64) float64 {
@@ -189,22 +156,13 @@ func TestDatasetValidate(t *testing.T) {
 	}
 }
 
-// TestDatasetSplitAndAppend checks partitioning helpers.
-func TestDatasetSplitAndAppend(t *testing.T) {
+// TestDatasetSplit checks the train/test partition sizes.
+func TestDatasetSplit(t *testing.T) {
 	ds := synth(100, 20, func(x []float64) float64 { return x[0] })
 	rng := simrand.Derive(21, "split")
 	train, test := ds.Split(0.2, rng)
 	if train.Len() != 80 || test.Len() != 20 {
 		t.Errorf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	joined := train.Append(test)
-	if joined.Len() != 100 {
-		t.Errorf("append len %d", joined.Len())
-	}
-	// Append must not alias the receiver.
-	joined.Y[0] = -999
-	if train.Y[0] == -999 {
-		t.Error("Append aliases receiver labels")
 	}
 }
 

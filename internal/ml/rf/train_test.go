@@ -95,17 +95,6 @@ func TestTrainMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireForestsEqual(t, got, want, fmt.Sprintf("case %d", ci))
-
-		// Warm-start must stay on the same shared stream too.
-		extra := randomDataset(tc.rows/2+5, tc.width, uint64(ci)*77+2)
-		if err := got.WarmStart(extra, 6); err != nil {
-			t.Fatal(err)
-		}
-		want.oobSum = make([]float64, extra.Len())
-		want.oobCount = make([]int, extra.Len())
-		want.oobY = append([]float64(nil), extra.Y...)
-		want.addTreesReference(extra, 6)
-		requireForestsEqual(t, got, want, fmt.Sprintf("case %d warm-start", ci))
 	}
 }
 

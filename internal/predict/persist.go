@@ -12,11 +12,10 @@ import (
 )
 
 // Model persistence wraps the forest's gob format (internal/ml/rf)
-// with the staleness configuration, so a reloaded model resumes §3.3.4
-// monitoring with the thresholds it was trained with. Banked pending
-// rows and the error window are runtime state and are not persisted —
-// a freshly loaded model starts with a clean staleness slate, like a
-// freshly trained one.
+// in a versioned model header. Older model files also carry §3.3.4
+// staleness thresholds (ErrCap and the flag limit) in the header; gob
+// drops a field the target struct lacks, so they load and nothing reads
+// them.
 
 const persistVersion = 1
 
@@ -26,16 +25,13 @@ const persistVersion = 1
 const persistMagic = "wanify-predict-model"
 
 type persistModel struct {
-	Magic     string
-	Version   int
-	ErrCap    int
-	FlagLimit float64
+	Magic   string
+	Version int
 }
 
-// Save serializes the model (forest + staleness configuration).
+// Save serializes the model (header + forest).
 func (m *Model) Save(w io.Writer) error {
-	hdr := persistModel{Magic: persistMagic, Version: persistVersion, ErrCap: m.errCap, FlagLimit: m.flagLimit}
-	if err := gob.NewEncoder(w).Encode(hdr); err != nil {
+	if err := gob.NewEncoder(w).Encode(persistModel{Magic: persistMagic, Version: persistVersion}); err != nil {
 		return fmt.Errorf("predict: encode header: %w", err)
 	}
 	return m.forest.Save(w)
@@ -43,7 +39,7 @@ func (m *Model) Save(w io.Writer) error {
 
 // Load deserializes a model saved with Save. Bare forest files (the
 // format `wanify-train -out` wrote before model-level persistence
-// existed) are accepted too, with the default staleness thresholds.
+// existed) are accepted too.
 func Load(r io.Reader) (*Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -54,36 +50,30 @@ func Load(r io.Reader) (*Model, error) {
 	// byte-exact so the second starts where the first stopped.
 	br := bytes.NewReader(data)
 	var hdr persistModel
-	var m *Model
+	var f *rf.Forest
 	if err := gob.NewDecoder(br).Decode(&hdr); err != nil || hdr.Magic != persistMagic {
 		// Not a model header — try the legacy bare-forest format (what
 		// `wanify-train -out` wrote before model-level persistence)
 		// before giving up.
-		f, ferr := rf.Load(bytes.NewReader(data))
-		if ferr != nil {
+		var ferr error
+		if f, ferr = rf.Load(bytes.NewReader(data)); ferr != nil {
 			if err != nil {
 				return nil, fmt.Errorf("predict: decode header: %w", err)
 			}
 			return nil, ferr
 		}
-		m = &Model{forest: f, errCap: defaultErrWindow, flagLimit: defaultFlagLimit}
 	} else {
 		if hdr.Version != persistVersion {
 			return nil, fmt.Errorf("predict: model file version %d, want %d", hdr.Version, persistVersion)
 		}
-		if hdr.ErrCap <= 0 || !(hdr.FlagLimit > 0) {
-			return nil, fmt.Errorf("predict: model file has invalid staleness config %+v", hdr)
-		}
-		f, err := rf.Load(br)
-		if err != nil {
+		if f, err = rf.Load(br); err != nil {
 			return nil, err
 		}
-		m = &Model{forest: f, errCap: hdr.ErrCap, flagLimit: hdr.FlagLimit}
 	}
-	if w := m.forest.NumFeatures(); w != dataset.NumFeatures {
+	if w := f.NumFeatures(); w != dataset.NumFeatures {
 		return nil, fmt.Errorf("predict: model reads %d features, snapshots yield %d", w, dataset.NumFeatures)
 	}
-	return m, nil
+	return &Model{forest: f}, nil
 }
 
 // SaveFile writes the model to a file.

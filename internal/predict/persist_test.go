@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/wanify/wanify/internal/ml/dataset"
@@ -14,15 +17,14 @@ import (
 func trainedModel(t *testing.T) (*Model, rf.Dataset) {
 	t.Helper()
 	ds, _ := dataset.Generate(dataset.GenConfig{Sizes: []int{3, 4}, DrawsPerSize: 3, Seed: 11})
-	m, err := Train(ds, TrainConfig{Forest: rf.Config{NumTrees: 10, Seed: 11}, FlagLimit: 0.2, ErrWindow: 7})
+	m, err := Train(ds, TrainConfig{Forest: rf.Config{NumTrees: 10, Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m, ds
 }
 
-// TestSaveLoadRoundTrip checks a reloaded model predicts identically
-// and keeps its staleness configuration.
+// TestSaveLoadRoundTrip checks a reloaded model predicts identically.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m, ds := trainedModel(t)
 	var buf bytes.Buffer
@@ -37,12 +39,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if a, b := m.forest.Predict(ds.X[i]), got.forest.Predict(ds.X[i]); a != b {
 			t.Fatalf("row %d: prediction %v != %v after reload", i, a, b)
 		}
-	}
-	if got.errCap != 7 || got.flagLimit != 0.2 {
-		t.Errorf("staleness config not preserved: errCap=%d flagLimit=%v", got.errCap, got.flagLimit)
-	}
-	if got.NeedsRetrain() || got.PendingRows() != 0 {
-		t.Error("loaded model carries runtime staleness state")
 	}
 }
 
@@ -73,8 +69,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadLegacyForestFile checks backward compatibility: a bare
-// forest gob (the pre-model persistence format) loads with default
-// staleness thresholds.
+// forest gob (the pre-model persistence format) loads.
 func TestLoadLegacyForestFile(t *testing.T) {
 	m, ds := trainedModel(t)
 	var buf bytes.Buffer
@@ -88,8 +83,55 @@ func TestLoadLegacyForestFile(t *testing.T) {
 	if a, b := m.forest.Predict(ds.X[0]), got.forest.Predict(ds.X[0]); a != b {
 		t.Errorf("legacy prediction %v != %v", b, a)
 	}
-	if got.errCap != defaultErrWindow || got.flagLimit != defaultFlagLimit {
-		t.Errorf("legacy load staleness config: errCap=%d flagLimit=%v", got.errCap, got.flagLimit)
+}
+
+// TestLoadIgnoresRetiredStalenessFields checks the committed model
+// files written while the model header still carried the §3.3.4
+// staleness thresholds (ErrCap and the flag limit) — the FuzzLoadModel
+// seed and the small model CI drives a run from. Each loads and
+// predicts, bit for bit over a grid of feature vectors, what the forest
+// after its header predicts loaded bare. The fuzz property alone would
+// also accept a refusal.
+func TestLoadIgnoresRetiredStalenessFields(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadModel", "model"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(seed)), "\n")
+	seedData, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("fuzz seed: %v", err)
+	}
+	small, err := os.ReadFile(filepath.Join("testdata", "model-3tree.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"FuzzLoadModel/model": []byte(seedData), "model-3tree.gob": small} {
+		got, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s rejected: %v", name, err)
+		}
+		br := bytes.NewReader(data)
+		var hdr struct{ ErrCap int }
+		if err := gob.NewDecoder(br).Decode(&hdr); err != nil || hdr.ErrCap <= 0 {
+			t.Fatalf("%s: header %+v (%v) carries no staleness fields", name, hdr, err)
+		}
+		bare, err := Load(bytes.NewReader(data[len(data)-br.Len():]))
+		if err != nil {
+			t.Fatalf("%s: bare forest: %v", name, err)
+		}
+		for _, n := range []int{2, 5, 8} {
+			for _, snap := range []float64{0, 40, 350, 1200} {
+				for _, dist := range []float64{100, 2400, 9000} {
+					for _, load := range []float64{0, 0.5, 1} {
+						v := dataset.PairFeatures{N: n, SnapshotMbps: snap, MemUtilDst: load, CPULoadSrc: load, RetransSrc: 10 * load, DistanceMiles: dist}.Vector()
+						if a, b := got.predictVec(v), bare.predictVec(v); math.Float64bits(a) != math.Float64bits(b) {
+							t.Fatalf("%s at %v: model predicts %v, its bare forest %v", name, v, a, b)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -161,7 +203,7 @@ func TestLoadRejectsHostileForests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-formed stump rejected: %v", err)
 	}
-	if got := m.PredictPair(dataset.PairFeatures{N: 8, SnapshotMbps: 2}); got != 20 {
+	if got := m.predictVec(dataset.PairFeatures{N: 8, SnapshotMbps: 2}.Vector()); got != 20 {
 		t.Fatalf("stump predicts %v, want 20", got)
 	}
 	for name, ff := range hostileForests() {
@@ -174,16 +216,18 @@ func TestLoadRejectsHostileForests(t *testing.T) {
 // FuzzLoadModel drives a model file's bytes through Load. Every input
 // must be refused, or load as a model whose prediction for a fixed
 // feature vector is a finite bandwidth. The seed corpus
-// (testdata/fuzz/FuzzLoadModel) holds a small trained model, the same
-// forest bare, and every hostile forest of TestLoadRejectsHostileForests.
+// (testdata/fuzz/FuzzLoadModel) holds a small trained model under both
+// header shapes — model, with the retired staleness fields, and
+// model-plain-header, without — the same forest bare, and every hostile
+// forest of TestLoadRejectsHostileForests.
 func FuzzLoadModel(f *testing.F) {
-	pf := dataset.PairFeatures{N: 8, SnapshotMbps: 350, MemUtilDst: 0.4, CPULoadSrc: 0.3, RetransSrc: 0.01, DistanceMiles: 2400}
+	vec := dataset.PairFeatures{N: 8, SnapshotMbps: 350, MemUtilDst: 0.4, CPULoadSrc: 0.3, RetransSrc: 0.01, DistanceMiles: 2400}.Vector()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if v := m.PredictPair(pf); math.IsNaN(v) || math.IsInf(v, 0) {
+		if v := m.predictVec(vec); math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("loaded model predicts %v", v)
 		}
 	})

@@ -3,7 +3,6 @@ package predict
 import (
 	"testing"
 
-	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/ml/dataset"
 	"github.com/wanify/wanify/internal/ml/rf"
 )
@@ -36,11 +35,11 @@ func TestTrainAndAccuracy(t *testing.T) {
 	t.Logf("acc=%.3f rmse=%.1f r2=%.3f", acc, rmse, r2)
 }
 
-// TestPredictPairNonNegative checks prediction clamping.
-func TestPredictPairNonNegative(t *testing.T) {
+// TestPredictionNonNegative checks prediction clamping.
+func TestPredictionNonNegative(t *testing.T) {
 	m, _ := trainSmall(t, 2)
 	pf := dataset.PairFeatures{N: 8, SnapshotMbps: 0, MemUtilDst: 1, CPULoadSrc: 1, RetransSrc: 100, DistanceMiles: 12000}
-	if v := m.PredictPair(pf); v < 0 {
+	if v := m.predictVec(pf.Vector()); v < 0 {
 		t.Errorf("negative prediction %v", v)
 	}
 }
@@ -87,90 +86,12 @@ func TestPredictDCMatrixByVM(t *testing.T) {
 	feats[2][0], feats[2][1] = pf, pf
 	dcOf := []int{0, 0, 1}
 	got := m.PredictDCMatrixByVM(feats, dcOf, 2)
-	single := m.PredictPair(pf)
+	single := m.predictVec(pf.Vector())
 	if got[0][1] != 2*single {
 		t.Errorf("DC0->DC1 = %v, want 2x single prediction %v", got[0][1], single)
 	}
 	if got[1][0] != 2*single {
 		t.Errorf("DC1->DC0 = %v, want %v", got[1][0], 2*single)
-	}
-}
-
-// TestStalenessFlagRaisesAndClears exercises §3.3.4: persistent
-// significant errors raise the retrain flag; warm-start retraining on
-// the banked rows clears it.
-func TestStalenessFlagRaisesAndClears(t *testing.T) {
-	m, _ := trainSmall(t, 5)
-	n := 3
-	feats := make([][]dataset.PairFeatures, n)
-	actual := bwmatrix.New(n)
-	for i := range feats {
-		feats[i] = make([]dataset.PairFeatures, n)
-		for j := range feats[i] {
-			if i != j {
-				feats[i][j] = dataset.PairFeatures{N: n, SnapshotMbps: 300, DistanceMiles: 4000}
-				// Actual values wildly different from anything the
-				// model could predict from these features.
-				actual[i][j] = m.PredictPair(feats[i][j]) + 500
-			}
-		}
-	}
-	if m.NeedsRetrain() {
-		t.Fatal("fresh model already flagged")
-	}
-	for k := 0; k < 12 && !m.NeedsRetrain(); k++ {
-		m.ObserveActual(feats, actual)
-	}
-	if !m.NeedsRetrain() {
-		t.Fatal("flag not raised after persistent significant errors")
-	}
-	if m.PendingRows() == 0 {
-		t.Fatal("no rows banked for retraining")
-	}
-	trees := m.Forest().NumTrees()
-	if err := m.Retrain(rf.Dataset{}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if m.NeedsRetrain() {
-		t.Error("flag not cleared by retraining")
-	}
-	if m.Forest().NumTrees() != trees+10 {
-		t.Errorf("tree count %d, want %d", m.Forest().NumTrees(), trees+10)
-	}
-	if m.PendingRows() != 0 {
-		t.Error("banked rows not consumed")
-	}
-}
-
-// TestAccurateObservationsDoNotFlag checks the flag stays down when
-// predictions match reality.
-func TestAccurateObservationsDoNotFlag(t *testing.T) {
-	m, _ := trainSmall(t, 6)
-	n := 3
-	feats := make([][]dataset.PairFeatures, n)
-	actual := bwmatrix.New(n)
-	for i := range feats {
-		feats[i] = make([]dataset.PairFeatures, n)
-		for j := range feats[i] {
-			if i != j {
-				feats[i][j] = dataset.PairFeatures{N: n, SnapshotMbps: 300, DistanceMiles: 4000}
-				actual[i][j] = m.PredictPair(feats[i][j]) // perfect match
-			}
-		}
-	}
-	for k := 0; k < 15; k++ {
-		m.ObserveActual(feats, actual)
-	}
-	if m.NeedsRetrain() {
-		t.Error("flag raised despite accurate predictions")
-	}
-}
-
-// TestRetrainWithoutDataErrors checks the error path.
-func TestRetrainWithoutDataErrors(t *testing.T) {
-	m, _ := trainSmall(t, 7)
-	if err := m.Retrain(rf.Dataset{}, 5); err == nil {
-		t.Error("retrain with nothing banked should error")
 	}
 }
 

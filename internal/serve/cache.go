@@ -7,28 +7,24 @@ import (
 )
 
 // ModelCache is the serving layer's trained-model store: an LRU keyed
-// by snapshot fingerprint (predict.Fingerprint) with staleness
-// eviction. The paper's offline module trains ONE model and the batch
-// drivers reuse it per run; a long-running control plane instead meets
-// a stream of cluster regimes — diurnal swings, congestion episodes,
-// topology changes — and pays a full Random-Forest training run
-// whenever it treats one as new. The cache bounds that cost: regimes
-// the cluster revisits hit (same quantized fingerprint → same model,
-// byte-identical plans), rarely-seen regimes age out of the LRU, and
-// two staleness rules evict models that are no longer trustworthy even
-// when their key matches:
+// by snapshot fingerprint (predict.Fingerprint). The paper's offline
+// module trains ONE model and the batch drivers reuse it per run; a
+// long-running control plane instead meets a stream of cluster regimes
+// — diurnal swings, congestion episodes, topology changes — and pays a
+// full Random-Forest training run whenever it treats one as new. The
+// cache bounds that cost: regimes the cluster revisits hit (same
+// quantized fingerprint → same model, byte-identical plans). Two
+// triggers evict:
 //
-//   - TTL: an entry older than TTLSeconds of SIMULATED time is stale —
-//     wall time means nothing on a simulated timeline, so age is
-//     measured through the Now hook.
-//   - Accuracy: a model whose own §3.3.4 staleness detector trips
-//     (predict.Model.NeedsRetrain — observed-error windows exceeding
-//     the paper's significance threshold) is evicted on lookup
-//     regardless of age. This is the cache's hook into predict's
-//     staleness machinery, but nothing feeds it yet: no caller in the
-//     tree hands observed rates to predict.Model.ObserveActual, so the
-//     flag never trips and in practice only capacity and the TTL
-//     evict. Wiring that loop (or deleting it) is ROADMAP item 11.
+//   - Capacity: past Capacity resident models, the least recently used
+//     one goes, so rarely-seen regimes age out.
+//   - TTL: an entry older than TTLSeconds of SIMULATED time is stale
+//     even when its key matches, and the regime retrains — wall time
+//     means nothing on a simulated timeline, so age is measured through
+//     the Now hook.
+//
+// Together with the plane's RefreshS fingerprint refresh this is the
+// serving layer's one model-freshness path.
 //
 // All methods are safe for concurrent use: the simulated control plane
 // is single-timeline, but the HTTP layer and tests (-race) reach the
@@ -84,8 +80,8 @@ type CacheStats struct {
 }
 
 // Get returns the model cached under fp, or (nil, false) on a miss. A
-// TTL-expired or accuracy-stale entry is evicted and reported as a
-// miss — the caller retrains exactly as if the regime were new.
+// TTL-expired entry is evicted and reported as a miss — the caller
+// retrains exactly as if the regime were new.
 func (c *ModelCache) Get(fp uint64) (*predict.Model, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,7 +90,7 @@ func (c *ModelCache) Get(fp uint64) (*predict.Model, bool) {
 		c.stats.Misses++
 		return nil, false
 	}
-	if (c.ttl > 0 && c.now()-e.storedAt > c.ttl) || e.model.NeedsRetrain() {
+	if c.ttl > 0 && c.now()-e.storedAt > c.ttl {
 		c.remove(fp)
 		c.stats.Evictions++
 		c.stats.Misses++

@@ -71,49 +71,6 @@ func TestModelCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestModelCacheAccuracyStalenessEvicts(t *testing.T) {
-	// A model whose own §3.3.4 staleness detector trips is evicted on
-	// lookup even with no TTL configured.
-	ds, _ := dataset.Generate(dataset.GenConfig{Sizes: []int{3, 4}, DrawsPerSize: 2, Seed: 1})
-	m, err := predict.Train(ds, predict.TrainConfig{
-		Forest:    rf.Config{NumTrees: 10, Seed: 1},
-		FlagLimit: 0.01,
-		ErrWindow: 1,
-	})
-	if err != nil {
-		t.Fatalf("train: %v", err)
-	}
-	c := NewModelCache(CacheConfig{Capacity: 4})
-	c.Put(9, m)
-	if _, ok := c.Get(9); !ok {
-		t.Fatalf("fresh model should hit")
-	}
-	// Observe the model being wildly wrong: every pair off by far more
-	// than the significance threshold.
-	n := 4
-	feats := make([][]dataset.PairFeatures, n)
-	actual := bwmatrix.New(n)
-	for i := range feats {
-		feats[i] = make([]dataset.PairFeatures, n)
-		for j := range feats[i] {
-			if i != j {
-				feats[i][j] = dataset.PairFeatures{N: n, SnapshotMbps: 500, DistanceMiles: 1000}
-				actual[i][j] = 1e5
-			}
-		}
-	}
-	m.ObserveActual(feats, actual)
-	if !m.NeedsRetrain() {
-		t.Fatalf("test setup: model did not flag itself stale")
-	}
-	if _, ok := c.Get(9); ok {
-		t.Fatalf("accuracy-stale model served from cache")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("stale model still resident")
-	}
-}
-
 func TestFingerprintStableAcrossIdenticalSnapshots(t *testing.T) {
 	// Two separately built clusters with the same seed, advanced to the
 	// same instant, snapshotted with the same derived noise stream,
