@@ -166,6 +166,37 @@ func TestDatasetSplit(t *testing.T) {
 	}
 }
 
+// TestDatasetSplitPartitionsRows checks every row lands on exactly one
+// side with its own label, and that one rng seed gives one split.
+func TestDatasetSplitPartitionsRows(t *testing.T) {
+	ds := synth(100, 22, func(x []float64) float64 { return x[0] + 2*x[1] })
+	train, test := ds.Split(0.3, simrand.Derive(23, "split"))
+	seen := make(map[[3]float64]int)
+	for _, side := range []Dataset{train, test} {
+		for i, x := range side.X {
+			k := [3]float64{x[0], x[1], x[2]}
+			seen[k]++
+			if want := x[0] + 2*x[1]; math.Abs(side.Y[i]-want) > 5 {
+				t.Fatalf("row %v carries label %v, far from its own %v", x, side.Y[i], want)
+			}
+		}
+	}
+	for _, x := range ds.X {
+		if n := seen[[3]float64{x[0], x[1], x[2]}]; n != 1 {
+			t.Fatalf("row %v appears %d times across the split", x, n)
+		}
+	}
+	train2, test2 := ds.Split(0.3, simrand.Derive(23, "split"))
+	for i := range test.X {
+		if [3]float64(test.X[i]) != [3]float64(test2.X[i]) || test.Y[i] != test2.Y[i] {
+			t.Fatalf("test row %d differs between two splits from one seed", i)
+		}
+	}
+	if train.Len() != train2.Len() {
+		t.Fatalf("train sizes %d vs %d from one seed", train.Len(), train2.Len())
+	}
+}
+
 // TestTrainRejectsBadData checks error paths.
 func TestTrainRejectsBadData(t *testing.T) {
 	if _, err := Train(Dataset{}, Config{}); err == nil {

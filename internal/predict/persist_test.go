@@ -93,20 +93,11 @@ func TestLoadLegacyForestFile(t *testing.T) {
 // after its header predicts loaded bare. The fuzz property alone would
 // also accept a refusal.
 func TestLoadIgnoresRetiredStalenessFields(t *testing.T) {
-	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadModel", "model"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, lit, _ := strings.Cut(strings.TrimSpace(string(seed)), "\n")
-	seedData, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
-	if err != nil {
-		t.Fatalf("fuzz seed: %v", err)
-	}
 	small, err := os.ReadFile(filepath.Join("testdata", "model-3tree.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"FuzzLoadModel/model": []byte(seedData), "model-3tree.gob": small} {
+	for name, data := range map[string][]byte{"FuzzLoadModel/model": fuzzSeed(t, "model"), "model-3tree.gob": small} {
 		got, err := Load(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s rejected: %v", name, err)
@@ -131,6 +122,49 @@ func TestLoadIgnoresRetiredStalenessFields(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// fuzzSeed reads the bytes of a committed FuzzLoadModel seed.
+func fuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadModel", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(seed)), "\n")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("fuzz seed %s: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// TestSaveWritesPlainHeader checks the header Save writes is the magic
+// and the version alone, still version 1, with no staleness threshold
+// beside them, and that the committed model-plain-header fuzz seed has
+// that shape too, so the fuzz corpus covers both header shapes.
+func TestSaveWritesPlainHeader(t *testing.T) {
+	m, _ := trainedModel(t)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"Save": buf.Bytes(), "FuzzLoadModel/model-plain-header": fuzzSeed(t, "model-plain-header")} {
+		var hdr struct {
+			Magic   string
+			Version int
+			ErrCap  int
+		}
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&hdr); err != nil {
+			t.Fatalf("%s: header: %v", name, err)
+		}
+		if hdr.Magic != persistMagic || hdr.Version != 1 || hdr.ErrCap != 0 {
+			t.Fatalf("%s: header %+v, want magic %q, version 1 and no ErrCap", name, hdr, persistMagic)
+		}
+		if _, err := Load(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

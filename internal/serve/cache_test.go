@@ -71,6 +71,60 @@ func TestModelCacheTTLExpiry(t *testing.T) {
 	}
 }
 
+func TestModelCacheWithoutTTLOnlyCapacityEvicts(t *testing.T) {
+	// Capacity and TTL are the cache's two triggers: with TTL off, an
+	// entry stays however far the simulated clock runs, until capacity
+	// pushes it out.
+	now := 0.0
+	c := NewModelCache(CacheConfig{Capacity: 2, Now: func() float64 { return now }})
+	m := trainTestModel(t, 1)
+	c.Put(1, m)
+	for _, now = range []float64{1, 1e6, 1e12} {
+		if got, ok := c.Get(1); !ok || got != m {
+			t.Fatalf("at t=%v: entry lost without a TTL", now)
+		}
+	}
+	c.Put(2, m)
+	c.Get(1)
+	c.Put(3, m) // capacity 2: evicts 2, since 1 was read more recently
+	if _, ok := c.Get(2); ok {
+		t.Fatalf("capacity did not evict the least recently used entry")
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Hits != 4 {
+		t.Fatalf("stats = %+v, want 4 hits and 1 eviction", st)
+	}
+}
+
+func TestModelCachePutRefreshesEntry(t *testing.T) {
+	// Re-putting a resident key replaces its model and restarts its TTL
+	// clock and LRU position, without an eviction.
+	now := 0.0
+	c := NewModelCache(CacheConfig{Capacity: 2, TTLSeconds: 100, Now: func() float64 { return now }})
+	old, fresh := trainTestModel(t, 1), trainTestModel(t, 2)
+	c.Put(1, old)
+	c.Put(2, old)
+	now = 80
+	c.Put(1, fresh) // 1 is now the most recently used, stored at t=80
+	if c.Len() != 2 || c.Stats().Evictions != 0 {
+		t.Fatalf("re-put changed residency: len %d, stats %+v", c.Len(), c.Stats())
+	}
+	now = 150 // past 2's TTL (stored at 0), inside 1's (stored at 80)
+	if got, ok := c.Get(1); !ok || got != fresh {
+		t.Fatalf("re-put entry: got %p (hit %v), want the fresh model %p", got, ok, fresh)
+	}
+	c.Put(3, old) // evicts 2, the least recently used
+	if _, ok := c.Get(2); ok {
+		t.Fatalf("entry 2 outlived both its LRU position and its TTL")
+	}
+	if _, ok := c.Get(1); !ok {
+		t.Fatalf("refreshed entry evicted")
+	}
+	now = 181 // 181 - 80 > 100
+	if _, ok := c.Get(1); ok {
+		t.Fatalf("refreshed entry survived past its own TTL")
+	}
+}
+
 func TestFingerprintStableAcrossIdenticalSnapshots(t *testing.T) {
 	// Two separately built clusters with the same seed, advanced to the
 	// same instant, snapshotted with the same derived noise stream,
