@@ -151,8 +151,9 @@ func BenchmarkMultiCloudAccuracy(b *testing.B) { runExperiment(b, "multicloud") 
 // isolation: a full 4-slot dynamic deployment on the 4-DC testbed, the
 // controller attached, and per iteration one ReleaseJob (three
 // survivors' windows widen) plus one AdmitJob (they narrow again, the
-// newcomer's agents deploy). With -benchmem it shows what an event
-// allocates: the newcomer's agents, never the survivors' windows.
+// freed slot's agents are re-armed). With -benchmem it shows what an
+// event allocates: the re-armed agents' epoch timers, never an agent or
+// the survivors' windows.
 func BenchmarkChurnRebalance(b *testing.B) {
 	const slots = 4
 	fw, sim := newDynamicDeployment(b, []int{1, 1, 1, 1}, optimize.ShareFair, slots, 1e9)

@@ -16,9 +16,9 @@ package wanify
 //     re-partitions the current global plan across the now-occupied
 //     slots, atomically narrows every running job's windows to its new
 //     share (agent.SwapWindow — the same primitive the re-gauging
-//     controller swaps with), and deploys fresh agents for the newcomer;
-//     ReleaseJob stops a finished job's agents, frees its slot, and
-//     widens the survivors' windows back out in the same way.
+//     controller swaps with), and arms the slot's agents for the
+//     newcomer; ReleaseJob stops a finished job's agents, frees its
+//     slot, and widens the survivors' windows back out in the same way.
 //   - One runtime controller arbitrates throughout: admission and
 //     release reswizzle its roster (Controller.SetGroups) at the instant
 //     they happen, and a re-gauge snapshot in flight simply applies
@@ -26,9 +26,11 @@ package wanify
 //
 // Slot identity is stable: a job keeps its slot index for its whole
 // life, so connection policies and the controller's per-group swap
-// state never shift under a running job. Free slots carry share weight
-// zero — optimize.PartitionPlan hands them zero-connection windows and
-// nobody deploys agents for them.
+// state never shift under a running job. A slot owns its agents and
+// their policy for the deployment's life: ReleaseJob stops and keeps
+// them, the next AdmitJob resets (agent.Reset) and re-arms them in the
+// same VM order. Free slots carry share weight zero and are off the
+// controller's roster.
 //
 // ShareRemaining is a roster-wide progress signal polled from one
 // spark.JobSet; a churning roster has no single set to poll, so a
@@ -57,11 +59,13 @@ package wanify
 //     chunk may overwrite the buffer at once and no agent ever holds a
 //     slice of the deployment's.
 //
-// In steady state a ReleaseJob therefore allocates nothing and an
-// AdmitJob only the newcomer's agents and connection policy
+// In steady state a ReleaseJob therefore allocates nothing (it reads the
+// controller's prediction uncopied, Controller.Belief) and an AdmitJob
+// only the epoch timers its re-armed agents' Start arms
 // (TestChurnSteadyStateAllocs); TestDynamicChurnWindowsMatchFreshPartition
 // holds every window, after every event, to a from-scratch
-// PartitionPlan → ChunkPlan.
+// PartitionPlan → ChunkPlan, and TestRearmedSlotIsAFreshAdmission every
+// re-armed agent to a fresh one.
 
 import (
 	"fmt"
@@ -88,6 +92,10 @@ type slotState struct {
 	local bool
 	used  []bool
 	prio  []float64 // per-slot SharePriority weight (all zero: fair)
+	// agents[g] are slot g's agents from its first occupation on (stopped
+	// while free); policies[g] consults them (none before: AgentConn{}).
+	agents   [][]*agent.Agent
+	policies []spark.ConnPolicy
 }
 
 // enable stops any previous deployment, gauges the cluster once
@@ -110,11 +118,15 @@ func (f *Framework) enable(o JobSetOptions, local bool) (bwmatrix.Matrix, measur
 func (f *Framework) deploy(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions, local bool) {
 	f.StopAgents()
 	f.deployed = pred.Clone()
-	f.slots = &slotState{opts: o, local: local, used: make([]bool, o.Jobs), prio: make([]float64, o.Jobs)}
+	f.slots = &slotState{
+		opts: o, local: local, used: make([]bool, o.Jobs), prio: make([]float64, o.Jobs),
+		agents: make([][]*agent.Agent, o.Jobs), policies: make([]spark.ConnPolicy, o.Jobs),
+	}
 	copy(f.slots.prio, o.Priorities)
 	f.groups = make([][]*agent.Agent, o.Jobs)
 	for g := range f.slots.used {
 		f.slots.used[g] = !o.Dynamic
+		f.slots.policies[g] = spark.AgentConn{}
 	}
 	f.rebalance(pred, plan)
 	if f.cfg.Agent.Throttle && !local {
@@ -205,7 +217,7 @@ func (f *Framework) startController() *rgauge.Controller {
 // replan history), the enable-time pair otherwise.
 func (f *Framework) currentBelief() (bwmatrix.Matrix, optimize.Plan) {
 	if f.controller != nil {
-		return f.controller.CurrentPred(), f.controller.CurrentPlan()
+		return f.controller.Belief()
 	}
 	return f.deployed, f.plan
 }
@@ -214,9 +226,9 @@ func (f *Framework) currentBelief() (bwmatrix.Matrix, optimize.Plan) {
 // weight (ignored under ShareFair; non-positive counts as 1),
 // re-partitions the current plan across the occupied slots — every
 // running job's windows narrow to their new share within this call —
-// and deploys the newcomer's agents. It returns the slot index and the
-// connection policy the job's transfers must use. Errors when no slot
-// is free (the caller queues).
+// and arms the slot's agents for the newcomer. It returns the slot
+// index and the slot's connection policy, which the job's transfers
+// must use. Errors when no slot is free (the caller queues).
 func (f *Framework) AdmitJob(priority float64) (int, spark.ConnPolicy, error) {
 	if f.slots == nil {
 		return 0, nil, fmt.Errorf("wanify: AdmitJob without a deployment")
@@ -237,12 +249,12 @@ func (f *Framework) AdmitJob(priority float64) (int, spark.ConnPolicy, error) {
 	f.slots.used[slot] = true
 	f.slots.prio[slot] = priority
 	f.rebalance(f.currentBelief())
-	return slot, spark.NewAgentConn(f.groups[slot]), nil
+	return slot, f.slots.policies[slot], nil
 }
 
 // ReleaseJob frees a slot — the job finished or was canceled — stopping
-// its agents and widening the surviving jobs' windows back out to their
-// new shares.
+// its agents (the slot keeps them for its next job) and widening the
+// surviving jobs' windows back out to their new shares.
 func (f *Framework) ReleaseJob(slot int) error {
 	if f.slots == nil {
 		return fmt.Errorf("wanify: ReleaseJob without a deployment")
@@ -261,16 +273,16 @@ func (f *Framework) ReleaseJob(slot int) error {
 }
 
 // rebalance re-partitions the plan across the occupied slots after an
-// occupancy change: an occupied slot without agents is a fresh
-// admission and gets them spawned — the deployment's one agent-per-VM
-// loop — every other one has its new windows swapped in, and the
+// occupancy change: an occupied slot not on the roster is a fresh
+// admission and has its agents armed — built on the slot's first
+// occupation by the deployment's one agent-per-VM loop, reset after
+// that — every other one has its new windows swapped in, and the
 // controller's roster follows.
 func (f *Framework) rebalance(pred bwmatrix.Matrix, plan optimize.Plan) {
 	sim := f.cfg.Cluster
-	agentCfg := f.cfg.Agent
-	agentCfg.Throttle = agentCfg.Throttle && f.slots.local
+	st := f.slots
 	for g, part := range f.partition(plan) {
-		if !f.slots.used[g] {
+		if !st.used[g] {
 			continue
 		}
 		f.rows = agent.ChunkPlanInto(f.rows, sim, pred, part)
@@ -280,14 +292,22 @@ func (f *Framework) rebalance(pred bwmatrix.Matrix, plan optimize.Plan) {
 			}
 			continue
 		}
-		for dc := 0; dc < sim.NumDCs(); dc++ {
-			for _, vm := range sim.VMsOfDC(dc) {
-				a := agent.New(sim, vm, agentCfg)
-				a.ApplyPlan(f.rows[vm])
-				a.Start()
-				f.groups[g] = append(f.groups[g], a)
+		if st.agents[g] == nil {
+			agentCfg := f.cfg.Agent
+			agentCfg.Throttle = agentCfg.Throttle && st.local
+			for dc := 0; dc < sim.NumDCs(); dc++ {
+				for _, vm := range sim.VMsOfDC(dc) {
+					st.agents[g] = append(st.agents[g], agent.New(sim, vm, agentCfg))
+				}
 			}
+			st.policies[g] = spark.NewAgentConn(st.agents[g])
 		}
+		for _, a := range st.agents[g] {
+			a.Reset()
+			a.ApplyPlan(f.rows[a.VM()])
+			a.Start()
+		}
+		f.groups[g] = st.agents[g]
 	}
 	if f.controller != nil {
 		f.controller.SetGroups(f.groups)

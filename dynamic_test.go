@@ -11,12 +11,15 @@ import (
 	"github.com/wanify/wanify/internal/agent"
 	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/cost"
+	"github.com/wanify/wanify/internal/gda"
 	"github.com/wanify/wanify/internal/geo"
 	"github.com/wanify/wanify/internal/netsim"
 	"github.com/wanify/wanify/internal/optimize"
 	rgauge "github.com/wanify/wanify/internal/runtime"
 	"github.com/wanify/wanify/internal/simrand"
+	"github.com/wanify/wanify/internal/spark"
 	"github.com/wanify/wanify/internal/substrate"
+	"github.com/wanify/wanify/internal/workloads"
 )
 
 // newDynamicDeployment opens a dynamic deployment of the given slots
@@ -223,20 +226,22 @@ func mallocsOf(fn func()) uint64 {
 }
 
 // TestChurnSteadyStateAllocs pins what a churn event may allocate once
-// the deployment's buffers are warm. A release with survivors: nothing
-// — the partition, the rows and every survivor's window are rewritten
-// in place. An admission: the newcomer's agents and its connection
-// policy, the same whether one job survives beside it or three. With a
-// controller attached the only addition is its CurrentPred copy-out
-// (one matrix: two objects) per event.
+// the deployment's buffers are warm, with and without a controller
+// attached. A release with survivors: nothing — the partition, the rows
+// and every survivor's window are rewritten in place, the slot keeps
+// its stopped agents, and the controller's prediction is read without
+// a copy. An admission: only the epoch timers its re-armed agents'
+// Start arms, the same whether one job survives beside it or three.
 func TestChurnSteadyStateAllocs(t *testing.T) {
+	// Start's epoch timer per VM: the agent's epoch method value, and
+	// Every's stop flag, tick variable, tick closure and cancel closure.
+	const timerObjs = 5
 	for _, tc := range []struct {
 		name        string
 		staleAfterS float64
-		perEvent    uint64
 	}{
-		{"no-controller", 0, 0},
-		{"controller", 1e9, 2},
+		{"no-controller", 0},
+		{"controller", 1e9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fw, sim := newDynamicDeployment(t, []int{1, 1, 1, 1}, optimize.SharePriority, 4, tc.staleAfterS)
@@ -262,29 +267,158 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 			}
 			release(3) // warm: every buffer has seen this shape
 			admit()
+			// The one object of slack is the substrate's timer queue
+			// growing or not: a stopped agent's timer leaves the queue
+			// only when it comes due, and this clock never moves.
+			budget := uint64(timerObjs*sim.NumVMs()) + 1
 			var admitWith3 uint64
 			for round := 0; round < 5; round++ {
-				if got := release(round % 4); got != tc.perEvent {
-					t.Fatalf("round %d: ReleaseJob with 3 survivors allocated %d objects, want %d", round, got, tc.perEvent)
+				if got := release(round % 4); got != 0 {
+					t.Fatalf("round %d: ReleaseJob with 3 survivors allocated %d objects, want 0", round, got)
 				}
-				admitWith3 = admit()
-			}
-			// Per VM an agent, its two slabs and its epoch timer; then the
-			// group slice's growth and the policy's map.
-			if budget := uint64(10*sim.NumVMs()) + 8 + tc.perEvent; admitWith3 > budget {
-				t.Errorf("AdmitJob allocated %d objects, budget %d for %d new agents", admitWith3, budget, sim.NumVMs())
+				if admitWith3 = admit(); admitWith3 > budget {
+					t.Fatalf("round %d: AdmitJob allocated %d objects, budget %d for re-arming %d agents", round, admitWith3, budget, sim.NumVMs())
+				}
 			}
 			release(0)
 			release(1)
-			if got := release(2); got != tc.perEvent {
-				t.Errorf("ReleaseJob with 1 survivor allocated %d objects, want %d", got, tc.perEvent)
+			if got := release(2); got != 0 {
+				t.Errorf("ReleaseJob with 1 survivor allocated %d objects, want 0", got)
 			}
-			// A survivor used to cost an admission its whole re-chunk
-			// (a map, five slices per VM); the slack is the substrate's
-			// timer queue growing or not.
-			if admitWith1 := admit(); admitWith3 > admitWith1+4 {
+			if admitWith1 := admit(); admitWith3 > admitWith1+1 {
 				t.Errorf("AdmitJob allocated %d objects beside 3 survivors, %d beside 1: admission must not pay per survivor", admitWith3, admitWith1)
 			}
 		})
+	}
+}
+
+// countedPolicy counts the calls a job makes through its policy.
+type countedPolicy struct {
+	spark.ConnPolicy
+	calls *int
+}
+
+func (p countedPolicy) Conns(src substrate.VMID, dst int) int {
+	*p.calls++
+	return p.ConnPolicy.Conns(src, dst)
+}
+
+func (p countedPolicy) Register(f substrate.Flow) {
+	*p.calls++
+	p.ConnPolicy.Register(f)
+}
+
+// TestRearmedSlotIsAFreshAdmission holds a slot's kept agents to fresh
+// ones: two jobs run, one is canceled mid-transfer and released, and a
+// new admission lands in its slot. The slot's own agents come back with
+// the window, connection targets and target bandwidths of agent.New +
+// ApplyPlan over a from-scratch partition, no monitor reading and an
+// empty pool — an idle epoch later they report nothing moved, where a
+// kept pool would still account the canceled flows' last bytes. The
+// canceled job's policy is never consulted again, while the newcomer
+// runs to completion on the re-armed agents.
+func TestRearmedSlotIsAFreshAdmission(t *testing.T) {
+	const slots = 2
+	fw, sim := newDynamicDeployment(t, []int{1, 1, 1, 1}, optimize.SharePriority, slots, 1e9)
+	defer fw.StopAgents()
+	set := spark.NewOpenJobSet(spark.NewEngine(sim, cost.DefaultRates()))
+	job := func() spark.Job { return workloads.TeraSort(workloads.UniformInput(sim.NumDCs(), 40e9)) }
+	prio := []float64{1, 3}
+	var canceledCalls int
+	idx := make([]int, slots)
+	for g, p := range prio {
+		slot, policy, err := fw.AdmitJob(p)
+		if err != nil || slot != g {
+			t.Fatalf("AdmitJob(%v) = slot %d, err %v; want slot %d", p, slot, err, g)
+		}
+		if g == 1 {
+			policy = countedPolicy{policy, &canceledCalls}
+		}
+		if idx[g], err = set.Admit(spark.JobRun{Job: job(), Sched: gda.Locality{}, Policy: policy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := slices.Clone(fw.JobAgents()[1])
+	// Run until slot 1's agents have monitored traffic and still hold
+	// live transfers, then cancel between two epochs.
+	inFlight := func() bool {
+		for _, a := range kept {
+			if mon := a.MonitoredMbps(); mon != nil && slices.Max(mon) > 0 && slices.Max(a.ActivePool()) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for step := 0; !inFlight(); step++ {
+		if step > 200 {
+			t.Fatal("slot 1 never had a transfer in flight at an epoch")
+		}
+		sim.RunFor(1)
+	}
+	sim.RunFor(2.5)
+	if err := set.Cancel(idx[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.ReleaseJob(1); err != nil {
+		t.Fatal(err)
+	}
+	callsAtRelease := canceledCalls
+	if callsAtRelease == 0 {
+		t.Fatal("the canceled job never consulted its policy")
+	}
+
+	prio[1] = 2
+	slot, policy, err := fw.AdmitJob(prio[1])
+	if err != nil || slot != 1 {
+		t.Fatalf("AdmitJob = slot %d, err %v; want the freed slot 1", slot, err)
+	}
+	group := fw.JobAgents()[1]
+	if !slices.Equal(group, kept) {
+		t.Fatal("the re-admission built new agents instead of re-arming the slot's own")
+	}
+	ctl := fw.Controller()
+	parts := optimize.PartitionPlan(ctl.CurrentPlan(), optimize.ShareWeights(optimize.SharePriority, slots, prio, nil))
+	rows := agent.ChunkPlan(sim, ctl.CurrentPred(), parts[1])
+	zero := make([]int, sim.NumDCs())
+	for _, a := range group {
+		fresh := agent.New(sim, a.VM(), agent.Config{})
+		fresh.ApplyPlan(rows[a.VM()])
+		got, want := a.Window(), fresh.Window()
+		if !slices.Equal(got.MinConns, want.MinConns) || !slices.Equal(got.MaxConns, want.MaxConns) ||
+			!sameBits(got.MinBW, want.MinBW) || !sameBits(got.MaxBW, want.MaxBW) || !sameBits(got.PredBW, want.PredBW) {
+			t.Errorf("VM %d window\n got %+v\nwant %+v", a.VM(), got, want)
+		}
+		if !slices.Equal(a.Conns(), fresh.Conns()) || !sameBits(a.TargetBW(), fresh.TargetBW()) {
+			t.Errorf("VM %d targets: conns %v bw %v, fresh conns %v bw %v", a.VM(), a.Conns(), a.TargetBW(), fresh.Conns(), fresh.TargetBW())
+		}
+		if mon := a.MonitoredMbps(); mon != nil {
+			t.Errorf("VM %d kept the released job's monitor reading %v", a.VM(), mon)
+		}
+		if pool := a.ActivePool(); !slices.Equal(pool, zero) {
+			t.Errorf("VM %d pool %v, want empty", a.VM(), pool)
+		}
+	}
+	sim.RunFor(5)
+	for _, a := range group {
+		if mon := a.MonitoredMbps(); mon == nil || slices.Max(mon) != 0 {
+			t.Errorf("VM %d: an idle epoch after re-arming monitored %v, want all zero", a.VM(), mon)
+		}
+	}
+
+	newcomer, err := set.Admit(spark.JobRun{Job: job(), Sched: gda.Locality{}, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; set.Running() > 0; step++ {
+		if step > 2000 || set.Err() != nil {
+			t.Fatalf("job set did not finish: %d running, err %v", set.Running(), set.Err())
+		}
+		sim.RunFor(5)
+	}
+	if _, ok := set.Result(newcomer); !ok {
+		t.Fatal("the job on the re-armed slot did not finish")
+	}
+	if canceledCalls != callsAtRelease {
+		t.Errorf("the canceled job's policy was called %d times after its release", canceledCalls-callsAtRelease)
 	}
 }

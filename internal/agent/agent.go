@@ -193,6 +193,8 @@ type Agent struct {
 	dc  int
 	cfg Config
 
+	ints       []int     // slabs behind row, conns and the per-destination state:
+	floats     []float64 // allocated at the first ApplyPlan, kept across Reset
 	row        PlanRow   // the agent's own copy of the window, never a caller's slices
 	conns      []int     // current target connections per destination DC
 	targetBW   []float64 // current target bandwidth per destination DC
@@ -246,7 +248,10 @@ func (a *Agent) copyRow(row PlanRow) {
 		panic(fmt.Sprintf("agent: plan row width != %d DCs", n))
 	}
 	if a.conns == nil {
-		ints, floats := make([]int, 3*n), make([]float64, 6*n)
+		if a.ints == nil {
+			a.ints, a.floats = make([]int, 3*n), make([]float64, 6*n)
+		}
+		ints, floats := a.ints, a.floats
 		a.row = carveRow(ints, floats, n)
 		a.conns = ints[2*n:]
 		a.targetBW, a.epochBytes, a.monitored = floats[3*n:4*n:4*n], floats[4*n:5*n:5*n], floats[5*n:]
@@ -316,6 +321,20 @@ func (a *Agent) Stop() {
 			}
 		}
 	}
+}
+
+// Reset returns a stopped agent to the state New gives it — no window,
+// no targets, an empty pool, no monitor reading — but keeps its slabs
+// and pool storage, so re-arming it (ApplyPlan, Start) allocates only
+// the epoch timer. A deployment slot resets its agents for a new job.
+func (a *Agent) Reset() {
+	if a.started {
+		panic("agent: Reset of a running agent")
+	}
+	a.row, a.conns, a.targetBW, a.epochBytes, a.monitored = PlanRow{}, nil, nil, nil, nil
+	clear(a.active) // the previous job's flows are not retained
+	a.active, a.lastBytes = a.active[:0], a.lastBytes[:0]
+	a.monitoring, a.cancel = false, nil
 }
 
 // ConnsTo returns the connection count a new transfer from this VM to

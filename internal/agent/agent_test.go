@@ -935,3 +935,70 @@ func TestEpochCompactsPoolAndAccounts(t *testing.T) {
 		}
 	}
 }
+
+// TestResetIsNew holds Reset to its contract: a stopped agent that ran
+// epochs over a pool comes back with every accessor answering as New's
+// agent does — no window, no targets, one connection per transfer, no
+// monitor reading, an empty pool, Start refused until ApplyPlan — and
+// re-arming it allocates nothing but the epoch timer, since its slabs
+// and pool are kept. Reset of a running agent panics.
+func TestResetIsNew(t *testing.T) {
+	sim := frozenSim(3, 15)
+	a := New(sim, sim.FirstVMOfDC(0), Config{})
+	a.ApplyPlan(planRowFor(3, 0, 8, 400))
+	a.Start()
+	f := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(1), conns: 8}
+	a.Register(f)
+	f.bytes = 8e9
+	sim.RunFor(5)
+	if a.MonitoredMbps() == nil {
+		t.Fatal("no epoch ran before the reset")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic on Reset of a running agent")
+			}
+		}()
+		a.Reset()
+	}()
+	a.Stop()
+	a.Reset()
+
+	fresh := New(sim, a.VM(), Config{})
+	for _, ag := range []*Agent{a, fresh} {
+		if w := ag.Window(); !reflect.DeepEqual(w, PlanRow{}) {
+			t.Errorf("window %+v, want the zero row", w)
+		}
+		if ag.Conns() != nil || ag.TargetBW() != nil || ag.MonitoredMbps() != nil {
+			t.Errorf("conns %v, target %v, monitored %v; want nil", ag.Conns(), ag.TargetBW(), ag.MonitoredMbps())
+		}
+		if pool := ag.ActivePool(); !reflect.DeepEqual(pool, []int{0, 0, 0}) {
+			t.Errorf("pool %v, want empty", pool)
+		}
+		if got := ag.ConnsTo(1); got != 1 {
+			t.Errorf("ConnsTo before ApplyPlan = %d, want 1", got)
+		}
+	}
+	if len(a.active) != 0 || cap(a.active) == 0 || a.active[:1][0] != nil {
+		t.Errorf("pool %d flows (capacity %d): want it emptied, its storage kept and cleared", len(a.active), cap(a.active))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic on Start of a reset agent before ApplyPlan")
+			}
+		}()
+		a.Start()
+	}()
+	row := planRowFor(3, 0, 6, 300)
+	if avg := testing.AllocsPerRun(20, func() { a.Reset(); a.ApplyPlan(row) }); avg != 0 {
+		t.Errorf("Reset + ApplyPlan allocates %.1f times, want 0", avg)
+	}
+	fresh.ApplyPlan(row)
+	if !reflect.DeepEqual(a.Window(), fresh.Window()) || !reflect.DeepEqual(a.Conns(), fresh.Conns()) ||
+		!reflect.DeepEqual(a.TargetBW(), fresh.TargetBW()) {
+		t.Errorf("re-armed agent %+v / %v / %v, fresh %+v / %v / %v",
+			a.Window(), a.Conns(), a.TargetBW(), fresh.Window(), fresh.Conns(), fresh.TargetBW())
+	}
+}

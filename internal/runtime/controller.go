@@ -412,6 +412,12 @@ func (c *Controller) DriftEpochs() int { return c.driftEpochs }
 // CurrentPred returns the prediction the active plan was built from.
 func (c *Controller) CurrentPred() bwmatrix.Matrix { return c.pred.Clone() }
 
+// Belief returns the active prediction and plan without CurrentPred's
+// copy. The caller must not write the matrix: the controller replaces
+// its prediction at a plan swap and never writes one in place, so the
+// returned matrix stays as it is, if stale, after a later swap.
+func (c *Controller) Belief() (bwmatrix.Matrix, optimize.Plan) { return c.pred, c.plan }
+
 // CurrentPlan returns the active global plan.
 func (c *Controller) CurrentPlan() optimize.Plan { return c.plan }
 

@@ -27,6 +27,7 @@ package wanify
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/wanify/wanify/internal/agent"
 	"github.com/wanify/wanify/internal/bwmatrix"
@@ -75,8 +76,9 @@ type Framework struct {
 	optScratch optimize.Scratch
 
 	// The deployment — always the slot model of dynamic.go: slots holds
-	// its policy and occupancy, groups[g] slot g's agents (nil while the
-	// slot is free). Both nil when nothing is deployed.
+	// its policy, occupancy and slot-owned agents; groups is the roster,
+	// groups[g] slot g's agents while it is occupied and nil while it is
+	// free. Both nil when nothing is deployed.
 	slots     *slotState
 	groups    [][]*agent.Agent
 	throttled bool // cluster-level tc limits installed by the deployment
@@ -301,14 +303,11 @@ func (o JobSetOptions) validate() error {
 	return nil
 }
 
-// jobPolicies returns one connection policy per slot, each consulting
-// that slot's agents — what a spark.JobRun plugs in as its Policy.
+// jobPolicies returns a copy of the slots' own connection policies,
+// each consulting that slot's agents — what a spark.JobRun plugs in as
+// its Policy.
 func (f *Framework) jobPolicies() []spark.ConnPolicy {
-	out := make([]spark.ConnPolicy, len(f.groups))
-	for g, group := range f.groups {
-		out[g] = spark.NewAgentConn(group)
-	}
-	return out
+	return slices.Clone(f.slots.policies)
 }
 
 // EnableJobSet is the multi-tenant Enable: snapshot → predict →
