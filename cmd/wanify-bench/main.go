@@ -25,6 +25,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -32,46 +34,63 @@ import (
 	"github.com/wanify/wanify/internal/predict"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it parses args, writes the results to
+// stdout and diagnostics to stderr, and returns the exit code (2 for a
+// bad invocation, 1 when a scenario failed).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wanify-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run      = flag.String("run", "", "experiment id to run, or 'all'")
-		list     = flag.Bool("list", false, "list experiment ids")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		seeds    = flag.Int("seeds", 1, "repeat over this many consecutive seeds (the paper averages 5 runs)")
-		scale    = flag.Float64("scale", 1.0, "input-size scale (1.0 = paper scale)")
-		backends = flag.String("backend", "netsim,trace", "comma-separated substrate backends: netsim | trace | trace:<name|file>")
-		modelIn  = flag.String("model", "", "load a wanify-train model instead of training (gob)")
+		runID    = fs.String("run", "", "experiment id to run, or 'all'")
+		list     = fs.Bool("list", false, "list experiment ids")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		seeds    = fs.Int("seeds", 1, "repeat over this many consecutive seeds (the paper averages 5 runs)")
+		scale    = fs.Float64("scale", 1.0, "input-size scale (1.0 = paper scale)")
+		backends = fs.String("backend", "netsim,trace", "comma-separated substrate backends: netsim | trace | trace:<name|file>")
+		modelIn  = fs.String("model", "", "load a wanify-train model instead of training (gob)")
 	)
-	flag.Parse()
-
-	if *list || *run == "" {
-		fmt.Println("experiments:")
-		for _, id := range experiments.IDs() {
-			fmt.Printf("  %s\n", id)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		if *run == "" {
-			fmt.Println("\nusage: wanify-bench -run <id>|all [-seed N] [-scale F] [-backend LIST]")
-		}
-		return
+		return 2
 	}
-
-	ids := []string{*run}
-	if *run == "all" {
-		ids = experiments.IDs()
-	} else if _, ok := experiments.Registry[*run]; !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *run)
-		os.Exit(2)
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+		fmt.Fprintf(stderr, "-scale %v: want a finite input-size scale > 0\n", *scale)
+		return 2
 	}
 	if *seeds < 1 {
-		*seeds = 1
+		fmt.Fprintf(stderr, "-seeds %d: want at least 1\n", *seeds)
+		return 2
+	}
+
+	if *list || *runID == "" {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, id := range experiments.IDs() {
+			fmt.Fprintf(stdout, "  %s\n", id)
+		}
+		if *runID == "" {
+			fmt.Fprintln(stdout, "\nusage: wanify-bench -run <id>|all [-seed N] [-scale F] [-backend LIST]")
+		}
+		return 0
+	}
+
+	ids := []string{*runID}
+	if *runID == "all" {
+		ids = experiments.IDs()
+	} else if _, ok := experiments.Registry[*runID]; !ok {
+		fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", *runID)
+		return 2
 	}
 
 	var backendList []experiments.Backend
 	for _, s := range strings.Split(*backends, ",") {
 		b, err := experiments.ParseBackend(strings.TrimSpace(s))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 2
 		}
 		backendList = append(backendList, b)
 	}
@@ -84,13 +103,13 @@ func main() {
 			}
 		}
 		if skipped := len(ids) - supported; skipped > 0 {
-			fmt.Fprintf(os.Stderr, "backend %s: skipping %d/%d experiments (bespoke netsim topology, or trace has fewer than 8 regions)\n",
+			fmt.Fprintf(stderr, "backend %s: skipping %d/%d experiments (bespoke netsim topology, or trace has fewer than 8 regions)\n",
 				b, skipped, len(ids))
 		}
 	}
 	if len(scenarios) == 0 {
-		fmt.Fprintf(os.Stderr, "no scenario supports the selected backends (%s)\n", *backends)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "no scenario supports the selected backends (%s)\n", *backends)
+		return 2
 	}
 
 	var model *predict.Model
@@ -98,10 +117,10 @@ func main() {
 		var err error
 		model, err = predict.LoadFile(*modelIn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 2
 		}
-		fmt.Fprintf(os.Stderr, "loaded prediction model from %s (%d trees); skipping training\n",
+		fmt.Fprintf(stderr, "loaded prediction model from %s (%d trees); skipping training\n",
 			*modelIn, model.Forest().NumTrees())
 	}
 
@@ -110,7 +129,7 @@ func main() {
 		params := experiments.Params{Seed: *seed + uint64(k), Scale: *scale, Model: model}
 		for _, r := range experiments.RunScenarios(scenarios, params) {
 			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "%s (seed %d): %v\n", r.ID, r.Seed, r.Err)
+				fmt.Fprintf(stderr, "%s (seed %d): %v\n", r.ID, r.Seed, r.Err)
 				failed++
 				continue
 			}
@@ -118,11 +137,12 @@ func main() {
 			if *seeds > 1 {
 				label = fmt.Sprintf("%s seed=%d", r.ID, r.Seed)
 			}
-			fmt.Printf("=== %s ===\n%s\n", label, r.Result)
-			fmt.Fprintf(os.Stderr, "%s: %.1fs wall\n", label, r.Seconds)
+			fmt.Fprintf(stdout, "=== %s ===\n%s\n", label, r.Result)
+			fmt.Fprintf(stderr, "%s: %.1fs wall\n", label, r.Seconds)
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

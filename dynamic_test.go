@@ -233,9 +233,9 @@ func mallocsOf(fn func()) uint64 {
 // a copy. An admission: only the epoch timers its re-armed agents'
 // Start arms, the same whether one job survives beside it or three.
 func TestChurnSteadyStateAllocs(t *testing.T) {
-	// Start's epoch timer per VM: the agent's epoch method value, and
-	// Every's stop flag, tick variable, tick closure and cancel closure.
-	const timerObjs = 5
+	// Start's epoch timer per VM: Every's ticker, its bound fire method
+	// and its stop method value (New binds the agent's epoch once).
+	const timerObjs = 3
 	for _, tc := range []struct {
 		name        string
 		staleAfterS float64

@@ -204,6 +204,7 @@ type Agent struct {
 	monitored  []float64 // last epoch's WAN-monitor rates, Mbps per destination DC
 	monitoring bool      // an epoch has written monitored
 
+	epochFn func(float64) // a.epoch, bound once by New so Start allocates no method value
 	cancel  func()
 	started bool
 }
@@ -211,12 +212,14 @@ type Agent struct {
 // New creates an agent for the given VM. ApplyPlan must be called
 // before Start.
 func New(sim substrate.Cluster, vm substrate.VMID, cfg Config) *Agent {
-	return &Agent{
+	a := &Agent{
 		sim: sim,
 		vm:  vm,
 		dc:  sim.DCOf(vm),
 		cfg: cfg,
 	}
+	a.epochFn = a.epoch
+	return a
 }
 
 // DC returns the agent's data center index.
@@ -304,7 +307,7 @@ func (a *Agent) Start() {
 		panic("agent: Start before ApplyPlan")
 	}
 	a.started = true
-	a.cancel = a.sim.Every(epochS, a.epoch)
+	a.cancel = a.sim.Every(epochS, a.epochFn)
 }
 
 // Stop halts the AIMD loop and removes this agent's throttles.

@@ -74,7 +74,7 @@ func (r *AblationModelResult) String() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-24s%12.3f%10.1f%10.1f\n", row.Model, row.Accuracy, row.RMSE, row.MAE)
 	}
-	b.WriteString("(paper §3.1: RF chosen over statistical regression/CNN; CNN reached only ~85%)\n")
+	fmt.Fprintln(&b, paperText("ablation-model", "RF lowest RMSE"))
 	return b.String()
 }
 
@@ -230,6 +230,6 @@ func (r *MultiCloudResult) String() string {
 	fmt.Fprintf(&b, "significant (>100 Mbps) errors vs runtime, %d ordered pairs:\n", r.Pairs)
 	fmt.Fprintf(&b, "  static-independent: %d\n  predicted (with rvec %.3f on cross-provider pairs): %d\n",
 		r.StaticSig, r.RVecSample, r.PredictedSig)
-	b.WriteString("(paper: \"we observed similar results\" to Fig 11 — prediction closer to runtime)\n")
+	fmt.Fprintln(&b, paperText("multicloud", "predicted beats static"))
 	return b.String()
 }

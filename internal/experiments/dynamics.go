@@ -134,8 +134,8 @@ func (r *Fig9Result) String() string {
 		}
 		fmt.Fprintf(&b, "%-8d%14.1f%14.1f%16.1f%6s\n", i, ep.TargetSD, ep.ActualSD, ep.ErrTargetSD, mark)
 	}
-	fmt.Fprintf(&b, "epochs=%d, significant (>100 Mbps) deltas with 20%% error: %d (paper: 6 verticals)\n",
-		len(r.Epochs), r.SigDeltasWithErr)
+	fmt.Fprintf(&b, "epochs=%d, significant (>100 Mbps) deltas with 20%% error: %d %s\n",
+		len(r.Epochs), r.SigDeltasWithErr, paperText("fig9", "significant deltas"))
 	fmt.Fprintf(&b, "mean |targetSD - actualSD| = %.1f Mbps (close tracking = accurate modelling)\n", r.MeanAbsSDGap)
 	return b.String()
 }

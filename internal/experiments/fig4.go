@@ -77,11 +77,11 @@ func (r *Fig4Result) String() string {
 		}
 	}
 	if noq > 0 && sagq > 0 {
-		fmt.Fprintf(&b, "SAGQ vs NoQ: %.1f%% faster (paper ~22%%)\n", (noq-sagq)/noq*100)
+		fmt.Fprintf(&b, "SAGQ vs NoQ: %.1f%% faster %s\n", (noq-sagq)/noq*100, paperText("fig4", "SAGQ faster than NoQ (%)"))
 	}
 	for _, row := range r.Rows {
 		if row.Variant == "WQ" && sagq > 0 {
-			fmt.Fprintf(&b, "WQ vs SAGQ: %.1f%% faster (paper ~26%%)\n", (sagq-row.TrainMin)/sagq*100)
+			fmt.Fprintf(&b, "WQ vs SAGQ: %.1f%% faster %s\n", (sagq-row.TrainMin)/sagq*100, paperText("fig4", "WQ faster than SAGQ (%)"))
 		}
 	}
 	return b.String()

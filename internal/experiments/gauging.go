@@ -103,7 +103,7 @@ func Table4(p Params) (*Table4Result, error) {
 		}
 		_, repSim := measure.StaticSimultaneous(sim, measure.StableOptions())
 		_, repSnap := measure.StaticSimultaneous(sim, measure.Options{DurationS: 1})
-		perQueryRuns := 4.0 * 5 // 4 queries x 5 runs each (paper protocol)
+		perQueryRuns := 4.0 * 5 // 4 queries x 5 runs each, the paper's protocol
 		regions := sim.Regions()
 		var simUSD, snapUSD float64
 		// Probe traffic is all-to-all; price it at the mean egress rate.
@@ -146,8 +146,8 @@ func (r *Table4Result) String() string {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "mean min-BW improvement with runtime beliefs: %.2fx (paper: ~1.5x)\n", r.MinBWRatio)
-	fmt.Fprintf(&b, "monitoring cost for these queries: predicted ~$%.2f vs static-simultaneous ~$%.2f (paper: ~$5 vs ~$80, ~94%% saving)\n",
-		r.MonitoringPredictedUSD, r.MonitoringSimultaneousUSD)
+	fmt.Fprintf(&b, "mean min-BW improvement with runtime beliefs: %.2fx %s\n", r.MinBWRatio, paperText("table4", "mean min-BW gain (×)"))
+	fmt.Fprintf(&b, "monitoring cost for these queries: predicted ~$%.2f vs static-simultaneous ~$%.2f %s\n",
+		r.MonitoringPredictedUSD, r.MonitoringSimultaneousUSD, paperText("table4", "snapshot monitoring saving (%)"))
 	return b.String()
 }

@@ -83,7 +83,7 @@ func (r *Fig10Result) String() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-12s%-10s%12.1f%12.3f%14.0f\n", row.Variant, row.System, row.JCT, row.Cost, row.MinBW)
 	}
-	b.WriteString("(paper: Tetrium-W latency -26.5/-20.3/-7.1% vs Tetrium/-P/-WNS; 1.2-2.1x min BW)\n")
+	fmt.Fprintln(&b, paperText("fig10", "Tetrium-W vs Tetrium latency (%)"))
 	return b.String()
 }
 
@@ -139,7 +139,7 @@ func (r *Fig11aResult) String() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-8d%10d%14d%16d\n", row.N, row.OrderedPairs, row.StaticSig, row.PredictedSig)
 	}
-	b.WriteString("(paper: predicted beats static for every cluster size)\n")
+	fmt.Fprintln(&b, paperText("fig11a", "predicted beats static at every size"))
 	return b.String()
 }
 
@@ -202,7 +202,7 @@ func (r *Fig11bResult) String() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-10d%14d%16d\n", row.ExtraVMs, row.StaticSig, row.PredictedSig)
 	}
-	b.WriteString("(paper: predicted BW significantly closer to runtime than static)\n")
+	fmt.Fprintln(&b, paperText("fig11b", "predicted beats static at every VM count"))
 	return b.String()
 }
 
@@ -263,9 +263,9 @@ func (r *Sec583Result) String() string {
 	fmt.Fprintf(&b, "%-18s%12.1f%12.3f%14.0f\n", "vanilla-tetrium", r.VanillaJCT, r.VanillaCost, r.VanillaMinBW)
 	fmt.Fprintf(&b, "%-18s%12.1f%12.3f%14.0f\n", "tetrium-r", r.TetriumRJCT, r.TetriumRCost, r.TetriumRMinBW)
 	fmt.Fprintf(&b, "%-18s%12.1f%12.3f%14.0f\n", "wanify-tetrium", r.WANifyJCT, r.WANifyCost, r.WANifyMinBW)
-	fmt.Fprintf(&b, "tetrium-r: %.1f%% latency, %.1f%% cost vs vanilla (paper: 5%%/1%%, 1.2x min BW)\n",
-		pct(r.VanillaJCT, r.TetriumRJCT), pct(r.VanillaCost, r.TetriumRCost))
-	fmt.Fprintf(&b, "wanify:    %.1f%% latency, %.1f%% cost vs vanilla (paper: 15%%/7.4%%, 2x min BW)\n",
-		pct(r.VanillaJCT, r.WANifyJCT), pct(r.VanillaCost, r.WANifyCost))
+	fmt.Fprintf(&b, "tetrium-r: %.1f%% latency, %.1f%% cost vs vanilla %s\n",
+		pct(r.VanillaJCT, r.TetriumRJCT), pct(r.VanillaCost, r.TetriumRCost), paperText("sec583", "Tetrium-r latency gain (%)"))
+	fmt.Fprintf(&b, "wanify:    %.1f%% latency, %.1f%% cost vs vanilla %s\n",
+		pct(r.VanillaJCT, r.WANifyJCT), pct(r.VanillaCost, r.WANifyCost), paperText("sec583", "WANify latency gain (%)"))
 	return b.String()
 }

@@ -1,0 +1,344 @@
+package experiments
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// ledgerSeeds is how many seeds TestLedger runs: seed 1 in tier-1,
+// seeds 1–5 under the ledger build tag (ledger_seeds_test.go).
+var ledgerSeeds = 1
+
+const (
+	ledgerValues = "ledger.tsv" // under testdata/
+	ledgerDoc    = "../../EXPERIMENTS.md"
+	ledgerBegin  = "<!-- ledger: rendered by TestLedger from internal/experiments/ledger.go and testdata/ledger.tsv; do not edit by hand -->"
+	ledgerEnd    = "<!-- end ledger -->"
+)
+
+// on adapts an extractor over one driver's typed result.
+func on[R Result](f func(R) float64) func(Result) float64 {
+	return func(r Result) float64 { return f(r.(R)) }
+}
+
+// holds is an ordering claim's value: 1 when the ordering holds.
+func holds(ok bool) float64 {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+// ledgerKey names a ledger row in extractors and testdata/ledger.tsv.
+func ledgerKey(c claim) string { return c.id + "\t" + c.stat }
+
+// extractors reads every ledger row off its driver's result.
+var extractors = map[string]func(Result) float64{
+	"fig1\tUS East→US West (Mbps)": on(func(r *Fig1Result) float64 { return r.BW[0][1] }),
+	"fig1\tUS East→AP SE (Mbps)":   on(func(r *Fig1Result) float64 { return r.BW[0][3] }),
+	"table1\tsignificant gaps":     on(func(r *Table1Result) float64 { return float64(r.Significant) }),
+	"table1\tslowest DC from SA East flips": on(func(r *Table1Result) float64 {
+		return holds(r.SlowestFromSAEStatic != r.SlowestFromSAERuntime)
+	}),
+	"table2\tprediction saving (%)":            on(func(r *Table2Result) float64 { return r.Savings * 100 }),
+	"table2\t8-DC monitoring ($/yr)":           on(func(r *Table2Result) float64 { return r.Rows[len(r.Rows)-1].RuntimeMonitoring }),
+	"fig2\theterogeneous ÷ uniform min BW (×)": on(func(r *Fig2Result) float64 { return r.MinHet / r.MinUniform }),
+	"table4\tmean min-BW gain (×)":             on(func(r *Table4Result) float64 { return r.MinBWRatio }),
+	"table4\tsnapshot monitoring saving (%)": on(func(r *Table4Result) float64 {
+		return pct(r.MonitoringSimultaneousUSD, r.MonitoringPredictedUSD)
+	}),
+	"fig4\tSAGQ faster than NoQ (%)": on(func(r *Fig4Result) float64 { return fig4Gain(r, "NoQ", "SAGQ") }),
+	"fig4\tWQ faster than SAGQ (%)":  on(func(r *Fig4Result) float64 { return fig4Gain(r, "SAGQ", "WQ") }),
+	"fig5\tWANify-TC best on latency, cost, min BW": on(func(r *Fig5Result) float64 {
+		tc := r.Rows[slices.IndexFunc(r.Rows, func(row Fig5Row) bool { return row.Variant == variantThrottle })]
+		for _, row := range r.Rows {
+			if row.Variant != variantThrottle && (row.JCTMin <= tc.JCTMin || row.CostUSD <= tc.CostUSD || row.MinBWMbps >= tc.MinBWMbps) {
+				return 0
+			}
+		}
+		return 1
+	}),
+	"fig6\tspeed-up at 2.06 MB/pair (×)": on(func(r *Fig6Result) float64 { return r.Rows[0].VanillaJCT / r.Rows[0].WANifyJCT }),
+	"fig6\tfaster above 7.4 MB/pair": on(func(r *Fig6Result) float64 {
+		return holds(!slices.ContainsFunc(r.Rows, func(row Fig6Row) bool { return row.ShuffleMB > 7.4 && row.WANifyJCT >= row.VanillaJCT }))
+	}),
+	"fig7\tTetrium best latency gain (%)": on(func(r *Fig7Result) float64 {
+		return fig7Best(r, func(row Fig7Row) float64 { return pct(row.VanillaJCT, row.WANifyJCT) })
+	}),
+	"fig7\tTetrium best cost saving (%)": on(func(r *Fig7Result) float64 {
+		return fig7Best(r, func(row Fig7Row) float64 { return pct(row.VanillaCost, row.WANifyCost) })
+	}),
+	"fig7\tTetrium best min-BW gain (×)": on(func(r *Fig7Result) float64 {
+		return fig7Best(r, func(row Fig7Row) float64 { return row.MinBWRatio })
+	}),
+	"fig8a\tTetrium global-only gain (%)": on(func(r *Fig8aResult) float64 { return fig8aGain(r, "global-only") }),
+	"fig8a\tTetrium local-only gain (%)":  on(func(r *Fig8aResult) float64 { return fig8aGain(r, "local-only") }),
+	"fig8a\tTetrium full gain (%)":        on(func(r *Fig8aResult) float64 { return fig8aGain(r, "wanify") }),
+	"fig8a\tglobal-only beats local-only": on(func(r *Fig8aResult) float64 {
+		return holds(fig8aGain(r, "global-only") > fig8aGain(r, "local-only"))
+	}),
+	"fig8b\tlatency change (%)":               on(func(r *Fig8bResult) float64 { return -pct(r.WANifyJCT, r.ErrJCT) }),
+	"fig8b\tcost change (%)":                  on(func(r *Fig8bResult) float64 { return -pct(r.WANifyCost, r.ErrCost) }),
+	"fig8b\tmin-BW change (%)":                on(func(r *Fig8bResult) float64 { return -pct(r.WANifyMinBW, r.ErrMinBW) }),
+	"fig9\tsignificant deltas":                on(func(r *Fig9Result) float64 { return float64(r.SigDeltasWithErr) }),
+	"fig10\tTetrium-W vs Tetrium latency (%)": on(func(r *Fig10Result) float64 { return fig10Change(r, "single") }),
+	"fig10\tTetrium-W vs -P latency (%)":      on(func(r *Fig10Result) float64 { return fig10Change(r, "uniform-p") }),
+	"fig10\tTetrium-W vs -WNS latency (%)":    on(func(r *Fig10Result) float64 { return fig10Change(r, "wanify-wns") }),
+	"fig11a\tpredicted beats static at every size": on(func(r *Fig11aResult) float64 {
+		return holds(!slices.ContainsFunc(r.Rows, func(row Fig11aRow) bool { return row.PredictedSig >= row.StaticSig }))
+	}),
+	"fig11b\tpredicted beats static at every VM count": on(func(r *Fig11bResult) float64 {
+		return holds(!slices.ContainsFunc(r.Rows, func(row Fig11bRow) bool { return row.PredictedSig >= row.StaticSig }))
+	}),
+	"sec583\tTetrium-r latency gain (%)": on(func(r *Sec583Result) float64 { return pct(r.VanillaJCT, r.TetriumRJCT) }),
+	"sec583\tTetrium-r cost saving (%)":  on(func(r *Sec583Result) float64 { return pct(r.VanillaCost, r.TetriumRCost) }),
+	"sec583\tTetrium-r min-BW gain (×)":  on(func(r *Sec583Result) float64 { return r.TetriumRMinBW / r.VanillaMinBW }),
+	"sec583\tWANify latency gain (%)":    on(func(r *Sec583Result) float64 { return pct(r.VanillaJCT, r.WANifyJCT) }),
+	"sec583\tWANify cost saving (%)":     on(func(r *Sec583Result) float64 { return pct(r.VanillaCost, r.WANifyCost) }),
+	"sec583\tWANify min-BW gain (×)":     on(func(r *Sec583Result) float64 { return r.WANifyMinBW / r.VanillaMinBW }),
+	"ablation-model\tRF lowest RMSE": on(func(r *AblationModelResult) float64 {
+		rf := r.Rows[slices.IndexFunc(r.Rows, func(row AblationModelRow) bool { return row.Model == "random-forest" })]
+		return holds(!slices.ContainsFunc(r.Rows, func(row AblationModelRow) bool { return row.Model != rf.Model && row.RMSE <= rf.RMSE }))
+	}),
+	"multicloud\tpredicted beats static": on(func(r *MultiCloudResult) float64 { return holds(r.PredictedSig < r.StaticSig) }),
+}
+
+// fig4Gain is how much faster variant to trains than variant from, in %.
+func fig4Gain(r *Fig4Result, from, to string) float64 {
+	train := func(v string) float64 {
+		return r.Rows[slices.IndexFunc(r.Rows, func(row Fig4Row) bool { return row.Variant == v })].TrainMin
+	}
+	return pct(train(from), train(to))
+}
+
+// fig7Best is the largest of f over Tetrium's four queries.
+func fig7Best(r *Fig7Result, f func(Fig7Row) float64) float64 {
+	best := math.Inf(-1)
+	for _, row := range r.Rows {
+		if row.System == "tetrium" {
+			best = max(best, f(row))
+		}
+	}
+	return best
+}
+
+// fig8aGain is Tetrium's latency gain over vanilla under variant, in %.
+func fig8aGain(r *Fig8aResult, variant string) float64 {
+	return r.Rows[slices.IndexFunc(r.Rows, func(row Fig8aRow) bool { return row.System == "tetrium" && row.Variant == variant })].GainPct
+}
+
+// fig10Change is Tetrium-W's latency change against Tetrium's variant
+// base, in % (negative is faster).
+func fig10Change(r *Fig10Result, base string) float64 {
+	jct := func(v string) float64 {
+		return r.Rows[slices.IndexFunc(r.Rows, func(row Fig10Row) bool { return row.System == "tetrium" && row.Variant == v })].JCT
+	}
+	return -pct(jct(base), jct("wanify-w"))
+}
+
+// judge is the verdict rule, the same for every row: the median over
+// seeds 1–5 reproduces a claim within ±25 % of the paper's value, and
+// otherwise shows its direction when it lies on the paper's side of
+// the no-effect value. An ordering claim reads 1 or 0, so it is
+// reproduced exactly when it holds at the median.
+func judge(c claim, median float64) verdict {
+	switch {
+	case math.Abs(median-c.paper) <= 0.25*math.Abs(c.paper):
+		return reproduced
+	case (median-c.none)*(c.paper-c.none) > 0:
+		return directionOnly
+	}
+	return notReproduced
+}
+
+// TestLedger measures every ledger row at scale 1.0 and checks it
+// against testdata/ledger.tsv, checks each recorded verdict against the
+// rule over the file's five seeds, and checks EXPERIMENTS.md's headline
+// table against the render. -update rewrites the seeds it ran in the
+// file, and the table; a recorded verdict is changed by hand.
+func TestLedger(t *testing.T) {
+	for _, c := range ledger {
+		if extractors[ledgerKey(c)] == nil {
+			t.Errorf("ledger row %q has no extractor", ledgerKey(c))
+		}
+	}
+	if len(extractors) != len(ledger) {
+		t.Errorf("%d extractors for %d ledger rows", len(extractors), len(ledger))
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	values := readLedgerValues(t)
+	for s, res := range runLedger(t, ledgerSeeds) {
+		for _, c := range ledger {
+			row := values[ledgerKey(c)]
+			if got := strconv.FormatFloat(extractors[ledgerKey(c)](res[c.id]), 'f', 2, 64); got != row[s] {
+				if !*updateGolden {
+					t.Errorf("%s: %s at seed %d reads %s, %s records %s", c.id, c.stat, s+1, got, ledgerValues, row[s])
+				}
+				row[s] = got
+			}
+		}
+	}
+	checkGolden(t, ledgerValues, formatLedgerValues(values))
+	for _, c := range ledger {
+		if v := judge(c, median(t, values[ledgerKey(c)])); v != c.verdict {
+			t.Errorf("%s: %s is %s over seeds 1–5, ledger.go records %s", c.id, c.stat, v, c.verdict)
+		}
+	}
+	checkLedgerDoc(t, renderLedger(t, values))
+}
+
+// runLedger runs every driver the ledger names at seeds 1..seeds and
+// scale 1.0, on as many workers as there are cores, and returns each
+// seed's results by driver id.
+func runLedger(t *testing.T, seeds int) []map[string]Result {
+	var ids []string
+	for _, c := range ledger {
+		if !slices.Contains(ids, c.id) {
+			ids = append(ids, c.id)
+		}
+	}
+	type job struct {
+		seed int
+		id   string
+	}
+	jobs := make(chan job)
+	results := make([]map[string]Result, seeds)
+	for s := range results {
+		results[s] = map[string]Result{}
+	}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				res, err := Registry[j.id](Params{Seed: uint64(j.seed + 1), Scale: 1})
+				mu.Lock()
+				if err != nil {
+					t.Errorf("%s (seed %d): %v", j.id, j.seed+1, err)
+				}
+				results[j.seed][j.id] = res
+				mu.Unlock()
+			}
+		}()
+	}
+	for s := range seeds {
+		for _, id := range ids {
+			jobs <- job{s, id}
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow() // a driver failed: its rows have no result
+	}
+	return results
+}
+
+// readLedgerValues reads testdata/ledger.tsv: one line per row, the
+// driver id and claim, then its values at seeds 1–5. A row the file
+// lacks reads as five empty values.
+func readLedgerValues(t *testing.T) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for _, c := range ledger {
+		out[ledgerKey(c)] = make([]string, 5)
+	}
+	b, err := os.ReadFile(filepath.Join("testdata", ledgerValues))
+	if err != nil && !*updateGolden {
+		t.Fatalf("missing %s (run with -update): %v", ledgerValues, err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Split(line, "\t")
+		if len(f) != 7 {
+			t.Fatalf("%s: malformed line %q", ledgerValues, line)
+		}
+		out[f[0]+"\t"+f[1]] = f[2:]
+	}
+	return out
+}
+
+func formatLedgerValues(values map[string][]string) string {
+	var b strings.Builder
+	b.WriteString("# Paper ledger values at scale 1.0: driver id, claim, seeds 1-5.\n")
+	b.WriteString("# Rewrite with go test ./internal/experiments -run '^TestLedger$' -update [-tags ledger].\n")
+	for _, c := range ledger {
+		fmt.Fprintf(&b, "%s\t%s\n", ledgerKey(c), strings.Join(values[ledgerKey(c)], "\t"))
+	}
+	return b.String()
+}
+
+// median parses a row's five values and returns their median.
+func median(t *testing.T, values []string) float64 {
+	t.Helper()
+	v := make([]float64, len(values))
+	for i, s := range values {
+		var err error
+		if v[i], err = strconv.ParseFloat(s, 64); err != nil {
+			t.Fatalf("%s: value %q: %v", ledgerValues, s, err)
+		}
+	}
+	slices.Sort(v)
+	return v[len(v)/2]
+}
+
+// renderLedger renders EXPERIMENTS.md's headline table.
+func renderLedger(t *testing.T, values map[string][]string) string {
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	var b strings.Builder
+	b.WriteString("| id | artifact | claim | paper | no effect | seeds 1–5 | median | verdict | note |\n")
+	b.WriteString("|----|----------|-------|-------|-----------|-----------|--------|---------|------|\n")
+	for _, c := range ledger {
+		vs := values[ledgerKey(c)]
+		cells := make([]string, len(vs))
+		for i, s := range vs {
+			f, _ := strconv.ParseFloat(s, 64)
+			cells[i] = num(f)
+		}
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s | %s | %s | %s |\n", c.id, c.artifact, c.stat,
+			num(c.paper), num(c.none), strings.Join(cells, ", "), num(median(t, vs)), c.verdict, c.note)
+	}
+	return b.String()
+}
+
+// checkLedgerDoc compares the table between EXPERIMENTS.md's ledger
+// markers with the render, or rewrites it under -update.
+func checkLedgerDoc(t *testing.T, table string) {
+	t.Helper()
+	b, err := os.ReadFile(ledgerDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(b)
+	i, j := strings.Index(doc, ledgerBegin+"\n"), strings.Index(doc, ledgerEnd)
+	if i < 0 || j < i {
+		t.Fatalf("EXPERIMENTS.md lacks the ledger markers %q … %q", ledgerBegin, ledgerEnd)
+	}
+	i += len(ledgerBegin) + 1
+	if *updateGolden {
+		if err := os.WriteFile(ledgerDoc, []byte(doc[:i]+table+doc[j:]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if doc[i:j] != table {
+		if dir := os.Getenv("WANIFY_GOLDEN_DIFF_DIR"); dir != "" {
+			dumpGoldenDiff(t, dir, "EXPERIMENTS.md", doc[:i]+table+doc[j:], doc)
+		}
+		t.Errorf("EXPERIMENTS.md's ledger table differs from the render near byte %d; rerun with -update", firstDiff(doc[i:j], table))
+	}
+}

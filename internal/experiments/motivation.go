@@ -50,8 +50,8 @@ func (r *Fig1Result) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "anchors: US East->US West = %.0f (paper 1700), US East->AP SE = %.0f (paper 121)\n",
-		r.BW[0][1], r.BW[0][3])
+	fmt.Fprintf(&b, "anchors: US East->US West = %.0f %s, US East->AP SE = %.0f %s\n",
+		r.BW[0][1], paperText("fig1", "US East→US West (Mbps)"), r.BW[0][3], paperText("fig1", "US East→AP SE (Mbps)"))
 	return b.String()
 }
 
@@ -146,9 +146,9 @@ func (r *Table1Result) String() string {
 	for _, bk := range r.Buckets {
 		fmt.Fprintf(&b, "%12d", bk.Count)
 	}
-	fmt.Fprintf(&b, "\ntotal significant: %d (paper: 18 = 7/8/3)\n", r.Significant)
-	fmt.Fprintf(&b, "slowest DC from SA East: static=%s runtime=%s (paper: AP SE -> EU West flip)\n",
-		r.SlowestFromSAEStatic, r.SlowestFromSAERuntime)
+	fmt.Fprintf(&b, "\ntotal significant: %d %s\n", r.Significant, paperText("table1", "significant gaps"))
+	fmt.Fprintf(&b, "slowest DC from SA East: static=%s runtime=%s %s\n",
+		r.SlowestFromSAEStatic, r.SlowestFromSAERuntime, paperText("table1", "slowest DC from SA East flips"))
 	return b.String()
 }
 
@@ -192,7 +192,7 @@ func Table2(_ Params) (*Table2Result, error) {
 // String renders Table 2.
 func (r *Table2Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: accurate prediction saves ~%.0f%% in costs (paper: ~96%%)\n", r.Savings*100)
+	fmt.Fprintf(&b, "Table 2: accurate prediction saves ~%.0f%% in costs %s\n", r.Savings*100, paperText("table2", "prediction saving (%)"))
 	fmt.Fprintf(&b, "%-16s%-22s%-18s%-14s\n", "Number of DCs", "Runtime Monitoring", "Model Training", "Predictions")
 	var tm, tt, tp float64
 	for _, row := range r.Rows {
@@ -202,7 +202,7 @@ func (r *Table2Result) String() string {
 		tp += row.Predictions
 	}
 	fmt.Fprintf(&b, "%-16s$%-21.0f$%-17.0f$%-13.0f\n", "Total", tm, tt, tp)
-	fmt.Fprintf(&b, "(paper: $703/$1055/$1406 monitoring; $35/$20/$14 training; $29/$16/$11 predictions)\n")
+	fmt.Fprintln(&b, paperText("table2", "8-DC monitoring ($/yr)"))
 	return b.String()
 }
 
@@ -342,8 +342,8 @@ func (r *Fig2Result) String() string {
 	fmt.Fprintf(&b, "(a) single connection BWs (Mbps):\n%s", r.Single)
 	fmt.Fprintf(&b, "(b) uniform 8-connection BWs:\n%s", r.Uniform)
 	fmt.Fprintf(&b, "(c) heterogeneous connections:\n%s achieved BWs:\n%s", r.HetConns, r.Het)
-	fmt.Fprintf(&b, "min BW: single=%.1f uniform=%.1f heterogeneous=%.1f (%.1fx over uniform; paper: 2.1x, 120.5 -> 255.5)\n",
-		r.MinSingle, r.MinUniform, r.MinHet, r.MinHet/nonZero(r.MinUniform))
+	fmt.Fprintf(&b, "min BW: single=%.1f uniform=%.1f heterogeneous=%.1f (%.1fx over uniform; %s)\n",
+		r.MinSingle, r.MinUniform, r.MinHet, r.MinHet/nonZero(r.MinUniform), paperText("fig2", "heterogeneous ÷ uniform min BW (×)"))
 	fmt.Fprintf(&b, "(d) bottleneck network time for the reduce plan: single=%.1fs uniform=%.1fs heterogeneous=%.1fs\n",
 		r.LatSingle, r.LatUniform, r.LatHet)
 	return b.String()

@@ -77,7 +77,7 @@ func (r *Fig5Result) String() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-16s%12.1f%12.2f%14.0f\n", row.Variant, row.JCTMin, row.CostUSD, row.MinBWMbps)
 	}
-	b.WriteString("(paper: WANify-TC best on all three; 61 min, $4.7, 790 Mbps min BW)\n")
+	fmt.Fprintln(&b, paperText("fig5", "WANify-TC best on latency, cost, min BW"))
 	return b.String()
 }
 
@@ -139,6 +139,6 @@ func (r *Fig6Result) String() string {
 			row.ShuffleMB, row.VanillaJCT, row.WANifyJCT,
 			row.VanillaCost, row.WANifyCost, row.VanillaMinBW, row.WANifyMinBW)
 	}
-	b.WriteString("(paper: gains appear for shuffle > 7.4 MB; similar below)\n")
+	fmt.Fprintln(&b, paperText("fig6", "speed-up at 2.06 MB/pair (×)"))
 	return b.String()
 }

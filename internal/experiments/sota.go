@@ -80,7 +80,7 @@ func (r *Fig7Result) String() string {
 			row.System, row.Query, row.VanillaJCT, row.WANifyJCT,
 			pct(row.VanillaJCT, row.WANifyJCT), row.VanillaCost, row.WANifyCost, row.MinBWRatio)
 	}
-	b.WriteString("(paper: latency up to 24% lower, cost up to 8% lower, 3.3x min BW)\n")
+	fmt.Fprintln(&b, paperText("fig7", "Tetrium best latency gain (%)"))
 	return b.String()
 }
 
@@ -150,7 +150,7 @@ func (r *Fig8aResult) String() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-14s%-10s%12.1f%10.1f%10.2f\n", row.Variant, row.System, row.JCT, row.GainPct, row.MinBWRatio)
 	}
-	b.WriteString("(paper: global-only ~16%, local-only ~11%, full WANify ~23% latency gain)\n")
+	fmt.Fprintln(&b, paperText("fig8a", "Tetrium global-only gain (%)"))
 	return b.String()
 }
 
@@ -219,7 +219,7 @@ func (r *Fig8bResult) String() string {
 	fmt.Fprintf(&b, "%-12s%12s%12s%14s\n", "variant", "JCT(s)", "cost($)", "min BW(Mbps)")
 	fmt.Fprintf(&b, "%-12s%12.1f%12.3f%14.0f\n", "wanify", r.WANifyJCT, r.WANifyCost, r.WANifyMinBW)
 	fmt.Fprintf(&b, "%-12s%12.1f%12.3f%14.0f\n", "wanify-err", r.ErrJCT, r.ErrCost, r.ErrMinBW)
-	fmt.Fprintf(&b, "latency +%.1f%%, cost +%.1f%%, min BW %.0f%% of accurate (paper: +18%% latency, +5%% cost, -38%% min BW)\n",
-		-pct(r.WANifyJCT, r.ErrJCT), -pct(r.WANifyCost, r.ErrCost), 100*r.ErrMinBW/nonZero(r.WANifyMinBW))
+	fmt.Fprintf(&b, "latency +%.1f%%, cost +%.1f%%, min BW %.0f%% of accurate %s\n",
+		-pct(r.WANifyJCT, r.ErrJCT), -pct(r.WANifyCost, r.ErrCost), 100*r.ErrMinBW/nonZero(r.WANifyMinBW), paperText("fig8b", "latency change (%)"))
 	return b.String()
 }

@@ -713,20 +713,34 @@ func (s *Sim) After(delay float64, fn func(now float64)) {
 // Every schedules fn to run every interval seconds, starting one
 // interval from now. The returned cancel function stops future firings.
 func (s *Sim) Every(interval float64, fn func(now float64)) (cancel func()) {
-	stopped := false
-	var tick func(now float64)
-	tick = func(now float64) {
-		if stopped {
-			return
-		}
-		fn(now)
-		if !stopped {
-			s.at(now+interval, tick)
-		}
-	}
-	s.at(s.now+interval, tick)
-	return func() { stopped = true }
+	t := &ticker{s: s, interval: interval, fn: fn}
+	t.tick = t.fire
+	s.at(s.now+interval, t.tick)
+	return t.stop
 }
+
+// ticker is one Every timer. It binds its fire method once, so a
+// periodic timer costs the ticker, that method value and the stop
+// method value Every returns, however often it fires.
+type ticker struct {
+	s        *Sim
+	interval float64
+	fn       func(now float64)
+	tick     func(now float64) // fire, bound once
+	stopped  bool
+}
+
+func (t *ticker) fire(now float64) {
+	if t.stopped {
+		return
+	}
+	t.fn(now)
+	if !t.stopped {
+		t.s.at(now+t.interval, t.tick)
+	}
+}
+
+func (t *ticker) stop() { t.stopped = true }
 
 // RunFor advances the simulation by d seconds.
 func (s *Sim) RunFor(d float64) { s.RunUntil(s.now + d) }
