@@ -192,10 +192,12 @@ func (f *Framework) startController() *rgauge.Controller {
 		SnapshotOpts: func() measure.Options {
 			return measure.SnapshotOptions(f.rng.Derive("snapshot"))
 		},
+		// Features and prediction land in the framework's buffers; the
+		// controller copies the prediction it keeps (Deps.Predict).
 		Predict: func(snap bwmatrix.Matrix, stats []substrate.VMStats) bwmatrix.Matrix {
-			features := dataset.FeaturesFromSnapshot(f.cfg.Cluster, snap, stats)
-			f.predicted = f.model.PredictMatrixInto(f.predicted, features)
-			return f.predicted.Clone()
+			f.features = dataset.FeaturesFromSnapshotInto(f.features, f.cfg.Cluster, snap, stats)
+			f.predicted = f.model.PredictMatrixInto(f.predicted, f.features)
+			return f.predicted
 		},
 		Optimize: func(pred bwmatrix.Matrix) optimize.Plan {
 			return f.Optimize(pred, opts)

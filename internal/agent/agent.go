@@ -382,6 +382,32 @@ func (a *Agent) MonitoredMbps() []float64 {
 	return append([]float64(nil), a.monitored...)
 }
 
+// AddTo adds, without copying anything, the agent's last WAN-monitor
+// reading to live, its current target bandwidths to target and its
+// in-flight transfer counts to demand — each a per-destination-DC row
+// the caller owns, whose entry for the agent's own DC is left as it
+// is. Before the first epoch it adds nothing. The re-gauging
+// controller (internal/runtime) sums every agent's rows through here
+// into the live, expected and demand matrices it checks the global plan
+// against; MonitoredMbps, TargetBW and ActivePool are the copying reads
+// of the same state.
+func (a *Agent) AddTo(live, target []float64, demand []int) {
+	if !a.monitoring {
+		return
+	}
+	for j, m := range a.monitored {
+		if j != a.dc {
+			live[j] += m
+			target[j] += a.targetBW[j]
+		}
+	}
+	for _, f := range a.active {
+		if d := a.sim.DCOf(f.Dst()); !f.Done() && d != a.dc {
+			demand[d]++
+		}
+	}
+}
+
 // ActivePool returns the per-destination count of registered transfers
 // still in flight — the Connections Manager's demand signal. The
 // re-gauging controller uses it to tell a quiet link (no demand, says

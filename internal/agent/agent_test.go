@@ -1002,3 +1002,45 @@ func TestResetIsNew(t *testing.T) {
 			a.Window(), a.Conns(), a.TargetBW(), fresh.Window(), fresh.Conns(), fresh.TargetBW())
 	}
 }
+
+// TestAddToSumsTheCopyingReads: AddTo adds exactly what MonitoredMbps,
+// TargetBW and ActivePool return — the agent's own DC left as it was —
+// into rows that already hold other agents' sums, adds nothing before
+// the first epoch, and copies nothing.
+func TestAddToSumsTheCopyingReads(t *testing.T) {
+	sim := frozenSim(3, 15)
+	a := New(sim, sim.FirstVMOfDC(1), Config{})
+	a.ApplyPlan(planRowFor(3, 1, 8, 400))
+	toward0 := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(0), conns: 8}
+	toward2 := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(2), conns: 8}
+	local := &stubFlow{src: a.VM(), dst: a.VM(), conns: 1}
+	finished := &stubFlow{src: a.VM(), dst: sim.FirstVMOfDC(2), conns: 1}
+	for _, f := range []*stubFlow{toward0, toward2, local, finished} {
+		a.Register(f)
+	}
+	live, target, demand := []float64{0.5, 7, 0.25}, []float64{1, 9, 3}, []int{2, 5, 1}
+	a.AddTo(live, target, demand)
+	if !reflect.DeepEqual(live, []float64{0.5, 7, 0.25}) || !reflect.DeepEqual(target, []float64{1, 9, 3}) || !reflect.DeepEqual(demand, []int{2, 5, 1}) {
+		t.Fatal("AddTo added before the first epoch")
+	}
+	toward0.bytes, toward2.bytes, local.bytes = 3e9, 6e8, 5e9
+	a.epoch(sim.Now())
+	finished.done = true
+	mon, tgt, pool := a.MonitoredMbps(), a.TargetBW(), a.ActivePool()
+	a.AddTo(live, target, demand)
+	for j, base := range [][3]float64{{0.5, 1, 2}, {7, 9, 5}, {0.25, 3, 1}} {
+		wantLive, wantTgt, wantDemand := base[0]+mon[j], base[1]+tgt[j], int(base[2])+pool[j]
+		if j == a.DC() {
+			wantLive, wantTgt, wantDemand = base[0], base[1], int(base[2])
+		}
+		if live[j] != wantLive || target[j] != wantTgt || demand[j] != wantDemand {
+			t.Errorf("destination %d: AddTo gave %v/%v/%d, want %v/%v/%d", j, live[j], target[j], demand[j], wantLive, wantTgt, wantDemand)
+		}
+	}
+	if demand[2] != 1+1 {
+		t.Errorf("demand toward DC 2 = %d, want the one unfinished transfer added", demand[2])
+	}
+	if got := testing.AllocsPerRun(20, func() { a.AddTo(live, target, demand) }); got != 0 {
+		t.Errorf("AddTo allocates %.0f objects, want 0", got)
+	}
+}

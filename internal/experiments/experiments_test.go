@@ -295,7 +295,7 @@ func TestResultsRender(t *testing.T) {
 // Random Forest achieves the best (or tied-best) RMSE on held-out
 // cluster sizes.
 func TestAblationModelRFCompetitive(t *testing.T) {
-	r, err := AblationModel(tinyParams())
+	r, err := ablationModelSeed1() // AblationModel(tinyParams()): Scale is ignored
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -30,13 +31,30 @@ var separateGolden = map[string]bool{
 	"degrade":        true,
 }
 
+// ablationModelSeed1 is AblationModel at seed 1, computed once per test
+// binary: the driver reads nothing of Params but the seed (Scale,
+// Model and Backend leave it alone), so every test that runs it at
+// seed 1 shares the one result through runDriver.
+var ablationModelSeed1 = sync.OnceValues(func() (*AblationModelResult, error) {
+	return AblationModel(Params{Seed: 1})
+})
+
+// runDriver runs the registered driver id at p, reading AblationModel's
+// seed-1 result from ablationModelSeed1.
+func runDriver(id string, p Params) (Result, error) {
+	if id == "ablation-model" && p.Seed == 1 {
+		return ablationModelSeed1()
+	}
+	return Registry[id](p)
+}
+
 // renderIDs runs the named experiments at p and concatenates their
 // rendered results, each under an "=== id ===" header.
 func renderIDs(t *testing.T, p Params, ids ...string) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, id := range ids {
-		res, err := Registry[id](p)
+		res, err := runDriver(id, p)
 		if err != nil {
 			t.Fatalf("%s (seed %d): %v", id, p.Seed, err)
 		}

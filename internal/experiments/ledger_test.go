@@ -223,7 +223,7 @@ func runLedger(t *testing.T, seeds int) []map[string]Result {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				res, err := Registry[j.id](Params{Seed: uint64(j.seed + 1), Scale: 1})
+				res, err := runDriver(j.id, Params{Seed: uint64(j.seed + 1), Scale: 1})
 				mu.Lock()
 				if err != nil {
 					t.Errorf("%s (seed %d): %v", j.id, j.seed+1, err)

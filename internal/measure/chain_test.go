@@ -196,37 +196,192 @@ func TestSnapshotByVMNoiseIgnoresFaults(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllocs pins what one snapshot allocates on 8 frozen DCs,
-// simulator included: no more objects than before every collector
-// shared the chain list — 128 a legacy snapshot, 363 a hardened one.
+// TestSnapshotAllocs pins what one snapshot allocates on 8 frozen DCs
+// (56 probes, one object each in netsim), simulator included. A one-off
+// snapshot: 64 objects legacy, 122 hardened (the ceilings were 128 and
+// 363, the counts before every collector shared the chain list). Begun
+// again over a collected one (BeginSnapshot*Into), it reuses the pair
+// list, chains, failure handlers, first-segment slab, samples,
+// accumulators and BW matrix: the legacy snapshot adds only Collect's
+// fresh matrix and host metrics to its probes, the hardened one
+// nothing.
 func TestSnapshotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
 	}
 	opts := Options{DurationS: 1}
+	var ps *PendingSnapshot
 	for _, c := range []struct {
-		name   string
-		parent float64
-		run    func(*netsim.Sim)
+		name string
+		want float64
+		run  func(*netsim.Sim)
 	}{
-		{"legacy", 128, func(sim *netsim.Sim) {
+		{"legacy", 64, func(sim *netsim.Sim) {
 			ps := BeginSnapshot(sim, opts)
 			sim.RunFor(1)
 			ps.Collect()
 		}},
-		{"hardened", 363, func(sim *netsim.Sim) {
+		{"hardened", 122, func(sim *netsim.Sim) {
 			ps := BeginSnapshotHardened(sim, opts)
+			sim.RunFor(1)
+			ps.CollectPartial()
+		}},
+		{"legacy-recycled", 56 + 3, func(sim *netsim.Sim) {
+			ps = BeginSnapshotInto(ps, sim, opts)
+			sim.RunFor(1)
+			ps.Collect()
+		}},
+		{"hardened-recycled", 56, func(sim *netsim.Sim) {
+			ps = BeginSnapshotHardenedInto(ps, sim, opts)
 			sim.RunFor(1)
 			ps.CollectPartial()
 		}},
 	} {
 		sim := frozenSim(8, 23)
-		c.run(sim) // warm the simulator's slabs
-		if got := testing.AllocsPerRun(20, func() { c.run(sim) }); got > c.parent {
-			t.Errorf("%s snapshot allocates %.0f objects, more than the %.0f before the chain list", c.name, got, c.parent)
+		ps = nil
+		c.run(sim) // warm the simulator's slabs (and the recycled snapshot)
+		if got := testing.AllocsPerRun(20, func() { c.run(sim) }); got > c.want {
+			t.Errorf("%s snapshot allocates %.0f objects, want at most %.0f", c.name, got, c.want)
 		} else {
-			t.Logf("%s snapshot: %.0f objects (was %.0f)", c.name, got, c.parent)
+			t.Logf("%s snapshot: %.0f objects", c.name, got)
 		}
+	}
+}
+
+// TestRecycledSnapshotMatchesFresh: a snapshot begun again over a
+// collected one — legacy or hardened, the other kind or a retried one
+// before it, abandoned or collected — samples exactly what a fresh one
+// does on the same simulator state: same bandwidths, samples, host
+// metrics and bill. Two twin simulators run the same fault script; one
+// recycles one snapshot throughout, the other begins each one fresh.
+func TestRecycledSnapshotMatchesFresh(t *testing.T) {
+	opts := func(k int) Options { return SnapshotOptions(simrand.Derive(uint64(k), "recycled")) }
+	twin := func() *netsim.Sim {
+		sim := frozenSim(4, 31)
+		sim.RunFor(3)
+		sim.ResetPair(0, 1, 3.3)  // snapshot 0, window [3, 4): one retry
+		sim.ResetPair(2, 3, 9.95) // snapshot 2, window [9, 10): a retry still pending at collection
+		return sim
+	}
+	fresh, reused := twin(), twin()
+	var ps, owner *PendingSnapshot
+	for k, kind := range []string{"hardened", "legacy", "hardened", "abandoned", "hardened", "legacy"} {
+		var a, b *PendingSnapshot
+		if kind == "legacy" {
+			a, ps = BeginSnapshot(fresh, opts(k)), BeginSnapshotInto(ps, reused, opts(k))
+		} else {
+			a, ps = BeginSnapshotHardened(fresh, opts(k)), BeginSnapshotHardenedInto(ps, reused, opts(k))
+		}
+		b = ps
+		if owner == nil {
+			owner = ps
+		} else if ps != owner {
+			t.Fatalf("snapshot %d: BeginSnapshot*Into did not reuse the snapshot it was given", k)
+		}
+		fresh.RunFor(1)
+		reused.RunFor(1)
+		switch kind {
+		case "legacy":
+			bwA, statsA, repA := a.Collect()
+			bwB, statsB, repB := b.Collect()
+			if !reflect.DeepEqual(bwA, bwB) || !reflect.DeepEqual(statsA, statsB) || repA != repB {
+				t.Fatalf("snapshot %d (legacy): recycled sample differs from a fresh one", k)
+			}
+		case "abandoned":
+			a.Abandon()
+			b.Abandon()
+		default:
+			pa, pb := a.CollectPartial(), b.CollectPartial()
+			if !reflect.DeepEqual(pa, pb) {
+				t.Fatalf("snapshot %d (hardened): recycled partial sample differs from a fresh one:\n%+v\n%+v", k, pb, pa)
+			}
+			if (k == 0 || k == 2) && pa.Retries() != 1 {
+				t.Fatalf("snapshot %d retried %d probes, want its reset's one", k, pa.Retries())
+			}
+		}
+		fresh.RunFor(2)
+		reused.RunFor(2)
+	}
+}
+
+// heldCluster holds back every After callback instead of scheduling it,
+// and every failure handler registered on a probe, so a test can run
+// either later, when it likes.
+type heldCluster struct {
+	*probeLog
+	timers   []func(now float64)
+	handlers []func()
+}
+
+func (c *heldCluster) After(_ float64, fn func(now float64)) { c.timers = append(c.timers, fn) }
+
+func (c *heldCluster) StartProbe(src, dst substrate.VMID, conns int) substrate.Flow {
+	return &heldFlow{Flow: c.probeLog.StartProbe(src, dst, conns), c: c}
+}
+
+// heldFlow records its failure handler with its cluster before passing
+// it on.
+type heldFlow struct {
+	substrate.Flow
+	c *heldCluster
+}
+
+func (f *heldFlow) OnFail(fn func()) {
+	f.c.handlers = append(f.c.handlers, fn)
+	f.Flow.OnFail(fn)
+}
+
+// TestRecycledSnapshotIgnoresStaleWork: deferred work of snapshot k — a
+// retry timer a failure armed late in its window, and the failure
+// handler of one of its probes — cannot touch snapshot k+1 begun over
+// the same storage, whenever it runs: no probe starts, no segment
+// closes, no retry is scheduled, and k+1 collects exactly what a
+// snapshot with no such leftovers does. The leftovers run by hand
+// inside k+1's window, where only the generation rule stops them.
+func TestRecycledSnapshotIgnoresStaleWork(t *testing.T) {
+	opts := Options{DurationS: 1}
+	run := func(stale bool) *PartialSnapshot {
+		sim := frozenSim(3, 37)
+		sim.RunFor(5)
+		c := &heldCluster{probeLog: &probeLog{Cluster: sim}}
+		ps := BeginSnapshotHardened(c, opts)
+		sim.ResetPair(0, 1, 5.9) // late in the window: the retry is held back
+		sim.RunFor(1)
+		if k := ps.CollectPartial(); k.Retries() != 1 || len(c.timers) != 1 {
+			t.Fatalf("snapshot k: %d retries, %d timers held; want the reset's one", k.Retries(), len(c.timers))
+		}
+		// The failed probe's handler, in the order the probes were armed:
+		// pair 0→1 is the first chain.
+		staleTimer, staleHandler := c.timers[0], c.handlers[0]
+		c.timers, c.handlers = nil, nil
+		sim.RunFor(2)
+
+		probes := len(c.probes)
+		next := BeginSnapshotHardenedInto(ps, c, opts)
+		if next != ps {
+			t.Fatal("BeginSnapshotHardenedInto did not reuse the snapshot")
+		}
+		sim.RunFor(0.5)
+		if stale {
+			staleTimer(sim.Now())
+			staleHandler()
+		}
+		if got := len(c.probes) - probes; got != 3*2 {
+			t.Errorf("snapshot k+1 started %d probes, want its own 6: a leftover of snapshot k started one", got)
+		}
+		if len(c.timers) != 0 {
+			t.Errorf("%d retries scheduled in snapshot k+1 with no failure in it", len(c.timers))
+		}
+		sim.RunFor(0.5)
+		return next.CollectPartial()
+	}
+	clean, leftovers := run(false), run(true)
+	if leftovers.Retries() != 0 || leftovers.Unmeasurable() != 0 || leftovers.Bill.FailedProbes != 0 {
+		t.Errorf("snapshot k+1 after leftovers: %d retries, %d unmeasurable, %d failed probes; want none",
+			leftovers.Retries(), leftovers.Unmeasurable(), leftovers.Bill.FailedProbes)
+	}
+	if !reflect.DeepEqual(clean, leftovers) {
+		t.Errorf("snapshot k+1 reads differently when snapshot k's leftovers run in it:\n%+v\n%+v", leftovers, clean)
 	}
 }
 

@@ -153,15 +153,34 @@ func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []subst
 // (internal/runtime) instead calls BeginSnapshot from its epoch tick,
 // lets the simulation advance on its own for Options.DurationS, and
 // then Collects — same probes, same noise order, no nested clock.
+//
+// A collected or abandoned all-pairs snapshot can be begun again
+// (BeginSnapshotInto, BeginSnapshotHardenedInto): the pair list, the
+// chains with their bound failure handlers, the first-segment slab
+// and the collection scratch are reused, so a recurring re-gauge
+// allocates only its probe flows. Each begin bumps the snapshot's
+// generation; deferred work of an earlier generation (a retry timer, a
+// failure handler of a probe it started) finds the generation moved on
+// and does nothing (probeFailed, armRetry).
 type PendingSnapshot struct {
-	sim      substrate.Cluster
-	opts     Options
-	n        int      // result matrix dimension: DCs, or VMs for SnapshotByVM
-	pairs    [][2]int // the keys chains fold into, in noise-draw order
-	chains   []chain
+	sim    substrate.Cluster
+	opts   Options
+	n      int      // result matrix dimension: DCs, or VMs for SnapshotByVM
+	pairs  [][2]int // the keys chains fold into, in noise-draw order
+	chains []chain
+	first  []probeSeg // every chain's first segment, one slab
+	// failFns[i] is chain i's failure handler, bound by the first
+	// hardened begin and registered on each of its probes in turn.
+	failFns  []func()
 	begun    float64
-	hardened bool // BeginSnapshotHardened: retries armed, CollectPartial only
-	finished bool // Collect, CollectPartial or Abandon already ran
+	gen      uint64 // bumped by every begin
+	hardened bool   // BeginSnapshotHardened: retries armed, CollectPartial only
+	finished bool   // Collect, CollectPartial or Abandon already ran
+
+	// Collection scratch, reused by every collection of the snapshot.
+	sums []float64       // fold: per-key rate sums
+	live []pairLive      // CollectPartial: per-key live seconds and chain count
+	part PartialSnapshot // CollectPartial's result
 }
 
 // chain is one probe's history within a snapshot: the ordinal of the
@@ -189,8 +208,34 @@ type probeSeg struct {
 // match Snapshot exactly: on an otherwise idle cluster,
 // BeginSnapshot + RunFor + Collect is byte-identical to Snapshot.
 func BeginSnapshot(sim substrate.Cluster, opts Options) *PendingSnapshot {
-	pairs := allPairs(sim.NumDCs())
-	return beginProbes(sim, opts, sim.NumDCs(), pairs, dcChains(sim, pairs))
+	return BeginSnapshotInto(nil, sim, opts)
+}
+
+// BeginSnapshotInto is BeginSnapshot over the storage of ps — nil, or
+// a finished snapshot an earlier BeginSnapshot* call on the same
+// cluster returned — and returns ps (a new snapshot when ps is nil or
+// sized for another cluster). It panics when ps is still in flight.
+// The probes, their order and the collected result are BeginSnapshot's.
+func BeginSnapshotInto(ps *PendingSnapshot, sim substrate.Cluster, opts Options) *PendingSnapshot {
+	ps = recycle(ps, sim)
+	ps.hardened = false
+	ps.start(opts)
+	return ps
+}
+
+// recycle returns ps ready for another all-pairs begin on sim, or a
+// new all-pairs snapshot when ps cannot hold one.
+func recycle(ps *PendingSnapshot, sim substrate.Cluster) *PendingSnapshot {
+	n := sim.NumDCs()
+	if ps == nil || ps.n != n || len(ps.pairs) != n*(n-1) {
+		pairs := allPairs(n)
+		return newPending(sim, n, pairs, dcChains(sim, pairs))
+	}
+	if !ps.finished {
+		panic("measure: snapshot begun again while in flight")
+	}
+	ps.sim = sim
+	return ps
 }
 
 // allPairs lists every ordered DC pair in row-major order.
@@ -225,21 +270,38 @@ func dcChains(sim substrate.Cluster, pairs [][2]int) []chain {
 	return chains
 }
 
-// beginProbes starts every chain's first probe, in chain order, and
-// returns the snapshot that owns them. The first segments share one
-// slab; a retry's append moves its chain off it.
+// newPending returns a finished (not yet begun) snapshot that owns the
+// given keys and chains.
+func newPending(sim substrate.Cluster, n int, pairs [][2]int, chains []chain) *PendingSnapshot {
+	return &PendingSnapshot{sim: sim, n: n, pairs: pairs, chains: chains, finished: true}
+}
+
+// beginProbes starts the probes of a one-off snapshot over the given
+// keys and chains.
 func beginProbes(sim substrate.Cluster, opts Options, n int, pairs [][2]int, chains []chain) *PendingSnapshot {
+	ps := newPending(sim, n, pairs, chains)
+	ps.start(opts)
+	return ps
+}
+
+// start opens a new generation: every chain's first probe starts, in
+// chain order, on the shared first-segment slab (a retry's append
+// moves its chain off it), and the retry counts reset.
+func (ps *PendingSnapshot) start(opts Options) {
 	if opts.DurationS <= 0 {
 		panic("measure: non-positive probe duration")
 	}
-	ps := &PendingSnapshot{sim: sim, opts: opts, n: n, pairs: pairs, chains: chains, begun: sim.Now()}
-	first := make([]probeSeg, len(chains))
-	for i := range chains {
-		f := sim.StartProbe(chains[i].src, chains[i].dst, 1)
-		first[i] = probeSeg{flow: f, startBytes: f.TransferredBytes(), startT: ps.begun, endT: -1}
-		chains[i].segs = first[i : i+1 : i+1]
+	ps.opts, ps.begun, ps.finished = opts, ps.sim.Now(), false
+	ps.gen++
+	if len(ps.first) != len(ps.chains) {
+		ps.first = make([]probeSeg, len(ps.chains))
 	}
-	return ps
+	for i := range ps.chains {
+		ch := &ps.chains[i]
+		f := ps.sim.StartProbe(ch.src, ch.dst, 1)
+		ps.first[i] = probeSeg{flow: f, startBytes: f.TransferredBytes(), startT: ps.begun, endT: -1}
+		ch.segs, ch.retries = ps.first[i:i+1:i+1], 0
+	}
 }
 
 // DurationS returns the configured probe duration.
@@ -274,7 +336,6 @@ func (ps *PendingSnapshot) teardown(read func(ch *chain)) {
 			}
 		}
 	}
-	ps.chains = nil
 }
 
 // Collect tears the probes down and returns the sampled bandwidth
@@ -292,7 +353,7 @@ func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Repo
 	for k, p := range ps.pairs {
 		out[p[0]][p[1]] = noisy(sums[k], ps.opts)
 	}
-	return out, vmStats(ps.sim), rep
+	return out, vmStatsInto(nil, ps.sim), rep
 }
 
 // fold is the legacy integration rule: tear the probes down and sum
@@ -308,7 +369,8 @@ func (ps *PendingSnapshot) fold() ([]float64, Report) {
 		panic("measure: hardened snapshot must be collected with CollectPartial")
 	}
 	window := ps.collectWindow()
-	sums := make([]float64, len(ps.pairs))
+	sums := resize(ps.sums, len(ps.pairs))
+	ps.sums = sums
 	rep := Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())}
 	ps.teardown(func(ch *chain) {
 		seg := ch.segs[0]
@@ -342,13 +404,25 @@ func (ps *PendingSnapshot) collectWindow() float64 {
 	return elapsed
 }
 
-// vmStats reads the host metrics of every VM, in VM order.
-func vmStats(sim substrate.Cluster) []substrate.VMStats {
-	stats := make([]substrate.VMStats, sim.NumVMs())
+// vmStatsInto reads the host metrics of every VM, in VM order, into
+// dst's storage when it has room.
+func vmStatsInto(dst []substrate.VMStats, sim substrate.Cluster) []substrate.VMStats {
+	stats := resize(dst, sim.NumVMs())
 	for v := range stats {
 		stats[v] = sim.VMStats(substrate.VMID(v))
 	}
 	return stats
+}
+
+// resize returns s with length n, zeroed, on s's storage when its
+// capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func noisy(v float64, opts Options) float64 {

@@ -133,48 +133,78 @@ func (s *PartialSnapshot) Retries() int {
 // capped exponential backoff on the substrate clock. Collect the
 // result with CollectPartial once the window has elapsed.
 func BeginSnapshotHardened(sim substrate.Cluster, opts Options) *PendingSnapshot {
-	ps := BeginSnapshot(sim, opts)
+	return BeginSnapshotHardenedInto(nil, sim, opts)
+}
+
+// BeginSnapshotHardenedInto is BeginSnapshotHardened over the storage
+// of ps, recycled as in BeginSnapshotInto; a recycled chain keeps the
+// failure handler bound at the snapshot's first hardened begin.
+func BeginSnapshotHardenedInto(ps *PendingSnapshot, sim substrate.Cluster, opts Options) *PendingSnapshot {
+	ps = recycle(ps, sim)
 	ps.hardened = true
+	ps.start(opts)
+	ps.bindFailFns()
 	for i := range ps.chains {
-		ps.armRetry(&ps.chains[i])
+		ps.chains[i].segs[0].flow.OnFail(ps.failFns[i])
 	}
 	return ps
 }
 
-// armRetry registers the failure handler on the chain's live probe:
-// close the segment at the failure instant and schedule a replacement
-// probe after the chain's current backoff, unless the budget is spent.
-// The replacement starts only while the window is open and both
-// endpoints live. A probe born failed (dead endpoint) fires the
-// handler immediately, so the first retry is scheduled from within
-// BeginSnapshotHardened itself.
-func (ps *PendingSnapshot) armRetry(ch *chain) {
-	idx := len(ch.segs) - 1
-	ch.segs[idx].flow.OnFail(func() {
-		if ps.finished || ch.segs[idx].endT >= 0 {
-			return
-		}
-		ch.segs[idx].endT = ps.sim.Now()
-		if ch.retries >= maxRetries {
-			return
-		}
-		backoff := retryBackoffS * math.Pow(retryBackoffMult, float64(ch.retries))
-		if backoff > maxRetryBackoffS {
-			backoff = maxRetryBackoffS
-		}
-		ch.retries++
-		ps.sim.After(backoff, func(now float64) {
-			if ps.finished || now >= ps.begun+ps.opts.DurationS ||
-				!ps.sim.VMAlive(ch.src) || !ps.sim.VMAlive(ch.dst) {
-				return
-			}
-			f := ps.sim.StartProbe(ch.src, ch.dst, 1)
-			ch.segs = append(ch.segs, probeSeg{
-				flow: f, startBytes: f.TransferredBytes(), startT: now, endT: -1,
-			})
-			ps.armRetry(ch)
-		})
+// bindFailFns binds every chain's failure handler, once per snapshot.
+func (ps *PendingSnapshot) bindFailFns() {
+	if ps.failFns != nil {
+		return
+	}
+	ps.failFns = make([]func(), len(ps.chains))
+	for i := range ps.chains {
+		ps.failFns[i] = func() { ps.probeFailed(i) }
+	}
+}
+
+// probeFailed is chain i's failure handler, registered on each of its
+// probes in turn: close the live segment at the failure instant and
+// schedule a replacement probe (armRetry) after the chain's current
+// backoff, unless the budget is spent. It acts only on the failure of
+// the chain's live probe in the current generation — a handler of a
+// probe an earlier generation started finds a live segment whose flow
+// has not failed, or is already closed, and does nothing. A probe born
+// failed (dead endpoint) fires the handler as it is registered, so the
+// first retry is scheduled from within BeginSnapshotHardened itself.
+func (ps *PendingSnapshot) probeFailed(i int) {
+	ch := &ps.chains[i]
+	seg := &ch.segs[len(ch.segs)-1]
+	if ps.finished || seg.endT >= 0 || !seg.flow.Failed() {
+		return
+	}
+	seg.endT = ps.sim.Now()
+	if ch.retries >= maxRetries {
+		return
+	}
+	backoff := retryBackoffS * math.Pow(retryBackoffMult, float64(ch.retries))
+	if backoff > maxRetryBackoffS {
+		backoff = maxRetryBackoffS
+	}
+	ch.retries++
+	gen := ps.gen
+	ps.sim.After(backoff, func(now float64) { ps.armRetry(i, gen, now) })
+}
+
+// armRetry starts the replacement probe a failure of chain i in
+// generation gen scheduled, as the chain's next segment, and arms the
+// chain's failure handler on it. The replacement starts only while
+// that generation is open — not collected, not begun again — its
+// window has not closed, and both endpoints live.
+func (ps *PendingSnapshot) armRetry(i int, gen uint64, now float64) {
+	ch := &ps.chains[i]
+	if ps.gen != gen || ps.finished || now >= ps.begun+ps.opts.DurationS ||
+		!ps.sim.VMAlive(ch.src) || !ps.sim.VMAlive(ch.dst) {
+		return
+	}
+	f := ps.sim.StartProbe(ch.src, ch.dst, 1)
+	ch.segs = append(ch.segs, probeSeg{
+		flow: f, startBytes: f.TransferredBytes(), startT: now, endT: -1,
 	})
+	f.OnFail(ps.failFns[i])
 }
 
 // CollectPartial tears the hardened snapshot down and returns the
@@ -184,6 +214,9 @@ func (ps *PendingSnapshot) armRetry(ch *chain) {
 // alive instead of a diluted average; pairs with no live time — or
 // whose flows stalled below stallMbps, the partition signature — are
 // tagged Unmeasurable and left at zero for the caller's belief fusion.
+//
+// The result lives in the snapshot's storage: it stays valid until a
+// snapshot recycled from this one is collected.
 func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	if !ps.hardened {
 		panic("measure: CollectPartial on a legacy snapshot; use Collect")
@@ -193,18 +226,19 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	}
 	window := ps.collectWindow()
 	now := ps.sim.Now()
-	out := &PartialSnapshot{
-		BW:      bwmatrix.New(ps.n),
-		Samples: make([]PairSample, len(ps.pairs)),
-		Pairs:   ps.pairs,
-		Bill:    Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())},
+	out := &ps.part
+	if out.BW.N() != ps.n {
+		out.BW = bwmatrix.New(ps.n)
+	} else {
+		for _, row := range out.BW {
+			clear(row)
+		}
 	}
-	// Per pair, beside its sample: summed live seconds and chain count.
-	type pairLive struct {
-		sum    float64
-		chains int
-	}
-	live := make([]pairLive, len(ps.pairs))
+	out.Samples = resize(out.Samples, len(ps.pairs))
+	out.Pairs = ps.pairs
+	out.Bill = Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())}
+	live := resize(ps.live, len(ps.pairs))
+	ps.live = live
 	ps.teardown(func(ch *chain) {
 		s, pl := &out.Samples[ch.pair], &live[ch.pair]
 		pl.chains++
@@ -260,6 +294,13 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 			out.BW[p[0]][p[1]] = v
 		}
 	}
-	out.Stats = vmStats(ps.sim)
+	out.Stats = vmStatsInto(out.Stats, ps.sim)
 	return out
+}
+
+// pairLive is one key's summed live seconds and chain count, beside
+// its sample.
+type pairLive struct {
+	sum    float64
+	chains int
 }

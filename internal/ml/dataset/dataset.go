@@ -82,28 +82,42 @@ func SnapshotFeatures(sim substrate.Cluster, rng *simrand.Source) ([][]PairFeatu
 // asynchronously (measure.BeginSnapshot) and feeds the parts in
 // directly.
 func FeaturesFromSnapshot(sim substrate.Cluster, snap bwmatrix.Matrix, stats []substrate.VMStats) [][]PairFeatures {
+	return FeaturesFromSnapshotInto(nil, sim, snap, stats)
+}
+
+// FeaturesFromSnapshotInto is FeaturesFromSnapshot into dst — nil, or
+// an earlier result of this function — whose rows are reused where
+// they hold the cluster's n DCs. Every entry is rewritten, the
+// diagonal's zero value included, so the result equals
+// FeaturesFromSnapshot's whatever dst held, and is valid until the next
+// call with the same dst.
+func FeaturesFromSnapshotInto(dst [][]PairFeatures, sim substrate.Cluster, snap bwmatrix.Matrix, stats []substrate.VMStats) [][]PairFeatures {
 	n := sim.NumDCs()
+	if len(dst) != n {
+		dst = make([][]PairFeatures, n)
+	}
 	regions := sim.Regions()
-	out := make([][]PairFeatures, n)
 	for i := 0; i < n; i++ {
-		out[i] = make([]PairFeatures, n)
+		if len(dst[i]) != n {
+			dst[i] = make([]PairFeatures, n)
+		}
 		for j := 0; j < n; j++ {
 			if i == j {
+				dst[i][j] = PairFeatures{}
 				continue
 			}
-			src := sim.FirstVMOfDC(i)
-			dst := sim.FirstVMOfDC(j)
-			out[i][j] = PairFeatures{
+			src, to := sim.FirstVMOfDC(i), sim.FirstVMOfDC(j)
+			dst[i][j] = PairFeatures{
 				N:             n,
 				SnapshotMbps:  snap[i][j],
-				MemUtilDst:    stats[dst].MemUtil,
+				MemUtilDst:    stats[to].MemUtil,
 				CPULoadSrc:    stats[src].CPULoad,
 				RetransSrc:    stats[src].RetransPerSec,
 				DistanceMiles: geo.DistanceMiles(regions[i], regions[j]),
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // SnapshotFeaturesByVM builds per-VM-pair features for multi-VM

@@ -174,11 +174,36 @@ func (f *Forest) Predict(x []float64) float64 {
 
 // PredictBatch predicts every row of X.
 func (f *Forest) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = f.Predict(x)
+	return f.PredictBatchInto(nil, X)
+}
+
+// PredictBatchInto is PredictBatch into dst's storage when its
+// capacity holds len(X) predictions (a fresh slice otherwise). It walks
+// the forest tree-major — every tree over every row before the next
+// tree, so one tree's nodes stay in cache across the batch — and each
+// row still sums its trees in index order from zero and divides once,
+// so every prediction is bit-identical to Predict's. It panics, as
+// Predict does, when a row's width is not the model's.
+func (f *Forest) PredictBatchInto(dst []float64, X [][]float64) []float64 {
+	if cap(dst) < len(X) {
+		dst = make([]float64, len(X))
 	}
-	return out
+	dst = dst[:len(X)]
+	for k, x := range X {
+		if len(x) != f.nFeatures {
+			panic(fmt.Sprintf("rf: predict width %d != model width %d", len(x), f.nFeatures))
+		}
+		dst[k] = 0
+	}
+	for _, t := range f.trees {
+		for k, x := range X {
+			dst[k] += t.predict(x)
+		}
+	}
+	for k := range dst {
+		dst[k] /= float64(len(f.trees))
+	}
+	return dst
 }
 
 // OOBRMSE returns the out-of-bag root-mean-square error over the

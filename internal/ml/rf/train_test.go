@@ -184,3 +184,42 @@ func BenchmarkRFPredictBatch(b *testing.B) {
 		f.PredictBatch(batch)
 	}
 }
+
+// TestPredictBatchMatchesPredict locks the tree-major batch against the
+// row-at-a-time Predict bit for bit on random forests of several
+// widths and sizes, into a fresh, a reused (dirty) and a too-short dst;
+// a batch holding one row of the wrong width panics like Predict.
+func TestPredictBatchMatchesPredict(t *testing.T) {
+	for _, c := range []struct{ rows, width, trees int }{{60, 3, 1}, {200, 6, 25}, {150, 9, 60}} {
+		ds := randomDataset(c.rows, c.width, uint64(c.trees))
+		f, err := Train(ds, Config{NumTrees: c.trees, Seed: uint64(c.width)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := randomDataset(97, c.width, uint64(c.rows)).X
+		dirty := make([]float64, 200)
+		for i := range dirty {
+			dirty[i] = math.NaN()
+		}
+		for _, dst := range [][]float64{nil, dirty, make([]float64, 3)} {
+			got := f.PredictBatchInto(dst, batch)
+			if len(got) != len(batch) {
+				t.Fatalf("%d trees: %d predictions for %d rows", c.trees, len(got), len(batch))
+			}
+			for k, x := range batch {
+				if want := f.Predict(x); math.Float64bits(got[k]) != math.Float64bits(want) {
+					t.Fatalf("%d trees, width %d, row %d: batch %v, Predict %v", c.trees, c.width, k, got[k], want)
+				}
+			}
+		}
+		bad := append([][]float64{batch[0]}, batch[1][:c.width-1])
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("width %d: no panic on a batch row of width %d", c.width, c.width-1)
+				}
+			}()
+			f.PredictBatchInto(nil, bad)
+		}()
+	}
+}

@@ -60,63 +60,106 @@ func (m *Model) PredictMatrix(features [][]dataset.PairFeatures) bwmatrix.Matrix
 
 // PredictMatrixInto is PredictMatrix with a caller-owned result matrix,
 // reused when already n×n (nil allocates): the re-gauging controller
-// predicts a fresh matrix every replan, and the per-pair feature
-// vectors share one stack buffer instead of allocating n(n-1) slices.
-// Entries are bit-identical to PredictMatrix's. The returned matrix is
-// safe for concurrent readers only after this call returns; concurrent
-// PredictMatrixInto calls on one Model need distinct dst matrices.
+// predicts a fresh matrix every replan. The pairs go through the forest
+// tree-major in row-major blocks of up to blockPairs (pairBlock, on the
+// stack), so a steady-state call allocates nothing; entries are
+// bit-identical to a per-pair Forest.Predict clamped at 0. The returned
+// matrix is safe for concurrent readers only after this call returns;
+// concurrent PredictMatrixInto calls on one Model need distinct dst
+// matrices.
 func (m *Model) PredictMatrixInto(dst bwmatrix.Matrix, features [][]dataset.PairFeatures) bwmatrix.Matrix {
 	n := len(features)
 	if dst.N() != n {
 		dst = bwmatrix.New(n)
 	}
-	var vecArr [dataset.NumFeatures]float64
-	vec := vecArr[:0]
+	var b pairBlock
 	for i := 0; i < n; i++ {
+		dst[i][i] = 0
 		for j := 0; j < n; j++ {
-			if i != j {
-				vec = features[i][j].VectorInto(vec)
-				dst[i][j] = m.predictVec(vec)
-			} else {
-				dst[i][j] = 0
+			if i != j && b.add(features[i][j], i, j) {
+				b.set(m, dst)
 			}
 		}
 	}
+	b.set(m, dst)
 	return dst
-}
-
-// predictVec predicts the stable runtime bandwidth for one DC pair from
-// its flattened feature vector, clamped at 0.
-func (m *Model) predictVec(vec []float64) float64 {
-	v := m.forest.Predict(vec)
-	if v < 0 {
-		v = 0
-	}
-	return v
 }
 
 // PredictDCMatrixByVM predicts per VM pair and sums into a DC-level
 // matrix — the association path of §3.3.3 ("BWs are summed to reflect
 // the combined BW of a DC"). features is indexed by VM; dcOfVM maps
-// each VM to its DC.
+// each VM to its DC. VM pairs go through the forest tree-major in
+// blocks, as in PredictMatrixInto, and add into their DC pair in VM
+// pair order, so the sums are bit-identical to a per-pair loop's.
 func (m *Model) PredictDCMatrixByVM(features [][]dataset.PairFeatures, dcOfVM []int, numDCs int) bwmatrix.Matrix {
 	dst := bwmatrix.New(numDCs)
-	var vecArr [dataset.NumFeatures]float64
-	vec := vecArr[:0]
+	var b pairBlock
 	for s := range features {
 		for d := range features[s] {
-			if s == d {
-				continue
+			if ds, dd := dcOfVM[s], dcOfVM[d]; s != d && ds != dd && b.add(features[s][d], ds, dd) {
+				b.sum(m, dst)
 			}
-			ds, dd := dcOfVM[s], dcOfVM[d]
-			if ds == dd {
-				continue
-			}
-			vec = features[s][d].VectorInto(vec)
-			dst[ds][dd] += m.predictVec(vec)
 		}
 	}
+	b.sum(m, dst)
 	return dst
+}
+
+// blockPairs is how many pairs one tree-major pass of the forest
+// predicts: the 8-DC testbed's 56 pairs take one pass, and a block's
+// feature rows stay a few kilobytes of stack at any cluster size.
+const blockPairs = 64
+
+// pairBlock is a batch of pair feature vectors waiting for one
+// tree-major pass of the forest, with the matrix cell each one lands
+// in. It lives on its caller's stack.
+type pairBlock struct {
+	vecs [blockPairs][dataset.NumFeatures]float64
+	at   [blockPairs][2]int
+	out  [blockPairs]float64
+	n    int
+}
+
+// add queues one pair's features for cell (i, j) and reports whether
+// the block is full.
+func (b *pairBlock) add(p dataset.PairFeatures, i, j int) bool {
+	p.VectorInto(b.vecs[b.n][:0])
+	b.at[b.n] = [2]int{i, j}
+	b.n++
+	return b.n == blockPairs
+}
+
+// predict empties the block through the forest: one prediction per
+// queued pair, clamped at 0, in queue order.
+func (b *pairBlock) predict(m *Model) []float64 {
+	var rows [blockPairs][]float64
+	for k := range b.n {
+		rows[k] = b.vecs[k][:]
+	}
+	out := m.forest.PredictBatchInto(b.out[:b.n], rows[:b.n])
+	for k, v := range out {
+		if v < 0 {
+			out[k] = 0
+		}
+	}
+	b.n = 0
+	return out
+}
+
+// set writes the block's predictions into their cells.
+func (b *pairBlock) set(m *Model, dst bwmatrix.Matrix) {
+	at := &b.at
+	for k, v := range b.predict(m) {
+		dst[at[k][0]][at[k][1]] = v
+	}
+}
+
+// sum adds the block's predictions into their cells, in queue order.
+func (b *pairBlock) sum(m *Model, dst bwmatrix.Matrix) {
+	at := &b.at
+	for k, v := range b.predict(m) {
+		dst[at[k][0]][at[k][1]] += v
+	}
 }
 
 // Accuracy returns the fraction of rows whose prediction falls within

@@ -151,7 +151,12 @@ type Deps struct {
 	// included) for one re-gauge snapshot. Called once per replan.
 	SnapshotOpts func() measure.Options
 	// Predict maps collected snapshot parts to a runtime-BW matrix —
-	// the Runtime Bandwidth Determination sub-module.
+	// the Runtime Bandwidth Determination sub-module. Both directions
+	// are borrowed: snap and stats are the controller's storage, valid
+	// for the call and rewritten by the next re-gauge, and the returned
+	// matrix may be storage the hook reuses — the controller copies it
+	// before the hook can run again (that copy becomes CurrentPred and
+	// Belief) and never writes it.
 	Predict func(snap bwmatrix.Matrix, stats []substrate.VMStats) bwmatrix.Matrix
 	// Optimize recomputes the global plan from a predicted matrix
 	// (Algorithm 1 + Eq. 2–3, with the deployment's skew/rvec options).
@@ -177,7 +182,9 @@ type Deps struct {
 	// OnPlanSwap, when non-nil, runs after a replan's windows have
 	// been swapped in (same substrate event) — the multi-job
 	// deployment refreshes its cluster-level throttles here, since
-	// per-job agents no longer own the tc limits.
+	// per-job agents no longer own the tc limits. Its arguments are the
+	// controller's new prediction and plan, Belief's pair: read-only,
+	// and never written later.
 	OnPlanSwap func(pred bwmatrix.Matrix, plan optimize.Plan)
 }
 
@@ -267,9 +274,21 @@ type Controller struct {
 	// and replans: agents copy their row, nobody keeps it.
 	rows []agent.PlanRow
 
-	live        bwmatrix.Matrix // latest aggregated monitored rates
-	streak      int             // consecutive drifted epochs
-	pending     *measure.PendingSnapshot
+	// live, expected and demand are the epoch's aggregates, rewritten
+	// in place every epoch from the first on (live is nil before it).
+	live     bwmatrix.Matrix     // monitored rates, summed per DC pair
+	expected bwmatrix.Matrix     // agents' achievable-BW targets, summed
+	demand   bwmatrix.ConnMatrix // transfers in flight per DC pair
+
+	streak  int // consecutive drifted epochs
+	pending *measure.PendingSnapshot
+	// snap is the re-gauge snapshot every trigger begins again: one
+	// pair list, chain list and collection scratch for the controller's
+	// life (measure.BeginSnapshotInto).
+	snap *measure.PendingSnapshot
+	// fused is the hardened path's belief-fused snapshot, handed to
+	// Predict; rewritten by every hardened replan.
+	fused       bwmatrix.Matrix
 	deadHandled []bool // per-DC: evacuation replan already fired for it
 
 	events      []Event
@@ -414,15 +433,16 @@ func (c *Controller) CurrentPred() bwmatrix.Matrix { return c.pred.Clone() }
 
 // Belief returns the active prediction and plan without CurrentPred's
 // copy. The caller must not write the matrix: the controller replaces
-// its prediction at a plan swap and never writes one in place, so the
-// returned matrix stays as it is, if stale, after a later swap.
+// its prediction at a plan swap (with the one copy of Predict's result
+// a replan makes) and never writes one in place, so the returned
+// matrix stays as it is, if stale, after a later swap.
 func (c *Controller) Belief() (bwmatrix.Matrix, optimize.Plan) { return c.pred, c.plan }
 
 // CurrentPlan returns the active global plan.
 func (c *Controller) CurrentPlan() optimize.Plan { return c.plan }
 
-// Live returns the latest aggregated live bandwidth matrix (nil before
-// the first epoch).
+// Live returns a copy of the latest aggregated live bandwidth matrix
+// (nil before the first epoch).
 func (c *Controller) Live() bwmatrix.Matrix {
 	if c.live == nil {
 		return nil
@@ -435,9 +455,8 @@ func (c *Controller) epoch(now float64) {
 	if c.stopped || c.pending != nil {
 		return
 	}
-	live, expected, demand := c.aggregate()
-	c.live = live
-	drifted, maxFrac := c.drift(live, expected, demand)
+	c.aggregate()
+	drifted, maxFrac := c.drift()
 	if drifted >= minDriftPairs {
 		c.streak++
 		c.driftEpochs++
@@ -502,39 +521,28 @@ func (c *Controller) dcAlive(dc int) bool {
 }
 
 // aggregate sums the agents' last-epoch WAN-monitor rates, current
-// achievable-BW targets and in-flight transfer counts into DC-level
-// matrices.
-func (c *Controller) aggregate() (live, expected bwmatrix.Matrix, demand [][]int) {
-	n := c.deps.Cluster.NumDCs()
-	live = bwmatrix.New(n)
-	expected = bwmatrix.New(n)
-	demand = make([][]int, n)
-	for i := range demand {
-		demand[i] = make([]int, n)
+// achievable-BW targets and in-flight transfer counts into the
+// controller's DC-level matrices (agent.AddTo), cleared first.
+func (c *Controller) aggregate() {
+	if c.live == nil {
+		n := c.deps.Cluster.NumDCs()
+		c.live, c.expected, c.demand = bwmatrix.New(n), bwmatrix.New(n), bwmatrix.NewConn(n)
+	} else {
+		for i := range c.live {
+			clear(c.live[i])
+			clear(c.expected[i])
+			clear(c.demand[i])
+		}
 	}
 	for _, group := range c.deps.Groups {
 		for _, a := range group {
 			if !c.deps.Cluster.VMAlive(a.VM()) {
 				continue // a dead VM's agent reports nothing but stale state
 			}
-			mon := a.MonitoredMbps()
-			if mon == nil {
-				continue // no AIMD epoch yet
-			}
-			tgt := a.TargetBW()
-			pool := a.ActivePool()
 			i := a.DC()
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				live[i][j] += mon[j]
-				expected[i][j] += tgt[j]
-				demand[i][j] += pool[j]
-			}
+			a.AddTo(c.live[i], c.expected[i], c.demand[i])
 		}
 	}
-	return live, expected, demand
 }
 
 // drift counts the active pairs whose live rate departs from the
@@ -543,7 +551,8 @@ func (c *Controller) aggregate() (live, expected bwmatrix.Matrix, demand [][]int
 // A pair is active when its live rate clears the floor or transfers
 // are still in flight on it — a dead-but-demanded link is the
 // strongest drift signal there is, not an idle one.
-func (c *Controller) drift(live, expected bwmatrix.Matrix, demand [][]int) (pairs int, maxFrac float64) {
+func (c *Controller) drift() (pairs int, maxFrac float64) {
+	live, expected, demand := c.live, c.expected, c.demand
 	n := live.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -577,11 +586,11 @@ func (c *Controller) beginRegauge(now float64, reason Reason, drifted int, maxFr
 	opts := c.deps.SnapshotOpts()
 	var ps *measure.PendingSnapshot
 	if c.cfg.Hardened {
-		ps = measure.BeginSnapshotHardened(c.deps.Cluster, opts)
+		ps = measure.BeginSnapshotHardenedInto(c.snap, c.deps.Cluster, opts)
 	} else {
-		ps = measure.BeginSnapshot(c.deps.Cluster, opts)
+		ps = measure.BeginSnapshotInto(c.snap, c.deps.Cluster, opts)
 	}
-	c.pending = ps
+	c.snap, c.pending = ps, ps
 	c.deps.Cluster.After(ps.DurationS(), func(applied float64) {
 		if c.stopped || c.pending != ps {
 			return // Stop drained the snapshot already
@@ -656,7 +665,13 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 	// Fusion: measured pairs blend with the staleness-decayed belief;
 	// unmeasurable pairs fall back to the believed value, floored at
 	// the 1 Mbps blackout belief — never a fabricated zero.
-	fused := part.BW.Clone()
+	if c.fused.N() != part.BW.N() {
+		c.fused = bwmatrix.New(part.BW.N())
+	}
+	fused := c.fused
+	for i := range fused {
+		copy(fused[i], part.BW[i])
+	}
 	for k, p := range part.Pairs {
 		s := part.Samples[k]
 		if s.Outcome == measure.PairUnmeasurable {
@@ -672,7 +687,9 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 // applyRegauge turns a collected (and, when hardened, fused) snapshot
 // into the next plan and swaps it into the agents.
 func (c *Controller) applyRegauge(snap bwmatrix.Matrix, stats []substrate.VMStats, rep measure.Report, now, applied float64, reason Reason, drifted int, maxFrac float64, evac []int, coverage float64) {
-	pred := c.deps.Predict(snap, stats)
+	// The one copy of the prediction a replan makes: Predict's result
+	// is borrowed, and this matrix becomes the controller's belief.
+	pred := c.deps.Predict(snap, stats).Clone()
 	// A dead DC carries no traffic whatever the model extrapolates:
 	// zero its rows and columns so optimization runs over the
 	// surviving topology only (the optimizer's bandwidth floor keeps
@@ -705,7 +722,7 @@ func (c *Controller) applyRegauge(snap bwmatrix.Matrix, stats []substrate.VMStat
 	if c.deps.OnPlanSwap != nil {
 		c.deps.OnPlanSwap(pred, plan)
 	}
-	c.pred = pred.Clone()
+	c.pred = pred
 	c.plan = plan
 	c.planAt = applied
 	c.streak = 0

@@ -65,7 +65,11 @@ type Framework struct {
 	model *predict.Model
 	rng   *simrand.Source
 
+	// predicted is the latest prediction (DetermineRuntimeBW or a
+	// re-gauge), features the re-gauge's feature buffer; both are
+	// rewritten in place, and what escapes is a copy.
 	predicted  bwmatrix.Matrix
+	features   [][]dataset.PairFeatures
 	plan       optimize.Plan
 	deployed   bwmatrix.Matrix // the matrix the deployed agents' plan was built from
 	controller *rgauge.Controller
