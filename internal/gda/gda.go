@@ -217,16 +217,22 @@ func (k Kimchi) Name() string {
 // ran the full three-start descent and then estimated the same
 // placement again (see placeKimchiReference).
 func (k Kimchi) Place(_ int, stage spark.Stage, layout []float64) spark.Placement {
+	s := getSearch(estimator{believed: k.Believed, info: k.Info}, stage, layout)
+	out := append(spark.Placement(nil), k.descend(s)...)
+	putSearch(s)
+	return out
+}
+
+// descend runs both phases on a leased context and returns its final
+// placement, s.p.
+func (k Kimchi) descend(s *search) spark.Placement {
 	slack := k.Slack
 	if slack == 0 {
 		slack = 0.10
 	}
-	s := getSearch(estimator{believed: k.Believed, info: k.Info}, stage, layout)
 	fast, agg := s.placeMultiStart(JCT{})
 	s.descend(fast, Cost{BudgetS: agg.Secs * (1 + slack)})
-	out := append(spark.Placement(nil), s.p...)
-	putSearch(s)
-	return out
+	return s.p
 }
 
 // Iridium is the classic WAN-aware placement of Pu et al. [33], the

@@ -78,8 +78,9 @@ type search struct {
 	nzRows []int   // source DCs with layout[i] > 0, ascending
 	all    []int   // every DC, ascending: a shuffle's columns
 
-	bwDen []float64 // n×n flattened: floored believed BW × 1e6 (denominators)
-	rate  []float64 // per-DC compute rate with estimateDetail's 1e-6 floor
+	bwDen  []float64 // n×n flattened: floored believed BW × 1e6 (denominators)
+	secMin []float64 // per nzRow i: min_{j≠i} 8/den[i][j], a byte's fastest way out
+	rate   []float64 // per-DC compute rate with estimateDetail's 1e-6 floor
 
 	p spark.Placement // current placement (owned buffer)
 
@@ -100,6 +101,7 @@ type search struct {
 	mapTotalDef              float64
 	mapTop                   [6]mapEntry   // largest base second entries
 	mapRow2, mapCol2         [][2]mapEntry // per-row / per-column two largest
+	mapRow, mapCol           []float64     // per-row / per-column Σ of the base's seconds
 	// The support: the DCs with mapSur > 0 and with mapDef > 0,
 	// ascending — the base's (fillBase) and a candidate's (evalMapCand).
 	surIdx, defIdx, surC, defC []int
@@ -120,6 +122,8 @@ type search struct {
 	colMaxT    []float64 // max_i of column j's network seconds
 	compSum    float64   // Σ comp
 	loadInc    low2      // over colRateSum[j] + compRate[j]: LoadSum's growth per share moved to j
+	rateLow    low2      // over compRate: a compute term's growth per share moved to j
+	compLow    low2      // over comp: the least compute term a move's destination starts from
 	// A candidate leaves every column and compute term but from's and
 	// to's alone, so the max over the untouched ones is the first of the
 	// three largest that is neither — refreshed once per accepted move.
@@ -128,20 +132,16 @@ type search struct {
 
 	starts  [3]spark.Placement // descent start buffers
 	bestBuf spark.Placement    // winning placement across starts
+
+	exact int // candidates the lease evaluated exactly (read by tests)
 }
 
 // slab holds one objective's (the seconds' or a linear slot's) sums
 // over the base placement's transfer entries, for the screens.
 type slab struct {
-	colSum         []float64 // per-column Σ (shuffle stages)
-	total          float64   // Σ colSum
-	mapRow, mapCol []float64 // per-row / per-column Σ (map stages)
-	mapTot         float64   // Σ mapRow
-}
-
-func (sl *slab) size(n int) {
-	sl.colSum = make([]float64, n)
-	sl.mapRow, sl.mapCol = make([]float64, n), make([]float64, n)
+	colSum []float64 // per-column Σ (shuffle stages)
+	total  float64   // Σ colSum
+	mapTot float64   // Σ over the migration entries (map stages)
 }
 
 // sumCols re-derives total from the column sums (O(n) per accepted
@@ -262,11 +262,12 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 	if s.n != n {
 		s.n = n
 		s.bwDen = make([]float64, n*n)
-		s.sec.size(n)
+		s.sec.colSum = make([]float64, n)
 		vec := func() []float64 { return make([]float64, n) }
-		s.rate, s.comp, s.compRate, s.colMaxT = vec(), vec(), vec(), vec()
+		s.rate, s.comp, s.compRate, s.colMaxT, s.secMin = vec(), vec(), vec(), vec(), vec()
 		s.colRateSum, s.colRateMax = vec(), vec()
 		s.mapSur, s.mapDef, s.drB, s.drC = vec(), vec(), vec(), vec()
+		s.mapRow, s.mapCol = vec(), vec()
 		s.all = make([]int, n)
 		for j := range s.all {
 			s.all[j] = j
@@ -280,6 +281,7 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 	}
 	s.est, s.stage, s.layout = est, stage, layout
 	s.isMap = stage.Kind == spark.MapKind
+	s.exact = 0
 	s.total = 0
 	s.nzRows = s.nzRows[:0]
 	for i, b := range layout {
@@ -293,11 +295,17 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 	// migration entries need surplus, surplus needs layout); zero rows
 	// are left stale and unread.
 	for _, i := range s.nzRows {
+		top := 1e6 // the 1 Mbps floor: every denominator's least value
 		for j, bw := range est.believed[i][:n] {
 			s.bwDen[i*n+j] = max(bw, 1) * 1e6
+			if j != i {
+				top = max(top, s.bwDen[i*n+j])
+			}
 		}
+		s.secMin[i] = 8 / top
 	}
 	s.loadInc.reset()
+	s.rateLow.reset()
 	for j := 0; j < n; j++ {
 		s.rate[j] = est.info.ComputeRates[j]
 		if s.rate[j] <= 0 {
@@ -314,6 +322,7 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 		s.colRateSum[j], s.colRateMax[j] = sum, mx
 		s.compRate[j] = s.total / 1e9 / s.rate[j] * stage.SecPerGB
 		s.loadInc.push(j, sum+s.compRate[j])
+		s.rateLow.push(j, s.compRate[j])
 	}
 	s.lin[0].prep(s, est.info.EgressPerGB, nil)
 	s.prepped = 1
@@ -339,7 +348,7 @@ func (s *search) activate(sc Scorer) {
 func (l *linear) prep(s *search, net, cpu []float64) {
 	n := s.n
 	if len(l.colSum) != n {
-		l.size(n)
+		l.colSum = make([]float64, n)
 		l.net = make([]float64, n)
 		l.colRate = make([]float64, n)
 	}
@@ -373,6 +382,12 @@ func (l *linear) entry(i, j int, b float64) float64 {
 	}
 	return b / 1e9 * l.net[i]
 }
+
+// mig is the slot's value of b bytes migrating out of DC i, wherever
+// they go: a migration entry is priced by its source alone, so a
+// surplus row's entries sum to its surplus's value (the map screens'
+// approximation of entry's fold).
+func (l *linear) mig(i int, b float64) float64 { return b / 1e9 * l.net[i] }
 
 // netSecs is estimateDetail's exact per-entry network time.
 func (s *search) netSecs(i, j int, b float64) float64 {
@@ -444,13 +459,13 @@ func (s *search) fillBase() (rows, cols []int, rowF, colF []float64) {
 
 // fillMap writes the base's deficit ratios to drB and the map screen's
 // aggregates over its migration entries — MigrationMatrix's, from the
-// split in mapSur/mapDef: each slab's row and column sums, in index
-// order, and the ranked second entries. Only surplus rows × deficit
-// columns hold migration; every other entry is zero, adds exact zeros
-// to the sums and ranks nowhere, so one pass over the support gives the
-// bits of a full n² sweep. It returns the rows that migrate (ratios).
+// split in mapSur/mapDef: the seconds' row and column sums, in index
+// order, the ranked second entries, and each active slot's value of the
+// surpluses. Only surplus rows × deficit columns hold migration; every
+// other entry is zero, adds exact zeros to the sums and ranks nowhere,
+// so one pass over the support gives the bits of a full n² sweep. It
+// returns the rows that migrate (ratios).
 func (s *search) fillMap() []int {
-	lin := s.active()
 	rows := s.ratios(s.drB, s.surIdx, s.defIdx)
 	none := mapEntry{i: -1, j: -1}
 	for k := range s.mapTop {
@@ -459,23 +474,15 @@ func (s *search) fillMap() []int {
 	for i := range s.mapRow2 {
 		s.mapRow2[i], s.mapCol2[i] = [2]mapEntry{none, none}, [2]mapEntry{none, none}
 	}
-	for _, sl := range []*slab{&s.sec, &s.lin[0].slab, &s.lin[1].slab}[:1+len(lin)] {
-		clear(sl.mapRow)
-		clear(sl.mapCol)
-		sl.mapTot = 0
-	}
+	clear(s.mapRow)
+	clear(s.mapCol)
+	s.sec.mapTot = 0
 	for _, i := range rows {
-		sur, row := s.mapSur[i], [3]float64{}
+		sum := 0.0
 		for _, j := range s.defIdx {
-			b := sur * s.drB[j]
-			e := mapEntry{v: s.netSecs(i, j, b), i: i, j: j}
-			row[0] += e.v
-			s.sec.mapCol[j] += e.v
-			for k := range lin {
-				v := lin[k].entry(i, j, b)
-				row[k+1] += v
-				lin[k].mapCol[j] += v
-			}
+			e := mapEntry{v: s.netSecs(i, j, s.mapSur[i]*s.drB[j]), i: i, j: j}
+			sum += e.v
+			s.mapCol[j] += e.v
 			// Insertion into the small descending top list.
 			for k := len(s.mapTop) - 1; k >= 0 && e.v > s.mapTop[k].v; k-- {
 				if k+1 < len(s.mapTop) {
@@ -486,11 +493,14 @@ func (s *search) fillMap() []int {
 			push2(&s.mapRow2[i], e)
 			push2(&s.mapCol2[j], e)
 		}
-		s.sec.mapRow[i] = row[0]
-		s.sec.mapTot += row[0]
-		for k := range lin {
-			lin[k].mapRow[i] = row[k+1]
-			lin[k].mapTot += row[k+1]
+		s.mapRow[i] = sum
+		s.sec.mapTot += sum
+	}
+	for k := range s.active() {
+		l := &s.lin[k]
+		l.mapTot = 0
+		for _, i := range s.surIdx {
+			l.mapTot += l.mig(i, s.mapSur[i])
 		}
 	}
 	return rows
@@ -533,8 +543,10 @@ func (s *search) setColumn(j int) {
 // column aggregates and the compute terms.
 func (s *search) refreshTotals() {
 	s.compSum = 0
-	for _, c := range s.comp {
+	s.compLow.reset()
+	for j, c := range s.comp {
 		s.compSum += c
+		s.compLow.push(j, c)
 	}
 	s.topComp.fill(s.comp)
 	if !s.isMap {
@@ -801,25 +813,29 @@ func (s *search) bounded(secs, load float64, v [2]float64) (Aggregates, float64)
 
 // mapMove holds a map candidate's entrywise scale factors against the
 // base: k for the block untouched by the move, and the moved DCs' own
-// rows (rs*) and columns (cs*).
+// rows (rs*) and columns (cs*). The corners scale by two ratios at once,
+// so the candidate's own volumes from→to and to→from (ft, tf) stand in
+// for them.
 type mapMove struct {
 	from, to              int
 	k, rsF, rsT, csF, csT float64
+	ft, tf                float64
 }
 
-// bound is one slab's network share of the map screen: the unchanged
-// block scaled by k plus the moved rows/columns scaled by their ratios
-// (the corners, which scale by two ratios at once, contribute ≥ 0 and
-// are dropped). ft and tf are the slab's base entries from→to and
-// to→from; the diagonal corners are 0.
-func (m *mapMove) bound(sl *slab, ft, tf float64) float64 {
-	f, t, row, col := m.from, m.to, sl.mapRow, sl.mapCol
-	block := clamp0(sl.mapTot - row[f] - row[t] - col[f] - col[t] + (ft + tf))
+// load is the map screen's network share of LoadSum: the unchanged
+// block scaled by k, the moved rows and columns away from the corners
+// scaled by their ratios, and the candidate's corners. The base's
+// corners come from its split; the diagonal ones are 0.
+func (m *mapMove) load(s *search) float64 {
+	f, t, row, col := m.from, m.to, s.mapRow, s.mapCol
+	ft, tf := s.netSecs(f, t, s.baseMig(f, t)), s.netSecs(t, f, s.baseMig(t, f))
+	block := clamp0(s.sec.mapTot - row[f] - row[t] - col[f] - col[t] + (ft + tf))
 	return m.k*block +
 		m.rsF*clamp0(row[f]-ft) +
 		m.rsT*clamp0(row[t]-tf) +
 		m.csF*clamp0(col[f]-tf) +
-		m.csT*clamp0(col[t]-ft)
+		m.csT*clamp0(col[t]-ft) +
+		s.netSecs(f, t, m.ft) + s.netSecs(t, f, m.tf)
 }
 
 // baseMig is the base split's migration volume i→j, MigrationMatrix's
@@ -834,27 +850,35 @@ func (s *search) baseMig(i, j int) float64 {
 // mapScreen is the map-stage counterpart of screen: entries of the
 // candidate whose source and destination DCs are untouched by the move
 // are the base entries scaled by totalDeficit/totalDeficit', so the
-// unchanged block's sums and max bound the candidate's objective from
+// unchanged block's sums and max bound the candidate's seconds from
 // below in O(1). The moved DCs' own rows and columns scale entrywise
 // too: for j∉{from,to}, cand[from][j] = base[from][j]·(sur'/sur)·k,
 // and likewise columns by deficit ratios — so their sums and maxes join
-// the bound scaled, instead of being dropped. The compute side is
-// screen's. Approximate, margin-guarded, rejection-only; an infinite
-// margin never rejects.
+// the bound scaled, instead of being dropped. The two corners are the
+// candidate's own entries, surF·defT/totalDeficit' and its mirror,
+// priced from the split: from a base that migrates nothing (the
+// locality start) they are the move's whole migration. A linear slot
+// needs no scaling: every surplus leaves whole, so its value is the
+// base's with from's and to's surpluses swapped for the candidate's.
+// The compute side is screen's. Approximate, margin-guarded,
+// rejection-only; an infinite margin never rejects.
 func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 	surF, defF := s.splitSD(from, pf)
 	surT, defT := s.splitSD(to, pt)
 	totalDefC := s.mapTotalDef - s.mapDef[from] - s.mapDef[to] + defF + defT
 	m := mapMove{from: from, to: to}
-	if totalDefC > 0 && s.mapTotalDef > 0 {
+	if totalDefC > 0 {
 		if totalDefC < 1e-6*s.mapTotalDef {
 			// Near-total cancellation: the delta-computed denominator is
 			// too noisy to bound the scale factor — never skip here.
 			// (A non-positive totalDefC is different: the candidate
-			// moves nothing, so k=0 under-counts and stays a valid
-			// lower bound.)
+			// moves nothing, so a bound of 0 under-counts and stays a
+			// valid lower bound.)
 			return Aggregates{}, math.Inf(1)
 		}
+		m.ft, m.tf = surF*(defT/totalDefC), surT*(defF/totalDefC)
+	}
+	if totalDefC > 0 && s.mapTotalDef > 0 {
 		m.k = s.mapTotalDef / totalDefC
 		ratio := func(num, den float64) float64 {
 			if den > 0 {
@@ -872,8 +896,9 @@ func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 			break
 		}
 	}
-	// The moved rows' and columns' largest entries away from the
-	// corners (which scale by two ratios; dropped).
+	// The candidate's corners, then the moved rows' and columns'
+	// largest entries away from them.
+	tNet = max(tNet, s.netSecs(from, to, m.ft), s.netSecs(to, from, m.tf))
 	scale := [4]float64{m.rsF, m.rsT, m.csF, m.csT}
 	for x, two := range [4]*[2]mapEntry{&s.mapRow2[from], &s.mapRow2[to], &s.mapCol2[from], &s.mapCol2[to]} {
 		for _, e := range two {
@@ -890,18 +915,72 @@ func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 	cF, cT := pf*s.compRate[from], pt*s.compRate[to]
 	tComp := s.topComp.maxExcluding(s.comp, from, to, max(cF, cT))
 	compLoad := clamp0(s.compSum - s.comp[from] - s.comp[to] + cF + cT)
-	bFT, bTF := s.baseMig(from, to), s.baseMig(to, from)
 	var v, abs [2]float64
 	for k := range s.active() {
 		l := &s.lin[k]
-		v[k] = m.bound(&l.slab, l.entry(from, to, bFT), l.entry(to, from, bTF)) +
-			clamp0(l.cpuSum+l.cpuShift(from, s.comp[from], cF)+l.cpuShift(to, s.comp[to], cT))
+		if totalDefC > 0 {
+			v[k] = clamp0(l.mapTot-l.mig(from, s.mapSur[from])-l.mig(to, s.mapSur[to])) + l.mig(from, surF) + l.mig(to, surT)
+		}
+		v[k] += clamp0(l.cpuSum + l.cpuShift(from, s.comp[from], cF) + l.cpuShift(to, s.comp[to], cT))
 		abs[k] = l.mapTot + l.cpuSum
 	}
-	secs, load := tNet+tComp, m.bound(&s.sec, s.netSecs(from, to, bFT), s.netSecs(to, from, bTF))+compLoad
+	secs, load := tNet+tComp, m.load(s)+compLoad
 	// compSum sits in the absolute term (after compLoad) because the
 	// total-minus-two compute folds above cancel.
 	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.mapTot+abs[0]+compLoad+s.compSum+abs[1])
+	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
+}
+
+// mapRowScreen bounds at once every map move out of from whose to is
+// not a base surplus DC (descend screens those few one by one), with
+// terms that hold whatever such a to is. It holds no migration row, and
+// the move only grows its deficit — by step·total — and its compute
+// term, so the candidate's total deficit lies in [tdLo, tdLo+step·total]
+// and every entry off from's row and column scales by at least kLo. From
+// is a surplus that leaves whole whatever its destinations: surF·net/1e9
+// in a slot and at least surF·secMin[from] seconds, of which the corner
+// from→to carries at least to's share of the total deficit; its base
+// entries scale by surF/sur[from]·kLo. To's compute term is at least the
+// smallest one's plus step times the smallest rate. Approximate like
+// mapScreen, and rejection-only under its margin.
+func (s *search) mapRowScreen(from int, pf, step float64) (Aggregates, float64) {
+	surF, defF := s.splitSD(from, pf)
+	tdLo := s.mapTotalDef - s.mapDef[from] + defF
+	cF, grow := pf*s.compRate[from], step*s.rateLow.minExcluding(from)
+	tComp := s.topComp.maxExcluding(s.comp, from, -1, max(cF, s.compLow.minExcluding(from)+grow))
+	load := clamp0(s.compSum-s.comp[from]+cF) + grow
+	var v, abs [2]float64
+	for k := range s.active() {
+		l := &s.lin[k]
+		v[k] = clamp0(l.cpuSum + l.cpuShift(from, s.comp[from], cF))
+		abs[k] = l.mapTot + l.cpuSum
+	}
+	tNet := 0.0
+	// Surpluses and deficits balance to within rounding, so a surplus far
+	// above it, or deficits left at from and elsewhere that survive the
+	// cancellation, give every candidate a positive total deficit: only
+	// then does each surplus leave whole.
+	if surF > 1e-9*s.total || (tdLo > 0 && tdLo >= 1e-6*s.mapTotalDef) {
+		tdHi := tdLo + step*s.total
+		kLo := s.mapTotalDef / tdHi
+		for _, e := range &s.mapTop {
+			if e.i >= 0 && e.i != from && e.j != from {
+				tNet = kLo * e.v
+				break
+			}
+		}
+		if s.mapSur[from] > 0 {
+			tNet = max(tNet, surF/s.mapSur[from]*kLo*s.mapRow2[from][0].v)
+		}
+		tNet = max(tNet, surF*(step*s.total/tdHi)*s.secMin[from])
+		load += surF*s.secMin[from] + kLo*clamp0(s.sec.mapTot-s.mapRow[from]-s.mapCol[from])
+		for k := range s.active() {
+			l := &s.lin[k]
+			v[k] += clamp0(l.mapTot-l.mig(from, s.mapSur[from])) + l.mig(from, surF)
+		}
+	}
+	secs := tNet + tComp
+	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.mapTot+abs[0]+s.compSum+abs[1])
 	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
 }
 
@@ -949,13 +1028,24 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 				}
 				pf := s.p[from] - step
 				var row shuffleRow
-				if useScreens && !s.isMap {
-					row = s.row(from, pf)
-					if a, margin := s.rowScreen(&row, step); sc.Score(a)-margin >= bestV-1e-9 {
-						continue
+				tos := s.all
+				if useScreens {
+					var a Aggregates
+					var margin float64
+					if s.isMap {
+						a, margin = s.mapRowScreen(from, pf, step)
+					} else {
+						row = s.row(from, pf)
+						a, margin = s.rowScreen(&row, step)
+					}
+					if sc.Score(a)-margin >= bestV-1e-9 {
+						if !s.isMap {
+							continue
+						}
+						tos = s.surIdx // the moves the map row bound leaves out
 					}
 				}
-				for to := 0; to < s.n; to++ {
+				for _, to := range tos {
 					if to == from {
 						continue
 					}
@@ -972,6 +1062,7 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 							continue
 						}
 					}
+					s.exact++
 					if s.isMap {
 						a = s.evalMapCand(from, to, pf, pt)
 					} else {

@@ -568,8 +568,13 @@ func TestMergeSupport(t *testing.T) {
 // aggregates, and based after fillBase and after every accepted move;
 // it returns the number of moves.
 func exactWalk(s *search, sc Scorer, cand func(from, to int, step, pf, pt, bestV float64, exact Aggregates), based func(when string)) int {
+	return exactWalkFrom(s, spark.UniformPlacement(s.n), sc, cand, based)
+}
+
+// exactWalkFrom is exactWalk from the given start.
+func exactWalkFrom(s *search, start spark.Placement, sc Scorer, cand func(from, to int, step, pf, pt, bestV float64, exact Aggregates), based func(when string)) int {
 	s.activate(sc)
-	normalizeInto(s.p, spark.UniformPlacement(s.n))
+	normalizeInto(s.p, start)
 	s.agg = s.fold(s.fillBase())
 	based("after fillBase")
 	best, moves := sc.Score(s.agg), 0
@@ -618,12 +623,22 @@ func exactWalk(s *search, sc Scorer, cand func(from, to int, step, pf, pt, bestV
 // is exact up to its margin — every sum is a rearranged exact sum and
 // every max an exact max — so there the exact aggregate must also be
 // at most the bound plus the margin, which is what catches a bound that
-// drops or mis-scales one slot's term. The row screen's bound for the
-// candidate's from must understate the candidate too, and on every
-// shuffle walk it must turn away at least one row, or this test would
-// pass on a row screen that never fires.
+// drops or mis-scales one slot's term. Map walks also start from the
+// locality placement, whose base migrates nothing: there a candidate's
+// migration is its own two corners, which mapScreen prices exactly, so
+// until the first move it must be exact up to its margin too. The row
+// screens' bound for the candidate's from must understate the candidate
+// too (on map stages, every candidate whose to is not a base surplus
+// DC: the rest are screened one by one), and on every walk it must turn
+// away at least one row, or this test would pass on a row screen that
+// never fires.
 func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 	scorers := []Scorer{JCT{}, Cost{BudgetS: 120}, Carbon{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
+	type rowID struct {
+		base string
+		step float64
+		from int
+	}
 	for _, d := range [][2]int{{3, 2}, {8, 5}, {24, 4}} {
 		n, nz := d[0], d[1]
 		ci, believed, layout := fleetPlanningProblem(n, nz, uint64(n*7000+nz))
@@ -632,57 +647,74 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 			{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
 			{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
 		} {
-			for _, sc := range scorers {
-				label := fmt.Sprintf("n=%d stage=%s scorer=%s", n, stage.Name, sc.Name())
-				s := getSearch(estimator{believed: believed, info: ci}, stage, layout)
-				checked, rowsRejected, base := 0, 0, ""
-				requireBelow := func(what string, from, to int, lb Aggregates, margin float64, exact Aggregates, tight bool) {
-					for _, f := range []struct {
-						name       string
-						bound, got float64
-					}{
-						{"Secs", lb.Secs, exact.Secs},
-						{"LoadSum", lb.LoadSum, exact.LoadSum},
-						{"USD", lb.USD, exact.USD},
-						{"KgCO2", lb.KgCO2, exact.KgCO2},
-					} {
-						if f.bound > f.got+margin || (tight && f.got > f.bound+margin) {
-							t.Fatalf("%s %s, move %d→%d: %s %s bound %v, exact %v, margin %v",
-								label, base, from, to, what, f.name, f.bound, f.got, margin)
+			type start struct {
+				name string
+				p    spark.Placement
+			}
+			starts := []start{{"uniform", spark.UniformPlacement(n)}}
+			if stage.Kind == spark.MapKind {
+				starts = append(starts, start{"locality", spark.LocalityPlacement(layout)})
+			}
+			for _, st := range starts {
+				for _, sc := range scorers {
+					label := fmt.Sprintf("n=%d stage=%s start=%s scorer=%s", n, stage.Name, st.name, sc.Name())
+					s := getSearch(estimator{believed: believed, info: ci}, stage, layout)
+					checked, rowsRejected, base := 0, 0, ""
+					var lastRow rowID
+					requireBelow := func(what string, from, to int, lb Aggregates, margin float64, exact Aggregates, tight bool) {
+						for _, f := range []struct {
+							name       string
+							bound, got float64
+						}{
+							{"Secs", lb.Secs, exact.Secs},
+							{"LoadSum", lb.LoadSum, exact.LoadSum},
+							{"USD", lb.USD, exact.USD},
+							{"KgCO2", lb.KgCO2, exact.KgCO2},
+						} {
+							if f.bound > f.got+margin || (tight && f.got > f.bound+margin) {
+								t.Fatalf("%s %s, move %d→%d: %s %s bound %v, exact %v, margin %v",
+									label, base, from, to, what, f.name, f.bound, f.got, margin)
+							}
 						}
 					}
-				}
-				exactWalk(s, sc, func(from, to int, step, pf, pt, bestV float64, exact Aggregates) {
-					if s.isMap {
-						lb, margin := s.mapScreen(from, to, pf, pt)
-						if math.IsInf(margin, 1) {
-							return // never rejects
+					// rowBound checks a row screen's bound against the
+					// candidate and counts the row once if it turns it away.
+					rowBound := func(what string, from, to int, step, bestV float64, rb Aggregates, rowMargin float64, exact Aggregates) {
+						requireBelow(what, from, to, rb, rowMargin, exact, false)
+						if row := (rowID{base, step, from}); row != lastRow {
+							lastRow = row
+							if sc.Score(rb)-rowMargin >= bestV-1e-9 {
+								rowsRejected++
+							}
 						}
+					}
+					exactWalkFrom(s, st.p, sc, func(from, to int, step, pf, pt, bestV float64, exact Aggregates) {
+						if s.isMap {
+							if lb, margin := s.mapScreen(from, to, pf, pt); !math.IsInf(margin, 1) { // an infinite margin never rejects
+								checked++
+								requireBelow("mapScreen", from, to, lb, margin, exact, st.name == "locality" && base == "after fillBase")
+							}
+							if s.mapSur[to] == 0 {
+								rb, rowMargin := s.mapRowScreen(from, pf, step)
+								rowBound("mapRowScreen", from, to, step, bestV, rb, rowMargin, exact)
+							}
+							return
+						}
+						row := s.row(from, pf)
+						lb, margin := s.screen(&row, to, pt)
 						checked++
-						requireBelow("mapScreen", from, to, lb, margin, exact, false)
-						return
+						requireBelow("screen", from, to, lb, margin, exact, true)
+						rb, rowMargin := s.rowScreen(&row, step)
+						rowBound("rowScreen", from, to, step, bestV, rb, rowMargin, exact)
+					}, func(when string) { base = when })
+					if checked == 0 {
+						t.Fatalf("%s: no candidate was screened", label)
 					}
-					row := s.row(from, pf)
-					lb, margin := s.screen(&row, to, pt)
-					checked++
-					requireBelow("screen", from, to, lb, margin, exact, true)
-					rb, rowMargin := s.rowScreen(&row, step)
-					requireBelow("rowScreen", from, to, rb, rowMargin, exact, false)
-					firstTo := 0
-					if from == 0 {
-						firstTo = 1
+					if rowsRejected == 0 {
+						t.Fatalf("%s: the row screen rejected no row", label)
 					}
-					if to == firstTo && sc.Score(rb)-rowMargin >= bestV-1e-9 {
-						rowsRejected++
-					}
-				}, func(when string) { base = when })
-				if checked == 0 {
-					t.Fatalf("%s: no candidate was screened", label)
+					putSearch(s)
 				}
-				if !s.isMap && rowsRejected == 0 {
-					t.Fatalf("%s: the row screen rejected no row", label)
-				}
-				putSearch(s)
 			}
 		}
 	}
@@ -809,6 +841,36 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// exactEvals leases a context for the problem, runs place on it and
+// returns how many candidates it evaluated exactly (search.exact): what
+// the rejection screens left of one Place.
+func exactEvals(believed bwmatrix.Matrix, info ClusterInfo, stage spark.Stage, layout []float64, place func(*search)) int {
+	s := getSearch(estimator{believed: believed, info: info}, stage, layout)
+	defer putSearch(s)
+	place(s)
+	return s.exact
+}
+
+// TestExactEvaluationsPinned pins how many candidates one Tetrium Place
+// evaluates exactly on two fixed map stages: benchCluster's and a
+// 100-DC fleet's with data on 6 DCs. The screens only reject, so a
+// screen that turns away less keeps every placement and shows only
+// here. A change that makes a screen turn away more lowers the count
+// and re-pins it (before map stages priced a move's own corners and
+// screened whole rows: 326 and 69,904).
+func TestExactEvaluationsPinned(t *testing.T) {
+	stage := spark.Stage{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5}
+	info, believed, layout := benchCluster()
+	fleetInfo, fleetBelieved, fleetLayout := fleetPlanningProblem(100, 6, 100006)
+	tetrium := func(s *search) { s.placeMultiStart(JCT{}) }
+	if got, want := exactEvals(believed, info, stage, layout, tetrium), 120; got != want {
+		t.Errorf("benchCluster map stage: %d exact evaluations per Place, pinned %d", got, want)
+	}
+	if got, want := exactEvals(fleetBelieved, fleetInfo, stage, fleetLayout, tetrium), 67925; got != want {
+		t.Errorf("n=100 nz=6 map stage: %d exact evaluations per Place, pinned %d", got, want)
+	}
+}
+
 // benchCluster is a deterministic 8-DC planning problem: heterogeneous
 // compute, a skewed layout, and a believed matrix with strong and weak
 // links (including one near-blackout pair to exercise the BW floor).
@@ -842,11 +904,13 @@ func BenchmarkSchedulerPlace(b *testing.B) {
 	info, believed, layout := benchCluster()
 	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
 	kim := Kimchi{Believed: believed, Info: info}
+	exact := exactEvals(believed, info, stage, layout, func(s *search) { kim.descend(s) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kim.Place(0, stage, layout)
 	}
+	b.ReportMetric(float64(exact), "exact/op")
 }
 
 // BenchmarkSchedulerPlaceUniformRates is BenchmarkSchedulerPlace with
@@ -860,11 +924,13 @@ func BenchmarkSchedulerPlaceUniformRates(b *testing.B) {
 	}
 	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
 	kim := Kimchi{Believed: believed, Info: info}
+	exact := exactEvals(believed, info, stage, layout, func(s *search) { kim.descend(s) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kim.Place(0, stage, layout)
 	}
+	b.ReportMetric(float64(exact), "exact/op")
 }
 
 func BenchmarkSchedulerPlaceReference(b *testing.B) {
@@ -893,11 +959,13 @@ func BenchmarkSchedulerPlaceBlend(b *testing.B) {
 	}
 	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
 	sched := Sched{Scorer: Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}, Believed: believed, Info: info}
+	exact := exactEvals(believed, info, stage, layout, func(s *search) { s.placeMultiStart(sched.Scorer) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched.Place(0, stage, layout)
 	}
+	b.ReportMetric(float64(exact), "exact/op")
 }
 
 // BenchmarkSchedulerPlaceFleetSparse times the layer sparse100 spends
@@ -910,6 +978,10 @@ func BenchmarkSchedulerPlaceFleetSparse(b *testing.B) {
 		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
 	}
 	tet := Tetrium{Believed: believed, Info: info}
+	exact := 0
+	for _, stage := range stages {
+		exact += exactEvals(believed, info, stage, layout, func(s *search) { s.placeMultiStart(JCT{}) })
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -917,4 +989,5 @@ func BenchmarkSchedulerPlaceFleetSparse(b *testing.B) {
 			tet.Place(k, stage, layout)
 		}
 	}
+	b.ReportMetric(float64(exact), "exact/op")
 }

@@ -73,8 +73,8 @@ func DistanceKm(a, b Region) float64 {
 	la1, lo1 := a.Lat*math.Pi/180, a.Lon*math.Pi/180
 	la2, lo2 := b.Lat*math.Pi/180, b.Lon*math.Pi/180
 	dla, dlo := la2-la1, lo2-lo1
-	h := math.Sin(dla/2)*math.Sin(dla/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dlo/2)*math.Sin(dlo/2)
+	sla, slo := math.Sin(dla/2), math.Sin(dlo/2)
+	h := sla*sla + math.Cos(la1)*math.Cos(la2)*slo*slo
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
