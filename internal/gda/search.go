@@ -1,8 +1,10 @@
 package gda
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 
 	"github.com/wanify/wanify/internal/spark"
@@ -121,9 +123,14 @@ type search struct {
 	compRate   []float64 // total/1e9·SecPerGB/rate[j]
 	colMaxT    []float64 // max_i of column j's network seconds
 	compSum    float64   // Σ comp
-	loadInc    low2      // over colRateSum[j] + compRate[j]: LoadSum's growth per share moved to j
+	abs        float64   // the screens' absolute margin term: the seconds', compute and active slots' totals
 	rateLow    low2      // over compRate: a compute term's growth per share moved to j
 	compLow    low2      // over comp: the least compute term a move's destination starts from
+	// The DCs ranked once per lease by LoadSum's growth per share moved
+	// to them, colRateSum[j] + compRate[j], ascending (ties by index),
+	// and each DC's position in that order: a shuffle row's cutoff.
+	ranked []rankedDC
+	rank   []int
 	// A candidate leaves every column and compute term but from's and
 	// to's alone, so the max over the untouched ones is the first of the
 	// three largest that is neither — refreshed once per accepted move.
@@ -133,15 +140,21 @@ type search struct {
 	starts  [3]spark.Placement // descent start buffers
 	bestBuf spark.Placement    // winning placement across starts
 
-	exact int // candidates the lease evaluated exactly (read by tests)
+	exact    int // candidates the lease evaluated exactly (read by tests)
+	screened int // per-pair screens the lease ran (read by tests)
+}
+
+// rankedDC is one DC's place in the shuffle cutoff's ranking.
+type rankedDC struct {
+	key float64 // colRateSum[j] + compRate[j]
+	j   int
 }
 
 // slab holds one objective's (the seconds' or a linear slot's) sums
 // over the base placement's transfer entries, for the screens.
 type slab struct {
 	colSum []float64 // per-column Σ (shuffle stages)
-	total  float64   // Σ colSum
-	mapTot float64   // Σ over the migration entries (map stages)
+	total  float64   // Σ colSum; on map stages Σ over the migration entries
 }
 
 // sumCols re-derives total from the column sums (O(n) per accepted
@@ -268,7 +281,8 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 		s.colRateSum, s.colRateMax = vec(), vec()
 		s.mapSur, s.mapDef, s.drB, s.drC = vec(), vec(), vec(), vec()
 		s.mapRow, s.mapCol = vec(), vec()
-		s.all = make([]int, n)
+		s.all, s.rank = make([]int, n), make([]int, n)
+		s.ranked = make([]rankedDC, n)
 		for j := range s.all {
 			s.all[j] = j
 		}
@@ -281,7 +295,7 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 	}
 	s.est, s.stage, s.layout = est, stage, layout
 	s.isMap = stage.Kind == spark.MapKind
-	s.exact = 0
+	s.exact, s.screened = 0, 0
 	s.total = 0
 	s.nzRows = s.nzRows[:0]
 	for i, b := range layout {
@@ -304,7 +318,6 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 		}
 		s.secMin[i] = 8 / top
 	}
-	s.loadInc.reset()
 	s.rateLow.reset()
 	for j := 0; j < n; j++ {
 		s.rate[j] = est.info.ComputeRates[j]
@@ -321,8 +334,14 @@ func (s *search) init(est estimator, stage spark.Stage, layout []float64) {
 		}
 		s.colRateSum[j], s.colRateMax[j] = sum, mx
 		s.compRate[j] = s.total / 1e9 / s.rate[j] * stage.SecPerGB
-		s.loadInc.push(j, sum+s.compRate[j])
+		s.ranked[j] = rankedDC{key: sum + s.compRate[j], j: j}
 		s.rateLow.push(j, s.compRate[j])
+	}
+	slices.SortFunc(s.ranked, func(a, b rankedDC) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.j, b.j))
+	})
+	for k, r := range s.ranked {
+		s.rank[r.j] = k
 	}
 	s.lin[0].prep(s, est.info.EgressPerGB, nil)
 	s.prepped = 1
@@ -476,7 +495,7 @@ func (s *search) fillMap() []int {
 	}
 	clear(s.mapRow)
 	clear(s.mapCol)
-	s.sec.mapTot = 0
+	s.sec.total = 0
 	for _, i := range rows {
 		sum := 0.0
 		for _, j := range s.defIdx {
@@ -494,13 +513,13 @@ func (s *search) fillMap() []int {
 			push2(&s.mapCol2[j], e)
 		}
 		s.mapRow[i] = sum
-		s.sec.mapTot += sum
+		s.sec.total += sum
 	}
 	for k := range s.active() {
 		l := &s.lin[k]
-		l.mapTot = 0
+		l.total = 0
 		for _, i := range s.surIdx {
-			l.mapTot += l.mig(i, s.mapSur[i])
+			l.total += l.mig(i, s.mapSur[i])
 		}
 	}
 	return rows
@@ -540,7 +559,8 @@ func (s *search) setColumn(j int) {
 }
 
 // refreshTotals re-derives the screens' totals and rankings from the
-// column aggregates and the compute terms.
+// column aggregates (fillMap's totals on map stages) and the compute
+// terms, and the margins' absolute term from the totals.
 func (s *search) refreshTotals() {
 	s.compSum = 0
 	s.compLow.reset()
@@ -553,12 +573,14 @@ func (s *search) refreshTotals() {
 		s.sec.sumCols()
 		s.topCol.fill(s.colMaxT)
 	}
+	s.abs = s.sec.total + s.compSum
 	for k := range s.active() {
 		l := &s.lin[k]
 		l.cpuSum = l.foldCPU(0, s.comp)
 		if !s.isMap {
 			l.sumCols()
 		}
+		s.abs += l.total + l.cpuSum
 	}
 }
 
@@ -757,19 +779,50 @@ func (s *search) row(from int, pf float64) shuffleRow {
 	return r
 }
 
-// rowScreen bounds every shuffle move out of r.from at once: moving
-// mass to a DC only grows its column and compute term, so a candidate's
-// maxes are at least r's, and each sum at least r's plus step times the
-// cheapest destination's rate (init's and prep's low2). Approximate
-// like screen, and rejection-only under the same margin.
-func (s *search) rowScreen(r *shuffleRow, step float64) (Aggregates, float64) {
+// rowBound bounds every shuffle move out of r.from at once. Moving mass
+// to a DC only grows its column and compute term, so a candidate's
+// network max is at least r's, its compute max at least the least term
+// a destination reaches (compLow plus step times rateLow), each slot at
+// least r's plus step times the cheapest rate (prep's low2), and LoadSum
+// r's plus step times the destination's ranked key (loadAt). The bound
+// carries LoadSum and the margin at the largest key, the widest margin
+// any rank needs: one margin a row keeps rejection monotone in the rank
+// for every monotone scorer. Approximate like screen.
+func (s *search) rowBound(r *shuffleRow, step float64) (Aggregates, float64) {
 	tNet := s.topCol.maxExcluding(s.colMaxT, r.from, -1, r.netF)
-	tComp := s.topComp.maxExcluding(s.comp, r.from, -1, r.cF)
+	grow := s.compLow.minExcluding(r.from) + step*s.rateLow.minExcluding(r.from)
+	tComp := s.topComp.maxExcluding(s.comp, r.from, -1, max(r.cF, grow))
 	var v [2]float64
 	for k := range s.active() {
 		v[k] = clamp0(r.v[k] + step*s.lin[k].inc.minExcluding(r.from))
 	}
-	return s.bounded(tNet+tComp, clamp0(r.load+step*s.loadInc.minExcluding(r.from)), v)
+	return s.bounded(tNet+tComp, s.loadAt(r, step, s.n-1), v)
+}
+
+// loadAt is the row bound's LoadSum for a destination ranked k or later.
+func (s *search) loadAt(r *shuffleRow, step float64, k int) float64 {
+	return clamp0(r.load + step*s.ranked[k].key)
+}
+
+// cutoff returns the first rank from which the row bound turns every
+// move out of r.from away against bestV (n: none): descend skips each
+// to ranked there or later, and the whole row at 0. A binary search,
+// which the row's one margin makes sound. It probes the two ends first:
+// most rows are turned away whole or not cut at all, and a scorer that
+// ignores LoadSum is one of the two.
+func (s *search) cutoff(r *shuffleRow, step, bestV float64, sc Scorer) int {
+	a, margin := s.rowBound(r, step)
+	turnsAway := func(k int) bool {
+		a.LoadSum = s.loadAt(r, step, k)
+		return sc.Score(a)-margin >= bestV-1e-9
+	}
+	if !turnsAway(s.n - 1) {
+		return s.n
+	}
+	if turnsAway(0) {
+		return 0
+	}
+	return 1 + sort.Search(s.n-2, func(k int) bool { return turnsAway(k + 1) })
 }
 
 // screen bounds the shuffle move (r.from→to) from below in O(1) flops,
@@ -803,11 +856,7 @@ func (s *search) screen(r *shuffleRow, to int, pt float64) (Aggregates, float64)
 // amplification at Kimchi's latency wall (the 1e-7·secs share, three
 // orders wider than 1e6 × the relative secs error).
 func (s *search) bounded(secs, load float64, v [2]float64) (Aggregates, float64) {
-	abs := s.sec.total + s.compSum
-	for k := range s.active() {
-		abs += s.lin[k].total + s.lin[k].cpuSum
-	}
-	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*abs
+	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*s.abs
 	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
 }
 
@@ -829,7 +878,7 @@ type mapMove struct {
 func (m *mapMove) load(s *search) float64 {
 	f, t, row, col := m.from, m.to, s.mapRow, s.mapCol
 	ft, tf := s.netSecs(f, t, s.baseMig(f, t)), s.netSecs(t, f, s.baseMig(t, f))
-	block := clamp0(s.sec.mapTot - row[f] - row[t] - col[f] - col[t] + (ft + tf))
+	block := clamp0(s.sec.total - row[f] - row[t] - col[f] - col[t] + (ft + tf))
 	return m.k*block +
 		m.rsF*clamp0(row[f]-ft) +
 		m.rsT*clamp0(row[t]-tf) +
@@ -915,19 +964,18 @@ func (s *search) mapScreen(from, to int, pf, pt float64) (Aggregates, float64) {
 	cF, cT := pf*s.compRate[from], pt*s.compRate[to]
 	tComp := s.topComp.maxExcluding(s.comp, from, to, max(cF, cT))
 	compLoad := clamp0(s.compSum - s.comp[from] - s.comp[to] + cF + cT)
-	var v, abs [2]float64
+	var v [2]float64
 	for k := range s.active() {
 		l := &s.lin[k]
 		if totalDefC > 0 {
-			v[k] = clamp0(l.mapTot-l.mig(from, s.mapSur[from])-l.mig(to, s.mapSur[to])) + l.mig(from, surF) + l.mig(to, surT)
+			v[k] = clamp0(l.total-l.mig(from, s.mapSur[from])-l.mig(to, s.mapSur[to])) + l.mig(from, surF) + l.mig(to, surT)
 		}
 		v[k] += clamp0(l.cpuSum + l.cpuShift(from, s.comp[from], cF) + l.cpuShift(to, s.comp[to], cT))
-		abs[k] = l.mapTot + l.cpuSum
 	}
 	secs, load := tNet+tComp, m.load(s)+compLoad
-	// compSum sits in the absolute term (after compLoad) because the
+	// compSum sits in the absolute term (beside compLoad) because the
 	// total-minus-two compute folds above cancel.
-	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.mapTot+abs[0]+compLoad+s.compSum+abs[1])
+	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.abs+compLoad)
 	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
 }
 
@@ -949,11 +997,10 @@ func (s *search) mapRowScreen(from int, pf, step float64) (Aggregates, float64) 
 	cF, grow := pf*s.compRate[from], step*s.rateLow.minExcluding(from)
 	tComp := s.topComp.maxExcluding(s.comp, from, -1, max(cF, s.compLow.minExcluding(from)+grow))
 	load := clamp0(s.compSum-s.comp[from]+cF) + grow
-	var v, abs [2]float64
+	var v [2]float64
 	for k := range s.active() {
 		l := &s.lin[k]
 		v[k] = clamp0(l.cpuSum + l.cpuShift(from, s.comp[from], cF))
-		abs[k] = l.mapTot + l.cpuSum
 	}
 	tNet := 0.0
 	// Surpluses and deficits balance to within rounding, so a surplus far
@@ -973,14 +1020,14 @@ func (s *search) mapRowScreen(from int, pf, step float64) (Aggregates, float64) 
 			tNet = max(tNet, surF/s.mapSur[from]*kLo*s.mapRow2[from][0].v)
 		}
 		tNet = max(tNet, surF*(step*s.total/tdHi)*s.secMin[from])
-		load += surF*s.secMin[from] + kLo*clamp0(s.sec.mapTot-s.mapRow[from]-s.mapCol[from])
+		load += surF*s.secMin[from] + kLo*clamp0(s.sec.total-s.mapRow[from]-s.mapCol[from])
 		for k := range s.active() {
 			l := &s.lin[k]
-			v[k] += clamp0(l.mapTot-l.mig(from, s.mapSur[from])) + l.mig(from, surF)
+			v[k] += clamp0(l.total-l.mig(from, s.mapSur[from])) + l.mig(from, surF)
 		}
 	}
 	secs := tNet + tComp
-	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*(s.sec.mapTot+abs[0]+s.compSum+abs[1])
+	margin := 1e-7*(secs+load+v[0]+v[1]) + 1e-12*s.abs
 	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
 }
 
@@ -1028,30 +1075,28 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 				}
 				pf := s.p[from] - step
 				var row shuffleRow
-				tos := s.all
+				tos, cut := s.all, s.n // every to ranked at or past cut is turned away
 				if useScreens {
-					var a Aggregates
-					var margin float64
-					if s.isMap {
-						a, margin = s.mapRowScreen(from, pf, step)
-					} else {
+					if !s.isMap {
 						row = s.row(from, pf)
-						a, margin = s.rowScreen(&row, step)
-					}
-					if sc.Score(a)-margin >= bestV-1e-9 {
-						if !s.isMap {
+						if cut = s.cutoff(&row, step, bestV, sc); cut == 0 {
 							continue
 						}
+					} else if a, margin := s.mapRowScreen(from, pf, step); sc.Score(a)-margin >= bestV-1e-9 {
 						tos = s.surIdx // the moves the map row bound leaves out
 					}
 				}
+				// Index order, not rank order: acceptance is strict by
+				// 1e-9, so which of near-tied candidates wins depends on
+				// the order they are met in.
 				for _, to := range tos {
-					if to == from {
+					if to == from || s.rank[to] >= cut {
 						continue
 					}
 					pt := s.p[to] + step
 					var a Aggregates
 					if useScreens {
+						s.screened++
 						var margin float64
 						if s.isMap {
 							a, margin = s.mapScreen(from, to, pf, pt)
