@@ -5,7 +5,7 @@
 //
 //	wanify-bench -list
 //	wanify-bench -run table1
-//	wanify-bench -run all -scale 0.2 -seed 7
+//	wanify-bench -run all -seed 7 -seeds 5
 //	wanify-bench -run fig5 -backend trace:mytrace.csv  # 8+ region trace
 //	wanify-bench -run all -model model.gob   # reuse a wanify-train model
 //
@@ -16,6 +16,8 @@
 // fewer than the testbed's 8 regions (smaller traces still drive
 // wanify-sim, which sizes the job to the backend).
 //
+// Every driver runs at its one fixed input size: the paper's for a
+// paper artifact, the scenario's own for an extension (DESIGN.md §3).
 // Scenario drivers run one after another in the listed order (each owns
 // its private cluster; the trained prediction model is shared). Stdout
 // is deterministic; per-scenario wall-clock seconds go to stderr. Timing this system is
@@ -26,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -47,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list experiment ids")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		seeds    = fs.Int("seeds", 1, "repeat over this many consecutive seeds (the paper averages 5 runs)")
-		scale    = fs.Float64("scale", 1.0, "input-size scale (1.0 = paper scale)")
 		backends = fs.String("backend", "netsim,trace", "comma-separated substrate backends: netsim | trace | trace:<name|file>")
 		modelIn  = fs.String("model", "", "load a wanify-train model instead of training (gob)")
 	)
@@ -55,10 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == flag.ErrHelp {
 			return 0
 		}
-		return 2
-	}
-	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
-		fmt.Fprintf(stderr, "-scale %v: want a finite input-size scale > 0\n", *scale)
 		return 2
 	}
 	if *seeds < 1 {
@@ -72,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %s\n", id)
 		}
 		if *runID == "" {
-			fmt.Fprintln(stdout, "\nusage: wanify-bench -run <id>|all [-seed N] [-scale F] [-backend LIST]")
+			fmt.Fprintln(stdout, "\nusage: wanify-bench -run <id>|all [-seed N] [-seeds K] [-backend LIST] [-model FILE]")
 		}
 		return 0
 	}
@@ -126,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	failed := 0
 	for k := 0; k < *seeds; k++ {
-		params := experiments.Params{Seed: *seed + uint64(k), Scale: *scale, Model: model}
+		params := experiments.Params{Seed: *seed + uint64(k), Model: model}
 		for _, r := range experiments.RunScenarios(scenarios, params) {
 			if r.Err != nil {
 				fmt.Fprintf(stderr, "%s (seed %d): %v\n", r.ID, r.Seed, r.Err)

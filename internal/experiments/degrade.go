@@ -147,7 +147,7 @@ func Degrade(p Params) (*DegradeResult, error) {
 		Fault: fmt.Sprintf("dc1-3 partitioned t=[%.1f, %.1f]s across the t=745 re-gauge window, dc%d->dc%d reset at t=%.1fs",
 			degradeBlackoutStart, degradeBlackoutEnd, degradeResetSrc, degradeResetDst, degradeResetAt),
 	}
-	job := workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 1000e9*p.Scale))
+	job := workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 100e9))
 	for _, variant := range []string{"clean", "naive", "hardened"} {
 		t := wanifyTrial(p, func(seed uint64) (substrate.Cluster, error) {
 			sim := netsimTestbed(seed)

@@ -36,7 +36,7 @@ type Fig9Result struct {
 // (Fig. 9(b)).
 func Fig9(p Params) (*Fig9Result, error) {
 	p = p.withDefaults()
-	job, err := workloads.TPCDS(78, workloads.UniformInput(8, 100e9*p.Scale))
+	job, err := workloads.TPCDS(78, workloads.UniformInput(8, 100e9))
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func abs(v float64) float64 {
 func (r *Fig9Result) String() string {
 	var b strings.Builder
 	b.WriteString("Fig 9: SD of local-optimizer target BWs vs monitored BWs (US East), 5s epochs\n")
-	fmt.Fprintf(&b, "%-8s%14s%14s%16s%6s\n", "epoch", "targetSD", "actualSD", "20%%-err SD", "sig")
+	fmt.Fprintf(&b, "%-8s%14s%14s%16s%6s\n", "epoch", "targetSD", "actualSD", "20%-err SD", "sig")
 	for i, ep := range r.Epochs {
 		mark := ""
 		if ep.SigDelta {

@@ -1,8 +1,11 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (plus the §2 motivation artifacts). Every driver
-// is deterministic for a given seed, returns a structured result whose
-// String() prints the same rows/series the paper reports, and is
-// exposed through Registry for cmd/wanify-bench and bench_test.go.
+// paper's evaluation (plus the §2 motivation artifacts) and the
+// extension scenarios. Every driver is deterministic for a given seed,
+// returns a structured result whose String() prints the same
+// rows/series the paper reports, and is exposed through Registry for
+// cmd/wanify-bench. Each driver runs at one fixed input size: a paper
+// driver at the paper's (100 GB TPC-DS and TeraSort on 8 DCs), an
+// extension at the size its scenario was designed at.
 //
 // See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
 // paper-vs-measured numbers.
@@ -22,10 +25,6 @@ import (
 type Params struct {
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Scale multiplies the paper's input sizes (1.0 = 100 GB TPC-DS /
-	// TeraSort). Benchmarks run at reduced scale; results report the
-	// scale used.
-	Scale float64
 	// Model is a trained prediction model to reuse across experiments;
 	// nil trains one on demand (cached per seed).
 	Model *predict.Model
@@ -35,9 +34,6 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.Scale == 0 {
-		p.Scale = 1.0
-	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}

@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-// tinyParams runs experiments at reduced input scale so the whole suite
-// stays test-friendly while preserving every qualitative shape.
-func tinyParams() Params { return Params{Seed: 1, Scale: 0.1} }
-
 // TestRegistryComplete checks that every ledger row names a registered
 // driver, that every extension is registered, and that every other
 // registered driver — a paper artifact — has at least one ledger row.
@@ -42,10 +38,8 @@ func TestRegistryComplete(t *testing.T) {
 
 // TestFig1Anchors checks the topology anchors of the motivation.
 func TestFig1Anchors(t *testing.T) {
-	r, err := Fig1(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig1Result](t, "fig1", 1)
 	if r.BW[0][1] < 1400 || r.BW[0][1] > 2100 {
 		t.Errorf("US East->US West = %.0f, want ~1700", r.BW[0][1])
 	}
@@ -59,10 +53,8 @@ func TestFig1Anchors(t *testing.T) {
 
 // TestTable1Shape checks significant static-vs-runtime gaps exist.
 func TestTable1Shape(t *testing.T) {
-	r, err := Table1(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Table1Result](t, "table1", 1)
 	if r.Pairs != 28 {
 		t.Errorf("%d pairs, want 28", r.Pairs)
 	}
@@ -77,10 +69,8 @@ func TestTable1Shape(t *testing.T) {
 // TestTable2Reproduction checks the monitoring-cost table against the
 // paper's figures.
 func TestTable2Reproduction(t *testing.T) {
-	r, err := Table2(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Table2Result](t, "table2", 1)
 	if r.Savings < 0.90 {
 		t.Errorf("savings %.2f, want >= 0.90 (paper ~0.96)", r.Savings)
 	}
@@ -99,10 +89,8 @@ func TestTable2Reproduction(t *testing.T) {
 // heterogeneous assignment beats uniform on min BW and bottleneck time,
 // trading max BW down.
 func TestFig2HeterogeneousWins(t *testing.T) {
-	r, err := Fig2(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig2Result](t, "fig2", 1)
 	if r.MinHet < 1.6*r.MinUniform {
 		t.Errorf("het min %.0f < 1.6x uniform min %.0f (paper 2.1x)", r.MinHet, r.MinUniform)
 	}
@@ -122,10 +110,8 @@ func TestFig2HeterogeneousWins(t *testing.T) {
 // (simultaneous or predicted) beliefs never hurt much and help the
 // heavy query clearly.
 func TestTable4RuntimeBeliefsHelp(t *testing.T) {
-	r, err := Table4(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Table4Result](t, "table4", 1)
 	cell := r.Cells["tetrium"][beliefPredicted.String()][78]
 	if cell.PerfPct < 1 {
 		t.Errorf("tetrium q78 predicted gain %.1f%%, want clearly positive (paper 14%%)", cell.PerfPct)
@@ -139,10 +125,8 @@ func TestTable4RuntimeBeliefsHelp(t *testing.T) {
 // single-connection baseline on latency and min BW, and beat uniform
 // parallelism on min BW.
 func TestFig5Ordering(t *testing.T) {
-	r, err := Fig5(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig5Result](t, "fig5", 1)
 	rows := map[pdtVariant]Fig5Row{}
 	for _, row := range r.Rows {
 		rows[row.Variant] = row
@@ -160,10 +144,8 @@ func TestFig5Ordering(t *testing.T) {
 
 // TestFig6GainsGrowWithShuffle checks §5.3.2's trend.
 func TestFig6GainsGrowWithShuffle(t *testing.T) {
-	r, err := Fig6(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig6Result](t, "fig6", 1)
 	if len(r.Rows) < 3 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -178,10 +160,8 @@ func TestFig6GainsGrowWithShuffle(t *testing.T) {
 
 // TestFig7WANifyHelps checks §5.4's headline on the heavy query.
 func TestFig7WANifyHelps(t *testing.T) {
-	r, err := Fig7(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig7Result](t, "fig7", 1)
 	for _, row := range r.Rows {
 		if row.Query != 78 {
 			continue
@@ -196,10 +176,8 @@ func TestFig7WANifyHelps(t *testing.T) {
 // TestFig8aFullBeatsVanilla checks the ablation's envelope: every
 // WANify variant beats vanilla on the heavy query.
 func TestFig8aFullBeatsVanilla(t *testing.T) {
-	r, err := Fig8a(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig8aResult](t, "fig8a", 1)
 	for _, row := range r.Rows {
 		if row.System != "tetrium" || row.Variant == "vanilla" {
 			continue
@@ -213,10 +191,8 @@ func TestFig8aFullBeatsVanilla(t *testing.T) {
 // TestFig9TracksAndCounts checks the dynamics experiment produces
 // epochs and flags significant deltas under injected error.
 func TestFig9TracksAndCounts(t *testing.T) {
-	r, err := Fig9(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig9Result](t, "fig9", 1)
 	if len(r.Epochs) < 3 {
 		t.Fatalf("only %d epochs", len(r.Epochs))
 	}
@@ -228,10 +204,8 @@ func TestFig9TracksAndCounts(t *testing.T) {
 // TestFig11aPredictionBeatsStatic checks the accuracy comparison at the
 // full cluster size.
 func TestFig11aPredictionBeatsStatic(t *testing.T) {
-	r, err := Fig11a(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig11aResult](t, "fig11a", 1)
 	last := r.Rows[len(r.Rows)-1] // N=8
 	if last.PredictedSig >= last.StaticSig {
 		t.Errorf("N=8: predicted %d significant errors vs static %d — prediction should win", last.PredictedSig, last.StaticSig)
@@ -240,10 +214,8 @@ func TestFig11aPredictionBeatsStatic(t *testing.T) {
 
 // TestFig11bAssociationBeatsStatic checks the multi-VM accuracy path.
 func TestFig11bAssociationBeatsStatic(t *testing.T) {
-	r, err := Fig11b(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig11bResult](t, "fig11b", 1)
 	wins := 0
 	for _, row := range r.Rows {
 		if row.PredictedSig < row.StaticSig {
@@ -258,10 +230,8 @@ func TestFig11bAssociationBeatsStatic(t *testing.T) {
 // TestFig4Ordering checks the §5.6 variant ranking on cost: quantized
 // variants beat NoQ, and WANify-enabled quantization is the cheapest.
 func TestFig4Ordering(t *testing.T) {
-	r, err := Fig4(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*Fig4Result](t, "fig4", 1)
 	byName := map[string]Fig4Row{}
 	for _, row := range r.Rows {
 		byName[row.Variant] = row
@@ -277,28 +247,12 @@ func TestFig4Ordering(t *testing.T) {
 	}
 }
 
-// TestResultsRender checks every runner produces non-empty printable
-// output (the cmd/wanify-bench contract).
-func TestResultsRender(t *testing.T) {
-	for _, id := range []string{"table2", "fig2"} {
-		res, err := Registry[id](tinyParams())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(res.String()) < 50 {
-			t.Errorf("%s rendering suspiciously short", id)
-		}
-	}
-}
-
 // TestAblationModelRFCompetitive checks the model-choice extension: the
 // Random Forest achieves the best (or tied-best) RMSE on held-out
 // cluster sizes.
 func TestAblationModelRFCompetitive(t *testing.T) {
-	r, err := ablationModelSeed1() // AblationModel(tinyParams()): Scale is ignored
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*AblationModelResult](t, "ablation-model", 1)
 	var rf, bestOther AblationModelRow
 	bestOther.RMSE = 1e18
 	for _, row := range r.Rows {
@@ -322,10 +276,8 @@ func TestAblationModelRFCompetitive(t *testing.T) {
 // roughly doubles it; at a weak exponent (0.5) uniform parallelism
 // would look useful, contradicting the paper.
 func TestAblationNetsimShape(t *testing.T) {
-	r, err := AblationNetsim(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*AblationNetsimResult](t, "ablation-netsim", 1)
 	byKnob := map[string]map[float64]AblationNetsimRow{}
 	for _, row := range r.Rows {
 		if byKnob[row.Knob] == nil {
@@ -348,10 +300,8 @@ func TestAblationNetsimShape(t *testing.T) {
 
 // TestMultiCloudPredictionWins checks the §5.8.3 extension.
 func TestMultiCloudPredictionWins(t *testing.T) {
-	r, err := MultiCloud(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	r := result[*MultiCloudResult](t, "multicloud", 1)
 	if r.PredictedSig >= r.StaticSig {
 		t.Errorf("multi-cloud: predicted %d significant errors vs static %d", r.PredictedSig, r.StaticSig)
 	}
@@ -362,13 +312,10 @@ func TestMultiCloudPredictionWins(t *testing.T) {
 // least once and completes sooner than the static one-shot plan, while
 // moving the same job bytes.
 func TestRebalanceImproves(t *testing.T) {
+	t.Parallel()
 	for _, id := range []string{"rebalance", "rebalance-trace"} {
 		t.Run(id, func(t *testing.T) {
-			res, err := Registry[id](tinyParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := res.(*RebalanceResult)
+			r := result[*RebalanceResult](t, id, 1)
 			if len(r.Rows) != 2 || r.Rows[0].Variant != "static" || r.Rows[1].Variant != "regauge" {
 				t.Fatalf("unexpected rows: %+v", r.Rows)
 			}
@@ -400,13 +347,10 @@ func TestRebalanceImproves(t *testing.T) {
 // expected variants are present, and the fair partition never loses to
 // the oversubscribed deployment on the netsim scenario.
 func TestMultijobInvariants(t *testing.T) {
+	t.Parallel()
 	for _, id := range []string{"multijob", "multijob-trace"} {
 		t.Run(id, func(t *testing.T) {
-			res, err := Registry[id](tinyParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := res.(*MultijobResult)
+			r := result[*MultijobResult](t, id, 1)
 			if len(r.Variants) < 3 {
 				t.Fatalf("only %d variants", len(r.Variants))
 			}

@@ -98,7 +98,7 @@ func Failover(p Params) (*FailoverResult, error) {
 		Scenario: "netsim 8-DC testbed",
 		Fault:    fmt.Sprintf("all VMs of dc%d killed at t=%.0fs, job at t=%.0fs", failoverVictimDC, queryStart+60, queryStart),
 	}
-	job := workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 1000e9*p.Scale))
+	job := workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 100e9))
 	for _, recover := range []bool{false, true} {
 		t := wanifyTrial(p, func(seed uint64) (substrate.Cluster, error) {
 			sim := netsimTestbed(seed)
@@ -249,8 +249,8 @@ func chaosSchedule(rng *simrand.Source, sim *netsim.Sim) substrate.FaultSchedule
 // ChaosRun executes one soak: generate the schedule for schedSeed,
 // run a TeraSort with recovery enabled underneath it, and check the
 // conservation invariants. The whole run — cluster weather, schedule
-// and recovery decisions — is deterministic in (schedSeed, scale).
-func ChaosRun(schedSeed uint64, scale float64) ChaosOutcome {
+// and recovery decisions — is deterministic in schedSeed.
+func ChaosRun(schedSeed uint64) ChaosOutcome {
 	var sim *netsim.Sim
 	var schedule substrate.FaultSchedule
 	cluster := func(seed uint64) (substrate.Cluster, error) {
@@ -265,8 +265,7 @@ func ChaosRun(schedSeed uint64, scale float64) ChaosOutcome {
 		schedule.Apply(sim)
 		return sim, nil
 	}
-	const totalBytes = 240e9
-	job := workloads.TeraSort(workloads.UniformInput(chaosDCs, totalBytes*scale))
+	job := workloads.TeraSort(workloads.UniformInput(chaosDCs, 24e9))
 	// The oracle belief is read, and the job launched, at chaosStart.
 	res, _, err := trial{cluster: cluster, seed: schedSeed, start: chaosStart + 1, belief: beliefOracle,
 		conns: connUniform, k: 4, recover: true, system: "tetrium", label: "tetrium(oracle)"}.run(job)
@@ -333,7 +332,7 @@ func Chaos(p Params) (*ChaosResult, error) {
 		Scenario: fmt.Sprintf("netsim %d-DC x %d-VM cluster, terasort with recovery enabled", chaosDCs, chaosVMsPerDC),
 	}
 	for i := uint64(0); i < 5; i++ {
-		res.Rows = append(res.Rows, ChaosRun(p.Seed*1000+i, p.Scale))
+		res.Rows = append(res.Rows, ChaosRun(p.Seed*1000+i))
 	}
 	return res, nil
 }

@@ -15,13 +15,10 @@ import (
 // recovery stack completes it, accounts the voided bytes and re-routes
 // exactly that much.
 func TestFailoverRecovers(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		seed := seed
+	t.Parallel()
+	for seed := uint64(1); seed <= goldenSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			res, err := Failover(Params{Seed: seed, Scale: goldenScale})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := result[*FailoverResult](t, "failover", seed)
 			if len(res.Rows) != 2 {
 				t.Fatalf("failover produced %d rows, want 2", len(res.Rows))
 			}
@@ -62,7 +59,7 @@ func TestChaosSoak(t *testing.T) {
 	for seed := uint64(1); seed <= seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			out := ChaosRun(seed, goldenScale)
+			out := ChaosRun(seed)
 			if !out.Completed {
 				dumpChaosSchedule(t, out)
 				t.Fatalf("schedule did not complete: %s\nfaults: %s", out.Err, out.Schedule)
@@ -73,7 +70,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			// Determinism: the same seed reproduces the identical run.
 			if seed%8 == 0 {
-				again := ChaosRun(seed, goldenScale)
+				again := ChaosRun(seed)
 				if !reflect.DeepEqual(out, again) {
 					dumpChaosSchedule(t, out)
 					t.Errorf("seed %d is not deterministic:\n%v\n%v", seed, out, again)

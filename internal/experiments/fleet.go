@@ -41,7 +41,7 @@ const (
 	fleetJobDCs   = 6
 	fleetStaggerS = 6.0
 	fleetStart    = 30.0
-	fleetJobGB    = 150.0 // per-job input at scale 1.0
+	fleetJobGB    = 15.0 // per-job input
 )
 
 // FleetJobRow is one regional job's outcome.
@@ -81,7 +81,7 @@ func (r *FleetResult) String() string {
 
 // Fleet runs the staggered regional TeraSorts concurrently over one
 // 100-DC fleet cluster and reports per-job outcomes plus the peak
-// allocator decomposition. Deterministic in (seed, scale).
+// allocator decomposition. Deterministic in the seed.
 func Fleet(p Params) (*FleetResult, error) {
 	p = p.withDefaults()
 	var jobs []trialJob
@@ -94,7 +94,7 @@ func Fleet(p Params) (*FleetResult, error) {
 			hot[k] = first + k
 			allowed[first+k] = true
 		}
-		job := workloads.TeraSort(workloads.SkewedInput(fleetDCs, fleetJobGB*1e9*p.Scale, hot, 1.0))
+		job := workloads.TeraSort(workloads.SkewedInput(fleetDCs, fleetJobGB*1e9, hot, 1.0))
 		job.Name = fmt.Sprintf("sort-%d", j)
 		jobs = append(jobs, trialJob{job: job, delayS: float64(j) * fleetStaggerS, allowed: allowed})
 	}

@@ -46,7 +46,7 @@ func Table4(p Params) (*Table4Result, error) {
 		BaselineJCT:  map[string]map[int]float64{},
 		BaselineCost: map[string]map[int]float64{},
 	}
-	input := workloads.UniformInput(8, 100e9*p.Scale)
+	input := workloads.UniformInput(8, 100e9)
 
 	var minBWRatios []float64
 	for _, system := range []string{"tetrium", "kimchi"} {

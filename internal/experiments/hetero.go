@@ -220,7 +220,7 @@ type Sec583Result struct {
 // Sec583 runs TPC-DS query 78 with an extra t2.medium in US East.
 func Sec583(p Params) (*Sec583Result, error) {
 	p = p.withDefaults()
-	job, err := workloads.TPCDS(78, workloads.UniformInput(8, 100e9*p.Scale))
+	job, err := workloads.TPCDS(78, workloads.UniformInput(8, 100e9))
 	if err != nil {
 		return nil, err
 	}

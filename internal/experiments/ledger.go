@@ -3,7 +3,7 @@ package experiments
 // The paper ledger: every result the paper reports that a driver
 // measures, kept here once. Drivers print a claim's text beside their
 // measurement; ledger_test.go extracts each claim from the driver's
-// result at seeds 1–5 and scale 1.0, checks the values against
+// result at seeds 1–5, checks the values against
 // testdata/ledger.tsv and the verdicts below against the rule, and
 // renders EXPERIMENTS.md's headline table.
 

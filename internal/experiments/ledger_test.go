@@ -5,17 +5,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// ledgerSeeds is how many seeds TestLedger runs: seed 1 in tier-1,
-// seeds 1–5 under the ledger build tag (ledger_seeds_test.go).
-var ledgerSeeds = 1
+// ledgerSeeds is how many seeds TestLedger reads: the golden seeds
+// 1–3 in tier-1, whose runs TestGolden already made, and seeds 1–5
+// under the ledger build tag (ledger_seeds_test.go).
+var ledgerSeeds = goldenSeeds
 
 const (
 	ledgerValues = "ledger.tsv" // under testdata/
@@ -159,12 +158,13 @@ func judge(c claim, median float64) verdict {
 	return notReproduced
 }
 
-// TestLedger measures every ledger row at scale 1.0 and checks it
-// against testdata/ledger.tsv, checks each recorded verdict against the
+// TestLedger measures every ledger row and checks it against
+// testdata/ledger.tsv, checks each recorded verdict against the
 // rule over the file's five seeds, and checks EXPERIMENTS.md's headline
 // table against the render. -update rewrites the seeds it ran in the
 // file, and the table; a recorded verdict is changed by hand.
 func TestLedger(t *testing.T) {
+	t.Parallel()
 	for _, c := range ledger {
 		if extractors[ledgerKey(c)] == nil {
 			t.Errorf("ledger row %q has no extractor", ledgerKey(c))
@@ -176,11 +176,29 @@ func TestLedger(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	// Fill the run cache in parallel before the serial read below.
+	t.Run("runs", func(t *testing.T) {
+		warmed := map[runKey]bool{}
+		for s := range ledgerSeeds {
+			for _, c := range ledger {
+				k := runKey{c.id, uint64(s + 1), Backend{}.String()}
+				if warmed[k] {
+					continue
+				}
+				warmed[k] = true
+				t.Run(fmt.Sprintf("%s_seed%d", c.id, s+1), func(t *testing.T) {
+					t.Parallel()
+					runOf(t, k.id, k.seed, Backend{})
+				})
+			}
+		}
+	})
 	values := readLedgerValues(t)
-	for s, res := range runLedger(t, ledgerSeeds) {
+	for s := range ledgerSeeds {
 		for _, c := range ledger {
 			row := values[ledgerKey(c)]
-			if got := strconv.FormatFloat(extractors[ledgerKey(c)](res[c.id]), 'f', 2, 64); got != row[s] {
+			res := runOf(t, c.id, uint64(s+1), Backend{})
+			if got := strconv.FormatFloat(extractors[ledgerKey(c)](res), 'f', 2, 64); got != row[s] {
 				if !*updateGolden {
 					t.Errorf("%s: %s at seed %d reads %s, %s records %s", c.id, c.stat, s+1, got, ledgerValues, row[s])
 				}
@@ -195,55 +213,6 @@ func TestLedger(t *testing.T) {
 		}
 	}
 	checkLedgerDoc(t, renderLedger(t, values))
-}
-
-// runLedger runs every driver the ledger names at seeds 1..seeds and
-// scale 1.0, on as many workers as there are cores, and returns each
-// seed's results by driver id.
-func runLedger(t *testing.T, seeds int) []map[string]Result {
-	var ids []string
-	for _, c := range ledger {
-		if !slices.Contains(ids, c.id) {
-			ids = append(ids, c.id)
-		}
-	}
-	type job struct {
-		seed int
-		id   string
-	}
-	jobs := make(chan job)
-	results := make([]map[string]Result, seeds)
-	for s := range results {
-		results[s] = map[string]Result{}
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for range runtime.GOMAXPROCS(0) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res, err := runDriver(j.id, Params{Seed: uint64(j.seed + 1), Scale: 1})
-				mu.Lock()
-				if err != nil {
-					t.Errorf("%s (seed %d): %v", j.id, j.seed+1, err)
-				}
-				results[j.seed][j.id] = res
-				mu.Unlock()
-			}
-		}()
-	}
-	for s := range seeds {
-		for _, id := range ids {
-			jobs <- job{s, id}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow() // a driver failed: its rows have no result
-	}
-	return results
 }
 
 // readLedgerValues reads testdata/ledger.tsv: one line per row, the

@@ -152,11 +152,11 @@ func multijobCompare(p Params, res *MultijobResult, mk func(seed uint64) (substr
 func Multijob(p Params) (*MultijobResult, error) {
 	p = p.withDefaults()
 	n := len(geo.Testbed())
-	q78, err := workloads.TPCDS(78, workloads.UniformInput(n, 200e9*p.Scale))
+	q78, err := workloads.TPCDS(78, workloads.UniformInput(n, 20e9))
 	if err != nil {
 		return nil, err
 	}
-	q95, err := workloads.TPCDS(95, workloads.UniformInput(n, 160e9*p.Scale))
+	q95, err := workloads.TPCDS(95, workloads.UniformInput(n, 16e9))
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func Multijob(p Params) (*MultijobResult, error) {
 	}
 	return multijobCompare(p, res, func(seed uint64) (substrate.Cluster, error) { return netsimTestbed(seed), nil }, queryStart,
 		[]string{"terasort", "tpcds-78", "tpcds-95"}, []trialJob{
-			{job: workloads.TeraSort(workloads.UniformInput(n, 300e9*p.Scale)), priority: 1},
+			{job: workloads.TeraSort(workloads.UniformInput(n, 30e9)), priority: 1},
 			{job: q78, delayS: 30, priority: 1},
 			{job: q95, delayS: 60, priority: 4},
 		}, []multijobDeploy{
@@ -184,7 +184,7 @@ func MultijobTrace(p Params) (*MultijobResult, error) {
 	p = p.withDefaults()
 	const startAt = 560.0
 	n := tracesim.Cloud4().N()
-	q95, err := workloads.TPCDS(95, workloads.UniformInput(n, 160e9*p.Scale))
+	q95, err := workloads.TPCDS(95, workloads.UniformInput(n, 16e9))
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func MultijobTrace(p Params) (*MultijobResult, error) {
 		Jobs:     "terasort + tpcds-95 (+20s), recorded congestion episode at t=[600, 900]s",
 	}
 	return multijobCompare(p, res, cloud4Replay, startAt, []string{"terasort", "tpcds-95"}, []trialJob{
-		{job: workloads.TeraSort(workloads.UniformInput(n, 240e9*p.Scale)), priority: 1},
+		{job: workloads.TeraSort(workloads.UniformInput(n, 24e9)), priority: 1},
 		{job: q95, delayS: 20, priority: 1},
 	}, []multijobDeploy{
 		{name: "static", share: optimize.ShareFair},

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"github.com/wanify/wanify/internal/predict"
 )
 
 // Run is the outcome of one experiment execution, with the wall-clock
@@ -15,14 +13,6 @@ type Run struct {
 	Result  Result
 	Err     error
 	Seconds float64
-}
-
-// SharedModel returns the trained prediction model for p's seed,
-// training (and caching) one if needed. Exposed so harnesses can train
-// once up front and hand the same model to every driver — the offline
-// module is cluster-independent, as in a real deployment.
-func SharedModel(p Params) (*predict.Model, error) {
-	return sharedModel(p.withDefaults())
 }
 
 // RunScenarios executes the given scenarios (experiment × backend) one

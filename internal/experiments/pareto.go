@@ -64,8 +64,8 @@ type ParetoResult struct {
 // Pareto dominance.
 func Pareto(p Params) (*ParetoResult, error) {
 	p = p.withDefaults()
-	res := &ParetoResult{InputGB: 100 * p.Scale}
-	job := workloads.TeraSort(workloads.UniformInput(8, 100e9*p.Scale))
+	res := &ParetoResult{InputGB: 10}
+	job := workloads.TeraSort(workloads.UniformInput(8, 10e9))
 	for _, spec := range paretoVariants {
 		run, _, err := trial{p: p, seed: p.Seed, belief: beliefOracle, conns: connUniform, system: spec}.run(job)
 		if err != nil {

@@ -51,7 +51,7 @@ type Fig5Result struct {
 // Fig5 runs TeraSort under the four §5.3.1 variants.
 func Fig5(p Params) (*Fig5Result, error) {
 	p = p.withDefaults()
-	inputBytes := 100e9 * p.Scale
+	inputBytes := 100e9
 	job := workloads.TeraSort(workloads.UniformInput(8, inputBytes))
 	res := &Fig5Result{InputGB: inputBytes / 1e9}
 	for _, v := range []pdtVariant{variantVanilla, variantUniform, variantDynamic, variantThrottle} {

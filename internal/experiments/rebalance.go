@@ -130,9 +130,9 @@ func rebalanceCompare(p Params, scenario, episode string, mk func(seed uint64) (
 	return res, nil
 }
 
-// Rebalance is the netsim episode scenario: a 100 GB-class TeraSort
-// (scaled by Params.Scale) whose shuffle is hit 60 seconds in by a
-// 4-minute degradation of every link out of US East.
+// Rebalance is the netsim episode scenario: a 100 GB TeraSort whose
+// shuffle is hit 60 seconds in by a 4-minute degradation of every link
+// out of US East.
 func Rebalance(p Params) (*RebalanceResult, error) {
 	p = p.withDefaults()
 	const (
@@ -161,7 +161,7 @@ func Rebalance(p Params) (*RebalanceResult, error) {
 	return rebalanceCompare(p,
 		"netsim 8-DC testbed",
 		fmt.Sprintf("US East egress cut to %.0f%% during t=[%.0f, %.0f]s", cutFactor*100, float64(episodeStart), float64(episodeEnd)),
-		mk, queryStart, workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 1000e9*p.Scale)))
+		mk, queryStart, workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 100e9)))
 }
 
 // RebalanceTrace is the cloud4 scenario: the job launches at t=560 s,
@@ -173,7 +173,7 @@ func RebalanceTrace(p Params) (*RebalanceResult, error) {
 	return rebalanceCompare(p,
 		"trace:cloud4 4-DC replay",
 		"recorded US East->EU West congestion episode at t=[600, 900]s",
-		cloud4Replay, startAt, workloads.TeraSort(workloads.UniformInput(tracesim.Cloud4().N(), 600e9*p.Scale)))
+		cloud4Replay, startAt, workloads.TeraSort(workloads.UniformInput(tracesim.Cloud4().N(), 60e9)))
 }
 
 // cloud4Replay replays the bundled cloud4 recording.

@@ -56,8 +56,6 @@ const (
 // ServeLoadResult summarizes a control-plane load test. Every field is
 // a simulated-clock quantity, so String is byte-stable per seed.
 type ServeLoadResult struct {
-	Scale float64
-
 	Submitted     int
 	Admitted      int
 	Done          int
@@ -86,8 +84,7 @@ type ServeLoadResult struct {
 // String implements Result.
 func (r ServeLoadResult) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "serve load test (scale %.2f): %d submitted over %.0fs\n",
-		r.Scale, r.Submitted, r.MakespanS)
+	fmt.Fprintf(&sb, "serve load test: %d submitted over %.0fs\n", r.Submitted, r.MakespanS)
 	fmt.Fprintf(&sb, "  admitted %d  done %d  canceled %d  failed %d  rejected %d (queue %d, quota %d)\n",
 		r.Admitted, r.Done, r.Canceled, r.Failed,
 		r.RejectedQueue+r.RejectedQuota, r.RejectedQueue, r.RejectedQuota)
@@ -103,12 +100,12 @@ func (r ServeLoadResult) String() string {
 }
 
 // serveSpec deterministically shapes submission i of the script.
-func serveSpec(i int, rng *simrand.Source, scale float64) serve.JobSpec {
+func serveSpec(i int, rng *simrand.Source) serve.JobSpec {
 	workload := [...]string{"terasort", "wordcount", "tpcds:q78", "tpcds:q95"}[i%4]
 	spec := serve.JobSpec{
 		Workload: workload,
 		Tenant:   fmt.Sprintf("team-%d", i%serveTenants),
-		InputGB:  (2.0 + 6.0*rng.Float64()) * scale,
+		InputGB:  (2.0 + 6.0*rng.Float64()) * 0.1, // 0.2–0.8 GB
 		Priority: float64(1 + i%3),
 	}
 	if i%7 == 0 {
@@ -199,7 +196,7 @@ func ServeLoad(p Params) (ServeLoadResult, error) {
 	// indexed in script order; job ids only exist for accepted ones.
 	for i, at := range arriveAt {
 		i := i
-		spec := serveSpec(i, rng.Derive(fmt.Sprintf("spec-%d", i)), p.Scale)
+		spec := serveSpec(i, rng.Derive(fmt.Sprintf("spec-%d", i)))
 		sim.After(at, func(float64) {
 			st, err := plane.Submit(spec)
 			if err != nil {
@@ -224,7 +221,6 @@ func ServeLoad(p Params) (ServeLoadResult, error) {
 	// Harvest.
 	st := plane.Stats()
 	res := ServeLoadResult{
-		Scale:         p.Scale,
 		Submitted:     st.Submitted,
 		Admitted:      st.Admitted,
 		Done:          st.Done,

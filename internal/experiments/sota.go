@@ -36,8 +36,8 @@ type Fig7Result struct {
 // (predicted BWs + heterogeneous parallel connections + throttling).
 func Fig7(p Params) (*Fig7Result, error) {
 	p = p.withDefaults()
-	input := workloads.UniformInput(8, 100e9*p.Scale)
-	res := &Fig7Result{InputGB: 100 * p.Scale}
+	input := workloads.UniformInput(8, 100e9)
+	res := &Fig7Result{InputGB: 100}
 	for _, system := range []string{"tetrium", "kimchi"} {
 		for _, q := range workloads.TPCDSQueries() {
 			job, err := workloads.TPCDS(q, input)
@@ -103,7 +103,7 @@ type Fig8aResult struct{ Rows []Fig8aRow }
 func Fig8a(p Params) (*Fig8aResult, error) {
 	p = p.withDefaults()
 	const query = 78
-	job, err := workloads.TPCDS(query, workloads.UniformInput(8, 100e9*p.Scale))
+	job, err := workloads.TPCDS(query, workloads.UniformInput(8, 100e9))
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ type Fig8bResult struct {
 func Fig8b(p Params) (*Fig8bResult, error) {
 	p = p.withDefaults()
 	const query = 78
-	job, err := workloads.TPCDS(query, workloads.UniformInput(8, 100e9*p.Scale))
+	job, err := workloads.TPCDS(query, workloads.UniformInput(8, 100e9))
 	if err != nil {
 		return nil, err
 	}

@@ -72,30 +72,42 @@ func TestPlaceMatchesReference(t *testing.T) {
 		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
 		{Name: "r0", Kind: spark.ReduceKind, SecPerGB: 0, Selectivity: 1}, // network-only
 	}
+	check := func(label string, ci ClusterInfo, believed bwmatrix.Matrix, layout []float64, slack float64) {
+		for _, stage := range stages {
+			label := fmt.Sprintf("%s stage=%s", label, stage.Name)
+
+			tet := Tetrium{Believed: believed, Info: ci}
+			got := tet.Place(0, stage, layout)
+			want := placeTetriumReference(tet, stage, layout)
+			requirePlacementsEqual(t, got, want, label+" tetrium")
+
+			kim := Kimchi{Believed: believed, Info: ci, Slack: slack}
+			got = kim.Place(0, stage, layout)
+			want = placeKimchiReference(kim, stage, layout)
+			requirePlacementsEqual(t, got, want, label+" kimchi")
+
+			ir := Iridium{Believed: believed, Info: ci}
+			got = ir.Place(0, stage, layout)
+			want = placeIridiumReference(ir, stage, layout)
+			requirePlacementsEqual(t, got, want, label+" iridium")
+		}
+	}
 	for n := 2; n <= 8; n++ {
 		for trial := 0; trial < 6; trial++ {
 			ci, believed, layout := randomPlanningProblem(n, uint64(n*100+trial))
-
-			for _, stage := range stages {
-				label := fmt.Sprintf("n=%d trial=%d stage=%s", n, trial, stage.Name)
-
-				tet := Tetrium{Believed: believed, Info: ci}
-				got := tet.Place(0, stage, layout)
-				want := placeTetriumReference(tet, stage, layout)
-				requirePlacementsEqual(t, got, want, label+" tetrium")
-
-				kim := Kimchi{Believed: believed, Info: ci, Slack: 0.1 + 0.05*float64(trial%3)}
-				got = kim.Place(0, stage, layout)
-				want = placeKimchiReference(kim, stage, layout)
-				requirePlacementsEqual(t, got, want, label+" kimchi")
-
-				ir := Iridium{Believed: believed, Info: ci}
-				got = ir.Place(0, stage, layout)
-				want = placeIridiumReference(ir, stage, layout)
-				requirePlacementsEqual(t, got, want, label+" iridium")
-			}
+			check(fmt.Sprintf("n=%d trial=%d", n, trial), ci, believed, layout, 0.1+0.05*float64(trial%3))
 		}
 	}
+	// A near tie that only the sweep order settles: DCs 1 and 2 hold
+	// equal data at equal egress prices, so Kimchi's dollar phase prices
+	// a share moved from DC 0 to either one the same, while DC 1's
+	// slower compute ranks it after DC 2 in the shuffle cutoff. Met in
+	// index order, as the reference meets them, DC 1 takes the share.
+	check("near-tie", ClusterInfo{
+		Regions:      make([]geo.Region, 3),
+		ComputeRates: []float64{2, 1, 4},
+		EgressPerGB:  []float64{0.01, 0.09, 0.09},
+	}, bwmatrix.Matrix{{0, 800, 800}, {800, 0, 800}, {800, 800, 0}}, []float64{2e9, 20e9, 20e9}, 0.5)
 }
 
 // fleetPlanningProblem builds a fleet-shaped problem: n DCs but data on

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"testing"
 
 	"github.com/wanify/wanify/internal/geo"
@@ -154,9 +155,26 @@ func TestSnapshotStableCorrelation(t *testing.T) {
 	for i, row := range ds.X {
 		snaps[i] = row[FeatSnapBW]
 	}
-	r := stats.Pearson(snaps, ds.Y)
+	r := pearson(snaps, ds.Y)
 	if r < 0.7 {
 		t.Errorf("snapshot-stable Pearson correlation %.3f, want strongly positive (paper: positive)", r)
 	}
 	t.Logf("Pearson(snapshot, stable) = %.3f over %d pairs", r, ds.Len())
+}
+
+// pearson is the Pearson correlation coefficient of two equal-length
+// series, or 0 when either series is constant.
+func pearson(xs, ys []float64) float64 {
+	mx, my := stats.Mean(xs), stats.Mean(ys)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(sxx*syy)
 }

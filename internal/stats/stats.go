@@ -1,6 +1,5 @@
 // Package stats provides the small statistical toolkit used across the
-// WANify reproduction: means, standard deviations, Pearson correlation
-// (the paper's §2.2 snapshot/stable correlation check), RMSE/R² for the
+// WANify reproduction: means, standard deviations, RMSE/R² for the
 // prediction model, and simple histogram bucketing for the table
 // experiments.
 package stats
@@ -60,50 +59,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// It returns 0 when the slices differ in length, are shorter than 2, or
-// either side has zero variance. The computation is scale-invariant
-// (deviations are normalized by their largest magnitude first), so it
-// does not overflow even for inputs near math.MaxFloat64.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	// Pre-scale both series by their largest magnitude: correlation is
-	// scale-invariant, and working in [-1, 1] makes every intermediate
-	// value overflow-free.
-	var maxX, maxY float64
-	for i := range xs {
-		if v := math.Abs(xs[i]); v > maxX {
-			maxX = v
-		}
-		if v := math.Abs(ys[i]); v > maxY {
-			maxY = v
-		}
-	}
-	if maxX == 0 || maxY == 0 {
-		return 0
-	}
-	sx := make([]float64, len(xs))
-	sy := make([]float64, len(ys))
-	for i := range xs {
-		sx[i] = xs[i] / maxX
-		sy[i] = ys[i] / maxY
-	}
-	mx, my := Mean(sx), Mean(sy)
-	var sxy, sxx, syy float64
-	for i := range sx {
-		dx, dy := sx[i]-mx, sy[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // RMSE returns the root-mean-square error between predictions and labels.

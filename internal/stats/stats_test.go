@@ -37,47 +37,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-// TestPearsonKnown checks perfect correlation, anti-correlation and
-// independence cases.
-func TestPearsonKnown(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	if r := Pearson(x, y); !almost(r, 1) {
-		t.Errorf("perfect correlation r = %v", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if r := Pearson(x, neg); !almost(r, -1) {
-		t.Errorf("perfect anti-correlation r = %v", r)
-	}
-	flat := []float64{5, 5, 5, 5, 5}
-	if r := Pearson(x, flat); r != 0 {
-		t.Errorf("zero-variance r = %v, want 0", r)
-	}
-	if r := Pearson(x, x[:3]); r != 0 {
-		t.Errorf("length mismatch r = %v, want 0", r)
-	}
-}
-
-// TestPearsonBounds property-checks |r| <= 1.
-func TestPearsonBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		if len(xs) < 4 {
-			return true
-		}
-		for _, v := range xs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		half := len(xs) / 2
-		r := Pearson(xs[:half], xs[half:half*2])
-		return r >= -1.0000001 && r <= 1.0000001
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestRMSEAndMAE checks error metrics.
 func TestRMSEAndMAE(t *testing.T) {
 	pred := []float64{1, 2, 3}
