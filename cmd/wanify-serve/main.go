@@ -9,11 +9,12 @@
 //	wanify-serve -hardened
 //
 // -hardened upgrades the re-gauging controller to failure-aware
-// gauging: probes retry with backoff, partial snapshots fuse with the
-// last-known-good belief, low-coverage snapshots are refused (degraded
-// mode) and repeated refusals open a circuit breaker. The state shows
-// in /healthz ("degraded" body, still 200), the gauge section of
-// /v1/cluster, and the wanify.serve.gauge.* telemetry family.
+// gauging: probes retry with backoff, a partial snapshot's unmeasurable
+// pairs take the last value measured there, low-coverage snapshots are
+// refused (degraded mode) and repeated refusals open a circuit
+// breaker. The state shows in /healthz ("degraded" body, still 200),
+// the gauge section of /v1/cluster, and the wanify.serve.gauge.*
+// telemetry family.
 //
 // The substrate clock free-wheels at -speed simulated seconds per wall
 // second on a dedicated driver goroutine; every request crosses onto
@@ -67,7 +68,7 @@ func main() {
 		refreshS   = flag.Float64("refresh", 0, "model re-fingerprint period (simulated s, 0 = off)")
 		quant      = flag.Float64("quant", 0, "fingerprint bandwidth bucket in Mbps (0 = serving default)")
 		rebal      = flag.Bool("rebalance", true, "run the mid-job re-gauging controller")
-		harden     = flag.Bool("hardened", false, "with -rebalance: failure-aware gauging — probe retry/backoff, belief-fused partial snapshots, coverage-gated replans and a circuit breaker; surfaces in /healthz (degraded), /v1/cluster (gauge) and wanify.serve.gauge.* telemetry")
+		harden     = flag.Bool("hardened", false, "with -rebalance: failure-aware gauging — probe retry/backoff, partial snapshots filled with last measured values, coverage-gated replans and a circuit breaker; surfaces in /healthz (degraded), /v1/cluster (gauge) and wanify.serve.gauge.* telemetry")
 		speed      = flag.Float64("speed", 60, "simulated seconds per wall second (<=0 free-runs)")
 		graphite   = flag.String("graphite", "", "also stream telemetry to this carbon host:port")
 		metricsCap = flag.Int("metrics-cap", 4096, "telemetry lines retained for /metrics")

@@ -30,10 +30,10 @@
 // and swapped into the running agents when WAN drift is detected —
 // with -jobs N one controller arbitrates for the whole set. -hardened
 // upgrades the controller to failure-aware gauging (probe
-// retry/backoff, partial snapshots fused with the last-known-good
-// belief, coverage-gated replans, circuit breaker); -probe-fail T
-// injects a measurement-poisoning fault burst at time T to aim at a
-// re-gauge window. -overlap
+// retry/backoff, partial snapshots whose unmeasurable pairs take the
+// last value measured there, coverage-gated replans, circuit breaker);
+// -probe-fail T injects a measurement-poisoning fault burst at time T
+// to aim at a re-gauge window. -overlap
 // pipelines compute into the transfer window (SDTP-style). -backend
 // selects the substrate (netsim, trace, trace:<name|file>); -model
 // reuses a wanify-train model so the online run skips retraining.
@@ -81,7 +81,7 @@ func main() {
 		jobs    = flag.Int("jobs", 1, "run N copies of the job concurrently over one cluster (multi-tenant)")
 		shareS  = flag.String("share", "fair", "with -jobs N and -conns wanify: split the global plan's windows across jobs by fair | priority | remaining (priority: job 0 ranks highest)")
 		rebal   = flag.Bool("rebalance", false, "with -conns wanify: re-gauge and rebalance the plan mid-job when WAN drift is detected (with -jobs N: one shared controller arbitrates for all jobs)")
-		harden  = flag.Bool("hardened", false, "with -rebalance: failure-aware gauging — probe retry/backoff, partial snapshots fused with the last-known-good belief, coverage-gated replans and a circuit breaker")
+		harden  = flag.Bool("hardened", false, "with -rebalance: failure-aware gauging — probe retry/backoff, partial snapshots whose unmeasurable pairs take their last measured value, coverage-gated replans and a circuit breaker")
 		pfailAt = flag.Float64("probe-fail", -1, "inject a measurement-poisoning burst at this simulated time (s): the first third of the DCs partition for 60 s and one healthy pair resets 1 s in; aim it at a -rebalance re-gauge window and pair with -hardened to watch the poisoned snapshot be rejected instead of replanned")
 		overlap = flag.Bool("overlap", false, "pipeline compute into the transfer window (SDTP-style)")
 		traceTo = flag.String("trace", "", "write a per-pair rate time series (CSV) to this file")
@@ -402,7 +402,7 @@ func main() {
 				fmt.Printf("  replan %s\n", ev)
 			}
 			if g := ctl.Gauge(); g.Hardened {
-				fmt.Printf("  gauge: coverage %.0f%%, %d rejected snapshots, %d probe retries, %d unmeasurable pairs, %d belief-filled\n",
+				fmt.Printf("  gauge: coverage %.0f%%, %d rejected snapshots, %d probe retries, %d unmeasurable pairs, %d filled\n",
 					g.LastCoverage*100, g.RejectedSnapshots, g.Retries, g.UnmeasurablePairs, g.FusedPairs)
 				for _, in := range ctl.Incidents() {
 					fmt.Printf("  incident %s\n", in)

@@ -96,7 +96,7 @@ type DegradeVariant struct {
 	Rejected     int // snapshots refused for low coverage
 	Retries      int // probe retries spent across hardened snapshots
 	Unmeasurable int // pair outcomes tagged Unmeasurable
-	Fused        int // pairs filled from the belief store
+	Fused        int // unmeasurable pairs filled with their last-known-good value
 	Events       []string
 	Incidents    []string
 }

@@ -86,10 +86,11 @@ func TestChaosRegaugeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos re-gauge soak skipped in -short")
 	}
+	t.Parallel()
 	const seeds = 8
 	for seed := uint64(1); seed <= seeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
 			model, err := sharedModel(Params{Seed: seed})
 			if err != nil {
 				t.Fatalf("model: %v", err)

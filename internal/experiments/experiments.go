@@ -80,33 +80,32 @@ func IDs() []string {
 
 var (
 	modelMu    sync.Mutex
-	modelCache = map[uint64]*predict.Model{}
+	modelCache = map[uint64]func() (*predict.Model, error){}
 )
 
 // sharedModel returns the prediction model for p, training one if
-// needed. Training uses the paper's pipeline at a reduced session count
-// so experiments stay fast; accuracy is evaluated in fig11a/table4.
+// needed; different seeds train concurrently. Training uses the
+// paper's pipeline at a reduced session count so experiments stay
+// fast; accuracy is evaluated in fig11a/table4.
 func sharedModel(p Params) (*predict.Model, error) {
 	if p.Model != nil {
 		return p.Model, nil
 	}
 	modelMu.Lock()
-	defer modelMu.Unlock()
-	if m, ok := modelCache[p.Seed]; ok {
-		return m, nil
+	train, ok := modelCache[p.Seed]
+	if !ok {
+		train = sync.OnceValues(func() (*predict.Model, error) {
+			ds, _ := dataset.Generate(dataset.GenConfig{
+				Sizes:        []int{3, 4, 5, 6, 7, 8},
+				DrawsPerSize: 8,
+				Seed:         p.Seed ^ 0xd1ce,
+			})
+			return predict.Train(ds, predict.TrainConfig{Forest: rf.Config{NumTrees: 60, Seed: p.Seed}})
+		})
+		modelCache[p.Seed] = train
 	}
-	gen := dataset.GenConfig{
-		Sizes:        []int{3, 4, 5, 6, 7, 8},
-		DrawsPerSize: 8,
-		Seed:         p.Seed ^ 0xd1ce,
-	}
-	ds, _ := dataset.Generate(gen)
-	m, err := predict.Train(ds, predict.TrainConfig{Forest: rf.Config{NumTrees: 60, Seed: p.Seed}})
-	if err != nil {
-		return nil, err
-	}
-	modelCache[p.Seed] = m
-	return m, nil
+	modelMu.Unlock()
+	return train()
 }
 
 // pct returns the relative improvement of v over base in percent

@@ -134,34 +134,38 @@ func rebalanceCompare(p Params, scenario, episode string, mk func(seed uint64) (
 // shuffle is hit 60 seconds in by a 4-minute degradation of every link
 // out of US East.
 func Rebalance(p Params) (*RebalanceResult, error) {
-	p = p.withDefaults()
-	const (
-		episodeStart = queryStart + 60
-		episodeEnd   = episodeStart + 240
-		cutFactor    = 0.45
-	)
-	mk := func(seed uint64) (substrate.Cluster, error) {
-		sim := netsimTestbed(seed)
-		base := make([]float64, sim.NumDCs())
-		for j := 1; j < sim.NumDCs(); j++ {
-			base[j] = sim.PerConnCapMbps(0, j)
-		}
-		sim.After(episodeStart, func(float64) {
-			for j := 1; j < sim.NumDCs(); j++ {
-				sim.SetPerConnCap(0, j, base[j]*cutFactor)
-			}
-		})
-		sim.After(episodeEnd, func(float64) {
-			for j := 1; j < sim.NumDCs(); j++ {
-				sim.SetPerConnCap(0, j, base[j])
-			}
-		})
-		return sim, nil
-	}
-	return rebalanceCompare(p,
+	return rebalanceCompare(p.withDefaults(),
 		"netsim 8-DC testbed",
-		fmt.Sprintf("US East egress cut to %.0f%% during t=[%.0f, %.0f]s", cutFactor*100, float64(episodeStart), float64(episodeEnd)),
-		mk, queryStart, workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 100e9)))
+		fmt.Sprintf("US East egress cut to %.0f%% during t=[%.0f, %.0f]s", egressCutFactor*100, float64(egressCutStart), float64(egressCutEnd)),
+		egressCutTestbed, queryStart, workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 100e9)))
+}
+
+// The rebalance episode: every link out of US East at egressCutFactor of
+// its nominal per-connection cap during [egressCutStart, egressCutEnd).
+const (
+	egressCutStart  = queryStart + 60
+	egressCutEnd    = egressCutStart + 240
+	egressCutFactor = 0.45
+)
+
+// egressCutTestbed is the netsim testbed under the rebalance episode.
+func egressCutTestbed(seed uint64) (substrate.Cluster, error) {
+	sim := netsimTestbed(seed)
+	base := make([]float64, sim.NumDCs())
+	for j := 1; j < sim.NumDCs(); j++ {
+		base[j] = sim.PerConnCapMbps(0, j)
+	}
+	sim.After(egressCutStart, func(float64) {
+		for j := 1; j < sim.NumDCs(); j++ {
+			sim.SetPerConnCap(0, j, base[j]*egressCutFactor)
+		}
+	})
+	sim.After(egressCutEnd, func(float64) {
+		for j := 1; j < sim.NumDCs(); j++ {
+			sim.SetPerConnCap(0, j, base[j])
+		}
+	})
+	return sim, nil
 }
 
 // RebalanceTrace is the cloud4 scenario: the job launches at t=560 s,

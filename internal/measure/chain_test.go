@@ -60,7 +60,7 @@ func probeOrigin() string {
 
 // TestProbeOriginFrames pins the function-name contract the repository
 // benchmark counts snapshots and retries by: every first probe of
-// BeginSnapshot and BeginSnapshotHardened is a snapshot probe, every
+// BeginSnapshot and BeginSnapshotHardenedInto is a snapshot probe, every
 // replacement probe a retry. Renaming either function, or moving
 // StartProbe more than six frames below it, fails here.
 func TestProbeOriginFrames(t *testing.T) {
@@ -71,7 +71,7 @@ func TestProbeOriginFrames(t *testing.T) {
 	ps := BeginSnapshot(c, opts)
 	c.RunFor(1)
 	ps.Collect()
-	hs := BeginSnapshotHardened(c, opts)
+	hs := BeginSnapshotHardenedInto(nil, c, opts)
 	sim.ResetPair(0, 1, sim.Now()+0.2) // the retry starts 0.1 s later, inside the window
 	c.RunFor(1)
 	part := hs.CollectPartial()
@@ -119,7 +119,7 @@ func TestNoProbeOutlivesSnapshot(t *testing.T) {
 			return rep.FailedProbes
 		}},
 		{"CollectPartial", func(t *testing.T, c substrate.Cluster) int {
-			ps := BeginSnapshotHardened(c, opts)
+			ps := BeginSnapshotHardenedInto(nil, c, opts)
 			c.RunFor(1)
 			return ps.CollectPartial().Bill.FailedProbes
 		}},
@@ -132,7 +132,7 @@ func TestNoProbeOutlivesSnapshot(t *testing.T) {
 			return -1
 		}},
 		{"AbandonHardened", func(t *testing.T, c substrate.Cluster) int {
-			ps := BeginSnapshotHardened(c, opts)
+			ps := BeginSnapshotHardenedInto(nil, c, opts)
 			c.RunFor(1)
 			ps.Abandon()
 			ps.Abandon()
@@ -222,7 +222,7 @@ func TestSnapshotAllocs(t *testing.T) {
 			ps.Collect()
 		}},
 		{"hardened", 122, func(sim *netsim.Sim) {
-			ps := BeginSnapshotHardened(sim, opts)
+			ps := BeginSnapshotHardenedInto(nil, sim, opts)
 			sim.RunFor(1)
 			ps.CollectPartial()
 		}},
@@ -270,7 +270,7 @@ func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 		if kind == "legacy" {
 			a, ps = BeginSnapshot(fresh, opts(k)), BeginSnapshotInto(ps, reused, opts(k))
 		} else {
-			a, ps = BeginSnapshotHardened(fresh, opts(k)), BeginSnapshotHardenedInto(ps, reused, opts(k))
+			a, ps = BeginSnapshotHardenedInto(nil, fresh, opts(k)), BeginSnapshotHardenedInto(ps, reused, opts(k))
 		}
 		b = ps
 		if owner == nil {
@@ -344,7 +344,7 @@ func TestRecycledSnapshotIgnoresStaleWork(t *testing.T) {
 		sim := frozenSim(3, 37)
 		sim.RunFor(5)
 		c := &heldCluster{probeLog: &probeLog{Cluster: sim}}
-		ps := BeginSnapshotHardened(c, opts)
+		ps := BeginSnapshotHardenedInto(nil, c, opts)
 		sim.ResetPair(0, 1, 5.9) // late in the window: the retry is held back
 		sim.RunFor(1)
 		if k := ps.CollectPartial(); k.Retries() != 1 || len(c.timers) != 1 {
@@ -403,7 +403,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		sim := frozenSim(8, 29)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ps := BeginSnapshotHardened(sim, opts)
+			ps := BeginSnapshotHardenedInto(nil, sim, opts)
 			sim.ResetPair(0, 1, sim.Now()+0.2)
 			sim.RunFor(1)
 			ps.CollectPartial()

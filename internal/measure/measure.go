@@ -174,12 +174,12 @@ type PendingSnapshot struct {
 	failFns  []func()
 	begun    float64
 	gen      uint64 // bumped by every begin
-	hardened bool   // BeginSnapshotHardened: retries armed, CollectPartial only
+	hardened bool   // BeginSnapshotHardenedInto: retries armed, CollectPartial only
 	finished bool   // Collect, CollectPartial or Abandon already ran
 
 	// Collection scratch, reused by every collection of the snapshot.
 	sums []float64       // fold: per-key rate sums
-	live []pairLive      // CollectPartial: per-key live seconds and chain count
+	live []float64       // CollectPartial: per-key live seconds
 	part PartialSnapshot // CollectPartial's result
 }
 

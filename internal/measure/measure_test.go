@@ -268,7 +268,8 @@ func TestCollectWindow(t *testing.T) {
 			_, _, rep := ps.Collect()
 			return rep
 		}},
-		{"hardened", BeginSnapshotHardened, func(ps *PendingSnapshot) Report { return ps.CollectPartial().Bill }},
+		{"hardened", func(c substrate.Cluster, o Options) *PendingSnapshot { return BeginSnapshotHardenedInto(nil, c, o) },
+			func(ps *PendingSnapshot) Report { return ps.CollectPartial().Bill }},
 	}
 	for _, path := range paths {
 		t.Run(path.name+"/early-panics", func(t *testing.T) {

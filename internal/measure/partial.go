@@ -7,10 +7,11 @@ package measure
 // with capped exponential backoff on the substrate clock (armRetry
 // appends the replacement as the chain's next segment), and collection
 // returns a PartialSnapshot that tags every ordered DC pair Measured,
-// Retried or Unmeasurable with a confidence score — never a fabricated
-// zero. The retry policy is fixed (the constants below). The
-// re-gauging controller (internal/runtime) fuses these tagged samples
-// with its last-known-good belief store; see DESIGN.md §11.
+// Retried or Unmeasurable — never a fabricated zero. The retry policy
+// is fixed (the constants below). The re-gauging controller
+// (internal/runtime) replans from the pairs measured and fills each
+// Unmeasurable one with the last value it measured there; see
+// DESIGN.md §11.
 
 import (
 	"math"
@@ -72,9 +73,6 @@ type PairSample struct {
 	// Mbps is the byte-integrated rate over the pair's live probe
 	// time (zero when Unmeasurable with no live time).
 	Mbps float64
-	// Confidence is the fraction of the probe window the pair was
-	// actually observed, in [0, 1]; zero for Unmeasurable pairs.
-	Confidence float64
 	// Retries counts replacement probes started for the pair.
 	Retries int
 	// FailedProbes counts probe flows of the pair a fault terminated.
@@ -86,7 +84,7 @@ type PairSample struct {
 // tag, and the host metrics and bill of the legacy snapshot.
 type PartialSnapshot struct {
 	// BW holds the measured rates (noise applied); Unmeasurable pairs
-	// are zero and must be filled from belief, not trusted.
+	// are zero and must be filled, not trusted.
 	BW bwmatrix.Matrix
 	// Samples tags every ordered DC pair; Samples[k] is Pairs[k]'s.
 	Samples []PairSample
@@ -127,18 +125,14 @@ func (s *PartialSnapshot) Retries() int {
 	return n
 }
 
-// BeginSnapshotHardened starts a failure-aware all-pairs snapshot:
-// the same probes as BeginSnapshot, every one of them started before
-// any failure handler is armed; each handler retries its chain with
-// capped exponential backoff on the substrate clock. Collect the
-// result with CollectPartial once the window has elapsed.
-func BeginSnapshotHardened(sim substrate.Cluster, opts Options) *PendingSnapshot {
-	return BeginSnapshotHardenedInto(nil, sim, opts)
-}
-
-// BeginSnapshotHardenedInto is BeginSnapshotHardened over the storage
-// of ps, recycled as in BeginSnapshotInto; a recycled chain keeps the
-// failure handler bound at the snapshot's first hardened begin.
+// BeginSnapshotHardenedInto starts a failure-aware all-pairs snapshot
+// over the storage of ps, recycled as in BeginSnapshotInto (nil: a new
+// snapshot): the same probes as BeginSnapshot, every one of them
+// started before any failure handler is armed; each handler retries
+// its chain with capped exponential backoff on the substrate clock. A
+// recycled chain keeps the failure handler bound at the snapshot's
+// first hardened begin. Collect the result with CollectPartial once
+// the window has elapsed.
 func BeginSnapshotHardenedInto(ps *PendingSnapshot, sim substrate.Cluster, opts Options) *PendingSnapshot {
 	ps = recycle(ps, sim)
 	ps.hardened = true
@@ -169,7 +163,7 @@ func (ps *PendingSnapshot) bindFailFns() {
 // probe an earlier generation started finds a live segment whose flow
 // has not failed, or is already closed, and does nothing. A probe born
 // failed (dead endpoint) fires the handler as it is registered, so the
-// first retry is scheduled from within BeginSnapshotHardened itself.
+// first retry is scheduled from within BeginSnapshotHardenedInto itself.
 func (ps *PendingSnapshot) probeFailed(i int) {
 	ch := &ps.chains[i]
 	seg := &ch.segs[len(ch.segs)-1]
@@ -213,7 +207,7 @@ func (ps *PendingSnapshot) armRetry(i int, gen uint64, now float64) {
 // so a probe that died mid-window still reports the rate it saw while
 // alive instead of a diluted average; pairs with no live time — or
 // whose flows stalled below stallMbps, the partition signature — are
-// tagged Unmeasurable and left at zero for the caller's belief fusion.
+// tagged Unmeasurable and left at zero for the caller to fill.
 //
 // The result lives in the snapshot's storage: it stays valid until a
 // snapshot recycled from this one is collected.
@@ -240,8 +234,7 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	live := resize(ps.live, len(ps.pairs))
 	ps.live = live
 	ps.teardown(func(ch *chain) {
-		s, pl := &out.Samples[ch.pair], &live[ch.pair]
-		pl.chains++
+		s := &out.Samples[ch.pair]
 		s.Retries += ch.retries
 		// Time-average within the chain (its segments are the same VM
 		// pair re-probed, never concurrent) and sum across chains (the
@@ -270,19 +263,16 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 		}
 		if chLive > 0 {
 			s.Mbps += chBytes * 8 / 1e6 / chLive
-			pl.sum += chLive
+			live[ch.pair] += chLive
 		}
 	})
 	// Walk the ordered pair list so noise draws attach to pairs
 	// deterministically, exactly as in Collect.
 	for k, p := range ps.pairs {
-		s, pl := &out.Samples[k], live[k]
-		if pl.chains > 0 {
-			s.Confidence = math.Min(pl.sum/(float64(pl.chains)*window), 1)
-		}
+		s := &out.Samples[k]
 		switch {
-		case pl.sum <= 0 || s.Mbps < stallMbps:
-			s.Outcome, s.Confidence = PairUnmeasurable, 0
+		case live[k] <= 0 || s.Mbps < stallMbps:
+			s.Outcome = PairUnmeasurable
 		case s.Retries > 0 || s.FailedProbes > 0:
 			s.Outcome = PairRetried
 		}
@@ -296,11 +286,4 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	}
 	out.Stats = vmStatsInto(out.Stats, ps.sim)
 	return out
-}
-
-// pairLive is one key's summed live seconds and chain count, beside
-// its sample.
-type pairLive struct {
-	sum    float64
-	chains int
 }

@@ -15,7 +15,7 @@ import (
 func collectHardened(n int, seed uint64, sched substrate.FaultSchedule) *PartialSnapshot {
 	sim := frozenSim(n, seed)
 	sim.RunFor(5) // settle away from t=0 so fault times are mid-stream
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1})
+	ps := BeginSnapshotHardenedInto(nil, sim, Options{DurationS: 1})
 	sched.Apply(sim)
 	sim.RunFor(1)
 	return ps.CollectPartial()
@@ -33,7 +33,7 @@ func sampleOf(part *PartialSnapshot, p [2]int) PairSample {
 
 // TestHardenedMatchesLegacyOnHealthyCluster: with no faults the
 // hardened snapshot must read exactly what the legacy snapshot reads —
-// every pair Measured at confidence 1, coverage 1, same matrix.
+// every pair Measured, coverage 1, same matrix.
 func TestHardenedMatchesLegacyOnHealthyCluster(t *testing.T) {
 	opts := Options{DurationS: 1}
 
@@ -43,7 +43,7 @@ func TestHardenedMatchesLegacyOnHealthyCluster(t *testing.T) {
 	want, _, wantRep := legacy.Collect()
 
 	hardSim := frozenSim(4, 7)
-	hard := BeginSnapshotHardened(hardSim, opts)
+	hard := BeginSnapshotHardenedInto(nil, hardSim, opts)
 	hardSim.RunFor(1)
 	got := hard.CollectPartial()
 
@@ -58,8 +58,8 @@ func TestHardenedMatchesLegacyOnHealthyCluster(t *testing.T) {
 	}
 	for k, p := range got.Pairs {
 		s := got.Samples[k]
-		if s.Outcome != PairMeasured || s.Confidence != 1 || s.FailedProbes != 0 {
-			t.Errorf("pair %v = %+v, want Measured at confidence 1", p, s)
+		if s.Outcome != PairMeasured || s.FailedProbes != 0 {
+			t.Errorf("pair %v = %+v, want Measured", p, s)
 		}
 	}
 	if got.Bill.FailedProbes != 0 || got.Bill.BytesTransferred != wantRep.BytesTransferred {
@@ -80,6 +80,12 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 		{Kind: substrate.FaultPartitionDC, DC: 4, At: 5.0, Until: 10},
 	}
 	part := collectHardened(5, 3, sched)
+	// The same window without faults. A pair that kept a reading reads
+	// its bytes over its live time: near its fault-free rate, where
+	// bytes over the whole window would read that rate diluted by the
+	// dead fraction of the window.
+	clean := collectHardened(5, 3, nil)
+	ratio := func(p [2]int, s PairSample) float64 { return s.Mbps / clean.BW[p[0]][p[1]] }
 
 	if len(part.Pairs) != 20 || len(part.Samples) != 20 {
 		t.Fatalf("pairs = %d, samples = %d, want 20 each", len(part.Pairs), len(part.Samples))
@@ -90,8 +96,8 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 		case p[0] == 4 || p[1] == 4:
 			// Partitioned the whole window: stalled at rate 0, tagged
 			// unmeasurable rather than read as a zero-bandwidth link.
-			if s.Outcome != PairUnmeasurable || s.Confidence != 0 {
-				t.Errorf("partitioned pair %v = %+v, want Unmeasurable at confidence 0", p, s)
+			if s.Outcome != PairUnmeasurable {
+				t.Errorf("partitioned pair %v = %+v, want Unmeasurable", p, s)
 			}
 			if part.BW[p[0]][p[1]] != 0 {
 				t.Errorf("partitioned pair %v left %.1f Mbps in BW, want 0", p, part.BW[p[0]][p[1]])
@@ -106,8 +112,10 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 			if s.FailedProbes == 0 {
 				t.Errorf("killed-endpoint pair %v counted no failed probes", p)
 			}
-			if s.Confidence <= 0 || s.Confidence > 0.45 {
-				t.Errorf("killed-endpoint pair %v confidence %.2f, want ~0.3", p, s.Confidence)
+			// Live 0.3 s of the window, still ramping up: diluted
+			// over the window it would read under 0.3× fault-free.
+			if r := ratio(p, s); r < 0.45 || r > 1 {
+				t.Errorf("killed-endpoint pair %v reads %.2f× its fault-free rate, want within [0.45, 1] (0.3 s live of 1 s)", p, r)
 			}
 		case p[0] == 0 && p[1] == 1:
 			// Reset at 5.4: probe died, backoff 0.1 s, replacement ran
@@ -115,8 +123,9 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 			if s.Outcome != PairRetried || s.Retries == 0 || s.FailedProbes == 0 {
 				t.Errorf("reset pair %v = %+v, want Retried with retries", p, s)
 			}
-			if s.Confidence < 0.8 || s.Confidence > 1 {
-				t.Errorf("reset pair %v confidence %.2f, want ~0.9 (0.4+0.5 of 1 s)", p, s.Confidence)
+			// Live 0.9 s of the window: diluted it would read ~0.8×.
+			if r := ratio(p, s); r < 0.85 || r > 1 {
+				t.Errorf("reset pair %v reads %.2f× its fault-free rate, want within [0.85, 1] (0.4+0.5 s live of 1 s)", p, r)
 			}
 			// The chain time-averages its segments: the reading must be
 			// in the vicinity of the healthy pairs, not doubled by
@@ -125,8 +134,8 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 				t.Errorf("reset pair %v reads %.0f Mbps vs healthy reverse %.0f — segment rates summed instead of time-averaged?", p, s.Mbps, healthy.Mbps)
 			}
 		default:
-			if s.Outcome != PairMeasured || s.Confidence != 1 {
-				t.Errorf("healthy pair %v = %+v, want Measured at confidence 1", p, s)
+			if s.Outcome != PairMeasured {
+				t.Errorf("healthy pair %v = %+v, want Measured", p, s)
 			}
 		}
 	}
@@ -170,7 +179,7 @@ func TestCollectPartialDeterministicPerSeed(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	sim := frozenSim(3, 5)
 	sim.RunFor(5)
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1})
+	ps := BeginSnapshotHardenedInto(nil, sim, Options{DurationS: 1})
 	// Reset the pair at every instant a probe could be running.
 	for _, at := range []float64{5.1, 5.25, 5.5, 5.75, 5.9} {
 		sim.ResetPair(0, 1, at)
@@ -194,7 +203,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // snapshots.
 func TestHardenedGuards(t *testing.T) {
 	sim := frozenSim(3, 1)
-	ps := BeginSnapshotHardened(sim, Options{DurationS: 1})
+	ps := BeginSnapshotHardenedInto(nil, sim, Options{DurationS: 1})
 	sim.RunFor(1)
 	mustPanic(t, "Collect on a hardened snapshot", func() { ps.Collect() })
 

@@ -91,9 +91,10 @@ func TestWarmControllerEpochAllocatesNothing(t *testing.T) {
 // escapes into CurrentPlan (MinConns, MaxConns, MinBW, MaxBW and DCRel,
 // two objects each) and one of slack for the event record's and the
 // timer queue's amortized growth. The snapshot's pair list, chains,
-// first-segment slab, samples and accumulators, the fused matrix, the
-// chunk rows and the hooks' buffers are all reused: a change that
-// rebuilds one of them, or copies the prediction again, breaks it.
+// first-segment slab, samples, accumulators and matrix (the fill
+// writes into it), the chunk rows and the hooks' buffers are all
+// reused: a change that rebuilds one of them, or copies the prediction
+// again, breaks it.
 const replanFixedObjs = 17
 
 // TestWarmHardenedReplanAllocBudget: a hardened replan, snapshot through
@@ -109,7 +110,7 @@ func TestWarmHardenedReplanAllocBudget(t *testing.T) {
 		ctl.Regauge()
 		sim.RunFor(1)
 	}
-	replan() // warm: the snapshot, fused matrix and chunk rows are sized
+	replan() // warm: the snapshot and chunk rows are sized
 	before := ctl.Replans()
 	got := testing.AllocsPerRun(20, replan)
 	if ctl.Replans()-before != 21 {
@@ -126,7 +127,7 @@ func TestWarmHardenedReplanAllocBudget(t *testing.T) {
 // TestReplanLeavesEarlierReadsAlone: what a caller read before a replan
 // — Live's and CurrentPred's copies, Belief's uncopied matrix, an
 // Event — reads the same after it, although the controller rewrites
-// its epoch matrices, snapshot, fused matrix and Predict's result in
+// its epoch matrices, snapshot and Predict's result in
 // place.
 func TestReplanLeavesEarlierReadsAlone(t *testing.T) {
 	sim, ctl, stop := warmController(t, 4, 63)
@@ -172,7 +173,7 @@ func TestReplanLeavesEarlierReadsAlone(t *testing.T) {
 // BenchmarkController times the controller's two steady-state paths on
 // four frozen DCs with a transfer on every pair: one epoch tick
 // (aggregate + drift check) and one hardened replan (snapshot begun,
-// one probe window of simulation, collect, fuse, predict, optimize,
+// one probe window of simulation, collect, fill, predict, optimize,
 // swap). With -benchmem it shows what each allocates.
 func BenchmarkController(b *testing.B) {
 	b.Run("epoch", func(b *testing.B) {

@@ -82,11 +82,12 @@ type Config struct {
 	StaleAfterS float64
 	// Hardened turns on failure-aware gauging (DESIGN.md §11): re-gauge
 	// snapshots run with probe retry/backoff
-	// (measure.BeginSnapshotHardened), come back as tagged partial
-	// samples, fuse with the last-known-good belief store, and pass
-	// through the coverage gate and circuit breaker below. Default off:
-	// the legacy collect-and-swap path is byte-identical to builds that
-	// predate hardening.
+	// (measure.BeginSnapshotHardenedInto), come back as tagged partial
+	// samples, pass through the coverage gate and circuit breaker below,
+	// and replan from the pairs they measured, each Unmeasurable pair
+	// filled with the last value measured for it. When every probe
+	// lands, a hardened replan is the legacy one bit for bit. Default
+	// off: the legacy collect-and-swap path.
 	Hardened bool
 }
 
@@ -117,6 +118,10 @@ const (
 	// plan is kept, the rejection is recorded as an incident, and the
 	// circuit breaker advances.
 	minCoverage = 0.6
+	// blackoutFloorMbps is the least a filled pair replans at: the
+	// 1 Mbps blackout belief internal/gda locks for believed-blackout
+	// pairs, so a long-unmeasured pair reads as a blackout, not a hole.
+	blackoutFloorMbps = 1.0
 	// breakerThreshold consecutive rejected snapshots open the circuit
 	// breaker, which then suppresses re-gauge triggers for
 	// breakerBackoffEpochs controller epochs.
@@ -285,10 +290,7 @@ type Controller struct {
 	// snap is the re-gauge snapshot every trigger begins again: one
 	// pair list, chain list and collection scratch for the controller's
 	// life (measure.BeginSnapshotInto).
-	snap *measure.PendingSnapshot
-	// fused is the hardened path's belief-fused snapshot, handed to
-	// Predict; rewritten by every hardened replan.
-	fused       bwmatrix.Matrix
+	snap        *measure.PendingSnapshot
 	deadHandled []bool // per-DC: evacuation replan already fired for it
 
 	events      []Event
@@ -297,7 +299,10 @@ type Controller struct {
 	stopped     bool
 
 	// --- failure-aware gauging state (Config.Hardened) ---
-	belief       *beliefStore
+	// lkg is the last value an accepted hardened snapshot measured for
+	// each pair, the deployment's prediction before any; it fills the
+	// pairs a later snapshot could not measure.
+	lkg          bwmatrix.Matrix
 	incidents    []Event // rejected snapshots and breaker openings
 	breakerFails int     // consecutive rejected snapshots
 	breakerUntil float64 // open breaker suppresses triggers until then
@@ -322,8 +327,8 @@ type GaugeStats struct {
 	// UnmeasurablePairs is the unmeasurable count of the most recent
 	// snapshot.
 	UnmeasurablePairs int
-	// FusedPairs counts pair readings filled from the belief store
-	// instead of a measurement, cumulatively.
+	// FusedPairs counts Unmeasurable pair readings filled with their
+	// last-known-good value instead of a measurement, cumulatively.
 	FusedPairs int
 	// BreakerOpen reports whether the circuit breaker is open.
 	BreakerOpen bool
@@ -356,11 +361,9 @@ func Start(deps Deps, cfg Config, pred bwmatrix.Matrix, plan optimize.Plan) *Con
 		planAt: deps.Cluster.Now(),
 	}
 	if c.cfg.Hardened {
-		// Seed the belief store with the prediction the current plan
-		// was built from: the best last-known-good available before
-		// any hardened snapshot lands.
-		c.belief = newBeliefStore(deps.Cluster.NumDCs())
-		c.belief.seed(pred, c.planAt, 0.5)
+		// Before any hardened snapshot lands, the prediction the
+		// current plan was built from is the best last-known-good.
+		c.lkg = pred.Clone()
 		c.gauge = GaugeStats{Hardened: true, LastCoverage: 1}
 	}
 	c.cancel = deps.Cluster.Every(c.cfg.EpochS, c.epoch)
@@ -607,9 +610,9 @@ func (c *Controller) beginRegauge(now float64, reason Reason, drifted int, maxFr
 
 // applyHardened consumes a collected partial snapshot: reject it and
 // advance the circuit breaker when measured coverage is below the
-// threshold (degraded mode — the current plan keeps flying), fuse the
-// tagged samples with the belief store otherwise and replan from the
-// fused matrix.
+// threshold (degraded mode — the current plan keeps flying), otherwise
+// fill its Unmeasurable pairs with their last-known-good values and
+// replan from it.
 func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied float64, reason Reason, drifted int, maxFrac float64, evac []int) {
 	cov := part.Coverage()
 	c.gauge.LastCoverage = cov
@@ -620,8 +623,8 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 	// the ordered pairs on an n-DC cluster — a 3- or 4-DC cluster can
 	// never clear the 0.6 gate with one DC dark). beginRegauge already
 	// marked the DC handled, so gating here would refuse the evacuation
-	// forever; instead the unmeasurable pairs fall back to the decayed
-	// belief below and applyRegauge zeroes the dead DC's rows anyway.
+	// forever; instead the unmeasurable pairs take their last-known-good
+	// values below and applyRegauge zeroes the dead DC's rows anyway.
 	if cov < minCoverage && reason != ReasonEvacuate {
 		// Degraded mode: too few pairs answered for the snapshot to
 		// describe the WAN. Replanning from it would swap a poisoned
@@ -662,29 +665,24 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 		// nothing about whether the WAN can be measured again.
 		c.breakerFails = 0
 	}
-	// Fusion: measured pairs blend with the staleness-decayed belief;
-	// unmeasurable pairs fall back to the believed value, floored at
-	// the 1 Mbps blackout belief — never a fabricated zero.
-	if c.fused.N() != part.BW.N() {
-		c.fused = bwmatrix.New(part.BW.N())
-	}
-	fused := c.fused
-	for i := range fused {
-		copy(fused[i], part.BW[i])
-	}
+	// Last-known-good fill, in place: a measured pair replans at its
+	// measurement and becomes that pair's last-known-good; an
+	// unmeasurable pair replans at its last-known-good, floored at the
+	// 1 Mbps blackout belief gda locks for believed-blackout pairs —
+	// never a fabricated zero.
 	for k, p := range part.Pairs {
-		s := part.Samples[k]
-		if s.Outcome == measure.PairUnmeasurable {
-			fused[p[0]][p[1]] = c.belief.value(p[0], p[1])
+		i, j := p[0], p[1]
+		if part.Samples[k].Outcome == measure.PairUnmeasurable {
+			part.BW[i][j] = max(c.lkg[i][j], blackoutFloorMbps)
 			c.gauge.FusedPairs++
 		} else {
-			fused[p[0]][p[1]] = c.belief.fuse(p[0], p[1], s.Mbps, s.Confidence, applied)
+			c.lkg[i][j] = part.BW[i][j]
 		}
 	}
-	c.applyRegauge(fused, part.Stats, part.Bill, now, applied, reason, drifted, maxFrac, evac, cov)
+	c.applyRegauge(part.BW, part.Stats, part.Bill, now, applied, reason, drifted, maxFrac, evac, cov)
 }
 
-// applyRegauge turns a collected (and, when hardened, fused) snapshot
+// applyRegauge turns a collected (and, when hardened, filled) snapshot
 // into the next plan and swaps it into the agents.
 func (c *Controller) applyRegauge(snap bwmatrix.Matrix, stats []substrate.VMStats, rep measure.Report, now, applied float64, reason Reason, drifted int, maxFrac float64, evac []int, coverage float64) {
 	// The one copy of the prediction a replan makes: Predict's result

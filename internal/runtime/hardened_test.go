@@ -165,10 +165,11 @@ func TestDegradedModeAndBreaker(t *testing.T) {
 	}
 }
 
-// TestBeliefFillsUnmeasurablePairs: a snapshot at exactly the coverage
-// threshold is accepted, and its unmeasurable pairs replan on the
-// last-known-good belief instead of a fabricated zero.
-func TestBeliefFillsUnmeasurablePairs(t *testing.T) {
+// TestLastKnownGoodFillsUnmeasurablePairs: a snapshot at exactly the
+// coverage threshold is accepted, and its unmeasurable pairs replan on
+// their last-known-good value — before any measurement, the prediction
+// the controller started from — instead of a fabricated zero.
+func TestLastKnownGoodFillsUnmeasurablePairs(t *testing.T) {
 	sim := frozenSim(5, 54)
 	pred := accuratePred(sim)
 	agents := deployAgents(sim, tightRows(sim, pred))
@@ -180,7 +181,7 @@ func TestBeliefFillsUnmeasurablePairs(t *testing.T) {
 
 	// DC 4 partitioned across the snapshot window: 8 of 20 pairs
 	// unmeasurable, coverage exactly 0.6 — at the default threshold,
-	// so the swap proceeds with belief-filled rows.
+	// so the swap proceeds with filled rows.
 	sim.PartitionDC(4, 29, 1e9)
 	sim.RunFor(40)
 
@@ -193,8 +194,8 @@ func TestBeliefFillsUnmeasurablePairs(t *testing.T) {
 	}
 	got := ctl.CurrentPred()
 	for j := 0; j < 4; j++ {
-		// The partitioned DC's pairs measured nothing; the fused
-		// prediction must carry the seeded last-known-good verbatim.
+		// The partitioned DC's pairs measured nothing; the filled
+		// prediction must carry the starting prediction verbatim.
 		if got[4][j] != pred[4][j] || got[j][4] != pred[j][4] {
 			t.Errorf("unmeasurable pair (4,%d): pred %v/%v, want last-known-good %v/%v",
 				j, got[4][j], got[j][4], pred[4][j], pred[j][4])
@@ -256,8 +257,8 @@ func TestNoSwapBelowCoverageThresholdProperty(t *testing.T) {
 // beginRegauge marks the DC handled when the replan *starts*, a gated
 // rejection would strand the dead DC in the plan forever. The hardened
 // controller must swap the evacuation anyway, filling the unmeasurable
-// pairs from belief and zeroing the dead DC, without recording a
-// degraded incident or advancing the breaker.
+// pairs with their last-known-good values and zeroing the dead DC,
+// without recording a degraded incident or advancing the breaker.
 func TestEvacuationBypassesCoverageGate(t *testing.T) {
 	sim := frozenSim(3, 56)
 	pred := accuratePred(sim)

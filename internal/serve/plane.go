@@ -233,7 +233,8 @@ type GaugeStatus struct {
 	// UnmeasurablePairs is the most recent snapshot's unmeasurable
 	// pair count.
 	UnmeasurablePairs int `json:"unmeasurable_pairs"`
-	// FusedPairs counts readings filled from the belief store.
+	// FusedPairs counts unmeasurable readings filled with their
+	// last-known-good value.
 	FusedPairs int `json:"fused_pairs"`
 	// BreakerOpen and BreakerUntil describe the circuit breaker.
 	BreakerOpen  bool    `json:"breaker_open"`
