@@ -6,14 +6,13 @@
 //	wanify-serve -addr :8080
 //	wanify-serve -dcs 4 -max-running 2 -queue 16 -quota 4
 //	wanify-serve -refresh 300 -graphite localhost:2003 -speed 120
-//	wanify-serve -hardened
 //
-// -hardened upgrades the re-gauging controller to failure-aware
-// gauging: probes retry with backoff, a partial snapshot's unmeasurable
-// pairs take the last value measured there, low-coverage snapshots are
-// refused (degraded mode) and repeated refusals open a circuit
-// breaker. The state shows in /healthz ("degraded" body, still 200),
-// the gauge section of /v1/cluster, and the wanify.serve.gauge.*
+// The re-gauging controller (-rebalance, on by default) gauges
+// failure-aware: probes retry with backoff, a partial snapshot's
+// unmeasurable pairs take the last value measured there, low-coverage
+// snapshots are refused (degraded mode) and repeated refusals open a
+// circuit breaker. The state shows in /healthz ("degraded" body, still
+// 200), the gauge section of /v1/cluster, and the wanify.serve.gauge.*
 // telemetry family.
 //
 // The substrate clock free-wheels at -speed simulated seconds per wall
@@ -68,7 +67,6 @@ func main() {
 		refreshS   = flag.Float64("refresh", 0, "model re-fingerprint period (simulated s, 0 = off)")
 		quant      = flag.Float64("quant", 0, "fingerprint bandwidth bucket in Mbps (0 = serving default)")
 		rebal      = flag.Bool("rebalance", true, "run the mid-job re-gauging controller")
-		harden     = flag.Bool("hardened", false, "with -rebalance: failure-aware gauging — probe retry/backoff, partial snapshots filled with last measured values, coverage-gated replans and a circuit breaker; surfaces in /healthz (degraded), /v1/cluster (gauge) and wanify.serve.gauge.* telemetry")
 		speed      = flag.Float64("speed", 60, "simulated seconds per wall second (<=0 free-runs)")
 		graphite   = flag.String("graphite", "", "also stream telemetry to this carbon host:port")
 		metricsCap = flag.Int("metrics-cap", 4096, "telemetry lines retained for /metrics")
@@ -97,13 +95,9 @@ func main() {
 		Cluster: sim, Rates: rates, Seed: *seed,
 		Agent: agent.Config{Throttle: true},
 	}
-	if *harden && !*rebal {
-		log.Fatal("wanify-serve: -hardened configures the re-gauging controller and requires -rebalance")
-	}
 	if *rebal {
 		cfg.Runtime = rgauge.Config{
 			Enabled: true, EpochS: 15, HysteresisEpochs: 2, CooldownS: 30,
-			Hardened: *harden,
 		}
 	}
 	fw, err := wanify.New(cfg, model)

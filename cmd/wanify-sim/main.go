@@ -28,13 +28,12 @@
 // jobs (fair, priority, remaining). -rebalance adds the mid-job
 // re-gauging controller (internal/runtime): the plan is re-measured
 // and swapped into the running agents when WAN drift is detected —
-// with -jobs N one controller arbitrates for the whole set. -hardened
-// upgrades the controller to failure-aware gauging (probe
-// retry/backoff, partial snapshots whose unmeasurable pairs take the
-// last value measured there, coverage-gated replans, circuit breaker);
-// -probe-fail T injects a measurement-poisoning fault burst at time T
-// to aim at a re-gauge window. -overlap
-// pipelines compute into the transfer window (SDTP-style). -backend
+// with -jobs N one controller arbitrates for the whole set. Its
+// gauging is failure-aware (probe retry/backoff, partial snapshots
+// whose unmeasurable pairs take the last value measured there,
+// coverage-gated replans, circuit breaker); -probe-fail T injects a
+// measurement-poisoning fault burst at time T to aim at a re-gauge
+// window. -backend
 // selects the substrate (netsim, trace, trace:<name|file>); -model
 // reuses a wanify-train model so the online run skips retraining.
 // -topo fleet:<dcs>x<vms> swaps the testbed for a synthetic fleet
@@ -81,9 +80,7 @@ func main() {
 		jobs    = flag.Int("jobs", 1, "run N copies of the job concurrently over one cluster (multi-tenant)")
 		shareS  = flag.String("share", "fair", "with -jobs N and -conns wanify: split the global plan's windows across jobs by fair | priority | remaining (priority: job 0 ranks highest)")
 		rebal   = flag.Bool("rebalance", false, "with -conns wanify: re-gauge and rebalance the plan mid-job when WAN drift is detected (with -jobs N: one shared controller arbitrates for all jobs)")
-		harden  = flag.Bool("hardened", false, "with -rebalance: failure-aware gauging — probe retry/backoff, partial snapshots whose unmeasurable pairs take their last measured value, coverage-gated replans and a circuit breaker")
-		pfailAt = flag.Float64("probe-fail", -1, "inject a measurement-poisoning burst at this simulated time (s): the first third of the DCs partition for 60 s and one healthy pair resets 1 s in; aim it at a -rebalance re-gauge window and pair with -hardened to watch the poisoned snapshot be rejected instead of replanned")
-		overlap = flag.Bool("overlap", false, "pipeline compute into the transfer window (SDTP-style)")
+		pfailAt = flag.Float64("probe-fail", -1, "inject a measurement-poisoning burst at this simulated time (s): the first third of the DCs partition for 60 s and one healthy pair resets 1 s in; aim it at a -rebalance re-gauge window to watch the poisoned snapshot be rejected instead of replanned")
 		traceTo = flag.String("trace", "", "write a per-pair rate time series (CSV) to this file")
 		backend = flag.String("backend", "netsim", "substrate backend: netsim | trace | trace:<name|file>")
 		topo    = flag.String("topo", "testbed", "cluster topology: testbed | fleet:<dcs>x<vms> (synthetic fleet, netsim only)")
@@ -113,9 +110,6 @@ func main() {
 	}
 	if *jobs < 1 {
 		log.Fatalf("-jobs must be at least 1, got %d", *jobs)
-	}
-	if *harden && !*rebal {
-		log.Fatal("-hardened configures the re-gauging controller and requires -rebalance")
 	}
 	if *skew && *jobName != "wordcount" {
 		log.Fatalf("-skew skews the wordcount input and requires -job wordcount, not %q", *jobName)
@@ -165,7 +159,7 @@ func main() {
 	}
 
 	// Measurement-poisoning burst: partition enough DCs to drag a
-	// snapshot below the hardened coverage threshold, and reset one
+	// snapshot below the controller's coverage threshold, and reset one
 	// healthy pair mid-window so a probe dies in flight.
 	if *pfailAt >= 0 {
 		dark := n / 3
@@ -250,7 +244,7 @@ func main() {
 		fw, err = wanify.New(wanify.Config{
 			Cluster: sim, Rates: rates, Seed: *seed,
 			Agent:   agent.Config{Throttle: true},
-			Runtime: rgauge.Config{Enabled: *rebal, Hardened: *harden},
+			Runtime: rgauge.Config{Enabled: *rebal},
 		}, model)
 		if err != nil {
 			log.Fatal(err)
@@ -333,7 +327,6 @@ func main() {
 		fmt.Printf("\nrunning %s on %d DCs (%s): scheduler=%s conns=%s\n", job.Name, n, be, scheduler.Name(), *conns)
 	}
 	eng := spark.NewEngine(sim, rates)
-	eng.OverlapFetchCompute = *overlap
 	if *recover {
 		eng.Recovery = spark.RecoveryConfig{Enabled: true}
 	}
@@ -401,12 +394,11 @@ func main() {
 			for _, ev := range ctl.Events() {
 				fmt.Printf("  replan %s\n", ev)
 			}
-			if g := ctl.Gauge(); g.Hardened {
-				fmt.Printf("  gauge: coverage %.0f%%, %d rejected snapshots, %d probe retries, %d unmeasurable pairs, %d filled\n",
-					g.LastCoverage*100, g.RejectedSnapshots, g.Retries, g.UnmeasurablePairs, g.FusedPairs)
-				for _, in := range ctl.Incidents() {
-					fmt.Printf("  incident %s\n", in)
-				}
+			g := ctl.Gauge()
+			fmt.Printf("  gauge: coverage %.0f%%, %d rejected snapshots, %d probe retries, %d unmeasurable pairs, %d filled\n",
+				g.LastCoverage*100, g.RejectedSnapshots, g.Retries, g.UnmeasurablePairs, g.FusedPairs)
+			for _, in := range ctl.Incidents() {
+				fmt.Printf("  incident %s\n", in)
 			}
 		}
 	}

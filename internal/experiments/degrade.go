@@ -19,20 +19,14 @@ import (
 // and a connection reset strikes a healthy pair mid-snapshot:
 //
 //   - clean never sees the faults — the reference JCT.
-//   - naive runs the legacy controller: the snapshot returns near-zero
-//     rates for every pair touching a dark DC, the optimizer dutifully
-//     replans around bandwidth that is merely unmeasured, and the job
-//     drags that poisoned plan long after the blackout heals.
-//   - hardened runs the same schedule with failure-aware gauging: the
-//     partial snapshot tags the dark pairs Unmeasurable, coverage falls
-//     below the replan threshold, the controller refuses the swap (and
-//     eventually opens its circuit breaker), and the pre-fault plan —
-//     still correct for the post-heal network — keeps the job near the
-//     clean JCT.
+//   - hardened runs the fault schedule: the partial snapshot tags the
+//     dark pairs Unmeasurable, coverage falls below the replan
+//     threshold, the controller refuses the swap (and eventually opens
+//     its circuit breaker), and the pre-fault plan — still correct for
+//     the post-heal network — keeps the job near the clean JCT.
 //
-// All three variants run the identical TeraSort with spark recovery
-// enabled, so the only degree of freedom is how the controller treats a
-// snapshot it cannot trust.
+// Both variants run the identical TeraSort with spark recovery enabled
+// and the same controller, so the only degree of freedom is the faults.
 
 func init() {
 	Registry["degrade"] = func(p Params) (Result, error) { return Degrade(p) }
@@ -56,8 +50,7 @@ const (
 // pairs measurable — coverage 0.36, well under the 0.6 replan floor.
 var degradeDarkDCs = []int{1, 2, 3}
 
-// degradeSchedule is the shared fault script for the naive and hardened
-// variants.
+// degradeSchedule is the hardened variant's fault script.
 func degradeSchedule() substrate.FaultSchedule {
 	var s substrate.FaultSchedule
 	for _, dc := range degradeDarkDCs {
@@ -75,43 +68,36 @@ func degradeSchedule() substrate.FaultSchedule {
 
 // degradeRuntime is the controller configuration: the rebalance cadence
 // plus a 45 s staleness bound so a re-gauge is guaranteed during the
-// blackout, with the hardened machinery toggled per variant.
-func degradeRuntime(hardened bool) rgauge.Config {
+// blackout.
+func degradeRuntime() rgauge.Config {
 	return rgauge.Config{
 		Enabled:          true,
 		EpochS:           15,
 		HysteresisEpochs: 2,
 		CooldownS:        30,
 		StaleAfterS:      45,
-		Hardened:         hardened,
 	}
 }
 
 // DegradeVariant is one compared execution.
 type DegradeVariant struct {
-	Variant      string // clean | naive | hardened
+	Variant      string // clean | hardened
 	JCTSeconds   float64
 	WANBytes     float64
 	Replans      int
-	Rejected     int // snapshots refused for low coverage
-	Retries      int // probe retries spent across hardened snapshots
-	Unmeasurable int // pair outcomes tagged Unmeasurable
-	Fused        int // unmeasurable pairs filled with their last-known-good value
-	Events       []string
-	Incidents    []string
+	Rejected     int            // snapshots refused for low coverage
+	Retries      int            // probe retries spent across re-gauge snapshots
+	Unmeasurable int            // pair outcomes tagged Unmeasurable
+	Fused        int            // unmeasurable pairs filled with their last-known-good value
+	Events       []rgauge.Event // the applied replans
+	Incidents    []rgauge.Event // rejected snapshots and breaker openings
 }
 
-// DegradeResult compares the three variants under one fault script.
+// DegradeResult compares the two variants under one fault script.
 type DegradeResult struct {
 	Scenario string
 	Fault    string
 	Rows     []DegradeVariant
-	// HardenedVsNaivePct is the JCT reduction of hardened vs naive
-	// (positive = failure-aware gauging finished sooner).
-	HardenedVsNaivePct float64
-	// HardenedVsCleanPct is how far hardened lands from the no-fault
-	// reference (positive = slower than clean, the unavoidable stall).
-	HardenedVsCleanPct float64
 }
 
 // String renders the comparison.
@@ -133,13 +119,11 @@ func (r *DegradeResult) String() string {
 			fmt.Fprintf(&b, "  %s incident %s\n", row.Variant, in)
 		}
 	}
-	fmt.Fprintf(&b, "hardened completes %.1f%% sooner than the poisoned naive replan, %.1f%% over the clean run\n",
-		r.HardenedVsNaivePct, r.HardenedVsCleanPct)
 	return b.String()
 }
 
-// Degrade runs the three variants of one TeraSort, each with spark
-// recovery on, and reports the JCT spread.
+// Degrade runs the two variants of one TeraSort, each with spark
+// recovery on, and reports their JCTs.
 func Degrade(p Params) (*DegradeResult, error) {
 	p = p.withDefaults()
 	res := &DegradeResult{
@@ -148,7 +132,7 @@ func Degrade(p Params) (*DegradeResult, error) {
 			degradeBlackoutStart, degradeBlackoutEnd, degradeResetSrc, degradeResetDst, degradeResetAt),
 	}
 	job := workloads.TeraSort(workloads.UniformInput(len(geo.Testbed()), 100e9))
-	for _, variant := range []string{"clean", "naive", "hardened"} {
+	for _, variant := range []string{"clean", "hardened"} {
 		t := wanifyTrial(p, func(seed uint64) (substrate.Cluster, error) {
 			sim := netsimTestbed(seed)
 			if variant != "clean" {
@@ -156,26 +140,18 @@ func Degrade(p Params) (*DegradeResult, error) {
 			}
 			return sim, nil
 		}, 0)
-		t.runtime, t.recover = degradeRuntime(variant == "hardened"), true
+		t.runtime, t.recover = degradeRuntime(), true
 		run, ctl, err := t.run(job)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", variant, err)
 		}
 		g := ctl.Gauge()
-		v := DegradeVariant{
+		res.Rows = append(res.Rows, DegradeVariant{
 			Variant: variant, JCTSeconds: run.JCTSeconds, WANBytes: run.WANBytes,
 			Replans: ctl.Replans(), Rejected: g.RejectedSnapshots, Retries: g.Retries,
 			Unmeasurable: g.UnmeasurablePairs, Fused: g.FusedPairs,
-		}
-		for _, ev := range ctl.Events() {
-			v.Events = append(v.Events, ev.String())
-		}
-		for _, in := range ctl.Incidents() {
-			v.Incidents = append(v.Incidents, in.String())
-		}
-		res.Rows = append(res.Rows, v)
+			Events: ctl.Events(), Incidents: ctl.Incidents(),
+		})
 	}
-	res.HardenedVsNaivePct = pct(res.Rows[1].JCTSeconds, res.Rows[2].JCTSeconds)
-	res.HardenedVsCleanPct = -pct(res.Rows[0].JCTSeconds, res.Rows[2].JCTSeconds)
 	return res, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	wanify "github.com/wanify/wanify"
@@ -19,45 +18,61 @@ import (
 
 // TestDegradeContract asserts the contract the degrade scenario exists
 // to prove, on every golden seed (TestGolden/degrade_seed<N> locks its
-// bytes): the failure-aware controller's JCT strictly beats the
-// poisoned naive replan, the naive run swaps plans built on the
-// blackout snapshot, and the hardened run rejects those snapshots and
-// opens its breaker instead.
+// bytes): under the blackout the controller refuses the snapshot whose
+// window the pair reset strikes (t=745) for coverage below the gate,
+// opens its breaker, never swaps a plan built on a below-coverage
+// snapshot, and finishes after the no-fault run but within 8% of it.
 func TestDegradeContract(t *testing.T) {
 	t.Parallel()
 	for seed := uint64(1); seed <= goldenSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			res := result[*DegradeResult](t, "degrade", seed)
-			clean, naive, hardened := res.Rows[0], res.Rows[1], res.Rows[2]
-			if hardened.JCTSeconds >= naive.JCTSeconds {
-				t.Errorf("hardened JCT %.1fs does not beat naive %.1fs",
-					hardened.JCTSeconds, naive.JCTSeconds)
+			if len(res.Rows) != 2 {
+				t.Fatalf("%d variants, want clean and hardened", len(res.Rows))
 			}
-			if hardened.JCTSeconds < clean.JCTSeconds {
-				t.Errorf("hardened JCT %.1fs beats the no-fault run %.1fs — scenario is not exercising the faults",
+			clean, hardened := res.Rows[0], res.Rows[1]
+			if hardened.JCTSeconds <= clean.JCTSeconds {
+				t.Errorf("hardened JCT %.1fs is no later than the no-fault run %.1fs — scenario is not exercising the faults",
 					hardened.JCTSeconds, clean.JCTSeconds)
 			}
-			if hardened.Rejected == 0 {
-				t.Error("hardened variant rejected no snapshots under the blackout")
+			if hardened.JCTSeconds > 1.08*clean.JCTSeconds {
+				t.Errorf("hardened JCT %.1fs is more than 8%% over the no-fault run %.1fs",
+					hardened.JCTSeconds, clean.JCTSeconds)
 			}
-			if naive.Rejected != 0 || clean.Rejected != 0 {
-				t.Errorf("legacy variants rejected snapshots (clean=%d naive=%d)",
-					clean.Rejected, naive.Rejected)
+			if clean.Rejected != 0 || len(clean.Incidents) != 0 {
+				t.Errorf("the no-fault run rejected %d snapshots", clean.Rejected)
 			}
-			var breakerOpened bool
+			var rejectedReset, breakerOpened bool
 			for _, in := range hardened.Incidents {
-				if strings.Contains(in, "breaker-open") {
+				switch in.Reason {
+				case rgauge.ReasonDegraded:
+					if in.TriggeredAt <= degradeResetAt && degradeResetAt < in.AppliedAt {
+						rejectedReset = in.Coverage < chaosRegaugeMinCoverage
+					}
+				case rgauge.ReasonBreaker:
 					breakerOpened = true
 				}
 			}
+			if !rejectedReset {
+				t.Errorf("the snapshot the blackout and reset struck was not refused below coverage %v: %v",
+					chaosRegaugeMinCoverage, hardened.Incidents)
+			}
 			if !breakerOpened {
 				t.Error("hardened variant never opened its circuit breaker")
+			}
+			for _, row := range res.Rows {
+				for _, ev := range row.Events {
+					if ev.Coverage < chaosRegaugeMinCoverage {
+						t.Errorf("%s: plan swap consumed a below-threshold snapshot: %s (coverage %.2f)",
+							row.Variant, ev, ev.Coverage)
+					}
+				}
 			}
 		})
 	}
 }
 
-// chaosRegaugeConfig is the hardened controller the re-gauging soak
+// chaosRegaugeConfig is the controller the re-gauging soak
 // runs under: staleness forces snapshots into the fault window.
 // chaosRegaugeMinCoverage is the controller's coverage gate, the bound
 // the soak asserts against.
@@ -70,11 +85,10 @@ func chaosRegaugeConfig() rgauge.Config {
 		HysteresisEpochs: 2,
 		CooldownS:        30,
 		StaleAfterS:      30,
-		Hardened:         true,
 	}
 }
 
-// TestChaosRegaugeSoak runs the hardened re-gauging controller under
+// TestChaosRegaugeSoak runs the re-gauging controller under
 // the randomized chaos schedules with spark recovery enabled and
 // asserts the degraded-mode invariant end to end: no drift or staleness
 // plan swap ever consumes a snapshot below the coverage threshold (an

@@ -200,11 +200,9 @@ func TestSnapshotByVMNoiseIgnoresFaults(t *testing.T) {
 // (56 probes, one object each in netsim), simulator included. A one-off
 // snapshot: 64 objects legacy, 122 hardened (the ceilings were 128 and
 // 363, the counts before every collector shared the chain list). Begun
-// again over a collected one (BeginSnapshot*Into), it reuses the pair
-// list, chains, failure handlers, first-segment slab, samples,
-// accumulators and BW matrix: the legacy snapshot adds only Collect's
-// fresh matrix and host metrics to its probes, the hardened one
-// nothing.
+// again over a collected one (BeginSnapshotHardenedInto), it reuses the
+// pair list, chains, failure handlers, first-segment slab, samples,
+// accumulators and BW matrix, and allocates nothing but its probes.
 func TestSnapshotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
@@ -226,11 +224,6 @@ func TestSnapshotAllocs(t *testing.T) {
 			sim.RunFor(1)
 			ps.CollectPartial()
 		}},
-		{"legacy-recycled", 56 + 3, func(sim *netsim.Sim) {
-			ps = BeginSnapshotInto(ps, sim, opts)
-			sim.RunFor(1)
-			ps.Collect()
-		}},
 		{"hardened-recycled", 56, func(sim *netsim.Sim) {
 			ps = BeginSnapshotHardenedInto(ps, sim, opts)
 			sim.RunFor(1)
@@ -248,12 +241,12 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 }
 
-// TestRecycledSnapshotMatchesFresh: a snapshot begun again over a
-// collected one — legacy or hardened, the other kind or a retried one
-// before it, abandoned or collected — samples exactly what a fresh one
-// does on the same simulator state: same bandwidths, samples, host
-// metrics and bill. Two twin simulators run the same fault script; one
-// recycles one snapshot throughout, the other begins each one fresh.
+// TestRecycledSnapshotMatchesFresh: a snapshot begun again over an
+// earlier one — a retried one, one with a retry still pending at
+// collection, an abandoned one — samples exactly what a fresh one does
+// on the same simulator state: same bandwidths, samples, host metrics
+// and bill. Two twin simulators run the same fault script; one recycles
+// one snapshot throughout, the other begins each one fresh.
 func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 	opts := func(k int) Options { return SnapshotOptions(simrand.Derive(uint64(k), "recycled")) }
 	twin := func() *netsim.Sim {
@@ -265,35 +258,23 @@ func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 	}
 	fresh, reused := twin(), twin()
 	var ps, owner *PendingSnapshot
-	for k, kind := range []string{"hardened", "legacy", "hardened", "abandoned", "hardened", "legacy"} {
-		var a, b *PendingSnapshot
-		if kind == "legacy" {
-			a, ps = BeginSnapshot(fresh, opts(k)), BeginSnapshotInto(ps, reused, opts(k))
-		} else {
-			a, ps = BeginSnapshotHardenedInto(nil, fresh, opts(k)), BeginSnapshotHardenedInto(ps, reused, opts(k))
-		}
-		b = ps
+	for k := 0; k < 6; k++ {
+		a := BeginSnapshotHardenedInto(nil, fresh, opts(k))
+		ps = BeginSnapshotHardenedInto(ps, reused, opts(k))
 		if owner == nil {
 			owner = ps
 		} else if ps != owner {
-			t.Fatalf("snapshot %d: BeginSnapshot*Into did not reuse the snapshot it was given", k)
+			t.Fatalf("snapshot %d: BeginSnapshotHardenedInto did not reuse the snapshot it was given", k)
 		}
 		fresh.RunFor(1)
 		reused.RunFor(1)
-		switch kind {
-		case "legacy":
-			bwA, statsA, repA := a.Collect()
-			bwB, statsB, repB := b.Collect()
-			if !reflect.DeepEqual(bwA, bwB) || !reflect.DeepEqual(statsA, statsB) || repA != repB {
-				t.Fatalf("snapshot %d (legacy): recycled sample differs from a fresh one", k)
-			}
-		case "abandoned":
+		if k == 3 {
 			a.Abandon()
-			b.Abandon()
-		default:
-			pa, pb := a.CollectPartial(), b.CollectPartial()
+			ps.Abandon()
+		} else {
+			pa, pb := a.CollectPartial(), ps.CollectPartial()
 			if !reflect.DeepEqual(pa, pb) {
-				t.Fatalf("snapshot %d (hardened): recycled partial sample differs from a fresh one:\n%+v\n%+v", k, pb, pa)
+				t.Fatalf("snapshot %d: recycled partial sample differs from a fresh one:\n%+v\n%+v", k, pb, pa)
 			}
 			if (k == 0 || k == 2) && pa.Retries() != 1 {
 				t.Fatalf("snapshot %d retried %d probes, want its reset's one", k, pa.Retries())

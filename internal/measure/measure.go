@@ -150,18 +150,19 @@ func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []subst
 // concurrently with whatever traffic the cluster is already carrying.
 // Snapshot drives the clock itself (RunFor) and so cannot be taken from
 // inside a substrate timer callback; the runtime re-gauging controller
-// (internal/runtime) instead calls BeginSnapshot from its epoch tick,
-// lets the simulation advance on its own for Options.DurationS, and
-// then Collects — same probes, same noise order, no nested clock.
+// (internal/runtime) instead begins its snapshot from its epoch tick
+// (BeginSnapshotHardenedInto), lets the simulation advance on its own
+// for Options.DurationS, and then collects it (CollectPartial) — same
+// probes, same noise order, no nested clock.
 //
 // A collected or abandoned all-pairs snapshot can be begun again
-// (BeginSnapshotInto, BeginSnapshotHardenedInto): the pair list, the
-// chains with their bound failure handlers, the first-segment slab
-// and the collection scratch are reused, so a recurring re-gauge
-// allocates only its probe flows. Each begin bumps the snapshot's
-// generation; deferred work of an earlier generation (a retry timer, a
-// failure handler of a probe it started) finds the generation moved on
-// and does nothing (probeFailed, armRetry).
+// (BeginSnapshotHardenedInto): the pair list, the chains with their
+// bound failure handlers, the first-segment slab and the collection
+// scratch are reused, so a recurring re-gauge allocates only its probe
+// flows. Each begin bumps the snapshot's generation; deferred work of
+// an earlier generation (a retry timer, a failure handler of a probe it
+// started) finds the generation moved on and does nothing (probeFailed,
+// armRetry).
 type PendingSnapshot struct {
 	sim    substrate.Cluster
 	opts   Options
@@ -208,23 +209,15 @@ type probeSeg struct {
 // match Snapshot exactly: on an otherwise idle cluster,
 // BeginSnapshot + RunFor + Collect is byte-identical to Snapshot.
 func BeginSnapshot(sim substrate.Cluster, opts Options) *PendingSnapshot {
-	return BeginSnapshotInto(nil, sim, opts)
+	n := sim.NumDCs()
+	pairs := allPairs(n)
+	return beginProbes(sim, opts, n, pairs, dcChains(sim, pairs))
 }
 
-// BeginSnapshotInto is BeginSnapshot over the storage of ps — nil, or
-// a finished snapshot an earlier BeginSnapshot* call on the same
-// cluster returned — and returns ps (a new snapshot when ps is nil or
-// sized for another cluster). It panics when ps is still in flight.
-// The probes, their order and the collected result are BeginSnapshot's.
-func BeginSnapshotInto(ps *PendingSnapshot, sim substrate.Cluster, opts Options) *PendingSnapshot {
-	ps = recycle(ps, sim)
-	ps.hardened = false
-	ps.start(opts)
-	return ps
-}
-
-// recycle returns ps ready for another all-pairs begin on sim, or a
-// new all-pairs snapshot when ps cannot hold one.
+// recycle returns ps — nil, or a finished snapshot an earlier
+// BeginSnapshotHardenedInto on the same cluster returned — ready for
+// another all-pairs begin on sim, or a new all-pairs snapshot when ps
+// cannot hold one. It panics when ps is still in flight.
 func recycle(ps *PendingSnapshot, sim substrate.Cluster) *PendingSnapshot {
 	n := sim.NumDCs()
 	if ps == nil || ps.n != n || len(ps.pairs) != n*(n-1) {

@@ -126,12 +126,12 @@ func (s *PartialSnapshot) Retries() int {
 }
 
 // BeginSnapshotHardenedInto starts a failure-aware all-pairs snapshot
-// over the storage of ps, recycled as in BeginSnapshotInto (nil: a new
-// snapshot): the same probes as BeginSnapshot, every one of them
-// started before any failure handler is armed; each handler retries
-// its chain with capped exponential backoff on the substrate clock. A
-// recycled chain keeps the failure handler bound at the snapshot's
-// first hardened begin. Collect the result with CollectPartial once
+// over the storage of ps — nil (a new snapshot), or a finished one an
+// earlier call on the same cluster returned: the same probes as
+// BeginSnapshot, every one of them started before any failure handler
+// is armed; each handler retries its chain with capped exponential
+// backoff on the substrate clock. A recycled chain keeps the failure
+// handler bound at the snapshot's first begin. Collect the result with CollectPartial once
 // the window has elapsed.
 func BeginSnapshotHardenedInto(ps *PendingSnapshot, sim substrate.Cluster, opts Options) *PendingSnapshot {
 	ps = recycle(ps, sim)

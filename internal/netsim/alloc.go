@@ -56,10 +56,10 @@ import (
 //     250k pair slots per allocation. Beyond the storage, what a group
 //     *is* outlives what it currently *gets*: Sim.structEpoch moves on
 //     addFlow, finishFlow (so also failFlow, killVM and Stop),
-//     SetConns, SetPairLimit, ClearPairLimit and ClearAllPairLimits,
-//     and while it stands still allocate keeps the grouping (flowOrd,
-//     roots, offsets, bucketed, the vmRoot stamps) and only re-decides
-//     which groups are dirty, and a scratch whose tables were built
+//     SetConns, SetPairLimit and ClearPairLimit, and while it stands
+//     still allocate keeps the grouping (flowOrd, roots, offsets,
+//     bucketed, the vmRoot stamps) and only re-decides which groups
+//     are dirty, and a scratch whose tables were built
 //     for the same (epoch, group ordinal) keeps its VM table, shared
 //     resources and their capacities, weights, wiring and member
 //     lists. Everything else that dirties an allocation is value-only

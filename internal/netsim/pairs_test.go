@@ -125,7 +125,6 @@ func TestReadOnlyAccessorsBuildNoPair(t *testing.T) {
 					s.ResetPair(i, j, s.Now())
 				}
 			}
-			s.ClearAllPairLimits()
 			s.RunFor(3)
 			if s.numPairs != tc.want {
 				t.Fatalf("read-only accessors built pairs: %d, want %d", s.numPairs, tc.want)
@@ -149,65 +148,6 @@ func TestNewSimFleetAllocBytes(t *testing.T) {
 	runtime.KeepAlive(s)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 160<<10 {
 		t.Errorf("NewSim(FleetCluster(100, 4)) allocated %d bytes, want <= %d", got, 160<<10)
-	}
-}
-
-// TestClearAllPairLimitsBuildOrderFree sets the same limits on twin
-// simulators in opposite orders, so the pair records are built, and
-// ClearAllPairLimits walks them and records its dirt, in opposite
-// orders. Each limit links two flows on disjoint VMs into one group,
-// which the clear splits; rates before and after the clear must agree
-// bitwise.
-func TestClearAllPairLimitsBuildOrderFree(t *testing.T) {
-	limits := []struct {
-		i, j int
-		mbps float64
-	}{{0, 1, 40}, {2, 3, 25}, {4, 5, 60}, {6, 7, 15}}
-	var twins [2]*Sim
-	for k := range twins {
-		s := NewSim(FleetCluster(8, 2, substrate.T2Medium, 3))
-		for m := range limits {
-			l := limits[m]
-			if k == 1 {
-				l = limits[len(limits)-1-m]
-			}
-			s.SetPairLimit(l.i, l.j, l.mbps)
-		}
-		for _, l := range limits {
-			for v := 0; v < 2; v++ {
-				s.startProbe(s.VMsOfDC(l.i)[v], s.VMsOfDC(l.j)[v], v+2)
-			}
-		}
-		twins[k] = s
-	}
-	if twins[0].lookupPair(0, 1).idx == twins[1].lookupPair(0, 1).idx {
-		t.Fatal("fixture did not build the pairs in different orders")
-	}
-	compare := func(when string, wantGroups int) {
-		t.Helper()
-		for _, s := range twins {
-			s.ensureAllocated()
-			if g, _ := s.AllocGroups(); g != wantGroups {
-				t.Fatalf("%s: %d groups, want %d", when, g, wantGroups)
-			}
-		}
-		for fi, f := range twins[0].flows {
-			g := twins[1].flows[fi]
-			if math.Float64bits(f.rate) != math.Float64bits(g.rate) {
-				t.Fatalf("%s: flow #%d rate %v, twin %v", when, f.id, f.rate, g.rate)
-			}
-		}
-	}
-	compare("limited", len(limits))
-	if r := twins[0].PairRate(0, 1); r != 40 {
-		t.Fatalf("limited pair carries %v Mbps, want its 40 Mbps limit", r)
-	}
-	for _, s := range twins {
-		s.ClearAllPairLimits()
-	}
-	compare("cleared", 2*len(limits))
-	if r := twins[0].PairRate(0, 1); r <= 40 {
-		t.Fatalf("cleared pair carries %v Mbps, want more than its former limit", r)
 	}
 }
 

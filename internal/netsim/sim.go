@@ -388,25 +388,6 @@ func (s *Sim) ClearPairLimit(srcDC, dstDC int) {
 	s.structEpoch++
 }
 
-// ClearAllPairLimits removes every pair rate limit. It walks the pairs
-// in build order, which depends on the call history; that is harmless
-// because the dirt it records (groups.dirtyRoots) is consumed as a set.
-func (s *Sim) ClearAllPairLimits() {
-	if s.numLimits == 0 {
-		return
-	}
-	for idx := range int32(s.numPairs) {
-		if p := s.pairByIdx(idx); !math.IsNaN(p.limit) {
-			if len(p.flows) > 0 {
-				s.dirtyPair(p)
-			}
-			p.limit = math.NaN()
-		}
-	}
-	s.numLimits = 0
-	s.structEpoch++
-}
-
 // pairLimitAt returns the rate limit for a DC pair, or NaN if none.
 func (s *Sim) pairLimitAt(srcDC, dstDC int) float64 {
 	if p := s.lookupPair(srcDC, dstDC); p != nil {

@@ -101,10 +101,14 @@ func tableReuseChurn(t *testing.T, vmsPerDC int, seed uint64) {
 			op = "clearlimit"
 			all := rng.IntN(4) == 0
 			for _, sim := range sims {
-				if all {
-					sim.ClearAllPairLimits()
-				} else {
+				if !all {
 					sim.ClearPairLimit(pick.srcDC, pick.dstDC)
+					continue
+				}
+				for i := range sim.NumDCs() {
+					for j := range sim.NumDCs() {
+						sim.ClearPairLimit(i, j)
+					}
 				}
 			}
 		case r <= 7:

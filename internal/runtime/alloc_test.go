@@ -34,7 +34,7 @@ func reusingDeps(sim *netsim.Sim, agents []*agent.Agent, seed uint64) rgauge.Dep
 	return d
 }
 
-// warmController runs a hardened controller over n frozen DCs with a
+// warmController runs a controller over n frozen DCs with a
 // steady transfer on every pair until its agents and its own epochs
 // have run: the state every steady-state test below starts from.
 func warmController(tb testing.TB, n int, seed uint64) (*netsim.Sim, *rgauge.Controller, func()) {
@@ -43,7 +43,7 @@ func warmController(tb testing.TB, n int, seed uint64) (*netsim.Sim, *rgauge.Con
 	pred := accuratePred(sim)
 	agents := deployAgents(sim, tightRows(sim, pred))
 	ctl := rgauge.Start(reusingDeps(sim, agents, seed), rgauge.Config{
-		Enabled: true, EpochS: 5, Hardened: true,
+		Enabled: true, EpochS: 5,
 	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 	var flows []substrate.Flow
 	for i := 0; i < n; i++ {
@@ -84,7 +84,7 @@ func TestWarmControllerEpochAllocatesNothing(t *testing.T) {
 	}
 }
 
-// replanFixedObjs is what a warm hardened replan allocates beyond its
+// replanFixedObjs is what a warm replan allocates beyond its
 // probe flows (one object each, netsim): the snapshot's noise stream
 // (SnapshotOpts: three), the swap timer's closure (one), the one copy
 // of the prediction the controller keeps (two), the fresh plan that
@@ -97,7 +97,7 @@ func TestWarmControllerEpochAllocatesNothing(t *testing.T) {
 // again, breaks it.
 const replanFixedObjs = 17
 
-// TestWarmHardenedReplanAllocBudget: a hardened replan, snapshot through
+// TestWarmHardenedReplanAllocBudget: a replan, snapshot through
 // swap, allocates its probe flows and replanFixedObjs more — nothing
 // that grows with the agents, the pairs' chains or the collection.
 func TestWarmHardenedReplanAllocBudget(t *testing.T) {
@@ -118,9 +118,9 @@ func TestWarmHardenedReplanAllocBudget(t *testing.T) {
 	}
 	probes := float64(sim.NumDCs() * (sim.NumDCs() - 1))
 	if budget := probes + replanFixedObjs; got > budget {
-		t.Errorf("a warm hardened replan allocates %.0f objects, budget %.0f (%.0f probe flows + %d)", got, budget, probes, replanFixedObjs)
+		t.Errorf("a warm replan allocates %.0f objects, budget %.0f (%.0f probe flows + %d)", got, budget, probes, replanFixedObjs)
 	} else {
-		t.Logf("warm hardened replan: %.0f objects (%.0f probe flows)", got, probes)
+		t.Logf("warm replan: %.0f objects (%.0f probe flows)", got, probes)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestReplanLeavesEarlierReadsAlone(t *testing.T) {
 
 // BenchmarkController times the controller's two steady-state paths on
 // four frozen DCs with a transfer on every pair: one epoch tick
-// (aggregate + drift check) and one hardened replan (snapshot begun,
+// (aggregate + drift check) and one replan (snapshot begun,
 // one probe window of simulation, collect, fill, predict, optimize,
 // swap). With -benchmem it shows what each allocates.
 func BenchmarkController(b *testing.B) {

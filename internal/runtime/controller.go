@@ -27,14 +27,19 @@
 //     (Config.StaleAfterS) can additionally force periodic re-gauging
 //     even without observed drift, the §3.3.4 spirit applied to the
 //     plan instead of the model.
-//   - On trigger it re-snapshots the cluster (measure.BeginSnapshot —
-//     the probes run concurrently with the job's own transfers, so the
-//     sample sees exactly the contended WAN the paper says must be
-//     gauged), re-predicts the runtime bandwidth matrix, re-runs
-//     global optimization, and atomically swaps the new windows into
-//     every running agent (agent.SwapWindow) within one substrate
-//     event. Remaining transfers rebalance mid-shuffle; flows in
-//     flight keep their identity and their delivered bytes.
+//   - On trigger it re-snapshots the cluster with failure-aware
+//     gauging (measure.BeginSnapshotHardenedInto — the probes run
+//     concurrently with the job's own transfers, so the sample sees
+//     exactly the contended WAN the paper says must be gauged, and a
+//     probe a fault kills is retried). A snapshot that measured too
+//     few pairs is refused (the coverage gate, DESIGN.md §11), and
+//     repeated refusals open a circuit breaker. An accepted one has
+//     its unmeasurable pairs filled with their last-known-good values;
+//     the controller re-predicts the runtime bandwidth matrix from it,
+//     re-runs global optimization, and atomically swaps the new
+//     windows into every running agent (agent.SwapWindow) within one
+//     substrate event. Remaining transfers rebalance mid-shuffle; flows
+//     in flight keep their identity and their delivered bytes.
 //
 // The controller is deterministic for a fixed seed and substrate
 // history, and entirely passive when nothing drifts: a stable network
@@ -80,14 +85,9 @@ type Config struct {
 	// StaleAfterS forces a re-gauge when the current plan is older than
 	// this many seconds even without drift (default 0: disabled).
 	StaleAfterS float64
-	// Hardened turns on failure-aware gauging (DESIGN.md §11): re-gauge
-	// snapshots run with probe retry/backoff
-	// (measure.BeginSnapshotHardenedInto), come back as tagged partial
-	// samples, pass through the coverage gate and circuit breaker below,
-	// and replan from the pairs they measured, each Unmeasurable pair
-	// filled with the last value measured for it. When every probe
-	// lands, a hardened replan is the legacy one bit for bit. Default
-	// off: the legacy collect-and-swap path.
+	// Hardened is ignored: every controller gauges failure-aware. The
+	// field is kept only so that the repository benchmark, which still
+	// sets it, compiles.
 	Hardened bool
 }
 
@@ -112,7 +112,7 @@ const (
 	// epoch to count toward the hysteresis streak.
 	minDriftPairs = 1
 
-	// minCoverage is the measured-pair fraction a hardened snapshot
+	// minCoverage is the measured-pair fraction a re-gauge snapshot
 	// must reach for the controller to replan from it. Below it the
 	// controller enters degraded mode for that trigger: the current
 	// plan is kept, the rejection is recorded as an incident, and the
@@ -197,7 +197,7 @@ type Deps struct {
 type Reason int8
 
 // Replan reasons. The first three fire replans; the last two tag
-// incidents of the hardened path (Incidents), which swap no plan.
+// incidents (Incidents), which swap no plan.
 const (
 	ReasonDrift    Reason = iota // live rates departed from the plan
 	ReasonStale                  // the plan aged past StaleAfterS
@@ -242,7 +242,7 @@ type Event struct {
 	// Cost is the measurement bill of the re-gauge snapshot.
 	Cost measure.Report
 	// Coverage is the measured-pair fraction of the snapshot behind
-	// this event (hardened runs only; zero on legacy events).
+	// this event.
 	Coverage float64
 	// ReopenAt is when an opened circuit breaker re-arms
 	// (ReasonBreaker incidents only).
@@ -289,7 +289,7 @@ type Controller struct {
 	pending *measure.PendingSnapshot
 	// snap is the re-gauge snapshot every trigger begins again: one
 	// pair list, chain list and collection scratch for the controller's
-	// life (measure.BeginSnapshotInto).
+	// life (measure.BeginSnapshotHardenedInto).
 	snap        *measure.PendingSnapshot
 	deadHandled []bool // per-DC: evacuation replan already fired for it
 
@@ -298,10 +298,10 @@ type Controller struct {
 	cancel      func()
 	stopped     bool
 
-	// --- failure-aware gauging state (Config.Hardened) ---
-	// lkg is the last value an accepted hardened snapshot measured for
-	// each pair, the deployment's prediction before any; it fills the
-	// pairs a later snapshot could not measure.
+	// --- failure-aware gauging state ---
+	// lkg is the last value an accepted snapshot measured for each
+	// pair, the deployment's prediction before any; it fills the pairs
+	// a later snapshot could not measure.
 	lkg          bwmatrix.Matrix
 	incidents    []Event // rejected snapshots and breaker openings
 	breakerFails int     // consecutive rejected snapshots
@@ -312,13 +312,11 @@ type Controller struct {
 // GaugeStats describes the failure-aware gauging state — what serve
 // surfaces in /healthz, /v1/cluster and wanify.serve.gauge.* lines.
 type GaugeStats struct {
-	// Hardened reports whether failure-aware gauging is on.
-	Hardened bool
 	// Degraded reports whether the controller is refusing to replan:
 	// the breaker is open, or the last snapshot was rejected.
 	Degraded bool
 	// LastCoverage is the measured-pair fraction of the most recent
-	// collected snapshot (1 before any hardened snapshot).
+	// collected snapshot (1 before any).
 	LastCoverage float64
 	// RejectedSnapshots counts snapshots refused for low coverage.
 	RejectedSnapshots int
@@ -359,12 +357,10 @@ func Start(deps Deps, cfg Config, pred bwmatrix.Matrix, plan optimize.Plan) *Con
 		pred:   pred.Clone(),
 		plan:   plan,
 		planAt: deps.Cluster.Now(),
-	}
-	if c.cfg.Hardened {
-		// Before any hardened snapshot lands, the prediction the
-		// current plan was built from is the best last-known-good.
-		c.lkg = pred.Clone()
-		c.gauge = GaugeStats{Hardened: true, LastCoverage: 1}
+		// Before any snapshot lands, the prediction the current plan
+		// was built from is the best last-known-good.
+		lkg:   pred.Clone(),
+		gauge: GaugeStats{LastCoverage: 1},
 	}
 	c.cancel = deps.Cluster.Every(c.cfg.EpochS, c.epoch)
 	return c
@@ -402,29 +398,25 @@ func (c *Controller) Events() []Event { return c.events }
 // Replans returns how many plan swaps have been applied.
 func (c *Controller) Replans() int { return len(c.events) }
 
-// Incidents returns the hardened path's degraded-mode record: every
-// rejected snapshot and breaker opening (empty on legacy runs). These
-// never swap a plan and never count toward Replans.
+// Incidents returns the degraded-mode record: every rejected snapshot
+// and breaker opening. These never swap a plan and never count toward
+// Replans.
 func (c *Controller) Incidents() []Event { return c.incidents }
 
-// Gauge returns the failure-aware gauging state (zero-valued with
-// Hardened false when the controller runs the legacy path).
+// Gauge returns the failure-aware gauging state.
 func (c *Controller) Gauge() GaugeStats {
 	g := c.gauge
-	if g.Hardened {
-		now := c.deps.Cluster.Now()
-		g.BreakerOpen = now < c.breakerUntil
-		if g.BreakerOpen {
-			g.BreakerUntil = c.breakerUntil
-		}
-		g.ConsecutiveFails = c.breakerFails
-		g.Degraded = g.BreakerOpen || c.breakerFails > 0
+	g.BreakerOpen = c.deps.Cluster.Now() < c.breakerUntil
+	if g.BreakerOpen {
+		g.BreakerUntil = c.breakerUntil
 	}
+	g.ConsecutiveFails = c.breakerFails
+	g.Degraded = g.BreakerOpen || c.breakerFails > 0
 	return g
 }
 
-// Degraded reports whether the hardened controller is currently
-// refusing to replan (always false on the legacy path).
+// Degraded reports whether the controller is currently refusing to
+// replan.
 func (c *Controller) Degraded() bool { return c.Gauge().Degraded }
 
 // DriftEpochs returns how many epochs counted toward a drift streak —
@@ -482,7 +474,7 @@ func (c *Controller) epoch(now float64) {
 	// epoch only burns measurement budget on a WAN that cannot answer.
 	// Evacuation (above) still passes — a confirmed-dead DC needs no
 	// snapshot quality to be worth routing around.
-	if c.cfg.Hardened && now < c.breakerUntil {
+	if now < c.breakerUntil {
 		return
 	}
 	if now-c.planAt < c.cfg.CooldownS {
@@ -586,34 +578,23 @@ func (c *Controller) beginRegauge(now float64, reason Reason, drifted int, maxFr
 	for _, dc := range evac {
 		c.deadHandled[dc] = true
 	}
-	opts := c.deps.SnapshotOpts()
-	var ps *measure.PendingSnapshot
-	if c.cfg.Hardened {
-		ps = measure.BeginSnapshotHardenedInto(c.snap, c.deps.Cluster, opts)
-	} else {
-		ps = measure.BeginSnapshotInto(c.snap, c.deps.Cluster, opts)
-	}
+	ps := measure.BeginSnapshotHardenedInto(c.snap, c.deps.Cluster, c.deps.SnapshotOpts())
 	c.snap, c.pending = ps, ps
 	c.deps.Cluster.After(ps.DurationS(), func(applied float64) {
 		if c.stopped || c.pending != ps {
 			return // Stop drained the snapshot already
 		}
 		c.pending = nil
-		if c.cfg.Hardened {
-			c.applyHardened(ps.CollectPartial(), now, applied, reason, drifted, maxFrac, evac)
-			return
-		}
-		snap, stats, rep := ps.Collect()
-		c.applyRegauge(snap, stats, rep, now, applied, reason, drifted, maxFrac, evac, 0)
+		c.apply(ps.CollectPartial(), now, applied, reason, drifted, maxFrac, evac)
 	})
 }
 
-// applyHardened consumes a collected partial snapshot: reject it and
-// advance the circuit breaker when measured coverage is below the
-// threshold (degraded mode — the current plan keeps flying), otherwise
-// fill its Unmeasurable pairs with their last-known-good values and
-// replan from it.
-func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied float64, reason Reason, drifted int, maxFrac float64, evac []int) {
+// apply consumes a collected partial snapshot: reject it and advance
+// the circuit breaker when measured coverage is below the threshold
+// (degraded mode — the current plan keeps flying), otherwise fill its
+// Unmeasurable pairs with their last-known-good values, turn it into
+// the next plan and swap that into the agents.
+func (c *Controller) apply(part *measure.PartialSnapshot, now, applied float64, reason Reason, drifted int, maxFrac float64, evac []int) {
 	cov := part.Coverage()
 	c.gauge.LastCoverage = cov
 	c.gauge.Retries += part.Retries()
@@ -624,7 +605,7 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 	// never clear the 0.6 gate with one DC dark). beginRegauge already
 	// marked the DC handled, so gating here would refuse the evacuation
 	// forever; instead the unmeasurable pairs take their last-known-good
-	// values below and applyRegauge zeroes the dead DC's rows anyway.
+	// values below and the dead DC's rows are zeroed after prediction.
 	if cov < minCoverage && reason != ReasonEvacuate {
 		// Degraded mode: too few pairs answered for the snapshot to
 		// describe the WAN. Replanning from it would swap a poisoned
@@ -679,15 +660,9 @@ func (c *Controller) applyHardened(part *measure.PartialSnapshot, now, applied f
 			c.lkg[i][j] = part.BW[i][j]
 		}
 	}
-	c.applyRegauge(part.BW, part.Stats, part.Bill, now, applied, reason, drifted, maxFrac, evac, cov)
-}
-
-// applyRegauge turns a collected (and, when hardened, filled) snapshot
-// into the next plan and swaps it into the agents.
-func (c *Controller) applyRegauge(snap bwmatrix.Matrix, stats []substrate.VMStats, rep measure.Report, now, applied float64, reason Reason, drifted int, maxFrac float64, evac []int, coverage float64) {
 	// The one copy of the prediction a replan makes: Predict's result
 	// is borrowed, and this matrix becomes the controller's belief.
-	pred := c.deps.Predict(snap, stats).Clone()
+	pred := c.deps.Predict(part.BW, part.Stats).Clone()
 	// A dead DC carries no traffic whatever the model extrapolates:
 	// zero its rows and columns so optimization runs over the
 	// surviving topology only (the optimizer's bandwidth floor keeps
@@ -731,8 +706,8 @@ func (c *Controller) applyRegauge(snap bwmatrix.Matrix, stats []substrate.VMStat
 		DriftedPairs: drifted,
 		MaxDriftFrac: maxFrac,
 		EvacuatedDCs: evac,
-		Cost:         rep,
-		Coverage:     coverage,
+		Cost:         part.Bill,
+		Coverage:     cov,
 	})
 }
 

@@ -10,57 +10,43 @@ import (
 	rgauge "github.com/wanify/wanify/internal/runtime"
 )
 
-// TestHardenedHealthyMatchesLegacyBehaviour: on a healthy network the
-// hardened controller replans exactly as the legacy one does — full
-// coverage, no incidents, no degraded state.
-func TestHardenedHealthyMatchesLegacyBehaviour(t *testing.T) {
+// TestHealthyReplansMatchSnapshotTwin: on a healthy network a default
+// controller replans from exactly what a synchronous measure.Snapshot
+// of a twin cluster reads at the same instants — full coverage,
+// nothing filled, no incidents, no degraded state.
+func TestHealthyReplansMatchSnapshotTwin(t *testing.T) {
 	sim := frozenSim(3, 51)
 	pred := accuratePred(sim)
 	agents := deployAgents(sim, tightRows(sim, pred))
 	ctl := rgauge.Start(deps(sim, agents, 51), rgauge.Config{
 		Enabled: true, EpochS: 5, StaleAfterS: 30, CooldownS: 10,
-		Hardened: true,
 	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 	defer ctl.Stop()
 
 	sim.RunFor(100)
 	if got := ctl.Replans(); got < 2 {
-		t.Fatalf("hardened staleness clock fired %d replans, want >= 2", got)
+		t.Fatalf("staleness clock fired %d replans, want >= 2", got)
 	}
+	twin := newSnapshotTwin(3, 51)
+	var want bwmatrix.Matrix
 	for _, ev := range ctl.Events() {
 		if ev.Coverage != 1 {
 			t.Errorf("healthy replan coverage = %v, want 1", ev.Coverage)
 		}
+		want = twin.snapshotAt(ev.TriggeredAt)
+	}
+	if got := ctl.CurrentPred(); !reflect.DeepEqual(got, want) {
+		t.Errorf("last replan predicted from\n%v\nthe twin's snapshot reads\n%v", got, want)
 	}
 	if n := len(ctl.Incidents()); n != 0 {
 		t.Errorf("healthy run recorded %d incidents", n)
 	}
 	g := ctl.Gauge()
-	if !g.Hardened || g.Degraded || g.BreakerOpen || g.RejectedSnapshots != 0 {
+	if g.Degraded || g.BreakerOpen || g.RejectedSnapshots != 0 || g.FusedPairs != 0 || g.LastCoverage != 1 {
 		t.Errorf("healthy gauge = %+v", g)
 	}
 	if ctl.Degraded() {
-		t.Error("healthy hardened controller reports degraded")
-	}
-}
-
-// TestLegacyGaugeStaysZero: with Hardened off the gauge surface is
-// inert — serve must be able to omit it entirely.
-func TestLegacyGaugeStaysZero(t *testing.T) {
-	sim := frozenSim(3, 52)
-	pred := accuratePred(sim)
-	agents := deployAgents(sim, tightRows(sim, pred))
-	ctl := rgauge.Start(deps(sim, agents, 52), rgauge.Config{
-		Enabled: true, EpochS: 5, StaleAfterS: 30, CooldownS: 10,
-	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
-	defer ctl.Stop()
-
-	sim.RunFor(60)
-	if g := ctl.Gauge(); g != (rgauge.GaugeStats{}) {
-		t.Errorf("legacy gauge = %+v, want zero value", g)
-	}
-	if ctl.Degraded() || len(ctl.Incidents()) != 0 {
-		t.Error("legacy controller grew hardened state")
+		t.Error("healthy controller reports degraded")
 	}
 }
 
@@ -85,7 +71,6 @@ func TestDegradedModeAndBreaker(t *testing.T) {
 	const minCov = 0.6 // the controller's coverage gate
 	ctl := rgauge.Start(d, rgauge.Config{
 		Enabled: true, EpochS: 5, StaleAfterS: 30, CooldownS: 10,
-		Hardened: true,
 		// The breaker opens after 3 rejections, for 4 epochs = 20 s.
 	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 	defer ctl.Stop()
@@ -175,7 +160,6 @@ func TestLastKnownGoodFillsUnmeasurablePairs(t *testing.T) {
 	agents := deployAgents(sim, tightRows(sim, pred))
 	ctl := rgauge.Start(deps(sim, agents, 54), rgauge.Config{
 		Enabled: true, EpochS: 5, StaleAfterS: 30, CooldownS: 10,
-		Hardened: true,
 	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 	defer ctl.Stop()
 
@@ -222,7 +206,6 @@ func TestNoSwapBelowCoverageThresholdProperty(t *testing.T) {
 		agents := deployAgents(sim, tightRows(sim, pred))
 		ctl := rgauge.Start(deps(sim, agents, seed), rgauge.Config{
 			Enabled: true, EpochS: 5, StaleAfterS: 15, CooldownS: 5,
-			Hardened: true,
 		}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 
 		// Rolling partitions with varying overlap of the 1 s snapshot
@@ -267,7 +250,6 @@ func TestEvacuationBypassesCoverageGate(t *testing.T) {
 		// Cooldown and hysteresis high enough that nothing else can
 		// replan inside this run: any event is the evacuation.
 		Enabled: true, EpochS: 5, CooldownS: 1000, HysteresisEpochs: 100,
-		Hardened: true,
 	}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 	defer ctl.Stop()
 
@@ -313,7 +295,6 @@ func TestHardenedDeterminism(t *testing.T) {
 		agents := deployAgents(sim, tightRows(sim, pred))
 		ctl := rgauge.Start(deps(sim, agents, 55), rgauge.Config{
 			Enabled: true, EpochS: 5, StaleAfterS: 15, CooldownS: 5,
-			Hardened: true,
 		}, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
 		defer ctl.Stop()
 		sim.PartitionDC(1, 14.5, 40)

@@ -17,10 +17,10 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// newHardenedPlane stands up a serving stack whose runtime controller
-// runs failure-aware gauging, returning the sim so tests can inject
-// faults on its timeline.
-func newHardenedPlane(t *testing.T, seed uint64) (*Plane, *MemorySink, *netsim.Sim) {
+// newGaugedPlane stands up a serving stack with a default re-gauging
+// controller, returning the sim so tests can inject faults on its
+// timeline.
+func newGaugedPlane(t *testing.T, seed uint64) (*Plane, *MemorySink, *netsim.Sim) {
 	t.Helper()
 	rates := cost.DefaultRates()
 	sim := netsim.NewSim(netsim.UniformCluster(geo.TestbedSubset(4), substrate.T2Medium, seed))
@@ -29,7 +29,6 @@ func newHardenedPlane(t *testing.T, seed uint64) (*Plane, *MemorySink, *netsim.S
 		Agent: agent.Config{Throttle: true},
 		Runtime: rgauge.Config{
 			Enabled: true, EpochS: 5, StaleAfterS: 15, CooldownS: 5,
-			Hardened: true,
 		},
 	}, trainTestModel(t, seed))
 	if err != nil {
@@ -48,7 +47,7 @@ func newHardenedPlane(t *testing.T, seed uint64) (*Plane, *MemorySink, *netsim.S
 }
 
 // stepUntilDegraded advances the clock in epoch-sized steps until the
-// hardened controller reports degraded, failing the test if it never
+// controller reports degraded, failing the test if it never
 // does.
 func stepUntilDegraded(t *testing.T, p *Plane) {
 	t.Helper()
@@ -61,12 +60,13 @@ func stepUntilDegraded(t *testing.T, p *Plane) {
 	t.Fatal("controller never went degraded under a full partition")
 }
 
-// TestGaugeSurfaceDegradedAndRecovery walks the serve surface through
-// an outage: /healthz flips ok → degraded → ok (always HTTP 200),
-// /v1/cluster grows a gauge section, and the telemetry stream carries
-// the wanify.serve.gauge.* family.
+// TestGaugeSurfaceDegradedAndRecovery walks the serve surface of a
+// plane with a default controller through an outage: /healthz flips
+// ok → degraded → ok (always HTTP 200), /v1/cluster carries a gauge
+// section throughout, and the telemetry stream carries the
+// wanify.serve.gauge.* family.
 func TestGaugeSurfaceDegradedAndRecovery(t *testing.T) {
-	p, sink, sim := newHardenedPlane(t, 61)
+	p, sink, sim := newGaugedPlane(t, 61)
 	defer p.Close()
 
 	// Inline driver: start and immediately close so Do executes on the
@@ -86,7 +86,7 @@ func TestGaugeSurfaceDegradedAndRecovery(t *testing.T) {
 		t.Fatalf("healthy healthz = %d %q, want 200 ok", code, body)
 	}
 	if st := p.Cluster(); st.Gauge == nil || st.Gauge.Degraded {
-		t.Fatalf("healthy hardened cluster gauge = %+v, want present and clean", st.Gauge)
+		t.Fatalf("healthy cluster gauge = %+v, want present and clean", st.Gauge)
 	}
 
 	// Sever most of the cluster so every re-gauge snapshot is
@@ -121,7 +121,7 @@ func TestGaugeSurfaceDegradedAndRecovery(t *testing.T) {
 		t.Fatalf("cluster JSON: %v", err)
 	}
 	if _, ok := raw["gauge"]; !ok {
-		t.Error("cluster JSON omits the gauge section on a hardened plane")
+		t.Error("cluster JSON omits the gauge section on a plane with a controller")
 	}
 
 	// Heal and ride past the breaker backoff: a clean replan recovers.
@@ -160,28 +160,28 @@ func TestGaugeSurfaceDegradedAndRecovery(t *testing.T) {
 	}
 }
 
-// TestLegacyClusterOmitsGauge locks byte-compatibility: a plane whose
-// controller is legacy (or absent) serializes no gauge key and emits
-// no gauge telemetry.
-func TestLegacyClusterOmitsGauge(t *testing.T) {
+// TestNoControllerOmitsGauge: a plane whose deployment runs no
+// re-gauging controller serializes no gauge key and emits no gauge
+// telemetry.
+func TestNoControllerOmitsGauge(t *testing.T) {
 	p, sink := newTestPlane(t, 63, nil)
 	defer p.Close()
 	p.Step(40) // a few telemetry epochs
 
 	st := p.Cluster()
 	if st.Gauge != nil {
-		t.Errorf("legacy cluster status grew a gauge section: %+v", st.Gauge)
+		t.Errorf("cluster status without a controller grew a gauge section: %+v", st.Gauge)
 	}
 	buf, _ := json.Marshal(st)
 	if strings.Contains(string(buf), "gauge") {
-		t.Errorf("legacy cluster JSON mentions gauge: %s", buf)
+		t.Errorf("cluster JSON without a controller mentions gauge: %s", buf)
 	}
 	for _, l := range sink.Lines() {
 		if strings.HasPrefix(l.Name, "wanify.serve.gauge.") {
-			t.Errorf("legacy plane emitted %s", l.Name)
+			t.Errorf("plane without a controller emitted %s", l.Name)
 		}
 	}
 	if p.Degraded() {
-		t.Error("legacy plane reports degraded")
+		t.Error("plane without a controller reports degraded")
 	}
 }

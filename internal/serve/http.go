@@ -154,7 +154,7 @@ func (s *Server) metricsDump(w http.ResponseWriter, _ *http.Request) {
 }
 
 // healthz answers 200 with "ok" normally and 200 with "degraded" while
-// the hardened controller is refusing to replan — the process is alive
+// the re-gauging controller is refusing to replan — the process is alive
 // and serving either way (liveness probes must not kill a plane that
 // is correctly riding out a WAN outage), but the body flips so
 // monitors can alarm on measurement health.

@@ -211,8 +211,7 @@ type ClusterStatus struct {
 	// belief — the quantity WANify exists to keep honest.
 	MinBelievedMbps float64 `json:"min_believed_mbps"`
 	// Gauge surfaces the failure-aware gauging state (DESIGN.md §11).
-	// Omitted entirely when the controller runs the legacy path, so
-	// legacy /v1/cluster responses are byte-identical.
+	// Omitted when the deployment runs no re-gauging controller.
 	Gauge *GaugeStatus `json:"gauge,omitempty"`
 }
 
@@ -711,17 +710,16 @@ func (p *Plane) Cluster() ClusterStatus {
 	if c := p.fw.Controller(); c != nil {
 		st.Replans = c.Replans()
 		st.DriftEpochs = c.DriftEpochs()
-		if g := c.Gauge(); g.Hardened {
-			st.Gauge = &GaugeStatus{
-				Degraded:          g.Degraded,
-				LastCoverage:      g.LastCoverage,
-				RejectedSnapshots: g.RejectedSnapshots,
-				Retries:           g.Retries,
-				UnmeasurablePairs: g.UnmeasurablePairs,
-				FusedPairs:        g.FusedPairs,
-				BreakerOpen:       g.BreakerOpen,
-				BreakerUntil:      g.BreakerUntil,
-			}
+		g := c.Gauge()
+		st.Gauge = &GaugeStatus{
+			Degraded:          g.Degraded,
+			LastCoverage:      g.LastCoverage,
+			RejectedSnapshots: g.RejectedSnapshots,
+			Retries:           g.Retries,
+			UnmeasurablePairs: g.UnmeasurablePairs,
+			FusedPairs:        g.FusedPairs,
+			BreakerOpen:       g.BreakerOpen,
+			BreakerUntil:      g.BreakerUntil,
 		}
 	}
 	if pred := p.fw.Predicted(); pred != nil {
@@ -758,23 +756,19 @@ func (p *Plane) telemetryEpoch(now float64) {
 	if c := p.fw.Controller(); c != nil {
 		emit("wanify.serve.replans", float64(c.Replans()))
 		emit("wanify.serve.drift_epochs", float64(c.DriftEpochs()))
-		// The gauge family exists only on hardened deployments, so
-		// legacy runs keep their telemetry line counts (and goldens)
-		// unchanged.
-		if g := c.Gauge(); g.Hardened {
-			b2f := func(b bool) float64 {
-				if b {
-					return 1
-				}
-				return 0
+		g := c.Gauge()
+		b2f := func(b bool) float64 {
+			if b {
+				return 1
 			}
-			emit("wanify.serve.gauge.degraded", b2f(g.Degraded))
-			emit("wanify.serve.gauge.coverage", g.LastCoverage)
-			emit("wanify.serve.gauge.rejected", float64(g.RejectedSnapshots))
-			emit("wanify.serve.gauge.breaker_open", b2f(g.BreakerOpen))
-			emit("wanify.serve.gauge.retries", float64(g.Retries))
-			emit("wanify.serve.gauge.unmeasurable", float64(g.UnmeasurablePairs))
+			return 0
 		}
+		emit("wanify.serve.gauge.degraded", b2f(g.Degraded))
+		emit("wanify.serve.gauge.coverage", g.LastCoverage)
+		emit("wanify.serve.gauge.rejected", float64(g.RejectedSnapshots))
+		emit("wanify.serve.gauge.breaker_open", b2f(g.BreakerOpen))
+		emit("wanify.serve.gauge.retries", float64(g.Retries))
+		emit("wanify.serve.gauge.unmeasurable", float64(g.UnmeasurablePairs))
 		if live := c.Live(); live != nil {
 			for i := 0; i < live.N(); i++ {
 				for j := 0; j < live.N(); j++ {
@@ -787,8 +781,8 @@ func (p *Plane) telemetryEpoch(now float64) {
 	}
 }
 
-// Degraded reports whether the hardened re-gauging controller is
-// refusing to replan (always false on legacy deployments). /healthz
+// Degraded reports whether the re-gauging controller is refusing to
+// replan (always false without a controller). /healthz
 // answers "degraded" while this holds.
 func (p *Plane) Degraded() bool {
 	if c := p.fw.Controller(); c != nil {

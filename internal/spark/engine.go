@@ -81,13 +81,6 @@ type Engine struct {
 	// MaxStageTransferS bounds a single transfer phase in simulated
 	// seconds before the engine reports an error (default 6 hours).
 	MaxStageTransferS float64
-	// OverlapFetchCompute pipelines each stage's computation with its
-	// data transfer (SDTP-style [13], "simultaneous data transfer and
-	// processing"): the stage ends after max(transfer, compute) instead
-	// of their sum, at the price of full CPU load during the transfer
-	// (which slows sending, the coupling SDTP has to manage). Default
-	// off — plain Spark semantics.
-	OverlapFetchCompute bool
 	// Recovery controls reaction to substrate faults (see
 	// RecoveryConfig). Zero value: disabled, faults fail the run.
 	Recovery RecoveryConfig
@@ -243,18 +236,8 @@ func (e *Engine) computeLoadDeltas(dst []float64, layout []float64) []float64 {
 	return dst
 }
 
-// transferLoad is the per-VM CPU load applied while a transfer phase
-// runs: workers burn some CPU feeding the network — all of it when the
-// engine pipelines compute into the transfer window.
-func (e *Engine) transferLoad() float64 {
-	if e.OverlapFetchCompute {
-		return 0.9
-	}
-	return transferCPULoad
-}
-
-// transferCPULoad is the CPU load set on worker VMs while shuffles run
-// (serialization/IO work) without OverlapFetchCompute.
+// transferCPULoad is the CPU load set on worker VMs while shuffles run:
+// workers burn some CPU feeding the network (serialization/IO work).
 const transferCPULoad = 0.3
 
 // price itemizes the job cost: every cluster VM is held for the full

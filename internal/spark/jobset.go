@@ -486,7 +486,7 @@ func (s *JobSet) startStage(js *jobState, now float64) {
 		s.finishTransfers(js, now)
 		return
 	}
-	js.loadDeltas = e.ledger().uniform(js.loadDeltas, e.transferLoad())
+	js.loadDeltas = e.ledger().uniform(js.loadDeltas, transferCPULoad)
 	s.holdLoad(js)
 
 	s.watch(js, "transfers")
@@ -591,19 +591,9 @@ func (s *JobSet) finishTransfers(js *jobState, now float64) {
 		js.layout[j] = total * js.curPlacement[j]
 	}
 
-	computeS := computeSeconds(stage, js.layout, s.computeRates)
-	if e.OverlapFetchCompute {
-		// The transfer window already processed min(transfer, compute)
-		// seconds of work; only the residue remains.
-		computeS -= rep.TransferS
-		if computeS < 0 {
-			computeS = 0
-		}
-	}
 	// Re-executed partitions (recovery with no surviving replica) are
-	// recomputed work: it serializes with the stage's own compute and is
-	// not hidden by fetch/compute overlap.
-	computeS += js.stRecomputeS
+	// recomputed work: it serializes with the stage's own compute.
+	computeS := computeSeconds(stage, js.layout, s.computeRates) + js.stRecomputeS
 	rep.ComputeS = computeS
 	if computeS <= 0 {
 		s.endStage(js, rep, now)

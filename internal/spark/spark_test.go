@@ -282,41 +282,6 @@ func TestEngineRejectsBadJob(t *testing.T) {
 	}
 }
 
-// TestOverlapFetchCompute checks the SDTP-style pipelining option: with
-// overlap enabled the stage ends after ~max(transfer, compute) rather
-// than their sum, so JCT drops for transfer-and-compute-balanced jobs.
-func TestOverlapFetchCompute(t *testing.T) {
-	job := Job{
-		Name:       "overlap",
-		InputBytes: []float64{4e9, 4e9, 4e9, 4e9},
-		Stages: []Stage{
-			{Name: "m", Kind: MapKind, SecPerGB: 2, Selectivity: 1},
-			{Name: "r", Kind: ReduceKind, SecPerGB: 4, Selectivity: 0.1},
-		},
-	}
-	run := func(overlap bool) RunResult {
-		sim := frozenSim(4, 9)
-		eng := NewEngine(sim, cost.DefaultRates())
-		eng.OverlapFetchCompute = overlap
-		res, err := eng.RunJob(job, localitySched{}, SingleConn{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(false)
-	overlapped := run(true)
-	if overlapped.JCTSeconds >= plain.JCTSeconds {
-		t.Errorf("overlap JCT %.1f not below plain %.1f", overlapped.JCTSeconds, plain.JCTSeconds)
-	}
-	// The reduce stage's compute (16 GB x 4 s/GB / 4 DCs = 16 s) should
-	// be partially hidden behind its shuffle.
-	if overlapped.Stages[1].ComputeS >= plain.Stages[1].ComputeS {
-		t.Errorf("overlap residual compute %.1f not below plain %.1f",
-			overlapped.Stages[1].ComputeS, plain.Stages[1].ComputeS)
-	}
-}
-
 // TestPriceEnergyMatchPerEntryFold locks price and energy, which read
 // each stage's pair list and resolve each DC's egress rate and grid
 // intensity once into a table, to the per-entry fold through
