@@ -151,6 +151,72 @@ func TestNewSimFleetAllocBytes(t *testing.T) {
 	}
 }
 
+// TestClearPairLimitsBuildOrderFree sets the same limits on twin
+// simulators in opposite orders, so the pair records are built in
+// opposite orders, then clears them with ClearPairLimit, each twin in
+// its own setting order, so the clears record their dirt in opposite
+// orders too. Each limit links two flows on disjoint VMs into one
+// group, which the clear splits; rates before and after the clears
+// must agree bitwise.
+func TestClearPairLimitsBuildOrderFree(t *testing.T) {
+	limits := []struct {
+		i, j int
+		mbps float64
+	}{{0, 1, 40}, {2, 3, 25}, {4, 5, 60}, {6, 7, 15}}
+	ordered := func(k, m int) (int, int, float64) {
+		l := limits[m]
+		if k == 1 {
+			l = limits[len(limits)-1-m]
+		}
+		return l.i, l.j, l.mbps
+	}
+	var twins [2]*Sim
+	for k := range twins {
+		s := NewSim(FleetCluster(8, 2, substrate.T2Medium, 3))
+		for m := range limits {
+			s.SetPairLimit(ordered(k, m))
+		}
+		for _, l := range limits {
+			for v := 0; v < 2; v++ {
+				s.startProbe(s.VMsOfDC(l.i)[v], s.VMsOfDC(l.j)[v], v+2)
+			}
+		}
+		twins[k] = s
+	}
+	if twins[0].lookupPair(0, 1).idx == twins[1].lookupPair(0, 1).idx {
+		t.Fatal("fixture did not build the pairs in different orders")
+	}
+	compare := func(when string, wantGroups int) {
+		t.Helper()
+		for _, s := range twins {
+			s.ensureAllocated()
+			if g, _ := s.AllocGroups(); g != wantGroups {
+				t.Fatalf("%s: %d groups, want %d", when, g, wantGroups)
+			}
+		}
+		for fi, f := range twins[0].flows {
+			g := twins[1].flows[fi]
+			if math.Float64bits(f.rate) != math.Float64bits(g.rate) {
+				t.Fatalf("%s: flow #%d rate %v, twin %v", when, f.id, f.rate, g.rate)
+			}
+		}
+	}
+	compare("limited", len(limits))
+	if r := twins[0].PairRate(0, 1); r != 40 {
+		t.Fatalf("limited pair carries %v Mbps, want its 40 Mbps limit", r)
+	}
+	for k, s := range twins {
+		for m := range limits {
+			i, j, _ := ordered(k, m)
+			s.ClearPairLimit(i, j)
+		}
+	}
+	compare("cleared", 2*len(limits))
+	if r := twins[0].PairRate(0, 1); r <= 40 {
+		t.Fatalf("cleared pair carries %v Mbps, want more than its former limit", r)
+	}
+}
+
 // newSimSink keeps BenchmarkNewSimFleet's result live.
 var newSimSink *Sim
 

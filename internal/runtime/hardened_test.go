@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/wanify/wanify/internal/agent"
 	"github.com/wanify/wanify/internal/bwmatrix"
 	"github.com/wanify/wanify/internal/measure"
+	"github.com/wanify/wanify/internal/netsim"
 	"github.com/wanify/wanify/internal/optimize"
 	rgauge "github.com/wanify/wanify/internal/runtime"
 )
@@ -310,6 +312,68 @@ func TestHardenedDeterminism(t *testing.T) {
 	assertDeepEqual(t, "events", ev1, ev2)
 	assertDeepEqual(t, "incidents", in1, in2)
 	assertDeepEqual(t, "pred", pred1, pred2)
+}
+
+// TestHardenedFieldIsIgnored: Config.Hardened selects nothing. With it
+// set or clear, a controller replans, refuses snapshots and fills pairs
+// identically, on a drifting healthy network and across a partition
+// that poisons its snapshots.
+func TestHardenedFieldIsIgnored(t *testing.T) {
+	type history struct {
+		events, incidents []rgauge.Event
+		gauge             rgauge.GaugeStats
+		pred              bwmatrix.Matrix
+	}
+	for _, sc := range []struct {
+		name     string
+		cfg      rgauge.Config
+		scenario func(sim *netsim.Sim, agents []*agent.Agent) (stop func())
+	}{
+		{"drift", rgauge.Config{Enabled: true, EpochS: 5}, func(sim *netsim.Sim, agents []*agent.Agent) func() {
+			f := steadyFlow(sim, agents, 0, 1, 1e12)
+			sim.RunFor(12)
+			sim.SetPairLimit(0, 1, 250)
+			sim.RunFor(60)
+			return f.Stop
+		}},
+		{"partition", rgauge.Config{Enabled: true, EpochS: 5, StaleAfterS: 15, CooldownS: 5}, func(sim *netsim.Sim, _ []*agent.Agent) func() {
+			sim.PartitionDC(1, 14.5, 40)
+			sim.PartitionDC(2, 14.5, 40)
+			sim.RunFor(90)
+			return func() {}
+		}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(hardened bool) history {
+				sim := frozenSim(4, 56)
+				pred := accuratePred(sim)
+				agents := deployAgents(sim, tightRows(sim, pred))
+				cfg := sc.cfg
+				cfg.Hardened = hardened
+				ctl := rgauge.Start(deps(sim, agents, 56), cfg, pred, optimize.GlobalOptimize(pred, optimize.Options{}))
+				defer ctl.Stop()
+				stop := sc.scenario(sim, agents)
+				defer stop()
+				return history{ctl.Events(), ctl.Incidents(), ctl.Gauge(), ctl.CurrentPred()}
+			}
+			clear, set := run(false), run(true)
+			if len(clear.events) == 0 {
+				t.Fatal("scenario never replanned")
+			}
+			if sc.name == "partition" && len(clear.incidents) == 0 {
+				t.Fatal("partition refused no snapshot")
+			}
+			for _, ev := range clear.events {
+				if ev.Coverage < 0.6 {
+					t.Errorf("replan %s consumed a %.0f%%-coverage snapshot", ev, ev.Coverage*100)
+				}
+			}
+			assertDeepEqual(t, "events", clear.events, set.events)
+			assertDeepEqual(t, "incidents", clear.incidents, set.incidents)
+			assertDeepEqual(t, "gauge", clear.gauge, set.gauge)
+			assertDeepEqual(t, "pred", clear.pred, set.pred)
+		})
+	}
 }
 
 func assertDeepEqual(t *testing.T, what string, a, b interface{}) {
