@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"time"
 
 	wanify "github.com/wanify/wanify"
 	"github.com/wanify/wanify/internal/agent"
@@ -147,7 +148,13 @@ func main() {
 	driver.Speed = *speed
 	go driver.Run()
 
-	server := &http.Server{Addr: *addr, Handler: serve.NewServer(plane, driver, metrics)}
+	// A client that never finishes its request headers holds a
+	// connection for at most this long.
+	server := &http.Server{
+		Addr:              *addr,
+		Handler:           serve.NewServer(plane, driver, metrics),
+		ReadHeaderTimeout: 10 * time.Second,
+	}
 	go func() {
 		log.Printf("wanify-serve: listening on %s (%d DCs, %d slots, clock %gx)",
 			*addr, *dcs, *maxRunning, *speed)

@@ -60,21 +60,20 @@ func probeOrigin() string {
 
 // TestProbeOriginFrames pins the function-name contract the repository
 // benchmark counts snapshots and retries by: every first probe of
-// BeginSnapshot and BeginSnapshotHardenedInto is a snapshot probe, every
-// replacement probe a retry. Renaming either function, or moving
-// StartProbe more than six frames below it, fails here.
+// BeginSnapshotInto, one-off (as Snapshot begins it) or recycled, is a
+// snapshot probe, every replacement probe a retry. Renaming either
+// BeginSnapshotInto or armRetry, or moving StartProbe more than six
+// frames below it, fails here.
 func TestProbeOriginFrames(t *testing.T) {
 	sim := frozenSim(4, 19)
 	sim.RunFor(5)
 	c := &probeLog{Cluster: sim}
 	opts := Options{DurationS: 1}
-	ps := BeginSnapshot(c, opts)
-	c.RunFor(1)
-	ps.Collect()
-	hs := BeginSnapshotHardenedInto(nil, c, opts)
+	Snapshot(c, opts)
+	ps := BeginSnapshotInto(nil, c, opts)
 	sim.ResetPair(0, 1, sim.Now()+0.2) // the retry starts 0.1 s later, inside the window
 	c.RunFor(1)
-	part := hs.CollectPartial()
+	part := ps.Collect()
 	if part.Retries() != 1 {
 		t.Fatalf("retries = %d, want the reset's one", part.Retries())
 	}
@@ -88,12 +87,12 @@ func TestProbeOriginFrames(t *testing.T) {
 	}
 }
 
-// TestNoProbeOutlivesSnapshot: whichever collector ends a snapshot, and
-// however often, no probe survives it — neither an original a fault
-// spared nor a retry whose timer is still pending when the collector
-// runs. Every case kills VM 2 mid-window (its four probes) and resets
-// the pair 0→1 so late that a hardened retry is still scheduled when
-// the window closes: five probes die, and FailedProbes must count them.
+// TestNoProbeOutlivesSnapshot: however a snapshot ends, and however
+// often, no probe survives it — neither an original a fault spared nor
+// a retry whose timer is still pending when the collector runs. Every
+// case kills VM 2 mid-window (its four probes) and resets the pair 0→1
+// so late that a retry is still scheduled when the window closes: five
+// probes die, and FailedProbes must count them.
 func TestNoProbeOutlivesSnapshot(t *testing.T) {
 	opts := Options{DurationS: 1}
 	cases := []struct {
@@ -103,40 +102,22 @@ func TestNoProbeOutlivesSnapshot(t *testing.T) {
 		run func(t *testing.T, c substrate.Cluster) int
 	}{
 		{"Collect", func(t *testing.T, c substrate.Cluster) int {
-			ps := BeginSnapshot(c, opts)
+			ps := BeginSnapshotInto(nil, c, opts)
 			c.RunFor(1)
-			bw, _, rep := ps.Collect()
-			// A probe a fault froze contributes nothing to its pair:
-			// zero, not its half-window bytes diluted to a bogus rate.
-			for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 0}, {2, 1}} {
-				if bw[p[0]][p[1]] != 0 {
-					t.Errorf("pair %v = %.2f Mbps from a failed probe, want 0", p, bw[p[0]][p[1]])
-				}
+			part := ps.Collect()
+			// A probe a fault killed reports the rate it saw while
+			// alive: every pair keeps a reading.
+			if n := part.Unmeasurable(); n != 0 {
+				t.Errorf("%d pairs unmeasurable, want none: each probe lived half the window or more", n)
 			}
-			if bw[1][0] <= 0 {
-				t.Error("the healthy pair lost its reading")
-			}
-			return rep.FailedProbes
-		}},
-		{"CollectPartial", func(t *testing.T, c substrate.Cluster) int {
-			ps := BeginSnapshotHardenedInto(nil, c, opts)
-			c.RunFor(1)
-			return ps.CollectPartial().Bill.FailedProbes
+			return part.Bill.FailedProbes
 		}},
 		{"Abandon", func(t *testing.T, c substrate.Cluster) int {
-			ps := BeginSnapshot(c, opts)
+			ps := BeginSnapshotInto(nil, c, opts)
 			c.RunFor(1)
 			ps.Abandon()
 			ps.Abandon() // a no-op, not a double Stop
 			mustPanic(t, "Collect after Abandon", func() { ps.Collect() })
-			return -1
-		}},
-		{"AbandonHardened", func(t *testing.T, c substrate.Cluster) int {
-			ps := BeginSnapshotHardenedInto(nil, c, opts)
-			c.RunFor(1)
-			ps.Abandon()
-			ps.Abandon()
-			mustPanic(t, "CollectPartial after Abandon", func() { ps.CollectPartial() })
 			return -1
 		}},
 		{"SnapshotByVM", func(t *testing.T, c substrate.Cluster) int {
@@ -176,8 +157,8 @@ func TestNoProbeOutlivesSnapshot(t *testing.T) {
 }
 
 // TestSnapshotByVMNoiseIgnoresFaults: SnapshotByVM draws one noise value
-// per VM pair whatever its probe's fate, as Collect and CollectPartial
-// do per DC pair, so a fault cannot shift the stream for a fixed seed.
+// per VM pair whatever its probe's fate, as Collect does per DC pair,
+// so a fault cannot shift the stream for a fixed seed.
 func TestSnapshotByVMNoiseIgnoresFaults(t *testing.T) {
 	next := func(kill bool) float64 {
 		sim := frozenSim(3, 17)
@@ -198,11 +179,10 @@ func TestSnapshotByVMNoiseIgnoresFaults(t *testing.T) {
 
 // TestSnapshotAllocs pins what one snapshot allocates on 8 frozen DCs
 // (56 probes, one object each in netsim), simulator included. A one-off
-// snapshot: 64 objects legacy, 122 hardened (the ceilings were 128 and
-// 363, the counts before every collector shared the chain list). Begun
-// again over a collected one (BeginSnapshotHardenedInto), it reuses the
-// pair list, chains, failure handlers, first-segment slab, samples,
-// accumulators and BW matrix, and allocates nothing but its probes.
+// snapshot allocates 65 objects: its probes, the snapshot, pair list,
+// chains, first-segment slab, its one failure handler (one per chain
+// would cost 56 more), samples, BW matrix and host metrics. Begun again over a collected one (BeginSnapshotInto), it
+// reuses all of those and allocates nothing but its probes.
 func TestSnapshotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
@@ -214,20 +194,15 @@ func TestSnapshotAllocs(t *testing.T) {
 		want float64
 		run  func(*netsim.Sim)
 	}{
-		{"legacy", 64, func(sim *netsim.Sim) {
-			ps := BeginSnapshot(sim, opts)
+		{"one-off", 65, func(sim *netsim.Sim) {
+			ps := BeginSnapshotInto(nil, sim, opts)
 			sim.RunFor(1)
 			ps.Collect()
 		}},
-		{"hardened", 122, func(sim *netsim.Sim) {
-			ps := BeginSnapshotHardenedInto(nil, sim, opts)
+		{"recycled", 56, func(sim *netsim.Sim) {
+			ps = BeginSnapshotInto(ps, sim, opts)
 			sim.RunFor(1)
-			ps.CollectPartial()
-		}},
-		{"hardened-recycled", 56, func(sim *netsim.Sim) {
-			ps = BeginSnapshotHardenedInto(ps, sim, opts)
-			sim.RunFor(1)
-			ps.CollectPartial()
+			ps.Collect()
 		}},
 	} {
 		sim := frozenSim(8, 23)
@@ -259,12 +234,12 @@ func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 	fresh, reused := twin(), twin()
 	var ps, owner *PendingSnapshot
 	for k := 0; k < 6; k++ {
-		a := BeginSnapshotHardenedInto(nil, fresh, opts(k))
-		ps = BeginSnapshotHardenedInto(ps, reused, opts(k))
+		a := BeginSnapshotInto(nil, fresh, opts(k))
+		ps = BeginSnapshotInto(ps, reused, opts(k))
 		if owner == nil {
 			owner = ps
 		} else if ps != owner {
-			t.Fatalf("snapshot %d: BeginSnapshotHardenedInto did not reuse the snapshot it was given", k)
+			t.Fatalf("snapshot %d: BeginSnapshotInto did not reuse the snapshot it was given", k)
 		}
 		fresh.RunFor(1)
 		reused.RunFor(1)
@@ -272,7 +247,7 @@ func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 			a.Abandon()
 			ps.Abandon()
 		} else {
-			pa, pb := a.CollectPartial(), ps.CollectPartial()
+			pa, pb := a.Collect(), ps.Collect()
 			if !reflect.DeepEqual(pa, pb) {
 				t.Fatalf("snapshot %d: recycled partial sample differs from a fresh one:\n%+v\n%+v", k, pb, pa)
 			}
@@ -325,10 +300,10 @@ func TestRecycledSnapshotIgnoresStaleWork(t *testing.T) {
 		sim := frozenSim(3, 37)
 		sim.RunFor(5)
 		c := &heldCluster{probeLog: &probeLog{Cluster: sim}}
-		ps := BeginSnapshotHardenedInto(nil, c, opts)
+		ps := BeginSnapshotInto(nil, c, opts)
 		sim.ResetPair(0, 1, 5.9) // late in the window: the retry is held back
 		sim.RunFor(1)
-		if k := ps.CollectPartial(); k.Retries() != 1 || len(c.timers) != 1 {
+		if k := ps.Collect(); k.Retries() != 1 || len(c.timers) != 1 {
 			t.Fatalf("snapshot k: %d retries, %d timers held; want the reset's one", k.Retries(), len(c.timers))
 		}
 		// The failed probe's handler, in the order the probes were armed:
@@ -338,9 +313,9 @@ func TestRecycledSnapshotIgnoresStaleWork(t *testing.T) {
 		sim.RunFor(2)
 
 		probes := len(c.probes)
-		next := BeginSnapshotHardenedInto(ps, c, opts)
+		next := BeginSnapshotInto(ps, c, opts)
 		if next != ps {
-			t.Fatal("BeginSnapshotHardenedInto did not reuse the snapshot")
+			t.Fatal("BeginSnapshotInto did not reuse the snapshot")
 		}
 		sim.RunFor(0.5)
 		if stale {
@@ -354,7 +329,7 @@ func TestRecycledSnapshotIgnoresStaleWork(t *testing.T) {
 			t.Errorf("%d retries scheduled in snapshot k+1 with no failure in it", len(c.timers))
 		}
 		sim.RunFor(0.5)
-		return next.CollectPartial()
+		return next.Collect()
 	}
 	clean, leftovers := run(false), run(true)
 	if leftovers.Retries() != 0 || leftovers.Unmeasurable() != 0 || leftovers.Bill.FailedProbes != 0 {
@@ -367,27 +342,28 @@ func TestRecycledSnapshotIgnoresStaleWork(t *testing.T) {
 }
 
 // BenchmarkSnapshot times one snapshot, simulator included: the 24-DC
-// legacy gauge of a dense fleet, and an 8-DC hardened one with a pair
-// reset mid-window (one retry probe started and folded).
+// one-off gauge of a dense fleet (what measure.Snapshot costs), and an
+// 8-DC one with a pair reset mid-window (one retry probe started and
+// folded).
 func BenchmarkSnapshot(b *testing.B) {
 	opts := Options{DurationS: 1}
-	b.Run("legacy24", func(b *testing.B) {
+	b.Run("oneoff24", func(b *testing.B) {
 		sim := netsim.NewSim(netsim.FleetCluster(24, 1, substrate.T2Medium, 2025))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ps := BeginSnapshot(sim, opts)
+			ps := BeginSnapshotInto(nil, sim, opts)
 			sim.RunFor(1)
 			ps.Collect()
 		}
 	})
-	b.Run("hardened8", func(b *testing.B) {
+	b.Run("reset8", func(b *testing.B) {
 		sim := frozenSim(8, 29)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ps := BeginSnapshotHardenedInto(nil, sim, opts)
+			ps := BeginSnapshotInto(nil, sim, opts)
 			sim.ResetPair(0, 1, sim.Now()+0.2)
 			sim.RunFor(1)
-			ps.CollectPartial()
+			ps.Collect()
 		}
 	})
 }

@@ -11,10 +11,11 @@
 //     ground truth (and training label).
 //   - Monitor: an ifTop-like per-node rate monitor used by local agents.
 //
-// Every collector keeps its probes in one chain list (chain, below) and
-// tears them down the same way; they differ only in the keys the chains
-// fold into and in the integration rule (Collect here, CollectPartial
-// in partial.go).
+// Every measurement is one or more snapshots (PendingSnapshot, below)
+// over a chain list — one chain per probed VM pair, keyed by the matrix
+// entry it feeds — and every snapshot is gauged failure-aware and
+// collected by one integration rule (partial.go): a failed probe is
+// retried, and each probe reports its bytes over its live time.
 //
 // All probing consumes simulated time and bytes; Report carries what a
 // cost model needs to price the measurement, which is how Table 2's
@@ -59,18 +60,17 @@ func SnapshotOptions(rng *simrand.Source) Options {
 type Report struct {
 	// ElapsedS is the simulated wall time the measurement took.
 	ElapsedS float64
-	// BytesTransferred is the total probe traffic over the WAN. Every
-	// collector — legacy and hardened alike — excludes the bytes of
-	// fault-terminated probe flows, so bills are comparable across the
-	// two paths for the same fault schedule.
+	// BytesTransferred is the total probe traffic over the WAN,
+	// excluding the bytes of fault-terminated probe flows (their rate
+	// while alive still feeds their pair's reading).
 	BytesTransferred float64
 	// VMSeconds is the aggregate busy VM time (N VMs × elapsed).
 	VMSeconds float64
 	// FailedProbes counts probe flows a fault terminated mid-window
 	// (endpoint death, pair reset, born-failed against a dead VM).
-	// Their bytes are excluded from the pair averages — a flow frozen
-	// at its failure instant integrated over the full window would
-	// read as a fabricated near-zero bandwidth.
+	// Each contributes its bytes over its live time only — a flow
+	// frozen at its failure instant integrated over the full window
+	// would read as a fabricated near-zero bandwidth.
 	FailedProbes int
 }
 
@@ -86,19 +86,20 @@ func (r Report) Add(o Report) Report {
 
 // StaticIndependent measures every ordered DC pair one at a time, the
 // way Tetrium/Kimchi/Iridium run iPerf (§2.2: "we measured one DC-pair
-// BW at a time"): one single-pair probe set per pair, back to back. The
-// returned matrix holds the per-pair averages; the diagonal is zero.
+// BW at a time"): one single-pair snapshot per pair, back to back, each
+// begun over the storage of the one before. The returned matrix holds
+// the per-pair averages; the diagonal is zero.
 func StaticIndependent(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, Report) {
 	n := sim.NumDCs()
 	out := bwmatrix.New(n)
 	var rep Report
+	ps := newPending(sim, n, make([][2]int, 1), nil)
 	for _, p := range allPairs(n) {
-		pair := [][2]int{p}
-		ps := beginProbes(sim, opts, n, pair, dcChains(sim, pair))
-		sim.RunFor(opts.DurationS)
-		sums, r := ps.fold()
-		out[p[0]][p[1]] = noisy(sums[0], opts)
-		rep = rep.Add(r)
+		ps.pairs[0] = p
+		ps.chains = dcChains(sim, ps.pairs)
+		part := ps.run(opts)
+		out[p[0]][p[1]] = part.BW[p[0]][p[1]]
+		rep = rep.Add(part.Bill)
 	}
 	return out, rep
 }
@@ -115,11 +116,13 @@ func StaticSimultaneous(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, R
 // Snapshot takes a 1-second (or opts.DurationS) all-pairs sample — the
 // S_BWij feature of Table 3 — along with the host metrics the
 // prediction model consumes. It is the synchronous composition of the
-// asynchronous primitive below: begin, drive the clock, collect.
+// asynchronous primitive below: begin, drive the clock, collect. An
+// Unmeasurable pair reads zero.
 func Snapshot(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate.VMStats, Report) {
-	ps := BeginSnapshot(sim, opts)
+	ps := BeginSnapshotInto(nil, sim, opts)
 	sim.RunFor(opts.DurationS)
-	return ps.Collect()
+	part := ps.Collect()
+	return part.BW, part.Stats, part.Bill
 }
 
 // SnapshotByVM takes a short all-pairs sample at VM granularity: one
@@ -128,6 +131,14 @@ func Snapshot(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate
 // summed into a DC-level matrix rather than predicting on out-of-range
 // aggregate bandwidths. The returned matrix is NumVMs×NumVMs.
 func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate.VMStats, Report) {
+	keys, chains := vmPairs(sim)
+	part := newPending(sim, sim.NumVMs(), keys, chains).run(opts)
+	return part.BW, part.Stats, part.Bill
+}
+
+// vmPairs lists every ordered VM pair crossing DCs, in row-major VM
+// order, as keys and one chain per key.
+func vmPairs(sim substrate.Cluster) ([][2]int, []chain) {
 	nv := sim.NumVMs()
 	var keys [][2]int
 	var chains []chain
@@ -140,54 +151,45 @@ func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []subst
 			}
 		}
 	}
-	ps := beginProbes(sim, opts, nv, keys, chains)
-	sim.RunFor(opts.DurationS)
-	return ps.Collect()
+	return keys, chains
 }
 
-// PendingSnapshot is an in-flight snapshot (all pairs, or the pair
-// subset of a static measurement) whose probes run
-// concurrently with whatever traffic the cluster is already carrying.
-// Snapshot drives the clock itself (RunFor) and so cannot be taken from
-// inside a substrate timer callback; the runtime re-gauging controller
-// (internal/runtime) instead begins its snapshot from its epoch tick
-// (BeginSnapshotHardenedInto), lets the simulation advance on its own
-// for Options.DurationS, and then collects it (CollectPartial) — same
-// probes, same noise order, no nested clock.
+// PendingSnapshot is an in-flight snapshot (all pairs, VM pairs, or the
+// single pair of a static measurement) whose probes run concurrently
+// with whatever traffic the cluster is already carrying. Snapshot
+// drives the clock itself (RunFor) and so cannot be taken from inside a
+// substrate timer callback; the runtime re-gauging controller
+// (internal/runtime) and the serving plane's model refresh instead
+// begin their snapshot from a timer (BeginSnapshotInto), let the
+// simulation advance on its own for Options.DurationS, and then collect
+// it (Collect) — same probes, same noise order, no nested clock.
 //
-// A collected or abandoned all-pairs snapshot can be begun again
-// (BeginSnapshotHardenedInto): the pair list, the chains with their
-// bound failure handlers, the first-segment slab and the collection
-// scratch are reused, so a recurring re-gauge allocates only its probe
-// flows. Each begin bumps the snapshot's generation; deferred work of
-// an earlier generation (a retry timer, a failure handler of a probe it
-// started) finds the generation moved on and does nothing (probeFailed,
-// armRetry).
+// A collected or abandoned snapshot can be begun again
+// (BeginSnapshotInto): the pair list, the chains, the failure handler,
+// the first-segment slab and the collection scratch are reused, so a
+// recurring snapshot allocates only its probe flows. Each begin bumps
+// the snapshot's generation; deferred work of an earlier generation (a
+// retry timer, the failure handler of a probe it started) finds the
+// generation moved on and does nothing (probeFailed, armRetry).
 type PendingSnapshot struct {
 	sim    substrate.Cluster
 	opts   Options
 	n      int      // result matrix dimension: DCs, or VMs for SnapshotByVM
-	pairs  [][2]int // the keys chains fold into, in noise-draw order
+	pairs  [][2]int // the keys chains feed, in noise-draw order
 	chains []chain
 	first  []probeSeg // every chain's first segment, one slab
-	// failFns[i] is chain i's failure handler, bound by the first
-	// hardened begin and registered on each of its probes in turn.
-	failFns  []func()
+	// onFail is the snapshot's failure handler (probeFailed), bound by
+	// its first begin and registered on every probe it starts.
+	onFail   func()
 	begun    float64
-	gen      uint64 // bumped by every begin
-	hardened bool   // BeginSnapshotHardenedInto: retries armed, CollectPartial only
-	finished bool   // Collect, CollectPartial or Abandon already ran
-
-	// Collection scratch, reused by every collection of the snapshot.
-	sums []float64       // fold: per-key rate sums
-	live []float64       // CollectPartial: per-key live seconds
-	part PartialSnapshot // CollectPartial's result
+	gen      uint64          // bumped by every begin
+	finished bool            // Collect or Abandon already ran
+	part     PartialSnapshot // Collect's result, reused by every collection
 }
 
 // chain is one probe's history within a snapshot: the ordinal of the
-// key it folds into, its VM endpoints and its probe segments. A healthy
-// probe is a chain of one segment; only a hardened snapshot's retries
-// (armRetry) append more.
+// key it feeds, its VM endpoints and its probe segments. A healthy
+// probe is a chain of one segment; a retry (armRetry) appends another.
 type chain struct {
 	pair     int
 	src, dst substrate.VMID
@@ -200,24 +202,27 @@ type probeSeg struct {
 	flow       substrate.Flow
 	startBytes float64
 	startT     float64
-	endT       float64 // failure instant (hardened only); -1 while live
+	endT       float64 // failure instant; -1 while live
 }
 
-// BeginSnapshot starts the probe set of an all-pairs snapshot and
-// returns a handle to collect it once opts.DurationS of substrate time
-// has passed. The probe layout, accumulation order and noise draws
-// match Snapshot exactly: on an otherwise idle cluster,
-// BeginSnapshot + RunFor + Collect is byte-identical to Snapshot.
-func BeginSnapshot(sim substrate.Cluster, opts Options) *PendingSnapshot {
-	n := sim.NumDCs()
-	pairs := allPairs(n)
-	return beginProbes(sim, opts, n, pairs, dcChains(sim, pairs))
+// BeginSnapshotInto starts an all-pairs snapshot over the storage of ps
+// — nil (a new snapshot), or a finished one an earlier call on the same
+// cluster returned — and returns a handle to collect once
+// opts.DurationS of substrate time has passed. Every probe starts
+// before any failure handler is armed; the handler retries a failed
+// probe with capped exponential backoff on the substrate clock. On an
+// otherwise idle cluster, BeginSnapshotInto + RunFor + Collect is
+// byte-identical to Snapshot.
+func BeginSnapshotInto(ps *PendingSnapshot, sim substrate.Cluster, opts Options) *PendingSnapshot {
+	ps = recycle(ps, sim)
+	ps.begin(opts)
+	return ps
 }
 
 // recycle returns ps — nil, or a finished snapshot an earlier
-// BeginSnapshotHardenedInto on the same cluster returned — ready for
-// another all-pairs begin on sim, or a new all-pairs snapshot when ps
-// cannot hold one. It panics when ps is still in flight.
+// BeginSnapshotInto on the same cluster returned — ready for another
+// all-pairs begin on sim, or a new all-pairs snapshot when ps cannot
+// hold one. It panics when ps is still in flight.
 func recycle(ps *PendingSnapshot, sim substrate.Cluster) *PendingSnapshot {
 	n := sim.NumDCs()
 	if ps == nil || ps.n != n || len(ps.pairs) != n*(n-1) {
@@ -269,18 +274,21 @@ func newPending(sim substrate.Cluster, n int, pairs [][2]int, chains []chain) *P
 	return &PendingSnapshot{sim: sim, n: n, pairs: pairs, chains: chains, finished: true}
 }
 
-// beginProbes starts the probes of a one-off snapshot over the given
-// keys and chains.
-func beginProbes(sim substrate.Cluster, opts Options, n int, pairs [][2]int, chains []chain) *PendingSnapshot {
-	ps := newPending(sim, n, pairs, chains)
-	ps.start(opts)
-	return ps
+// run begins the snapshot, drives the clock through its window and
+// collects it.
+func (ps *PendingSnapshot) run(opts Options) *PartialSnapshot {
+	ps.begin(opts)
+	ps.sim.RunFor(opts.DurationS)
+	return ps.Collect()
 }
 
-// start opens a new generation: every chain's first probe starts, in
+// begin opens a new generation: every chain's first probe starts, in
 // chain order, on the shared first-segment slab (a retry's append
-// moves its chain off it), and the retry counts reset.
-func (ps *PendingSnapshot) start(opts Options) {
+// moves its chain off it), the retry counts reset, and then the failure
+// handler is armed on each first probe in chain order — a probe born
+// failed fires it as it is armed, scheduling its first retry from
+// within the begin.
+func (ps *PendingSnapshot) begin(opts Options) {
 	if opts.DurationS <= 0 {
 		panic("measure: non-positive probe duration")
 	}
@@ -295,6 +303,12 @@ func (ps *PendingSnapshot) start(opts Options) {
 		ps.first[i] = probeSeg{flow: f, startBytes: f.TransferredBytes(), startT: ps.begun, endT: -1}
 		ch.segs, ch.retries = ps.first[i:i+1:i+1], 0
 	}
+	if ps.onFail == nil {
+		ps.onFail = ps.probeFailed
+	}
+	for i := range ps.first {
+		ps.first[i].flow.OnFail(ps.onFail)
+	}
 }
 
 // DurationS returns the configured probe duration.
@@ -303,9 +317,8 @@ func (ps *PendingSnapshot) DurationS() float64 { return ps.opts.DurationS }
 // Abandon tears the probes down without producing a sample (the
 // snapshot's owner is shutting down mid-window). Teardown is
 // idempotent under faults: probes a VM kill or pair reset already
-// terminated are skipped rather than re-Stopped, retry probes the
-// hardened path started are torn down with the originals, and a
-// second Abandon is a no-op.
+// terminated are skipped rather than re-Stopped, retry probes are torn
+// down with the originals, and a second Abandon is a no-op.
 func (ps *PendingSnapshot) Abandon() {
 	if !ps.finished {
 		ps.teardown(nil)
@@ -313,7 +326,7 @@ func (ps *PendingSnapshot) Abandon() {
 }
 
 // teardown ends the snapshot chain by chain: read (nil when abandoning)
-// folds the chain's bytes first, then every probe of it still running
+// reads the chain's bytes first, then every probe of it still running
 // is stopped. Only a chain's last segment can be running — a retry
 // starts after its predecessor failed.
 func (ps *PendingSnapshot) teardown(read func(ch *chain)) {
@@ -329,53 +342,6 @@ func (ps *PendingSnapshot) teardown(read func(ch *chain)) {
 			}
 		}
 	}
-}
-
-// Collect tears the probes down and returns the sampled bandwidth
-// matrix, the post-probe host metrics and the measurement bill. It
-// must be called exactly once, after the probe duration has elapsed.
-// Probes keep transferring until Collect stops them, so a collection
-// later than the configured window integrates over the real elapsed
-// time (rates stay honest); collecting at exactly DurationS matches
-// Snapshot byte for byte.
-func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Report) {
-	sums, rep := ps.fold()
-	out := bwmatrix.New(ps.n)
-	// One noise draw per key in key order, whatever its probes' fate,
-	// so the stream does not shift with the fault schedule.
-	for k, p := range ps.pairs {
-		out[p[0]][p[1]] = noisy(sums[k], ps.opts)
-	}
-	return out, vmStatsInto(nil, ps.sim), rep
-}
-
-// fold is the legacy integration rule: tear the probes down and sum
-// each surviving probe's bytes over the window into its key's average
-// rate (before reporting noise). A probe a fault terminated mid-window
-// contributes nothing — its frozen byte count over the full window
-// would fabricate a near-zero reading — and is counted in the bill.
-func (ps *PendingSnapshot) fold() ([]float64, Report) {
-	if ps.finished {
-		panic("measure: PendingSnapshot collected twice")
-	}
-	if ps.hardened {
-		panic("measure: hardened snapshot must be collected with CollectPartial")
-	}
-	window := ps.collectWindow()
-	sums := resize(ps.sums, len(ps.pairs))
-	ps.sums = sums
-	rep := Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())}
-	ps.teardown(func(ch *chain) {
-		seg := ch.segs[0]
-		if seg.flow.Failed() {
-			rep.FailedProbes++
-			return
-		}
-		bytes := seg.flow.TransferredBytes() - seg.startBytes
-		rep.BytesTransferred += bytes
-		sums[ch.pair] += bytes * 8 / 1e6 / window // Mbps
-	})
-	return sums, rep
 }
 
 // collectWindow returns the window a collection integrates over: the

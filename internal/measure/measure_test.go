@@ -208,22 +208,22 @@ func TestBeginSnapshotMatchesSnapshot(t *testing.T) {
 	wantBW, wantStats, wantRep := Snapshot(simA, optsFor())
 
 	simB := frozenSim(4, 7)
-	ps := BeginSnapshot(simB, optsFor())
+	ps := BeginSnapshotInto(nil, simB, optsFor())
 	simB.RunFor(ps.DurationS())
-	gotBW, gotStats, gotRep := ps.Collect()
+	got := ps.Collect()
 
 	for i := range wantBW {
 		for j := range wantBW[i] {
-			if gotBW[i][j] != wantBW[i][j] {
-				t.Errorf("bw[%d][%d] = %v, want %v", i, j, gotBW[i][j], wantBW[i][j])
+			if got.BW[i][j] != wantBW[i][j] {
+				t.Errorf("bw[%d][%d] = %v, want %v", i, j, got.BW[i][j], wantBW[i][j])
 			}
 		}
 	}
-	if !reflect.DeepEqual(gotStats, wantStats) {
-		t.Errorf("stats diverge: %v vs %v", gotStats, wantStats)
+	if !reflect.DeepEqual(got.Stats, wantStats) {
+		t.Errorf("stats diverge: %v vs %v", got.Stats, wantStats)
 	}
-	if gotRep != wantRep {
-		t.Errorf("report = %+v, want %+v", gotRep, wantRep)
+	if got.Bill != wantRep {
+		t.Errorf("report = %+v, want %+v", got.Bill, wantRep)
 	}
 	if simB.ActiveFlows() != 0 {
 		t.Errorf("%d probes left after Collect", simB.ActiveFlows())
@@ -234,7 +234,7 @@ func TestBeginSnapshotMatchesSnapshot(t *testing.T) {
 // and double collection.
 func TestPendingSnapshotGuards(t *testing.T) {
 	sim := frozenSim(3, 8)
-	ps := BeginSnapshot(sim, Options{DurationS: 1})
+	ps := BeginSnapshotInto(nil, sim, Options{DurationS: 1})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -253,23 +253,22 @@ func TestPendingSnapshotGuards(t *testing.T) {
 	ps.Collect()
 }
 
-// TestCollectWindow pins the window check Collect and CollectPartial
-// share, on both paths: collecting early panics and leaves the snapshot
-// collectable, a late collection bills the real elapsed time, and a
-// clock an ulp either side of the configured duration bills the
-// duration itself.
+// TestCollectWindow pins Collect's window check, for a one-off snapshot
+// and for one begun over the storage of an abandoned one: collecting
+// early panics and leaves the snapshot collectable, a late collection
+// bills the real elapsed time, and a clock an ulp either side of the
+// configured duration bills the duration itself.
 func TestCollectWindow(t *testing.T) {
 	paths := []struct {
-		name    string
-		begin   func(substrate.Cluster, Options) *PendingSnapshot
-		collect func(*PendingSnapshot) Report
+		name  string
+		begin func(substrate.Cluster, Options) *PendingSnapshot
 	}{
-		{"legacy", BeginSnapshot, func(ps *PendingSnapshot) Report {
-			_, _, rep := ps.Collect()
-			return rep
+		{"one-off", func(c substrate.Cluster, o Options) *PendingSnapshot { return BeginSnapshotInto(nil, c, o) }},
+		{"recycled", func(c substrate.Cluster, o Options) *PendingSnapshot {
+			old := BeginSnapshotInto(nil, c, o)
+			old.Abandon()
+			return BeginSnapshotInto(old, c, o)
 		}},
-		{"hardened", func(c substrate.Cluster, o Options) *PendingSnapshot { return BeginSnapshotHardenedInto(nil, c, o) },
-			func(ps *PendingSnapshot) Report { return ps.CollectPartial().Bill }},
 	}
 	for _, path := range paths {
 		t.Run(path.name+"/early-panics", func(t *testing.T) {
@@ -283,10 +282,10 @@ func TestCollectWindow(t *testing.T) {
 						t.Errorf("early collection panicked with %v, want %q", r, want)
 					}
 				}()
-				path.collect(ps)
+				ps.Collect()
 			}()
 			sim.RunFor(0.5)
-			if rep := path.collect(ps); rep.ElapsedS != 1 {
+			if rep := ps.Collect().Bill; rep.ElapsedS != 1 {
 				t.Errorf("collection after an early attempt billed %vs, want 1s", rep.ElapsedS)
 			}
 		})
@@ -294,7 +293,7 @@ func TestCollectWindow(t *testing.T) {
 			sim := frozenSim(3, 22)
 			ps := path.begin(sim, Options{DurationS: 1})
 			sim.RunFor(1.5)
-			rep := path.collect(ps)
+			rep := ps.Collect().Bill
 			if rep.ElapsedS != 1.5 || rep.VMSeconds != 1.5*3 {
 				t.Errorf("late collection billed %+v, want 1.5s elapsed and 4.5 VM-seconds", rep)
 			}
@@ -316,7 +315,7 @@ func TestCollectWindow(t *testing.T) {
 				if elapsed := sim.Now() - begun; elapsed == c.duration || (elapsed < c.duration) != c.short {
 					t.Fatalf("the clock read %v elapsed against %v: the case does not exercise its side of the tolerance", elapsed, c.duration)
 				}
-				if rep := path.collect(ps); rep.ElapsedS != c.duration {
+				if rep := ps.Collect().Bill; rep.ElapsedS != c.duration {
 					t.Errorf("billed %vs (%b), want the configured %vs exactly", rep.ElapsedS, rep.ElapsedS, c.duration)
 				}
 			})
@@ -328,7 +327,7 @@ func TestCollectWindow(t *testing.T) {
 // producing a sample.
 func TestPendingSnapshotAbandon(t *testing.T) {
 	sim := frozenSim(3, 9)
-	ps := BeginSnapshot(sim, Options{DurationS: 1})
+	ps := BeginSnapshotInto(nil, sim, Options{DurationS: 1})
 	if sim.ActiveFlows() == 0 {
 		t.Fatal("no probes started")
 	}

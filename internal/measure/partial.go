@@ -1,17 +1,15 @@
 package measure
 
-// Failure-aware gauging: the hardened collector over the same chain
-// list as the legacy one. The legacy rule (BeginSnapshot + Collect)
-// drops a probe a fault terminated; the hardened path instead treats
-// probe failure as a first-class outcome: a failed probe is retried
-// with capped exponential backoff on the substrate clock (armRetry
-// appends the replacement as the chain's next segment), and collection
-// returns a PartialSnapshot that tags every ordered DC pair Measured,
+// Failure-aware gauging, the one way every snapshot is gauged and
+// collected. Probe failure is a first-class outcome: a failed probe is
+// retried with capped exponential backoff on the substrate clock
+// (armRetry appends the replacement as the chain's next segment), and
+// collection returns a PartialSnapshot that tags every key Measured,
 // Retried or Unmeasurable — never a fabricated zero. The retry policy
 // is fixed (the constants below). The re-gauging controller
 // (internal/runtime) replans from the pairs measured and fills each
-// Unmeasurable one with the last value it measured there; see
-// DESIGN.md §11.
+// Unmeasurable one with the last value it measured there; the
+// synchronous measurements read it as zero. See DESIGN.md §11.
 
 import (
 	"math"
@@ -20,7 +18,7 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// The retry policy of a hardened snapshot.
+// The retry policy of every snapshot.
 const (
 	// maxRetries is how many replacement probes one VM pair may start
 	// after its current probe fails.
@@ -41,7 +39,7 @@ const (
 // PairOutcome classifies how one ordered DC pair's measurement went.
 type PairOutcome int8
 
-// The pair outcomes of a hardened snapshot.
+// The pair outcomes of a snapshot.
 const (
 	// PairMeasured: every probe of the pair survived the full window.
 	PairMeasured PairOutcome = iota
@@ -79,9 +77,9 @@ type PairSample struct {
 	FailedProbes int
 }
 
-// PartialSnapshot is the hardened snapshot's result: a bandwidth
-// matrix over the pairs that could be measured, a per-pair outcome
-// tag, and the host metrics and bill of the legacy snapshot.
+// PartialSnapshot is a collected snapshot: a bandwidth matrix over the
+// pairs that could be measured, a per-pair outcome tag, the post-probe
+// host metrics and the bill.
 type PartialSnapshot struct {
 	// BW holds the measured rates (noise applied); Unmeasurable pairs
 	// are zero and must be filled, not trusted.
@@ -125,96 +123,77 @@ func (s *PartialSnapshot) Retries() int {
 	return n
 }
 
-// BeginSnapshotHardenedInto starts a failure-aware all-pairs snapshot
-// over the storage of ps — nil (a new snapshot), or a finished one an
-// earlier call on the same cluster returned: the same probes as
-// BeginSnapshot, every one of them started before any failure handler
-// is armed; each handler retries its chain with capped exponential
-// backoff on the substrate clock. A recycled chain keeps the failure
-// handler bound at the snapshot's first begin. Collect the result with CollectPartial once
-// the window has elapsed.
-func BeginSnapshotHardenedInto(ps *PendingSnapshot, sim substrate.Cluster, opts Options) *PendingSnapshot {
-	ps = recycle(ps, sim)
-	ps.hardened = true
-	ps.start(opts)
-	ps.bindFailFns()
+// probeFailed is the snapshot's failure handler, registered on every
+// probe it starts: it closes the chain whose live probe has just failed
+// at the failure instant and schedules a replacement probe (armRetry)
+// after the chain's current backoff, unless the budget is spent. The
+// substrate fails probes one at a time, running each handler before it
+// marks the next (a VM kill or pair reset fails its flows in start
+// order; a probe born failed fires as it is armed, in chain order), so
+// exactly one chain has a failed live segment still open: the one whose
+// probe fired. A handler of a probe an earlier generation started finds
+// none, and does nothing.
+func (ps *PendingSnapshot) probeFailed() {
+	if ps.finished {
+		return
+	}
 	for i := range ps.chains {
-		ps.chains[i].segs[0].flow.OnFail(ps.failFns[i])
-	}
-	return ps
-}
-
-// bindFailFns binds every chain's failure handler, once per snapshot.
-func (ps *PendingSnapshot) bindFailFns() {
-	if ps.failFns != nil {
+		ch := &ps.chains[i]
+		seg := &ch.segs[len(ch.segs)-1]
+		if seg.endT >= 0 || !seg.flow.Failed() {
+			continue
+		}
+		seg.endT = ps.sim.Now()
+		if ch.retries >= maxRetries {
+			return
+		}
+		backoff := retryBackoffS * math.Pow(retryBackoffMult, float64(ch.retries))
+		if backoff > maxRetryBackoffS {
+			backoff = maxRetryBackoffS
+		}
+		ch.retries++
+		gen := ps.gen
+		ps.sim.After(backoff, func(now float64) { ps.armRetry(i, gen, now) })
 		return
 	}
-	ps.failFns = make([]func(), len(ps.chains))
-	for i := range ps.chains {
-		ps.failFns[i] = func() { ps.probeFailed(i) }
-	}
-}
-
-// probeFailed is chain i's failure handler, registered on each of its
-// probes in turn: close the live segment at the failure instant and
-// schedule a replacement probe (armRetry) after the chain's current
-// backoff, unless the budget is spent. It acts only on the failure of
-// the chain's live probe in the current generation — a handler of a
-// probe an earlier generation started finds a live segment whose flow
-// has not failed, or is already closed, and does nothing. A probe born
-// failed (dead endpoint) fires the handler as it is registered, so the
-// first retry is scheduled from within BeginSnapshotHardenedInto itself.
-func (ps *PendingSnapshot) probeFailed(i int) {
-	ch := &ps.chains[i]
-	seg := &ch.segs[len(ch.segs)-1]
-	if ps.finished || seg.endT >= 0 || !seg.flow.Failed() {
-		return
-	}
-	seg.endT = ps.sim.Now()
-	if ch.retries >= maxRetries {
-		return
-	}
-	backoff := retryBackoffS * math.Pow(retryBackoffMult, float64(ch.retries))
-	if backoff > maxRetryBackoffS {
-		backoff = maxRetryBackoffS
-	}
-	ch.retries++
-	gen := ps.gen
-	ps.sim.After(backoff, func(now float64) { ps.armRetry(i, gen, now) })
 }
 
 // armRetry starts the replacement probe a failure of chain i in
 // generation gen scheduled, as the chain's next segment, and arms the
-// chain's failure handler on it. The replacement starts only while
-// that generation is open — not collected, not begun again — its
-// window has not closed, and both endpoints live.
+// failure handler on it. The replacement starts only while that
+// generation is open — not collected, not begun again — its window has
+// not closed, and both endpoints live.
 func (ps *PendingSnapshot) armRetry(i int, gen uint64, now float64) {
+	if ps.gen != gen || ps.finished || now >= ps.begun+ps.opts.DurationS {
+		return
+	}
 	ch := &ps.chains[i]
-	if ps.gen != gen || ps.finished || now >= ps.begun+ps.opts.DurationS ||
-		!ps.sim.VMAlive(ch.src) || !ps.sim.VMAlive(ch.dst) {
+	if !ps.sim.VMAlive(ch.src) || !ps.sim.VMAlive(ch.dst) {
 		return
 	}
 	f := ps.sim.StartProbe(ch.src, ch.dst, 1)
 	ch.segs = append(ch.segs, probeSeg{
 		flow: f, startBytes: f.TransferredBytes(), startT: now, endT: -1,
 	})
-	f.OnFail(ps.failFns[i])
+	f.OnFail(ps.onFail)
 }
 
-// CollectPartial tears the hardened snapshot down and returns the
-// tagged partial sample. This is the hardened integration rule: per
-// pair, every probe segment contributes its bytes over its live time,
-// so a probe that died mid-window still reports the rate it saw while
-// alive instead of a diluted average; pairs with no live time — or
-// whose flows stalled below stallMbps, the partition signature — are
-// tagged Unmeasurable and left at zero for the caller to fill.
+// Collect tears the snapshot down and returns the tagged sample. It
+// must be called exactly once, after the probe duration has elapsed;
+// probes keep transferring until Collect stops them, so a later
+// collection integrates over the real elapsed time. This is the one
+// integration rule: per key, every probe segment contributes its bytes
+// over its live time — a segment that began with the snapshot and ran
+// to collection over the collection window itself, so a healthy chain
+// reads bytes·8/1e6/window exactly — and a probe that died mid-window
+// still reports the rate it saw while alive instead of a diluted
+// average. Keys with no live time, or whose flows stalled below
+// stallMbps (the partition signature), are tagged Unmeasurable and read
+// zero.
 //
 // The result lives in the snapshot's storage: it stays valid until a
 // snapshot recycled from this one is collected.
-func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
-	if !ps.hardened {
-		panic("measure: CollectPartial on a legacy snapshot; use Collect")
-	}
+func (ps *PendingSnapshot) Collect() *PartialSnapshot {
 	if ps.finished {
 		panic("measure: PendingSnapshot collected twice")
 	}
@@ -231,53 +210,52 @@ func (ps *PendingSnapshot) CollectPartial() *PartialSnapshot {
 	out.Samples = resize(out.Samples, len(ps.pairs))
 	out.Pairs = ps.pairs
 	out.Bill = Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())}
-	live := resize(ps.live, len(ps.pairs))
-	ps.live = live
 	ps.teardown(func(ch *chain) {
 		s := &out.Samples[ch.pair]
 		s.Retries += ch.retries
 		// Time-average within the chain (its segments are the same VM
 		// pair re-probed, never concurrent) and sum across chains (the
-		// pair's distinct VM pairs — association, as in Collect).
+		// key's distinct VM pairs — association).
 		chBytes, chLive := 0.0, 0.0
 		for _, seg := range ch.segs {
-			end := seg.endT
-			if end < 0 {
-				end = now // survived to collection
-			} else {
+			live := seg.endT - seg.startT
+			switch {
+			case seg.endT >= 0:
 				s.FailedProbes++
 				out.Bill.FailedProbes++
+			case seg.startT == ps.begun:
+				live = window
+			default:
+				live = now - seg.startT
 			}
 			bytes := seg.flow.TransferredBytes() - seg.startBytes
 			if !seg.flow.Failed() {
 				// Billing convention (see Report.BytesTransferred):
-				// fault-terminated probes are excluded, exactly as in
-				// Collect — their live-time rate still feeds the pair
-				// average below, but not the bill.
+				// fault-terminated probes are excluded from the bill;
+				// their live-time rate still feeds the key's reading.
 				out.Bill.BytesTransferred += bytes
 			}
-			if d := end - seg.startT; d > 0 {
+			if live > 0 {
 				chBytes += bytes
-				chLive += d
+				chLive += live
 			}
 		}
 		if chLive > 0 {
 			s.Mbps += chBytes * 8 / 1e6 / chLive
-			live[ch.pair] += chLive
 		}
 	})
-	// Walk the ordered pair list so noise draws attach to pairs
-	// deterministically, exactly as in Collect.
+	// Walk the keys in order so noise draws attach to them
+	// deterministically: one draw per key regardless of outcome keeps
+	// the stream aligned across fault schedules for a fixed seed. A key
+	// with no live time reads zero, below the stall floor.
 	for k, p := range ps.pairs {
 		s := &out.Samples[k]
 		switch {
-		case live[k] <= 0 || s.Mbps < stallMbps:
+		case s.Mbps < stallMbps:
 			s.Outcome = PairUnmeasurable
 		case s.Retries > 0 || s.FailedProbes > 0:
 			s.Outcome = PairRetried
 		}
-		// One noise draw per pair regardless of outcome keeps the
-		// stream aligned across fault schedules for a fixed seed.
 		v := noisy(s.Mbps, ps.opts)
 		if s.Outcome != PairUnmeasurable {
 			s.Mbps = v

@@ -8,17 +8,17 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// collectHardened begins a hardened snapshot on a fresh frozen sim,
-// applies the fault schedule, runs out the window and collects. The
+// collectUnder begins a snapshot on a fresh frozen sim, applies the
+// fault schedule, runs out the window and collects. The
 // helper rebuilds everything from the seed so determinism tests can
 // compare two complete runs.
-func collectHardened(n int, seed uint64, sched substrate.FaultSchedule) *PartialSnapshot {
+func collectUnder(n int, seed uint64, sched substrate.FaultSchedule) *PartialSnapshot {
 	sim := frozenSim(n, seed)
 	sim.RunFor(5) // settle away from t=0 so fault times are mid-stream
-	ps := BeginSnapshotHardenedInto(nil, sim, Options{DurationS: 1})
+	ps := BeginSnapshotInto(nil, sim, Options{DurationS: 1})
 	sched.Apply(sim)
 	sim.RunFor(1)
-	return ps.CollectPartial()
+	return ps.Collect()
 }
 
 // sampleOf returns the sample of the ordered pair p.
@@ -31,60 +31,24 @@ func sampleOf(part *PartialSnapshot, p [2]int) PairSample {
 	panic(fmt.Sprintf("pair %v not in the snapshot", p))
 }
 
-// TestHardenedMatchesLegacyOnHealthyCluster: with no faults the
-// hardened snapshot must read exactly what the legacy snapshot reads —
-// every pair Measured, coverage 1, same matrix.
-func TestHardenedMatchesLegacyOnHealthyCluster(t *testing.T) {
-	opts := Options{DurationS: 1}
-
-	legacySim := frozenSim(4, 7)
-	legacy := BeginSnapshot(legacySim, opts)
-	legacySim.RunFor(1)
-	want, _, wantRep := legacy.Collect()
-
-	hardSim := frozenSim(4, 7)
-	hard := BeginSnapshotHardenedInto(nil, hardSim, opts)
-	hardSim.RunFor(1)
-	got := hard.CollectPartial()
-
-	if !reflect.DeepEqual(got.BW, want) {
-		t.Errorf("hardened BW diverges from legacy on a healthy cluster:\n got %v\nwant %v", got.BW, want)
-	}
-	if cov := got.Coverage(); cov != 1 {
-		t.Errorf("coverage = %v, want 1", cov)
-	}
-	if got.Retries() != 0 || got.Unmeasurable() != 0 {
-		t.Errorf("healthy cluster reported retries=%d unmeasurable=%d", got.Retries(), got.Unmeasurable())
-	}
-	for k, p := range got.Pairs {
-		s := got.Samples[k]
-		if s.Outcome != PairMeasured || s.FailedProbes != 0 {
-			t.Errorf("pair %v = %+v, want Measured", p, s)
-		}
-	}
-	if got.Bill.FailedProbes != 0 || got.Bill.BytesTransferred != wantRep.BytesTransferred {
-		t.Errorf("bill %+v diverges from legacy %+v", got.Bill, wantRep)
-	}
-}
-
-// TestCollectPartialUnderFaults exercises the three fault kinds inside
+// TestCollectUnderFaults exercises the three fault kinds inside
 // one probe window: a VM kill (pairs lose their endpoint mid-window),
 // a pair reset (probe dies, retry succeeds) and a DC partition (probes
 // stall at rate zero without failing). Asserts the outcome tags,
 // retry counts and coverage arithmetic.
-func TestCollectPartialUnderFaults(t *testing.T) {
+func TestCollectUnderFaults(t *testing.T) {
 	// 5 DCs, 1 VM each: VM i lives in DC i. Window is [5, 6).
 	sched := substrate.FaultSchedule{
 		{Kind: substrate.FaultKillVM, VM: 3, At: 5.3},
 		{Kind: substrate.FaultResetPair, SrcDC: 0, DstDC: 1, At: 5.4},
 		{Kind: substrate.FaultPartitionDC, DC: 4, At: 5.0, Until: 10},
 	}
-	part := collectHardened(5, 3, sched)
+	part := collectUnder(5, 3, sched)
 	// The same window without faults. A pair that kept a reading reads
 	// its bytes over its live time: near its fault-free rate, where
 	// bytes over the whole window would read that rate diluted by the
 	// dead fraction of the window.
-	clean := collectHardened(5, 3, nil)
+	clean := collectUnder(5, 3, nil)
 	ratio := func(p [2]int, s PairSample) float64 { return s.Mbps / clean.BW[p[0]][p[1]] }
 
 	if len(part.Pairs) != 20 || len(part.Samples) != 20 {
@@ -154,15 +118,15 @@ func TestCollectPartialUnderFaults(t *testing.T) {
 	}
 }
 
-// TestCollectPartialDeterministicPerSeed: the hardened collection under
-// a fault schedule is a pure function of the seed.
-func TestCollectPartialDeterministicPerSeed(t *testing.T) {
+// TestCollectDeterministicPerSeed: a collection under a fault schedule
+// is a pure function of the seed.
+func TestCollectDeterministicPerSeed(t *testing.T) {
 	sched := substrate.FaultSchedule{
 		{Kind: substrate.FaultKillVM, VM: 2, At: 5.25},
 		{Kind: substrate.FaultResetPair, SrcDC: 0, DstDC: 1, At: 5.5},
 	}
-	a := collectHardened(4, 11, sched)
-	b := collectHardened(4, 11, sched)
+	a := collectUnder(4, 11, sched)
+	b := collectUnder(4, 11, sched)
 	if !reflect.DeepEqual(a.Samples, b.Samples) {
 		t.Errorf("samples diverge across identical runs:\n a=%v\n b=%v", a.Samples, b.Samples)
 	}
@@ -179,13 +143,13 @@ func TestCollectPartialDeterministicPerSeed(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	sim := frozenSim(3, 5)
 	sim.RunFor(5)
-	ps := BeginSnapshotHardenedInto(nil, sim, Options{DurationS: 1})
+	ps := BeginSnapshotInto(nil, sim, Options{DurationS: 1})
 	// Reset the pair at every instant a probe could be running.
 	for _, at := range []float64{5.1, 5.25, 5.5, 5.75, 5.9} {
 		sim.ResetPair(0, 1, at)
 	}
 	sim.RunFor(1)
-	part := ps.CollectPartial()
+	part := ps.Collect()
 	s := sampleOf(part, [2]int{0, 1})
 	if s.Retries != maxRetries {
 		t.Errorf("retries = %d, want exactly the budget of %d", s.Retries, maxRetries)
@@ -197,20 +161,6 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if rev := sampleOf(part, [2]int{1, 0}); rev.Outcome != PairMeasured {
 		t.Errorf("reverse pair = %+v, want untouched", rev)
 	}
-}
-
-// TestHardenedGuards: the two collection paths refuse each other's
-// snapshots.
-func TestHardenedGuards(t *testing.T) {
-	sim := frozenSim(3, 1)
-	ps := BeginSnapshotHardenedInto(nil, sim, Options{DurationS: 1})
-	sim.RunFor(1)
-	mustPanic(t, "Collect on a hardened snapshot", func() { ps.Collect() })
-
-	sim2 := frozenSim(3, 1)
-	legacy := BeginSnapshot(sim2, Options{DurationS: 1})
-	sim2.RunFor(1)
-	mustPanic(t, "CollectPartial on a legacy snapshot", func() { legacy.CollectPartial() })
 }
 
 // mustPanic fails the test unless fn panics.

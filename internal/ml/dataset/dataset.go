@@ -78,9 +78,10 @@ func SnapshotFeatures(sim substrate.Cluster, rng *simrand.Source) ([][]PairFeatu
 // FeaturesFromSnapshot assembles the per-pair feature matrix from
 // already-collected snapshot parts (a sampled bandwidth matrix plus
 // host metrics). SnapshotFeatures takes the snapshot and delegates
-// here; the runtime re-gauging controller collects its snapshot
-// asynchronously (measure.BeginSnapshot) and feeds the parts in
-// directly.
+// here; the serving plane's model refresh collects its snapshot
+// asynchronously (measure.BeginSnapshotInto, then Collect) and feeds
+// the collected BW and Stats in directly, as the re-gauging controller
+// does through FeaturesFromSnapshotInto.
 func FeaturesFromSnapshot(sim substrate.Cluster, snap bwmatrix.Matrix, stats []substrate.VMStats) [][]PairFeatures {
 	return FeaturesFromSnapshotInto(nil, sim, snap, stats)
 }

@@ -187,6 +187,25 @@ func TestTimers(t *testing.T) {
 	}
 }
 
+// TestEveryRejectsNonPositiveInterval: Every panics on an interval that
+// is not positive, before it schedules anything — a zero or negative
+// one would re-fire at one instant forever inside RunFor, and a NaN one
+// would put a NaN key into the timer heap.
+func TestEveryRejectsNonPositiveInterval(t *testing.T) {
+	s := frozenSim(2, 4)
+	for _, interval := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Every(%v) did not panic", interval)
+				}
+			}()
+			s.Every(interval, func(float64) { t.Fatalf("Every(%v) fired", interval) })
+		}()
+	}
+	s.RunFor(1)
+}
+
 // TestCongestionKneeDegradesThroughput checks that a VM loaded far past
 // the knee achieves less total throughput than a moderately loaded one
 // — the §2.2 "beyond 8 connections no improvement" effect.

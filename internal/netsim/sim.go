@@ -693,7 +693,12 @@ func (s *Sim) After(delay float64, fn func(now float64)) {
 
 // Every schedules fn to run every interval seconds, starting one
 // interval from now. The returned cancel function stops future firings.
+// It panics unless interval is positive: a zero or negative one would
+// re-fire at one instant forever, and a NaN one corrupt the timer heap.
 func (s *Sim) Every(interval float64, fn func(now float64)) (cancel func()) {
+	if !(interval > 0) {
+		panic(fmt.Sprintf("netsim: Every needs a positive interval, got %v", interval))
+	}
 	t := &ticker{s: s, interval: interval, fn: fn}
 	t.tick = t.fire
 	s.at(s.now+interval, t.tick)

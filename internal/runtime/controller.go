@@ -28,7 +28,7 @@
 //     even without observed drift, the §3.3.4 spirit applied to the
 //     plan instead of the model.
 //   - On trigger it re-snapshots the cluster with failure-aware
-//     gauging (measure.BeginSnapshotHardenedInto — the probes run
+//     gauging (measure.BeginSnapshotInto — the probes run
 //     concurrently with the job's own transfers, so the sample sees
 //     exactly the contended WAN the paper says must be gauged, and a
 //     probe a fault kills is retried). A snapshot that measured too
@@ -289,7 +289,7 @@ type Controller struct {
 	pending *measure.PendingSnapshot
 	// snap is the re-gauge snapshot every trigger begins again: one
 	// pair list, chain list and collection scratch for the controller's
-	// life (measure.BeginSnapshotHardenedInto).
+	// life (measure.BeginSnapshotInto).
 	snap        *measure.PendingSnapshot
 	deadHandled []bool // per-DC: evacuation replan already fired for it
 
@@ -578,14 +578,14 @@ func (c *Controller) beginRegauge(now float64, reason Reason, drifted int, maxFr
 	for _, dc := range evac {
 		c.deadHandled[dc] = true
 	}
-	ps := measure.BeginSnapshotHardenedInto(c.snap, c.deps.Cluster, c.deps.SnapshotOpts())
+	ps := measure.BeginSnapshotInto(c.snap, c.deps.Cluster, c.deps.SnapshotOpts())
 	c.snap, c.pending = ps, ps
 	c.deps.Cluster.After(ps.DurationS(), func(applied float64) {
 		if c.stopped || c.pending != ps {
 			return // Stop drained the snapshot already
 		}
 		c.pending = nil
-		c.apply(ps.CollectPartial(), now, applied, reason, drifted, maxFrac, evac)
+		c.apply(ps.Collect(), now, applied, reason, drifted, maxFrac, evac)
 	})
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -21,7 +22,8 @@ import (
 //
 // Admission rejections map onto HTTP status codes: a full queue is 429
 // Too Many Requests, a tenant over quota is 429, an unknown id is 404,
-// an uncancelable job is 409 Conflict, a malformed spec is 400.
+// an uncancelable job is 409 Conflict, a malformed spec (or anything
+// after it in the body) is 400, and a body over maxJobSpecBytes is 413.
 
 // Server is the HTTP face of one Plane/Driver pair.
 type Server struct {
@@ -77,14 +79,33 @@ func errCode(err error) int {
 	}
 }
 
+// maxJobSpecBytes bounds a POST /v1/jobs body. A JobSpec is a few
+// hundred bytes; a body past this is refused with 413 before it is read
+// to the end.
+const maxJobSpecBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+	err := dec.Decode(&spec)
+	if err == nil {
+		// One JSON value per request: anything after it is an error.
+		switch err = dec.Decode(&struct{}{}); err {
+		case io.EOF:
+			err = nil
+		case nil:
+			err = errors.New("trailing data after the job spec")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	var st JobStatus
-	var err error
 	s.driver.Do(func() { st, err = s.plane.Submit(spec) })
 	if err != nil {
 		writeJSON(w, errCode(err), apiError{Error: err.Error()})

@@ -156,3 +156,56 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// postRaw starts a server over a fresh plane, posts body to /v1/jobs
+// and returns the response code and how many jobs the plane holds
+// afterwards.
+func postRaw(t *testing.T, body io.Reader) (code, jobs int) {
+	t.Helper()
+	p, sink := newTestPlane(t, 37, nil)
+	d := NewDriver(p)
+	go d.Run()
+	defer d.Close()
+	ts := httptest.NewServer(NewServer(p, d, sink))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	var apiErr apiError
+	json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted && apiErr.Error == "" {
+		t.Errorf("code %d carried no error envelope", resp.StatusCode)
+	}
+	d.Do(func() { jobs = len(p.Jobs()) })
+	return resp.StatusCode, jobs
+}
+
+// TestSubmitRejectsOversizedBody: a job spec padded past
+// maxJobSpecBytes is refused with 413 and submits nothing.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	body := io.MultiReader(
+		strings.NewReader(`{"workload":"terasort","input_gb":20`),
+		strings.NewReader(strings.Repeat(" ", maxJobSpecBytes)),
+		strings.NewReader(`}`),
+	)
+	if code, jobs := postRaw(t, body); code != http.StatusRequestEntityTooLarge || jobs != 0 {
+		t.Errorf("oversized body: code %d, %d jobs; want 413 and none", code, jobs)
+	}
+}
+
+// TestSubmitRejectsTrailingData: a valid job spec followed by anything
+// but whitespace — a second spec, or garbage — is refused with 400 and
+// submits nothing; trailing whitespace is accepted.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	const spec = `{"workload":"terasort","input_gb":20}`
+	for _, tail := range []string{spec, "garbage", "]"} {
+		if code, jobs := postRaw(t, strings.NewReader(spec+tail)); code != http.StatusBadRequest || jobs != 0 {
+			t.Errorf("spec + %q: code %d, %d jobs; want 400 and none", tail, code, jobs)
+		}
+	}
+	if code, jobs := postRaw(t, strings.NewReader(spec+"\n")); code != http.StatusAccepted || jobs != 1 {
+		t.Errorf("spec + newline: code %d, %d jobs; want 202 and one", code, jobs)
+	}
+}

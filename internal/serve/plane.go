@@ -75,7 +75,8 @@ type Config struct {
 	// Share selects fair or priority sharing across running jobs.
 	Share optimize.ShareMode
 	// EpochS is the telemetry emission period in simulated seconds
-	// (default 15, the controller's epoch).
+	// (default 15, the controller's epoch); it must be positive and
+	// finite.
 	EpochS float64
 	// RefreshS re-fingerprints the cluster every this many simulated
 	// seconds and refreshes the model through the cache (0 = off).
@@ -290,9 +291,12 @@ type Plane struct {
 	stats       PlaneStats
 	epochWaits  []float64 // sim queue waits of jobs admitted this epoch
 	refreshBusy bool
-	cancels     []func()
-	started     bool
-	closed      bool
+	// snap is the refresh snapshot every refresh epoch begins again
+	// (measure.BeginSnapshotInto), as the re-gauging controller does.
+	snap    *measure.PendingSnapshot
+	cancels []func()
+	started bool
+	closed  bool
 }
 
 // New builds a Plane over a framework and engine sharing one cluster.
@@ -302,6 +306,9 @@ func New(fw *wanify.Framework, eng *spark.Engine, cfg Config) (*Plane, error) {
 		return nil, fmt.Errorf("serve: plane needs a framework and an engine")
 	}
 	cfg = cfg.withDefaults()
+	if !(cfg.EpochS > 0) || math.IsInf(cfg.EpochS, 1) {
+		return nil, fmt.Errorf("serve: telemetry epoch must be a positive finite number of seconds, got %v", cfg.EpochS)
+	}
 	if cfg.RefreshS > 0 && cfg.Train == nil {
 		return nil, fmt.Errorf("serve: model refresh needs a Train hook")
 	}
@@ -374,24 +381,26 @@ func (p *Plane) refreshModelSync() error {
 	return p.installModel(predict.Fingerprint(feats, p.cfg.QuantMbps))
 }
 
-// refreshModel is the periodic re-fingerprint: an asynchronous snapshot
-// (probes run concurrently with tenant traffic, exactly like the
-// re-gauging controller's) whose features key the cache when it lands.
+// refreshModel is the periodic re-fingerprint: an asynchronous,
+// failure-aware snapshot (probes run concurrently with tenant traffic,
+// exactly like the re-gauging controller's, and over the same recycled
+// storage every time) whose features key the cache when it lands.
 func (p *Plane) refreshModel(float64) {
 	if p.refreshBusy || p.closed {
 		return
 	}
 	p.refreshBusy = true
 	sim := p.eng.Cluster()
-	ps := measure.BeginSnapshot(sim, measure.SnapshotOptions(p.rng.Derive("refresh")))
+	ps := measure.BeginSnapshotInto(p.snap, sim, measure.SnapshotOptions(p.rng.Derive("refresh")))
+	p.snap = ps
 	sim.After(ps.DurationS(), func(float64) {
 		p.refreshBusy = false
 		if p.closed {
 			ps.Abandon()
 			return
 		}
-		snap, stats, _ := ps.Collect()
-		feats := dataset.FeaturesFromSnapshot(sim, snap, stats)
+		part := ps.Collect()
+		feats := dataset.FeaturesFromSnapshot(sim, part.BW, part.Stats)
 		// Install errors are not fatal mid-flight: the plane keeps
 		// serving on the model it has.
 		_ = p.installModel(predict.Fingerprint(feats, p.cfg.QuantMbps))

@@ -45,6 +45,23 @@ func newTestPlane(t *testing.T, seed uint64, mut func(*Config)) (*Plane, *Memory
 	return p, sink
 }
 
+// TestNewRejectsBadEpoch: a telemetry epoch that is not a positive
+// finite number of seconds is refused at construction; Start would
+// otherwise schedule a timer that re-fires at one instant forever.
+func TestNewRejectsBadEpoch(t *testing.T) {
+	rates := cost.DefaultRates()
+	sim := netsim.NewSim(netsim.UniformCluster(geo.TestbedSubset(3), substrate.T2Medium, 3))
+	fw, err := wanify.New(wanify.Config{Cluster: sim, Rates: rates, Seed: 3}, trainTestModel(t, 3))
+	if err != nil {
+		t.Fatalf("framework: %v", err)
+	}
+	for _, epoch := range []float64{-1, -1e-9, math.NaN(), math.Inf(1)} {
+		if _, err := New(fw, spark.NewEngine(sim, rates), Config{Rates: rates, EpochS: epoch}); err == nil {
+			t.Errorf("EpochS %v accepted", epoch)
+		}
+	}
+}
+
 func TestPlaneLifecycle(t *testing.T) {
 	p, sink := newTestPlane(t, 11, func(c *Config) {
 		c.RefreshS = 300

@@ -251,8 +251,8 @@ type Cluster interface {
 	// After schedules fn to run once, delay seconds from now.
 	After(delay float64, fn func(now float64))
 	// Every schedules fn to run every interval seconds, starting one
-	// interval from now. The returned cancel function stops future
-	// firings.
+	// interval from now; interval must be positive. The returned cancel
+	// function stops future firings.
 	Every(interval float64, fn func(now float64)) (cancel func())
 }
 
