@@ -3,12 +3,12 @@ package experiments
 // The paper ledger: every result the paper reports that a driver
 // measures, kept here once. Drivers print a claim's text beside their
 // measurement; ledger_test.go extracts each claim from the driver's
-// result at seeds 1–5, checks the values against
+// result at seeds 1–20, checks the values against
 // testdata/ledger.tsv and the verdicts below against the rule, and
 // renders EXPERIMENTS.md's headline table.
 
-// verdict is what the five-seed median says about a claim
-// (EXPERIMENTS.md states the rule).
+// verdict is what the median over testdata/ledger.tsv's seeds says
+// about a claim (EXPERIMENTS.md states the rule).
 type verdict string
 
 const (
@@ -37,7 +37,7 @@ var ledger = []claim{
 	{"table1", "significant gaps", "Table 1", "(paper: 18 = 7/8/3)",
 		18, 0, directionOnly, "netsim's weather moves fewer DC pairs by >100 Mbps between static and runtime probing than the paper's WAN did"},
 	{"table1", "slowest DC from SA East flips", "Table 1", "(paper: AP SE -> EU West flip)",
-		1, 0, notReproduced, "the slowest link from SA East is the same under static and runtime probing at every seed"},
+		1, 0, notReproduced, "the slowest link from SA East is the same under static and runtime probing"},
 	{"table2", "prediction saving (%)", "Table 2", "(paper: ~96%)",
 		96, 0, reproduced, "Eq. 1 and the session cost model at the paper's rates; no simulation"},
 	{"table2", "8-DC monitoring ($/yr)", "Table 2", "(paper: $703/$1055/$1406 monitoring; $35/$20/$14 training; $29/$16/$11 predictions)",
@@ -45,67 +45,67 @@ var ledger = []claim{
 	{"fig2", "heterogeneous ÷ uniform min BW (×)", "Fig. 2", "paper: 2.1x, 120.5 -> 255.5",
 		2.1, 1, directionOnly, "overshoots: heterogeneous matches the paper's 255.5 Mbps, uniform stays at 81.7 against its 120.5"},
 	{"table4", "mean min-BW gain (×)", "Table 4", "(paper: ~1.5x)",
-		1.5, 1, directionOnly, "runtime beliefs cut q78's latency (up to 24 % at seed 1) but hardly widen the slowest shuffle link"},
+		1.5, 1, notReproduced, "runtime beliefs cut q78's latency but hardly widen the slowest shuffle link"},
 	{"table4", "snapshot monitoring saving (%)", "§5.2", "(paper: ~$5 vs ~$80, ~94% saving)",
 		94, 0, reproduced, "a 1 s snapshot against 20 s of simultaneous probing, priced by probe bytes"},
 	{"fig4", "SAGQ faster than NoQ (%)", "Fig. 4", "(paper ~22%)",
-		22, 0, directionOnly, "overshoots: quantizing to static BWs gains 31–35 %"},
+		22, 0, directionOnly, "overshoots: quantizing to static BWs"},
 	{"fig4", "WQ faster than SAGQ (%)", "Fig. 4", "(paper ~26%)",
-		26, 0, directionOnly, "WQ's parallel connections hardly shorten a training round: −0.0 to 2.5 % across seeds"},
+		26, 0, directionOnly, "WQ's parallel connections hardly shorten a training round"},
 	{"fig5", "WANify-TC best on latency, cost, min BW", "Fig. 5", "(paper: WANify-TC best on all three; 61 min, $4.7, 790 Mbps min BW)",
-		1, 0, notReproduced, "§3.2.2's throttle never binds: WANify-TC equals WANify-Dynamic at every seed, because a cap at the mean achievable BW is slack on netsim"},
+		1, 0, notReproduced, "§3.2.2's throttle never binds: WANify-TC equals WANify-Dynamic, because a cap at the mean achievable BW is slack on netsim"},
 	{"fig6", "speed-up at 2.06 MB/pair (×)", "Fig. 6", "(paper: gains appear for shuffle > 7.4 MB; similar below)",
-		1, 1, notReproduced, "WANify is 1.7–3× faster even at the smallest shuffle, where the paper sees no gain"},
+		1, 1, notReproduced, "WANify is faster even at the smallest shuffle, where the paper sees no gain"},
 	{"fig6", "faster above 7.4 MB/pair", "Fig. 6", "",
-		1, 0, reproduced, "holds at every seed"},
+		1, 0, reproduced, ""},
 	{"fig7", "Tetrium best latency gain (%)", "Fig. 7", "(paper: latency up to 24% lower, cost up to 8% lower, 3.3x min BW)",
-		24, 0, reproduced, "best of Tetrium's four queries; 18–33 % across seeds"},
+		24, 0, reproduced, "best of Tetrium's four queries"},
 	{"fig7", "Tetrium best cost saving (%)", "Fig. 7", "",
-		8, 0, directionOnly, "at most 2.5 % at any seed"},
+		8, 0, directionOnly, ""},
 	{"fig7", "Tetrium best min-BW gain (×)", "Fig. 7", "",
-		3.3, 1, directionOnly, "1.8–2.9× across seeds"},
+		3.3, 1, directionOnly, ""},
 	{"fig8a", "Tetrium global-only gain (%)", "Fig. 8(a)", "(paper: global-only ~16%, local-only ~11%, full WANify ~23% latency gain)",
-		16, 0, directionOnly, "−4 to 18 % across seeds"},
+		16, 0, directionOnly, ""},
 	{"fig8a", "Tetrium local-only gain (%)", "Fig. 8(a)", "",
-		11, 0, directionOnly, "overshoots: 9–31 % across seeds"},
+		11, 0, directionOnly, "overshoots"},
 	{"fig8a", "Tetrium full gain (%)", "Fig. 8(a)", "",
-		23, 0, reproduced, "15–33 % across seeds"},
+		23, 0, reproduced, ""},
 	{"fig8a", "global-only beats local-only", "Fig. 8(a)", "",
-		1, 0, notReproduced, "local-only beats global-only at every seed: which half of WANify matters is inverted"},
+		1, 0, notReproduced, "local-only beats global-only: which half of WANify matters is inverted"},
 	{"fig8b", "latency change (%)", "Fig. 8(b)", "(paper: +18% latency, +5% cost, -38% min BW)",
-		18, 0, directionOnly, "noisy: +1.9 to +59.1 % across seeds"},
+		18, 0, reproduced, ""},
 	{"fig8b", "cost change (%)", "Fig. 8(b)", "",
-		5, 0, directionOnly, "−1.1 to +2.5 % across seeds"},
+		5, 0, directionOnly, ""},
 	{"fig8b", "min-BW change (%)", "Fig. 8(b)", "",
-		-38, 0, directionOnly, "+2 to −32 % across seeds"},
+		-38, 0, directionOnly, ""},
 	{"fig9", "significant deltas", "Fig. 9", "(paper: 6 verticals)",
-		6, 0, directionOnly, "overshoots: 12–18 across seeds"},
+		6, 0, directionOnly, "overshoots"},
 	{"fig10", "Tetrium-W vs Tetrium latency (%)", "Fig. 10", "(paper: Tetrium-W latency -26.5/-20.3/-7.1% vs Tetrium/-P/-WNS; 1.2-2.1x min BW)",
 		-26.5, 0, reproduced, "against one connection, most of the gain is WANify's connections; the skew weights' own effect is the −WNS row"},
 	{"fig10", "Tetrium-W vs -P latency (%)", "Fig. 10", "",
-		-20.3, 0, directionOnly, "−11 to −17 % across seeds"},
+		-20.3, 0, reproduced, ""},
 	{"fig10", "Tetrium-W vs -WNS latency (%)", "Fig. 10", "",
-		-7.1, 0, notReproduced, "the skew weights slow Tetrium-W by 2–8 % at every seed"},
+		-7.1, 0, notReproduced, "the skew weights slow Tetrium-W"},
 	{"fig11a", "predicted beats static at every size", "Fig. 11(a)", "(paper: predicted beats static for every cluster size)",
-		1, 0, notReproduced, "prediction wins at 7 and 8 DCs at every seed, and loses or ties at 4–6"},
+		1, 0, notReproduced, "prediction wins on the largest clusters, and loses or ties on the smaller ones"},
 	{"fig11b", "predicted beats static at every VM count", "Fig. 11(b)", "(paper: predicted BW significantly closer to runtime than static)",
-		1, 0, reproduced, "holds at every seed"},
+		1, 0, reproduced, ""},
 	{"sec583", "Tetrium-r latency gain (%)", "§5.8.3", "(paper: 5%/1%, 1.2x min BW)",
-		5, 0, reproduced, "noisy: −9.7 to +11.9 % across seeds"},
+		5, 0, reproduced, ""},
 	{"sec583", "Tetrium-r cost saving (%)", "§5.8.3", "",
-		1, 0, notReproduced, "Tetrium-r costs more than vanilla at 4 of 5 seeds"},
+		1, 0, notReproduced, "Tetrium-r costs more than vanilla"},
 	{"sec583", "Tetrium-r min-BW gain (×)", "§5.8.3", "",
-		1.2, 1, reproduced, "the ±25 % band around 1.2× reaches below no effect; 0.7–1.26× across seeds"},
+		1.2, 1, notReproduced, ""},
 	{"sec583", "WANify latency gain (%)", "§5.8.3", "(paper: 15%/7.4%, 2x min BW)",
-		15, 0, directionOnly, "noisy: 5.0 to 27.7 % across seeds"},
+		15, 0, directionOnly, ""},
 	{"sec583", "WANify cost saving (%)", "§5.8.3", "",
-		7.4, 0, notReproduced, "WANify costs more than vanilla at 4 of 5 seeds"},
+		7.4, 0, notReproduced, "WANify costs more than vanilla"},
 	{"sec583", "WANify min-BW gain (×)", "§5.8.3", "",
-		2, 1, reproduced, "1.1–1.8× across seeds; the median sits at the band's edge"},
+		2, 1, directionOnly, ""},
 	{"ablation-model", "RF lowest RMSE", "§3.1", "(paper §3.1: RF chosen over statistical regression/CNN; CNN reached only ~85%)",
-		1, 0, notReproduced, "linear regression beats RF at 3 of 5 seeds: netsim has none of the outliers the paper's choice rests on"},
+		1, 0, notReproduced, "linear regression beats RF: netsim has none of the outliers the paper's choice rests on"},
 	{"multicloud", "predicted beats static", "§5.8.3", `(paper: "we observed similar results" to Fig 11 — prediction closer to runtime)`,
-		1, 0, reproduced, "the paper gives no figure; prediction wins at every seed"},
+		1, 0, reproduced, "the paper gives no figure"},
 }
 
 // paperText returns what driver id prints for its claim stat.

@@ -2,5 +2,5 @@
 
 package experiments
 
-// The five-seed target: go test -tags ledger -run '^TestLedger' ./internal/experiments
-func init() { ledgerSeeds = 5 }
+// The twenty-seed target: go test -tags ledger -run '^TestLedger' ./internal/experiments
+func init() { ledgerSeeds = 20 }

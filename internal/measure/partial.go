@@ -73,8 +73,6 @@ type PairSample struct {
 	Mbps float64
 	// Retries counts replacement probes started for the pair.
 	Retries int
-	// FailedProbes counts probe flows of the pair a fault terminated.
-	FailedProbes int
 }
 
 // PartialSnapshot is a collected snapshot: a bandwidth matrix over the
@@ -221,7 +219,7 @@ func (ps *PendingSnapshot) Collect() *PartialSnapshot {
 			live := seg.endT - seg.startT
 			switch {
 			case seg.endT >= 0:
-				s.FailedProbes++
+				s.Outcome = PairRetried
 				out.Bill.FailedProbes++
 			case seg.startT == ps.begun:
 				live = window
@@ -253,7 +251,7 @@ func (ps *PendingSnapshot) Collect() *PartialSnapshot {
 		switch {
 		case s.Mbps < stallMbps:
 			s.Outcome = PairUnmeasurable
-		case s.Retries > 0 || s.FailedProbes > 0:
+		case s.Retries > 0:
 			s.Outcome = PairRetried
 		}
 		v := noisy(s.Mbps, ps.opts)
