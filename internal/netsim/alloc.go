@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // The rate allocator distributes WAN capacity among active flows by
 // weighted progressive filling (water-filling). It captures how TCP
@@ -35,10 +31,12 @@ import (
 // (allocateReference, test-only, in allocref_test.go):
 //
 //  1. Incremental indexes. Per-VM terminating-connection counts
-//     (Sim.vmConns) and per-DC-pair flow lists (pair.flows) are
-//     maintained as flows start/finish/resize, so congestion factors
-//     and memory utilization — previously an O(flows) rescan per flow,
-//     making each allocation O(flows²) — are O(1) lookups.
+//     (Sim.vmConns), per-VM egress and ingress flow rings (vm.last)
+//     and per-DC-pair flow lists (pair.flows) are maintained as flows
+//     start/finish/resize, so congestion factors and memory
+//     utilization — previously an O(flows) rescan per flow, making
+//     each allocation O(flows²) — are O(1) lookups, and a VM's
+//     retransmission attribution reads only the VM's own flows.
 //  2. Bottleneck groups (churn.go). The live flows partition into
 //     connected components over shared resources; each group is
 //     water-filled independently. Filling is a pure function of
@@ -96,7 +94,9 @@ import (
 //     cap unsaturated and the raised cap still clears the flow's rate,
 //     a refill would repeat every operation on the same operands, so
 //     the step skips the fill and only re-attributes retransmissions
-//     at the flow's two VMs — O(flows at two VMs) instead of a fill.
+//     at the flow's two VMs (attributeRetrans, the rule every fill
+//     ends with): a walk of those two VMs' flow rings instead of a
+//     fill, whatever the size of the WAN.
 //
 // Determinism: within a group, every floating-point operation happens
 // in the same order as the from-scratch reference, with flows visited
@@ -132,11 +132,10 @@ type fillScratch struct {
 
 	// Shared-resource slabs, parallel arrays of length >= nRes. VM
 	// resources occupy indices 2l (egress) and 2l+1 (ingress) for local
-	// VM l; pair limits follow in first-use order. resVM, resCap,
-	// availMin and members are table; avail, sumW, dirty and liveRes
-	// are reset by every fill.
+	// VM l; pair limits follow in first-use order. resCap, availMin and
+	// members are table; avail, sumW, dirty and liveRes are reset by
+	// every fill.
 	nRes     int
-	resVM    []VMID
 	resCap   []float64
 	avail    []float64
 	availMin []float64 // saturation threshold eps*max(1, cap), precomputed
@@ -178,10 +177,9 @@ func (a *fillScratch) localVM(v VMID) int32 {
 
 // addRes appends a shared resource to the slab, recycling member
 // storage.
-func (a *fillScratch) addRes(vm VMID, capMbps float64) int32 {
+func (a *fillScratch) addRes(capMbps float64) int32 {
 	i := a.nRes
-	if i == len(a.resVM) {
-		a.resVM = append(a.resVM, 0)
+	if i == len(a.resCap) {
 		a.resCap = append(a.resCap, 0)
 		a.avail = append(a.avail, 0)
 		a.availMin = append(a.availMin, 0)
@@ -189,7 +187,6 @@ func (a *fillScratch) addRes(vm VMID, capMbps float64) int32 {
 		a.sumW = append(a.sumW, 0)
 		a.dirty = append(a.dirty, false)
 	}
-	a.resVM[i] = vm
 	a.resCap[i] = capMbps
 	a.availMin[i] = allocEps * math.Max(1, capMbps)
 	a.members[i] = a.members[i][:0]
@@ -400,8 +397,8 @@ func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 	for _, v := range a.vms {
 		cong := s.congFactor(v)
 		spec := &s.vms[v].spec
-		a.addRes(v, spec.EgressMbps*cong)
-		a.addRes(v, spec.IngressMbps*cong)
+		a.addRes(spec.EgressMbps * cong)
+		a.addRes(spec.IngressMbps * cong)
 	}
 
 	// Weights and lazily materialized pair limits, in flow order.
@@ -418,7 +415,7 @@ func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 				}
 			}
 			if a.pairRes[p.idx] < 0 {
-				a.pairRes[p.idx] = a.addRes(0, p.limit)
+				a.pairRes[p.idx] = a.addRes(p.limit)
 				a.touched = append(a.touched, p.idx)
 			}
 			sh[2] = a.pairRes[p.idx]
@@ -583,20 +580,9 @@ func (a *fillScratch) fillGroup(s *Sim, ord int32, flows []*Flow) {
 		f.capSlack = a.capAvail[fi] > a.capMin[fi]
 	}
 
-	// Retransmission rates: attribute overload pressure at each VM
-	// resource to that VM, proportional to how much demand (per-flow
-	// caps) exceeds effective capacity.
+	// Every flow of a group VM is in the group and has its new cap.
 	for _, v := range a.vms {
-		s.vms[v].lastRetrans = 0
-	}
-	for ri := 0; ri < 2*len(a.vms); ri++ {
-		demand := 0.0
-		conns := 0
-		for _, fi := range a.members[ri] {
-			demand += flows[fi].capMbps
-			conns += flows[fi].conns
-		}
-		s.vms[a.resVM[ri]].lastRetrans += retransTerm(demand, a.resCap[ri], conns)
+		s.attributeRetrans(v)
 	}
 }
 
@@ -638,7 +624,7 @@ func (s *Sim) congFactor(v VMID) float64 {
 // cap, scaled by link fluctuation, the receiver's memory factor memF,
 // the sender's CPU load and the slow-start ramp.
 func (s *Sim) flowCap(f *Flow, memF float64) float64 {
-	if s.severed(f.srcDC, f.dstDC) {
+	if s.severed(int(f.srcDC), int(f.dstDC)) {
 		return 0 // active DC partition: the pair delivers nothing
 	}
 	p := s.flowPair(f)
@@ -659,10 +645,11 @@ func (s *Sim) flowCap(f *Flow, memF float64) float64 {
 // every theta, increment, freeze and sumW rescan of the refill is the
 // same operation on the same operands. The margin keeps the raised cap
 // unsaturated under its own, larger, capMin with room for the fill's
-// rounding. What the cap does move is the
-// demand at f's two VMs, so their attribution is redone; everything
-// else — and any step not provably inert, including every step of a
-// cap-bound or severed (cap 0) flow — takes the refill.
+// rounding. What the cap does move is the demand at f's two VMs, so
+// their attribution is redone, at the cost of walking their flow
+// rings; everything else — and any step not provably inert, including
+// every step of a cap-bound or severed (cap 0) flow — takes the
+// refill.
 func (s *Sim) rampStep(f *Flow) {
 	if f.done {
 		return
@@ -680,40 +667,30 @@ func (s *Sim) rampStep(f *Flow) {
 	s.dirtyFlow(f)
 }
 
-// attributeRetrans recomputes v's retransmission attribution as a fill
-// of its group would: egress term then ingress term, each summing the
-// caps of v's flows in start order. The flows come from v's DC's row
-// (egress) or column (ingress) of pair records, sorted by id across
-// the per-pair lists.
+// attributeRetrans sets v's retransmission rate: the overload pressure
+// at each of its two resources, proportional to how far the demand on
+// it (its flows' caps) exceeds its effective capacity — egress term
+// then ingress term, each summing v's ring of flows in start (id)
+// order. It is the one attribution rule: a fill ends with it for every
+// VM of its group, and a slack ramp step for the flow's two VMs. The
+// capacity is recomputed, not read from the fill's tables; it moves
+// only with connection counts, which rebuild those tables.
 func (s *Sim) attributeRetrans(v VMID) {
-	vm, n := s.vms[v], len(s.regions)
+	vm := s.vms[v]
 	cong := s.congFactor(v)
 	vm.lastRetrans = 0
 	for dir, specMbps := range [2]float64{vm.spec.EgressMbps, vm.spec.IngressMbps} {
-		buf := s.attrBuf[:0]
-		for o := 0; o < n; o++ {
-			srcDC, dstDC := vm.dc, o
-			if dir == 1 {
-				srcDC, dstDC = o, vm.dc
-			}
-			p := s.lookupPair(srcDC, dstDC)
-			if p == nil {
-				continue
-			}
-			for _, f := range p.flows {
-				if [2]VMID{f.src, f.dst}[dir] == v {
-					buf = append(buf, f)
+		demand, conns := 0.0, 0
+		if last := vm.last[dir]; last != nil {
+			for f := last.next[dir]; ; f = f.next[dir] {
+				demand += f.capMbps
+				conns += int(f.conns)
+				if f == last {
+					break
 				}
 			}
 		}
-		slices.SortFunc(buf, func(x, y *Flow) int { return cmp.Compare(x.id, y.id) })
-		demand, conns := 0.0, 0
-		for _, f := range buf {
-			demand += f.capMbps
-			conns += f.conns
-		}
 		vm.lastRetrans += retransTerm(demand, specMbps*cong, conns)
-		s.attrBuf = buf
 	}
 }
 

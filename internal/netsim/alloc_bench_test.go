@@ -121,6 +121,42 @@ func BenchmarkAllocServeChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkRampStepFleet measures slack ramp steps at fleet scale, in
+// the shape of sparse100: on a fluctuating 100-DC fleet of 4 VMs per
+// DC, six regional 6-DC shuffles start (every VM sends one
+// 4-connection flow to its peer VM in each other DC of its region, so
+// a VM carries ten flows), ramp through their slow-start levels and
+// stop. fast/op counts the ramp steps absorbed without a refill, each
+// of which re-attributes retransmissions at two VMs.
+func BenchmarkRampStepFleet(b *testing.B) {
+	const dcs, vmsPerDC, jobs, jobDCs = 100, 4, 6, 6
+	cfg := FleetCluster(dcs, vmsPerDC, substrate.T2Medium, 2025)
+	cfg.Frozen = false
+	s := NewSim(cfg)
+	flows := make([]*Flow, 0, jobs*jobDCs*(jobDCs-1)*vmsPerDC)
+	fast := s.rampFast
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for j := 0; j < jobs; j++ {
+			first := j * (dcs / jobs)
+			for src := first; src < first+jobDCs; src++ {
+				for dst := first; dst < first+jobDCs; dst++ {
+					for v := 0; v < vmsPerDC && src != dst; v++ {
+						flows = append(flows, s.startProbe(s.vmsOfDC[src][v], s.vmsOfDC[dst][v], 4))
+					}
+				}
+			}
+		}
+		s.RunFor(0.5) // past every flow's ramp
+		for _, f := range flows {
+			f.Stop()
+		}
+		flows = flows[:0]
+	}
+	b.ReportMetric(float64(s.rampFast-fast)/float64(b.N), "fast/op")
+}
+
 // BenchmarkTimerHeap measures a push/pop cycle on a 512-deep timer
 // heap — the event loop's core data structure (eventHeap, also the ramp
 // boundaries' heap), hand-rolled to avoid the per-event boxing of the

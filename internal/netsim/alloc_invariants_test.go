@@ -87,9 +87,9 @@ func TestIncrementalCountersMatchScan(t *testing.T) {
 		pairs := make([]int, n*n)
 		interDC := 0
 		for _, f := range s.flows {
-			conns[f.src] += f.conns
-			conns[f.dst] += f.conns
-			pairs[s.pairKey(f.srcDC, f.dstDC)]++
+			conns[f.src] += int(f.conns)
+			conns[f.dst] += int(f.conns)
+			pairs[s.pairKey(int(f.srcDC), int(f.dstDC))]++
 			if f.srcDC != f.dstDC {
 				interDC++
 			}

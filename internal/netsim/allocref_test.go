@@ -71,8 +71,8 @@ func (s *Sim) allocateReferenceSlack() (rates []float64, retrans []float64, slac
 	congFactor := make([]float64, len(s.vms))
 	totalConns := make([]int, len(s.vms))
 	for _, f := range order {
-		totalConns[f.src] += f.conns
-		totalConns[f.dst] += f.conns
+		totalConns[f.src] += int(f.conns)
+		totalConns[f.dst] += int(f.conns)
 	}
 	for i := range s.vms {
 		over := float64(totalConns[i] - s.cfg.CongestionKnee)
@@ -108,10 +108,10 @@ func (s *Sim) allocateReferenceSlack() (rates []float64, retrans []float64, slac
 	if s.numLimits > 0 {
 		pairFirst := make(map[int]int)
 		for _, f := range order {
-			if math.IsNaN(s.pairLimitAt(f.srcDC, f.dstDC)) {
+			if math.IsNaN(s.pairLimitAt(int(f.srcDC), int(f.dstDC))) {
 				continue
 			}
-			k := s.pairKey(f.srcDC, f.dstDC)
+			k := s.pairKey(int(f.srcDC), int(f.dstDC))
 			if v, ok := pairFirst[k]; ok {
 				union(int(f.src), v)
 			} else {
@@ -154,7 +154,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 		total := 0
 		for _, f := range order {
 			if f.src == id || f.dst == id {
-				total += f.conns
+				total += int(f.conns)
 			}
 		}
 		return total
@@ -198,7 +198,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 	flowRes := make([][]int, ng) // resource indices per local flow
 	for li, fi := range members {
 		f := order[fi]
-		srcDC, dstDC := f.srcDC, f.dstDC
+		srcDC, dstDC := int(f.srcDC), int(f.dstDC)
 		fluct := 1.0
 		if p := s.lookupPair(srcDC, dstDC); p.fluct != nil {
 			fluct = p.fluct.factor()
@@ -316,7 +316,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 		conns := 0
 		for _, li := range r.members {
 			demand += resources[flowRes[li][2]].cap
-			conns += order[members[li]].conns
+			conns += int(order[members[li]].conns)
 		}
 		if r.cap <= 0 {
 			continue

@@ -71,8 +71,8 @@ func TestUnshardedFillMatchesReference(t *testing.T) {
 	congFactor := make([]float64, len(s.vms))
 	totalConns := make([]int, len(s.vms))
 	for _, f := range order {
-		totalConns[f.src] += f.conns
-		totalConns[f.dst] += f.conns
+		totalConns[f.src] += int(f.conns)
+		totalConns[f.dst] += int(f.conns)
 	}
 	for i := range s.vms {
 		over := float64(totalConns[i] - s.cfg.CongestionKnee)

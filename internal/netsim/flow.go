@@ -17,21 +17,14 @@ var _ substrate.Flow = (*Flow)(nil)
 // used by measurement tools; a sized flow completes when its bytes have
 // been delivered.
 type Flow struct {
-	id    FlowID
-	src   VMID
-	dst   VMID
-	srcDC int // DC of src, cached for the allocator and pair indexes
-	dstDC int // DC of dst
-	conns int
+	id  FlowID
+	src VMID
+	dst VMID
 
 	remainingBits float64 // +Inf for probes
 	sentBits      float64 // cumulative
 	rate          float64 // current allocation, Mbps
 	capMbps       float64 // own cap the last fill (or rampStep) used
-	done          bool
-	stopped       bool
-	failed        bool // terminated by a fault (endpoint death, pair reset)
-	capSlack      bool // the last fill ended with own cap to spare (capAvail > capMin)
 
 	startedAt float64 // sim time the flow was created
 	rampS     float64 // slow-start ramp duration (0 = instant)
@@ -40,6 +33,21 @@ type Flow struct {
 	onFail func()
 
 	sim *Sim
+
+	// next links a live flow into its VMs' flow rings (vm.last):
+	// next[egress] in src's, next[ingress] in dst's.
+	next [2]*Flow
+
+	// The narrow fields share the last word, which keeps a Flow in the
+	// 128-byte size class (DESIGN.md §2: each crossing of it costs the
+	// workloads that start thousands of flows).
+	srcDC    int32 // DC of src, cached for the allocator and pair indexes
+	dstDC    int32 // DC of dst
+	conns    int32
+	done     bool
+	stopped  bool
+	failed   bool // terminated by a fault (endpoint death, pair reset)
+	capSlack bool // the last fill ended with own cap to spare (capAvail > capMin)
 }
 
 // ID returns the flow's identifier.
@@ -52,7 +60,7 @@ func (f *Flow) Src() VMID { return f.src }
 func (f *Flow) Dst() VMID { return f.dst }
 
 // Conns returns the current number of parallel connections.
-func (f *Flow) Conns() int { return f.conns }
+func (f *Flow) Conns() int { return int(f.conns) }
 
 // SetConns changes the number of parallel connections. The Connections
 // Manager of a WANify local agent calls this when the AIMD optimizer
@@ -61,17 +69,17 @@ func (f *Flow) SetConns(n int) {
 	if n < 1 {
 		n = 1
 	}
-	if n == f.conns {
+	if n == int(f.conns) {
 		return
 	}
 	if !f.done {
-		delta := n - f.conns
+		delta := n - int(f.conns)
 		f.sim.vmConns[f.src] += delta
 		f.sim.vmConns[f.dst] += delta
 		f.sim.structEpoch++
 		f.sim.dirtyFlow(f)
 	}
-	f.conns = n
+	f.conns = int32(n)
 }
 
 // Rate returns the currently allocated rate in Mbps.
@@ -126,14 +134,59 @@ func (f *Flow) OnFail(fn func()) {
 	}
 }
 
+// The two directions of a VM's traffic, which index its flow rings
+// (vm.last, Flow.next).
+const (
+	egress  = 0
+	ingress = 1
+)
+
 // vm is the internal VM state.
 type vm struct {
 	id   VMID
-	dc   int
 	spec VMSpec
 
 	cpuLoad      float64 // [0,1], set by the compute engine
 	retransAccum float64 // cumulative retransmission events
 	lastRetrans  float64 // retrans rate per second, from last allocation
-	dead         bool    // killed by a KillVM fault; permanent
+
+	// last holds the newest live flow of each of the VM's two flow
+	// rings, egress (src is this VM) and ingress (dst is); its
+	// next[dir] is the oldest, so a ring walks in start (id) order.
+	// addFlow links, finishFlow unlinks.
+	last [2]*Flow
+
+	dc   int32
+	dead bool // killed by a KillVM fault; permanent
+}
+
+// link appends f, the newest live flow, to the VM's ring dir.
+func (v *vm) link(dir int, f *Flow) {
+	if last := v.last[dir]; last == nil {
+		f.next[dir] = f
+	} else {
+		f.next[dir] = last.next[dir]
+		last.next[dir] = f
+	}
+	v.last[dir] = f
+}
+
+// unlink removes f from the VM's ring dir, keeping the others in order.
+// It walks from the oldest flow, where a finish usually is.
+func (v *vm) unlink(dir int, f *Flow) {
+	last := v.last[dir]
+	prev := last
+	for prev.next[dir] != f {
+		prev = prev.next[dir]
+	}
+	switch {
+	case prev == f: // the only member
+		v.last[dir] = nil
+	case last == f:
+		prev.next[dir] = f.next[dir]
+		v.last[dir] = prev
+	default:
+		prev.next[dir] = f.next[dir]
+	}
+	f.next[dir] = nil
 }

@@ -3,7 +3,9 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/wanify/wanify/internal/simrand"
 	"github.com/wanify/wanify/internal/substrate"
@@ -11,9 +13,11 @@ import (
 
 // requireMatchesReference compares the simulator's state bit for bit
 // with the from-scratch oracle: every flow's rate and cap slack and
-// every VM's retransmission attribution.
+// every VM's retransmission attribution. It first requires every VM's
+// flow rings to hold what the attribution sums over.
 func requireMatchesReference(t *testing.T, s *Sim, when string) {
 	t.Helper()
+	requireFlowRings(t, s, when)
 	s.ensureAllocated()
 	wantRates, wantRetrans, wantSlack := s.allocateReferenceSlack()
 	for i, f := range s.flows {
@@ -27,6 +31,36 @@ func requireMatchesReference(t *testing.T, s *Sim, when string) {
 	for v := range s.vms {
 		if got := s.vms[v].lastRetrans; math.Float64bits(got) != math.Float64bits(wantRetrans[v]) {
 			t.Fatalf("%s: vm %d retrans %v != reference %v", when, v, got, wantRetrans[v])
+		}
+	}
+}
+
+// requireFlowRings requires each VM's egress and ingress rings to hold
+// exactly its live flows in each direction, in id order.
+func requireFlowRings(t *testing.T, s *Sim, when string) {
+	t.Helper()
+	var want [2][][]FlowID
+	for dir := range want {
+		want[dir] = make([][]FlowID, len(s.vms))
+	}
+	for _, f := range s.flows {
+		want[egress][f.src] = append(want[egress][f.src], f.id)
+		want[ingress][f.dst] = append(want[ingress][f.dst], f.id)
+	}
+	for v, vm := range s.vms {
+		for dir, name := range [2]string{"egress", "ingress"} {
+			var got []FlowID
+			if last := vm.last[dir]; last != nil {
+				for f := last.next[dir]; ; f = f.next[dir] {
+					got = append(got, f.id)
+					if f == last || len(got) > len(s.flows) {
+						break
+					}
+				}
+			}
+			if !slices.Equal(got, want[dir][v]) {
+				t.Fatalf("%s: vm %d %s ring %v, want live flows %v", when, v, name, got, want[dir][v])
+			}
 		}
 	}
 }
@@ -56,9 +90,12 @@ func oneConn() int { return 1 }
 // a fill, so this is the test that would catch a step it wrongly
 // absorbed (or an attribution it forgot); it also requires the fast
 // path to have been taken, so it cannot pass vacuously. Each seed is a
-// different fleet and a different event stream.
+// different fleet and a different event stream. With several VMs per
+// DC (4 is sparse100's fleet) a DC's row and column of pairs carry
+// several VMs' flows, so an attribution that summed the VM's DC pairs
+// instead of its own flows fails here.
 func TestRampStepMatchesReferenceEveryEvent(t *testing.T) {
-	for _, vmsPerDC := range []int{1, 2} {
+	for _, vmsPerDC := range []int{1, 2, 4} {
 		for _, frozen := range []bool{true, false} {
 			for seed := uint64(1); seed <= 4; seed++ {
 				name := fmt.Sprintf("vms%d/frozen=%v/seed%d", vmsPerDC, frozen, seed)
@@ -82,6 +119,15 @@ func rampStepChurn(t *testing.T, vmsPerDC int, frozen bool, seed uint64) {
 	// connections each) makes most flows VM-bound with ramps in flight;
 	// the faults land while those ramps are still stepping.
 	live := allToAllProbes(s, func() int { return rng.IntN(3) + 1 })
+	if vmsPerDC > 2 {
+		// Beside the first VMs' probes, every other VM sends a sized
+		// flow to a random VM, sharing the first VMs' DC pairs.
+		for v := 0; v < s.NumVMs(); v++ {
+			if dst := randVM(); v%vmsPerDC != 0 && dst != VMID(v) {
+				live = append(live, s.startFlow(VMID(v), dst, rng.IntN(4)+1, float64(rng.IntN(40)+1)*1e6, nil))
+			}
+		}
+	}
 	s.PartitionDC(rng.IntN(dcs), 0.04, 0.35)
 	s.KillVM(randVM(), 0.6)
 
@@ -121,6 +167,11 @@ func rampStepChurn(t *testing.T, vmsPerDC int, frozen bool, seed uint64) {
 			src := rng.IntN(dcs)
 			dst := (src + rng.IntN(dcs-1) + 1) % dcs
 			s.SetPerConnCap(src, dst, s.PerConnCapMbps(src, dst)*(0.5+rng.Float64()))
+		case r == 6:
+			op = "resetpair" // fails the pair's flows through finishFlow
+			src := rng.IntN(dcs)
+			dst := (src + rng.IntN(dcs-1) + 1) % dcs
+			s.ResetPair(src, dst, s.now)
 		default:
 			s.stepOnce(s.now + 0.02)
 		}
@@ -137,6 +188,20 @@ func rampStepChurn(t *testing.T, vmsPerDC int, frozen bool, seed uint64) {
 		t.Fatal("no ramp step took the fast path: the equivalence above is vacuous")
 	}
 	t.Logf("%d ramp steps absorbed without a refill", s.rampFast)
+}
+
+// TestFlowAndVMFitTheirSizeClass pins the two records the flow rings
+// live in at 128 bytes, the size class they held before the rings. A
+// Flow one word larger lands in the 144-byte class: DESIGN.md §2
+// records that crossing at serve4 +0.3 MB an iteration, and regauge8
+// starts thousands of flows an iteration too.
+func TestFlowAndVMFitTheirSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Flow{}); n > 128 {
+		t.Errorf("Flow is %d bytes, want <= 128", n)
+	}
+	if n := unsafe.Sizeof(vm{}); n > 128 {
+		t.Errorf("vm is %d bytes, want <= 128", n)
+	}
 }
 
 // rampTimerFires steps the simulator to its next event, which the

@@ -69,7 +69,6 @@ type Sim struct {
 
 	allocDirty bool
 	rampFast   int     // ramp steps rampStep absorbed without a refill
-	attrBuf    []*Flow // attributeRetrans scratch
 	completed  []*Flow // advanceTo scratch
 
 	// Bottleneck-group machinery (churn.go, alloc.go): the group index,
@@ -115,7 +114,7 @@ func NewSim(cfg Config) *Sim {
 		}
 		for _, spec := range specs {
 			id := VMID(len(s.vms))
-			s.vms = append(s.vms, &vm{id: id, dc: dc, spec: spec})
+			s.vms = append(s.vms, &vm{id: id, dc: int32(dc), spec: spec})
 			s.vmsOfDC[dc] = append(s.vmsOfDC[dc], id)
 		}
 	}
@@ -180,7 +179,7 @@ func (s *Sim) lookupPair(srcDC, dstDC int) *pair {
 
 // flowPair returns the record of f's DC pair, which addFlow built.
 func (s *Sim) flowPair(f *Flow) *pair {
-	return s.pairByIdx(s.pairAt[s.pairKey(f.srcDC, f.dstDC)] - 1)
+	return s.pairByIdx(s.pairAt[s.pairKey(int(f.srcDC), int(f.dstDC))] - 1)
 }
 
 // pairOf returns a DC pair's record, building it on first use.
@@ -267,7 +266,7 @@ func (s *Sim) VMsOfDC(dc int) []VMID { return s.vmsOfDC[dc] }
 func (s *Sim) FirstVMOfDC(dc int) VMID { return s.vmsOfDC[dc][0] }
 
 // DCOf returns the DC index hosting the given VM.
-func (s *Sim) DCOf(id VMID) int { return s.vms[id].dc }
+func (s *Sim) DCOf(id VMID) int { return int(s.vms[id].dc) }
 
 // Spec returns the VMSpec of the given VM.
 func (s *Sim) Spec(id VMID) VMSpec { return s.vms[id].spec }
@@ -468,7 +467,7 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 		// faults.
 		f := &Flow{
 			id: s.nextFlowID, src: src, dst: dst, srcDC: srcDC, dstDC: dstDC,
-			conns: conns, remainingBits: bits, sim: s,
+			conns: int32(conns), remainingBits: bits, sim: s,
 			startedAt: s.now, done: true, failed: true,
 		}
 		s.nextFlowID++
@@ -480,7 +479,7 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 		dst:           dst,
 		srcDC:         srcDC,
 		dstDC:         dstDC,
-		conns:         conns,
+		conns:         int32(conns),
 		remainingBits: bits,
 		sim:           s,
 		onDone:        onDone,
@@ -492,7 +491,7 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	// parallel connections shorten the ramp (larger aggregate initial
 	// window). The ramp is quantized into three cap levels, so we
 	// schedule a rampStep at each level boundary.
-	p := s.pairOf(srcDC, dstDC)
+	p := s.pairOf(int(srcDC), int(dstDC))
 	f.rampS = rampRTTs * p.rtt / (1 + math.Log2(float64(conns)))
 	if f.rampS > 0 {
 		for _, frac := range [...]float64{1.0 / 3, 2.0 / 3, 1} {
@@ -506,6 +505,8 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	s.vmConns[src] += conns
 	s.vmConns[dst] += conns
 	p.flows = append(p.flows, f) // ids ascend: start order kept
+	s.vms[src].link(egress, f)   // the rings keep it too
+	s.vms[dst].link(ingress, f)
 	if srcDC != dstDC {
 		s.interDCFlow++
 	}
@@ -555,8 +556,10 @@ func (s *Sim) finishFlow(f *Flow) {
 	s.flows = slices.Delete(s.flows, i, i+1)
 	s.structEpoch++
 
-	s.vmConns[f.src] -= f.conns
-	s.vmConns[f.dst] -= f.conns
+	s.vmConns[f.src] -= int(f.conns)
+	s.vmConns[f.dst] -= int(f.conns)
+	s.vms[f.src].unlink(egress, f)
+	s.vms[f.dst].unlink(ingress, f)
 	// A VM with no remaining flows joins no bottleneck group, so no
 	// refill would reset its attribution; zero it at departure.
 	if s.vmConns[f.src] == 0 {

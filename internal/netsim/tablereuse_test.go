@@ -95,14 +95,14 @@ func tableReuseChurn(t *testing.T, vmsPerDC int, seed uint64) {
 			op = "pairlimit" // new, or a new value for an existing one
 			limit := float64(rng.IntN(300) + 10)
 			for _, sim := range sims {
-				sim.SetPairLimit(pick.srcDC, pick.dstDC, limit)
+				sim.SetPairLimit(int(pick.srcDC), int(pick.dstDC), limit)
 			}
 		case r == 4:
 			op = "clearlimit"
 			all := rng.IntN(4) == 0
 			for _, sim := range sims {
 				if !all {
-					sim.ClearPairLimit(pick.srcDC, pick.dstDC)
+					sim.ClearPairLimit(int(pick.srcDC), int(pick.dstDC))
 					continue
 				}
 				for i := range sim.NumDCs() {
@@ -122,9 +122,9 @@ func tableReuseChurn(t *testing.T, vmsPerDC int, seed uint64) {
 			}
 		case r <= 9:
 			op = "perconncap"
-			mbps := s.PerConnCapMbps(pick.srcDC, pick.dstDC) * (0.5 + rng.Float64())
+			mbps := s.PerConnCapMbps(int(pick.srcDC), int(pick.dstDC)) * (0.5 + rng.Float64())
 			for _, sim := range sims {
-				sim.SetPerConnCap(pick.srcDC, pick.dstDC, mbps)
+				sim.SetPerConnCap(int(pick.srcDC), int(pick.dstDC), mbps)
 			}
 		case r == 10:
 			op = "partition" // begins at once, heals in a later step
