@@ -43,30 +43,36 @@ import "math"
 //     group-local state, so the order groups are filled in cannot
 //     change a result, and scoped invalidation refills only the groups
 //     an event touched — clean groups keep their rates and
-//     retransmission attributions verbatim.
+//     retransmission attributions verbatim. The groups persist across
+//     allocations, each holding its flows in id order: a start joins
+//     (or merges) its endpoints' groups, a finish or a cleared limit
+//     re-derives only its own group, and every dirtying event lists
+//     its group, so an allocation touches no flow outside the groups
+//     it refills.
 //  3. Slab reuse, and tables that survive value-only events. The Sim
 //     owns one fillScratch: resource tables, membership lists,
 //     weights, rates and freeze bitmaps are recycled across
-//     invocations, so a steady-state allocation performs no heap
-//     allocation at all. Resources exist only for the VMs and pairs a
-//     group actually uses — idle VMs and pairs cost nothing, which is
-//     what keeps a 500-DC topology with sparse traffic from paying for
-//     250k pair slots per allocation. Beyond the storage, what a group
-//     *is* outlives what it currently *gets*: Sim.structEpoch moves on
+//     invocations, and the group records with their flow lists are
+//     recycled inside the Sim, so a steady-state allocation performs
+//     no heap allocation at all. Resources exist only for the VMs and
+//     pairs a group actually uses — idle VMs and pairs cost nothing,
+//     which is what keeps a 500-DC topology with sparse traffic from
+//     paying for 250k pair slots per allocation. Beyond the storage,
+//     what a group *is* outlives what it currently *gets*: a group's
+//     structure version (group.ver) moves when its flow set, one of
+//     its connection counts or one of its pair limits changes —
 //     addFlow, finishFlow (so also failFlow, killVM and Stop),
-//     SetConns, SetPairLimit and ClearPairLimit, and while it stands
-//     still allocate keeps the grouping (flowOrd, roots, offsets,
-//     bucketed, the vmRoot stamps) and only re-decides which groups
-//     are dirty, and a scratch whose tables were built
-//     for the same (epoch, group ordinal) keeps its VM table, shared
-//     resources and their capacities, weights, wiring and member
-//     lists. Everything else that dirties an allocation is value-only
-//     — CPU load, a fluctuation tick, a ramp level, SetPerConnCap, a
-//     partition beginning or healing — and can move only memF, the
-//     flows' own caps and the filling state (avail, sumW, dirty),
-//     which every fill recomputes. There is no second path: the key is
-//     checked on every fill, and a scratch that last served another
-//     group simply rebuilds.
+//     SetConns, SetPairLimit, ClearPairLimit — and a scratch whose
+//     tables were built for the version the group still carries keeps
+//     its VM table, shared resources and their capacities, weights,
+//     wiring and member lists. Everything else that dirties an
+//     allocation is value-only — CPU load, a fluctuation tick, a ramp
+//     level, SetPerConnCap, a partition beginning or healing — and can
+//     move only memF, the flows' own caps and the filling state
+//     (avail, sumW, dirty), which every fill recomputes. There is no
+//     second path: the key is checked on every fill, and a scratch
+//     that last served another group, or another version of this one,
+//     simply rebuilds.
 //  4. The filling round. Shared resources — VM egress/ingress and
 //     pair limits — keep a cached unfrozen-weight sum, recomputed only
 //     after one of their member flows froze in the previous round (the
@@ -113,13 +119,12 @@ const allocEps = 1e-9
 // architecture above). Shared resources are stored struct-of-arrays;
 // nRes tracks the live prefix so slabs shrink without freeing.
 type fillScratch struct {
-	// The (Sim.structEpoch, group ordinal) the tables were built for.
-	// While the next fill carries the same key, everything below marked
-	// "table" is still right and only the values are recomputed; reused
-	// counts the fills that found it so.
-	builtEpoch uint64
-	builtOrd   int32
-	reused     int
+	// The structure version (group.ver) the tables were built for.
+	// While the next fill's group carries the same one, everything below
+	// marked "table" is still right and only the values are recomputed;
+	// reused counts the fills that found it so.
+	builtVer uint64
+	reused   int
 
 	// Group VM table: local ordinal per VM (epoch-stamped) and member
 	// VMs in first-appearance order (table); their receiver memory
@@ -221,154 +226,41 @@ func (s *Sim) ensureAllocated() {
 	s.allocate()
 }
 
-// allocate recomputes flow rates: partition the live flows into
-// bottleneck groups (or keep the partition, when no structure event
-// came since it was built), decide which groups an event since the
-// last allocation touched, and water-fill exactly those.
+// allocate recomputes flow rates: re-derive the groups an event may
+// have split, then water-fill exactly the groups an event touched since
+// the last allocation (every group after a Sim-wide event).
 func (s *Sim) allocate() {
-	order := s.flows // start (id) order
 	g := &s.groups
-	if len(order) == 0 {
-		for _, v := range s.vms {
-			v.lastRetrans = 0
-		}
-		g.dirtyRoots = g.dirtyRoots[:0]
-		g.dirtyAll = false
-		g.rootEpoch++ // no VM stays stamped: everything is ungrouped
-		s.lastGroups, s.lastRefilled = 0, 0
-		return
-	}
-	regrouped := g.builtEpoch != s.structEpoch
-	if regrouped {
-		g.regroup(s, order)
-		g.builtEpoch = s.structEpoch
-	}
-	ng := len(g.roots)
-
-	// Decide which groups to refill: those touched by a recorded event
-	// (via their last-allocation root) or containing a VM that was not
-	// grouped last time (its flows are new). Under a kept grouping every
-	// VM is stamped with its current root, so this is the recorded dirt
-	// and nothing else.
-	if cap(g.needFill) < ng {
-		g.needFill = make([]bool, ng)
-	}
-	g.needFill = g.needFill[:ng]
-	for i := range g.needFill {
-		g.needFill[i] = g.dirtyAll
-	}
-	if !g.dirtyAll {
-		for _, r := range g.dirtyRoots {
-			g.rootDirty[r] = true
-		}
-		for fi, f := range order {
-			ord := g.flowOrd[fi]
-			if g.needFill[ord] {
-				continue
-			}
-			if g.vmDirty(f.src) || g.vmDirty(f.dst) {
-				g.needFill[ord] = true
-			}
-		}
-		for _, r := range g.dirtyRoots {
-			g.rootDirty[r] = false
+	// Fragments join the dirty list as a re-derivation makes them.
+	for i := 0; i < len(g.dirty); i++ {
+		if k := g.dirty[i]; g.groups[k].split {
+			g.resplit(s, k)
 		}
 	}
-	g.dirtyRoots = g.dirtyRoots[:0]
-	g.dirtyAll = false
-
-	// Fill the dirty groups. Each group writes only its own flows'
-	// rates and its own VMs' retransmission attributions.
+	// Each group writes only its own flows' rates and its own VMs'
+	// retransmission attributions.
 	refilled := 0
-	for ord := int32(0); ord < int32(ng); ord++ {
-		if g.needFill[ord] {
-			s.scratch.fillGroup(s, ord, g.bucketed[g.offsets[ord]:g.offsets[ord+1]])
-			refilled++
+	if g.dirtyAll {
+		for _, gr := range g.groups {
+			if gr.live {
+				s.scratch.fillGroup(s, gr)
+				refilled++
+			}
 		}
-	}
-
-	// Stamp a new grouping for the next round of scoped dirt; a kept
-	// one carries its stamps already.
-	if regrouped {
-		g.rootEpoch++
-		for _, f := range order {
-			for _, v := range [2]VMID{f.src, f.dst} {
-				if g.vmRootEpoch[v] != g.rootEpoch {
-					g.vmRootEpoch[v] = g.rootEpoch
-					g.vmRoot[v] = g.find(v)
-				}
+	} else {
+		for _, k := range g.dirty {
+			if gr := g.groups[k]; gr.live {
+				s.scratch.fillGroup(s, gr)
+				refilled++
 			}
 		}
 	}
-	s.lastGroups, s.lastRefilled = ng, refilled
-}
-
-// regroup partitions the live flow set into bottleneck groups: group
-// ordinals by first appearance in id order (flowOrd, roots), and the
-// flows bucketed by ordinal, id order kept within each (offsets,
-// bucketed).
-func (g *groupIndex) regroup(s *Sim, order []*Flow) {
-	nf := len(order)
-	g.beginEpoch(len(s.vms))
-	for _, f := range order {
-		g.union(f.src, f.dst)
+	for _, k := range g.dirty {
+		g.groups[k].dirty = false
 	}
-	g.linkLimitedPairs(s, order)
-
-	if cap(g.flowOrd) < nf {
-		g.flowOrd = make([]int32, nf)
-	}
-	g.flowOrd = g.flowOrd[:nf]
-	g.roots = g.roots[:0]
-	g.counts = g.counts[:0]
-	for fi, f := range order {
-		r := g.find(f.src)
-		var ord int32
-		if g.ordEpoch[r] != g.epoch {
-			g.ordEpoch[r] = g.epoch
-			ord = int32(len(g.roots))
-			g.ordOf[r] = ord
-			g.roots = append(g.roots, r)
-			g.counts = append(g.counts, 0)
-		} else {
-			ord = g.ordOf[r]
-		}
-		g.flowOrd[fi] = ord
-		g.counts[ord]++
-	}
-	ng := len(g.roots)
-
-	if cap(g.offsets) < ng+1 {
-		g.offsets = make([]int32, ng+1)
-		g.cursor = make([]int32, ng+1)
-	}
-	g.offsets = g.offsets[:ng+1]
-	g.cursor = g.cursor[:ng]
-	off := int32(0)
-	for ord := 0; ord < ng; ord++ {
-		g.offsets[ord] = off
-		g.cursor[ord] = off
-		off += g.counts[ord]
-	}
-	g.offsets[ng] = off
-	if cap(g.bucketed) < nf {
-		g.bucketed = make([]*Flow, nf)
-	}
-	g.bucketed = g.bucketed[:nf]
-	for fi, f := range order {
-		ord := g.flowOrd[fi]
-		g.bucketed[g.cursor[ord]] = f
-		g.cursor[ord]++
-	}
-}
-
-// vmDirty reports whether v's group must be refilled: v was not part
-// of the last allocation's grouping, or its then-group was dirtied.
-func (g *groupIndex) vmDirty(v VMID) bool {
-	if g.vmRootEpoch[v] != g.rootEpoch {
-		return true
-	}
-	return g.rootDirty[g.vmRoot[v]]
+	g.dirty = g.dirty[:0]
+	g.dirtyAll = false
+	s.lastGroups, s.lastRefilled = g.live, refilled
 }
 
 // buildTables derives everything about a group that only a structure
@@ -435,16 +327,17 @@ func (a *fillScratch) buildTables(s *Sim, flows []*Flow) {
 	}
 }
 
-// fillGroup water-fills one bottleneck group: flows is the members of
-// group ord in start (id) order. It writes each flow's cap, rate and
-// cap slack and the retransmission attribution of every VM the group
-// touches, and no other simulator state.
-func (a *fillScratch) fillGroup(s *Sim, ord int32, flows []*Flow) {
-	if a.builtEpoch == s.structEpoch && a.builtOrd == ord {
+// fillGroup water-fills one bottleneck group, its flows in start (id)
+// order. It writes each flow's cap, rate and cap slack and the
+// retransmission attribution of every VM the group touches, and no
+// other simulator state.
+func (a *fillScratch) fillGroup(s *Sim, gr *group) {
+	flows := gr.flows
+	if a.builtVer == gr.ver {
 		a.reused++
 	} else {
 		a.buildTables(s, flows)
-		a.builtEpoch, a.builtOrd = s.structEpoch, ord
+		a.builtVer = gr.ver
 	}
 
 	// What a value-only event can move: memory factors (CPU load), the
@@ -524,7 +417,7 @@ func (a *fillScratch) fillGroup(s *Sim, ord int32, flows []*Flow) {
 		frozeAny := false
 		unfrozen := a.active[:0]
 		for _, fi := range a.active {
-			inc := theta * a.weights[fi]
+			inc := float64(theta * a.weights[fi])
 			a.rates[fi] += inc
 			sh := &a.shared[fi]
 			a.avail[sh[0]] -= inc
@@ -605,7 +498,7 @@ func retransTerm(demand, resCap float64, conns int) float64 {
 		return 0
 	}
 	if pressure := demand/resCap - 1; pressure > 0 {
-		return 2.0 * pressure * float64(conns)
+		return float64(2.0 * pressure * float64(conns))
 	}
 	return 0
 }
@@ -617,7 +510,7 @@ func (s *Sim) congFactor(v VMID) float64 {
 	if over < 0 {
 		over = 0
 	}
-	return 1 / (1 + congestionSlope*over)
+	return 1 / (1 + float64(congestionSlope*over))
 }
 
 // flowCap is the flow's own ceiling: conns × the pair's per-connection
@@ -664,7 +557,7 @@ func (s *Sim) rampStep(f *Flow) {
 			return
 		}
 	}
-	s.dirtyFlow(f)
+	s.dirtyVM(f.src)
 }
 
 // attributeRetrans sets v's retransmission rate: the overload pressure
@@ -701,12 +594,12 @@ func memFactor(memUtil float64) float64 {
 	if memUtil <= 0.85 {
 		return 1
 	}
-	f := 1 - (memUtil-0.85)*2.5
+	f := 1 - float64((memUtil-0.85)*2.5)
 	return math.Max(0.4, f)
 }
 
 // cpuFactor degrades sending rate under CPU pressure (sender-limited
 // TCP; feature Ci of Table 3 exists because of this coupling).
 func cpuFactor(cpuLoad float64) float64 {
-	return 1 - 0.25*cpuLoad*cpuLoad
+	return 1 - float64(0.25*cpuLoad*cpuLoad)
 }

@@ -79,7 +79,7 @@ func (s *Sim) allocateReferenceSlack() (rates []float64, retrans []float64, slac
 		if over < 0 {
 			over = 0
 		}
-		congFactor[i] = 1 / (1 + congestionSlope*over)
+		congFactor[i] = 1 / (1 + float64(congestionSlope*over))
 	}
 
 	// Bottleneck groups: connected components over VMs joined by flows,
@@ -161,7 +161,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 	}
 	memScan := func(id VMID) float64 {
 		v := s.vms[id]
-		base := 0.20 + 0.25*v.cpuLoad
+		base := 0.20 + float64(0.25*v.cpuLoad)
 		buf := float64(connsScan(id)) * bufferMBPerConn / (v.spec.MemGB * 1024)
 		return math.Min(1, base+buf)
 	}
@@ -271,7 +271,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 			if frozen[li] {
 				continue
 			}
-			inc := theta * weights[li]
+			inc := float64(theta * weights[li])
 			groupRates[li] += inc
 			for _, ri := range flowRes[li] {
 				avail[ri] -= inc
@@ -323,7 +323,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 		}
 		pressure := demand/r.cap - 1
 		if pressure > 0 {
-			retrans[r.vm] += 2.0 * pressure * float64(conns)
+			retrans[r.vm] += float64(2.0 * pressure * float64(conns))
 		}
 	}
 	return slack

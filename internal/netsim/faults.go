@@ -38,14 +38,27 @@ func (s *Sim) killVM(id VMID) {
 		return
 	}
 	v.dead = true
+	// The victims are the VM's two flow rings, each in id order and
+	// disjoint (src != dst). Merged by id, the onFail callbacks fire in
+	// the same deterministic sequence as completions.
 	var victims []*Flow
-	for _, f := range s.flows {
-		if f.src == id || f.dst == id {
-			victims = append(victims, f)
+	var next [2]*Flow // each ring's oldest unvisited flow; nil when done
+	for dir, last := range v.last {
+		if last != nil {
+			next[dir] = last.next[dir]
 		}
 	}
-	// s.flows is in start order, so onFail callbacks fire in the same
-	// deterministic id sequence as completions.
+	for next[egress] != nil || next[ingress] != nil {
+		dir := egress
+		if next[egress] == nil || next[ingress] != nil && next[ingress].id < next[egress].id {
+			dir = ingress
+		}
+		f := next[dir]
+		victims = append(victims, f)
+		if next[dir] = f.next[dir]; f == v.last[dir] {
+			next[dir] = nil
+		}
+	}
 	for _, f := range victims {
 		s.failFlow(f)
 	}

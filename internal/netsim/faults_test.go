@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,6 +40,34 @@ func TestKillVMFailsActiveFlows(t *testing.T) {
 	}
 	if bystander.Rate() <= 0 {
 		t.Error("bystander stalled by unrelated VM death")
+	}
+}
+
+// TestKillVMFailsInIDOrder: a dying VM's victims come from its egress
+// and ingress flow rings, merged by id, so with flows interleaved in
+// both directions (and others' flows between them) onFail still fires
+// in start order — the order a scan of the live set yields.
+func TestKillVMFailsInIDOrder(t *testing.T) {
+	s := frozenSim(4, 1)
+	vm := func(dc int) VMID { return s.FirstVMOfDC(dc) }
+	x := vm(0)
+	var want, got []FlowID
+	for k, e := range [][2]VMID{
+		{x, vm(1)}, {vm(2), x}, {vm(1), vm(2)}, {vm(3), x}, {x, vm(2)},
+		{x, vm(3)}, {vm(2), vm(3)}, {vm(1), x}, {vm(3), x}, {x, vm(1)},
+	} {
+		f := s.startProbe(e[0], e[1], k%3+1)
+		f.OnFail(func() { got = append(got, f.id) })
+		if e[0] == x || e[1] == x {
+			want = append(want, f.id)
+		}
+	}
+	s.KillVM(x, s.Now())
+	if !slices.Equal(got, want) {
+		t.Fatalf("onFail order %v, want %v", got, want)
+	}
+	if n := s.ActiveFlows(); n != 2 {
+		t.Fatalf("%d flows left, want the 2 that avoid the dead VM", n)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestUnshardedFillMatchesReference(t *testing.T) {
 		if over < 0 {
 			over = 0
 		}
-		congFactor[i] = 1 / (1 + congestionSlope*over)
+		congFactor[i] = 1 / (1 + float64(congestionSlope*over))
 	}
 	members := make([]int, nFlows)
 	for i := range members {
@@ -106,5 +106,98 @@ func TestUnshardedFillMatchesReference(t *testing.T) {
 		if !close(gotRetrans[v], wantRetrans[v]) {
 			t.Fatalf("vm %d: unsharded retrans %v != reference %v", v, gotRetrans[v], wantRetrans[v])
 		}
+	}
+}
+
+// churnFleetSim builds sparse100's standing flow set on a frozen
+// 100-DC fleet of 4 VMs per DC: six regional 6-DC shuffles, every VM
+// sending one 4-connection probe to its peer VM in each other DC of its
+// region — 720 flows in 24 bottleneck groups of 6 VMs and 30 flows.
+func churnFleetSim() (*Sim, []*Flow) {
+	const dcs, vmsPerDC, jobs, jobDCs = 100, 4, 6, 6
+	cfg := FleetCluster(dcs, vmsPerDC, substrate.T2Medium, 2025)
+	cfg.Frozen = true
+	s := NewSim(cfg)
+	var flows []*Flow
+	for j := 0; j < jobs; j++ {
+		first := j * (dcs / jobs)
+		for src := first; src < first+jobDCs; src++ {
+			for dst := first; dst < first+jobDCs; dst++ {
+				for v := 0; v < vmsPerDC && src != dst; v++ {
+					flows = append(flows, s.startProbe(s.vmsOfDC[src][v], s.vmsOfDC[dst][v], 4))
+				}
+			}
+		}
+	}
+	s.ensureAllocated()
+	return s, flows
+}
+
+// churnFleetOp stops flows[k] and starts its replacement in the same
+// region — from the same VM to its peer in the region's next other DC,
+// so in the same group — and allocates.
+func churnFleetOp(s *Sim, flows []*Flow, k int) {
+	const vmsPerDC, regionDCs, jobDCs = 4, 100 / 6, 6
+	old := flows[k]
+	first := int(old.srcDC) / regionDCs * regionDCs
+	dst := int(old.dstDC)
+	for dst == int(old.dstDC) || dst == int(old.srcDC) {
+		dst = first + (dst-first+1)%jobDCs
+	}
+	old.Stop()
+	flows[k] = s.startProbe(old.src, s.vmsOfDC[dst][int(old.src)%vmsPerDC], 4)
+	s.ensureAllocated()
+}
+
+// BenchmarkAllocatorChurnFleet measures what a flow's finish and its
+// successor's start cost the allocator at fleet scale, in the shape of
+// sparse100 (churnFleetSim): per op one flow stops, its replacement
+// starts in the same region and the allocation runs. groups/op reports
+// the refilled groups per allocation.
+func BenchmarkAllocatorChurnFleet(b *testing.B) {
+	s, flows := churnFleetSim()
+	refilled := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		churnFleetOp(s, flows, n%len(flows))
+		_, r := s.AllocGroups()
+		refilled += r
+	}
+	b.ReportMetric(float64(refilled)/float64(b.N), "groups/op")
+}
+
+// TestWarmStructureEventsAllocateNothing: once the group records have
+// grown to the standing set, a flow's finish, its successor's start and
+// the allocation allocate nothing but the successor's *Flow, and a
+// connection resize nothing at all.
+func TestWarmStructureEventsAllocateNothing(t *testing.T) {
+	s, flows := churnFleetSim()
+	for k := range flows {
+		churnFleetOp(s, flows, k)
+	}
+	const runs = 200
+	// The clock stands still, so every start's three ramp boundaries
+	// stay queued: room for them keeps the heap's growth out of the count.
+	s.ramps = slices.Grow(s.ramps, 3*(runs+1))
+	k := 0
+	churn := func() {
+		churnFleetOp(s, flows, k%len(flows))
+		k++
+	}
+	if got := testing.AllocsPerRun(runs, churn); got != 1 {
+		t.Errorf("a stop, a start and an allocation allocate %v objects, want 1 (the *Flow)", got)
+	}
+	resize := func() {
+		f := flows[k%len(flows)]
+		f.SetConns(int(f.conns)%6 + 1)
+		s.ensureAllocated()
+		k++
+	}
+	if got := testing.AllocsPerRun(runs, resize); got != 0 {
+		t.Errorf("a resize and an allocation allocate %v objects, want 0", got)
+	}
+	if groups, _ := s.AllocGroups(); groups != 24 {
+		t.Errorf("%d groups after the churn, want the standing set's 24", groups)
 	}
 }

@@ -76,8 +76,9 @@ func (f *Flow) SetConns(n int) {
 		delta := n - int(f.conns)
 		f.sim.vmConns[f.src] += delta
 		f.sim.vmConns[f.dst] += delta
-		f.sim.structEpoch++
-		f.sim.dirtyFlow(f)
+		// Connection counts are group structure: VM congestion and the
+		// flow's weight.
+		f.sim.restructureVM(f.src)
 	}
 	f.conns = int32(n)
 }
@@ -146,9 +147,8 @@ type vm struct {
 	id   VMID
 	spec VMSpec
 
-	cpuLoad      float64 // [0,1], set by the compute engine
-	retransAccum float64 // cumulative retransmission events
-	lastRetrans  float64 // retrans rate per second, from last allocation
+	cpuLoad     float64 // [0,1], set by the compute engine
+	lastRetrans float64 // retrans rate per second, from last allocation
 
 	// last holds the newest live flow of each of the VM's two flow
 	// rings, egress (src is this VM) and ingress (dst is); its

@@ -37,7 +37,7 @@ func (p *ouProcess) advance(now, dt float64) {
 	if dt <= 0 {
 		return
 	}
-	p.x += fluctTheta*(0-p.x)*dt + fluctSigma*math.Sqrt(dt)*p.rng.Norm(0, 1)
+	p.x += float64(fluctTheta*(0-p.x)*dt) + float64(fluctSigma*math.Sqrt(dt)*p.rng.Norm(0, 1))
 	// Clamp the log-factor so a pathological random walk cannot produce
 	// absurd capacities (factor stays within [e^-1.2, e^+1.2] ≈ [0.3, 3.3]).
 	if p.x > 1.2 {
@@ -50,7 +50,7 @@ func (p *ouProcess) advance(now, dt float64) {
 		p.spikeDepth = 1
 		if p.rng.Bool(spikeProbPerSec * dt) {
 			p.spikeDepth = p.rng.Uniform(0.3, 0.7)
-			p.spikeUntil = now + p.rng.Exp(spikeMeanDurS)
+			p.spikeUntil = now + float64(p.rng.Exp(spikeMeanDurS))
 		}
 	}
 }

@@ -14,11 +14,13 @@ import (
 // requireMatchesReference compares the simulator's state bit for bit
 // with the from-scratch oracle: every flow's rate and cap slack and
 // every VM's retransmission attribution. It first requires every VM's
-// flow rings to hold what the attribution sums over.
+// flow rings to hold what the attribution sums over, and after the
+// allocation the groups to be the from-scratch partition.
 func requireMatchesReference(t *testing.T, s *Sim, when string) {
 	t.Helper()
 	requireFlowRings(t, s, when)
 	s.ensureAllocated()
+	requireGroupsMatchReference(t, s, when)
 	wantRates, wantRetrans, wantSlack := s.allocateReferenceSlack()
 	for i, f := range s.flows {
 		if math.Float64bits(f.rate) != math.Float64bits(wantRates[i]) {
@@ -339,6 +341,36 @@ func TestDenseProbeWindowAllocations(t *testing.T) {
 		t.Logf("%d DCs: %d allocations, %d ramp steps absorbed", dcs, fills, s.rampFast)
 		if fills > 16 {
 			t.Errorf("%d DCs: %d allocations in a 1 s all-to-all probe window, want <= 16", dcs, fills)
+		}
+	}
+}
+
+// TestRampBoundaryDueEarlyFindsItsLevel pins a ramp boundary that the
+// event loop fires while the clock stands a hair before it, at another
+// event's instant (stepOnce fires every event due within 1e-9 s). The
+// level must be in place when its event is consumed: no later event
+// would raise it, and a fill after the clock moved on would read a cap
+// the stored state never had.
+func TestRampBoundaryDueEarlyFindsItsLevel(t *testing.T) {
+	for _, ahead := range []float64{0, 2e-10, 9e-10} {
+		s := lonePairSim(1e5, 0) // the flow stays cap-bound: its rate is its cap
+		rampS := s.startProbe(0, 1, 1).rampS
+		s = lonePairSim(1e5, 0)
+		const at = 1.0
+		var f *Flow
+		// f's first boundary falls ahead seconds after a no-op timer's
+		// instant.
+		s.After(at+ahead-rampS/3, func(float64) { f = s.startProbe(0, 1, 1) })
+		s.After(at, func(float64) {})
+		s.RunUntil(at)
+		if f == nil || len(s.ramps) != 2 {
+			t.Fatalf("ahead %g: %d ramp boundaries left, want the first consumed at t=%v", ahead, len(s.ramps), at)
+		}
+		requireMatchesReference(t, s, fmt.Sprintf("ahead %g at the boundary", ahead))
+		s.RunUntil(at + rampS/6) // before the second boundary: no event
+		requireMatchesReference(t, s, fmt.Sprintf("ahead %g after the boundary", ahead))
+		if want := s.PerConnCapMbps(0, 1) * (s.rampMinFactor + float64((1-s.rampMinFactor)*0.45)); f.rate != want {
+			t.Fatalf("ahead %g: rate %v, want the second level's cap %v", ahead, f.rate, want)
 		}
 	}
 }

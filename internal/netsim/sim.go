@@ -73,16 +73,11 @@ type Sim struct {
 
 	// Bottleneck-group machinery (churn.go, alloc.go): the group index,
 	// the filling scratch, and the shape of the last allocation for
-	// AllocGroups. structEpoch moves whenever the live
-	// flow set, a connection count or a pair limit changes — everything
-	// the grouping and a group's resource tables are built from;
-	// allocations between two moves keep both (alloc.go, layer 3). It
-	// starts at 1: 0 is "never built" in groupIndex and fillScratch.
+	// AllocGroups.
 	groups       groupIndex
 	scratch      fillScratch
 	lastGroups   int
 	lastRefilled int
-	structEpoch  uint64
 
 	rng *simrand.Source
 }
@@ -104,8 +99,6 @@ func NewSim(cfg Config) *Sim {
 		allocDirty:    true,
 		rng:           simrand.Derive(cfg.Seed, "netsim"),
 	}
-	s.groups.dirtyAll = true
-	s.structEpoch = 1
 	n := len(cfg.Regions)
 	s.vmsOfDC = make([][]VMID, n)
 	for dc, specs := range cfg.VMs {
@@ -119,6 +112,7 @@ func NewSim(cfg Config) *Sim {
 		}
 	}
 	s.vmConns = make([]int, len(s.vms))
+	s.groups.init(len(s.vms))
 	s.partActive = make([]int, n)
 	s.pairAt = make([]int32, n*n)
 	if !cfg.Frozen {
@@ -337,7 +331,7 @@ func (s *Sim) connsAt(id VMID) int { return s.vmConns[id] }
 // buffers (feature Md).
 func (s *Sim) memUtil(id VMID) float64 {
 	v := s.vms[id]
-	base := 0.20 + 0.25*v.cpuLoad // resident engine + task working set
+	base := 0.20 + float64(0.25*v.cpuLoad) // resident engine + task working set
 	buf := float64(s.vmConns[id]) * bufferMBPerConn / (v.spec.MemGB * 1024)
 	return math.Min(1, base+buf)
 }
@@ -365,9 +359,14 @@ func (s *Sim) SetPairLimit(srcDC, dstDC int, mbps float64) {
 		s.numLimits++
 	}
 	p.limit = mbps
-	s.structEpoch++
 	if len(p.flows) > 0 {
-		s.dirtyPair(p)
+		// The limit links the pair's flows into one group, whose tables
+		// change.
+		first := p.flows[0].src
+		for _, f := range p.flows[1:] {
+			s.groups.merge(s.groups.vmGroup[first], s.groups.vmGroup[f.src])
+		}
+		s.restructureVM(first)
 	}
 }
 
@@ -377,14 +376,13 @@ func (s *Sim) ClearPairLimit(srcDC, dstDC int) {
 	if p == nil || math.IsNaN(p.limit) {
 		return
 	}
-	// Dirty before clearing: the limit's flows may span several groups
-	// only while the shared resource still links them.
+	// The limit linked the pair's flows into one group, which may split
+	// without it.
 	if len(p.flows) > 0 {
-		s.dirtyPair(p)
+		s.splitVM(p.flows[0].src)
 	}
 	p.limit = math.NaN()
 	s.numLimits--
-	s.structEpoch++
 }
 
 // pairLimitAt returns the rate limit for a DC pair, or NaN if none.
@@ -496,12 +494,12 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	if f.rampS > 0 {
 		for _, frac := range [...]float64{1.0 / 3, 2.0 / 3, 1} {
 			s.timerSeq++
-			s.ramps.push(event[*Flow]{at: s.now + f.rampS*frac, seq: s.timerSeq, x: f})
+			s.ramps.push(event[*Flow]{at: s.now + float64(f.rampS*frac), seq: s.timerSeq, x: f})
 		}
 	}
 
+	s.join(f, p)
 	s.flows = append(s.flows, f) // ids ascend: start order kept
-	s.structEpoch++
 	s.vmConns[src] += conns
 	s.vmConns[dst] += conns
 	p.flows = append(p.flows, f) // ids ascend: start order kept
@@ -513,30 +511,30 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	if p.fluct != nil {
 		p.fluct.refresh() // the tick skips pairs without flows
 	}
-	s.dirtyFlow(f)
 	return f
 }
 
 // rampFactor returns the slow-start cap fraction for a flow at the
-// current sim time: three quantized steps from rampMinFactor to 1.
+// current sim time: three quantized steps from rampMinFactor to 1. A
+// level holds from its boundary on, where a boundary is the instant
+// addFlow scheduled for it and it is reached by the event loop's own
+// rule (stepOnce fires an event due within eps), so a boundary event
+// always finds its level in place — also when the clock stands a hair
+// before it at another event's instant.
 func (s *Sim) rampFactor(f *Flow) float64 {
 	if f.rampS <= 0 {
 		return 1
 	}
-	age := s.now - f.startedAt
-	progress := age / f.rampS
+	const eps = 1e-9 // stepOnce's
+	reached := func(frac float64) bool { return f.startedAt+float64(f.rampS*frac) <= s.now+eps }
 	min := s.rampMinFactor
-	// The level boundaries are scheduled as timers at exactly these
-	// progress fractions; tolerate float round-off so the flow cannot
-	// get stuck one epsilon below a level with no further event coming.
-	const eps = 1e-9
 	switch {
-	case progress >= 1-eps:
+	case reached(1):
 		return 1
-	case progress >= 2.0/3-eps:
-		return min + (1-min)*0.75
-	case progress >= 1.0/3-eps:
-		return min + (1-min)*0.45
+	case reached(2.0 / 3):
+		return min + float64((1-min)*0.75)
+	case reached(1.0 / 3):
+		return min + float64((1-min)*0.45)
 	default:
 		return min
 	}
@@ -549,12 +547,9 @@ func (s *Sim) finishFlow(f *Flow) {
 	}
 	f.done = true
 	f.rate = 0
-	// Dirty while the flow's endpoints still carry their last-allocation
-	// grouping; the whole former group refills (a finish can split it).
-	s.dirtyFlow(f)
+	s.leave(f)
 	i, _ := slices.BinarySearchFunc(s.flows, f.id, func(g *Flow, id FlowID) int { return cmp.Compare(g.id, id) })
 	s.flows = slices.Delete(s.flows, i, i+1)
-	s.structEpoch++
 
 	s.vmConns[f.src] -= int(f.conns)
 	s.vmConns[f.dst] -= int(f.conns)
@@ -818,7 +813,7 @@ func (s *Sim) advanceTo(tNext float64) {
 	completed := s.completed[:0]
 	s.completed = nil
 	for _, f := range s.flows {
-		bits := f.rate * 1e6 * dt
+		bits := float64(f.rate * 1e6 * dt)
 		f.sentBits += bits
 		if !f.Probe() {
 			f.remainingBits -= bits
@@ -827,9 +822,6 @@ func (s *Sim) advanceTo(tNext float64) {
 				completed = append(completed, f)
 			}
 		}
-	}
-	for _, v := range s.vms {
-		v.retransAccum += v.lastRetrans * dt
 	}
 	s.now = tNext
 	for _, f := range completed {

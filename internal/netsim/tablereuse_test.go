@@ -16,10 +16,10 @@ import (
 // cleared, KillVM) and requires after every single event the state a
 // from-scratch allocation would produce — which a grouping or a
 // resource table kept one event too long cannot. A twin simulator
-// receives the same events but has its structEpoch moved before every
-// allocation, so it always rebuilds; the two must agree bit for bit,
-// the twin must never have reused a table and the simulator under test
-// must have, often. Each seed is a different fleet and a different
+// receives the same events but has its table cache emptied before
+// every allocation, so it always rebuilds; the two must agree bit for
+// bit, the twin must never have reused a table and the simulator under
+// test must have, often. Each seed is a different fleet and a different
 // event stream.
 func TestTableReuseMatchesReferenceEveryEvent(t *testing.T) {
 	for _, vmsPerDC := range []int{1, 2} {
@@ -151,7 +151,7 @@ func tableReuseChurn(t *testing.T, vmsPerDC int, seed uint64) {
 		if s.allocDirty {
 			fills++
 		}
-		twin.structEpoch++
+		twin.scratch.builtVer = 0
 		requireMatchesReference(t, s, when)
 		twin.ensureAllocated()
 		if twin.now != s.now || len(twin.flows) != len(s.flows) {
@@ -177,7 +177,7 @@ func tableReuseChurn(t *testing.T, vmsPerDC int, seed uint64) {
 		}
 	}
 	if n := twin.scratch.reused; n != 0 {
-		t.Fatalf("the twin reused tables %d times with structEpoch moved before every allocation", n)
+		t.Fatalf("the twin reused tables %d times with its cache emptied before every allocation", n)
 	}
 	reused := s.scratch.reused
 	t.Logf("%d allocations, %d fills reused their tables", fills, reused)

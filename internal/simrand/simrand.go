@@ -45,10 +45,12 @@ func (s *Source) Derive(name string) *Source {
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
 // Uniform returns a uniform value in [lo, hi). The convex form avoids
-// overflow even when hi-lo exceeds the float64 range.
+// overflow even when hi-lo exceeds the float64 range. The conversions
+// keep arm64 from fusing a multiply into an add: u's own scaling is
+// exact, but the products are not.
 func (s *Source) Uniform(lo, hi float64) float64 {
-	u := s.rng.Float64()
-	return lo*(1-u) + hi*u
+	u := float64(s.rng.Float64())
+	return float64(lo*(1-u)) + float64(hi*u)
 }
 
 // IntN returns a uniform int in [0, n). n must be > 0.
@@ -58,9 +60,9 @@ func (s *Source) IntN(n int) int { return s.rng.IntN(n) }
 func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
 
 // Norm returns a normally distributed value with the given mean and
-// standard deviation.
+// standard deviation, its product unfused on every architecture.
 func (s *Source) Norm(mean, sd float64) float64 {
-	return mean + sd*s.rng.NormFloat64()
+	return mean + float64(sd*s.rng.NormFloat64())
 }
 
 // Bool returns true with probability p.
