@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -110,6 +111,16 @@ func main() {
 	}
 	if *jobs < 1 {
 		log.Fatalf("-jobs must be at least 1, got %d", *jobs)
+	}
+	// Fault instants must be finite: a NaN one would misorder the
+	// simulator's timer heap.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"kill-at", *killAt}, {"probe-fail", *pfailAt}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			log.Fatalf("-%s must be a finite time, got %v", f.name, f.v)
+		}
 	}
 	if *skew && *jobName != "wordcount" {
 		log.Fatalf("-skew skews the wordcount input and requires -job wordcount, not %q", *jobName)

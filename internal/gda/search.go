@@ -22,8 +22,9 @@ import (
 // layout[i]·p[j], a migration entry surplus[i]·deficitRatio[j] — and
 // fold builds each entry from its two factors and reduces it straight
 // into the aggregates, over the rows × columns that can be nonzero. It
-// is the one exact evaluator: the base of every sweep and each of its
-// candidates, of both kinds, and no per-entry value outlives it.
+// is the one exact evaluator: the base of every sweep and each
+// candidate the screens cannot settle, of both kinds, and no per-entry
+// value outlives it.
 //
 //   - Shuffle stages: a candidate swaps p[from], p[to] and the two
 //     compute terms into the base, folds nzRows × every DC, and swaps
@@ -113,7 +114,9 @@ type search struct {
 	// most of them in O(1) flops without divisions. Everything here is
 	// APPROXIMATE and used strictly for rejection behind a wide error
 	// margin — any candidate that might improve still gets the exact
-	// canonical evaluation, so the bit-exact contract is untouched.
+	// canonical evaluation, or on shuffle stages nearMiss's bracket, whose
+	// Secs is exact and whose sums are bounded both ways, so the
+	// bit-exact contract is untouched.
 	//
 	// Placement-independent rates (a shuffle column j's entries are
 	// layout[i]·p[j]·8/den, so sums and maxes scale linearly with p[j]
@@ -860,6 +863,65 @@ func (s *search) bounded(secs, load float64, v [2]float64) (Aggregates, float64)
 	return Aggregates{Secs: secs, LoadSum: load, USD: v[0], KgCO2: v[1]}, margin
 }
 
+// nearMiss brackets the shuffle move (from→to) with no margin: every
+// aggregate of lo is at most the exact evaluation's, every one of hi at
+// least. It rebuilds the two moved columns over nzRows with fold's
+// per-entry expressions. Their maxima are then fold's, the other
+// columns' and compute terms' come from the top-3 rankings, and a max
+// has no order, so Secs is bit-identical to the exact evaluation's in
+// both: a scorer that amplifies seconds (Cost's 1e6 wall) amplifies no
+// error. Each sum is the base total with the two columns and compute
+// terms swapped in, give or take a rounding allowance. Recursive
+// summation of m non-negative terms errs by at most γ_m times their
+// sum, and every term here is non-negative (the slots' coefficients
+// are prices and emissions). The terms either order touches are the
+// base's and the candidate's, the two swapped columns twice, so
+// γ·(base total + candidate's) with γ = 4·(rows·n + n + 16)·2⁻⁵³ covers
+// both orders' errors. A ScreenSafe scorer is monotone, so the exact
+// score lies between Score(lo) and Score(hi): descend turns a move away
+// when even Score(lo) does not improve, and takes it unfolded when even
+// Score(hi) does. Products are rounded with float64(), like fold's.
+func (s *search) nearMiss(from, to int, pf, pt float64) (lo, hi Aggregates) {
+	n, cols, ps := s.n, [2]int{from, to}, [2]float64{pf, pt}
+	var mx, sum [2]float64 // the fresh columns' max and Σ of seconds
+	var v [2][2]float64    // the fresh columns' Σ, per active slot
+	for x, j := range cols {
+		for _, i := range s.nzRows {
+			b := s.layout[i] * ps[x]
+			if b <= 0 || i == j {
+				continue
+			}
+			t := b * 8 / s.bwDen[i*n+j]
+			sum[x] += t
+			mx[x] = max(mx[x], t)
+			for k := range s.active() {
+				v[x][k] += float64(b / 1e9 * s.lin[k].net[i])
+			}
+		}
+	}
+	cF, cT := s.compTerm(pf, from), s.compTerm(pt, to)
+	tNet := s.topCol.maxExcluding(s.colMaxT, from, to, max(mx[0], mx[1]))
+	tComp := s.topComp.maxExcluding(s.comp, from, to, max(cF, cT))
+	gamma := float64(len(s.nzRows)*n+n+16) * 0x1p-51
+	load := s.sec.total - s.sec.colSum[from] - s.sec.colSum[to] + sum[0] + sum[1] +
+		s.compSum - s.comp[from] - s.comp[to] + cF + cT
+	var val, err [2]float64 // each active slot's value and allowance
+	for k := range s.active() {
+		l := &s.lin[k]
+		val[k] = l.total - l.colSum[from] - l.colSum[to] + v[0][k] + v[1][k] + l.cpuSum
+		if len(l.cpu) > 0 {
+			val[k] += float64(cF*l.cpu[from]) - float64(s.comp[from]*l.cpu[from]) +
+				float64(cT*l.cpu[to]) - float64(s.comp[to]*l.cpu[to])
+		}
+		err[k] = float64(gamma * (l.total + l.cpuSum + val[k]))
+	}
+	errLoad := float64(gamma * (s.sec.total + s.compSum + load))
+	secs := tNet + tComp
+	lo = Aggregates{Secs: secs, LoadSum: load - errLoad, USD: val[0] - err[0], KgCO2: val[1] - err[1]}
+	hi = Aggregates{Secs: secs, LoadSum: load + errLoad, USD: val[0] + err[0], KgCO2: val[1] + err[1]}
+	return lo, hi
+}
+
 // mapMove holds a map candidate's entrywise scale factors against the
 // base: k for the block untouched by the move, and the moved DCs' own
 // rows (rs*) and columns (cs*). The corners scale by two ratios at once,
@@ -1059,6 +1121,10 @@ func normalizeInto(dst, src spark.Placement) {
 // best-so-far) and step schedule replicate descendReference exactly.
 // Only ScreenSafe scorers get the rejection screens; the rest pay the
 // exact canonical evaluation for every candidate — slower, never wrong.
+// On shuffle stages the screens also defer folds: a move nearMiss
+// proves better than the sweep's best so far becomes the new best
+// unfolded, and is folded only if it wins the sweep or a later move
+// comes too close to it to tell.
 func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 	s.activate(sc)
 	useScreens := sc.ScreenSafe()
@@ -1067,7 +1133,13 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 	best := sc.Score(s.agg)
 	for step := 0.10; step >= 0.005; step /= 2 {
 		for {
+			// The sweep's best so far scores bestV. While it is unfolded,
+			// bestV is the upper end of its nearMiss bracket and bestLo
+			// the lower; otherwise both are its exact score. Every screen
+			// reads bestV, which is never below the exact score, so it
+			// turns away only moves the exact comparison would.
 			bestV, bestFrom, bestTo := best, -1, -1
+			bestLo, unfolded := best, false
 			var bestAgg Aggregates
 			for from := 0; from < s.n; from++ {
 				if s.p[from] < step {
@@ -1106,6 +1178,21 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 						if sc.Score(a)-margin >= bestV-1e-9 {
 							continue
 						}
+						if !s.isMap {
+							lo, hi := s.nearMiss(from, to, pf, pt)
+							vLo := sc.Score(lo)
+							if vLo >= bestV-1e-9 {
+								continue
+							}
+							if vHi := sc.Score(hi); vHi < bestLo-1e-9 {
+								bestV, bestLo, bestFrom, bestTo, unfolded = vHi, vLo, from, to, true
+								continue
+							}
+							if unfolded { // too close to tell: compare exactly
+								bestAgg, bestV = s.foldMove(sc, bestFrom, bestTo, step)
+								bestLo, unfolded = bestV, false
+							}
+						}
 					}
 					s.exact++
 					if s.isMap {
@@ -1114,9 +1201,12 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 						a = s.evalShuffleCand(from, to, pf, pt)
 					}
 					if v := sc.Score(a); v < bestV-1e-9 {
-						bestV, bestFrom, bestTo, bestAgg = v, from, to, a
+						bestV, bestLo, bestFrom, bestTo, bestAgg = v, v, from, to, a
 					}
 				}
+			}
+			if unfolded {
+				bestAgg, bestV = s.foldMove(sc, bestFrom, bestTo, step)
 			}
 			if bestFrom < 0 {
 				break
@@ -1127,6 +1217,14 @@ func (s *search) descend(start spark.Placement, sc Scorer) float64 {
 		}
 	}
 	return best
+}
+
+// foldMove evaluates and scores the shuffle move from→to at step
+// exactly: descend's deferred fold of a sweep's best.
+func (s *search) foldMove(sc Scorer, from, to int, step float64) (Aggregates, float64) {
+	s.exact++
+	a := s.evalShuffleCand(from, to, s.p[from]-step, s.p[to]+step)
+	return a, sc.Score(a)
 }
 
 // placeMultiStart runs the three-start descent under any Scorer and

@@ -648,11 +648,14 @@ func exactWalkFrom(s *search, start spark.Placement, sc Scorer, cand func(from, 
 // must be monotone in the rank, with the cutoff its first rejecting
 // rank; and every destination ranked at or past the cutoff must have an
 // exact score of at least bestV − 1e-9, so the cutoff turns away no
-// candidate descend would accept. Every walk must turn away at least
-// one whole row, or this test would pass on a row screen that never
-// fires. A scorer that is not ScreenSafe must filter nothing: its
-// descent from the same start evaluates every candidate of the walk
-// exactly and runs no per-pair screen.
+// candidate descend would accept. Both ends of the shuffle near-miss
+// bracket must have the exact Secs bit for bit and each sum between
+// them, with no margin; every shuffle walk must see its low end turn
+// some candidate away. Every walk must turn away at least one whole
+// row, or this test would pass on a row screen that never fires. A
+// scorer that is not ScreenSafe must filter nothing: its descent from
+// the same start evaluates every candidate of the walk exactly and runs
+// no per-pair screen.
 func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 	scorers := []Scorer{JCT{}, Cost{BudgetS: 120}, Carbon{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
 	type rowID struct {
@@ -680,7 +683,7 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 				for _, sc := range scorers {
 					label := fmt.Sprintf("n=%d stage=%s start=%s scorer=%s", n, stage.Name, st.name, sc.Name())
 					s := getSearch(estimator{believed: believed, info: ci}, stage, layout)
-					checked, rowsRejected, turnedAway, candidates, base := 0, 0, 0, 0, ""
+					checked, rowsRejected, turnedAway, nearMissed, candidates, base := 0, 0, 0, 0, 0, ""
 					var lastRow rowID
 					requireBelow := func(what string, from, to int, lb Aggregates, margin float64, exact Aggregates, tight bool) {
 						for _, f := range []struct {
@@ -726,6 +729,17 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 						lb, margin := s.screen(&row, to, pt)
 						checked++
 						requireBelow("screen", from, to, lb, margin, exact, true)
+						lo, hi := s.nearMiss(from, to, pf, pt)
+						for _, nm := range []Aggregates{lo, hi} {
+							if math.Float64bits(nm.Secs) != math.Float64bits(exact.Secs) {
+								t.Fatalf("%s %s, move %d→%d: nearMiss Secs %v, exact %v", label, base, from, to, nm.Secs, exact.Secs)
+							}
+						}
+						requireBelow("nearMiss low", from, to, lo, 0, exact, false)
+						requireBelow("the exact value under nearMiss's high end", from, to, exact, 0, hi, false)
+						if sc.Score(lo) >= bestV-1e-9 {
+							nearMissed++
+						}
 						rb, rowMargin := s.rowBound(&row, step)
 						cut := s.cutoff(&row, step, bestV, sc)
 						for k := 0; k < n; k++ {
@@ -758,6 +772,9 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 					}
 					if !s.isMap && turnedAway == 0 {
 						t.Fatalf("%s: the cutoff turned away no candidate", label)
+					}
+					if !s.isMap && nearMissed == 0 {
+						t.Fatalf("%s: nearMiss turned away no candidate", label)
 					}
 					s.exact, s.screened = 0, 0
 					s.descend(st.p, exactOnly{sc})
@@ -913,7 +930,9 @@ func evalCounts(believed bwmatrix.Matrix, info ClusterInfo, stage spark.Stage, l
 // more lowers a count and re-pins it. Before map stages priced a move's
 // own corners and screened whole rows, the map stages evaluated 326 and
 // 69,904 candidates exactly; before shuffle rows were cut at a ranked
-// destination, the reduce stages ran 1,260 and 285,516 per-pair screens.
+// destination, the reduce stages ran 1,260 and 285,516 per-pair screens;
+// before nearMiss bracketed the shuffle moves that pass the screen, the
+// reduce stages evaluated 92 and 2,118 candidates exactly.
 func TestExactEvaluationsPinned(t *testing.T) {
 	mapStage := spark.Stage{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5}
 	reduce := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
@@ -930,9 +949,9 @@ func TestExactEvaluationsPinned(t *testing.T) {
 		wantExact, wantScreen int
 	}{
 		{"benchCluster map stage", info, believed, mapStage, [][]float64{layout}, 120, 1240},
-		{"benchCluster reduce stage", info, believed, reduce, [][]float64{layout}, 92, 644},
+		{"benchCluster reduce stage", info, believed, reduce, [][]float64{layout}, 34, 644},
 		{"n=100 nz=6 map stage", fleetInfo, fleetBelieved, mapStage, [][]float64{fleetLayout}, 67925, 307345},
-		{"fleetShuffles, all six", shufInfo, shufBelieved, shufStage, shufLayouts, 2118, 41980},
+		{"fleetShuffles, all six", shufInfo, shufBelieved, shufStage, shufLayouts, 187, 41980},
 	} {
 		exact, screened := 0, 0
 		for _, layout := range c.layouts {

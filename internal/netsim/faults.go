@@ -22,6 +22,8 @@ package netsim
 //   - ResetPair: every flow active on the pair at t fails — the
 //     mid-transfer connection-reset fault.
 
+import "math"
+
 // KillVM schedules the VM to die at absolute simulated time t (or
 // immediately when t <= Now). Death is permanent.
 func (s *Sim) KillVM(id VMID, t float64) {
@@ -69,8 +71,13 @@ func (s *Sim) VMAlive(id VMID) bool { return !s.vms[id].dead }
 
 // PartitionDC severs dc from the rest of the cluster during
 // [from, until): every inter-DC pair involving it has achievable rate
-// zero while the partition holds. Overlapping partitions compose.
+// zero while the partition holds. Overlapping partitions compose. A
+// NaN bound panics (as every timer at a NaN instant does) before either
+// end is applied.
 func (s *Sim) PartitionDC(dc int, from, until float64) {
+	if math.IsNaN(from) || math.IsNaN(until) {
+		panic("netsim: a partition with a NaN bound")
+	}
 	if until <= from {
 		return
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +205,50 @@ func TestEveryRejectsNonPositiveInterval(t *testing.T) {
 		}()
 	}
 	s.RunFor(1)
+}
+
+// TestNaNInstantPanics checks that every entry point that schedules a
+// one-shot timer panics on a NaN instant. A NaN key compares false with
+// every other, so in the timer heap it would fire wherever the heap
+// happened to surface it: a VM killed at NaN died right after the first
+// queued timer. The timers queued before must still fire in order, and
+// nothing a panicking call was asked for may take effect.
+func TestNaNInstantPanics(t *testing.T) {
+	s := frozenSim(3, 4)
+	var fired []float64
+	for _, at := range []float64{5, 10, 20, 40} {
+		s.After(at, func(now float64) { fired = append(fired, now) })
+	}
+	vm, nan := s.FirstVMOfDC(1), math.NaN()
+	for _, c := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"KillVM", func() { s.KillVM(vm, nan) }},
+		{"After", func() { s.After(nan, func(float64) { t.Fatal("a timer at NaN fired") }) }},
+		{"PartitionDC from", func() { s.PartitionDC(1, nan, 30) }},
+		{"PartitionDC until", func() { s.PartitionDC(1, 0, nan) }},
+		{"ResetPair", func() { s.ResetPair(0, 1, nan) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at a NaN instant did not panic", c.name)
+				}
+			}()
+			c.schedule()
+		}()
+	}
+	s.RunFor(50)
+	if want := []float64{5, 10, 20, 40}; !slices.Equal(fired, want) {
+		t.Errorf("timers fired at %v, want %v", fired, want)
+	}
+	if !s.VMAlive(vm) {
+		t.Error("the VM killed at a NaN instant died")
+	}
+	if s.severed(0, 1) || s.severed(1, 2) {
+		t.Error("a partition with a NaN bound took effect")
+	}
 }
 
 // TestCongestionKneeDegradesThroughput checks that a VM loaded far past

@@ -679,7 +679,13 @@ func (h *eventHeap[T]) pop() event[T] {
 	return top
 }
 
+// at schedules fn at instant t. It panics on a NaN t, which compares
+// false with every key and so would misorder the timer heap: the timer
+// would fire wherever the heap happened to surface it.
 func (s *Sim) at(t float64, fn func(now float64)) {
+	if math.IsNaN(t) {
+		panic("netsim: a timer at a NaN instant")
+	}
 	s.timerSeq++
 	s.timers.push(event[func(now float64)]{at: t, seq: s.timerSeq, x: fn})
 }
