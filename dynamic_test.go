@@ -61,6 +61,14 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// demand is what AddTo adds for the agent's unfinished transfers per
+// destination DC (nothing before its first epoch).
+func demand(a *agent.Agent, n int) []int {
+	d := make([]int, n)
+	a.AddTo(make([]float64, n), make([]float64, n), d)
+	return d
+}
+
 // TestDynamicChurnWindowsMatchFreshPartition is the framework-level
 // lock on admission and release: a seeded script of admits, releases,
 // refused calls and forced replans, and after every event every agent's
@@ -91,7 +99,7 @@ func TestDynamicChurnWindowsMatchFreshPartition(t *testing.T) {
 
 			verify := func(event string) {
 				t.Helper()
-				pred, plan := ctl.CurrentPred(), ctl.CurrentPlan()
+				pred, plan := ctl.Belief()
 				w := optimize.ShareWeights(tc.share, slots, prio, nil)
 				occupied := 0
 				for g := range w {
@@ -343,7 +351,7 @@ func TestRearmedSlotIsAFreshAdmission(t *testing.T) {
 	// live transfers, then cancel between two epochs.
 	inFlight := func() bool {
 		for _, a := range kept {
-			if mon := a.MonitoredMbps(); mon != nil && slices.Max(mon) > 0 && slices.Max(a.ActivePool()) > 0 {
+			if mon := a.MonitoredMbps(); mon != nil && slices.Max(mon) > 0 && slices.Max(demand(a, sim.NumDCs())) > 0 {
 				return true
 			}
 		}
@@ -378,8 +386,8 @@ func TestRearmedSlotIsAFreshAdmission(t *testing.T) {
 	}
 	ctl := fw.Controller()
 	parts := optimize.PartitionPlan(ctl.CurrentPlan(), optimize.ShareWeights(optimize.SharePriority, slots, prio, nil))
-	rows := agent.ChunkPlan(sim, ctl.CurrentPred(), parts[1])
-	zero := make([]int, sim.NumDCs())
+	pred, _ := ctl.Belief()
+	rows := agent.ChunkPlan(sim, pred, parts[1])
 	for _, a := range group {
 		fresh := agent.New(sim, a.VM(), agent.Config{})
 		fresh.ApplyPlan(rows[a.VM()])
@@ -394,14 +402,14 @@ func TestRearmedSlotIsAFreshAdmission(t *testing.T) {
 		if mon := a.MonitoredMbps(); mon != nil {
 			t.Errorf("VM %d kept the released job's monitor reading %v", a.VM(), mon)
 		}
-		if pool := a.ActivePool(); !slices.Equal(pool, zero) {
-			t.Errorf("VM %d pool %v, want empty", a.VM(), pool)
-		}
 	}
 	sim.RunFor(5)
 	for _, a := range group {
 		if mon := a.MonitoredMbps(); mon == nil || slices.Max(mon) != 0 {
 			t.Errorf("VM %d: an idle epoch after re-arming monitored %v, want all zero", a.VM(), mon)
+		}
+		if d := demand(a, sim.NumDCs()); slices.Max(d) != 0 {
+			t.Errorf("VM %d: transfers %v still in flight after re-arming, want none", a.VM(), d)
 		}
 	}
 

@@ -389,8 +389,8 @@ func (a *Agent) MonitoredMbps() []float64 {
 // is. Before the first epoch it adds nothing. The re-gauging
 // controller (internal/runtime) sums every agent's rows through here
 // into the live, expected and demand matrices it checks the global plan
-// against; MonitoredMbps, TargetBW and ActivePool are the copying reads
-// of the same state.
+// against; MonitoredMbps and TargetBW are the copying reads of the
+// same state.
 func (a *Agent) AddTo(live, target []float64, demand []int) {
 	if !a.monitoring {
 		return
@@ -406,21 +406,6 @@ func (a *Agent) AddTo(live, target []float64, demand []int) {
 			demand[d]++
 		}
 	}
-}
-
-// ActivePool returns the per-destination count of registered transfers
-// still in flight — the Connections Manager's demand signal. The
-// re-gauging controller uses it to tell a quiet link (no demand, says
-// nothing about the plan) from a dead one (demand present but nothing
-// delivered), which would otherwise hide below any live-rate floor.
-func (a *Agent) ActivePool() []int {
-	out := make([]int, a.sim.NumDCs())
-	for _, f := range a.active {
-		if !f.Done() {
-			out[a.sim.DCOf(f.Dst())]++
-		}
-	}
-	return out
 }
 
 // Conns returns a copy of the current per-destination connection

@@ -973,9 +973,6 @@ func TestResetIsNew(t *testing.T) {
 		if ag.Conns() != nil || ag.TargetBW() != nil || ag.MonitoredMbps() != nil {
 			t.Errorf("conns %v, target %v, monitored %v; want nil", ag.Conns(), ag.TargetBW(), ag.MonitoredMbps())
 		}
-		if pool := ag.ActivePool(); !reflect.DeepEqual(pool, []int{0, 0, 0}) {
-			t.Errorf("pool %v, want empty", pool)
-		}
 		if got := ag.ConnsTo(1); got != 1 {
 			t.Errorf("ConnsTo before ApplyPlan = %d, want 1", got)
 		}
@@ -1003,10 +1000,10 @@ func TestResetIsNew(t *testing.T) {
 	}
 }
 
-// TestAddToSumsTheCopyingReads: AddTo adds exactly what MonitoredMbps,
-// TargetBW and ActivePool return — the agent's own DC left as it was —
-// into rows that already hold other agents' sums, adds nothing before
-// the first epoch, and copies nothing.
+// TestAddToSumsTheCopyingReads: AddTo adds exactly what MonitoredMbps
+// and TargetBW return, and the unfinished transfers per destination —
+// the agent's own DC left as it was — into rows that already hold other
+// agents' sums, adds nothing before the first epoch, and copies nothing.
 func TestAddToSumsTheCopyingReads(t *testing.T) {
 	sim := frozenSim(3, 15)
 	a := New(sim, sim.FirstVMOfDC(1), Config{})
@@ -1026,7 +1023,7 @@ func TestAddToSumsTheCopyingReads(t *testing.T) {
 	toward0.bytes, toward2.bytes, local.bytes = 3e9, 6e8, 5e9
 	a.epoch(sim.Now())
 	finished.done = true
-	mon, tgt, pool := a.MonitoredMbps(), a.TargetBW(), a.ActivePool()
+	mon, tgt, pool := a.MonitoredMbps(), a.TargetBW(), []int{1, 1, 1} // toward0; local; toward2
 	a.AddTo(live, target, demand)
 	for j, base := range [][3]float64{{0.5, 1, 2}, {7, 9, 5}, {0.25, 3, 1}} {
 		wantLive, wantTgt, wantDemand := base[0]+mon[j], base[1]+tgt[j], int(base[2])+pool[j]

@@ -220,32 +220,3 @@ func TestAwaitFlowsNamesPendingFlows(t *testing.T) {
 		}
 	}
 }
-
-// TestAllocatorEquivalenceUnderPartition: the incremental allocator
-// must match the reference oracle bit for bit while a partition holds
-// (the severed pair's zero cap goes through both implementations).
-func TestAllocatorEquivalenceUnderPartition(t *testing.T) {
-	cfg := UniformCluster(geo.TestbedSubset(4), substrate.T2Medium, 9)
-	cfg.Frozen = true
-	s := NewSim(cfg)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i != j {
-				s.startFlow(s.FirstVMOfDC(i), s.FirstVMOfDC(j), 2, 50e9, nil)
-			}
-		}
-	}
-	s.PartitionDC(2, 0, 1e9)
-	s.RunFor(10)
-	s.invalidate()
-	s.ensureAllocated()
-	refRates, _ := s.allocateReference()
-	for fi, f := range s.flows {
-		if f.rate != refRates[fi] {
-			t.Fatalf("flow #%d: incremental %.9f != reference %.9f under partition", f.ID(), f.rate, refRates[fi])
-		}
-		if (f.srcDC == 2 || f.dstDC == 2) && f.rate != 0 {
-			t.Errorf("flow #%d touches partitioned DC but has rate %.3f", f.ID(), f.rate)
-		}
-	}
-}

@@ -1,13 +1,9 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"testing"
-
-	"github.com/wanify/wanify/internal/simrand"
-	"github.com/wanify/wanify/internal/substrate"
 )
 
 // regroupReference partitions the live flow set into bottleneck groups
@@ -151,217 +147,6 @@ func requireGroupsMatchReference(t *testing.T, s *Sim, when string) {
 	}
 }
 
-// TestGroupsMatchReferenceEveryEvent runs a seeded random script of
-// every event the simulator has — starts, Stop, natural finishes,
-// SetConns, pair limits set and cleared, KillVM, ResetPair,
-// PartitionDC, SetCPULoad, per-connection caps, ramp boundaries and
-// fluctuation ticks — on a multi-VM fleet. After every event it
-// requires the maintained groups to be the from-scratch partition,
-// rates, cap slack and retransmission attributions to be
-// allocateReference's bit for bit, and the allocation to have refilled
-// as many groups as the old rule would have. A group whose structure
-// changed without a new version fills from stale tables here, and the
-// script requires the table cache to be hit often enough for that to
-// show.
-func TestGroupsMatchReferenceEveryEvent(t *testing.T) {
-	for _, dcs := range []int{5, 10} {
-		for _, vmsPerDC := range []int{2, 3} {
-			for seed := uint64(1); seed <= 4; seed++ {
-				t.Run(fmt.Sprintf("dcs%d/vms%d/seed%d", dcs, vmsPerDC, seed), func(t *testing.T) {
-					groupsChurn(t, dcs, vmsPerDC, seed)
-				})
-			}
-		}
-	}
-}
-
-func groupsChurn(t *testing.T, dcs, vmsPerDC int, seed uint64) {
-	cfg := FleetCluster(dcs, vmsPerDC, substrate.T2Medium, 2025+seed)
-	cfg.Frozen = false
-	s := NewSim(cfg)
-	rng := simrand.Derive(seed, "groups-test")
-	ref := &refillReference{root: map[VMID]VMID{}, dirtyRoots: map[VMID]bool{}}
-	randVM := func() VMID { return VMID(rng.IntN(s.NumVMs())) }
-	randPair := func() (int, int) {
-		src := rng.IntN(dcs)
-		return src, (src + rng.IntN(dcs-1) + 1) % dcs
-	}
-	dirtyFlow := func(f *Flow) { ref.dirty(f.src); ref.dirty(f.dst) }
-	dirtyPair := func(src, dst int) {
-		if p := s.lookupPair(src, dst); p != nil {
-			for _, f := range p.flows {
-				ref.dirty(f.src)
-			}
-		}
-	}
-
-	// step is stepOnce taken apart, so that the script sees which ramp
-	// boundaries took the refill and which timers invalidated everything.
-	step := func(limit float64) {
-		next := limit
-		for _, f := range s.flows {
-			if !f.Probe() && f.rate > 0 {
-				next = math.Min(next, s.now+f.remainingBits/(f.rate*1e6))
-			}
-		}
-		if at, _, ok := s.nextEvent(); ok && at < next {
-			next = at
-		}
-		s.advanceTo(math.Max(next, s.now))
-		for {
-			at, ramp, ok := s.nextEvent()
-			if !ok || at > s.now+1e-9 {
-				return
-			}
-			if !ramp {
-				s.timers.pop().x(s.now)
-				ref.dirtyAll = ref.dirtyAll || s.groups.dirtyAll
-				continue
-			}
-			f, fast := s.ramps.pop().x, s.rampFast
-			s.rampStep(f)
-			if !f.done && s.rampFast == fast {
-				dirtyFlow(f)
-			}
-		}
-	}
-
-	s.ensureAllocated()
-	var live []*Flow
-	kills := 0
-	// apply runs one random event and names it; a step only opens a
-	// burst, since stepOnce allocates first.
-	apply := func(first bool) string {
-		switch r := rng.IntN(26); {
-		case r <= 3 || len(live) < 4:
-			// A random pair of VMs, or one a live flow's twin or its
-			// reverse would use, or another pair of VMs on a live flow's
-			// DC pair: what links, and unlinks, through a pair limit.
-			src, dst := randVM(), randVM()
-			if len(live) > 0 {
-				f := live[rng.IntN(len(live))]
-				switch rng.IntN(3) {
-				case 0:
-					src, dst = f.src, f.dst
-				case 1:
-					src, dst = f.dst, f.src
-				}
-				if rng.IntN(3) == 0 {
-					src = s.vmsOfDC[f.srcDC][rng.IntN(vmsPerDC)]
-					dst = s.vmsOfDC[f.dstDC][rng.IntN(vmsPerDC)]
-				}
-			}
-			if src == dst || !s.VMAlive(src) || !s.VMAlive(dst) {
-				return "nothing"
-			}
-			var f *Flow
-			if rng.IntN(2) == 0 {
-				f = s.startProbe(src, dst, rng.IntN(5)+1)
-			} else {
-				f = s.startFlow(src, dst, rng.IntN(5)+1, float64(rng.IntN(30)+1)*1e6, nil)
-			}
-			live = append(live, f)
-			dirtyFlow(f)
-			return "start"
-		case r <= 5:
-			live[rng.IntN(len(live))].Stop() // dirtied below, as every finished flow
-			return "stop"
-		case r == 6:
-			f, n := live[rng.IntN(len(live))], rng.IntN(5)+1
-			if !f.done && n != int(f.conns) {
-				dirtyFlow(f)
-			}
-			f.SetConns(n)
-			return "setconns"
-		case r <= 8:
-			f := live[rng.IntN(len(live))]
-			dirtyPair(int(f.srcDC), int(f.dstDC))
-			s.SetPairLimit(int(f.srcDC), int(f.dstDC), float64(rng.IntN(300)+10))
-			return "pairlimit"
-		case r == 9:
-			src, dst := randPair()
-			if rng.IntN(2) == 0 {
-				f := live[rng.IntN(len(live))]
-				src, dst = int(f.srcDC), int(f.dstDC)
-			}
-			if !math.IsNaN(s.pairLimitAt(src, dst)) {
-				dirtyPair(src, dst)
-			}
-			s.ClearPairLimit(src, dst)
-			return "clearlimit"
-		case r <= 11:
-			v, load := randVM(), rng.Float64()
-			if s.vmConns[v] > 0 && s.vms[v].cpuLoad != load {
-				ref.dirty(v)
-			}
-			s.SetCPULoad(v, load)
-			return "cpu"
-		case r == 12:
-			src, dst := randPair()
-			dirtyPair(src, dst)
-			s.SetPerConnCap(src, dst, s.PerConnCapMbps(src, dst)*(0.5+rng.Float64()))
-			return "perconncap"
-		case r == 13:
-			f := live[rng.IntN(len(live))]
-			s.ResetPair(int(f.srcDC), int(f.dstDC), s.now)
-			return "resetpair"
-		case r == 14 && kills < 2:
-			kills++
-			s.KillVM(live[rng.IntN(len(live))].src, s.now+0.05*float64(rng.IntN(2)))
-			return "kill"
-		case r == 15:
-			dc := rng.IntN(dcs)
-			if s.partActive[dc] == 0 && s.interDCFlow > 0 {
-				ref.dirtyAll = true
-			}
-			s.PartitionDC(dc, s.now, s.now+0.05+0.2*rng.Float64())
-			return "partition"
-		case first:
-			step(s.now + 0.03)
-			return "step"
-		}
-		return "nothing"
-	}
-
-	fills := 0
-	for ev := 0; ev < 600; ev++ {
-		if s.allocDirty {
-			t.Fatalf("event %d: allocation left dirty", ev)
-		}
-		// One event, or a burst of them between two allocations: a finish
-		// and a start in one window merge a group still to be re-derived.
-		op := apply(true)
-		for n := rng.IntN(4); n > 1 && op != "step"; n-- {
-			op += "+" + apply(false)
-		}
-		kept := live[:0]
-		for _, f := range live {
-			if f.done {
-				dirtyFlow(f)
-			} else {
-				kept = append(kept, f)
-			}
-		}
-		live = kept
-
-		when := fmt.Sprintf("event %d (%s) at t=%.6f", ev, op, s.now)
-		allocates := s.allocDirty
-		requireMatchesReference(t, s, when)
-		if !allocates {
-			continue
-		}
-		fills++
-		wantGroups, wantRefilled := ref.allocate(s)
-		if groups, refilled := s.AllocGroups(); groups != wantGroups || refilled != wantRefilled {
-			t.Fatalf("%s: %d groups, %d refilled; the old rule has %d, %d", when, groups, refilled, wantGroups, wantRefilled)
-		}
-	}
-	t.Logf("%d allocations, %d fills reused their tables, %d groups at most", fills, s.scratch.reused, len(s.groups.groups))
-	if s.scratch.reused < fills/20 {
-		t.Fatalf("%d fills reused their tables over %d allocations: the versions are barely exercised", s.scratch.reused, fills)
-	}
-}
-
 // TestMergeCarriesPendingSplit: a finish that disconnects a group and
 // a start that merges the group into a larger one, in one window
 // between allocations. The survivor takes the pending re-derivation
@@ -378,42 +163,5 @@ func TestMergeCarriesPendingSplit(t *testing.T) {
 	requireMatchesReference(t, s, "merged")
 	if groups, refilled := s.AllocGroups(); groups != 2 || refilled != 2 {
 		t.Fatalf("groups=%d refilled=%d, want 2/2", groups, refilled)
-	}
-}
-
-// TestIdleVMRetransmissions: on a fleet where most VMs carry no flow,
-// or carried some and lost them all, VMStats reads every VM's
-// retransmission rate as the from-scratch oracle has it, bit for bit:
-// 0 exactly on every VM without flows.
-func TestIdleVMRetransmissions(t *testing.T) {
-	s := NewSim(FleetCluster(12, 4, substrate.T2Medium, 3))
-	var flows []*Flow
-	for k := 0; k < 30; k++ { // VMs 0–5 overloaded, 40–47 idle
-		flows = append(flows, s.startProbe(VMID(k%3), VMID(3+k%3), 8))
-	}
-	for _, e := range [][2]VMID{{8, 20}, {9, 21}, {40, 41}, {42, 43}} {
-		flows = append(flows, s.startFlow(e[0], e[1], 4, 5e6, nil))
-	}
-	s.RunFor(0.5) // the sized flows drain; their VMs go idle again
-	for _, f := range flows[len(flows)-4:] {
-		if !f.Done() {
-			t.Fatalf("flow #%d still running", f.id)
-		}
-	}
-	_, want := s.allocateReference()
-	busy := 0
-	for v := range s.vms {
-		got := s.VMStats(VMID(v)).RetransPerSec
-		if math.Float64bits(got) != math.Float64bits(want[v]) {
-			t.Fatalf("vm %d: retrans %v, oracle %v", v, got, want[v])
-		}
-		if s.vmConns[v] > 0 {
-			busy++
-		} else if math.Float64bits(got) != 0 {
-			t.Fatalf("idle vm %d: retrans %v, want +0", v, got)
-		}
-	}
-	if busy != 6 || want[0] <= 0 {
-		t.Fatalf("%d VMs carry flows (want 6), vm 0 retrans %v (want > 0)", busy, want[0])
 	}
 }

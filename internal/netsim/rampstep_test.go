@@ -7,7 +7,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/wanify/wanify/internal/simrand"
 	"github.com/wanify/wanify/internal/substrate"
 )
 
@@ -84,113 +83,6 @@ func allToAllProbes(s *Sim, conns func() int) []*Flow {
 }
 
 func oneConn() int { return 1 }
-
-// TestRampStepMatchesReferenceEveryEvent steps the simulator one event
-// at a time through randomized churn across the whole invalidation
-// surface and requires, after every event, the state a from-scratch
-// allocation would produce. rampStep's fast path patches state without
-// a fill, so this is the test that would catch a step it wrongly
-// absorbed (or an attribution it forgot); it also requires the fast
-// path to have been taken, so it cannot pass vacuously. Each seed is a
-// different fleet and a different event stream. With several VMs per
-// DC (4 is sparse100's fleet) a DC's row and column of pairs carry
-// several VMs' flows, so an attribution that summed the VM's DC pairs
-// instead of its own flows fails here.
-func TestRampStepMatchesReferenceEveryEvent(t *testing.T) {
-	for _, vmsPerDC := range []int{1, 2, 4} {
-		for _, frozen := range []bool{true, false} {
-			for seed := uint64(1); seed <= 4; seed++ {
-				name := fmt.Sprintf("vms%d/frozen=%v/seed%d", vmsPerDC, frozen, seed)
-				t.Run(name, func(t *testing.T) {
-					rampStepChurn(t, vmsPerDC, frozen, seed)
-				})
-			}
-		}
-	}
-}
-
-func rampStepChurn(t *testing.T, vmsPerDC int, frozen bool, seed uint64) {
-	const dcs = 12
-	cfg := FleetCluster(dcs, vmsPerDC, substrate.T2Medium, 2025+seed)
-	cfg.Frozen = frozen
-	s := NewSim(cfg)
-	rng := simrand.Derive(seed, "rampstep-test")
-	randVM := func() VMID { return VMID(rng.IntN(s.NumVMs())) }
-
-	// A dense opening (every first VM probes every other DC, few
-	// connections each) makes most flows VM-bound with ramps in flight;
-	// the faults land while those ramps are still stepping.
-	live := allToAllProbes(s, func() int { return rng.IntN(3) + 1 })
-	if vmsPerDC > 2 {
-		// Beside the first VMs' probes, every other VM sends a sized
-		// flow to a random VM, sharing the first VMs' DC pairs.
-		for v := 0; v < s.NumVMs(); v++ {
-			if dst := randVM(); v%vmsPerDC != 0 && dst != VMID(v) {
-				live = append(live, s.startFlow(VMID(v), dst, rng.IntN(4)+1, float64(rng.IntN(40)+1)*1e6, nil))
-			}
-		}
-	}
-	s.PartitionDC(rng.IntN(dcs), 0.04, 0.35)
-	s.KillVM(randVM(), 0.6)
-
-	for ev := 0; ev < 500; ev++ {
-		op := "step"
-		switch r := rng.IntN(24); {
-		case r == 0:
-			src, dst := randVM(), randVM()
-			if src != dst && s.VMAlive(src) && s.VMAlive(dst) {
-				op = "start"
-				if rng.IntN(2) == 0 {
-					live = append(live, s.startProbe(src, dst, rng.IntN(8)+1))
-				} else {
-					live = append(live, s.startFlow(src, dst, rng.IntN(8)+1, float64(rng.IntN(40)+1)*1e6, nil))
-				}
-			}
-		case r == 1:
-			op = "stop"
-			live[rng.IntN(len(live))].Stop()
-		case r == 2:
-			op = "setconns" // mid-ramp for most flows: ramps last ~0.1–1 s
-			live[rng.IntN(len(live))].SetConns(rng.IntN(6) + 1)
-		case r == 3:
-			op = "cpu"
-			s.SetCPULoad(randVM(), rng.Float64())
-		case r == 4:
-			op = "pairlimit"
-			src := rng.IntN(dcs)
-			dst := (src + rng.IntN(dcs-1) + 1) % dcs
-			if rng.IntN(3) == 0 {
-				s.ClearPairLimit(src, dst)
-			} else {
-				s.SetPairLimit(src, dst, float64(rng.IntN(400)+20))
-			}
-		case r == 5:
-			op = "perconncap" // tracesim's path
-			src := rng.IntN(dcs)
-			dst := (src + rng.IntN(dcs-1) + 1) % dcs
-			s.SetPerConnCap(src, dst, s.PerConnCapMbps(src, dst)*(0.5+rng.Float64()))
-		case r == 6:
-			op = "resetpair" // fails the pair's flows through finishFlow
-			src := rng.IntN(dcs)
-			dst := (src + rng.IntN(dcs-1) + 1) % dcs
-			s.ResetPair(src, dst, s.now)
-		default:
-			s.stepOnce(s.now + 0.02)
-		}
-		kept := live[:0]
-		for _, f := range live {
-			if !f.Done() {
-				kept = append(kept, f)
-			}
-		}
-		live = kept
-		requireMatchesReference(t, s, fmt.Sprintf("event %d (%s) at t=%.6f", ev, op, s.now))
-	}
-	if s.rampFast == 0 {
-		t.Fatal("no ramp step took the fast path: the equivalence above is vacuous")
-	}
-	t.Logf("%d ramp steps absorbed without a refill", s.rampFast)
-}
 
 // TestFlowAndVMFitTheirSizeClass pins the two records the flow rings
 // live in at 128 bytes, the size class they held before the rings. A
@@ -341,36 +233,6 @@ func TestDenseProbeWindowAllocations(t *testing.T) {
 		t.Logf("%d DCs: %d allocations, %d ramp steps absorbed", dcs, fills, s.rampFast)
 		if fills > 16 {
 			t.Errorf("%d DCs: %d allocations in a 1 s all-to-all probe window, want <= 16", dcs, fills)
-		}
-	}
-}
-
-// TestRampBoundaryDueEarlyFindsItsLevel pins a ramp boundary that the
-// event loop fires while the clock stands a hair before it, at another
-// event's instant (stepOnce fires every event due within 1e-9 s). The
-// level must be in place when its event is consumed: no later event
-// would raise it, and a fill after the clock moved on would read a cap
-// the stored state never had.
-func TestRampBoundaryDueEarlyFindsItsLevel(t *testing.T) {
-	for _, ahead := range []float64{0, 2e-10, 9e-10} {
-		s := lonePairSim(1e5, 0) // the flow stays cap-bound: its rate is its cap
-		rampS := s.startProbe(0, 1, 1).rampS
-		s = lonePairSim(1e5, 0)
-		const at = 1.0
-		var f *Flow
-		// f's first boundary falls ahead seconds after a no-op timer's
-		// instant.
-		s.After(at+ahead-rampS/3, func(float64) { f = s.startProbe(0, 1, 1) })
-		s.After(at, func(float64) {})
-		s.RunUntil(at)
-		if f == nil || len(s.ramps) != 2 {
-			t.Fatalf("ahead %g: %d ramp boundaries left, want the first consumed at t=%v", ahead, len(s.ramps), at)
-		}
-		requireMatchesReference(t, s, fmt.Sprintf("ahead %g at the boundary", ahead))
-		s.RunUntil(at + rampS/6) // before the second boundary: no event
-		requireMatchesReference(t, s, fmt.Sprintf("ahead %g after the boundary", ahead))
-		if want := s.PerConnCapMbps(0, 1) * (s.rampMinFactor + float64((1-s.rampMinFactor)*0.45)); f.rate != want {
-			t.Fatalf("ahead %g: rate %v, want the second level's cap %v", ahead, f.rate, want)
 		}
 	}
 }

@@ -125,8 +125,7 @@ func TestWarmHardenedReplanAllocBudget(t *testing.T) {
 }
 
 // TestReplanLeavesEarlierReadsAlone: what a caller read before a replan
-// — Live's and CurrentPred's copies, Belief's uncopied matrix, an
-// Event — reads the same after it, although the controller rewrites
+// — Live's copy, Belief's uncopied matrix, an Event — reads the same after it, although the controller rewrites
 // its epoch matrices, snapshot and Predict's result in
 // place.
 func TestReplanLeavesEarlierReadsAlone(t *testing.T) {
@@ -134,13 +133,13 @@ func TestReplanLeavesEarlierReadsAlone(t *testing.T) {
 	defer stop()
 	ctl.Regauge()
 	sim.RunFor(1)
-	live, pred := ctl.Live(), ctl.CurrentPred()
+	live := ctl.Live()
 	belief, _ := ctl.Belief()
 	events := ctl.Events()
 	want := struct {
-		live, pred, belief bwmatrix.Matrix
-		event              rgauge.Event
-	}{live.Clone(), pred.Clone(), belief.Clone(), events[0]}
+		live, belief bwmatrix.Matrix
+		event        rgauge.Event
+	}{live.Clone(), belief.Clone(), events[0]}
 
 	sim.SetPairLimit(0, 1, 200) // the next snapshot and epochs read differently
 	for k := 0; k < 3; k++ {
@@ -159,7 +158,6 @@ func TestReplanLeavesEarlierReadsAlone(t *testing.T) {
 		got, want any
 	}{
 		{"Live", live, want.live},
-		{"CurrentPred", pred, want.pred},
 		{"Belief", belief, want.belief},
 		{"Events()[0]", events[0], want.event},
 		{"Events()[0] re-read", ctl.Events()[0], want.event},

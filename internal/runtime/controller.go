@@ -160,8 +160,8 @@ type Deps struct {
 	// are borrowed: snap and stats are the controller's storage, valid
 	// for the call and rewritten by the next re-gauge, and the returned
 	// matrix may be storage the hook reuses — the controller copies it
-	// before the hook can run again (that copy becomes CurrentPred and
-	// Belief) and never writes it.
+	// before the hook can run again (that copy becomes Belief's) and
+	// never writes it.
 	Predict func(snap bwmatrix.Matrix, stats []substrate.VMStats) bwmatrix.Matrix
 	// Optimize recomputes the global plan from a predicted matrix
 	// (Algorithm 1 + Eq. 2–3, with the deployment's skew/rvec options).
@@ -423,14 +423,11 @@ func (c *Controller) Degraded() bool { return c.Gauge().Degraded }
 // a churn diagnostic: on a stable network this stays zero.
 func (c *Controller) DriftEpochs() int { return c.driftEpochs }
 
-// CurrentPred returns the prediction the active plan was built from.
-func (c *Controller) CurrentPred() bwmatrix.Matrix { return c.pred.Clone() }
-
-// Belief returns the active prediction and plan without CurrentPred's
-// copy. The caller must not write the matrix: the controller replaces
-// its prediction at a plan swap (with the one copy of Predict's result
-// a replan makes) and never writes one in place, so the returned
-// matrix stays as it is, if stale, after a later swap.
+// Belief returns the prediction the active plan was built from, and
+// the plan, without a copy. The caller must not write the matrix: the
+// controller replaces its prediction at a plan swap (with the one copy
+// of Predict's result a replan makes) and never writes one in place, so
+// the returned matrix stays as it is, if stale, after a later swap.
 func (c *Controller) Belief() (bwmatrix.Matrix, optimize.Plan) { return c.pred, c.plan }
 
 // CurrentPlan returns the active global plan.

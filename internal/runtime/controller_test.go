@@ -174,7 +174,7 @@ func TestDriftTriggersReplanAndSwapsWindows(t *testing.T) {
 	}
 	// The re-gauged prediction reflects the degraded link, and the
 	// degraded pair's new window landed on the agent.
-	newPred := ctl.CurrentPred()
+	newPred := prediction(ctl)
 	if newPred[0][1] >= pred[0][1]*0.5 {
 		t.Errorf("re-gauged pred[0][1] = %.0f, want well below the original %.0f", newPred[0][1], pred[0][1])
 	}
@@ -316,7 +316,7 @@ func TestDeterminism(t *testing.T) {
 		sim.RunFor(12)
 		sim.SetPairLimit(0, 1, 250)
 		sim.RunFor(60)
-		return ctl.Events(), ctl.CurrentPred()
+		return ctl.Events(), prediction(ctl)
 	}
 	ev1, pred1 := run()
 	ev2, pred2 := run()
@@ -397,7 +397,7 @@ func TestEvacuationBypassesCooldown(t *testing.T) {
 	if ev.TriggeredAt != 10 {
 		t.Errorf("evacuation triggered at t=%v, want the first epoch after death (t=10)", ev.TriggeredAt)
 	}
-	newPred := ctl.CurrentPred()
+	newPred := prediction(ctl)
 	for j := 0; j < sim.NumDCs(); j++ {
 		if newPred[2][j] != 0 || newPred[j][2] != 0 {
 			t.Errorf("evacuated pred keeps bandwidth through dead DC2: pred[2][%d]=%.0f pred[%d][2]=%.0f",
@@ -635,4 +635,11 @@ func TestMultiJobAggregatesLiveAcrossJobs(t *testing.T) {
 		t.Errorf("aggregated live[0][1] = %.0f Mbps, want the pair's total ~%.0f (both jobs summed)",
 			live[0][1], pairRate)
 	}
+}
+
+// prediction copies the prediction the controller's active plan was
+// built from.
+func prediction(ctl *rgauge.Controller) bwmatrix.Matrix {
+	pred, _ := ctl.Belief()
+	return pred.Clone()
 }

@@ -37,7 +37,7 @@ func TestHealthyReplansMatchSnapshotTwin(t *testing.T) {
 		}
 		want = twin.snapshotAt(ev.TriggeredAt)
 	}
-	if got := ctl.CurrentPred(); !reflect.DeepEqual(got, want) {
+	if got := prediction(ctl); !reflect.DeepEqual(got, want) {
 		t.Errorf("last replan predicted from\n%v\nthe twin's snapshot reads\n%v", got, want)
 	}
 	if n := len(ctl.Incidents()); n != 0 {
@@ -178,7 +178,7 @@ func TestLastKnownGoodFillsUnmeasurablePairs(t *testing.T) {
 	if ev.Coverage != 0.6 {
 		t.Errorf("event coverage = %v, want 0.6", ev.Coverage)
 	}
-	got := ctl.CurrentPred()
+	got := prediction(ctl)
 	for j := 0; j < 4; j++ {
 		// The partitioned DC's pairs measured nothing; the filled
 		// prediction must carry the starting prediction verbatim.
@@ -276,7 +276,7 @@ func TestEvacuationBypassesCoverageGate(t *testing.T) {
 	if ctl.Degraded() {
 		t.Error("controller degraded after a clean evacuation")
 	}
-	newPred := ctl.CurrentPred()
+	newPred := prediction(ctl)
 	for j := 0; j < sim.NumDCs(); j++ {
 		if newPred[2][j] != 0 || newPred[j][2] != 0 {
 			t.Errorf("evacuated pred keeps bandwidth through dead DC2: pred[2][%d]=%.0f pred[%d][2]=%.0f",
@@ -302,7 +302,7 @@ func TestHardenedDeterminism(t *testing.T) {
 		sim.PartitionDC(1, 14.5, 40)
 		sim.PartitionDC(2, 14.5, 40)
 		sim.RunFor(90)
-		return ctl.Events(), ctl.Incidents(), ctl.CurrentPred()
+		return ctl.Events(), ctl.Incidents(), prediction(ctl)
 	}
 	ev1, in1, pred1 := run()
 	ev2, in2, pred2 := run()
@@ -354,7 +354,7 @@ func TestHardenedFieldIsIgnored(t *testing.T) {
 				defer ctl.Stop()
 				stop := sc.scenario(sim, agents)
 				defer stop()
-				return history{ctl.Events(), ctl.Incidents(), ctl.Gauge(), ctl.CurrentPred()}
+				return history{ctl.Events(), ctl.Incidents(), ctl.Gauge(), prediction(ctl)}
 			}
 			clear, set := run(false), run(true)
 			if len(clear.events) == 0 {
