@@ -181,7 +181,7 @@ func (t Tetrium) Name() string {
 // a fast DC raises the network max before the compute max falls).
 // Each distinct start is descended once (a repeat could only tie, and a
 // tie keeps the earlier winner), on the pooled search context
-// (search.go): bit-identical to placeTetriumReference's three descents.
+// (search.go): bit-identical to placeScorerReference's three JCT descents.
 func (t Tetrium) Place(_ int, stage spark.Stage, layout []float64) spark.Placement {
 	return PlaceScored(JCT{}, t.Believed, t.Info, stage, layout)
 }

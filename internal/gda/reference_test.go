@@ -8,14 +8,14 @@ import (
 // This file keeps the pre-optimization scheduler search verbatim — the
 // same playbook as netsim's allocateReference and rf's trainReference.
 // descendReference is the oracle the search context is locked against
-// (TestPlaceMatchesReference compares final placements element for
-// element across randomized clusters) and the benchmark
-// baseline behind BenchmarkSchedulerPlaceReference. It is O(n⁴) per
-// descent; past what that affords, the screens' oracle is
-// TestScreensNeverChangeThePlacement. The from-scratch estimators
-// (estimate, estimateDetail, estimateAgg) are the objectives those
-// oracles price every candidate with: one fresh transfer matrix per
-// call, folded in the canonical order the search context replicates.
+// (TestPlacementOracles and FuzzPlace compare final placements element
+// for element) and the benchmark baseline behind
+// BenchmarkSchedulerPlaceReference. It is O(n⁴) per descent; past what
+// that affords, the screens' oracle is the same harness's exact-only
+// PlaceScored. The from-scratch estimators (estimate, estimateDetail,
+// estimateAgg) are the objectives those oracles price every candidate
+// with: one fresh transfer matrix per call, folded in the canonical
+// order the search context replicates.
 
 // estimate returns (seconds, networkUSD) for running the stage with
 // placement p over the current layout.
@@ -194,38 +194,14 @@ func descendReference(n int, start spark.Placement, objective func(spark.Placeme
 	return p
 }
 
-// placeTetriumReference is the original Tetrium.Place: one estimator
-// per call, three descents, and a final re-evaluation of each descent's
-// result (the value descend already knew).
-func placeTetriumReference(t Tetrium, stage spark.Stage, layout []float64) spark.Placement {
-	est := estimator{believed: t.Believed, info: t.Info}
-	obj := func(p spark.Placement) float64 {
-		secs, loadSum, usd := est.estimateDetail(stage, layout, p)
-		return secs + 1e-3*loadSum + 0.05*usd
-	}
-	n := t.Info.N()
-	starts := []spark.Placement{
-		spark.LocalityPlacement(layout),
-		spark.UniformPlacement(n),
-		spark.Placement(append([]float64(nil), t.Info.ComputeRates...)).Normalize(),
-	}
-	var best spark.Placement
-	bestV := 0.0
-	for i, s := range starts {
-		cand := descendReference(n, s, obj)
-		if v := obj(cand); i == 0 || v < bestV {
-			best, bestV = cand, v
-		}
-	}
-	return best
-}
-
 // placeScorerReference is the full-evaluation oracle for PlaceScored:
 // the same three starts and descendReference moves, with every
 // candidate priced by sc.Score over estimateAgg's from-scratch
 // aggregates (fresh transfer matrix per evaluation, no caches, no
-// screens). TestScorerPlaceMatchesReference locks PlaceScored to this
-// element for element, for every registered scorer.
+// screens). TestPlacementOracles locks PlaceScored to this element for
+// element, for every registered scorer. Under JCT it is the original
+// Tetrium.Place: the same starts, descents and objective, since JCT
+// scores estimateDetail's secs + 1e-3·loadSum + 0.05·usd.
 func placeScorerReference(sc Scorer, believed bwmatrix.Matrix, info ClusterInfo, stage spark.Stage, layout []float64) spark.Placement {
 	est := estimator{believed: believed, info: info}
 	obj := func(p spark.Placement) float64 {
@@ -248,16 +224,16 @@ func placeScorerReference(sc Scorer, believed bwmatrix.Matrix, info ClusterInfo,
 	return best
 }
 
-// placeKimchiReference is the original Kimchi.Place: it re-runs the
-// full three-start Tetrium descent for the latency envelope, then
-// re-estimates the placement that descent had already scored.
-func placeKimchiReference(k Kimchi, stage spark.Stage, layout []float64) spark.Placement {
+// placeKimchiReference is the original Kimchi.Place's dollar phase from
+// fast, the reference Tetrium placement (placeScorerReference under
+// JCT): it re-estimates the placement that descent had already scored
+// for the latency envelope, then descends on dollars from it.
+func placeKimchiReference(k Kimchi, stage spark.Stage, layout []float64, fast spark.Placement) spark.Placement {
 	slack := k.Slack
 	if slack == 0 {
 		slack = 0.10
 	}
 	est := estimator{believed: k.Believed, info: k.Info}
-	fast := placeTetriumReference(Tetrium{Believed: k.Believed, Info: k.Info}, stage, layout)
 	tBest, _ := est.estimate(stage, layout, fast)
 	budget := tBest * (1 + slack)
 

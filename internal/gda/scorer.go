@@ -270,7 +270,7 @@ func SchedulerSpecs() string {
 // pooled search context — the generic placement every
 // scorer-composed scheduler is a one-liner over. Each distinct start is
 // descended once (placeMultiStart); bit-exact against the three descents
-// of placeScorerReference (TestScorerPlaceMatchesReference).
+// of placeScorerReference (TestPlacementOracles).
 func PlaceScored(sc Scorer, believed bwmatrix.Matrix, info ClusterInfo, stage spark.Stage, layout []float64) spark.Placement {
 	s := getSearch(estimator{believed: believed, info: info}, stage, layout)
 	best, _ := s.placeMultiStart(sc)

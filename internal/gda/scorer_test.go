@@ -1,35 +1,14 @@
 package gda
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/wanify/wanify/internal/bwmatrix"
-	"github.com/wanify/wanify/internal/simrand"
 	"github.com/wanify/wanify/internal/spark"
 )
-
-// withCarbon fills a planning problem's carbon coefficient tables from
-// a named stream, with clean-grid zeros in the mix — the scorer
-// equivalence sweeps need real carbon gradients and the zero edge.
-func withCarbon(ci ClusterInfo, seed uint64) ClusterInfo {
-	rng := simrand.Derive(seed, "gda-carbon-eqtest")
-	n := ci.N()
-	ci.CarbonPerCompSec = make([]float64, n)
-	ci.CarbonPerGB = make([]float64, n)
-	for i := 0; i < n; i++ {
-		if rng.IntN(5) == 0 {
-			ci.CarbonPerCompSec[i] = 0 // hydro-clean grid
-		} else {
-			ci.CarbonPerCompSec[i] = rng.Uniform(1e-6, 5e-4)
-		}
-		ci.CarbonPerGB[i] = rng.Uniform(0, 0.05)
-	}
-	return ci
-}
 
 // equivalenceScorers is the sweep set for the delta-vs-full locks:
 // every registered scorer plus blends with zero weights (which must
@@ -48,93 +27,13 @@ func equivalenceScorers() []Scorer {
 	}
 }
 
-// TestScorerPlaceMatchesReference locks PlaceScored bit-exact against
-// the full-evaluation placeScorerReference oracle for every scorer in
-// the sweep set, across randomized hostile clusters (believed
-// blackouts, negative measurements, empty DCs, zero compute rates) on
-// map and reduce stages.
-func TestScorerPlaceMatchesReference(t *testing.T) {
-	stages := []spark.Stage{
-		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
-		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
-	}
-	for n := 2; n <= 8; n++ {
-		for trial := 0; trial < 2; trial++ {
-			ci, believed, layout := randomPlanningProblem(n, uint64(n*300+trial))
-			ci = withCarbon(ci, uint64(n*300+trial))
-
-			for _, stage := range stages {
-				for _, sc := range equivalenceScorers() {
-					label := fmt.Sprintf("n=%d trial=%d stage=%s scorer=%s", n, trial, stage.Name, sc.Name())
-					got := PlaceScored(sc, believed, ci, stage, layout)
-					want := placeScorerReference(sc, believed, ci, stage, layout)
-					requirePlacementsEqual(t, got, want, label)
-				}
-			}
-		}
-	}
-}
-
-// TestScorerPlaceMatchesReferenceFleetSparse extends the scorer lock to
-// fleet-shaped sparse problems where the search runs its nzRows fast
-// paths — up to n=32 with data on a handful of DCs.
-func TestScorerPlaceMatchesReferenceFleetSparse(t *testing.T) {
-	scorers := []Scorer{
-		JCT{},
-		Cost{BudgetS: math.Inf(1)},
-		Carbon{},
-		Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2},
-	}
-	stages := []spark.Stage{
-		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
-		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
-	}
-	type dims struct{ n, nz int }
-	for _, d := range []dims{{24, 4}, {32, 5}} {
-		ci, believed, layout := fleetPlanningProblem(d.n, d.nz, uint64(d.n*5000+d.nz))
-		ci = withCarbon(ci, uint64(d.n*5000+d.nz))
-		for _, stage := range stages {
-			for _, sc := range scorers {
-				// Cases are independent pure calls: run them in parallel.
-				t.Run(fmt.Sprintf("n=%d nz=%d stage=%s scorer=%s", d.n, d.nz, stage.Name, sc.Name()), func(t *testing.T) {
-					t.Parallel()
-					got := PlaceScored(sc, believed, ci, stage, layout)
-					want := placeScorerReference(sc, believed, ci, stage, layout)
-					requirePlacementsEqual(t, got, want, "placement")
-				})
-			}
-		}
-	}
-}
-
-// TestScorerPlaceZeroLayout sweeps the all-zero-layout edge (no data
-// anywhere: empty nzRows, zero total, zero migration deficits) across
-// every scorer — the search must still agree with the reference
-// instead of tripping over its sparsity fast paths.
-func TestScorerPlaceZeroLayout(t *testing.T) {
-	ci, believed, _ := randomPlanningProblem(5, 77)
-	ci = withCarbon(ci, 77)
-	layout := make([]float64, 5)
-	for _, stage := range []spark.Stage{
-		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
-		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
-	} {
-		for _, sc := range equivalenceScorers() {
-			label := fmt.Sprintf("zero-layout stage=%s scorer=%s", stage.Name, sc.Name())
-			got := PlaceScored(sc, believed, ci, stage, layout)
-			want := placeScorerReference(sc, believed, ci, stage, layout)
-			requirePlacementsEqual(t, got, want, label)
-		}
-	}
-}
-
 // TestEstimateAggMatchesDetail locks estimateAgg's shared fields to
 // estimateDetail bit for bit: the carbon-extended estimator must not
 // perturb the original aggregates by a single ulp, or every golden
 // breaks.
 func TestEstimateAggMatchesDetail(t *testing.T) {
 	for n := 2; n <= 8; n += 2 {
-		ci, believed, layout := randomPlanningProblem(n, uint64(n)*31+7)
+		ci, believed, layout := planningProblem(n, 0, uint64(n)*31+7)
 		ci = withCarbon(ci, uint64(n)*31+7)
 		est := estimator{believed: believed, info: ci}
 		for _, stage := range []spark.Stage{
@@ -162,7 +61,7 @@ func TestEstimateAggMatchesDetail(t *testing.T) {
 // bit-equal to a fresh estimateAgg of the final placement.
 func TestSearchCarbonAggregatesMatchEstimateAgg(t *testing.T) {
 	for n := 2; n <= 8; n += 2 {
-		ci, believed, layout := randomPlanningProblem(n, uint64(n)*13+5)
+		ci, believed, layout := planningProblem(n, 0, uint64(n)*13+5)
 		ci = withCarbon(ci, uint64(n)*13+5)
 		est := estimator{believed: believed, info: ci}
 		for _, stage := range []spark.Stage{
@@ -189,7 +88,7 @@ func TestScorerPlaceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
 	}
-	ci, believed, layout := randomPlanningProblem(8, 99)
+	ci, believed, layout := planningProblem(8, 0, 99)
 	ci = withCarbon(ci, 99)
 	stage := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
 	for _, sc := range equivalenceScorers() {

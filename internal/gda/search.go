@@ -47,7 +47,7 @@ import (
 // the aggregates and adds nothing to the screens' margins, which keeps
 // the single-slot path's bits free of slot 1.
 //
-// Bit-exactness contract (locked by TestPlaceMatchesReference,
+// Bit-exactness contract (locked by TestPlacementOracles,
 // TestCandidateAggregatesMatchEstimateAgg and the experiment goldens):
 // every term fold builds is produced by exactly the float expressions
 // the from-scratch estimators (estimateDetail/estimateAgg,

@@ -15,257 +15,6 @@ import (
 	"github.com/wanify/wanify/internal/substrate"
 )
 
-// randomPlanningProblem builds a cluster description, believed matrix
-// and layout of size n from a named stream, deliberately including the
-// hostile cases: blackout (0 Mbps) and garbage (negative) believed
-// links, empty DCs, zero compute rates and tied bandwidth values.
-func randomPlanningProblem(n int, seed uint64) (ClusterInfo, bwmatrix.Matrix, []float64) {
-	rng := simrand.Derive(seed, "gda-eqtest")
-	ci := ClusterInfo{
-		Regions:      make([]geo.Region, n), // placeholders; the search reads only rates
-		ComputeRates: make([]float64, n),
-		EgressPerGB:  make([]float64, n),
-	}
-	believed := bwmatrix.New(n)
-	layout := make([]float64, n)
-	for i := 0; i < n; i++ {
-		switch rng.IntN(5) {
-		case 0:
-			ci.ComputeRates[i] = 0 // exercises the 1e-6 rate floor
-		default:
-			ci.ComputeRates[i] = rng.Uniform(0.5, 6)
-		}
-		ci.EgressPerGB[i] = rng.Uniform(0.01, 0.2)
-		if rng.Bool(0.2) {
-			layout[i] = 0 // empty DC
-		} else {
-			layout[i] = rng.Uniform(0.1, 50) * 1e9
-		}
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			switch rng.IntN(8) {
-			case 0:
-				believed[i][j] = 0 // believed blackout
-			case 1:
-				believed[i][j] = -3 // stale/garbage measurement
-			case 2:
-				believed[i][j] = 500 // ties across pairs
-			default:
-				believed[i][j] = rng.Uniform(10, 1500)
-			}
-		}
-	}
-	return ci, believed, layout
-}
-
-// TestPlaceMatchesReference locks the screened, support-folding search
-// bit-exact against the kept-verbatim reference: for randomized
-// clusters of every size (hostile believed matrices included), Tetrium,
-// Kimchi and Iridium must return element-for-element identical
-// placements on both map and reduce stages. This is the contract that
-// keeps the scheduler-comparison goldens byte-identical.
-func TestPlaceMatchesReference(t *testing.T) {
-	stages := []spark.Stage{
-		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
-		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
-		{Name: "r0", Kind: spark.ReduceKind, SecPerGB: 0, Selectivity: 1}, // network-only
-	}
-	check := func(label string, ci ClusterInfo, believed bwmatrix.Matrix, layout []float64, slack float64) {
-		for _, stage := range stages {
-			label := fmt.Sprintf("%s stage=%s", label, stage.Name)
-
-			tet := Tetrium{Believed: believed, Info: ci}
-			got := tet.Place(0, stage, layout)
-			want := placeTetriumReference(tet, stage, layout)
-			requirePlacementsEqual(t, got, want, label+" tetrium")
-
-			kim := Kimchi{Believed: believed, Info: ci, Slack: slack}
-			got = kim.Place(0, stage, layout)
-			want = placeKimchiReference(kim, stage, layout)
-			requirePlacementsEqual(t, got, want, label+" kimchi")
-
-			ir := Iridium{Believed: believed, Info: ci}
-			got = ir.Place(0, stage, layout)
-			want = placeIridiumReference(ir, stage, layout)
-			requirePlacementsEqual(t, got, want, label+" iridium")
-		}
-	}
-	for n := 2; n <= 8; n++ {
-		for trial := 0; trial < 6; trial++ {
-			ci, believed, layout := randomPlanningProblem(n, uint64(n*100+trial))
-			check(fmt.Sprintf("n=%d trial=%d", n, trial), ci, believed, layout, 0.1+0.05*float64(trial%3))
-		}
-	}
-	// A near tie that only the sweep order settles: DCs 1 and 2 hold
-	// equal data at equal egress prices, so Kimchi's dollar phase prices
-	// a share moved from DC 0 to either one the same, while DC 1's
-	// slower compute ranks it after DC 2 in the shuffle cutoff. Met in
-	// index order, as the reference meets them, DC 1 takes the share.
-	check("near-tie", ClusterInfo{
-		Regions:      make([]geo.Region, 3),
-		ComputeRates: []float64{2, 1, 4},
-		EgressPerGB:  []float64{0.01, 0.09, 0.09},
-	}, bwmatrix.Matrix{{0, 800, 800}, {800, 0, 800}, {800, 800, 0}}, []float64{2e9, 20e9, 20e9}, 0.5)
-}
-
-// fleetPlanningProblem builds a fleet-shaped problem: n DCs but data on
-// only nz of them, the mostly-zero layouts the sparse search rows are
-// built for. Hostile believed entries (blackouts, garbage) are kept in
-// the mix.
-func fleetPlanningProblem(n, nz int, seed uint64) (ClusterInfo, bwmatrix.Matrix, []float64) {
-	rng := simrand.Derive(seed, "gda-fleet-eqtest")
-	ci := ClusterInfo{
-		Regions:      make([]geo.Region, n),
-		ComputeRates: make([]float64, n),
-		EgressPerGB:  make([]float64, n),
-	}
-	believed := bwmatrix.New(n)
-	for i := 0; i < n; i++ {
-		if rng.IntN(6) == 0 {
-			ci.ComputeRates[i] = 0
-		} else {
-			ci.ComputeRates[i] = rng.Uniform(0.5, 6)
-		}
-		ci.EgressPerGB[i] = rng.Uniform(0.01, 0.2)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			switch rng.IntN(10) {
-			case 0:
-				believed[i][j] = 0
-			case 1:
-				believed[i][j] = -3
-			default:
-				believed[i][j] = rng.Uniform(10, 1500)
-			}
-		}
-	}
-	layout := make([]float64, n)
-	for _, i := range rng.Perm(n)[:nz] {
-		layout[i] = rng.Uniform(0.5, 50) * 1e9
-	}
-	return ci, believed, layout
-}
-
-// TestPlaceMatchesReferenceFleetSparse extends the equivalence lock
-// past the paper's n=8 to fleet-shaped sparse problems: randomized
-// clusters up to n=32 with data on only a handful of DCs, where the
-// search iterates its nzRows fast paths. Every scheduler must still
-// return element-for-element identical placements to the dense
-// reference on map and reduce stages.
-func TestPlaceMatchesReferenceFleetSparse(t *testing.T) {
-	stages := []spark.Stage{
-		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
-		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
-	}
-	type dims struct{ n, nz, trials int }
-	// The dense reference is O(n⁴) per descent; larger fleets are
-	// TestScreensNeverChangeThePlacement's (n = 48/64/100).
-	for _, d := range []dims{{12, 3, 2}, {24, 4, 2}, {32, 5, 1}} {
-		for trial := 0; trial < d.trials; trial++ {
-			ci, believed, layout := fleetPlanningProblem(d.n, d.nz+trial, uint64(d.n*1000+trial))
-			for _, stage := range stages {
-				// Cases are independent pure calls: run them in parallel.
-				t.Run(fmt.Sprintf("n=%d nz=%d trial=%d stage=%s", d.n, d.nz+trial, trial, stage.Name), func(t *testing.T) {
-					t.Parallel()
-
-					tet := Tetrium{Believed: believed, Info: ci}
-					got := tet.Place(0, stage, layout)
-					want := placeTetriumReference(tet, stage, layout)
-					requirePlacementsEqual(t, got, want, "tetrium")
-
-					if d.n > 24 {
-						// The dense reference alone costs seconds at these
-						// sizes; Tetrium covers the shared descent machinery.
-						return
-					}
-					kim := Kimchi{Believed: believed, Info: ci, Slack: 0.1 + 0.05*float64(trial%3)}
-					got = kim.Place(0, stage, layout)
-					want = placeKimchiReference(kim, stage, layout)
-					requirePlacementsEqual(t, got, want, "kimchi")
-
-					ir := Iridium{Believed: believed, Info: ci}
-					got = ir.Place(0, stage, layout)
-					want = placeIridiumReference(ir, stage, layout)
-					requirePlacementsEqual(t, got, want, "iridium")
-				})
-			}
-		}
-	}
-}
-
-// TestPlaceMatchesReferenceCoincidingStarts runs the oracles on the
-// problems where the search skips a start: every DC at one compute
-// rate, or at rate 0 (the 1e-6 floor, whose normalized start is uniform
-// too), over the drawn layout, an even one and an all-zero one, at
-// n = 2…8 and on one fleet-sparse n = 24. The references descend from
-// all three starts; every scheduler and scorer must still return their
-// placements element for element.
-func TestPlaceMatchesReferenceCoincidingStarts(t *testing.T) {
-	stages := []spark.Stage{
-		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
-		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
-		{Name: "r0", Kind: spark.ReduceKind, SecPerGB: 0, Selectivity: 1}, // network-only
-	}
-	scorers := []Scorer{JCT{}, Cost{BudgetS: math.Inf(1)}, Carbon{}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
-	type problem struct {
-		label    string
-		ci       ClusterInfo
-		believed bwmatrix.Matrix
-		layout   []float64
-	}
-	oneRate := func(ci ClusterInfo, rate float64) ClusterInfo {
-		ci.ComputeRates = slices.Repeat([]float64{rate}, ci.N())
-		return ci
-	}
-	var problems []problem
-	for n := 2; n <= 8; n++ {
-		ci, believed, drawn := randomPlanningProblem(n, uint64(n*900+1))
-		ci = withCarbon(ci, uint64(n*900+1))
-		for _, rate := range []float64{2.5, 0} {
-			for _, l := range []struct {
-				name   string
-				layout []float64
-			}{{"drawn", drawn}, {"even", slices.Repeat([]float64{8e9}, n)}, {"zero", make([]float64, n)}} {
-				label := fmt.Sprintf("n=%d rate=%v layout=%s", n, rate, l.name)
-				problems = append(problems, problem{label, oneRate(ci, rate), believed, l.layout})
-			}
-		}
-	}
-	// One fleet-sparse problem: the dense references take about a
-	// second a stage at this size.
-	ci, believed, layout := fleetPlanningProblem(24, 4, 24*9000+4)
-	problems = append(problems, problem{"n=24 nz=4 rate=2.5 layout=drawn", oneRate(withCarbon(ci, 24*9000+4), 2.5), believed, layout})
-
-	for _, p := range problems {
-		// The problem must reach the skip: its compute-proportional
-		// start is the uniform one.
-		n := p.ci.N()
-		prop := spark.Placement(slices.Clone(p.ci.ComputeRates)).Normalize()
-		requirePlacementsEqual(t, prop, spark.UniformPlacement(n), p.label+" compute-proportional start")
-		for _, stage := range stages {
-			// Cases are independent pure calls: run them in parallel.
-			t.Run(p.label+" stage="+stage.Name, func(t *testing.T) {
-				t.Parallel()
-				tet := Tetrium{Believed: p.believed, Info: p.ci}
-				requirePlacementsEqual(t, tet.Place(0, stage, p.layout), placeTetriumReference(tet, stage, p.layout), "tetrium")
-				kim := Kimchi{Believed: p.believed, Info: p.ci}
-				requirePlacementsEqual(t, kim.Place(0, stage, p.layout), placeKimchiReference(kim, stage, p.layout), "kimchi")
-				ir := Iridium{Believed: p.believed, Info: p.ci}
-				requirePlacementsEqual(t, ir.Place(0, stage, p.layout), placeIridiumReference(ir, stage, p.layout), "iridium")
-				for _, sc := range scorers {
-					got := PlaceScored(sc, p.believed, p.ci, stage, p.layout)
-					want := placeScorerReference(sc, p.believed, p.ci, stage, p.layout)
-					requirePlacementsEqual(t, got, want, "scorer="+sc.Name())
-				}
-			})
-		}
-	}
-}
-
 // countingScorer counts its Score calls: the work of a descent, seen
 // from outside the search.
 type countingScorer struct {
@@ -321,49 +70,6 @@ func TestPlaceDescendsEachDistinctStartOnce(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s stage=%s: PlaceScored scored %d candidates, %d distinct descents score %d",
 					c.name, stage.Name, got, len(c.starts), want)
-			}
-		}
-	}
-}
-
-// exactOnly wraps a scorer so the descent takes the "slower, never
-// wrong" path: ScreenSafe is false, so every candidate gets the exact
-// canonical evaluation and neither rejection screen runs.
-type exactOnly struct{ Scorer }
-
-func (exactOnly) ScreenSafe() bool { return false }
-
-// TestScreensNeverChangeThePlacement is the screens' oracle where the
-// O(n⁴) dense reference cannot go — map stages above n=24, anything at
-// n=100: a screen may only reject candidates the exact evaluation would
-// not have accepted, so PlaceScored with and without them must return
-// element-identical placements. Same search, same evaluator; only the
-// screens differ, which makes this O(n²·nz) per sweep instead of O(n⁴).
-func TestScreensNeverChangeThePlacement(t *testing.T) {
-	stages := []spark.Stage{
-		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
-		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},
-	}
-	scorers := []Scorer{JCT{}, Cost{BudgetS: 120}, Blend{WJCT: 0.5, WCost: 0.3, WCarbon: 0.2}}
-	type dims struct{ n, nz int }
-	for _, d := range []dims{{2, 2}, {3, 2}, {8, 4}, {48, 5}, {64, 6}, {100, 6}} {
-		ci, believed, layout := fleetPlanningProblem(d.n, d.nz, uint64(d.n*7000+d.nz))
-		ci = withCarbon(ci, uint64(d.n*7000+d.nz))
-		checkScorers := scorers
-		if d.n == 100 {
-			if raceEnabled {
-				continue // single-goroutine arithmetic: ~30 s more under the detector for nothing n=64 lacks
-			}
-			checkScorers = scorers[:1] // the exact-only side is seconds per scorer here
-		}
-		for _, stage := range stages {
-			for _, sc := range checkScorers {
-				t.Run(fmt.Sprintf("n=%d nz=%d stage=%s scorer=%s", d.n, d.nz, stage.Name, sc.Name()), func(t *testing.T) {
-					t.Parallel()
-					got := PlaceScored(sc, believed, ci, stage, layout)
-					want := PlaceScored(exactOnly{sc}, believed, ci, stage, layout)
-					requirePlacementsEqual(t, got, want, "screened vs exact-only")
-				})
 			}
 		}
 	}
@@ -524,7 +230,7 @@ func TestScreenMaxesFreshAfterEveryMove(t *testing.T) {
 	}
 	for _, d := range [][2]int{{3, 2}, {8, 5}, {24, 4}} {
 		n, nz := d[0], d[1]
-		ci, believed, layout := fleetPlanningProblem(n, nz, uint64(n*9000+nz))
+		ci, believed, layout := planningProblem(n, nz, uint64(n*9000+nz))
 		ci = withCarbon(ci, uint64(n))
 		for _, stage := range []spark.Stage{
 			{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
@@ -665,7 +371,7 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 	}
 	for _, d := range [][2]int{{3, 2}, {8, 5}, {24, 4}} {
 		n, nz := d[0], d[1]
-		ci, believed, layout := fleetPlanningProblem(n, nz, uint64(n*7000+nz))
+		ci, believed, layout := planningProblem(n, nz, uint64(n*7000+nz))
 		ci = withCarbon(ci, uint64(n*7000+nz))
 		for _, stage := range []spark.Stage{
 			{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
@@ -799,7 +505,7 @@ func TestScreenBoundsUnderstateEveryCandidate(t *testing.T) {
 func TestCandidateAggregatesMatchEstimateAgg(t *testing.T) {
 	for _, d := range [][2]int{{3, 2}, {8, 5}, {8, 8}, {24, 4}} {
 		n, nz := d[0], d[1]
-		ci, believed, layout := fleetPlanningProblem(n, nz, uint64(n*5000+nz))
+		ci, believed, layout := planningProblem(n, nz, uint64(n*5000+nz))
 		ci = withCarbon(ci, uint64(n*5000+nz))
 		est := estimator{believed: believed, info: ci}
 		for _, stage := range []spark.Stage{
@@ -860,7 +566,7 @@ func requirePlacementsEqual(t *testing.T, got, want spark.Placement, label strin
 // of the final placement.
 func TestSearchAggregatesMatchEstimateDetail(t *testing.T) {
 	for n := 2; n <= 8; n += 2 {
-		ci, believed, layout := randomPlanningProblem(n, uint64(n)*7+3)
+		ci, believed, layout := planningProblem(n, 0, uint64(n)*7+3)
 
 		est := estimator{believed: believed, info: ci}
 		for _, stage := range []spark.Stage{
@@ -888,8 +594,8 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (see raceEnabled)")
 	}
-	ci, believed, layout := randomPlanningProblem(8, 99)
-	fleetCI, fleetBelieved, fleetLayout := fleetPlanningProblem(100, 6, 100006)
+	ci, believed, layout := planningProblem(8, 0, 99)
+	fleetCI, fleetBelieved, fleetLayout := planningProblem(100, 6, 100006)
 	for _, c := range []struct {
 		tet    Tetrium
 		stage  spark.Stage
@@ -937,7 +643,7 @@ func TestExactEvaluationsPinned(t *testing.T) {
 	mapStage := spark.Stage{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5}
 	reduce := spark.Stage{Name: "r", Kind: spark.ReduceKind, SecPerGB: 2, Selectivity: 1}
 	info, believed, layout := benchCluster()
-	fleetInfo, fleetBelieved, fleetLayout := fleetPlanningProblem(100, 6, 100006)
+	fleetInfo, fleetBelieved, fleetLayout := planningProblem(100, 6, 100006)
 	shufInfo, shufBelieved, shufStage, shufLayouts := fleetShuffles()
 	tetrium := func(s *search) { s.placeMultiStart(JCT{}) }
 	for _, c := range []struct {
@@ -1062,7 +768,7 @@ func BenchmarkSchedulerPlaceReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		placeKimchiReference(kim, stage, layout)
+		placeKimchiReference(kim, stage, layout, placeScorerReference(JCT{}, believed, info, stage, layout))
 	}
 }
 
@@ -1098,7 +804,7 @@ func BenchmarkSchedulerPlaceBlend(b *testing.B) {
 // best and are evaluated exactly. It times that worst case, not what
 // sparse100 spends its planner time in (BenchmarkSchedulerPlaceFleetShuffle).
 func BenchmarkSchedulerPlaceFleetSparse(b *testing.B) {
-	info, believed, layout := fleetPlanningProblem(100, 6, 100006)
+	info, believed, layout := planningProblem(100, 6, 100006)
 	stages := []spark.Stage{
 		{Name: "m", Kind: spark.MapKind, SecPerGB: 3, Selectivity: 0.5},
 		{Name: "r", Kind: spark.ReduceKind, SecPerGB: 1.5, Selectivity: 1},

@@ -199,8 +199,9 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 	for li, fi := range members {
 		f := order[fi]
 		srcDC, dstDC := int(f.srcDC), int(f.dstDC)
+		p := s.lookupPair(srcDC, dstDC)
 		fluct := 1.0
-		if p := s.lookupPair(srcDC, dstDC); p.fluct != nil {
+		if p.fluct != nil {
 			fluct = p.fluct.factor()
 		}
 		memF := memFactor(memScan(f.dst))
@@ -213,7 +214,7 @@ func (s *Sim) refFillGroup(order []*Flow, members []int, congFactor []float64, r
 		capRes := len(resources)
 		resources = append(resources, refResource{kind: resFlowCap, cap: capF})
 
-		rtt := s.rttSeconds(srcDC, dstDC)
+		rtt := p.rtt
 		if rtt <= 0 {
 			rtt = 1e-3
 		}

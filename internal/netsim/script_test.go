@@ -892,11 +892,8 @@ func (h *harness) runUntil(i int, t float64) {
 		s.RunUntil(t)
 		return
 	}
-	for s.now < t-1e-9 {
+	for s.now < t {
 		h.stepOnce(0, t)
-	}
-	if t > s.now {
-		s.now = t
 	}
 }
 

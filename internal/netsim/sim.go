@@ -735,14 +735,12 @@ func (t *ticker) stop() { t.stopped = true }
 // RunFor advances the simulation by d seconds.
 func (s *Sim) RunFor(d float64) { s.RunUntil(s.now + d) }
 
-// RunUntil advances the simulation until time t.
+// RunUntil advances the simulation until time t. It steps all the way
+// (stepOnce never passes its limit): jumping the clock over the last
+// nanosecond would leave the events due there unfired.
 func (s *Sim) RunUntil(t float64) {
-	const eps = 1e-9
-	for s.now < t-eps {
+	for s.now < t {
 		s.stepOnce(t)
-	}
-	if t > s.now {
-		s.now = t
 	}
 }
 
